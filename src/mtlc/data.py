@@ -115,7 +115,7 @@ def _norm_text(text: str) -> str:
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
             if not line:

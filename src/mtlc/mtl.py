@@ -383,6 +383,11 @@ def train(
                 name: p.grad if p.grad is not None else np.zeros(p.shape)
                 for name, p in model.params.items()
             }
+            for name, grad in grads.items():
+                if not np.isfinite(grad).all():
+                    raise NumericalError(
+                        f"non-finite gradient for {name!r} at epoch {epoch} batch {batch_index}"
+                    )
             adamw_step(model.params, grads, states, train_cfg.optimizer)
             seen += len(batch)
             for task in regime.tasks:

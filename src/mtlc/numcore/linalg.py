@@ -1,8 +1,8 @@
 """Matrix norms used by the soft parameter-sharing penalties.
 
-The trace norm (sum of singular values) is computed with a hand-rolled
-one-sided Jacobi SVD: the coupled weight matrices are small, and Jacobi is
-simple, accurate, and easy to cap.
+The trace norm (sum of singular values) comes from LAPACK's thin SVD
+(`numpy.linalg.svd`). Its input is checked to be finite first: LAPACK
+raises on NaN, while on inf it may return NaN or not return at all.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import numpy as np
 from ..errors import NumericalError, ShapeError
 from .tensor import Tensor, _record, mul, sub, sum_all
 
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_TOL = 1e-13
+# singular values at or below this fraction of max(sigma_max, 1) count as zero
+_RANK_TOL = 1e-13
 
 
 def frobenius_sq_distance(a: Tensor, b: Tensor) -> Tensor:
@@ -29,69 +29,25 @@ def frobenius_norm(w) -> float:
     return float(np.sqrt((data * data).sum()))
 
 
-def jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD a = u @ diag(s) @ vt via one-sided Jacobi column rotations.
-
-    Works on the tall orientation internally; singular values come back in
-    descending order. Raises NumericalError if the sweeps do not converge.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeError(f"jacobi_svd needs a non-empty 2-D matrix, got {a.shape}")
-    transposed = a.shape[0] < a.shape[1]
-    u = (a.T if transposed else a).copy()
-    n = u.shape[1]
-    v = np.eye(n)
-
-    for _ in range(_JACOBI_SWEEP_CAP):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = float(u[:, p] @ u[:, p])
-                beta = float(u[:, q] @ u[:, q])
-                gamma = float(u[:, p] @ u[:, q])
-                if abs(gamma) <= _JACOBI_TOL * np.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                up, uq = u[:, p].copy(), u[:, q].copy()
-                u[:, p] = c * up - s * uq
-                u[:, q] = s * up + c * uq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if not rotated:
-            break
-    else:
-        norms = np.sqrt((u * u).sum(axis=0))
-        cond = norms.max() / max(norms.min(), 1e-300)
-        raise NumericalError(
-            f"one-sided Jacobi SVD did not converge in {_JACOBI_SWEEP_CAP} sweeps "
-            f"(shape {a.shape}, column-norm condition estimate {cond:.3e})"
-        )
-
-    sigma = np.sqrt((u * u).sum(axis=0))
-    order = np.argsort(-sigma)
-    sigma = sigma[order]
-    u = u[:, order]
-    v = v[:, order]
-    # normalize left vectors; a zero singular value leaves a zero column,
-    # which drops that direction from the subgradient (non-smooth case)
-    nonzero = sigma > _JACOBI_TOL * max(float(sigma[0]), 1.0)
-    u = np.where(nonzero, u / np.where(nonzero, sigma, 1.0), 0.0)
-    if transposed:
-        return v, sigma, u.T
-    return u, sigma, v.T
-
-
 def trace_norm(w) -> tuple[float, np.ndarray]:
-    """Sum of singular values and its subgradient u @ vt (thin SVD)."""
-    data = w.data if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
-    u, sigma, vt = jacobi_svd(data)
-    return float(sigma.sum()), u @ vt
+    """Sum of singular values and its subgradient u @ vt (thin SVD).
+
+    Directions with a zero singular value are dropped from the subgradient
+    (the non-smooth case): LAPACK returns arbitrary orthonormal vectors for
+    them. Raises ShapeError unless `w` is a non-empty 2-D matrix and
+    NumericalError if it holds a non-finite value or LAPACK fails.
+    """
+    a = w.data if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
+    if a.ndim != 2 or a.size == 0:
+        raise ShapeError(f"trace_norm needs a non-empty 2-D matrix, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise NumericalError(f"trace_norm input of shape {a.shape} holds non-finite values")
+    try:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of the {a.shape} trace_norm input failed: {exc}") from exc
+    rank = int(np.count_nonzero(sigma > _RANK_TOL * max(float(sigma[0]), 1.0)))
+    return float(sigma.sum()), u[:, :rank] @ vt[:rank]
 
 
 def trace_norm_penalty(w: Tensor) -> Tensor:

@@ -87,6 +87,17 @@ class TestLoadJointTsv:
         )
         assert len(load_joint_tsv(path, SCHEMAS, "kannada")) == 1
 
+    def test_utf8_bom_stripped(self, tmp_path):
+        path = write(
+            tmp_path,
+            "c.tsv",
+            "\ufeffhi there\tPositive\tNot offensive\nbye\tNegative\tNot offensive\n",
+        )
+        corpus = load_joint_tsv(path, SCHEMAS, "kannada")
+        assert corpus.records[0].text == "hi there"
+        vocab = build_vocab(rec.text for rec in corpus.records)
+        assert "\ufeff" not in vocab.token_to_id
+
     def test_bad_rows_over_limit_fail_with_line_numbers(self, tmp_path):
         rows = ["ok {}\tPositive\tNot offensive".format(i) for i in range(9)]
         rows.insert(4, "bad row\tJoyful\tNot offensive")

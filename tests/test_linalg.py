@@ -1,20 +1,31 @@
-"""Frobenius distance, one-sided Jacobi SVD, and the trace norm."""
+"""Frobenius distance and the trace norm."""
+
+import time
 
 import numpy as np
 import pytest
 
-from mtlc.errors import ShapeError
+from mtlc.errors import NumericalError, ShapeError
 from mtlc.numcore import (
     GradTape,
     Tensor,
     backward,
+    concat_rows,
     frobenius_norm,
     frobenius_sq_distance,
     grad_check,
-    jacobi_svd,
     trace_norm,
     trace_norm_penalty,
 )
+
+# row-stacked tower pairs the default config couples: wq/wk/wv/wo, ffn_w1, ffn_w2
+COUPLED_SHAPES = [(128, 64), (128, 128), (256, 64)]
+
+
+def holding(value, shape=(4, 3)):
+    a = np.ones(shape)
+    a[1, 1] = value
+    return a
 
 
 class TestFrobeniusSqDistance:
@@ -45,30 +56,6 @@ class TestFrobeniusSqDistance:
             frobenius_sq_distance(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
 
 
-class TestJacobiSvd:
-    @pytest.mark.parametrize("shape", [(4, 3), (3, 4), (5, 5), (1, 3), (6, 2)])
-    def test_reconstruction_and_orthogonality(self, shape):
-        for seed in range(10):
-            a = np.random.default_rng(seed).normal(size=shape)
-            u, s, vt = jacobi_svd(a)
-            k = min(shape)
-            assert u.shape == (shape[0], k) and vt.shape == (k, shape[1])
-            assert np.abs(u @ np.diag(s) @ vt - a).max() < 1e-10
-            assert np.abs(u.T @ u - np.eye(k)).max() < 1e-10
-            assert np.abs(vt @ vt.T - np.eye(k)).max() < 1e-10
-            assert (np.diff(s) <= 1e-12).all()  # descending
-
-    def test_rank_deficient(self):
-        a = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
-        u, s, vt = jacobi_svd(a)
-        assert np.abs(u @ np.diag(s) @ vt - a).max() < 1e-10
-        assert s[1] < 1e-10
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            jacobi_svd(np.zeros(3))
-
-
 class TestTraceNorm:
     def test_diagonal_case(self):
         value, _ = trace_norm(np.diag([3.0, -2.0]))
@@ -82,11 +69,13 @@ class TestTraceNorm:
 
     def test_matches_eigenvalue_oracle(self):
         # independent route: trace norm = sum of sqrt eigenvalues of W^T W
-        for seed in range(100):
-            w = np.random.default_rng(seed).normal(size=(4, 3))
-            value, _ = trace_norm(w)
-            oracle = np.sqrt(np.clip(np.linalg.eigvalsh(w.T @ w), 0.0, None)).sum()
-            assert abs(value - oracle) < 1e-8
+        for shape in [(4, 3), (3, 5), *COUPLED_SHAPES]:
+            for seed in range(100 if shape[0] * shape[1] < 100 else 3):
+                w = np.random.default_rng(seed).normal(size=shape)
+                value, _ = trace_norm(w)
+                gram = w.T @ w if shape[0] >= shape[1] else w @ w.T
+                oracle = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None)).sum()
+                assert abs(value - oracle) < 1e-8, (shape, seed)
 
     def test_dominates_frobenius_norm(self):
         for seed in range(100):
@@ -96,9 +85,49 @@ class TestTraceNorm:
             assert value >= frobenius_norm(w) - 1e-12
 
     def test_subgradient_vs_finite_differences(self):
-        for seed in range(20):
-            w = Tensor(np.random.default_rng(seed).uniform(-2, 2, size=(4, 3)))
-            assert grad_check(lambda t: trace_norm_penalty(t), w) < 1e-5
+        for shape in [(4, 3), (3, 5)]:
+            for seed in range(20):
+                w = Tensor(np.random.default_rng(seed).uniform(-2, 2, size=shape))
+                assert grad_check(lambda t: trace_norm_penalty(t), w) < 1e-5, (shape, seed)
+        # coupled shapes: differences over the first row only, stacked onto
+        # the rest with concat_rows as soft sharing stacks its towers
+        for shape in COUPLED_SHAPES:
+            w = np.random.default_rng(7).uniform(-2, 2, size=shape)
+            rest = Tensor(w[1:])
+            f = lambda t: trace_norm_penalty(concat_rows([t, rest]))
+            assert grad_check(f, Tensor(w[:1])) < 1e-5, shape
+
+    @pytest.mark.parametrize("shape", [(3, 2), (256, 64)])
+    def test_rank_deficient(self, shape):
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=shape[0]), rng.normal(size=shape[1])
+        value, sub = trace_norm(np.outer(x, y))
+        assert value == pytest.approx(np.linalg.norm(x) * np.linalg.norm(y), rel=1e-12)
+        x_hat, y_hat = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        assert np.abs(sub - np.outer(x_hat, y_hat)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "data, error",
+        [
+            pytest.param(np.zeros(3), ShapeError, id="1-d"),
+            pytest.param(np.zeros((0, 3)), ShapeError, id="empty"),
+            pytest.param(holding(np.nan), NumericalError, id="nan"),
+            pytest.param(holding(np.inf), NumericalError, id="inf"),
+        ],
+    )
+    def test_invalid_input_rejected(self, data, error):
+        started = time.perf_counter()
+        with pytest.raises(error, match=r"\(\d+(, \d+)?,?\)"):
+            trace_norm(data)
+        assert time.perf_counter() - started < 1.0
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def failing_svd(a, full_matrices=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(NumericalError, match=r"\(4, 3\)"):
+            trace_norm(np.ones((4, 3)))
 
     def test_penalty_joins_graph(self):
         w = Tensor(np.random.default_rng(5).normal(size=(3, 2)), requires_grad=True)

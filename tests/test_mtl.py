@@ -356,6 +356,26 @@ class TestTrain:
         with pytest.raises(NumericalError, match="epoch 0 batch 0"):
             train(toy_splits, regime, tc, model, toy_vocab)
 
+    def test_non_finite_gradient_aborts_before_the_step(self, toy_splits, toy_vocab, monkeypatch):
+        import mtlc.mtl
+        from mtlc.errors import NumericalError
+
+        cfg = toy_encoder(toy_vocab)
+        regime = regime_for("stl", "sentiment")
+        tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=0)
+        model = build_model(regime, cfg, N_CLASSES, seed=0)
+        before = {name: p.data.copy() for name, p in model.params.items()}
+
+        def poisoned_backward(tape, loss):
+            backward(tape, loss)
+            model.params["pooler_w"].grad[0, 0] = float("inf")
+
+        monkeypatch.setattr(mtlc.mtl, "backward", poisoned_backward)
+        with pytest.raises(NumericalError, match="'pooler_w' at epoch 0 batch 0"):
+            train(toy_splits, regime, tc, model, toy_vocab)
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name
+
 
 class TestEvaluate:
     def test_zero_params_predict_class_zero(self, toy_splits, toy_vocab):
