@@ -37,7 +37,7 @@ from .errors import (
 from .metrics import MetricsReport, build_report, format_report, report_to_dict
 from .mtl import Model, TrainTrace, build_model, evaluate, expected_param_shapes, train
 from .numcore import Tensor
-from .text import build_vocab, load_vocab, save_vocab
+from .text import Vocab, build_vocab, load_vocab, save_vocab
 
 CHECKPOINT_NAME = "checkpoint.mtlc"
 VOCAB_NAME = "vocab.txt"
@@ -144,12 +144,8 @@ def _load_split_corpora(cfg: RunConfig) -> SplitSet:
     return SplitSet(train=train_corpus, val=val_corpus, test=test_corpus)
 
 
-def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model, RunConfig, object]:
-    config_text, arrays = load_checkpoint(checkpoint_path)
-    cfg = load_config(config_text, check_paths=False)
-    vocab = load_vocab(vocab_path)
-    schemas = schemas_for_config(cfg)
-    enc_cfg = EncoderConfig(
+def _encoder_config(cfg: RunConfig, vocab: Vocab) -> EncoderConfig:
+    return EncoderConfig(
         vocab_size=len(vocab),
         d_model=cfg.d_model,
         n_heads=cfg.n_heads,
@@ -158,6 +154,14 @@ def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model
         max_len=cfg.max_len,
         dropout_p=cfg.dropout,
     )
+
+
+def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model, RunConfig, object]:
+    config_text, arrays = load_checkpoint(checkpoint_path)
+    cfg = load_config(config_text, check_paths=False)
+    vocab = load_vocab(vocab_path)
+    schemas = schemas_for_config(cfg)
+    enc_cfg = _encoder_config(cfg, vocab)
     n_classes = {task: schemas[task].n_classes for task in cfg.regime.tasks}
     expected = expected_param_shapes(cfg.regime, enc_cfg, n_classes)
     if set(expected) != set(arrays):
@@ -172,9 +176,8 @@ def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model
             raise CorruptArtifactError(
                 f"checkpoint tensor {name!r} has shape {arrays[name].shape}, expected {shape}"
             )
-    params = {
-        name: Tensor(arrays[name], requires_grad=True, name=name) for name in arrays
-    }
+    # evaluation only: frozen parameters put nothing on any tape
+    params = {name: Tensor(arrays[name], name=name) for name in arrays}
     heads = {task: HeadSpec(task=task, n_classes=n_classes[task]) for task in cfg.regime.tasks}
     model = Model(regime=cfg.regime, encoder_cfg=enc_cfg, heads=heads, params=params)
     return model, cfg, vocab
@@ -198,15 +201,7 @@ def cmd_train(args) -> int:
         min_freq=cfg.min_freq,
         max_size=cfg.max_size,
     )
-    enc_cfg = EncoderConfig(
-        vocab_size=len(vocab),
-        d_model=cfg.d_model,
-        n_heads=cfg.n_heads,
-        n_layers=cfg.n_layers,
-        d_ffn=cfg.d_ffn,
-        max_len=cfg.max_len,
-        dropout_p=cfg.dropout,
-    )
+    enc_cfg = _encoder_config(cfg, vocab)
     schemas = schemas_for_config(cfg)
     n_classes = {task: schemas[task].n_classes for task in cfg.regime.tasks}
     model = build_model(cfg.regime, enc_cfg, n_classes, cfg.train_cfg.seed)

@@ -271,6 +271,8 @@ def stratified_split(
 
 @dataclass(frozen=True)
 class Batch:
+    """Encoded comments and their labels: one batch, or a whole split."""
+
     seqs: tuple[TokenSeq, ...]
     labels: dict[str, tuple[int, ...]] = field(compare=False)
 
@@ -278,34 +280,30 @@ class Batch:
         return len(self.seqs)
 
 
-def batches(
-    split: Corpus,
-    batch_size: int,
-    shuffle: bool,
-    seed: int,
-    vocab: Vocab,
-    max_len: int,
-) -> list[Batch]:
-    """Encode and group a split into fixed-size batches (last one partial)."""
+def encode_split(split: Corpus, vocab: Vocab, max_len: int) -> Batch:
+    """Every record of a split, encoded once, in corpus order."""
+    if not split.records:
+        raise ContractError("cannot encode an empty split")
+    return Batch(
+        seqs=tuple(encode(rec.text, vocab, max_len) for rec in split.records),
+        labels={t: tuple(rec.labels[t] for rec in split.records) for t in split.tasks},
+    )
+
+
+def batches(encoded: Batch, batch_size: int, shuffle: bool, seed: int) -> list[Batch]:
+    """Group an encoded split into fixed-size batches (last one partial),
+    in the order of a seeded permutation when `shuffle` is set."""
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
-    if not split.records:
-        raise ContractError("cannot batch an empty split")
-    records = list(split.records)
-    if shuffle:
-        order = stream(seed, "batch-shuffle").permutation(len(records))
-        records = [records[i] for i in order]
-    tasks = split.tasks
-    out = []
-    for start in range(0, len(records), batch_size):
-        chunk = records[start : start + batch_size]
-        out.append(
-            Batch(
-                seqs=tuple(encode(rec.text, vocab, max_len) for rec in chunk),
-                labels={t: tuple(rec.labels[t] for rec in chunk) for t in tasks},
-            )
+    n = len(encoded)
+    order = stream(seed, "batch-shuffle").permutation(n) if shuffle else range(n)
+    return [
+        Batch(
+            seqs=tuple(encoded.seqs[i] for i in chunk),
+            labels={t: tuple(labels[i] for i in chunk) for t, labels in encoded.labels.items()},
         )
-    return out
+        for chunk in (order[start : start + batch_size] for start in range(0, n, batch_size))
+    ]
 
 
 # ---------------------------------------------------------------------------

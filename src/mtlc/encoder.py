@@ -3,39 +3,38 @@
 
 All parameters live in one flat name -> Tensor map so the optimizer and the
 checkpoint format can address them uniformly.
+
+A batch runs as one forward pass over packed rows: the valid (unmasked)
+positions of every sequence are stacked into one [N, d_model] matrix, so
+embeddings, norms, projections and the feed-forward are single 2-D ops, and
+attention keeps each sequence to its own rows. Pad positions never enter
+the computation.
 """
 
 from __future__ import annotations
 
-import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .numcore import (
     Tensor,
     add,
-    concat_cols,
     dropout,
     gather_rows,
     layer_norm_rows,
     matmul,
     relu,
-    reshape,
-    scale,
-    slice_cols,
-    slice_rows,
-    softmax_rows,
+    segment_attention,
     stream,
     tanh,
-    transpose,
     truncated_normal,
 )
 from .text import TokenSeq
 
-MASK_BIAS = -1e9
 INIT_STD = 0.02
 
 
@@ -107,22 +106,6 @@ def param_shapes(config: EncoderConfig, heads: Sequence[HeadSpec]) -> dict[str, 
     return shapes
 
 
-def param_names(config: EncoderConfig, heads: Sequence[HeadSpec]) -> list[str]:
-    return sorted(param_shapes(config, heads))
-
-
-def param_count(config: EncoderConfig, heads: Sequence[HeadSpec]) -> int:
-    """Closed-form scalar parameter count for (config, heads)."""
-    d, f, n_l = config.d_model, config.d_ffn, config.n_layers
-    total = config.vocab_size * d + config.max_len * d
-    total += n_l * (4 * d * d + d * f + f + f * d + d + 4 * d)
-    total += 2 * d  # final norm
-    total += d * d + d  # pooler
-    for head in heads:
-        total += d * head.hidden + head.hidden + head.hidden * head.n_classes + head.n_classes
-    return total
-
-
 def init_params(
     config: EncoderConfig, heads: Sequence[HeadSpec], seed: int, prefix: str = ""
 ) -> dict[str, Tensor]:
@@ -158,122 +141,105 @@ def head_view(params: Mapping[str, Tensor], task: str, prefix: str = "") -> dict
 # forward passes
 # ---------------------------------------------------------------------------
 
+_FORWARD_LOCK = threading.Lock()
 _FORWARD_CALLS = 0
 
 
 def forward_call_count() -> int:
-    """How many encoder forward passes have run since the last reset."""
+    """How many sequences the encoder has encoded since the last reset."""
     return _FORWARD_CALLS
 
 
 def reset_forward_calls() -> None:
     global _FORWARD_CALLS
-    _FORWARD_CALLS = 0
+    with _FORWARD_LOCK:
+        _FORWARD_CALLS = 0
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Sequence[int]] = None) -> Tensor:
-    """softmax(q k^T / sqrt(d_k) + mask bias) v.
-
-    Masked (pad) key positions get a -1e9 bias; with max subtraction inside
-    softmax their weights underflow to exactly zero.
-    """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError(f"attention needs 2-D q/k/v, got {q.shape}/{k.shape}/{v.shape}")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"q and k disagree on d_k: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"k and v disagree on length: {k.shape} vs {v.shape}")
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    if mask is not None:
-        m = np.asarray(mask, dtype=np.float64)
-        if m.shape != (k.shape[0],):
-            raise ShapeError(f"mask length {m.shape} does not match keys {k.shape}")
-        scores = add(scores, Tensor(np.where(m > 0, 0.0, MASK_BIAS)[None, :]))
-    return matmul(softmax_rows(scores), v)
-
-
-def multi_head(
-    x: Tensor,
+def attention_block(
+    queries: Tensor,
+    memory: Tensor,
     params: Mapping[str, Tensor],
-    layer: int,
+    layer_prefix: str,
     n_heads: int,
-    mask: Optional[Sequence[int]] = None,
-    prefix: str = "",
+    q_lengths: Sequence[int],
+    kv_lengths: Sequence[int],
 ) -> Tensor:
-    """Project to per-head q/k/v, attend per head, concatenate, apply W_O."""
-    p = f"{prefix}layer{layer}."
-    d_model = x.shape[1]
-    if d_model % n_heads != 0:
-        raise ShapeError(f"d_model {d_model} not divisible by n_heads {n_heads}")
-    d_head = d_model // n_heads
-    q_all = matmul(x, params[p + "wq"])
-    k_all = matmul(x, params[p + "wk"])
-    v_all = matmul(x, params[p + "wv"])
-    outs = []
-    for h in range(n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        outs.append(
-            attention(
-                slice_cols(q_all, lo, hi),
-                slice_cols(k_all, lo, hi),
-                slice_cols(v_all, lo, hi),
-                mask,
+    """Multi-head attention of packed query rows over packed memory rows:
+    project to q/k/v, attend within each sequence, apply W_O."""
+    p = layer_prefix
+    q = matmul(queries, params[p + "wq"])
+    k = matmul(memory, params[p + "wk"])
+    v = matmul(memory, params[p + "wv"])
+    return matmul(segment_attention(q, k, v, q_lengths, kv_lengths, n_heads), params[p + "wo"])
+
+
+def _pack(
+    seqs: Sequence[TokenSeq], config: EncoderConfig
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Token ids and positions of every valid row, sequence after sequence,
+    and the number of valid rows of each sequence."""
+    if not seqs:
+        raise ContractError("encoder_forward needs at least one sequence")
+    for seq in seqs:
+        if len(seq.ids) != config.max_len or len(seq.mask) != config.max_len:
+            raise ContractError(
+                f"sequence length {len(seq.ids)} does not match config max_len {config.max_len}"
             )
-        )
-    return matmul(concat_cols(outs), params[p + "wo"])
+    valid = np.array([seq.mask for seq in seqs]) > 0
+    if not valid[:, 0].all():
+        raise ContractError("position 0 ([CLS]) must be valid in every sequence")
+    ids = np.array([seq.ids for seq in seqs])[valid]
+    if ids.max() >= config.vocab_size:
+        raise ContractError(f"token id {ids.max()} out of range for vocab size {config.vocab_size}")
+    return ids, np.nonzero(valid)[1], valid.sum(axis=1).tolist()
 
 
 def encoder_forward(
-    seq: TokenSeq,
+    seqs: Sequence[TokenSeq],
     params: Mapping[str, Tensor],
     config: EncoderConfig,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
     prefix: str = "",
 ) -> Tensor:
-    """Embed, run the pre-norm transformer stack, and pool position 0.
+    """Embed the valid positions of a batch, run the pre-norm transformer
+    stack on the packed rows, and pool each sequence's [CLS] row.
 
-    Returns the tanh-pooled [CLS] vector of shape (d_model,).
+    Only the [CLS] row is pooled, so the last layer computes the query,
+    residual and feed-forward of that row alone; its keys and values still
+    come from every row of the sequence. Returns the tanh-pooled
+    [len(seqs), d_model] vectors.
     """
-    global _FORWARD_CALLS
-    if len(seq.ids) != config.max_len:
-        raise ContractError(
-            f"sequence length {len(seq.ids)} does not match config max_len {config.max_len}"
-        )
-    if max(seq.ids) >= config.vocab_size:
-        raise ContractError(
-            f"token id {max(seq.ids)} out of range for vocab size {config.vocab_size}"
-        )
+    ids, positions, lengths = _pack(seqs, config)
     if training and config.dropout_p > 0 and rng is None:
         raise ContractError("training with dropout needs an explicit rng stream")
-    _FORWARD_CALLS += 1
+    global _FORWARD_CALLS
+    with _FORWARD_LOCK:
+        _FORWARD_CALLS += len(seqs)
+    cls_rows = np.cumsum([0] + lengths[:-1])
 
-    x = add(gather_rows(params[prefix + "tok_emb"], seq.ids), params[prefix + "pos_emb"])
+    tok, pos = params[prefix + "tok_emb"], params[prefix + "pos_emb"]
+    x = add(gather_rows(tok, ids), gather_rows(pos, positions))
     for i in range(config.n_layers):
         p = f"{prefix}layer{i}."
         h = layer_norm_rows(x, params[p + "norm1_g"], params[p + "norm1_b"])
-        attended = multi_head(h, params, i, config.n_heads, seq.mask, prefix)
+        if i == config.n_layers - 1:
+            x = gather_rows(x, cls_rows)
+            queries, q_lengths = gather_rows(h, cls_rows), [1] * len(seqs)
+        else:
+            queries, q_lengths = h, lengths
+        attended = attention_block(queries, h, params, p, config.n_heads, q_lengths, lengths)
         x = add(x, dropout(attended, config.dropout_p, training, rng))
         h = layer_norm_rows(x, params[p + "norm2_g"], params[p + "norm2_b"])
         inner = relu(add(matmul(h, params[p + "ffn_w1"]), params[p + "ffn_b1"]))
         ff = add(matmul(inner, params[p + "ffn_w2"]), params[p + "ffn_b2"])
         x = add(x, dropout(ff, config.dropout_p, training, rng))
     x = layer_norm_rows(x, params[prefix + "final_norm_g"], params[prefix + "final_norm_b"])
-    cls = slice_rows(x, 0, 1)
-    pooled = tanh(add(matmul(cls, params[prefix + "pooler_w"]), params[prefix + "pooler_b"]))
-    return reshape(pooled, (config.d_model,))
+    return tanh(add(matmul(x, params[prefix + "pooler_w"]), params[prefix + "pooler_b"]))
 
 
-def classify(cls_vector: Tensor, head_params: Mapping[str, Tensor]) -> Tensor:
-    """Raw logits: W_out relu(W_hidden cls + b_hidden) + b_out."""
-    if cls_vector.data.ndim != 1:
-        raise ShapeError(f"classify needs a 1-D cls vector, got {cls_vector.shape}")
-    w_hidden = head_params["w_hidden"]
-    if w_hidden.shape[0] != cls_vector.shape[0]:
-        raise ShapeError(
-            f"cls width {cls_vector.shape[0]} does not match head input {w_hidden.shape[0]}"
-        )
-    row = reshape(cls_vector, (1, cls_vector.shape[0]))
-    hidden = relu(add(matmul(row, w_hidden), head_params["b_hidden"]))
-    logits = add(matmul(hidden, head_params["w_out"]), head_params["b_out"])
-    return reshape(logits, (logits.shape[1],))
+def classify(pooled: Tensor, head_params: Mapping[str, Tensor]) -> Tensor:
+    """Raw [B, n_classes] logits: relu(pooled W_hidden + b_hidden) W_out + b_out."""
+    hidden = relu(add(matmul(pooled, head_params["w_hidden"]), head_params["b_hidden"]))
+    return add(matmul(hidden, head_params["w_out"]), head_params["b_out"])

@@ -1,17 +1,19 @@
 """Classification losses: cross-entropy, multi-class hinge, focal, KLD.
 
-All four consume raw logits and return taped scalars, so gradients flow
-through the same autodiff machinery as the encoder. Cross-entropy and the
-focal/KLD variants go through one shared log-sum-exp core: focal with
-gamma=0 takes the cross-entropy path bit for bit, and KLD with zero label
-smoothing reproduces cross-entropy exactly.
+All four consume raw [B, C] logits with one target per row and return the
+batch mean as a taped scalar, so gradients flow through the same autodiff
+machinery as the encoder; a 1-D logit vector with one int target is a batch
+of one. Cross-entropy and the focal/KLD variants go through one shared
+row-wise log-sum-exp core: focal with gamma=0 takes the cross-entropy path
+bit for bit, and KLD with zero label smoothing reproduces cross-entropy
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,16 +22,19 @@ from .numcore import (
     Tensor,
     add,
     exp,
+    gather_rows,
     log_sum_exp,
     mul,
     neg,
     pow_const,
     relu,
+    reshape,
     scale,
     sub,
     sum_all,
-    take,
 )
+
+Targets = Union[int, Sequence[int], np.ndarray]
 
 
 class LossKind(Enum):
@@ -98,121 +103,114 @@ def class_weights(counts: Sequence[int]) -> ClassWeights:
     return ClassWeights(w=tuple(1.0 - c / total for c in counts))
 
 
-def _check_target(logits: Tensor, target: int) -> int:
-    if logits.data.ndim != 1:
-        raise ContractError(f"losses need 1-D logits, got shape {logits.shape}")
-    n = logits.shape[0]
-    if not 0 <= target < n:
-        raise ContractError(f"target {target} out of range for {n} classes")
-    return n
-
-
-def _weight_for(weights: Optional[ClassWeights], target: int, n: int) -> float:
-    if weights is None:
-        return 1.0
-    if len(weights) != n:
+def _as_batch(
+    logits: Tensor, targets: Targets, weights: Optional[ClassWeights] = None
+) -> tuple[Tensor, np.ndarray]:
+    """[B, C] logits and B in-range int targets; a 1-D logit vector with a
+    single target is a batch of one."""
+    if logits.data.ndim == 1:
+        logits, targets = reshape(logits, (1, logits.shape[0])), [targets]
+    if logits.data.ndim != 2 or logits.shape[0] == 0:
+        raise ContractError(f"losses need non-empty [B, C] logits, got shape {logits.shape}")
+    b, n = logits.shape
+    t = np.asarray(targets, dtype=np.int64)
+    if t.shape != (b,):
+        raise ContractError(f"{t.size} targets for {b} rows of logits")
+    if t.min() < 0 or t.max() >= n:
+        raise ContractError(f"targets {t.tolist()} out of range for {n} classes")
+    if weights is not None and len(weights) != n:
         raise ContractError(f"{len(weights)} class weights for {n} classes")
-    return weights[target]
+    return logits, t
 
 
-def _weighted_nll(logits: Tensor, target: int, weight: float) -> Tensor:
-    # -w * log softmax(logits)[target], via log-sum-exp for stability
-    nll = sub(log_sum_exp(logits), take(logits, target))
-    return scale(nll, weight) if weight != 1.0 else nll
+def _target_logits(logits: Tensor, t: np.ndarray) -> Tensor:
+    """[B] logit of each row's target class, gathered from the flattened matrix."""
+    b, n = logits.shape
+    picked = gather_rows(reshape(logits, (b * n, 1)), np.arange(b) * n + t)
+    return reshape(picked, (b,))
+
+
+def _mean(per_row: Tensor, t: np.ndarray, weights: Optional[ClassWeights]) -> Tensor:
+    """Batch mean of per-row losses, each scaled by its target's class weight."""
+    if weights is not None:
+        per_row = mul(per_row, Tensor(np.asarray(weights.w)[t]))
+    return scale(sum_all(per_row), 1.0 / len(t))
 
 
 def cross_entropy(
-    logits: Tensor, target: int, weights: Optional[ClassWeights] = None
+    logits: Tensor, targets: Targets, weights: Optional[ClassWeights] = None
 ) -> Tensor:
-    n = _check_target(logits, target)
-    return _weighted_nll(logits, target, _weight_for(weights, target, n))
+    logits, t = _as_batch(logits, targets, weights)
+    # -log softmax(logits)[target] per row, via log-sum-exp for stability
+    return _mean(sub(log_sum_exp(logits), _target_logits(logits, t)), t, weights)
 
 
-def hinge_multiclass(logits: Tensor, target: int) -> Tensor:
+def hinge_multiclass(logits: Tensor, targets: Targets) -> Tensor:
     """Sum over wrong classes of max(0, 1 + logit_wrong - logit_target)."""
-    n = _check_target(logits, target)
-    margins = add(sub(logits, take(logits, target)), Tensor(1.0))
-    violations = relu(margins)
-    # the target's own term is max(0, 1) = 1 by construction; drop it
-    return sub(sum_all(violations), Tensor(1.0))
+    logits, t = _as_batch(logits, targets)
+    b, n = logits.shape
+    margins = add(sub(logits, reshape(_target_logits(logits, t), (b, 1))), Tensor(1.0))
+    # the target's own term is max(0, 1) = 1 by construction; mask it out
+    wrong = np.ones((b, n))
+    wrong[np.arange(b), t] = 0.0
+    return scale(sum_all(mul(relu(margins), Tensor(wrong))), 1.0 / b)
 
 
 def focal(
     logits: Tensor,
-    target: int,
+    targets: Targets,
     gamma: float = 2.0,
     weights: Optional[ClassWeights] = None,
 ) -> Tensor:
     """Cross-entropy modulated by (1 - p_target)^gamma."""
     if gamma < 0:
         raise ContractError(f"focal gamma must be >= 0, got {gamma}")
-    n = _check_target(logits, target)
-    weight = _weight_for(weights, target, n)
     if gamma == 0.0:
-        return _weighted_nll(logits, target, weight)
-    log_pt = sub(take(logits, target), log_sum_exp(logits))
+        return cross_entropy(logits, targets, weights)
+    logits, t = _as_batch(logits, targets, weights)
+    log_pt = sub(_target_logits(logits, t), log_sum_exp(logits))
     modulator = pow_const(sub(Tensor(1.0), exp(log_pt)), gamma)
-    loss = mul(modulator, neg(log_pt))
-    return scale(loss, weight) if weight != 1.0 else loss
+    return _mean(mul(modulator, neg(log_pt)), t, weights)
 
 
-def kld(logits: Tensor, target: int, epsilon: float = 0.1) -> Tensor:
+def kld(logits: Tensor, targets: Targets, epsilon: float = 0.1) -> Tensor:
     """KL divergence from the smoothed one-hot target to softmax(logits).
 
     p_target = 1 - epsilon, the rest share epsilon; with epsilon 0 this is
     exactly cross-entropy because a one-hot p has zero entropy.
     """
-    n = _check_target(logits, target)
+    logits, t = _as_batch(logits, targets)
     if not 0.0 <= epsilon < 0.5:
         raise ContractError(f"kld epsilon must be in [0, 0.5), got {epsilon}")
+    b, n = logits.shape
     if epsilon == 0.0 or n == 1:
-        return _weighted_nll(logits, target, 1.0)
-    p = np.full(n, epsilon / (n - 1))
-    p[target] = 1.0 - epsilon
-    neg_entropy = float((p * np.log(p)).sum())
-    # sum(p) == 1, so sum_i p_i (log p_i - log softmax_i) reduces to
-    # -H(p) + lse(logits) - p . logits
-    cross = sub(log_sum_exp(logits), sum_all(mul(Tensor(p), logits)))
-    return add(cross, Tensor(neg_entropy))
+        return cross_entropy(logits, t)
+    p = np.full((b, n), epsilon / (n - 1))
+    p[np.arange(b), t] = 1.0 - epsilon
+    neg_entropy = float((p[0] * np.log(p[0])).sum())
+    # sum(p) == 1 per row, so sum_i p_i (log p_i - log softmax_i) reduces to
+    # -H(p) + lse(logits) - p . logits; every row has the same entropy
+    cross = sub(sum_all(log_sum_exp(logits)), sum_all(mul(Tensor(p), logits)))
+    return add(scale(cross, 1.0 / b), Tensor(neg_entropy))
 
 
 def compute_loss(
     logits: Tensor,
-    target: int,
+    targets: Targets,
     cfg: LossConfig,
     weights: Optional[ClassWeights] = None,
 ) -> Tensor:
-    """Dispatch on the configured loss kind.
+    """Batch mean of the configured loss over [B, C] logits and B targets.
 
     Class weights apply to cross-entropy and focal only.
     """
     w = weights if cfg.use_class_weights else None
     if cfg.kind is LossKind.CROSS_ENTROPY:
-        return cross_entropy(logits, target, w)
+        return cross_entropy(logits, targets, w)
     if cfg.kind is LossKind.HINGE:
-        return hinge_multiclass(logits, target)
+        return hinge_multiclass(logits, targets)
     if cfg.kind is LossKind.FOCAL:
-        return focal(logits, target, cfg.focal_gamma, w)
+        return focal(logits, targets, cfg.focal_gamma, w)
     if cfg.kind is LossKind.KLD:
-        return kld(logits, target, cfg.kld_epsilon)
+        return kld(logits, targets, cfg.kld_epsilon)
     raise ContractError(f"unhandled loss kind {cfg.kind}")
-
-
-def batch_loss(per_sample: Sequence[Tensor]) -> Tensor:
-    """Arithmetic mean of per-sample scalar losses (left-fold, fixed order)."""
-    per_sample = list(per_sample)
-    if not per_sample:
-        raise ContractError("batch_loss over an empty batch")
-    if len(per_sample) == 1:
-        return per_sample[0]
-    total = per_sample[0]
-    for t in per_sample[1:]:
-        total = add(total, t)
-    return scale(total, 1.0 / len(per_sample))
-
-
-# kept for reference/tests: the binary case n=2 of the multi-class form
-def hinge_binary(score: float, label: int) -> float:
-    """max(0, 1 - y*s) with y in {-1, +1}; documented special case only."""
-    y = 1.0 if label > 0 else -1.0
-    return max(0.0, 1.0 - y * float(score))

@@ -11,7 +11,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .data import Batch, Corpus, SplitSet, batches, class_counts
+from .data import Batch, Corpus, SplitSet, batches, class_counts, encode_split
 from .encoder import (
     EncoderConfig,
     HeadSpec,
@@ -22,7 +22,7 @@ from .encoder import (
     param_shapes,
 )
 from .errors import ConfigError, ContractError, NumericalError
-from .losses import ClassWeights, LossConfig, batch_loss, class_weights, compute_loss
+from .losses import ClassWeights, LossConfig, class_weights, compute_loss
 from .metrics import task_report
 from .numcore import (
     GradTape,
@@ -36,12 +36,11 @@ from .numcore import (
     frobenius_sq_distance,
     init_states,
     scale,
-    stack_rows,
     stream,
     trace_norm_penalty,
     zero_grads,
 )
-from .text import Vocab
+from .text import TokenSeq, Vocab
 
 STL = "stl"
 HARD_SHARE = "hard_share"
@@ -201,43 +200,25 @@ def _validate_coupling(regime: RegimeConfig, params: Mapping[str, Tensor]) -> No
 # ---------------------------------------------------------------------------
 
 
-def sample_logits(
+def batch_logits(
     model: Model,
-    seq,
+    seqs: Sequence[TokenSeq],
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> dict[str, Tensor]:
-    """Per-task logits for one sequence. Shared regimes encode once; soft
-    sharing runs one tower per task."""
+    """Per-task [len(seqs), n_classes] logits. Shared regimes encode the
+    batch once for every head; soft sharing runs one tower per task."""
     out: dict[str, Tensor] = {}
     if model.regime.kind == SOFT_SHARE:
         for task in model.regime.tasks:
             prefix = model.tower_prefix(task)
-            cls = encoder_forward(seq, model.params, model.encoder_cfg, training, rng, prefix)
-            out[task] = classify(cls, head_view(model.params, task, prefix))
+            pooled = encoder_forward(seqs, model.params, model.encoder_cfg, training, rng, prefix)
+            out[task] = classify(pooled, head_view(model.params, task, prefix))
     else:
-        cls = encoder_forward(seq, model.params, model.encoder_cfg, training, rng)
+        pooled = encoder_forward(seqs, model.params, model.encoder_cfg, training, rng)
         for task in model.regime.tasks:
-            out[task] = classify(cls, head_view(model.params, task))
+            out[task] = classify(pooled, head_view(model.params, task))
     return out
-
-
-def hard_forward(
-    batch: Batch,
-    model: Model,
-    training: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[Tensor, ...]:
-    """One encoder pass per sample feeding every head; returns stacked
-    [B, n_classes] logits per task in regime task order."""
-    if model.regime.kind == SOFT_SHARE:
-        raise ContractError("hard_forward is for shared-encoder regimes")
-    rows: dict[str, list[Tensor]] = {task: [] for task in model.regime.tasks}
-    for seq in batch.seqs:
-        logits = sample_logits(model, seq, training, rng)
-        for task in model.regime.tasks:
-            rows[task].append(logits[task])
-    return tuple(stack_rows(rows[task]) for task in model.regime.tasks)
 
 
 def hard_loss(loss1: Tensor, loss2: Tensor, task_weights: Sequence[float]) -> Tensor:
@@ -333,17 +314,14 @@ def train(
     weights = _class_weight_table(regime, splits.train)
     shuffle_rng = stream(train_cfg.seed, "shuffle")
     dropout_rng = stream(train_cfg.seed, "dropout")
+    train_set = encode_split(splits.train, vocab, model.encoder_cfg.max_len)
+    val_set = encode_split(splits.val, vocab, model.encoder_cfg.max_len)
     trace = TrainTrace()
 
     for epoch in range(train_cfg.epochs):
         started = time.perf_counter()
         epoch_batches = batches(
-            splits.train,
-            train_cfg.batch_size,
-            train_cfg.shuffle,
-            child_seed(shuffle_rng),
-            vocab,
-            model.encoder_cfg.max_len,
+            train_set, train_cfg.batch_size, train_cfg.shuffle, child_seed(shuffle_rng)
         )
         loss_sums = {task: 0.0 for task in regime.tasks}
         hits = {task: 0 for task in regime.tasks}
@@ -351,17 +329,11 @@ def train(
         for batch_index, batch in enumerate(epoch_batches):
             zero_grads(model.params)
             with GradTape() as tape:
-                per_task: dict[str, list[Tensor]] = {task: [] for task in regime.tasks}
-                for pos, seq in enumerate(batch.seqs):
-                    logits = sample_logits(model, seq, training=True, rng=dropout_rng)
-                    for task in regime.tasks:
-                        gold = batch.labels[task][pos]
-                        per_task[task].append(
-                            compute_loss(logits[task], gold, regime.losses[task], weights[task])
-                        )
-                        if int(np.argmax(logits[task].data)) == gold:
-                            hits[task] += 1
-                task_losses = {task: batch_loss(per_task[task]) for task in regime.tasks}
+                logits = batch_logits(model, batch.seqs, training=True, rng=dropout_rng)
+                task_losses = {
+                    t: compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])
+                    for t in regime.tasks
+                }
                 if regime.kind == STL:
                     total = task_losses[regime.tasks[0]]
                 elif regime.kind == HARD_SHARE:
@@ -392,12 +364,14 @@ def train(
             seen += len(batch)
             for task in regime.tasks:
                 loss_sums[task] += task_losses[task].item() * len(batch)
+                hits[task] += int((logits[task].data.argmax(axis=1) == batch.labels[task]).sum())
 
-        val_preds = evaluate(model, splits.val, vocab)
+        val_preds = _predict(model, val_set)
         val_f1 = {}
         for task in regime.tasks:
-            golds = [rec.labels[task] for rec in splits.val.records]
-            tr = task_report(task, splits.val.schemas[task].classes, golds, val_preds[task])
+            tr = task_report(
+                task, splits.val.schemas[task].classes, list(val_set.labels[task]), val_preds[task]
+            )
             val_f1[task] = tr.weighted.f1
         trace.epochs.append(
             EpochStats(
@@ -408,6 +382,15 @@ def train(
             )
         )
     return model.params, trace
+
+
+def _predict(model: Model, encoded: Batch) -> dict[str, list[int]]:
+    preds: dict[str, list[int]] = {task: [] for task in model.regime.tasks}
+    for batch in batches(encoded, 64, False, 0):
+        logits = batch_logits(model, batch.seqs)
+        for task in model.regime.tasks:
+            preds[task].extend(logits[task].data.argmax(axis=1).tolist())
+    return preds
 
 
 def evaluate(model: Model, split: Corpus, vocab: Vocab) -> dict[str, list[int]]:
@@ -423,10 +406,4 @@ def evaluate(model: Model, split: Corpus, vocab: Vocab) -> dict[str, list[int]]:
                 f"schema/head class count mismatch for {task!r}: "
                 f"{split.schemas[task].n_classes} vs {model.heads[task].n_classes}"
             )
-    preds: dict[str, list[int]] = {task: [] for task in model.regime.tasks}
-    for batch in batches(split, 64, False, 0, vocab, model.encoder_cfg.max_len):
-        for seq in batch.seqs:
-            logits = sample_logits(model, seq, training=False, rng=None)
-            for task in model.regime.tasks:
-                preds[task].append(int(np.argmax(logits[task].data)))
-    return preds
+    return _predict(model, encode_split(split, vocab, model.encoder_cfg.max_len))

@@ -24,11 +24,6 @@ def frobenius_sq_distance(a: Tensor, b: Tensor) -> Tensor:
     return sum_all(mul(d, d))
 
 
-def frobenius_norm(w) -> float:
-    data = w.data if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
-    return float(np.sqrt((data * data).sum()))
-
-
 def trace_norm(w) -> tuple[float, np.ndarray]:
     """Sum of singular values and its subgradient u @ vt (thin SVD).
 

@@ -4,10 +4,15 @@ A `GradTape` is a Wengert list: ops executed while a tape is active append
 one record each, and `backward` replays the records in reverse, which is a
 reverse topological order by construction. Only float64 is supported; the
 models here are small enough that precision beats speed.
+
+The active tapes are per context (`contextvars`): an op records onto the
+innermost tape entered in its own thread, so a forward pass in one thread
+never lands on a tape another thread is filling.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar, Token
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,38 +62,41 @@ class GradTape:
     """Ordered record of primitive ops, replayed in reverse for adjoints."""
 
     def __init__(self):
-        # each record: (id(output), input tensors, backward fn)
-        self._records: list[tuple[int, tuple[Tensor, ...], Callable]] = []
+        # each record: (output, input tensors, backward fn); holding the
+        # output keeps its id unique for as long as the tape lives
+        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._produced: set[int] = set()
         self._watched: dict[int, Tensor] = {}
+        self._tokens: list[Token] = []
 
     def __enter__(self) -> "GradTape":
-        _ACTIVE.append(self)
+        self._tokens.append(_ACTIVE.set(_ACTIVE.get() + (self,)))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _ACTIVE.pop()
-        assert popped is self
+        _ACTIVE.reset(self._tokens.pop())
 
     def _add(self, out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> None:
         for t in inputs:
             if t.requires_grad and id(t) not in self._produced:
                 self._watched.setdefault(id(t), t)
-        self._records.append((id(out), inputs, bwd))
+        self._records.append((out, inputs, bwd))
         self._produced.add(id(out))
 
     def __len__(self) -> int:
         return len(self._records)
 
 
-_ACTIVE: list[GradTape] = []
+# the tapes entered in the current context, innermost last
+_ACTIVE: ContextVar[tuple[GradTape, ...]] = ContextVar("mtlc_active_tapes", default=())
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
     """Attach `out` to the active tape if any input participates in autodiff."""
-    if _ACTIVE and any(t.requires_grad for t in inputs):
+    tapes = _ACTIVE.get()
+    if tapes and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _ACTIVE[-1]._add(out, inputs, bwd)
+        tapes[-1]._add(out, inputs, bwd)
     return out
 
 
@@ -103,8 +111,8 @@ def backward(tape: GradTape, loss: Tensor) -> dict[str, Array]:
     if id(loss) not in tape._produced:
         raise ContractError("loss was not produced by ops recorded on this tape")
     adjoint: dict[int, Array] = {id(loss): np.ones(())}
-    for out_id, inputs, bwd in reversed(tape._records):
-        g = adjoint.pop(out_id, None)
+    for out, inputs, bwd in reversed(tape._records):
+        g = adjoint.pop(id(out), None)
         if g is None:
             continue
         for t, gi in zip(inputs, bwd(g)):
@@ -253,10 +261,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (np.full(x.shape, float(g)),))
 
 
-def mean_all(x: Tensor) -> Tensor:
-    return scale(sum_all(x), 1.0 / x.size)
-
-
 def take(x: Tensor, index: int) -> Tensor:
     """Scalar element of a 1-D tensor."""
     if x.data.ndim != 1:
@@ -366,14 +370,84 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 
 def log_sum_exp(x: Tensor) -> Tensor:
-    """Scalar log(sum(exp(x))) of a 1-D tensor; gradient is softmax(x)."""
-    if x.data.ndim != 1:
-        raise ShapeError(f"log_sum_exp needs a 1-D tensor, got {x.shape}")
-    m = x.data.max()
+    """log(sum(exp(x))) over the last axis: a scalar for a 1-D tensor, one
+    value per row for a 2-D one. The gradient is the softmax."""
+    if x.data.ndim not in (1, 2):
+        raise ShapeError(f"log_sum_exp needs a 1-D or 2-D tensor, got {x.shape}")
+    m = x.data.max(axis=-1, keepdims=True)
     e = np.exp(x.data - m)
-    z = e.sum()
-    out = Tensor(m + np.log(z))
-    return _record(out, (x,), lambda g: (float(g) * e / z,))
+    z = e.sum(axis=-1, keepdims=True)
+    out = Tensor((m + np.log(z))[..., 0])
+    return _record(out, (x,), lambda g: (np.asarray(g)[..., None] * e / z,))
+
+
+def segment_attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    q_lengths: Sequence[int],
+    kv_lengths: Sequence[int],
+    n_heads: int,
+) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(d_k)) v over packed sequences.
+
+    The rows of `q` and of `k`/`v` are consecutive segments, one per
+    sequence: the `q_lengths[i]` query rows of sequence i attend to its
+    `kv_lengths[i]` key rows and to no other row. The columns of q/k and of
+    v split into `n_heads` equal heads, and the output holds the heads side
+    by side, [rows of q, width of v]. One tape record with a hand-written
+    backward covers every head and sequence.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
+        raise ShapeError(f"attention needs 2-D q/k/v, got {q.shape}/{k.shape}/{v.shape}")
+    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+        raise ShapeError(f"q/k widths or k/v lengths disagree: {q.shape}/{k.shape}/{v.shape}")
+    if n_heads < 1 or q.shape[1] % n_heads or v.shape[1] % n_heads:
+        raise ShapeError(f"widths {q.shape[1]}/{v.shape[1]} do not split into {n_heads} heads")
+    if (
+        len(q_lengths) != len(kv_lengths)
+        or min(q_lengths, default=0) < 1
+        or min(kv_lengths, default=0) < 1
+        or (sum(q_lengths), sum(kv_lengths)) != (q.shape[0], k.shape[0])
+    ):
+        raise ShapeError(
+            f"segment lengths {list(q_lengths)}/{list(kv_lengths)} must be positive, one pair "
+            f"per sequence, and cover the {q.shape[0]}/{k.shape[0]} q/k rows"
+        )
+
+    def split(a: Array) -> Array:  # [rows, heads * w] -> [heads, rows, w]
+        return a.reshape(a.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+    def merge(a: Array) -> Array:  # [heads, rows, w] -> [rows, heads * w]
+        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+    c = 1.0 / np.sqrt(q.shape[1] // n_heads)
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(kv_lengths)
+    segments = [
+        (slice(qe - ql, qe), slice(ke - kl, ke))
+        for ql, qe, kl, ke in zip(q_lengths, q_ends, kv_lengths, kv_ends)
+    ]
+    out = np.empty((n_heads, q.shape[0], vh.shape[2]))
+    probs = []
+    for qs, ks in segments:
+        scores = (qh[:, qs] @ kh[:, ks].transpose(0, 2, 1)) * c
+        e = np.exp(scores - scores.max(axis=2, keepdims=True))
+        probs.append(e / e.sum(axis=2, keepdims=True))
+        out[:, qs] = probs[-1] @ vh[:, ks]
+
+    def bwd(g):
+        gh = split(g)
+        gq, gk, gv = np.empty(qh.shape), np.empty(kh.shape), np.empty(vh.shape)
+        for (qs, ks), p in zip(segments, probs):
+            dp = gh[:, qs] @ vh[:, ks].transpose(0, 2, 1)
+            ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * c
+            gq[:, qs] = ds @ kh[:, ks]
+            gk[:, ks] = ds.transpose(0, 2, 1) @ qh[:, qs]
+            gv[:, ks] = p.transpose(0, 2, 1) @ gh[:, qs]
+        return merge(gq), merge(gk), merge(gv)
+
+    return _record(Tensor(merge(out)), (q, k, v), bwd)
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

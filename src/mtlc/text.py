@@ -44,10 +44,6 @@ class TokenSeq:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def content_length(self) -> int:
-        return sum(self.mask) - 2  # minus [CLS] and [SEP]
-
 
 def _strip_punct(word: str) -> str:
     start, stop = 0, len(word)

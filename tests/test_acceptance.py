@@ -10,18 +10,17 @@ from mtlc.data import Corpus, Record, schemas_for_language, stratified_split
 from mtlc.encoder import (
     EncoderConfig,
     HeadSpec,
-    attention,
+    attention_block,
     classify,
     encoder_forward,
     forward_call_count,
     head_view,
     init_params,
-    multi_head,
     reset_forward_calls,
 )
 from mtlc.losses import (
-    batch_loss,
     class_weights,
+    compute_loss,
     cross_entropy,
     focal,
     hinge_multiclass,
@@ -33,12 +32,11 @@ from mtlc.mtl import (
     RegimeConfig,
     SoftShareConfig,
     TrainConfig,
+    batch_logits,
     build_model,
     coupling_distance,
     default_coupled_layers,
-    hard_forward,
     hard_loss,
-    sample_logits,
     soft_loss,
     train,
 )
@@ -62,6 +60,7 @@ from mtlc.numcore import (
     pow_const,
     relu,
     reshape,
+    segment_attention,
     sigmoid,
     slice_cols,
     slice_rows,
@@ -176,7 +175,7 @@ def _encoder_op_cases():
         def f(x):
             trial = dict(base)
             trial[name] = x
-            cls = encoder_forward(seq, trial, enc_cfg)
+            cls = encoder_forward([seq], trial, enc_cfg)
             logits = classify(cls, head_view(trial, "sentiment"))
             return sum_all(mul(logits, Tensor(np.arange(1.0, 6.0))))
 
@@ -189,13 +188,13 @@ def _encoder_op_cases():
             "layer0.wv": rng_tensor(885, (4, 4), -0.5, 0.5),
             "layer0.wo": rng_tensor(886, (4, 4), -0.5, 0.5),
         }
-        out = multi_head(x, params, 0, 2, [1, 1, 1, 0])
+        out = attention_block(x, x, params, "layer0.", 2, [3, 1], [3, 1])
         return sum_all(mul(out, Tensor(np.arange(16.0).reshape(4, 4))))
 
     cases = [
-        ("attention_q", lambda x: sum_all(mul(attention(x, kv, vv, [1, 1, 1, 0]), w_att)), (2, 3)),
+        ("attention_q", lambda x: sum_all(mul(segment_attention(x, kv, vv, [1, 1], [3, 1], 1), w_att)), (2, 3)),
         ("multi_head_x", mh_case, (4, 4)),
-        ("classify_cls", lambda x: sum_all(mul(classify(x, head_view(base, "sentiment")), Tensor(np.arange(1.0, 6.0)))), (4,)),
+        ("classify_cls", lambda x: sum_all(mul(classify(reshape(x, (1, 4)), head_view(base, "sentiment")), Tensor(np.arange(1.0, 6.0)))), (4,)),
     ]
     # rotate through representative parameter tensors for encoder_forward
     for name in ("layer0.wq", "layer0.ffn_w1", "pooler_w", "tok_emb"):
@@ -210,7 +209,7 @@ def _loss_op_cases():
         ("hinge_multiclass", lambda x: hinge_multiclass(x, 3), (6,)),
         ("focal", lambda x: focal(x, 0, 2.0), (6,)),
         ("kld", lambda x: kld(x, 4, 0.1), (6,)),
-        ("batch_loss", lambda x: batch_loss([take(x, i) for i in range(4)]), (4,)),
+        ("batch_loss", lambda x: compute_loss(reshape(x, (2, 2)), [1, 0], LossConfig()), (4,)),
     ]
 
 
@@ -264,13 +263,9 @@ def test_criterion_1_gradient_suite():
     golds = {"sentiment": (1, 4), "offense": (0, 5)}
 
     def mtl_loss(trial):
-        per_task = {t: [] for t in TASKS}
-        for i, seq in enumerate(seqs):
-            cls = encoder_forward(seq, trial, enc_cfg)
-            for task in TASKS:
-                logits = classify(cls, head_view(trial, task))
-                per_task[task].append(cross_entropy(logits, golds[task][i]))
-        return hard_loss(batch_loss(per_task["sentiment"]), batch_loss(per_task["offense"]), (1.0, 1.0))
+        cls = encoder_forward(seqs, trial, enc_cfg)
+        per_task = {task: cross_entropy(classify(cls, head_view(trial, task)), golds[task]) for task in TASKS}
+        return hard_loss(per_task["sentiment"], per_task["offense"], (1.0, 1.0))
 
     worst_name, worst_err = "", 0.0
     for name in sorted(params):
@@ -517,21 +512,21 @@ def test_criterion_8_determinism_and_artifacts(tmp_path):
 
 
 def test_criterion_9_shared_encoder_halves_forward_ops(toy_splits, toy_vocab):
-    from mtlc.data import batches
+    from mtlc.data import batches, encode_split
 
     cfg = toy_encoder_cfg(toy_vocab, dropout_p=0.0)
     shared = build_model(regime_for("hard_share"), cfg, N_CLASSES, seed=3)
-    batch = batches(toy_splits.val, 16, False, 0, toy_vocab, cfg.max_len)[0]
+    batch = batches(encode_split(toy_splits.val, toy_vocab, cfg.max_len), 16, False, 0)[0]
 
     reset_forward_calls()
-    hard_forward(batch, shared)
+    batch_logits(shared, batch.seqs)
     shared_calls = forward_call_count()
 
     reset_forward_calls()
     for task in TASKS:
         stl = build_model(regime_for("stl", task), cfg, N_CLASSES, seed=3)
         for seq in batch.seqs:
-            sample_logits(stl, seq)
+            batch_logits(stl, [seq])
     stl_calls = forward_call_count()
 
     assert shared_calls == len(batch)

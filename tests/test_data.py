@@ -10,6 +10,7 @@ from mtlc.data import (
     batches,
     class_counts,
     corpus_to_tsv,
+    encode_split,
     load_joint_tsv,
     merge_task_files,
     schemas_for_language,
@@ -221,25 +222,25 @@ class TestBatches:
 
     def test_sizes(self, vocab):
         corpus = make_corpus([0] * 10)
-        out = batches(corpus, 4, False, 0, vocab, 6)
+        out = batches(encode_split(corpus, vocab, 6), 4, False, 0)
         assert [len(b) for b in out] == [4, 4, 2]
 
     def test_order_preserved_without_shuffle(self, vocab):
         corpus = make_corpus(list(range(5)))
-        out = batches(corpus, 2, False, 0, vocab, 6)
+        out = batches(encode_split(corpus, vocab, 6), 2, False, 0)
         flat = [label for b in out for label in b.labels["sentiment"]]
         assert flat == [0, 1, 2, 3, 4]
 
     def test_label_multiset_preserved_under_shuffle(self, vocab):
         labels = [int(x) for x in np.random.default_rng(0).integers(0, 5, size=33)]
         corpus = make_corpus(labels)
-        out = batches(corpus, 8, True, 42, vocab, 6)
+        out = batches(encode_split(corpus, vocab, 6), 8, True, 42)
         flat = sorted(label for b in out for label in b.labels["sentiment"])
         assert flat == sorted(labels)
 
     def test_label_ids_in_schema_range(self, vocab):
         corpus = make_corpus([0, 4, 2, 3])
-        for b in batches(corpus, 2, True, 1, vocab, 6):
+        for b in batches(encode_split(corpus, vocab, 6), 2, True, 1):
             for task, labels in b.labels.items():
                 n = SCHEMAS[task].n_classes
                 assert all(0 <= label < n for label in labels)
@@ -247,7 +248,7 @@ class TestBatches:
     def test_empty_split_rejected(self, vocab):
         corpus = Corpus(records=[], schemas=SCHEMAS, language="kannada")
         with pytest.raises(ContractError):
-            batches(corpus, 4, False, 0, vocab, 6)
+            encode_split(corpus, vocab, 6)
 
 
 class TestRoundTrip:

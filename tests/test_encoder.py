@@ -9,19 +9,58 @@ from mtlc.errors import ContractError, ShapeError
 from mtlc.encoder import (
     EncoderConfig,
     HeadSpec,
-    attention,
+    attention_block,
     classify,
     encoder_forward,
     forward_call_count,
     head_view,
     init_params,
-    multi_head,
-    param_count,
-    param_names,
+    param_shapes,
     reset_forward_calls,
 )
-from mtlc.numcore import Tensor, grad_check, matmul, stream, sum_all
+from mtlc.numcore import GradTape, Tensor, grad_check, matmul, mul, segment_attention, stream, sum_all
 from mtlc.text import build_vocab, encode
+
+
+def attention(q, k, v, q_lengths=None, kv_lengths=None, n_heads=1):
+    """One sequence (or the given segments) through the packed attention op."""
+    q_lengths = q_lengths or [q.shape[0]]
+    kv_lengths = kv_lengths or [k.shape[0]]
+    return segment_attention(q, k, v, q_lengths, kv_lengths, n_heads)
+
+
+def padded_reference(seqs, params, cfg):
+    """Pooled [CLS] vectors of the full-length per-head computation: every
+    position (pads included) runs every layer, and pad keys get a -1e9
+    score bias, as the per-sample encoder did before packing."""
+    p = {name: t.data for name, t in params.items()}
+
+    def norm(x, g, b):
+        mu = x.mean(axis=1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+        return (x - mu) / np.sqrt(var + 1e-5) * g + b
+
+    d_head = cfg.d_model // cfg.n_heads
+    out = []
+    for seq in seqs:
+        bias = np.where(np.asarray(seq.mask) > 0, 0.0, -1e9)[None, :]
+        x = p["tok_emb"][list(seq.ids)] + p["pos_emb"]
+        for i in range(cfg.n_layers):
+            w = {k[len(f"layer{i}.") :]: v for k, v in p.items() if k.startswith(f"layer{i}.")}
+            h = norm(x, w["norm1_g"], w["norm1_b"])
+            q, k, v = h @ w["wq"], h @ w["wk"], h @ w["wv"]
+            heads = []
+            for j in range(cfg.n_heads):
+                cols = slice(j * d_head, (j + 1) * d_head)
+                scores = q[:, cols] @ k[:, cols].T / math.sqrt(d_head) + bias
+                e = np.exp(scores - scores.max(axis=1, keepdims=True))
+                heads.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
+            x = x + np.concatenate(heads, axis=1) @ w["wo"]
+            h = norm(x, w["norm2_g"], w["norm2_b"])
+            x = x + np.maximum(h @ w["ffn_w1"] + w["ffn_b1"], 0.0) @ w["ffn_w2"] + w["ffn_b2"]
+        cls = norm(x, p["final_norm_g"], p["final_norm_b"])[0]
+        out.append(np.tanh(cls @ p["pooler_w"] + p["pooler_b"]))
+    return np.stack(out)
 
 
 @pytest.fixture
@@ -87,13 +126,14 @@ class TestAttention:
         assert np.abs(out.data - oracle).max() < 1e-12
 
     def test_masked_keys_get_zero_weight(self):
+        # the rows of another sequence are invisible, as masked keys were
         rng = np.random.default_rng(8)
-        q, k, v = rng.normal(size=(2, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-        out = attention(Tensor(q), Tensor(k), Tensor(v), mask=[1, 1, 0])
-        v2 = v.copy()
-        v2[2] = 1e6  # content behind the mask must be invisible
-        out2 = attention(Tensor(q), Tensor(k), Tensor(v2), mask=[1, 1, 0])
-        assert np.array_equal(out.data, out2.data)
+        q, k, v = rng.normal(size=(3, 2)), rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+        out = attention(Tensor(q), Tensor(k), Tensor(v), [2, 1], [2, 3])
+        k2, v2 = k.copy(), v.copy()
+        k2[2:], v2[2:] = 1e6, 1e6  # the second sequence's keys and values
+        out2 = attention(Tensor(q), Tensor(k2), Tensor(v2), [2, 1], [2, 3])
+        assert np.array_equal(out.data[:2], out2.data[:2])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
@@ -102,7 +142,11 @@ class TestAttention:
     def test_mask_length_checked(self):
         x = Tensor(np.zeros((2, 2)))
         with pytest.raises(ShapeError):
-            attention(x, x, x, mask=[1, 1, 1])
+            attention(x, x, x, [2], [3])
+        with pytest.raises(ShapeError):
+            attention(x, x, x, [1, 1], [2])
+        with pytest.raises(ShapeError):
+            attention(x, x, x, [2, 0], [1, 1])
 
 
 class TestMultiHead:
@@ -110,14 +154,15 @@ class TestMultiHead:
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=1, n_layers=1, d_ffn=16, max_len=8, dropout_p=0.0)
         params = init_params(cfg, heads, seed=5)
         x = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
-        mask = [1, 1, 1, 0]
-        got = multi_head(x, params, 0, 1, mask)
+        lengths = [3, 1]
+        got = attention_block(x, x, params, "layer0.", 1, lengths, lengths)
         expected = matmul(
             attention(
                 matmul(x, params["layer0.wq"]),
                 matmul(x, params["layer0.wk"]),
                 matmul(x, params["layer0.wv"]),
-                mask,
+                lengths,
+                lengths,
             ),
             params["layer0.wo"],
         )
@@ -125,17 +170,20 @@ class TestMultiHead:
 
     def test_output_shape(self, params):
         x = Tensor(np.random.default_rng(3).normal(size=(5, 8)))
-        assert multi_head(x, params, 0, 2, [1] * 5).shape == (5, 8)
+        assert attention_block(x, x, params, "layer0.", 2, [2, 3], [2, 3]).shape == (5, 8)
+        cls_rows = Tensor(x.data[[0, 2]])
+        assert attention_block(cls_rows, x, params, "layer0.", 2, [1, 1], [2, 3]).shape == (2, 8)
 
     def test_pad_content_permutation_invariance(self, params):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 8))
-        mask = [1, 1, 1, 0, 0, 0]
-        base = multi_head(Tensor(x), params, 0, 2, mask).data
+        lengths = [3, 3]
+        base = attention_block(Tensor(x), Tensor(x), params, "layer0.", 2, lengths, lengths).data
         x2 = x.copy()
-        x2[[3, 4, 5]] = x2[[5, 3, 4]]  # permute pad rows' content
-        swapped = multi_head(Tensor(x2), params, 0, 2, mask).data
+        x2[[3, 4, 5]] = x2[[5, 3, 4]]  # permute the second sequence's rows
+        swapped = attention_block(Tensor(x2), Tensor(x2), params, "layer0.", 2, lengths, lengths).data
         assert np.abs(base[:3] - swapped[:3]).max() < 1e-9
+        assert np.abs(base[[5, 3, 4]] - swapped[3:]).max() < 1e-9
 
 
 class TestEncoderForward:
@@ -149,50 +197,52 @@ class TestEncoderForward:
             for name, t in init_params(small_config, heads, seed=0).items()
         }
         seq = encode("a b c", vocab, small_config.max_len)
-        cls = encoder_forward(seq, params, small_config)
-        assert np.array_equal(cls.data, np.zeros(8))
+        cls = encoder_forward([seq], params, small_config)
+        assert np.array_equal(cls.data, np.zeros((1, 8)))
 
     def test_padded_tail_change_is_shielded(self, small_config, params, vocab):
         seq = encode("a b c", vocab, small_config.max_len)
-        base = encoder_forward(seq, params, small_config).data
+        base = encoder_forward([seq], params, small_config).data
         tampered = list(seq.ids)
         assert seq.mask[6] == 0
         tampered[6] = 5  # still a pad slot, different token id
         seq2 = type(seq)(ids=tuple(tampered), mask=seq.mask, raw_length=seq.raw_length)
-        out = encoder_forward(seq2, params, small_config).data
+        out = encoder_forward([seq2], params, small_config).data
         assert np.abs(base - out).max() < 1e-9
 
     def test_training_mode_deterministic_per_stream(self, heads, vocab):
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ffn=16, max_len=8, dropout_p=0.3)
         params = init_params(cfg, heads, seed=1)
         seq = encode("a b c d", vocab, cfg.max_len)
-        a = encoder_forward(seq, params, cfg, training=True, rng=stream(9, "drop")).data
-        b = encoder_forward(seq, params, cfg, training=True, rng=stream(9, "drop")).data
+        a = encoder_forward([seq], params, cfg, training=True, rng=stream(9, "drop")).data
+        b = encoder_forward([seq], params, cfg, training=True, rng=stream(9, "drop")).data
         assert np.array_equal(a, b)
 
     def test_shape_invariant_across_lengths(self, small_config, params, vocab):
         for n_tokens in range(1, small_config.max_len - 1):
             text = " ".join(["b"] * n_tokens)
             seq = encode(text, vocab, small_config.max_len)
-            assert encoder_forward(seq, params, small_config).shape == (8,)
+            assert encoder_forward([seq], params, small_config).shape == (1, 8)
 
     def test_wrong_length_rejected(self, small_config, params, vocab):
         seq = encode("a", vocab, 6)
         with pytest.raises(ContractError):
-            encoder_forward(seq, params, small_config)
+            encoder_forward([seq], params, small_config)
 
     def test_out_of_vocab_id_rejected(self, small_config, params, vocab):
         seq = encode("a", vocab, small_config.max_len)
         bad = type(seq)(ids=(2, 99, 3, 0, 0, 0, 0, 0), mask=seq.mask, raw_length=1)
         with pytest.raises(ContractError):
-            encoder_forward(bad, params, small_config)
+            encoder_forward([bad], params, small_config)
 
     def test_forward_counter(self, small_config, params, vocab):
         reset_forward_calls()
         seq = encode("a b", vocab, small_config.max_len)
         for _ in range(3):
-            encoder_forward(seq, params, small_config)
+            encoder_forward([seq], params, small_config)
         assert forward_call_count() == 3
+        encoder_forward([seq] * 4, params, small_config)
+        assert forward_call_count() == 7  # sequences encoded, not calls
 
 
 class TestClassify:
@@ -203,14 +253,14 @@ class TestClassify:
             "w_out": Tensor(np.zeros((3, 5))),
             "b_out": Tensor(np.zeros(5)),
         }
-        logits = classify(Tensor(np.ones(4)), head)
-        assert logits.data.tolist() == [0.0] * 5
+        logits = classify(Tensor(np.ones((2, 4))), head)
+        assert logits.data.tolist() == [[0.0] * 5] * 2
 
     def test_logit_sizes_match_schemas(self, small_config, params, vocab):
         seq = encode("a b", vocab, small_config.max_len)
-        cls = encoder_forward(seq, params, small_config)
-        assert classify(cls, head_view(params, "sentiment")).shape == (5,)
-        assert classify(cls, head_view(params, "offense")).shape == (6,)
+        cls = encoder_forward([seq, seq, seq], params, small_config)
+        assert classify(cls, head_view(params, "sentiment")).shape == (3, 5)
+        assert classify(cls, head_view(params, "offense")).shape == (3, 6)
 
     def test_hand_two_class_case(self):
         head = {
@@ -219,34 +269,47 @@ class TestClassify:
             "w_out": Tensor(np.array([[2.0, -1.0], [1.0, 3.0]])),
             "b_out": Tensor(np.array([0.1, -0.2])),
         }
-        cls = Tensor(np.array([1.0, 2.0]))
+        cls = Tensor(np.array([[1.0, 2.0]]))
         # hidden = relu([1*1+0.5, -2+0.25]) = [1.5, 0]
         # logits = [1.5*2+0.1, 1.5*-1-0.2] = [3.1, -1.7]
         logits = classify(cls, head)
-        assert np.abs(logits.data - np.array([3.1, -1.7])).max() < 1e-12
+        assert np.abs(logits.data - np.array([[3.1, -1.7]])).max() < 1e-12
 
     def test_shape_mismatch(self, params):
         with pytest.raises(ShapeError):
-            classify(Tensor(np.ones(3)), head_view(params, "sentiment"))
+            classify(Tensor(np.ones((1, 3))), head_view(params, "sentiment"))
+        with pytest.raises(ShapeError):
+            classify(Tensor(np.ones(8)), head_view(params, "sentiment"))
 
     def test_missing_head(self, params):
         with pytest.raises(ContractError):
             head_view(params, "nosuch")
 
 
+def closed_form_count(config, heads):
+    d, f, n_l = config.d_model, config.d_ffn, config.n_layers
+    total = config.vocab_size * d + config.max_len * d
+    total += n_l * (4 * d * d + d * f + f + f * d + d + 4 * d)
+    total += 2 * d  # final norm
+    total += d * d + d  # pooler
+    for head in heads:
+        total += d * head.hidden + head.hidden + head.hidden * head.n_classes + head.n_classes
+    return total
+
+
 class TestParams:
     def test_count_matches_closed_form(self, small_config, heads, params):
         total = sum(p.size for p in params.values())
-        assert total == param_count(small_config, heads)
+        assert total == closed_form_count(small_config, heads)
 
     def test_count_formula_default_head(self):
         cfg = EncoderConfig(vocab_size=100, d_model=64, n_heads=4, n_layers=2, d_ffn=128, max_len=64)
         heads = [HeadSpec("sentiment", 5)]
         params = init_params(cfg, heads, seed=0)
-        assert sum(p.size for p in params.values()) == param_count(cfg, heads)
+        assert sum(p.size for p in params.values()) == closed_form_count(cfg, heads)
 
     def test_name_set_is_deterministic(self, small_config, heads):
-        assert param_names(small_config, heads) == sorted(
+        assert sorted(param_shapes(small_config, heads)) == sorted(
             init_params(small_config, heads, seed=9)
         )
 
@@ -277,15 +340,99 @@ class TestEncoderGradients:
         def loss_with(name, x):
             trial = dict(params)
             trial[name] = x
-            cls = encoder_forward(seq, trial, cfg)
+            cls = encoder_forward([seq], trial, cfg)
             logits = classify(cls, head_view(trial, "sentiment"))
-            return sum_all(mul_scalar(logits))
-
-        def mul_scalar(t):
-            from mtlc.numcore import mul
-
-            return mul(t, Tensor(np.arange(1.0, 6.0)))
+            return sum_all(mul(logits, Tensor(np.arange(1.0, 6.0))))
 
         for name in ("layer0.wq", "layer0.ffn_w1", "pooler_w", "head.sentiment.w_hidden", "tok_emb"):
             probe = Tensor(params[name].data.copy(), name=name)
             assert grad_check(lambda x: loss_with(name, x), probe, h=1e-5) < 1e-4, name
+
+
+class TestPacking:
+    """The packed batch forward against per-sequence runs and the padded
+    full-length computation it replaces."""
+
+    @pytest.fixture
+    def mixed(self, small_config, vocab):
+        cls_only = type(encode("", vocab, 8))(ids=(2,) + (0,) * 7, mask=(1,) + (0,) * 7, raw_length=0)
+        texts = ["a b c", "d", "a b c d e f", "b c d e f a b c d e", "", "c c"]
+        return [cls_only] + [encode(t, vocab, small_config.max_len) for t in texts]
+
+    def test_fused_attention_gradients(self):
+        layouts = [
+            ([1, 3, 8], [1, 3, 8]),  # self-attention, a length-1 and a full-length sequence
+            ([1, 1, 1], [1, 3, 8]),  # [CLS] queries only, as in the last layer
+        ]
+        for q_lengths, kv_lengths in layouts:
+            rng = np.random.default_rng(sum(q_lengths))
+            q = rng.uniform(-1, 1, size=(sum(q_lengths), 4))
+            k = rng.uniform(-1, 1, size=(sum(kv_lengths), 4))
+            v = rng.uniform(-1, 1, size=(sum(kv_lengths), 6))
+            w = Tensor(rng.uniform(-1, 1, size=(sum(q_lengths), 6)))
+
+            def loss(qq, kk, vv):
+                return sum_all(mul(segment_attention(qq, kk, vv, q_lengths, kv_lengths, 2), w))
+
+            assert grad_check(lambda x: loss(x, Tensor(k), Tensor(v)), Tensor(q)) < 1e-4
+            assert grad_check(lambda x: loss(Tensor(q), x, Tensor(v)), Tensor(k)) < 1e-4
+            assert grad_check(lambda x: loss(Tensor(q), Tensor(k), x), Tensor(v)) < 1e-4
+
+    def test_fused_attention_is_one_tape_record(self):
+        x = Tensor(np.random.default_rng(1).normal(size=(5, 4)), requires_grad=True)
+        with GradTape() as tape:
+            segment_attention(x, x, x, [2, 3], [2, 3], 2)
+        assert len(tape) == 1
+
+    def test_encoder_gradients_through_mixed_lengths(self, heads):
+        cfg = EncoderConfig(vocab_size=12, d_model=4, n_heads=2, n_layers=2, d_ffn=8, max_len=6, dropout_p=0.0)
+        rng = np.random.default_rng(56)
+        params = {
+            name: Tensor(rng.uniform(-0.5, 0.5, size=t.shape), requires_grad=True, name=name)
+            for name, t in init_params(cfg, heads[:1], seed=0).items()
+        }
+        from mtlc.text import TokenSeq
+
+        seqs = [
+            TokenSeq(ids=(2, 0, 0, 0, 0, 0), mask=(1, 0, 0, 0, 0, 0), raw_length=0),
+            TokenSeq(ids=(2, 4, 5, 6, 7, 3), mask=(1,) * 6, raw_length=4),
+            TokenSeq(ids=(2, 9, 3, 0, 0, 0), mask=(1, 1, 1, 0, 0, 0), raw_length=1),
+        ]
+        weights = Tensor(np.arange(15.0).reshape(3, 5) / 10.0)
+
+        def loss_with(name, x):
+            trial = dict(params)
+            trial[name] = x
+            logits = classify(encoder_forward(seqs, trial, cfg), head_view(trial, "sentiment"))
+            return sum_all(mul(logits, weights))
+
+        for name in ("layer0.wq", "layer0.wk", "layer1.wv", "layer1.wo", "layer1.ffn_w2", "pos_emb"):
+            probe = Tensor(params[name].data.copy(), name=name)
+            assert grad_check(lambda x: loss_with(name, x), probe, h=1e-5) < 1e-4, name
+
+    def test_same_logits_alone_and_in_any_batch(self, small_config, params, mixed):
+        head = head_view(params, "sentiment")
+        alone = [classify(encoder_forward([s], params, small_config), head).data[0] for s in mixed]
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            order = rng.permutation(len(mixed))
+            batch = classify(encoder_forward([mixed[i] for i in order], params, small_config), head).data
+            for row, i in enumerate(order):
+                assert np.abs(batch[row] - alone[i]).max() <= 1e-12
+
+    def test_matches_padded_full_length_reference(self, small_config, heads, mixed):
+        rng = np.random.default_rng(9)
+        params = {
+            name: Tensor(rng.uniform(-0.5, 0.5, size=t.shape), name=name)
+            for name, t in init_params(small_config, heads, seed=0).items()
+        }
+        got = encoder_forward(mixed, params, small_config).data
+        assert np.abs(got - padded_reference(mixed, params, small_config)).max() <= 1e-12
+
+    def test_cls_must_be_valid(self, small_config, params, vocab):
+        seq = encode("a", vocab, small_config.max_len)
+        bad = type(seq)(ids=seq.ids, mask=(0,) + seq.mask[1:], raw_length=1)
+        with pytest.raises(ContractError):
+            encoder_forward([bad], params, small_config)
+        with pytest.raises(ContractError):
+            encoder_forward([], params, small_config)

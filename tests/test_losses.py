@@ -10,12 +10,10 @@ from mtlc.losses import (
     ClassWeights,
     LossConfig,
     LossKind,
-    batch_loss,
     class_weights,
     compute_loss,
     cross_entropy,
     focal,
-    hinge_binary,
     hinge_multiclass,
     kld,
 )
@@ -113,9 +111,10 @@ class TestHinge:
         assert base == pytest.approx(sum(1 + logits[y] - logits[0] for y in active), abs=1e-12)
 
     def test_binary_special_case(self):
-        assert hinge_binary(0.3, 1) == pytest.approx(0.7)
-        assert hinge_binary(0.3, 0) == pytest.approx(1.3)
-        assert hinge_binary(2.0, 1) == 0.0
+        # two classes with logits [0, s]: max(0, 1 - y s) for y = +1 (target 1) or -1 (target 0)
+        assert hinge_multiclass(Tensor([0.0, 0.3]), 1).item() == pytest.approx(0.7)
+        assert hinge_multiclass(Tensor([0.0, 0.3]), 0).item() == pytest.approx(1.3)
+        assert hinge_multiclass(Tensor([0.0, 2.0]), 1).item() == 0.0
 
 
 class TestFocal:
@@ -210,31 +209,84 @@ class TestLossProperties:
         assert compute_loss(logits, 0, weighted_cfg, cw).item() == kld(logits, 0, 0.1).item()
 
 
+def per_sample_reference(kind, logits, target, weights=None, gamma=2.0, epsilon=0.1):
+    """The per-sample loss in plain numpy, one row at a time."""
+    z = logits - logits.max()
+    log_p = z - math.log(np.exp(z).sum())
+    w = 1.0 if weights is None else weights[target]
+    if kind is LossKind.CROSS_ENTROPY:
+        return -w * log_p[target]
+    if kind is LossKind.FOCAL:
+        return -w * (1.0 - math.exp(log_p[target])) ** gamma * log_p[target]
+    if kind is LossKind.HINGE:
+        return sum(max(0.0, 1.0 + logits[y] - logits[target]) for y in range(len(logits)) if y != target)
+    p = np.full(len(logits), epsilon / (len(logits) - 1))
+    p[target] = 1.0 - epsilon
+    return float((p * (np.log(p) - log_p)).sum())
+
+
 class TestBatchLoss:
+    """compute_loss over [B, C] logits is the mean of the per-sample losses."""
+
     def test_single_sample(self):
-        t = Tensor(3.5)
-        assert batch_loss([t]) is t
+        logits = np.array([0.3, -1.2, 2.0])
+        cw = class_weights([3, 5, 9])
+        for kind in LossKind:
+            cfg = LossConfig(kind=kind, use_class_weights=True)
+            one = compute_loss(Tensor(logits), 2, cfg, cw).item()
+            assert compute_loss(Tensor(logits[None, :]), [2], cfg, cw).item() == one
 
     def test_two_samples(self):
-        assert batch_loss([Tensor(1.0), Tensor(3.0)]).item() == 2.0
+        logits = Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        expected = (math.log(2) + math.log(1 + math.exp(1))) / 2
+        assert cross_entropy(logits, [1, 1]).item() == pytest.approx(expected, abs=1e-12)
 
     def test_matches_brute_force_mean(self):
         for seed in range(20):
-            values = np.random.default_rng(seed).uniform(0, 5, size=17)
-            out = batch_loss([Tensor(v) for v in values])
-            assert out.item() == pytest.approx(values.sum() / 17, abs=1e-12)
+            rng = np.random.default_rng(seed)
+            logits = rng.uniform(-4, 4, size=(17, 6))
+            targets = rng.integers(0, 6, size=17).tolist()
+            cw = class_weights(rng.integers(1, 50, size=6).tolist())
+            for kind in LossKind:
+                for weighted in (False, True):
+                    cfg = LossConfig(kind=kind, focal_gamma=1.5, kld_epsilon=0.2, use_class_weights=weighted)
+                    w = cw if weighted and kind in (LossKind.CROSS_ENTROPY, LossKind.FOCAL) else None
+                    rows = [
+                        per_sample_reference(kind, logits[i], targets[i], w, gamma=1.5, epsilon=0.2)
+                        for i in range(17)
+                    ]
+                    got = compute_loss(Tensor(logits), targets, cfg, cw).item()
+                    assert abs(got - sum(rows) / 17) <= 1e-12, (seed, kind, weighted)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
-            batch_loss([])
+            compute_loss(Tensor(np.zeros((0, 3))), [], LossConfig())
+        with pytest.raises(ContractError):
+            compute_loss(Tensor(np.zeros((2, 3))), [0], LossConfig())
 
     def test_gradient_splits_evenly(self):
-        xs = [Tensor(float(i), requires_grad=True) for i in range(4)]
-        with GradTape() as tape:
-            loss = batch_loss(xs)
-        backward(tape, loss)
-        for x in xs:
-            assert x.grad == pytest.approx(0.25)
+        row = np.array([0.5, -0.25, 1.0])
+        for kind in LossKind:
+            cfg = LossConfig(kind=kind)
+            one = Tensor(row, requires_grad=True)
+            with GradTape() as tape:
+                loss = compute_loss(one, 1, cfg)
+            backward(tape, loss)
+            four = Tensor(np.tile(row, (4, 1)), requires_grad=True)
+            with GradTape() as tape:
+                loss = compute_loss(four, [1] * 4, cfg)
+            backward(tape, loss)
+            assert np.abs(four.grad - one.grad / 4).max() < 1e-15, kind
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_batched_gradients(self, kind):
+        cw = class_weights([4, 2, 9, 5, 3])
+        cfg = LossConfig(kind=kind, use_class_weights=True)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            logits = Tensor(rng.uniform(-2, 2, size=(6, 5)))
+            targets = rng.integers(0, 5, size=6).tolist()
+            assert grad_check(lambda t: compute_loss(t, targets, cfg, cw), logits) < 1e-4
 
 
 class TestLossKindParsing:

@@ -6,19 +6,18 @@ import pytest
 from mtlc.data import Batch, Corpus, Record, SplitSet, schemas_for_language
 from mtlc.encoder import EncoderConfig, forward_call_count, reset_forward_calls
 from mtlc.errors import ConfigError, ContractError
-from mtlc.losses import LossConfig, batch_loss, cross_entropy
+from mtlc.losses import LossConfig, cross_entropy
 from mtlc.mtl import (
     RegimeConfig,
     SoftShareConfig,
     TrainConfig,
+    batch_logits,
     build_model,
     coupling_distance,
     default_coupled_layers,
     evaluate,
     expected_param_shapes,
-    hard_forward,
     hard_loss,
-    sample_logits,
     soft_loss,
     train,
 )
@@ -112,19 +111,16 @@ class TestHardForward:
             for name, p in model.params.items()
         }
         batch = self._batch(toy_splits.train, toy_vocab, model, n=1)
-        l1, l2 = hard_forward(batch, model)
-        assert np.array_equal(l1.data, np.zeros((1, 5)))
-        assert np.array_equal(l2.data, np.zeros((1, 6)))
+        logits = batch_logits(model, batch.seqs)
+        assert np.array_equal(logits["sentiment"].data, np.zeros((1, 5)))
+        assert np.array_equal(logits["offense"].data, np.zeros((1, 6)))
 
     def test_task1_loss_has_zero_grads_into_task2_head(self, toy_splits, toy_vocab):
         model = self._tiny_model(toy_vocab)
         batch = self._batch(toy_splits.train, toy_vocab, model)
         with GradTape() as tape:
-            losses = []
-            for pos, seq in enumerate(batch.seqs):
-                logits = sample_logits(model, seq)
-                losses.append(cross_entropy(logits["sentiment"], batch.labels["sentiment"][pos]))
-            loss1 = batch_loss(losses)
+            logits = batch_logits(model, batch.seqs)
+            loss1 = cross_entropy(logits["sentiment"], batch.labels["sentiment"])
         grads = backward(tape, loss1)
         for leaf in ("w_hidden", "b_hidden", "w_out", "b_out"):
             name = f"head.offense.{leaf}"
@@ -135,7 +131,7 @@ class TestHardForward:
         model = self._tiny_model(toy_vocab)
         batch = self._batch(toy_splits.train, toy_vocab, model, n=4)
         reset_forward_calls()
-        hard_forward(batch, model)
+        batch_logits(model, batch.seqs)
         shared_count = forward_call_count()
 
         stl_models = [
@@ -144,20 +140,26 @@ class TestHardForward:
         ]
         reset_forward_calls()
         for stl in stl_models:
-            for seq in batch.seqs:
-                sample_logits(stl, seq)
+            batch_logits(stl, batch.seqs)
         stl_count = forward_call_count()
         assert shared_count * 2 == stl_count
         assert shared_count == len(batch)
 
-    def test_soft_model_rejected(self, toy_vocab, toy_splits):
+    def test_soft_model_runs_one_tower_per_task(self, toy_vocab, toy_splits):
         soft = SoftShareConfig(lam=0.0, coupled_layer_names=())
         model = build_model(
             regime_for("soft_share", soft=soft), toy_encoder(toy_vocab, d_model=8, n_heads=2), N_CLASSES, seed=0
         )
-        batch = self._batch(toy_splits.train, toy_vocab, model)
-        with pytest.raises(ContractError):
-            hard_forward(batch, model)
+        batch = self._batch(toy_splits.train, toy_vocab, model, n=3)
+        reset_forward_calls()
+        logits = batch_logits(model, batch.seqs)
+        assert forward_call_count() == 2 * len(batch)
+        assert logits["sentiment"].shape == (3, 5) and logits["offense"].shape == (3, 6)
+        # each task's logits come from its own tower
+        model.params["tower.offense.pooler_b"].data += 1.0
+        again = batch_logits(model, batch.seqs)
+        assert np.array_equal(again["sentiment"].data, logits["sentiment"].data)
+        assert not np.array_equal(again["offense"].data, logits["offense"].data)
 
 
 class TestHardLoss:
@@ -185,8 +187,8 @@ class TestHardLoss:
             for p in model.params.values():
                 p.zero_grad()
             with GradTape() as tape:
-                logits = sample_logits(model, seq)
-                loss = cross_entropy(logits[task], rec.labels[task])
+                logits = batch_logits(model, [seq])
+                loss = cross_entropy(logits[task], [rec.labels[task]])
             return backward(tape, loss)
 
         g1 = task_grads("sentiment")
@@ -194,10 +196,10 @@ class TestHardLoss:
         for p in model.params.values():
             p.zero_grad()
         with GradTape() as tape:
-            logits = sample_logits(model, seq)
+            logits = batch_logits(model, [seq])
             total = hard_loss(
-                cross_entropy(logits["sentiment"], rec.labels["sentiment"]),
-                cross_entropy(logits["offense"], rec.labels["offense"]),
+                cross_entropy(logits["sentiment"], [rec.labels["sentiment"]]),
+                cross_entropy(logits["offense"], [rec.labels["offense"]]),
                 (1.0, 1.0),
             )
         combined = backward(tape, total)
@@ -444,3 +446,79 @@ class TestExpectedShapes:
         assert "tower.sentiment.tok_emb" in shapes
         assert "tower.offense.head.offense.w_out" in shapes
         assert not any(name.startswith("tok_emb") for name in shapes)
+
+
+class TestConcurrency:
+    def test_evaluate_threads_beside_training(self, toy_splits, toy_vocab, monkeypatch):
+        import sys
+        import threading
+
+        import mtlc.mtl
+
+        cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2, d_ffn=16)
+        regime = regime_for("hard_share")
+        tc = TrainConfig(epochs=2, batch_size=16, optimizer=toy_hyper(), seed=1)
+        # trainable parameters on purpose: only the per-thread tape stack keeps
+        # these forward passes off the training thread's tape
+        frozen = build_model(regime, cfg, N_CLASSES, seed=5)
+        tape_sizes = []
+
+        def recording_backward(tape, loss):
+            tape_sizes.append(len(tape))
+            return backward(tape, loss)
+
+        trained = threading.Event()
+
+        def train_once():
+            model = build_model(regime, cfg, N_CLASSES, seed=1)
+            train(toy_splits, regime, tc, model, toy_vocab)
+            return model
+
+        def train_then_signal():
+            try:
+                return train_once()
+            finally:
+                trained.set()
+
+        def evaluate_until_trained():
+            runs = [evaluate(frozen, toy_splits.val, toy_vocab)]
+            while not trained.is_set():
+                runs.append(evaluate(frozen, toy_splits.val, toy_vocab))
+            return runs
+
+        monkeypatch.setattr(mtlc.mtl, "backward", recording_backward)
+        serial_preds = evaluate(frozen, toy_splits.val, toy_vocab)
+        reset_forward_calls()
+        serial_model = train_once()
+        serial_sizes, serial_calls = list(tape_sizes), forward_call_count()
+        tape_sizes.clear()
+
+        results, errors = {}, []
+
+        def run(name, fn):
+            try:
+                results[name] = fn()
+            except Exception as exc:  # reported by the assertion below
+                errors.append((name, exc))
+
+        threads = [threading.Thread(target=run, args=(f"eval{i}", evaluate_until_trained)) for i in range(4)]
+        threads.append(threading.Thread(target=run, args=("train", train_then_signal)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reset_forward_calls()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert tape_sizes == serial_sizes  # the training tape held only its own records
+        evaluations = sum(len(results[f"eval{i}"]) for i in range(4))
+        for i in range(4):
+            assert all(preds == serial_preds for preds in results[f"eval{i}"])
+        for name, p in serial_model.params.items():
+            assert np.array_equal(p.data, results["train"].params[name].data), name
+        assert forward_call_count() == serial_calls + evaluations * len(toy_splits.val)

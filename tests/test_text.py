@@ -90,7 +90,7 @@ class TestEncode:
         text = " ".join(["a"] * 100)
         seq = encode(text, vocab, 8)
         assert seq.raw_length == 100
-        assert seq.content_length == 6
+        assert sum(seq.mask) - 2 == 6  # [CLS] and [SEP] around 6 kept tokens
         assert seq.ids[0] == CLS and seq.ids[7] == SEP
 
     def test_min_length(self, vocab):
