@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .data import OFFENSE_TASK, SENTIMENT_TASK, LANGUAGES, schemas_for_language
-from .errors import ConfigError
+from .encoder import EncoderConfig
+from .errors import ConfigError, ContractError
 from .losses import LossConfig, LossKind
 from .mtl import (
     REGIMES,
@@ -23,7 +24,7 @@ from .mtl import (
     default_coupled_layers,
 )
 from .numcore import OptimHyper
-from .text import MODES
+from .text import MODES, SPECIAL_TOKENS
 
 TASKS = (SENTIMENT_TASK, OFFENSE_TASK)
 
@@ -182,14 +183,10 @@ def load_config(
     n_layers = _as_int(values, "model.n_layers")
     d_ffn = _as_int(values, "model.d_ffn")
     dropout = _as_float(values, "model.dropout")
-    if d_model < 1 or n_heads < 1 or n_layers < 1 or d_ffn < 1:
-        raise ConfigError("model.*: all dimensions must be >= 1")
-    if d_model % n_heads != 0:
-        raise ConfigError(
-            f"model.d_model: {d_model} not divisible by model.n_heads {n_heads}"
-        )
-    if not 0.0 <= dropout < 1.0:
-        raise ConfigError(f"model.dropout: must be in [0, 1), got {dropout}")
+    try:
+        EncoderConfig(len(SPECIAL_TOKENS), d_model, n_heads, n_layers, d_ffn, max_len, dropout)
+    except ContractError as err:
+        raise ConfigError(f"model.{err}") from None
 
     regime = _build_regime(values, n_layers)
     train_cfg = _build_train(values)
@@ -243,16 +240,15 @@ def _build_regime(values: dict[str, str], n_layers: int) -> RegimeConfig:
     else:
         tasks = TASKS
 
-    weight_parts = values["regime.task_weights"].split(",")
     try:
-        weights = tuple(float(w) for w in weight_parts)
+        weights = tuple(float(w) for w in values["regime.task_weights"].split(","))
     except ValueError:
         raise ConfigError(
             f"regime.task_weights: expected comma-separated numbers, got "
             f"{values['regime.task_weights']!r}"
         ) from None
     if kind == STL:
-        weights = weights[:1] if len(weight_parts) >= 1 else (1.0,)
+        weights = (1.0,)
 
     # penalty settings are validated even when the regime ignores them so a
     # bad config never survives to a later edit of regime.kind

@@ -57,7 +57,7 @@ class EncoderConfig:
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
         if not 0.0 <= self.dropout_p < 1.0:
-            raise ContractError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+            raise ContractError(f"dropout must be in [0, 1), got {self.dropout_p}")
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,10 @@ def init_params(
 
 def head_view(params: Mapping[str, Tensor], task: str, prefix: str = "") -> dict[str, Tensor]:
     base = f"{prefix}head.{task}."
-    view = {key[len(base) :]: params[key] for key in params if key.startswith(base)}
-    if set(view) != {"w_hidden", "b_hidden", "w_out", "b_out"}:
-        raise ContractError(f"no complete head for task {task!r} under prefix {prefix!r}")
-    return view
+    try:
+        return {key: params[base + key] for key in ("w_hidden", "b_hidden", "w_out", "b_out")}
+    except KeyError:
+        raise ContractError(f"no complete head for task {task!r} under prefix {prefix!r}") from None
 
 
 # ---------------------------------------------------------------------------

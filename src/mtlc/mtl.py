@@ -144,8 +144,14 @@ class Model:
     heads: dict[str, HeadSpec]
     params: dict[str, Tensor]
 
-    def tower_prefix(self, task: str) -> str:
-        return f"tower.{task}." if self.regime.kind == SOFT_SHARE else ""
+
+def towers(regime: RegimeConfig) -> dict[str, tuple[str, ...]]:
+    """Parameter-name prefix of each encoder -> the tasks whose heads sit on
+    it: one shared encoder for STL and hard sharing, one tower per task for
+    soft sharing."""
+    if regime.kind == SOFT_SHARE:
+        return {f"tower.{task}.": (task,) for task in regime.tasks}
+    return {"": regime.tasks}
 
 
 def build_model(
@@ -155,15 +161,10 @@ def build_model(
     seed: int,
 ) -> Model:
     heads = {task: HeadSpec(task=task, n_classes=n_classes[task]) for task in regime.tasks}
-    if regime.kind == SOFT_SHARE:
-        params: dict[str, Tensor] = {}
-        for task in regime.tasks:
-            params.update(
-                init_params(encoder_cfg, [heads[task]], seed, prefix=f"tower.{task}.")
-            )
-        _validate_coupling(regime, params)
-    else:
-        params = init_params(encoder_cfg, [heads[t] for t in regime.tasks], seed)
+    params: dict[str, Tensor] = {}
+    for prefix, tasks in towers(regime).items():
+        params.update(init_params(encoder_cfg, [heads[t] for t in tasks], seed, prefix=prefix))
+    coupled_pairs(regime, params)  # a coupled layer missing from a tower fails at build
     return Model(regime=regime, encoder_cfg=encoder_cfg, heads=heads, params=params)
 
 
@@ -172,27 +173,29 @@ def expected_param_shapes(
 ) -> dict[str, tuple]:
     """Exact tensor name -> shape map implied by a (regime, config) pair."""
     heads = {task: HeadSpec(task=task, n_classes=n_classes[task]) for task in regime.tasks}
-    if regime.kind == SOFT_SHARE:
-        shapes: dict[str, tuple] = {}
-        for task in regime.tasks:
-            for name, shape in param_shapes(encoder_cfg, [heads[task]]).items():
-                shapes[f"tower.{task}.{name}"] = shape
-        return shapes
-    return param_shapes(encoder_cfg, [heads[t] for t in regime.tasks])
+    shapes: dict[str, tuple] = {}
+    for prefix, tasks in towers(regime).items():
+        for name, shape in param_shapes(encoder_cfg, [heads[t] for t in tasks]).items():
+            shapes[prefix + name] = shape
+    return shapes
 
 
-def _validate_coupling(regime: RegimeConfig, params: Mapping[str, Tensor]) -> None:
+def coupled_pairs(
+    regime: RegimeConfig, params: Mapping[str, Tensor]
+) -> list[tuple[Tensor, Tensor]]:
+    """Each coupled layer's tensor in the first and in the second tower;
+    none when every task shares one encoder."""
+    prefixes = list(towers(regime))
+    if len(prefixes) == 1:
+        return []
     assert regime.soft is not None
-    t1, t2 = regime.tasks
+    first, second = prefixes
+    pairs = []
     for name in regime.soft.coupled_layer_names:
-        a, b = f"tower.{t1}.{name}", f"tower.{t2}.{name}"
-        if a not in params or b not in params:
+        if first + name not in params or second + name not in params:
             raise ConfigError(f"coupled layer {name!r} missing from one of the towers")
-        if params[a].shape != params[b].shape:
-            raise ConfigError(
-                f"coupled layer {name!r} has mismatched shapes "
-                f"{params[a].shape} vs {params[b].shape}"
-            )
+        pairs.append((params[first + name], params[second + name]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -206,69 +209,62 @@ def batch_logits(
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> dict[str, Tensor]:
-    """Per-task [len(seqs), n_classes] logits. Shared regimes encode the
-    batch once for every head; soft sharing runs one tower per task."""
+    """Per-task [len(seqs), n_classes] logits. Each encoder encodes the
+    batch once for every head that sits on it."""
     out: dict[str, Tensor] = {}
-    if model.regime.kind == SOFT_SHARE:
-        for task in model.regime.tasks:
-            prefix = model.tower_prefix(task)
-            pooled = encoder_forward(seqs, model.params, model.encoder_cfg, training, rng, prefix)
+    for prefix, tasks in towers(model.regime).items():
+        pooled = encoder_forward(seqs, model.params, model.encoder_cfg, training, rng, prefix)
+        for task in tasks:
             out[task] = classify(pooled, head_view(model.params, task, prefix))
-    else:
-        pooled = encoder_forward(seqs, model.params, model.encoder_cfg, training, rng)
-        for task in model.regime.tasks:
-            out[task] = classify(pooled, head_view(model.params, task))
     return out
+
+
+def weighted_sum(losses: Sequence[Tensor], task_weights: Sequence[float]) -> Tensor:
+    """Sum over tasks of w_t * L_t."""
+    if len(losses) != len(task_weights):
+        raise ContractError(f"{len(task_weights)} task weights for {len(losses)} losses")
+    if any(w < 0 for w in task_weights):
+        raise ContractError(f"task weights must be nonnegative, got {task_weights}")
+    total = scale(losses[0], task_weights[0])
+    for loss, weight in zip(losses[1:], task_weights[1:]):
+        total = add(total, scale(loss, weight))
+    return total
 
 
 def hard_loss(loss1: Tensor, loss2: Tensor, task_weights: Sequence[float]) -> Tensor:
     """Weighted sum of the two task losses; default weights are [1, 1]."""
-    w1, w2 = task_weights
-    if w1 < 0 or w2 < 0:
-        raise ContractError(f"task weights must be nonnegative, got {task_weights}")
-    return add(scale(loss1, w1), scale(loss2, w2))
+    return weighted_sum((loss1, loss2), task_weights)
 
 
 def soft_loss(
-    tower_losses: Sequence[Tensor],
+    losses: Sequence[Tensor],
     params: Mapping[str, Tensor],
     regime: RegimeConfig,
 ) -> Tensor:
-    """Weighted tower-loss sum plus the coupling penalty.
+    """The training objective of every regime: the weighted task-loss sum,
+    plus lambda times the coupling penalty when the regime couples towers.
 
-    Frobenius couples each named pair directly; the trace-norm variant
-    penalizes the row-stack of the two matrices.
+    Frobenius couples each pair directly; the trace-norm variant penalizes
+    the row-stack of the two matrices.
     """
-    assert regime.soft is not None
-    cfg = regime.soft
-    total = hard_loss(tower_losses[0], tower_losses[1], regime.task_weights)
-    if cfg.lam == 0.0 or not cfg.coupled_layer_names:
+    total = weighted_sum(losses, regime.task_weights)
+    pairs = coupled_pairs(regime, params)
+    if not pairs or regime.soft.lam == 0.0:
         return total
-    t1, t2 = regime.tasks
     penalty: Optional[Tensor] = None
-    for name in cfg.coupled_layer_names:
-        a_name, b_name = f"tower.{t1}.{name}", f"tower.{t2}.{name}"
-        if a_name not in params or b_name not in params:
-            raise ConfigError(f"coupled layer {name!r} missing from one of the towers")
-        a, b = params[a_name], params[b_name]
-        if cfg.penalty == FROBENIUS:
+    for a, b in pairs:
+        if regime.soft.penalty == FROBENIUS:
             term = frobenius_sq_distance(a, b)
         else:
             term = trace_norm_penalty(concat_rows([a, b]))
         penalty = term if penalty is None else add(penalty, term)
-    return add(total, scale(penalty, cfg.lam))
+    return add(total, scale(penalty, regime.soft.lam))
 
 
 def coupling_distance(model: Model) -> float:
     """Current sum of squared Frobenius distances over the coupled layers."""
-    assert model.regime.soft is not None
-    t1, t2 = model.regime.tasks
-    total = 0.0
-    for name in model.regime.soft.coupled_layer_names:
-        a = model.params[f"tower.{t1}.{name}"].data
-        b = model.params[f"tower.{t2}.{name}"].data
-        total += float(((a - b) ** 2).sum())
-    return total
+    pairs = coupled_pairs(model.regime, model.params)
+    return sum((float(((a.data - b.data) ** 2).sum()) for a, b in pairs), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def train(
 ) -> tuple[dict[str, Tensor], TrainTrace]:
     """Run the configured regime over the train split.
 
-    Per epoch: seeded shuffle, fixed-size batches, forward, per-regime loss,
+    Per epoch: seeded shuffle, fixed-size batches, forward, weighted loss,
     zero grads, backward, clip, AdamW step; validation weighted F1 is
     recorded after each epoch. Returns the trained parameters and the trace.
     """
@@ -334,18 +330,7 @@ def train(
                     t: compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])
                     for t in regime.tasks
                 }
-                if regime.kind == STL:
-                    total = task_losses[regime.tasks[0]]
-                elif regime.kind == HARD_SHARE:
-                    total = hard_loss(
-                        task_losses[regime.tasks[0]],
-                        task_losses[regime.tasks[1]],
-                        regime.task_weights,
-                    )
-                else:
-                    total = soft_loss(
-                        [task_losses[t] for t in regime.tasks], model.params, regime
-                    )
+                total = soft_loss([task_losses[t] for t in regime.tasks], model.params, regime)
             if not math.isfinite(total.item()):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch} batch {batch_index}"

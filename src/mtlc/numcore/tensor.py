@@ -100,12 +100,9 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
     return out
 
 
-def backward(tape: GradTape, loss: Tensor) -> dict[str, Array]:
-    """Accumulate gradients of `loss` into every watched leaf's `.grad`.
-
-    Returns the per-pass gradients keyed by parameter name for every named
-    leaf the tape saw; leaves off the path from `loss` get zero arrays.
-    """
+def backward(tape: GradTape, loss: Tensor) -> None:
+    """Accumulate gradients of `loss` into every watched leaf's `.grad`;
+    leaves the tape saw off the path from `loss` accumulate zero arrays."""
     if loss.shape != ():
         raise ContractError(f"backward seed must be scalar, got shape {loss.shape}")
     if id(loss) not in tape._produced:
@@ -120,15 +117,11 @@ def backward(tape: GradTape, loss: Tensor) -> dict[str, Array]:
                 continue
             prev = adjoint.get(id(t))
             adjoint[id(t)] = gi if prev is None else prev + gi
-    named: dict[str, Array] = {}
     for tid, t in tape._watched.items():
         g = adjoint.get(tid)
         if g is None:
             g = np.zeros_like(t.data)
         t.grad = g if t.grad is None else t.grad + g
-        if t.name is not None:
-            named[t.name] = g
-    return named
 
 
 def _unbroadcast(g: Array, shape: tuple) -> Array:

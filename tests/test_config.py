@@ -94,6 +94,10 @@ class TestLoadConfig:
         cfg = load_config(config_text(paths, "regime.kind = stl\nregime.task = offense\n"))
         assert cfg.regime.tasks == ("offense",)
 
+    def test_stl_trains_at_weight_one(self, paths):
+        cfg = load_config(config_text(paths, "regime.kind = stl\nregime.task_weights = 0.3,2\n"))
+        assert cfg.regime.task_weights == (1.0,)
+
     def test_per_task_loss_override(self, paths):
         cfg = load_config(
             config_text(paths, "regime.loss = CE\nregime.loss_offense = FL\n")

@@ -121,11 +121,11 @@ class TestHardForward:
         with GradTape() as tape:
             logits = batch_logits(model, batch.seqs)
             loss1 = cross_entropy(logits["sentiment"], batch.labels["sentiment"])
-        grads = backward(tape, loss1)
+        backward(tape, loss1)
         for leaf in ("w_hidden", "b_hidden", "w_out", "b_out"):
-            name = f"head.offense.{leaf}"
-            assert np.array_equal(grads[name], np.zeros(grads[name].shape))
-        assert np.abs(grads["head.sentiment.w_out"]).max() > 0
+            grad = model.params[f"head.offense.{leaf}"].grad
+            assert np.array_equal(grad, np.zeros(grad.shape))
+        assert np.abs(model.params["head.sentiment.w_out"].grad).max() > 0
 
     def test_forward_op_count_is_half_of_two_stl_passes(self, toy_splits, toy_vocab):
         model = self._tiny_model(toy_vocab)
@@ -189,7 +189,8 @@ class TestHardLoss:
             with GradTape() as tape:
                 logits = batch_logits(model, [seq])
                 loss = cross_entropy(logits[task], [rec.labels[task]])
-            return backward(tape, loss)
+            backward(tape, loss)
+            return {name: p.grad for name, p in model.params.items()}
 
         g1 = task_grads("sentiment")
         g2 = task_grads("offense")
@@ -202,7 +203,8 @@ class TestHardLoss:
                 cross_entropy(logits["offense"], [rec.labels["offense"]]),
                 (1.0, 1.0),
             )
-        combined = backward(tape, total)
+        backward(tape, total)
+        combined = {name: p.grad for name, p in model.params.items()}
         for name in ("tok_emb", "layer0.wv", "pooler_w", "final_norm_g"):
             assert np.abs(combined[name] - (g1[name] + g2[name])).max() < 1e-12
 
@@ -271,6 +273,12 @@ class TestSoftLoss:
         )
         with pytest.raises(ConfigError, match="layer9.wq"):
             soft_loss((Tensor(1.0), Tensor(1.0)), model.params, regime_bad)
+
+    def test_stl_weight_scales_its_loss(self):
+        loss = Tensor(0.83)
+        unit = soft_loss((loss,), {}, regime_for("stl", weights=(1.0,)))
+        half = soft_loss((loss,), {}, regime_for("stl", weights=(0.5,)))
+        assert half.item() == 0.5 * unit.item()
 
     def test_build_rejects_missing_coupling(self, toy_vocab):
         with pytest.raises(ConfigError, match="layer7"):
