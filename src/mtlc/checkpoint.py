@@ -15,6 +15,7 @@ float64 run.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -70,7 +71,10 @@ def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
     offset += 4
     if offset + config_len > len(body):
         raise CorruptArtifactError("checkpoint truncated inside the config block")
-    config_text = body[offset : offset + config_len].decode("utf-8")
+    try:
+        config_text = body[offset : offset + config_len].decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise CorruptArtifactError(f"checkpoint config block is not UTF-8: {err}") from None
     offset += config_len
 
     params: dict[str, np.ndarray] = {}
@@ -84,7 +88,11 @@ def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
             offset += 1
             dims = struct.unpack_from(f"<{rank}I", body, offset)
             offset += 4 * rank
-            count = int(np.prod(dims)) if rank else 1
+            count = math.prod(dims)  # python ints: no overflow on forged dims
+            if offset + 4 * count > len(body):
+                raise CorruptArtifactError(
+                    f"checkpoint tensor {name!r} of shape {dims} runs past the end of the file"
+                )
             payload = np.frombuffer(body, dtype="<f4", count=count, offset=offset)
             offset += 4 * count
         except (struct.error, ValueError) as err:

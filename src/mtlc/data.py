@@ -110,7 +110,12 @@ class MergeReport:
 
 
 def _norm_text(text: str) -> str:
-    return unicodedata.normalize("NFC", text).strip()
+    # the reader drops a BOM only at the start of a file, so a comment that
+    # began with U+FEFF would lose it once written first: trim it like whitespace
+    text = unicodedata.normalize("NFC", text).strip()
+    while text[:1] == "\ufeff" or text[-1:] == "\ufeff":
+        text = text.strip("\ufeff").strip()
+    return text
 
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:

@@ -23,6 +23,7 @@ from .errors import ContractError
 from .numcore import (
     Tensor,
     add,
+    affine,
     dropout,
     gather_rows,
     layer_norm_rows,
@@ -232,14 +233,14 @@ def encoder_forward(
         attended = attention_block(queries, h, params, p, config.n_heads, q_lengths, lengths)
         x = add(x, dropout(attended, config.dropout_p, training, rng))
         h = layer_norm_rows(x, params[p + "norm2_g"], params[p + "norm2_b"])
-        inner = relu(add(matmul(h, params[p + "ffn_w1"]), params[p + "ffn_b1"]))
-        ff = add(matmul(inner, params[p + "ffn_w2"]), params[p + "ffn_b2"])
+        inner = relu(affine(h, params[p + "ffn_w1"], params[p + "ffn_b1"]))
+        ff = affine(inner, params[p + "ffn_w2"], params[p + "ffn_b2"])
         x = add(x, dropout(ff, config.dropout_p, training, rng))
     x = layer_norm_rows(x, params[prefix + "final_norm_g"], params[prefix + "final_norm_b"])
-    return tanh(add(matmul(x, params[prefix + "pooler_w"]), params[prefix + "pooler_b"]))
+    return tanh(affine(x, params[prefix + "pooler_w"], params[prefix + "pooler_b"]))
 
 
 def classify(pooled: Tensor, head_params: Mapping[str, Tensor]) -> Tensor:
     """Raw [B, n_classes] logits: relu(pooled W_hidden + b_hidden) W_out + b_out."""
-    hidden = relu(add(matmul(pooled, head_params["w_hidden"]), head_params["b_hidden"]))
-    return add(matmul(hidden, head_params["w_out"]), head_params["b_out"])
+    hidden = relu(affine(pooled, head_params["w_hidden"], head_params["b_hidden"]))
+    return affine(hidden, head_params["w_out"], head_params["b_out"])

@@ -370,12 +370,20 @@ def train(
 
 
 def _predict(model: Model, encoded: Batch) -> dict[str, list[int]]:
-    preds: dict[str, list[int]] = {task: [] for task in model.regime.tasks}
-    for batch in batches(encoded, 64, False, 0):
+    """Argmax predictions in corpus order. The comments run in batches of
+    ascending valid length (stable), so equal-length comments sit side by
+    side and attention covers each such run in one call."""
+    order = np.argsort([sum(seq.mask) for seq in encoded.seqs], kind="stable")
+    by_length = Batch(seqs=tuple(encoded.seqs[i] for i in order), labels={})
+    preds = {task: np.empty(len(order), dtype=np.int64) for task in model.regime.tasks}
+    start = 0
+    for batch in batches(by_length, 64, False, 0):
+        rows = order[start : start + len(batch)]
         logits = batch_logits(model, batch.seqs)
         for task in model.regime.tasks:
-            preds[task].extend(logits[task].data.argmax(axis=1).tolist())
-    return preds
+            preds[task][rows] = logits[task].data.argmax(axis=1)
+        start += len(batch)
+    return {task: p.tolist() for task, p in preds.items()}
 
 
 def evaluate(model: Model, split: Corpus, vocab: Vocab) -> dict[str, list[int]]:

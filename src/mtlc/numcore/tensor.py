@@ -13,6 +13,7 @@ never lands on a tape another thread is filling.
 from __future__ import annotations
 
 from contextvars import ContextVar, Token
+from itertools import groupby
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -236,6 +237,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a 2-D x, 2-D w and a 1-D bias b broadcast over the rows,
+    as one tape record: the bias is added in place to the product."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError(f"affine needs 2-D x and w, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"affine shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    y = x.data @ w.data
+    y += b.data
+    return _record(Tensor(y), (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+
+
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {x.shape}")
@@ -278,8 +291,14 @@ def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
         raise ContractError(f"row id out of range 0..{x.shape[0] - 1}")
 
     def bwd(g):
+        # sum the rows of each id in one pass: sort the ids, then reduce
+        # each run of equal ids (reduceat cannot take an empty index list)
         gx = np.zeros(x.shape)
-        np.add.at(gx, idx, g)
+        if idx.size:
+            order = np.argsort(idx, kind="stable")
+            ordered = idx[order]
+            firsts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+            gx[ordered[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
         return (gx,)
 
     return _record(Tensor(x.data[idx]), (x,), bwd)
@@ -390,6 +409,11 @@ def segment_attention(
     v split into `n_heads` equal heads, and the output holds the heads side
     by side, [rows of q, width of v]. One tape record with a hand-written
     backward covers every head and sequence.
+
+    Consecutive sequences with equal (q, kv) lengths form a run. A run's
+    rows are contiguous, so each run is one [heads, sequences, length, w]
+    view and its scores, softmax and weighted sum are one stacked call
+    each; a run of one sequence is the per-sequence computation.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise ShapeError(f"attention needs 2-D q/k/v, got {q.shape}/{k.shape}/{v.shape}")
@@ -416,28 +440,43 @@ def segment_attention(
 
     c = 1.0 / np.sqrt(q.shape[1] // n_heads)
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(kv_lengths)
-    segments = [
-        (slice(qe - ql, qe), slice(ke - kl, ke))
-        for ql, qe, kl, ke in zip(q_lengths, q_ends, kv_lengths, kv_ends)
-    ]
+    # each run: its query rows, its key rows, and the [heads, G, L, w] shape
+    # that splits both into its G sequences
+    runs, q_start, kv_start = [], 0, 0
+    for (ql, kl), group in groupby(zip(q_lengths, kv_lengths)):
+        g = len(list(group))
+        q_rows, kv_rows = slice(q_start, q_start + g * ql), slice(kv_start, kv_start + g * kl)
+        runs.append((q_rows, kv_rows, g, ql, kl))
+        q_start += g * ql
+        kv_start += g * kl
+
+    def views(a: Array, rows: slice, g: int, length: int) -> Array:
+        return a[:, rows].reshape(n_heads, g, length, a.shape[2])
+
     out = np.empty((n_heads, q.shape[0], vh.shape[2]))
     probs = []
-    for qs, ks in segments:
-        scores = (qh[:, qs] @ kh[:, ks].transpose(0, 2, 1)) * c
-        e = np.exp(scores - scores.max(axis=2, keepdims=True))
-        probs.append(e / e.sum(axis=2, keepdims=True))
-        out[:, qs] = probs[-1] @ vh[:, ks]
+    for qs, ks, g, ql, kl in runs:
+        p = views(qh, qs, g, ql) @ views(kh, ks, g, kl).transpose(0, 1, 3, 2)
+        p *= c
+        p -= p.max(axis=3, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=3, keepdims=True)
+        probs.append(p)
+        out[:, qs] = (p @ views(vh, ks, g, kl)).reshape(n_heads, g * ql, -1)
 
-    def bwd(g):
-        gh = split(g)
+    def bwd(g_out):
+        gh = split(g_out)
         gq, gk, gv = np.empty(qh.shape), np.empty(kh.shape), np.empty(vh.shape)
-        for (qs, ks), p in zip(segments, probs):
-            dp = gh[:, qs] @ vh[:, ks].transpose(0, 2, 1)
-            ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * c
-            gq[:, qs] = ds @ kh[:, ks]
-            gk[:, ks] = ds.transpose(0, 2, 1) @ qh[:, qs]
-            gv[:, ks] = p.transpose(0, 2, 1) @ gh[:, qs]
+        for (qs, ks, g, ql, kl), p in zip(runs, probs):
+            gr, qr = views(gh, qs, g, ql), views(qh, qs, g, ql)
+            kr, vr = views(kh, ks, g, kl), views(vh, ks, g, kl)
+            ds = gr @ vr.transpose(0, 1, 3, 2)
+            ds -= (ds * p).sum(axis=3, keepdims=True)
+            ds *= p
+            ds *= c
+            gq[:, qs] = (ds @ kr).reshape(n_heads, g * ql, -1)
+            gk[:, ks] = (ds.transpose(0, 1, 3, 2) @ qr).reshape(n_heads, g * kl, -1)
+            gv[:, ks] = (p.transpose(0, 1, 3, 2) @ gr).reshape(n_heads, g * kl, -1)
         return merge(gq), merge(gk), merge(gv)
 
     return _record(Tensor(merge(out)), (q, k, v), bwd)
@@ -451,20 +490,21 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     n = x.shape[1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(f"gain/bias must be shape ({n},), got {gain.shape}/{bias.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    mean = np.full(n, 1.0 / n)  # row means as one matvec
+    xhat = x.data - (x.data @ mean)[:, None]
+    inv = (1.0 / np.sqrt(np.square(xhat) @ mean + eps))[:, None]
+    xhat *= inv
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y)
 
     def bwd(g):
         dxhat = g * gain.data
-        gx = inv * (
-            dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-        )
-        return gx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        proj = ((dxhat * xhat) @ mean)[:, None]
+        dxhat -= (dxhat @ mean)[:, None]
+        dxhat -= xhat * proj
+        dxhat *= inv
+        return dxhat, (g * xhat).sum(axis=0), g.sum(axis=0)
 
     return _record(out, (x, gain, bias), bwd)
 

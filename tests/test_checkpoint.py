@@ -1,7 +1,12 @@
 """Binary checkpoint container: layout, CRC integrity, round trips."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlc.checkpoint import (
     FORMAT_VERSION,
@@ -15,6 +20,17 @@ from mtlc.errors import CorruptArtifactError
 from mtlc.numcore import Tensor
 
 CONFIG = "train.seed = 7\n"
+
+
+def with_crc(body: bytes) -> bytes:
+    """A forged checkpoint: `body` plus its valid CRC."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def forge(config: bytes, table: bytes) -> bytes:
+    """A checkpoint with a valid header and CRC around raw config and tensor-table bytes."""
+    header = MAGIC + struct.pack("<H", FORMAT_VERSION) + struct.pack("<I", len(config))
+    return with_crc(header + config + table)
 
 
 def sample_params():
@@ -92,18 +108,43 @@ class TestCorruption:
             deserialize(bytes(blob))
 
     def test_duplicate_tensor_rejected(self):
-        import struct
-        import zlib
-
         from mtlc.checkpoint import _tensor_bytes
 
-        config = CONFIG.encode()
-        body = MAGIC + struct.pack("<H", FORMAT_VERSION) + struct.pack("<I", len(config)) + config
         rec = _tensor_bytes("w", np.ones((2, 2)))
-        body += rec + rec
-        blob = body + struct.pack("<I", zlib.crc32(body))
         with pytest.raises(CorruptArtifactError, match="duplicate"):
-            deserialize(blob)
+            deserialize(forge(CONFIG.encode(), rec + rec))
+
+    def test_config_block_not_utf8(self):
+        with pytest.raises(CorruptArtifactError, match="not UTF-8"):
+            deserialize(forge(b"train.seed = \xff\xfe\n", b""))
+
+    def test_dims_past_the_payload(self):
+        # 0xFFFFFFFF^2 elements overflow a 64-bit product; 1x3 needs 12 bytes, 8 are there
+        for dims in ((0xFFFFFFFF, 0xFFFFFFFF), (1, 3)):
+            table = struct.pack("<H", 1) + b"w" + struct.pack("<B", 2) + struct.pack("<2I", *dims)
+            with pytest.raises(CorruptArtifactError, match="runs past the end"):
+                deserialize(forge(CONFIG.encode(), table + b"\0" * 8))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_truncation_is_corrupt(self, data):
+        blob = serialize(CONFIG, sample_params())
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        with pytest.raises(CorruptArtifactError):
+            deserialize(blob[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_edit_with_valid_crc_parses_or_is_corrupt(self, data):
+        body = bytearray(serialize(CONFIG, sample_params())[:-4])
+        edit = st.tuples(st.integers(0, len(body) - 1), st.integers(0, 255))
+        edits = data.draw(st.lists(edit, min_size=1, max_size=3), label="edits")
+        for pos, value in edits:
+            body[pos] = value
+        try:
+            deserialize(with_crc(bytes(body)))
+        except CorruptArtifactError:
+            pass
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         path = str(tmp_path / "model.mtlc")

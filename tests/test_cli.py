@@ -173,6 +173,19 @@ class TestEvaluate:
         code = main(["evaluate", "--checkpoint", str(bad), "--data", str(toy_dir / "val.tsv")])
         assert code == 5
 
+    def test_config_block_not_utf8_exits_5(self, trained_run, tmp_path, toy_dir):
+        import shutil
+        import struct
+        import zlib
+
+        body = bytearray((trained_run / "checkpoint.mtlc").read_bytes()[:-4])
+        body[10] = 0xFF  # first byte of the config block; the CRC stays valid
+        bad = tmp_path / "bad.mtlc"
+        bad.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        shutil.copy(trained_run / "vocab.txt", tmp_path / "vocab.txt")
+        code = main(["evaluate", "--checkpoint", str(bad), "--data", str(toy_dir / "val.tsv")])
+        assert code == 5
+
     def test_missing_vocab_exits_2(self, trained_run, toy_dir, tmp_path):
         import shutil
 

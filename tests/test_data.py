@@ -1,7 +1,14 @@
 """Corpus ingestion, schemas, stratified splitting, and batching."""
 
+import os
+import re
+import tempfile
+import unicodedata
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtlc.data import (
     Corpus,
@@ -269,3 +276,110 @@ class TestRoundTrip:
         assert sum(class_counts(corpus, "sentiment")) == len(corpus)
         empty = Corpus(records=[], schemas=SCHEMAS, language="kannada")
         assert class_counts(empty, "sentiment") == [0] * 5
+
+
+# ---------------------------------------------------------------------------
+# property tests of TSV ingestion
+# ---------------------------------------------------------------------------
+
+def norm(text):
+    """A comment as ingested: NFC, whitespace and U+FEFF trimmed at both ends."""
+    return re.sub(r"^[\s\ufeff]+|[\s\ufeff]+$", "", unicodedata.normalize("NFC", text))
+
+
+# any text a TSV cell can hold: no tab, and no line break the reader splits on
+CELL = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+    min_size=1,
+    max_size=12,
+).filter(lambda t: norm(t))
+LABELS = st.tuples(
+    st.sampled_from(SCHEMAS["sentiment"].classes), st.sampled_from(SCHEMAS["offense"].classes)
+)
+# a label cell: a class name in any case and padding, or any other text
+LABEL_LIKE = {
+    task: st.one_of(
+        CELL,
+        st.builds(
+            lambda name, upper, pad: (name.upper() if upper else name.lower()) + pad,
+            st.sampled_from(SCHEMAS[task].classes),
+            st.booleans(),
+            st.sampled_from(["", " "]),
+        ),
+    )
+    for task in ("sentiment", "offense")
+}
+ROWS = st.lists(st.tuples(CELL, LABELS), min_size=1, max_size=8)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def load_text(text, newline="\n"):
+    """Write `text` byte for byte (lines joined by `newline`) and load it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.tsv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text.replace("\n", newline))
+        return load_joint_tsv(path, SCHEMAS, "kannada")
+
+
+def tsv(rows):
+    return "".join(f"{text}\t{s}\t{o}\n" for text, (s, o) in rows)
+
+
+class TestTsvProperties:
+    @PROPERTY
+    @given(ROWS)
+    @example([("a", ("Positive", "Not offensive")), ("\ufeffb", ("Neutral", "Not offensive"))])
+    def test_round_trip_through_corpus_to_tsv(self, rows):
+        corpus = load_text(tsv(rows))
+        assert [rec.text for rec in corpus.records] == list(dict.fromkeys(norm(t) for t, _ in rows))
+        # a split reorders the records, so any of them may be written first
+        for records in (corpus.records, corpus.records[::-1]):
+            part = Corpus(records=records, schemas=SCHEMAS, language="kannada")
+            assert load_text(corpus_to_tsv(part)).records == records
+
+    @PROPERTY
+    @given(ROWS)
+    def test_crlf_reads_like_lf(self, rows):
+        assert load_text(tsv(rows), "\r\n").records == load_text(tsv(rows)).records
+
+    @PROPERTY
+    @given(ROWS, CELL, CELL)
+    def test_text_with_a_tab_is_a_bad_row(self, rows, left, right):
+        good = rows * 100  # 100+ rows, so one bad row is within the 1% limit
+        bad = (f"{left}\t{right}", ("Positive", "Not offensive"))
+        mixed = load_text(tsv(good[:1] + [bad] + good[1:]))
+        assert mixed.records == load_text(tsv(good)).records
+        with pytest.raises(DataError, match="line 2: expected 3 tab-separated columns, got 4"):
+            load_text(tsv(rows[:1] + [bad]))
+
+    @PROPERTY
+    @given(ROWS, CELL, st.tuples(LABEL_LIKE["sentiment"], LABEL_LIKE["offense"]))
+    def test_header_like_first_row(self, rows, first_text, first_labels):
+        # a first row is a header only when none of its label cells is a label
+        is_label = [
+            any(c.lower() == cell.strip().lower() for c in SCHEMAS[task].classes)
+            for cell, task in zip(first_labels, ("sentiment", "offense"))
+        ]
+        text = tsv([(first_text, first_labels)] + rows)
+        if all(is_label):
+            kept = load_text(text).records[0].text
+            assert kept == norm(first_text)
+        elif any(is_label):
+            with pytest.raises(DataError, match="line 1: unknown"):
+                load_text(text)  # a data row with one bad label, over the limit
+        else:
+            assert load_text(text).records == load_text(tsv(rows)).records
+
+    @PROPERTY
+    @given(st.integers(1, 400), st.integers(0, 6), st.randoms(use_true_random=False))
+    def test_bad_row_limit_is_one_percent(self, n_good, n_bad, rnd):
+        lines = [f"comment {i}\tPositive\tNot offensive" for i in range(n_good)]
+        for j in range(n_bad):  # after the first row, which alone decides on a header
+            lines.insert(rnd.randint(1, len(lines)), f"broken {j}\tJoyful\tNot offensive")
+        text = "\n".join(lines) + "\n"
+        if 100 * n_bad > n_good + n_bad:  # more than 1% of the rows are bad
+            with pytest.raises(DataError, match=f"{n_bad} bad rows"):
+                load_text(text)
+        else:
+            assert len(load_text(text)) == n_good

@@ -363,6 +363,8 @@ class TestPacking:
         layouts = [
             ([1, 3, 8], [1, 3, 8]),  # self-attention, a length-1 and a full-length sequence
             ([1, 1, 1], [1, 3, 8]),  # [CLS] queries only, as in the last layer
+            ([3, 3, 3, 1, 5, 5], [3, 3, 3, 1, 5, 5]),  # runs of equal lengths beside a singleton
+            ([1] * 6, [3, 3, 3, 1, 5, 5]),  # [CLS] queries over repeated kv lengths
         ]
         for q_lengths, kv_lengths in layouts:
             rng = np.random.default_rng(sum(q_lengths))
@@ -377,6 +379,19 @@ class TestPacking:
             assert grad_check(lambda x: loss(x, Tensor(k), Tensor(v)), Tensor(q)) < 1e-4
             assert grad_check(lambda x: loss(Tensor(q), x, Tensor(v)), Tensor(k)) < 1e-4
             assert grad_check(lambda x: loss(Tensor(q), Tensor(k), x), Tensor(v)) < 1e-4
+
+    def test_sequence_alone_equals_its_rows_in_a_run(self):
+        rng = np.random.default_rng(15)
+        lengths = [3, 3, 3, 1, 5, 5]
+        for q_lengths, kv_lengths in ((lengths, lengths), ([1] * 6, lengths)):
+            q = rng.normal(size=(sum(q_lengths), 8))
+            k, v = rng.normal(size=(sum(kv_lengths), 8)), rng.normal(size=(sum(kv_lengths), 6))
+            packed = segment_attention(*map(Tensor, (q, k, v)), q_lengths, kv_lengths, 2).data
+            q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(kv_lengths)
+            for ql, qe, kl, ke in zip(q_lengths, q_ends, kv_lengths, kv_ends):
+                qs, ks = slice(qe - ql, qe), slice(ke - kl, ke)
+                alone = segment_attention(*map(Tensor, (q[qs], k[ks], v[ks])), [ql], [kl], 2).data
+                assert np.abs(packed[qs] - alone).max() < 1e-12
 
     def test_fused_attention_is_one_tape_record(self):
         x = Tensor(np.random.default_rng(1).normal(size=(5, 4)), requires_grad=True)

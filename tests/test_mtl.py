@@ -427,6 +427,29 @@ class TestEvaluate:
         preds = evaluate(model, split, toy_vocab)
         assert preds["sentiment"] == [2] * 10
 
+    def test_length_ordered_batches_keep_corpus_order(self, toy_vocab):
+        cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2, d_ffn=16, dropout_p=0.0)
+        regime = regime_for("soft_share", soft=SoftShareConfig())
+        model = build_model(regime, cfg, N_CLASSES, seed=4)
+        rng = np.random.default_rng(4)
+        for name, p in model.params.items():  # unit-scale activations, so predictions vary
+            if p.data.ndim == 2:
+                p.data = rng.normal(size=p.shape) / np.sqrt(1 if "emb" in name else p.shape[0])
+        words = list(toy_vocab.id_to_token[4:])
+        texts = {" ".join(rng.choice(words, size=rng.integers(0, 7))) for _ in range(300)}
+        schemas = schemas_for_language("kannada")
+        records = [Record(text=t, labels={"sentiment": 0, "offense": 0}) for t in sorted(texts)]
+        rng.shuffle(records)  # lengths in no order, over several batches of 64
+        split = Corpus(records=records, schemas=schemas, language="kannada")
+        preds = evaluate(model, split, toy_vocab)
+        singles = [
+            evaluate(model, Corpus(records=[r], schemas=schemas, language="kannada"), toy_vocab)
+            for r in records
+        ]
+        for task in TASKS:
+            assert preds[task] == [single[task][0] for single in singles]
+            assert len(set(preds[task])) > 1
+
     def test_schema_mismatch_rejected(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2)
         model = build_model(regime_for("hard_share"), cfg, N_CLASSES, seed=0)

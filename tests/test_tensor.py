@@ -10,6 +10,7 @@ from mtlc.numcore import (
     GradTape,
     Tensor,
     add,
+    affine,
     backward,
     concat_cols,
     concat_rows,
@@ -226,6 +227,18 @@ class TestShapingOps:
         assert x.grad[0].tolist() == [1.0, 1.0, 1.0]
         assert x.grad[2].tolist() == [0.0, 0.0, 0.0]
 
+    def test_gather_rows_gradient_matches_add_at(self):
+        rng = np.random.default_rng(12)
+        for ids in ([4, 1, 4, 0, 1, 4, 99, 0], [7, 3, 5], [2] * 6, []):
+            x = Tensor(rng.normal(size=(100, 3)), requires_grad=True)
+            w = Tensor(rng.normal(size=(len(ids), 3)))
+            with GradTape() as tape:
+                loss = sum_all(mul(gather_rows(x, ids), w))
+            backward(tape, loss)
+            reference = np.zeros(x.shape)
+            np.add.at(reference, np.asarray(ids, dtype=np.int64), w.data)
+            assert np.abs(x.grad - reference).max() < 1e-12, ids
+
     def test_gather_rows_range_check(self):
         with pytest.raises(ContractError):
             gather_rows(Tensor(np.eye(2)), [0, 2])
@@ -275,6 +288,60 @@ class TestLayerNorm:
         assert grad_check(lambda x: sum_all(mul(layer_norm_rows(x, Tensor(gv), Tensor(bv)), w)), Tensor(xv)) < 1e-6
         assert grad_check(lambda g: sum_all(mul(layer_norm_rows(Tensor(xv), g, Tensor(bv)), w)), Tensor(gv)) < 1e-6
         assert grad_check(lambda b: sum_all(mul(layer_norm_rows(Tensor(xv), Tensor(gv), b), w)), Tensor(bv)) < 1e-6
+
+
+    def test_matches_plain_numpy_reference(self):
+        rng = np.random.default_rng(10)
+        for rows in (1, 1000):
+            xv, gv, bv = rng.normal(1.0, 3.0, size=(rows, 64)), *rng.normal(size=(2, 64))
+            mu = xv.mean(axis=1, keepdims=True)
+            inv = 1.0 / np.sqrt(((xv - mu) ** 2).mean(axis=1, keepdims=True) + 1e-5)
+            xhat = (xv - mu) * inv
+            x = Tensor(xv, requires_grad=True)
+            with GradTape() as tape:
+                y = layer_norm_rows(x, Tensor(gv), Tensor(bv))
+                loss = sum_all(mul(y, Tensor(np.arange(64.0) / 64)))
+            backward(tape, loss)
+            assert np.abs(y.data - (xhat * gv + bv)).max() < 1e-12, rows
+            dxhat = np.tile(np.arange(64.0) / 64 * gv, (rows, 1))
+            dx = inv * (
+                dxhat
+                - dxhat.mean(axis=1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            )
+            assert np.abs(x.grad - dx).max() < 1e-12, rows
+
+
+class TestAffine:
+    def test_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(13)
+        x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        assert np.array_equal(affine(Tensor(x), Tensor(w), Tensor(b)).data, x @ w + b)
+
+    def test_gradients_all_inputs(self):
+        rng = np.random.default_rng(14)
+        xv, wv, bv = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        c = Tensor(rng.normal(size=(5, 4)))
+
+        def loss(x, w, b):
+            return sum_all(mul(affine(x, w, b), c))
+
+        assert grad_check(lambda x: loss(x, Tensor(wv), Tensor(bv)), Tensor(xv)) < 1e-6
+        assert grad_check(lambda w: loss(Tensor(xv), w, Tensor(bv)), Tensor(wv)) < 1e-6
+        assert grad_check(lambda b: loss(Tensor(xv), Tensor(wv), b), Tensor(bv)) < 1e-6
+
+    def test_one_tape_record(self):
+        x, w, b = (Tensor(np.ones(shape), requires_grad=True) for shape in ((2, 3), (3, 4), (4,)))
+        with GradTape() as tape:
+            affine(x, w, b)
+        assert len(tape) == 1
+
+    def test_shape_errors(self):
+        x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        for args in ((x, w, Tensor(np.ones(3))), (x, Tensor(np.ones((2, 4))), Tensor(np.ones(4))),
+                     (Tensor(np.ones(3)), w, Tensor(np.ones(4)))):
+            with pytest.raises(ShapeError):
+                affine(*args)
 
 
 class TestDropout:
