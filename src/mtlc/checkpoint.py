@@ -10,7 +10,9 @@ Layout, little-endian throughout:
 Weights are stored as float32 (half the size); reloading then evaluating
 uses exactly the stored values, so predictions from a checkpoint are
 reproducible even though resumed training differs from an uninterrupted
-float64 run.
+float64 run. Every stored value is finite: saving a NaN or infinity, or a
+float64 beyond float32's range, raises NumericalError, and a file holding
+one is corrupt.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ContractError, CorruptArtifactError
+from .errors import ContractError, CorruptArtifactError, NumericalError
 from .numcore import Tensor
 
 MAGIC = b"MTLC"
@@ -38,7 +40,11 @@ def _tensor_bytes(name: str, data: np.ndarray) -> bytes:
         raise ContractError(f"tensor rank {data.ndim} exceeds format limit")
     parts = [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", data.ndim)]
     parts.append(struct.pack(f"<{data.ndim}I", *data.shape))
-    parts.append(np.ascontiguousarray(data, dtype="<f4").tobytes())
+    with np.errstate(over="ignore", invalid="ignore"):
+        payload = np.ascontiguousarray(data, dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise NumericalError(f"tensor {name!r} holds values that are not finite in float32")
+    parts.append(payload.tobytes())
     return b"".join(parts)
 
 
@@ -99,6 +105,8 @@ def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
             raise CorruptArtifactError(f"checkpoint tensor table is malformed: {err}") from None
         if name in params:
             raise CorruptArtifactError(f"duplicate tensor {name!r} in checkpoint")
+        if not np.isfinite(payload).all():
+            raise CorruptArtifactError(f"checkpoint tensor {name!r} holds NaN or infinity")
         params[name] = payload.astype(np.float64).reshape(dims)
     return config_text, params
 

@@ -8,6 +8,7 @@ config seed; an explicit --seed flag beats both.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -386,7 +387,44 @@ _EXIT_CODES = (
 )
 
 
+# glibc <malloc.h> parameters and the values mtlc sets: freed blocks up to
+# 32 MiB return to the heap rather than to the kernel through munmap, and
+# the heap top is trimmed only past 256 MiB free. A process that trains and
+# then evaluates otherwise shrinks its heap after each batch and faults the
+# same pages back in on the next one.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
+_heap_set = False
+
+
+def _is_glibc() -> bool:
+    # confstr reads one libc constant; platform.libc_ver() scans the
+    # interpreter binary
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _keep_heap_mapped() -> None:
+    """Apply `_HEAP_SETTINGS` through glibc's `mallopt`, once per process.
+    They hold for the whole process. Elsewhere than on glibc, does nothing."""
+    global _heap_set
+    if _heap_set:
+        return
+    _heap_set = True
+    if not _is_glibc():
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_SETTINGS:
+        mallopt(param, value)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _keep_heap_mapped()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -372,7 +372,9 @@ def train(
 def _predict(model: Model, encoded: Batch) -> dict[str, list[int]]:
     """Argmax predictions in corpus order. The comments run in batches of
     ascending valid length (stable), so equal-length comments sit side by
-    side and attention covers each such run in one call."""
+    side and attention covers each such run in one call. Raises
+    NumericalError, naming the comment's corpus index and the task, if a
+    logit is not finite."""
     order = np.argsort([sum(seq.mask) for seq in encoded.seqs], kind="stable")
     by_length = Batch(seqs=tuple(encoded.seqs[i] for i in order), labels={})
     preds = {task: np.empty(len(order), dtype=np.int64) for task in model.regime.tasks}
@@ -381,7 +383,11 @@ def _predict(model: Model, encoded: Batch) -> dict[str, list[int]]:
         rows = order[start : start + len(batch)]
         logits = batch_logits(model, batch.seqs)
         for task in model.regime.tasks:
-            preds[task][rows] = logits[task].data.argmax(axis=1)
+            data = logits[task].data
+            if not np.isfinite(data).all():
+                bad = rows[~np.isfinite(data).all(axis=1)].min()
+                raise NumericalError(f"non-finite {task} logits for comment {bad}")
+            preds[task][rows] = data.argmax(axis=1)
         start += len(batch)
     return {task: p.tolist() for task, p in preds.items()}
 

@@ -5,6 +5,11 @@ one record each, and `backward` replays the records in reverse, which is a
 reverse topological order by construction. Only float64 is supported; the
 models here are small enough that precision beats speed.
 
+A record names its output and inputs by key, not by object, and its
+backward closure holds only the arrays that closure reads, so a forward
+intermediate that no backward reads is freed as soon as the caller drops
+it. `backward` consumes the tape: it releases each record once replayed.
+
 The active tapes are per context (`contextvars`): an op records onto the
 innermost tape entered in its own thread, so a forward pass in one thread
 never lands on a tape another thread is filling.
@@ -12,8 +17,9 @@ never lands on a tape another thread is filling.
 
 from __future__ import annotations
 
+import threading
 from contextvars import ContextVar, Token
-from itertools import groupby
+from itertools import count, groupby
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,13 +36,14 @@ class Tensor:
     optimizer and checkpoints address parameters.
     """
 
-    __slots__ = ("data", "requires_grad", "name", "grad")
+    __slots__ = ("data", "requires_grad", "name", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.name = name
         self.grad: Optional[Array] = None
+        self._key: Optional[int] = None  # tape key, set when first recorded
 
     @property
     def shape(self) -> tuple:
@@ -59,13 +66,35 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
 
+# tape keys, unique for the life of the process, so a record need not hold
+# a tensor to keep its key from being reused. An op's output is new and
+# takes its key at once; an input may be a leaf that tapes in several
+# threads reach first at the same time, so it takes its key under a lock.
+_KEYS = count()
+_KEY_LOCK = threading.Lock()
+
+
+def _input_key(t: Tensor) -> int:
+    if t._key is None:
+        with _KEY_LOCK:
+            if t._key is None:
+                t._key = next(_KEYS)
+    return t._key
+
+
 class GradTape:
-    """Ordered record of primitive ops, replayed in reverse for adjoints."""
+    """Ordered record of primitive ops, replayed in reverse for adjoints.
+
+    `len(tape)` is the number of records the forward made, also after
+    `backward` has consumed them.
+    """
 
     def __init__(self):
-        # each record: (output, input tensors, backward fn); holding the
-        # output keeps its id unique for as long as the tape lives
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # each record: (output key, input keys, backward fn); an input that
+        # takes no gradient has the key None
+        self._records: list[tuple[int, tuple[Optional[int], ...], Callable]] = []
+        self._count = 0
+        self._replayed = False
         self._produced: set[int] = set()
         self._watched: dict[int, Tensor] = {}
         self._tokens: list[Token] = []
@@ -78,14 +107,22 @@ class GradTape:
         _ACTIVE.reset(self._tokens.pop())
 
     def _add(self, out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> None:
+        keys = []
         for t in inputs:
-            if t.requires_grad and id(t) not in self._produced:
-                self._watched.setdefault(id(t), t)
-        self._records.append((out, inputs, bwd))
-        self._produced.add(id(out))
+            if not t.requires_grad:
+                keys.append(None)
+                continue
+            k = _input_key(t)
+            if k not in self._produced:
+                self._watched.setdefault(k, t)
+            keys.append(k)
+        k = out._key = next(_KEYS)
+        self._records.append((k, tuple(keys), bwd))
+        self._produced.add(k)
+        self._count += 1
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
 
 # the tapes entered in the current context, innermost last
@@ -93,7 +130,9 @@ _ACTIVE: ContextVar[tuple[GradTape, ...]] = ContextVar("mtlc_active_tapes", defa
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
-    """Attach `out` to the active tape if any input participates in autodiff."""
+    """Attach `out` to the active tape if any input participates in autodiff.
+    `bwd` maps the output's adjoint to one adjoint per input; it should hold
+    only the arrays it reads, since the tape keeps it until `backward`."""
     tapes = _ACTIVE.get()
     if tapes and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -103,23 +142,31 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
 
 def backward(tape: GradTape, loss: Tensor) -> None:
     """Accumulate gradients of `loss` into every watched leaf's `.grad`;
-    leaves the tape saw off the path from `loss` accumulate zero arrays."""
+    leaves the tape saw off the path from `loss` accumulate zero arrays.
+
+    Consumes the tape: each record, and the forward state its closure
+    holds, is released once replayed, and a second call raises."""
     if loss.shape != ():
         raise ContractError(f"backward seed must be scalar, got shape {loss.shape}")
-    if id(loss) not in tape._produced:
+    if tape._replayed:
+        raise ContractError("backward already consumed this tape; record the forward again")
+    if loss._key not in tape._produced:
         raise ContractError("loss was not produced by ops recorded on this tape")
-    adjoint: dict[int, Array] = {id(loss): np.ones(())}
-    for out, inputs, bwd in reversed(tape._records):
-        g = adjoint.pop(id(out), None)
+    tape._replayed = True
+    records = tape._records
+    adjoint: dict[int, Array] = {loss._key: np.ones(())}
+    while records:
+        out, inputs, bwd = records.pop()
+        g = adjoint.pop(out, None)
         if g is None:
             continue
-        for t, gi in zip(inputs, bwd(g)):
-            if gi is None or not t.requires_grad:
+        for k, gi in zip(inputs, bwd(g)):
+            if gi is None or k is None:
                 continue
-            prev = adjoint.get(id(t))
-            adjoint[id(t)] = gi if prev is None else prev + gi
-    for tid, t in tape._watched.items():
-        g = adjoint.get(tid)
+            prev = adjoint.get(k)
+            adjoint[k] = gi if prev is None else prev + gi
+    for k, t in tape._watched.items():
+        g = adjoint.get(k)
         if g is None:
             g = np.zeros_like(t.data)
         t.grad = g if t.grad is None else t.grad + g
@@ -150,22 +197,23 @@ def _wrap(x) -> Tensor:
 def add(a: Tensor, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = Tensor(a.data + b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = Tensor(a.data - b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = Tensor(ad * bd)
     return _record(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
     )
 
 
@@ -183,8 +231,9 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def pow_const(x: Tensor, p: float) -> Tensor:
     p = float(p)
-    out = Tensor(x.data**p)
-    return _record(out, (x,), lambda g: (g * p * x.data ** (p - 1.0),))
+    xd = x.data
+    out = Tensor(xd**p)
+    return _record(out, (x,), lambda g: (g * p * xd ** (p - 1.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +242,12 @@ def pow_const(x: Tensor, p: float) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); subgradient at 0 is 0."""
-    out = Tensor(np.maximum(x.data, 0.0))
-    return _record(out, (x,), lambda g: (g * (x.data > 0.0),))
+    """Elementwise max(0, x); subgradient at 0 is 0.
+
+    The backward reads the output, not the input: y > 0 exactly where
+    x > 0 (NaN included), so the pre-activation can be freed."""
+    y = np.maximum(x.data, 0.0)
+    return _record(Tensor(y), (x,), lambda g: (g * (y > 0.0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -218,8 +270,9 @@ def exp(x: Tensor) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data))
-    return _record(out, (x,), lambda g: (g / x.data,))
+    xd = x.data
+    out = Tensor(np.log(xd))
+    return _record(out, (x,), lambda g: (g / xd,))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +286,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    out = Tensor(a.data @ b.data)
-    return _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    ad, bd = a.data, b.data
+    out = Tensor(ad @ bd)
+    return _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -244,9 +298,10 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"affine needs 2-D x and w, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"affine shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
-    y = x.data @ w.data
+    xd, wd = x.data, w.data
+    y = xd @ wd
     y += b.data
-    return _record(Tensor(y), (x, w, b), lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
+    return _record(Tensor(y), (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -264,7 +319,8 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
-    return _record(out, (x,), lambda g: (np.full(x.shape, float(g)),))
+    shape = x.shape
+    return _record(out, (x,), lambda g: (np.full(shape, float(g)),))
 
 
 def take(x: Tensor, index: int) -> Tensor:
@@ -273,9 +329,10 @@ def take(x: Tensor, index: int) -> Tensor:
         raise ShapeError(f"take needs a 1-D tensor, got {x.shape}")
     if not 0 <= index < x.shape[0]:
         raise ContractError(f"index {index} out of range for length {x.shape[0]}")
+    shape = x.shape
 
     def bwd(g):
-        gx = np.zeros(x.shape)
+        gx = np.zeros(shape)
         gx[index] = float(g)
         return (gx,)
 
@@ -289,11 +346,12 @@ def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ContractError(f"row id out of range 0..{x.shape[0] - 1}")
+    shape = x.shape
 
     def bwd(g):
         # sum the rows of each id in one pass: sort the ids, then reduce
         # each run of equal ids (reduceat cannot take an empty index list)
-        gx = np.zeros(x.shape)
+        gx = np.zeros(shape)
         if idx.size:
             order = np.argsort(idx, kind="stable")
             ordered = idx[order]
@@ -307,9 +365,10 @@ def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"slice_rows needs a 2-D tensor, got {x.shape}")
+    shape = x.shape
 
     def bwd(g):
-        gx = np.zeros(x.shape)
+        gx = np.zeros(shape)
         gx[start:stop] = g
         return (gx,)
 
@@ -319,9 +378,10 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"slice_cols needs a 2-D tensor, got {x.shape}")
+    shape = x.shape
 
     def bwd(g):
-        gx = np.zeros(x.shape)
+        gx = np.zeros(shape)
         gx[:, start:stop] = g
         return (gx,)
 
@@ -362,7 +422,8 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack 1-D tensors of equal length into a 2-D [len(parts), n] tensor."""
     parts = list(parts)
     out = Tensor(np.stack([p.data for p in parts], axis=0))
-    return _record(out, tuple(parts), lambda g: tuple(g[i] for i in range(len(parts))))
+    n = len(parts)
+    return _record(out, tuple(parts), lambda g: tuple(g[i] for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +555,13 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     xhat = x.data - (x.data @ mean)[:, None]
     inv = (1.0 / np.sqrt(np.square(xhat) @ mean + eps))[:, None]
     xhat *= inv
-    y = xhat * gain.data
+    gd = gain.data
+    y = xhat * gd
     y += bias.data
     out = Tensor(y)
 
     def bwd(g):
-        dxhat = g * gain.data
+        dxhat = g * gd
         proj = ((dxhat * xhat) @ mean)[:, None]
         dxhat -= (dxhat @ mean)[:, None]
         dxhat -= xhat * proj
@@ -516,11 +578,14 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Zero each element with probability `p` and rescale survivors by
-    1/(1-p) while training; exact identity at inference."""
+    1/(1-p) while training; exact identity at inference.
+
+    The tape keeps the boolean mask (an eighth of the float scale) and the
+    backward rebuilds the same scale from it."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return x
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * keep)
-    return _record(out, (x,), lambda g: (g * keep,))
+    mask = rng.random(x.shape) >= p
+    out = Tensor(x.data * (mask / (1.0 - p)))
+    return _record(out, (x,), lambda g: (g * (mask / (1.0 - p)),))

@@ -16,7 +16,7 @@ from mtlc.checkpoint import (
     save_checkpoint,
     serialize,
 )
-from mtlc.errors import CorruptArtifactError
+from mtlc.errors import CorruptArtifactError, NumericalError
 from mtlc.numcore import Tensor
 
 CONFIG = "train.seed = 7\n"
@@ -81,6 +81,16 @@ class TestRoundTrip:
         reordered = dict(reversed(list(params.items())))
         assert serialize(CONFIG, params) == serialize(CONFIG, reordered)
 
+    def test_non_finite_save_rejected(self, tmp_path):
+        # 1e39 is a finite float64 that overflows float32
+        path = tmp_path / "model.mtlc"
+        for bad in (np.nan, np.inf, -np.inf, 1e39):
+            params = sample_params()
+            params["w_a"].data[1, 2] = bad
+            with pytest.raises(NumericalError, match="w_a"):
+                save_checkpoint(str(path), CONFIG, params)
+            assert not path.exists() and not (tmp_path / "model.mtlc.tmp").exists()
+
 
 class TestCorruption:
     def test_crc_fuzzing_100_single_byte_flips(self):
@@ -118,6 +128,13 @@ class TestCorruption:
         with pytest.raises(CorruptArtifactError, match="not UTF-8"):
             deserialize(forge(b"train.seed = \xff\xfe\n", b""))
 
+    def test_non_finite_payload_is_corrupt(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            payload = np.array([1.0, bad, 2.0], dtype="<f4").tobytes()
+            table = struct.pack("<H", 1) + b"w" + struct.pack("<B", 1) + struct.pack("<I", 3)
+            with pytest.raises(CorruptArtifactError, match="NaN or infinity"):
+                deserialize(forge(CONFIG.encode(), table + payload))
+
     def test_dims_past_the_payload(self):
         # 0xFFFFFFFF^2 elements overflow a 64-bit product; 1x3 needs 12 bytes, 8 are there
         for dims in ((0xFFFFFFFF, 0xFFFFFFFF), (1, 3)):
@@ -142,9 +159,10 @@ class TestCorruption:
         for pos, value in edits:
             body[pos] = value
         try:
-            deserialize(with_crc(bytes(body)))
+            _, params = deserialize(with_crc(bytes(body)))
         except CorruptArtifactError:
-            pass
+            return
+        assert all(np.isfinite(p).all() for p in params.values())
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         path = str(tmp_path / "model.mtlc")

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -186,6 +187,29 @@ class TestEvaluate:
         code = main(["evaluate", "--checkpoint", str(bad), "--data", str(toy_dir / "val.tsv")])
         assert code == 5
 
+    def test_nan_weights_with_valid_crc_exit_5(self, trained_run, tmp_path, toy_dir):
+        import shutil
+        import struct
+        import zlib
+
+        import numpy as np
+
+        from mtlc.checkpoint import load_checkpoint, serialize
+
+        # save a marker value in pooler_w, then overwrite its bytes with NaN
+        config_text, arrays = load_checkpoint(str(trained_run / "checkpoint.mtlc"))
+        arrays["pooler_w"] = np.full(arrays["pooler_w"].shape, 3.0)
+        body = serialize(config_text, arrays)[:-4]
+        marker = struct.pack("<f", 3.0) * arrays["pooler_w"].size
+        assert body.count(marker) == 1
+        body = body.replace(marker, struct.pack("<f", float("nan")) * arrays["pooler_w"].size)
+        bad = tmp_path / "bad.mtlc"
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        shutil.copy(trained_run / "vocab.txt", tmp_path / "vocab.txt")
+        code = main(["evaluate", "--checkpoint", str(bad), "--data", str(toy_dir / "val.tsv")])
+        assert code == 5
+        assert not (tmp_path / "eval_report.json").exists()
+
     def test_missing_vocab_exits_2(self, trained_run, toy_dir, tmp_path):
         import shutil
 
@@ -234,3 +258,35 @@ class TestReport:
         code = main(["report", "--runs", str(tmp_path / "ghost")])
         assert code == 2
         assert "ghost" in capsys.readouterr().err
+
+
+class TestHeapSetting:
+    @pytest.fixture
+    def mallopt_calls(self, monkeypatch):
+        """Calls `cli.main` makes to mallopt, with the once-per-process flag reset."""
+        import mtlc.cli as cli
+
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli, "_heap_set", False)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        return calls
+
+    def test_set_once_per_process_on_glibc(self, mallopt_calls, monkeypatch, tmp_path):
+        import mtlc.cli as cli
+
+        monkeypatch.setattr(cli, "_is_glibc", lambda: True)
+        for _ in range(3):
+            main(["report", "--runs", str(tmp_path)])  # exits 2: no report.json
+        assert mallopt_calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_no_op_without_glibc(self, mallopt_calls, monkeypatch, tmp_path):
+        import mtlc.cli as cli
+
+        monkeypatch.setattr(cli, "_is_glibc", lambda: False)
+        main(["report", "--runs", str(tmp_path)])
+        assert mallopt_calls == []

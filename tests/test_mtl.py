@@ -5,7 +5,7 @@ import pytest
 
 from mtlc.data import Batch, Corpus, Record, SplitSet, schemas_for_language
 from mtlc.encoder import EncoderConfig, forward_call_count, reset_forward_calls
-from mtlc.errors import ConfigError, ContractError
+from mtlc.errors import ConfigError, ContractError, NumericalError
 from mtlc.losses import LossConfig, cross_entropy
 from mtlc.mtl import (
     RegimeConfig,
@@ -449,6 +449,18 @@ class TestEvaluate:
         for task in TASKS:
             assert preds[task] == [single[task][0] for single in singles]
             assert len(set(preds[task])) > 1
+
+    def test_non_finite_logits_name_the_comment(self, toy_vocab):
+        cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2, d_ffn=16, dropout_p=0.0)
+        model = build_model(regime_for("hard_share"), cfg, N_CLASSES, seed=0)
+        word = toy_vocab.id_to_token[4]
+        model.params["tok_emb"].data[toy_vocab.lookup(word)] = np.nan
+        schemas = schemas_for_language("kannada")
+        texts = ["u"] * 6 + [word] + ["u u"] * 3  # only comment 6 sees the NaN row
+        records = [Record(text=t, labels={"sentiment": 0, "offense": 0}) for t in texts]
+        split = Corpus(records=records, schemas=schemas, language="kannada")
+        with pytest.raises(NumericalError, match="sentiment logits for comment 6"):
+            evaluate(model, split, toy_vocab)
 
     def test_schema_mismatch_rejected(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2)

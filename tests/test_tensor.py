@@ -1,6 +1,7 @@
 """Core tensor ops and the reverse-mode tape."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mtlc.numcore import (
     mul,
     relu,
     reshape,
+    scale,
     sigmoid,
     slice_cols,
     slice_rows,
@@ -209,6 +211,55 @@ class TestBackward:
 
         x = Tensor(np.random.default_rng(6).uniform(-2, 2, size=(2, 4)))
         assert grad_check(f, x, h=1e-5) < 1e-4
+
+
+class TestLeanTape:
+    """A record keeps only what its backward reads, and backward releases it."""
+
+    def test_outputs_no_backward_reads_are_freed_while_the_tape_lives(self):
+        x = Tensor(np.random.default_rng(0).normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(np.random.default_rng(1).normal(size=(3, 3)), requires_grad=True)
+        with GradTape() as tape:
+            summed = add(x, x)
+            dropped = dropout(x, 0.5, training=True, rng=stream(0, "d"))
+            pre = matmul(x, w)
+            y = relu(pre)
+            dead = [weakref.ref(t.data) for t in (summed, dropped, pre)]
+            del summed, dropped, pre
+            assert [r() for r in dead] == [None, None, None]
+            loss = sum_all(y)
+        backward(tape, loss)
+        assert np.array_equal(x.grad, (y.data > 0) @ w.data.T)
+
+    def test_backward_releases_what_the_records_held(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with GradTape() as tape:
+            h = scale(x, 2.0)
+            loss = sum_all(matmul(h, w))
+        held = weakref.ref(h.data)
+        del h
+        assert held() is not None  # matmul's backward reads its operand
+        backward(tape, loss)
+        assert held() is None
+        assert np.array_equal(w.grad, np.full((3, 2), 4.0))
+
+    def test_length_survives_backward(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with GradTape() as tape:
+            loss = sum_all(mul(x, x))
+        assert len(tape) == 2
+        backward(tape, loss)
+        assert len(tape) == 2
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with GradTape() as tape:
+            loss = sum_all(mul(x, x))
+        backward(tape, loss)
+        with pytest.raises(ContractError, match="already consumed"):
+            backward(tape, loss)
+        assert np.array_equal(x.grad, 2 * np.ones(3))
 
 
 class TestShapingOps:
