@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import json
 import os
 import sys
 from typing import Optional, Sequence
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, load_config, schemas_for_config
+from .config import RunConfig, load_config
 from .data import (
     Corpus,
     SplitSet,
@@ -26,7 +27,7 @@ from .data import (
     split_manifest,
     stratified_split,
 )
-from .encoder import EncoderConfig, HeadSpec
+from .encoder import HeadSpec
 from .errors import (
     ConfigError,
     ContractError,
@@ -38,7 +39,7 @@ from .errors import (
 from .metrics import MetricsReport, build_report, format_report, report_to_dict
 from .mtl import Model, TrainTrace, build_model, evaluate, expected_param_shapes, train
 from .numcore import Tensor
-from .text import Vocab, build_vocab, load_vocab, save_vocab
+from .text import build_vocab, load_vocab, save_vocab
 
 CHECKPOINT_NAME = "checkpoint.mtlc"
 VOCAB_NAME = "vocab.txt"
@@ -135,7 +136,7 @@ def cmd_split(args) -> int:
 
 
 def _load_split_corpora(cfg: RunConfig) -> SplitSet:
-    schemas = schemas_for_config(cfg)
+    schemas = schemas_for_language(cfg.language)
     train_corpus = load_joint_tsv(cfg.train_path, schemas, cfg.language)
     val_corpus = load_joint_tsv(cfg.val_path, schemas, cfg.language)
     if cfg.test_path:
@@ -145,24 +146,12 @@ def _load_split_corpora(cfg: RunConfig) -> SplitSet:
     return SplitSet(train=train_corpus, val=val_corpus, test=test_corpus)
 
 
-def _encoder_config(cfg: RunConfig, vocab: Vocab) -> EncoderConfig:
-    return EncoderConfig(
-        vocab_size=len(vocab),
-        d_model=cfg.d_model,
-        n_heads=cfg.n_heads,
-        n_layers=cfg.n_layers,
-        d_ffn=cfg.d_ffn,
-        max_len=cfg.max_len,
-        dropout_p=cfg.dropout,
-    )
-
-
 def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model, RunConfig, object]:
     config_text, arrays = load_checkpoint(checkpoint_path)
     cfg = load_config(config_text, check_paths=False)
     vocab = load_vocab(vocab_path)
-    schemas = schemas_for_config(cfg)
-    enc_cfg = _encoder_config(cfg, vocab)
+    schemas = schemas_for_language(cfg.language)
+    enc_cfg = dataclasses.replace(cfg.encoder, vocab_size=len(vocab))
     n_classes = {task: schemas[task].n_classes for task in cfg.regime.tasks}
     expected = expected_param_shapes(cfg.regime, enc_cfg, n_classes)
     if set(expected) != set(arrays):
@@ -202,8 +191,8 @@ def cmd_train(args) -> int:
         min_freq=cfg.min_freq,
         max_size=cfg.max_size,
     )
-    enc_cfg = _encoder_config(cfg, vocab)
-    schemas = schemas_for_config(cfg)
+    enc_cfg = dataclasses.replace(cfg.encoder, vocab_size=len(vocab))
+    schemas = schemas_for_language(cfg.language)
     n_classes = {task: schemas[task].n_classes for task in cfg.regime.tasks}
     model = build_model(cfg.regime, enc_cfg, n_classes, cfg.train_cfg.seed)
     params, trace = train(splits, cfg.regime, cfg.train_cfg, model, vocab)
@@ -241,7 +230,7 @@ def cmd_evaluate(args) -> int:
     if not os.path.exists(vocab_path):
         raise ConfigError(f"vocabulary file not found at {vocab_path!r} (use --vocab)")
     model, cfg, vocab = _model_from_checkpoint(args.checkpoint, vocab_path)
-    schemas = schemas_for_config(cfg)
+    schemas = schemas_for_language(cfg.language)
     corpus = load_joint_tsv(args.data, schemas, cfg.language)
     report = _report_for(model, corpus, vocab)
 

@@ -6,15 +6,17 @@ outputs; every complaint names the offending key.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .data import OFFENSE_TASK, SENTIMENT_TASK, LANGUAGES, schemas_for_language
+from .data import OFFENSE_TASK, SENTIMENT_TASK, LANGUAGES
 from .encoder import EncoderConfig
 from .errors import ConfigError, ContractError
 from .losses import LossConfig, LossKind
 from .mtl import (
+    PENALTIES,
     REGIMES,
     SOFT_SHARE,
     STL,
@@ -28,44 +30,82 @@ from .text import MODES, SPECIAL_TOKENS
 
 TASKS = (SENTIMENT_TASK, OFFENSE_TASK)
 
-_DEFAULTS: dict[str, str] = {
-    "data.train": "",
-    "data.val": "",
-    "data.test": "",
-    "data.format": "joint",
-    "data.language": "kannada",
-    "text.mode": "char",
-    "text.min_freq": "1",
-    "text.max_size": "20000",
-    "text.max_len": "64",
-    "model.d_model": "64",
-    "model.n_heads": "4",
-    "model.n_layers": "2",
-    "model.d_ffn": "128",
-    "model.dropout": "0.4",
-    "regime.kind": "hard_share",
-    "regime.task": "sentiment",
-    "regime.loss": "CE",
-    "regime.loss_sentiment": "",
-    "regime.loss_offense": "",
-    "regime.focal_gamma": "2.0",
-    "regime.kld_epsilon": "0.1",
-    "regime.class_weights": "false",
-    "regime.task_weights": "1,1",
-    "regime.penalty": "frobenius",
-    "regime.lambda": "0.1",
-    "regime.coupled_layers": "default",
-    "train.epochs": "5",
-    "train.batch_size": "32",
-    "train.lr": "0.001",
-    "train.beta1": "0.9",
-    "train.beta2": "0.999",
-    "train.epsilon": "1e-8",
-    "train.weight_decay": "0.01",
-    "train.clip_norm": "1.0",
-    "train.seed": "0",
-    "train.shuffle": "true",
-    "output.dir": "runs/run",
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_list(text: str) -> tuple[float, ...]:
+    return tuple(_finite(part) for part in text.split(","))
+
+
+def _bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _one_of(options: tuple[str, ...], fold_case: bool = True) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        value = text.lower() if fold_case else text
+        if value not in options:
+            raise ValueError(f"expected one of {options}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _loss_override(text: str) -> Optional[LossKind]:
+    """Empty means the task trains with `regime.loss`."""
+    return LossKind.parse(text) if text else None
+
+
+# key -> (default text, parser). The order is the order of `to_text`, which
+# every checkpoint embeds; a parser raises ValueError or ContractError.
+_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "data.train": ("", str),
+    "data.val": ("", str),
+    "data.test": ("", str),
+    "data.format": ("joint", _one_of(("joint",), fold_case=False)),
+    "data.language": ("kannada", _one_of(LANGUAGES)),
+    "text.mode": ("char", _one_of(MODES)),
+    "text.min_freq": ("1", int),
+    "text.max_size": ("20000", int),
+    "text.max_len": ("64", int),
+    "model.d_model": ("64", int),
+    "model.n_heads": ("4", int),
+    "model.n_layers": ("2", int),
+    "model.d_ffn": ("128", int),
+    "model.dropout": ("0.4", _finite),
+    "regime.kind": ("hard_share", _one_of(REGIMES)),
+    "regime.task": ("sentiment", _one_of(TASKS)),
+    "regime.loss": ("CE", LossKind.parse),
+    "regime.loss_sentiment": ("", _loss_override),
+    "regime.loss_offense": ("", _loss_override),
+    "regime.focal_gamma": ("2.0", _finite),
+    "regime.kld_epsilon": ("0.1", _finite),
+    "regime.class_weights": ("false", _bool),
+    "regime.task_weights": ("1,1", _finite_list),
+    "regime.penalty": ("frobenius", _one_of(PENALTIES)),
+    "regime.lambda": ("0.1", _finite),
+    "regime.coupled_layers": ("default", str),
+    "train.epochs": ("5", int),
+    "train.batch_size": ("32", int),
+    "train.lr": ("0.001", _finite),
+    "train.beta1": ("0.9", _finite),
+    "train.beta2": ("0.999", _finite),
+    "train.epsilon": ("1e-8", _finite),
+    "train.weight_decay": ("0.01", _finite),
+    "train.clip_norm": ("1.0", _finite),
+    "train.seed": ("0", int),
+    "train.shuffle": ("true", _bool),
+    "output.dir": ("runs/run", str),
 }
 
 
@@ -81,35 +121,12 @@ def parse_flat(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         values[key] = value
     return values
-
-
-def _as_int(values: dict[str, str], key: str) -> int:
-    try:
-        return int(values[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {values[key]!r}") from None
-
-
-def _as_float(values: dict[str, str], key: str) -> float:
-    try:
-        return float(values[key])
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {values[key]!r}") from None
-
-
-def _as_bool(values: dict[str, str], key: str) -> bool:
-    lowered = values[key].strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {values[key]!r}")
 
 
 @dataclass
@@ -124,19 +141,22 @@ class RunConfig:
     text_mode: str
     min_freq: int
     max_size: int
-    max_len: int
-    d_model: int
-    n_heads: int
-    n_layers: int
-    d_ffn: int
-    dropout: float
+    encoder: EncoderConfig  # vocab_size is a placeholder until a vocabulary exists
     regime: RegimeConfig
     train_cfg: TrainConfig
     output_dir: str
 
     def to_text(self) -> str:
-        lines = [f"{key} = {self.raw[key]}" for key in _DEFAULTS]
+        lines = [f"{key} = {self.raw[key]}" for key in _KEYS]
         return "\n".join(lines) + "\n"
+
+
+def _checked(section: str, ctor, **kwargs):
+    """`ctor(**kwargs)`, its range-check failure reported under `section`."""
+    try:
+        return ctor(**kwargs)
+    except (ConfigError, ContractError) as err:
+        raise ConfigError(f"{section}.{err}") from None
 
 
 def load_config(
@@ -144,162 +164,108 @@ def load_config(
 ) -> RunConfig:
     """Parse, apply defaults, validate bounds, and assemble typed configs.
 
-    `seed_override` implements the flag/env precedence over the config file.
+    Every key is checked whatever `regime.kind` selects, so a bad value never
+    survives to a later edit of it. `seed_override` implements the flag/env
+    precedence over the config file.
     """
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (default, _) in _KEYS.items()}
     values.update(parse_flat(text))
     if seed_override is not None:
         values["train.seed"] = str(int(seed_override))
 
-    language = values["data.language"].strip().lower()
-    if language not in LANGUAGES:
-        raise ConfigError(f"data.language: unknown language {values['data.language']!r}")
-    if values["data.format"] != "joint":
-        raise ConfigError(f"data.format: only 'joint' is supported, got {values['data.format']!r}")
+    typed = {}
+    for key, (_, parse) in _KEYS.items():
+        try:
+            typed[key] = parse(values[key])
+        except (ValueError, ContractError) as err:
+            raise ConfigError(f"{key}: {err}") from None
+
     if check_paths:
         for key in ("data.train", "data.val"):
-            if not values[key]:
+            if not typed[key]:
                 raise ConfigError(f"{key}: required path is missing")
-            if not os.path.exists(values[key]):
-                raise ConfigError(f"{key}: path {values[key]!r} does not exist")
-        if values["data.test"] and not os.path.exists(values["data.test"]):
-            raise ConfigError(f"data.test: path {values['data.test']!r} does not exist")
+        for key in ("data.train", "data.val", "data.test"):
+            if typed[key] and not os.path.exists(typed[key]):
+                raise ConfigError(f"{key}: path {typed[key]!r} does not exist")
+    for key, low in (("text.min_freq", 1), ("text.max_size", 1), ("text.max_len", 3)):
+        if typed[key] < low:
+            raise ConfigError(f"{key}: must be >= {low}, got {typed[key]}")
 
-    mode = values["text.mode"].strip().lower()
-    if mode not in MODES:
-        raise ConfigError(f"text.mode: expected one of {MODES}, got {values['text.mode']!r}")
-    min_freq = _as_int(values, "text.min_freq")
-    if min_freq < 1:
-        raise ConfigError(f"text.min_freq: must be >= 1, got {min_freq}")
-    max_size = _as_int(values, "text.max_size")
-    if max_size < 1:
-        raise ConfigError(f"text.max_size: must be >= 1, got {max_size}")
-    max_len = _as_int(values, "text.max_len")
-    if max_len < 3:
-        raise ConfigError(f"text.max_len: must be >= 3, got {max_len}")
-
-    d_model = _as_int(values, "model.d_model")
-    n_heads = _as_int(values, "model.n_heads")
-    n_layers = _as_int(values, "model.n_layers")
-    d_ffn = _as_int(values, "model.d_ffn")
-    dropout = _as_float(values, "model.dropout")
-    try:
-        EncoderConfig(len(SPECIAL_TOKENS), d_model, n_heads, n_layers, d_ffn, max_len, dropout)
-    except ContractError as err:
-        raise ConfigError(f"model.{err}") from None
-
-    regime = _build_regime(values, n_layers)
-    train_cfg = _build_train(values)
+    encoder = _checked(
+        "model",
+        EncoderConfig,
+        vocab_size=len(SPECIAL_TOKENS),
+        d_model=typed["model.d_model"],
+        n_heads=typed["model.n_heads"],
+        n_layers=typed["model.n_layers"],
+        d_ffn=typed["model.d_ffn"],
+        max_len=typed["text.max_len"],
+        dropout_p=typed["model.dropout"],
+    )
+    losses = {
+        task: _checked(
+            "regime",
+            LossConfig,
+            kind=typed[f"regime.loss_{task}"] or typed["regime.loss"],
+            focal_gamma=typed["regime.focal_gamma"],
+            kld_epsilon=typed["regime.kld_epsilon"],
+            use_class_weights=typed["regime.class_weights"],
+        )
+        for task in TASKS
+    }
+    coupled_text = typed["regime.coupled_layers"]
+    if coupled_text.lower() == "default":
+        coupled = default_coupled_layers(encoder.n_layers)
+    else:
+        coupled = tuple(name.strip() for name in coupled_text.split(",") if name.strip())
+    soft = _checked(
+        "regime",
+        SoftShareConfig,
+        penalty=typed["regime.penalty"],
+        lam=typed["regime.lambda"],
+        coupled_layer_names=coupled,
+    )
+    # STL trains its one task at weight 1
+    kind = typed["regime.kind"]
+    tasks = (typed["regime.task"],) if kind == STL else TASKS
+    regime = _checked(
+        "regime",
+        RegimeConfig,
+        kind=kind,
+        tasks=tasks,
+        losses={task: losses[task] for task in tasks},
+        task_weights=(1.0,) if kind == STL else typed["regime.task_weights"],
+        soft=soft if kind == SOFT_SHARE else None,
+    )
+    train_cfg = _checked(
+        "train",
+        TrainConfig,
+        epochs=typed["train.epochs"],
+        batch_size=typed["train.batch_size"],
+        optimizer=_checked(
+            "train",
+            OptimHyper,
+            learning_rate=typed["train.lr"],
+            beta1=typed["train.beta1"],
+            beta2=typed["train.beta2"],
+            epsilon=typed["train.epsilon"],
+            weight_decay=typed["train.weight_decay"],
+            clip_norm=typed["train.clip_norm"],
+        ),
+        seed=typed["train.seed"],
+        shuffle=typed["train.shuffle"],
+    )
     return RunConfig(
         raw=values,
-        train_path=values["data.train"],
-        val_path=values["data.val"],
-        test_path=values["data.test"],
-        language=language,
-        text_mode=mode,
-        min_freq=min_freq,
-        max_size=max_size,
-        max_len=max_len,
-        d_model=d_model,
-        n_heads=n_heads,
-        n_layers=n_layers,
-        d_ffn=d_ffn,
-        dropout=dropout,
+        train_path=typed["data.train"],
+        val_path=typed["data.val"],
+        test_path=typed["data.test"],
+        language=typed["data.language"],
+        text_mode=typed["text.mode"],
+        min_freq=typed["text.min_freq"],
+        max_size=typed["text.max_size"],
+        encoder=encoder,
         regime=regime,
         train_cfg=train_cfg,
-        output_dir=values["output.dir"],
+        output_dir=typed["output.dir"],
     )
-
-
-def _loss_config(values: dict[str, str], task: str) -> LossConfig:
-    override = values[f"regime.loss_{task}"].strip()
-    kind_text = override if override else values["regime.loss"]
-    try:
-        kind = LossKind.parse(kind_text)
-        return LossConfig(
-            kind=kind,
-            focal_gamma=_as_float(values, "regime.focal_gamma"),
-            kld_epsilon=_as_float(values, "regime.kld_epsilon"),
-            use_class_weights=_as_bool(values, "regime.class_weights"),
-        )
-    except ConfigError:
-        raise
-    except Exception as err:
-        raise ConfigError(f"regime.loss: {err}") from None
-
-
-def _build_regime(values: dict[str, str], n_layers: int) -> RegimeConfig:
-    kind = values["regime.kind"].strip().lower()
-    if kind not in REGIMES:
-        raise ConfigError(f"regime.kind: expected one of {REGIMES}, got {values['regime.kind']!r}")
-    if kind == STL:
-        task = values["regime.task"].strip().lower()
-        if task not in TASKS:
-            raise ConfigError(f"regime.task: expected one of {TASKS}, got {values['regime.task']!r}")
-        tasks: tuple[str, ...] = (task,)
-    else:
-        tasks = TASKS
-
-    try:
-        weights = tuple(float(w) for w in values["regime.task_weights"].split(","))
-    except ValueError:
-        raise ConfigError(
-            f"regime.task_weights: expected comma-separated numbers, got "
-            f"{values['regime.task_weights']!r}"
-        ) from None
-    if kind == STL:
-        weights = (1.0,)
-
-    # penalty settings are validated even when the regime ignores them so a
-    # bad config never survives to a later edit of regime.kind
-    lam = _as_float(values, "regime.lambda")
-    if lam < 0:
-        raise ConfigError(f"regime.lambda: must be >= 0, got {lam}")
-    penalty = values["regime.penalty"].strip().lower()
-    soft = None
-    if kind == SOFT_SHARE:
-        coupled_text = values["regime.coupled_layers"].strip()
-        if coupled_text.lower() == "default":
-            coupled = default_coupled_layers(n_layers)
-        else:
-            coupled = tuple(n.strip() for n in coupled_text.split(",") if n.strip())
-        soft = SoftShareConfig(penalty=penalty, lam=lam, coupled_layer_names=coupled)
-    try:
-        return RegimeConfig(
-            kind=kind,
-            tasks=tasks,
-            losses={task: _loss_config(values, task) for task in tasks},
-            task_weights=weights,
-            soft=soft,
-        )
-    except ConfigError:
-        raise
-    except Exception as err:
-        raise ConfigError(f"regime: {err}") from None
-
-
-def _build_train(values: dict[str, str]) -> TrainConfig:
-    try:
-        hyper = OptimHyper(
-            learning_rate=_as_float(values, "train.lr"),
-            beta1=_as_float(values, "train.beta1"),
-            beta2=_as_float(values, "train.beta2"),
-            epsilon=_as_float(values, "train.epsilon"),
-            weight_decay=_as_float(values, "train.weight_decay"),
-            clip_norm=_as_float(values, "train.clip_norm"),
-        )
-        return TrainConfig(
-            epochs=_as_int(values, "train.epochs"),
-            batch_size=_as_int(values, "train.batch_size"),
-            optimizer=hyper,
-            seed=_as_int(values, "train.seed"),
-            shuffle=_as_bool(values, "train.shuffle"),
-        )
-    except ConfigError:
-        raise
-    except Exception as err:
-        raise ConfigError(f"train: {err}") from None
-
-
-def schemas_for_config(cfg: RunConfig):
-    return schemas_for_language(cfg.language)

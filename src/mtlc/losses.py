@@ -71,9 +71,9 @@ class LossConfig:
 
     def __post_init__(self):
         if self.focal_gamma < 0:
-            raise ContractError(f"focal gamma must be >= 0, got {self.focal_gamma}")
+            raise ContractError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
         if not 0.0 <= self.kld_epsilon < 0.5:
-            raise ContractError(f"kld epsilon must be in [0, 0.5), got {self.kld_epsilon}")
+            raise ContractError(f"kld_epsilon must be in [0, 0.5), got {self.kld_epsilon}")
 
 
 @dataclass(frozen=True)

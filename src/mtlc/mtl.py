@@ -74,7 +74,7 @@ class SoftShareConfig:
         if self.penalty not in PENALTIES:
             raise ConfigError(f"unknown soft-share penalty {self.penalty!r}; expected {PENALTIES}")
         if self.lam < 0:
-            raise ConfigError(f"soft-share lambda must be >= 0, got {self.lam}")
+            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,10 @@ class RegimeConfig:
             raise ConfigError(f"{self.kind} trains exactly two tasks, got {self.tasks}")
         if len(self.task_weights) != len(self.tasks):
             raise ConfigError(
-                f"{len(self.task_weights)} task weights for {len(self.tasks)} tasks"
+                f"task_weights: {len(self.task_weights)} weights for {len(self.tasks)} tasks"
             )
         if any(w < 0 for w in self.task_weights):
-            raise ConfigError(f"task weights must be nonnegative, got {self.task_weights}")
+            raise ConfigError(f"task_weights must be nonnegative, got {self.task_weights}")
         if set(self.losses) != set(self.tasks):
             raise ConfigError(f"loss config tasks {sorted(self.losses)} != tasks {self.tasks}")
         if self.kind == SOFT_SHARE and self.soft is None:
@@ -220,11 +220,9 @@ def batch_logits(
 
 
 def weighted_sum(losses: Sequence[Tensor], task_weights: Sequence[float]) -> Tensor:
-    """Sum over tasks of w_t * L_t."""
+    """Sum over tasks of w_t * L_t; the count check stops `zip` dropping a loss."""
     if len(losses) != len(task_weights):
         raise ContractError(f"{len(task_weights)} task weights for {len(losses)} losses")
-    if any(w < 0 for w in task_weights):
-        raise ContractError(f"task weights must be nonnegative, got {task_weights}")
     total = scale(losses[0], task_weights[0])
     for loss, weight in zip(losses[1:], task_weights[1:]):
         total = add(total, scale(loss, weight))

@@ -210,6 +210,27 @@ class TestEvaluate:
         assert code == 5
         assert not (tmp_path / "eval_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "line", ["regime.penalty = bogus", "regime.task = bogus", "regime.lambda = nan"]
+    )
+    def test_embedded_config_with_an_unused_bad_value_exits_2(
+        self, trained_run, tmp_path, toy_dir, line
+    ):
+        import shutil
+
+        from mtlc.checkpoint import load_checkpoint, save_checkpoint
+
+        config_text, arrays = load_checkpoint(str(trained_run / "checkpoint.mtlc"))
+        key = line.partition(" =")[0]
+        lines = [line if row.startswith(key + " =") else row for row in config_text.splitlines()]
+        assert line in lines
+        bad = tmp_path / "bad.mtlc"
+        save_checkpoint(str(bad), "\n".join(lines) + "\n", arrays)
+        shutil.copy(trained_run / "vocab.txt", tmp_path / "vocab.txt")
+        code = main(["evaluate", "--checkpoint", str(bad), "--data", str(toy_dir / "val.tsv")])
+        assert code == 2
+        assert not (tmp_path / "eval_report.json").exists()
+
     def test_missing_vocab_exits_2(self, trained_run, toy_dir, tmp_path):
         import shutil
 

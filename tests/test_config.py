@@ -1,8 +1,11 @@
 """Flat-text run configuration parsing and validation."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from mtlc.config import load_config, parse_flat
+from mtlc.config import _KEYS, load_config, parse_flat
 from mtlc.errors import ConfigError
 from mtlc.losses import LossKind
 
@@ -48,7 +51,7 @@ class TestLoadConfig:
         cfg = load_config(config_text(paths))
         assert cfg.train_cfg.epochs == 5
         assert cfg.train_cfg.batch_size == 32
-        assert cfg.dropout == 0.4
+        assert cfg.encoder.dropout_p == 0.4
         assert cfg.regime.task_weights == (1.0, 1.0)
         assert all(lc.kind is LossKind.CROSS_ENTROPY for lc in cfg.regime.losses.values())
 
@@ -79,6 +82,14 @@ class TestLoadConfig:
             ("regime.lambda = -2", "lambda"),
             ("data.language = danish", "data.language"),
             ("train.epochs = five", "train.epochs"),
+            ("train.lr = nan", "train.lr"),
+            ("regime.lambda = nan", "regime.lambda"),
+            ("regime.task_weights = nan,1", "regime.task_weights"),
+            ("train.clip_norm = inf", "train.clip_norm"),
+            # every key is checked, whether or not the regime reads it
+            ("regime.penalty = bogus", "regime.penalty"),
+            ("regime.task = bogus", "regime.task"),
+            ("regime.kind = stl\nregime.loss_offense = bogus", "regime.loss_offense"),
         ],
     )
     def test_out_of_bounds_fields_are_named(self, paths, line, field):
@@ -125,3 +136,65 @@ class TestLoadConfig:
         again = load_config(cfg.to_text(), check_paths=False)
         assert again.raw == cfg.raw
         assert again.to_text() == cfg.to_text()
+
+
+# the default `to_text` output: every checkpoint embeds this text and the
+# parser rejects unknown keys, so its key order and byte format are a file
+# format that existing checkpoints depend on
+DEFAULT_TEXT = (
+    "data.train = train.tsv\n"
+    "data.val = val.tsv\n"
+    "data.test = \n"
+    "data.format = joint\n"
+    "data.language = kannada\n"
+    "text.mode = char\n"
+    "text.min_freq = 1\n"
+    "text.max_size = 20000\n"
+    "text.max_len = 64\n"
+    "model.d_model = 64\n"
+    "model.n_heads = 4\n"
+    "model.n_layers = 2\n"
+    "model.d_ffn = 128\n"
+    "model.dropout = 0.4\n"
+    "regime.kind = hard_share\n"
+    "regime.task = sentiment\n"
+    "regime.loss = CE\n"
+    "regime.loss_sentiment = \n"
+    "regime.loss_offense = \n"
+    "regime.focal_gamma = 2.0\n"
+    "regime.kld_epsilon = 0.1\n"
+    "regime.class_weights = false\n"
+    "regime.task_weights = 1,1\n"
+    "regime.penalty = frobenius\n"
+    "regime.lambda = 0.1\n"
+    "regime.coupled_layers = default\n"
+    "train.epochs = 5\n"
+    "train.batch_size = 32\n"
+    "train.lr = 0.001\n"
+    "train.beta1 = 0.9\n"
+    "train.beta2 = 0.999\n"
+    "train.epsilon = 1e-8\n"
+    "train.weight_decay = 0.01\n"
+    "train.clip_norm = 1.0\n"
+    "train.seed = 0\n"
+    "train.shuffle = true\n"
+    "output.dir = runs/run\n"
+)
+
+
+def test_checkpoint_config_format_is_pinned():
+    defaults = load_config("data.train = train.tsv\ndata.val = val.tsv\n", check_paths=False)
+    assert defaults.to_text() == DEFAULT_TEXT
+    assert load_config(DEFAULT_TEXT, check_paths=False).to_text() == DEFAULT_TEXT
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    rows = [line.split("#", 1)[0].partition("=") for line in block.splitlines()]
+    assert [key.strip() for key, _, _ in rows] == list(_KEYS)
+    required = ("data.train", "data.val")
+    for (key, _, shown), (default, _) in zip(rows, _KEYS.values()):
+        key, shown = key.strip(), shown.strip()
+        assert shown == default or (key in required and shown == "..."), key
