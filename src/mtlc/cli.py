@@ -136,13 +136,12 @@ def cmd_split(args) -> int:
 
 
 def _load_split_corpora(cfg: RunConfig) -> SplitSet:
+    """Train and val only: training never reads the test split, and
+    `mtlc evaluate --data` scores one, so `data.test` is never parsed."""
     schemas = schemas_for_language(cfg.language)
     train_corpus = load_joint_tsv(cfg.train_path, schemas, cfg.language)
     val_corpus = load_joint_tsv(cfg.val_path, schemas, cfg.language)
-    if cfg.test_path:
-        test_corpus = load_joint_tsv(cfg.test_path, schemas, cfg.language)
-    else:
-        test_corpus = Corpus(records=[], schemas=schemas, language=cfg.language)
+    test_corpus = Corpus(records=[], schemas=schemas, language=cfg.language)
     return SplitSet(train=train_corpus, val=val_corpus, test=test_corpus)
 
 

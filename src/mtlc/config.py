@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .data import OFFENSE_TASK, SENTIMENT_TASK, LANGUAGES
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, param_shapes
 from .errors import ConfigError, ContractError
 from .losses import LossConfig, LossKind
 from .mtl import (
@@ -136,7 +136,6 @@ class RunConfig:
     raw: dict[str, str]
     train_path: str
     val_path: str
-    test_path: str
     language: str
     text_mode: str
     min_freq: int
@@ -218,6 +217,9 @@ def load_config(
         coupled = default_coupled_layers(encoder.n_layers)
     else:
         coupled = tuple(name.strip() for name in coupled_text.split(",") if name.strip())
+    unknown = sorted(set(coupled) - set(param_shapes(encoder, ())))
+    if unknown:
+        raise ConfigError(f"regime.coupled_layers: not encoder parameters: {unknown}")
     soft = _checked(
         "regime",
         SoftShareConfig,
@@ -259,7 +261,6 @@ def load_config(
         raw=values,
         train_path=typed["data.train"],
         val_path=typed["data.val"],
-        test_path=typed["data.test"],
         language=typed["data.language"],
         text_mode=typed["text.mode"],
         min_freq=typed["text.min_freq"],

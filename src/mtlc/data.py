@@ -46,11 +46,13 @@ BAD_ROW_LIMIT = 0.01  # ingestion fails when more than 1% of rows are bad
 class LabelSchema:
     task: str
     classes: tuple[str, ...]
+    _lookup: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        lowered = [c.lower() for c in self.classes]
-        if len(set(lowered)) != len(lowered):
+        lookup = {c.lower(): i for i, c in enumerate(self.classes)}
+        if len(lookup) != len(self.classes):
             raise ContractError(f"duplicate class names in schema for {self.task}")
+        object.__setattr__(self, "_lookup", lookup)
 
     @property
     def n_classes(self) -> int:
@@ -58,11 +60,10 @@ class LabelSchema:
 
     def index(self, name: str) -> int:
         """Case-insensitive, whitespace-trimmed lookup; raises on no match."""
-        needle = name.strip().lower()
-        for i, cls in enumerate(self.classes):
-            if cls.lower() == needle:
-                return i
-        raise DataError(f"unknown {self.task} label {name!r}")
+        try:
+            return self._lookup[name.strip().lower()]
+        except KeyError:
+            raise DataError(f"unknown {self.task} label {name!r}") from None
 
 
 def schemas_for_language(language: str) -> dict[str, LabelSchema]:

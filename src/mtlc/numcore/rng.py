@@ -29,8 +29,11 @@ def child_seed(rng: np.random.Generator) -> int:
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Normal(0, std) resampled until within 2 std, the usual embedding init."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)  # a view: out is freshly allocated, so contiguous
+    # only redrawn positions can change, so each round checks just those;
+    # they stay in C order, and the draws match a whole-array rescan's
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        flat[bad] = rng.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2.0 * std]
     return out

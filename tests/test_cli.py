@@ -127,6 +127,38 @@ class TestTrain:
         assert "batch_size" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    @staticmethod
+    def with_test_split(toy_dir, fast_cfg, tmp_path, test_tsv, out):
+        """A copy of the fast config reading `test_tsv`, writing to `out`."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            fast_cfg.read_text(encoding="utf-8")
+            .replace(f"data.test = {toy_dir}/test.tsv", f"data.test = {test_tsv}")
+            .replace(f"output.dir = {toy_dir}/run_fast", f"output.dir = {out}"),
+            encoding="utf-8",
+        )
+        assert f"data.test = {test_tsv}" in cfg.read_text(encoding="utf-8")
+        return cfg
+
+    def test_test_split_is_never_parsed(self, toy_dir, fast_cfg, tmp_path):
+        test_tsv = tmp_path / "test.tsv"
+        test_tsv.write_bytes((toy_dir / "test.tsv").read_bytes())
+        cfg = self.with_test_split(toy_dir, fast_cfg, tmp_path, test_tsv, tmp_path / "run")
+        names = ("checkpoint.mtlc", "vocab.txt", "trace.tsv", "report.json", "report.txt")
+        assert main(["train", "--config", str(cfg)]) == 0
+        good = {name: (tmp_path / "run" / name).read_bytes() for name in names}
+        test_tsv.write_text("broken\tHappy\tNot offensive\nno tabs here\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 0
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == good[name], name
+
+    def test_missing_test_split_exits_2(self, toy_dir, fast_cfg, tmp_path, capsys):
+        gone = tmp_path / "gone.tsv"
+        cfg = self.with_test_split(toy_dir, fast_cfg, tmp_path, gone, tmp_path / "never")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "data.test" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     def test_seed_sources(self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys):
         # env beats config; flag beats env: verify via the embedded config text
         from mtlc.checkpoint import load_checkpoint
@@ -211,7 +243,13 @@ class TestEvaluate:
         assert not (tmp_path / "eval_report.json").exists()
 
     @pytest.mark.parametrize(
-        "line", ["regime.penalty = bogus", "regime.task = bogus", "regime.lambda = nan"]
+        "line",
+        [
+            "regime.penalty = bogus",
+            "regime.task = bogus",
+            "regime.lambda = nan",
+            "regime.coupled_layers = layer9.wq",
+        ],
     )
     def test_embedded_config_with_an_unused_bad_value_exits_2(
         self, trained_run, tmp_path, toy_dir, line

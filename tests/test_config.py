@@ -90,6 +90,14 @@ class TestLoadConfig:
             ("regime.penalty = bogus", "regime.penalty"),
             ("regime.task = bogus", "regime.task"),
             ("regime.kind = stl\nregime.loss_offense = bogus", "regime.loss_offense"),
+            # coupled-layer names are encoder parameters, checked for every regime
+            ("regime.coupled_layers = layer9.wq", "regime.coupled_layers"),
+            ("regime.kind = stl\nregime.coupled_layers = layer0.wq,wq", "regime.coupled_layers"),
+            ("regime.kind = soft_share\nregime.coupled_layers = layer9.wq", "regime.coupled_layers"),
+            ("model.n_layers = 1\nregime.kind = soft_share\nregime.coupled_layers = layer1.wo",
+             "regime.coupled_layers"),
+            ("regime.kind = soft_share\nregime.coupled_layers = head.offense.w_out",
+             "regime.coupled_layers"),
         ],
     )
     def test_out_of_bounds_fields_are_named(self, paths, line, field):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mtlc.data import (
     Corpus,
+    LabelSchema,
     Record,
     SENTIMENT_CLASSES,
     batches,
@@ -63,6 +64,24 @@ class TestSchemas:
     def test_unknown_label(self):
         with pytest.raises(DataError):
             SCHEMAS["sentiment"].index("joyful")
+
+    def test_lookup_table_trims_and_folds_case(self):
+        schema = LabelSchema("offense", ("Not offensive", "Offensive Untargeted"))
+        assert schema.index("offensive untargeted") == 1
+        assert schema.index("\tNOT Offensive \r") == 0
+        with pytest.raises(DataError, match="unknown offense label 'Offensive'"):
+            schema.index("Offensive")
+
+    def test_duplicate_differing_only_in_case_rejected(self):
+        with pytest.raises(ContractError, match="duplicate class names"):
+            LabelSchema("sentiment", ("Positive", "positive"))
+
+    def test_lookup_table_leaves_equality_and_hash_alone(self):
+        a = LabelSchema("sentiment", SENTIMENT_CLASSES)
+        b = LabelSchema("sentiment", SENTIMENT_CLASSES)
+        assert a == b and hash(a) == hash(b)
+        assert a != LabelSchema("offense", SENTIMENT_CLASSES)
+        assert repr(a) == f"LabelSchema(task='sentiment', classes={SENTIMENT_CLASSES!r})"
 
     def test_unknown_language(self):
         with pytest.raises(ContractError):
