@@ -229,11 +229,6 @@ def weighted_sum(losses: Sequence[Tensor], task_weights: Sequence[float]) -> Ten
     return total
 
 
-def hard_loss(loss1: Tensor, loss2: Tensor, task_weights: Sequence[float]) -> Tensor:
-    """Weighted sum of the two task losses; default weights are [1, 1]."""
-    return weighted_sum((loss1, loss2), task_weights)
-
-
 def soft_loss(
     losses: Sequence[Tensor],
     params: Mapping[str, Tensor],

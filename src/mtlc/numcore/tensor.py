@@ -233,7 +233,15 @@ def pow_const(x: Tensor, p: float) -> Tensor:
     p = float(p)
     xd = x.data
     out = Tensor(xd**p)
-    return _record(out, (x,), lambda g: (g * p * xd ** (p - 1.0),))
+
+    def bwd(g):
+        # at x = 0 with p < 1 the slope is infinite, and 0 * inf is NaN:
+        # a zero adjoint contributes zero there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = xd ** (p - 1.0)
+            return (np.where((g == 0.0) & np.isinf(slope), 0.0, g * p * slope),)
+
+    return _record(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +258,6 @@ def relu(x: Tensor) -> Tensor:
     return _record(Tensor(y), (x,), lambda g: (g * (y > 0.0),))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise e^x / (e^x + 1), computed via tanh for stability."""
-    s = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-    out = Tensor(s)
-    return _record(out, (x,), lambda g: (g * s * (1.0 - s),))
-
-
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
     out = Tensor(t)
@@ -267,12 +268,6 @@ def exp(x: Tensor) -> Tensor:
     e = np.exp(x.data)
     out = Tensor(e)
     return _record(out, (x,), lambda g: (g * e,))
-
-
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    out = Tensor(np.log(xd))
-    return _record(out, (x,), lambda g: (g / xd,))
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +299,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(Tensor(y), (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {x.shape}")
-    out = Tensor(x.data.T.copy())
-    return _record(out, (x,), lambda g: (g.T.copy(),))
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.shape
     out = Tensor(x.data.reshape(shape))
@@ -321,22 +309,6 @@ def sum_all(x: Tensor) -> Tensor:
     out = Tensor(x.data.sum())
     shape = x.shape
     return _record(out, (x,), lambda g: (np.full(shape, float(g)),))
-
-
-def take(x: Tensor, index: int) -> Tensor:
-    """Scalar element of a 1-D tensor."""
-    if x.data.ndim != 1:
-        raise ShapeError(f"take needs a 1-D tensor, got {x.shape}")
-    if not 0 <= index < x.shape[0]:
-        raise ContractError(f"index {index} out of range for length {x.shape[0]}")
-    shape = x.shape
-
-    def bwd(g):
-        gx = np.zeros(shape)
-        gx[index] = float(g)
-        return (gx,)
-
-    return _record(Tensor(x.data[index]), (x,), bwd)
 
 
 def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
@@ -362,47 +334,6 @@ def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
     return _record(Tensor(x.data[idx]), (x,), bwd)
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_rows needs a 2-D tensor, got {x.shape}")
-    shape = x.shape
-
-    def bwd(g):
-        gx = np.zeros(shape)
-        gx[start:stop] = g
-        return (gx,)
-
-    return _record(Tensor(x.data[start:stop].copy()), (x,), bwd)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_cols needs a 2-D tensor, got {x.shape}")
-    shape = x.shape
-
-    def bwd(g):
-        gx = np.zeros(shape)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _record(Tensor(x.data[:, start:stop].copy()), (x,), bwd)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    parts = list(parts)
-    widths = [p.shape[1] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-
-    def bwd(g):
-        outs, c = [], 0
-        for w in widths:
-            outs.append(g[:, c : c + w])
-            c += w
-        return tuple(outs)
-
-    return _record(out, tuple(parts), bwd)
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     parts = list(parts)
     heights = [p.shape[0] for p in parts]
@@ -418,28 +349,9 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, tuple(parts), bwd)
 
 
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a 2-D [len(parts), n] tensor."""
-    parts = list(parts)
-    out = Tensor(np.stack([p.data for p in parts], axis=0))
-    n = len(parts)
-    return _record(out, tuple(parts), lambda g: tuple(g[i] for i in range(n)))
-
-
 # ---------------------------------------------------------------------------
 # reductions with custom stable kernels
 # ---------------------------------------------------------------------------
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor, stabilized by max subtraction."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a 2-D tensor, got {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y)
-    return _record(out, (x,), lambda g: (y * (g - (g * y).sum(axis=1, keepdims=True)),))
 
 
 def log_sum_exp(x: Tensor) -> Tensor:

@@ -74,8 +74,6 @@ def build_vocab(
     frequency then token text, capped at `max_size` entries after the four
     special tokens.
     """
-    if min_freq < 1:
-        raise ContractError(f"min_freq must be >= 1, got {min_freq}")
     freq: dict[str, int] = {}
     texts = 0
     for text in corpus:

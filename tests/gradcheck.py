@@ -6,8 +6,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import ContractError
-from .tensor import GradTape, Tensor, backward
+from mtlc.errors import ContractError
+from mtlc.numcore import GradTape, Tensor, backward
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

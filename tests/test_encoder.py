@@ -18,8 +18,10 @@ from mtlc.encoder import (
     param_shapes,
     reset_forward_calls,
 )
-from mtlc.numcore import GradTape, Tensor, grad_check, matmul, mul, segment_attention, stream, sum_all
+from mtlc.numcore import GradTape, Tensor, matmul, mul, segment_attention, stream, sum_all
 from mtlc.text import build_vocab, encode
+
+from gradcheck import grad_check
 
 
 def attention(q, k, v, q_lengths=None, kv_lengths=None, n_heads=1):

@@ -5,7 +5,9 @@ import pytest
 
 from mtlc.errors import ContractError
 from mtlc.losses import cross_entropy
-from mtlc.numcore import Tensor, grad_check, mul, sum_all
+from mtlc.numcore import Tensor, mul, sum_all
+
+from gradcheck import grad_check
 
 
 def test_linear_function_is_near_exact():

@@ -12,10 +12,11 @@ from mtlc.numcore import (
     backward,
     concat_rows,
     frobenius_sq_distance,
-    grad_check,
     trace_norm,
     trace_norm_penalty,
 )
+
+from gradcheck import grad_check
 
 # row-stacked tower pairs the default config couples: wq/wk/wv/wo, ffn_w1, ffn_w2
 COUPLED_SHAPES = [(128, 64), (128, 128), (256, 64)]

@@ -17,7 +17,9 @@ from mtlc.losses import (
     hinge_multiclass,
     kld,
 )
-from mtlc.numcore import GradTape, Tensor, backward, grad_check
+from mtlc.numcore import GradTape, Tensor, backward
+
+from gradcheck import grad_check
 
 KANNADA_SENTIMENT_COUNTS = [3291, 1481, 678, 820, 1003]
 
@@ -133,6 +135,16 @@ class TestFocal:
             loss = focal(Tensor([60.0, 0.0]), 0, gamma)
             assert loss.item() < 1e-12
 
+    def test_certain_prediction_has_zero_gradient_below_gamma_one(self):
+        # p_target rounds to 1.0, where (1 - p)^gamma has an infinite slope
+        for gamma in (0.5, 1.0, 2.0):
+            logits = Tensor([[40.0, 0.0, 0.0]], requires_grad=True)
+            with GradTape() as tape:
+                loss = focal(logits, [0], gamma)
+            backward(tape, loss)
+            assert loss.item() == 0.0
+            assert np.array_equal(logits.grad, np.zeros((1, 3))), gamma
+
     def test_half_probability_hand_case(self):
         loss = focal(Tensor([0.0, 0.0]), 0, 2.0)
         assert loss.item() == pytest.approx(0.25 * math.log(2), abs=1e-12)
@@ -189,9 +201,10 @@ class TestLossProperties:
             lambda t, tgt: cross_entropy(t, tgt),
             lambda t, tgt: hinge_multiclass(t, tgt),
             lambda t, tgt: focal(t, tgt, 2.0),
+            lambda t, tgt: focal(t, tgt, 0.5),
             lambda t, tgt: kld(t, tgt, 0.1),
         ],
-        ids=["ce", "hinge", "focal", "kld"],
+        ids=["ce", "hinge", "focal", "focal_gamma_half", "kld"],
     )
     def test_gradients(self, fn):
         for seed in range(25):

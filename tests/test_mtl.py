@@ -17,9 +17,9 @@ from mtlc.mtl import (
     default_coupled_layers,
     evaluate,
     expected_param_shapes,
-    hard_loss,
     soft_loss,
     train,
+    weighted_sum,
 )
 from mtlc.numcore import GradTape, OptimHyper, Tensor, backward
 from mtlc.text import encode
@@ -164,14 +164,14 @@ class TestHardForward:
 
 class TestHardLoss:
     def test_unit_weights_sum(self):
-        out = hard_loss(Tensor(0.7), Tensor(0.3), (1.0, 1.0))
+        out = weighted_sum((Tensor(0.7), Tensor(0.3)), (1.0, 1.0))
         assert out.item() == 1.0
 
     def test_zero_weight_silences_task(self):
         a = Tensor(0.9, requires_grad=True)
         b = Tensor(0.5, requires_grad=True)
         with GradTape() as tape:
-            out = hard_loss(a, b, (1.0, 0.0))
+            out = weighted_sum((a, b), (1.0, 0.0))
         backward(tape, out)
         assert out.item() == 0.9
         assert b.grad == 0.0
@@ -198,9 +198,11 @@ class TestHardLoss:
             p.zero_grad()
         with GradTape() as tape:
             logits = batch_logits(model, [seq])
-            total = hard_loss(
-                cross_entropy(logits["sentiment"], [rec.labels["sentiment"]]),
-                cross_entropy(logits["offense"], [rec.labels["offense"]]),
+            total = weighted_sum(
+                (
+                    cross_entropy(logits["sentiment"], [rec.labels["sentiment"]]),
+                    cross_entropy(logits["offense"], [rec.labels["offense"]]),
+                ),
                 (1.0, 1.0),
             )
         backward(tape, total)
