@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -175,11 +175,20 @@ def attention_block(
     return matmul(segment_attention(q, k, v, q_lengths, kv_lengths, n_heads), params[p + "wo"])
 
 
-def _pack(
-    seqs: Sequence[TokenSeq], config: EncoderConfig
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Token ids and positions of every valid row, sequence after sequence,
-    and the number of valid rows of each sequence."""
+class Packed(NamedTuple):
+    """A batch's valid rows, sequence after sequence: their token ids and
+    positions, the number of valid rows of each sequence, and the row that
+    holds each sequence's [CLS] position."""
+
+    ids: np.ndarray
+    positions: np.ndarray
+    lengths: list[int]
+    cls_rows: np.ndarray
+
+
+def pack(seqs: Sequence[TokenSeq], config: EncoderConfig) -> Packed:
+    """Check a batch against `config` and gather its valid rows; every
+    encoder of a model can run on the one result."""
     if not seqs:
         raise ContractError("encoder_forward needs at least one sequence")
     for seq in seqs:
@@ -193,11 +202,12 @@ def _pack(
     ids = np.array([seq.ids for seq in seqs])[valid]
     if ids.max() >= config.vocab_size:
         raise ContractError(f"token id {ids.max()} out of range for vocab size {config.vocab_size}")
-    return ids, np.nonzero(valid)[1], valid.sum(axis=1).tolist()
+    lengths = valid.sum(axis=1).tolist()
+    return Packed(ids, np.nonzero(valid)[1], lengths, np.cumsum([0] + lengths[:-1]))
 
 
 def encoder_forward(
-    seqs: Sequence[TokenSeq],
+    batch: Union[Sequence[TokenSeq], Packed],
     params: Mapping[str, Tensor],
     config: EncoderConfig,
     training: bool = False,
@@ -210,15 +220,16 @@ def encoder_forward(
     Only the [CLS] row is pooled, so the last layer computes the query,
     residual and feed-forward of that row alone; its keys and values still
     come from every row of the sequence. Returns the tanh-pooled
-    [len(seqs), d_model] vectors.
+    [B, d_model] vectors. `batch` is B sequences or their `pack`.
     """
-    ids, positions, lengths = _pack(seqs, config)
+    if not isinstance(batch, Packed):
+        batch = pack(batch, config)
+    ids, positions, lengths, cls_rows = batch
     if training and config.dropout_p > 0 and rng is None:
         raise ContractError("training with dropout needs an explicit rng stream")
     global _FORWARD_CALLS
     with _FORWARD_LOCK:
-        _FORWARD_CALLS += len(seqs)
-    cls_rows = np.cumsum([0] + lengths[:-1])
+        _FORWARD_CALLS += len(lengths)
 
     tok, pos = params[prefix + "tok_emb"], params[prefix + "pos_emb"]
     x = add(gather_rows(tok, ids), gather_rows(pos, positions))
@@ -227,7 +238,7 @@ def encoder_forward(
         h = layer_norm_rows(x, params[p + "norm1_g"], params[p + "norm1_b"])
         if i == config.n_layers - 1:
             x = gather_rows(x, cls_rows)
-            queries, q_lengths = gather_rows(h, cls_rows), [1] * len(seqs)
+            queries, q_lengths = gather_rows(h, cls_rows), [1] * len(lengths)
         else:
             queries, q_lengths = h, lengths
         attended = attention_block(queries, h, params, p, config.n_heads, q_lengths, lengths)

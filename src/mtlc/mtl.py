@@ -19,6 +19,7 @@ from .encoder import (
     encoder_forward,
     head_view,
     init_params,
+    pack,
     param_shapes,
 )
 from .errors import ConfigError, ContractError, NumericalError
@@ -209,11 +210,12 @@ def batch_logits(
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> dict[str, Tensor]:
-    """Per-task [len(seqs), n_classes] logits. Each encoder encodes the
-    batch once for every head that sits on it."""
+    """Per-task [len(seqs), n_classes] logits. The batch is packed once,
+    and each encoder encodes it once for every head that sits on it."""
+    packed = pack(seqs, model.encoder_cfg)
     out: dict[str, Tensor] = {}
     for prefix, tasks in towers(model.regime).items():
-        pooled = encoder_forward(seqs, model.params, model.encoder_cfg, training, rng, prefix)
+        pooled = encoder_forward(packed, model.params, model.encoder_cfg, training, rng, prefix)
         for task in tasks:
             out[task] = classify(pooled, head_view(model.params, task, prefix))
     return out

@@ -92,8 +92,11 @@ def adamw_step(
     for name in sorted(params):
         p, g, s = params[name], grads[name], states[name]
         s.t += 1
-        s.m = hyper.beta1 * s.m + (1.0 - hyper.beta1) * g
-        s.v = hyper.beta2 * s.v + (1.0 - hyper.beta2) * (g * g)
+        # in place, with the same operations in the same order
+        s.m *= hyper.beta1
+        s.m += (1.0 - hyper.beta1) * g
+        s.v *= hyper.beta2
+        s.v += (1.0 - hyper.beta2) * (g * g)
         m_hat = s.m / (1.0 - hyper.beta1**s.t)
         v_hat = s.v / (1.0 - hyper.beta2**s.t)
         new = p.data - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon)

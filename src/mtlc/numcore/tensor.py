@@ -387,6 +387,12 @@ def segment_attention(
     rows are contiguous, so each run is one [heads, sequences, length, w]
     view and its scores, softmax and weighted sum are one stacked call
     each; a run of one sequence is the per-sequence computation.
+
+    q is scaled by 1/sqrt(d_k) once per call, and each run's scores are
+    key-major, [heads, sequences, keys, queries]. The products are written
+    straight into the output and gradient arrays. The backward takes each
+    query row's softmax correction as the row sum of dO * O, once per call
+    (as FlashAttention does), not from the score block.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
         raise ShapeError(f"attention needs 2-D q/k/v, got {q.shape}/{k.shape}/{v.shape}")
@@ -405,14 +411,9 @@ def segment_attention(
             f"per sequence, and cover the {q.shape[0]}/{k.shape[0]} q/k rows"
         )
 
-    def split(a: Array) -> Array:  # [rows, heads * w] -> [heads, rows, w]
-        return a.reshape(a.shape[0], n_heads, -1).transpose(1, 0, 2)
+    def heads(a: Array) -> Array:  # [rows, heads * w] -> [rows, heads, w]
+        return a.reshape(a.shape[0], n_heads, -1)
 
-    def merge(a: Array) -> Array:  # [heads, rows, w] -> [rows, heads * w]
-        return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
-
-    c = 1.0 / np.sqrt(q.shape[1] // n_heads)
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
     # each run: its query rows, its key rows, and the [heads, G, L, w] shape
     # that splits both into its G sequences
     runs, q_start, kv_start = [], 0, 0
@@ -424,35 +425,43 @@ def segment_attention(
         kv_start += g * kl
 
     def views(a: Array, rows: slice, g: int, length: int) -> Array:
-        return a[:, rows].reshape(n_heads, g, length, a.shape[2])
+        # a run's rows of a [rows, heads, w] array as [heads, G, length, w];
+        # a view when `a` is contiguous, so matmul can write into it
+        return a[rows].reshape(g, length, n_heads, -1).transpose(2, 0, 1, 3)
 
-    out = np.empty((n_heads, q.shape[0], vh.shape[2]))
+    c = 1.0 / np.sqrt(q.shape[1] // n_heads)
+    qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
+    out = np.empty((q.shape[0], n_heads, vh.shape[2]))
     probs = []
     for qs, ks, g, ql, kl in runs:
-        p = views(qh, qs, g, ql) @ views(kh, ks, g, kl).transpose(0, 1, 3, 2)
-        p *= c
-        p -= p.max(axis=3, keepdims=True)
+        # key-major scores [heads, G, kl, ql]: the softmax reduces over
+        # axis 2, which numpy does in fewer passes than over the last axis
+        p = views(kh, ks, g, kl) @ views(qh, qs, g, ql).transpose(0, 1, 3, 2)
+        p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=3, keepdims=True)
+        total = p.sum(axis=2, keepdims=True)
+        p *= np.reciprocal(total, out=total)
         probs.append(p)
-        out[:, qs] = (p @ views(vh, ks, g, kl)).reshape(n_heads, g * ql, -1)
+        np.matmul(p.transpose(0, 1, 3, 2), views(vh, ks, g, kl), out=views(out, qs, g, ql))
 
     def bwd(g_out):
-        gh = split(g_out)
+        gh = heads(g_out)
+        # each query row's sum over keys of dP * P, per head, is dO . O
+        rows_d = np.einsum("rhw,rhw->hr", gh, out)
         gq, gk, gv = np.empty(qh.shape), np.empty(kh.shape), np.empty(vh.shape)
         for (qs, ks, g, ql, kl), p in zip(runs, probs):
             gr, qr = views(gh, qs, g, ql), views(qh, qs, g, ql)
             kr, vr = views(kh, ks, g, kl), views(vh, ks, g, kl)
-            ds = gr @ vr.transpose(0, 1, 3, 2)
-            ds -= (ds * p).sum(axis=3, keepdims=True)
+            ds = vr @ gr.transpose(0, 1, 3, 2)
+            ds -= rows_d[:, qs].reshape(n_heads, g, 1, ql)
             ds *= p
-            ds *= c
-            gq[:, qs] = (ds @ kr).reshape(n_heads, g * ql, -1)
-            gk[:, ks] = (ds.transpose(0, 1, 3, 2) @ qr).reshape(n_heads, g * kl, -1)
-            gv[:, ks] = (p.transpose(0, 1, 3, 2) @ gr).reshape(n_heads, g * kl, -1)
-        return merge(gq), merge(gk), merge(gv)
+            np.matmul(ds.transpose(0, 1, 3, 2), kr, out=views(gq, qs, g, ql))
+            np.matmul(ds, qr, out=views(gk, ks, g, kl))
+            np.matmul(p, gr, out=views(gv, ks, g, kl))
+        gq *= c
+        return gq.reshape(q.shape[0], -1), gk.reshape(k.shape[0], -1), gv.reshape(k.shape[0], -1)
 
-    return _record(Tensor(merge(out)), (q, k, v), bwd)
+    return _record(Tensor(out.reshape(q.shape[0], -1)), (q, k, v), bwd)
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -18,7 +18,7 @@ from mtlc.encoder import (
     param_shapes,
     reset_forward_calls,
 )
-from mtlc.numcore import GradTape, Tensor, matmul, mul, segment_attention, stream, sum_all
+from mtlc.numcore import GradTape, Tensor, backward, matmul, mul, segment_attention, stream, sum_all
 from mtlc.text import build_vocab, encode
 
 from gradcheck import grad_check
@@ -63,6 +63,47 @@ def padded_reference(seqs, params, cfg):
         cls = norm(x, p["final_norm_g"], p["final_norm_b"])[0]
         out.append(np.tanh(cls @ p["pooler_w"] + p["pooler_b"]))
     return np.stack(out)
+
+
+def row_major_reference(q, k, v, q_lengths, kv_lengths, n_heads, g_out):
+    """Output of attention and the gradients of sum(output * g_out) with
+    respect to q, k and v, one head of one sequence at a time: row-major
+    scores with the 1/sqrt(d_k) scale applied to them, and a softmax shifted
+    by each query row's maximum."""
+    out, gq, gk, gv = np.zeros((q.shape[0], v.shape[1])), np.zeros(q.shape), np.zeros(k.shape), np.zeros(v.shape)
+    wk, wv = q.shape[1] // n_heads, v.shape[1] // n_heads
+    q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(kv_lengths)
+    for ql, qe, kl, ke in zip(q_lengths, q_ends, kv_lengths, kv_ends):
+        for j in range(n_heads):
+            rq, rk = slice(qe - ql, qe), slice(ke - kl, ke)
+            ck, cv = slice(j * wk, (j + 1) * wk), slice(j * wv, (j + 1) * wv)
+            qs, ks, vs, go = q[rq, ck], k[rk, ck], v[rk, cv], g_out[rq, cv]
+            scores = qs @ ks.T / math.sqrt(wk)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            p = e / e.sum(axis=1, keepdims=True)
+            out[rq, cv] = p @ vs
+            dp = go @ vs.T
+            ds = p * (dp - (dp * p).sum(axis=1, keepdims=True))
+            gq[rq, ck] = ds @ ks / math.sqrt(wk)
+            gk[rk, ck] = ds.T @ qs / math.sqrt(wk)
+            gv[rk, cv] = p.T @ go
+    return out, gq, gk, gv
+
+
+def attention_and_grads(q, k, v, q_lengths, kv_lengths, n_heads, g_out):
+    """The kernel's output and its gradients of sum(output * g_out)."""
+    qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
+    with GradTape() as tape:
+        out = segment_attention(qt, kt, vt, q_lengths, kv_lengths, n_heads)
+        loss = sum_all(mul(out, Tensor(g_out)))
+    backward(tape, loss)
+    return out.data, qt.grad, kt.grad, vt.grad
+
+
+def assert_close_to_reference(got, want, rel=1e-12):
+    for name, a, b in zip(("output", "q grad", "k grad", "v grad"), got, want):
+        assert np.isfinite(a).all(), name
+        assert np.abs(a - b).max() <= rel * np.abs(b).max(), name
 
 
 @pytest.fixture
@@ -394,6 +435,47 @@ class TestPacking:
                 qs, ks = slice(qe - ql, qe), slice(ke - kl, ke)
                 alone = segment_attention(*map(Tensor, (q[qs], k[ks], v[ks])), [ql], [kl], 2).data
                 assert np.abs(packed[qs] - alone).max() < 1e-12
+
+    def test_softmax_stable_at_extreme_scores(self):
+        # integer q and k and a scale of 1/2 keep every score exact. In each
+        # head, query i of a sequence is (a_i, b, noise) and key j is
+        # (1, j, noise), so its scores sit near a_i / 2: up to +-1e4, each
+        # query's maximum over 1,000 from every other's. A max shift over
+        # any axis but the keys' underflows or overflows.
+        rng = np.random.default_rng(21)
+        q_lengths = kv_lengths = [4, 4, 3]
+        rows, n_heads = sum(q_lengths), 2
+        q = rng.integers(-3, 4, size=(rows, 8)).astype(float)
+        k = rng.integers(-3, 4, size=(rows, 8)).astype(float)
+        at = np.concatenate([np.arange(n) for n in q_lengths])
+        for j, sign in ((0, 1.0), (4, -1.0)):
+            q[:, j] = sign * np.array([-21000.0, 6000.0, 21000.0, -7000.0])[at]
+            k[:, j], k[:, j + 1] = 1.0, at
+        v, g_out = rng.normal(size=(rows, 6)), rng.normal(size=(rows, 6))
+        for start, n in ((0, 4), (4, 4), (8, 3)):
+            for c in (slice(0, 4), slice(4, 8)):
+                scores = q[start : start + n, c] @ k[start : start + n, c].T / 2
+                assert np.abs(scores).max() >= 1e4
+                assert np.diff(np.sort(scores.max(axis=1))).min() > 1000
+        got = attention_and_grads(q, k, v, q_lengths, kv_lengths, n_heads, g_out)
+        want = row_major_reference(q, k, v, q_lengths, kv_lengths, n_heads, g_out)
+        assert_close_to_reference(got, want)
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_benchmark_shaped_layouts_match_reference(self, width):
+        # a run of 64 full-length sequences beside singletons of other
+        # lengths, as a length-ordered batch of the benchmark meets them
+        kv_lengths = [1, 5] + [64] * 64 + [7]
+        n_heads = 4
+        for q_lengths in (kv_lengths, [1] * len(kv_lengths)):
+            rng = np.random.default_rng(width + len(q_lengths))
+            q = rng.normal(size=(sum(q_lengths), n_heads * width))
+            k = rng.normal(size=(sum(kv_lengths), n_heads * width))
+            v = rng.normal(size=(sum(kv_lengths), n_heads * width))
+            g_out = rng.normal(size=(sum(q_lengths), n_heads * width))
+            got = attention_and_grads(q, k, v, q_lengths, kv_lengths, n_heads, g_out)
+            want = row_major_reference(q, k, v, q_lengths, kv_lengths, n_heads, g_out)
+            assert_close_to_reference(got, want)
 
     def test_fused_attention_is_one_tape_record(self):
         x = Tensor(np.random.default_rng(1).normal(size=(5, 4)), requires_grad=True)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mtlc import mtl
 from mtlc.data import Batch, Corpus, Record, SplitSet, schemas_for_language
 from mtlc.encoder import EncoderConfig, forward_call_count, reset_forward_calls
 from mtlc.errors import ConfigError, ContractError, NumericalError
@@ -160,6 +161,24 @@ class TestHardForward:
         again = batch_logits(model, batch.seqs)
         assert np.array_equal(again["sentiment"].data, logits["sentiment"].data)
         assert not np.array_equal(again["offense"].data, logits["offense"].data)
+
+    def test_soft_model_packs_each_batch_once(self, toy_vocab, toy_splits, monkeypatch):
+        soft = SoftShareConfig(lam=0.0, coupled_layer_names=())
+        model = build_model(
+            regime_for("soft_share", soft=soft), toy_encoder(toy_vocab, d_model=8, n_heads=2), N_CLASSES, seed=0
+        )
+        batch = self._batch(toy_splits.train, toy_vocab, model, n=3)
+        packs, pack = [], mtl.pack
+
+        def counted_pack(seqs, config):
+            packs.append(pack(seqs, config))
+            return packs[-1]
+
+        monkeypatch.setattr(mtl, "pack", counted_pack)
+        reset_forward_calls()
+        batch_logits(model, batch.seqs)
+        assert len(packs) == 1
+        assert forward_call_count() == 2 * len(batch)
 
 
 class TestHardLoss:
