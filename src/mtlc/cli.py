@@ -255,7 +255,13 @@ def _load_run_report(run_dir: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"run {run_dir!r} has no {REPORT_JSON}")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            report = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise CorruptArtifactError(f"{path} is not a JSON report: {err}") from None
+    if not isinstance(report, dict) or not isinstance(report.get("tasks"), dict):
+        raise CorruptArtifactError(f"{path} has no 'tasks' table")
+    return report
 
 
 def cmd_report(args) -> int:

@@ -8,6 +8,7 @@ embedded tab cannot round-trip and its row is rejected.
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -245,8 +246,8 @@ def stratified_split(
     Classes with fewer than 3 members go entirely to train (warned via the
     returned sizes rather than a log dependency).
     """
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ContractError(f"ratios must be nonnegative and sum to 1, got {ratios}")
+    if any(not math.isfinite(r) or r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ContractError(f"ratios must be finite, nonnegative and sum to 1, got {ratios}")
     if stratify_task not in corpus.schemas:
         raise ContractError(f"unknown stratify task {stratify_task!r}")
     by_class: dict[int, list[Record]] = {}

@@ -54,6 +54,10 @@ PENALTIES = (FROBENIUS, TRACE_NORM)
 
 BATCH_SIZES = (16, 32, 64)
 
+# packed rows (valid positions) per prediction batch: bounds the working set
+# of evaluation, which the heap keeps once it has grown to it
+PREDICT_ROWS = 2048
+
 
 def default_coupled_layers(n_layers: int) -> tuple[str, ...]:
     """Attention projections and FFN matrices of every layer; embeddings,
@@ -365,26 +369,39 @@ def train(
 
 
 def _predict(model: Model, encoded: Batch) -> dict[str, list[int]]:
-    """Argmax predictions in corpus order. The comments run in batches of
-    ascending valid length (stable), so equal-length comments sit side by
-    side and attention covers each such run in one call. Raises
-    NumericalError, naming the comment's corpus index and the task, if a
-    logit is not finite."""
-    order = np.argsort([sum(seq.mask) for seq in encoded.seqs], kind="stable")
-    by_length = Batch(seqs=tuple(encoded.seqs[i] for i in order), labels={})
+    """Argmax predictions in corpus order. The comments are stably sorted
+    by valid length, so equal-length comments sit side by side and
+    attention covers each such run in one call, and cut into consecutive
+    batches of at most `PREDICT_ROWS` packed rows; a longer comment runs
+    alone. Raises NumericalError, naming the comment's corpus index and the
+    task, if a logit is not finite."""
+    lengths = [sum(seq.mask) for seq in encoded.seqs]
+    order = np.argsort(lengths, kind="stable")
     preds = {task: np.empty(len(order), dtype=np.int64) for task in model.regime.tasks}
-    start = 0
-    for batch in batches(by_length, 64, False, 0):
-        rows = order[start : start + len(batch)]
-        logits = batch_logits(model, batch.seqs)
+    for start, stop in _row_budget_spans([lengths[i] for i in order]):
+        rows = order[start:stop]
+        logits = batch_logits(model, [encoded.seqs[i] for i in rows])
         for task in model.regime.tasks:
             data = logits[task].data
             if not np.isfinite(data).all():
                 bad = rows[~np.isfinite(data).all(axis=1)].min()
                 raise NumericalError(f"non-finite {task} logits for comment {bad}")
             preds[task][rows] = data.argmax(axis=1)
-        start += len(batch)
     return {task: p.tolist() for task, p in preds.items()}
+
+
+def _row_budget_spans(lengths: Sequence[int]) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) spans of `lengths`, each summing to at most
+    `PREDICT_ROWS`, or holding one longer item alone."""
+    spans = []
+    start = rows = 0
+    for i, n in enumerate(lengths):
+        if i > start and rows + n > PREDICT_ROWS:
+            spans.append((start, i))
+            start, rows = i, 0
+        rows += n
+    spans.append((start, len(lengths)))
+    return spans
 
 
 def evaluate(model: Model, split: Corpus, vocab: Vocab) -> dict[str, list[int]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContractError, DataError
@@ -102,12 +103,10 @@ def encode(text: str, vocab: Vocab, max_len: int) -> TokenSeq:
         raise ContractError(f"max_len must be >= 3, got {max_len}")
     tokens = tokenize(text, vocab.mode)
     kept = tokens[: max_len - 2]
-    ids = [CLS] + [vocab.lookup(tok) for tok in kept] + [SEP]
-    mask = [1] * len(ids)
-    pad = max_len - len(ids)
-    ids.extend([PAD] * pad)
-    mask.extend([0] * pad)
-    return TokenSeq(ids=tuple(ids), mask=tuple(mask), raw_length=len(tokens))
+    pad = max_len - 2 - len(kept)
+    ids = (CLS, *map(vocab.token_to_id.get, kept, repeat(UNK)), SEP) + (PAD,) * pad
+    mask = (1,) * (len(kept) + 2) + (0,) * pad
+    return TokenSeq(ids=ids, mask=mask, raw_length=len(tokens))
 
 
 def decode(ids: Sequence[int], vocab: Vocab) -> list[str]:

@@ -96,6 +96,15 @@ class TestSplit:
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["split", "--out-dir", str(tmp_path / "x")]) == 2
 
+    def test_non_finite_ratios_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "corpus.tsv"
+        src.write_text(toy_tsv(), encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["split", "--input", str(src), "--out-dir", str(out), "--ratios", "nan,0.5,0.5"])
+        assert code == 2
+        assert "(nan, 0.5, 0.5)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_and_summary(self, trained_run, capsys):
@@ -317,6 +326,14 @@ class TestReport:
         code = main(["report", "--runs", str(tmp_path / "ghost")])
         assert code == 2
         assert "ghost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ['{"tasks": {', '{"runs": {}}'])
+    def test_corrupt_report_named_exits_5(self, tmp_path, capsys, body):
+        run = tmp_path / "broken"
+        run.mkdir()
+        (run / "report.json").write_text(body, encoding="utf-8")
+        assert main(["report", "--runs", str(run)]) == 5
+        assert str(run / "report.json") in capsys.readouterr().err
 
 
 class TestHeapSetting:

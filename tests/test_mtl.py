@@ -457,12 +457,55 @@ class TestEvaluate:
             if p.data.ndim == 2:
                 p.data = rng.normal(size=p.shape) / np.sqrt(1 if "emb" in name else p.shape[0])
         words = list(toy_vocab.id_to_token[4:])
-        texts = {" ".join(rng.choice(words, size=rng.integers(0, 7))) for _ in range(300)}
+        texts = {" ".join(rng.choice(words, size=rng.integers(0, 7))) for _ in range(600)}
         schemas = schemas_for_language("kannada")
         records = [Record(text=t, labels={"sentiment": 0, "offense": 0}) for t in sorted(texts)]
-        rng.shuffle(records)  # lengths in no order, over several batches of 64
+        rng.shuffle(records)  # lengths in no order
+        # [CLS] and [SEP] around each comment: more packed rows than one batch holds
+        assert sum(len(r.text.split()) + 2 for r in records) > mtl.PREDICT_ROWS
         split = Corpus(records=records, schemas=schemas, language="kannada")
         preds = evaluate(model, split, toy_vocab)
+        singles = [
+            evaluate(model, Corpus(records=[r], schemas=schemas, language="kannada"), toy_vocab)
+            for r in records
+        ]
+        for task in TASKS:
+            assert preds[task] == [single[task][0] for single in singles]
+            assert len(set(preds[task])) > 1
+
+    @pytest.mark.parametrize("budget", [None, 150])
+    def test_predict_batches_hold_the_row_budget(self, toy_vocab, monkeypatch, budget):
+        if budget is not None:  # small enough that the longest comments run alone
+            monkeypatch.setattr(mtl, "PREDICT_ROWS", budget)
+        cfg = toy_encoder(toy_vocab, max_len=200, d_model=8, n_heads=2, d_ffn=16, dropout_p=0.0)
+        model = build_model(regime_for("hard_share"), cfg, N_CLASSES, seed=6)
+        rng = np.random.default_rng(6)
+        for name, p in model.params.items():  # large enough that long comments still differ
+            if p.data.ndim == 2:
+                p.data = 3 * rng.normal(size=p.shape) / np.sqrt(1 if "emb" in name else p.shape[0])
+        words = list(toy_vocab.id_to_token[4:])
+        schemas = schemas_for_language("kannada")
+        # each comment packs 42 to 200 rows, so 64 of them overflow the budget
+        records = [
+            Record(
+                text=" ".join(rng.choice(words, size=rng.integers(40, 220))),
+                labels={"sentiment": 0, "offense": 0},
+            )
+            for _ in range(80)
+        ]
+        split = Corpus(records=records, schemas=schemas, language="kannada")
+        packed = []
+
+        def spy(model, seqs, *args, **kwargs):
+            packed.append((len(seqs), sum(sum(seq.mask) for seq in seqs)))
+            return batch_logits(model, seqs, *args, **kwargs)
+
+        monkeypatch.setattr(mtl, "batch_logits", spy)
+        preds = evaluate(model, split, toy_vocab)
+        assert sum(n for n, _ in packed) == len(records)
+        assert all(rows <= mtl.PREDICT_ROWS or n == 1 for n, rows in packed)
+        if budget is not None:
+            assert any(rows > budget for _, rows in packed)
         singles = [
             evaluate(model, Corpus(records=[r], schemas=schemas, language="kannada"), toy_vocab)
             for r in records

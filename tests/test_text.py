@@ -85,6 +85,11 @@ class TestEncode:
         seq = encode("a b", vocab, 5)
         assert seq.ids == (2, 4, 5, 3, 0)
         assert seq.mask == (1, 1, 1, 1, 0)
+        # char ids a=4, " "=5, b=6: "?" and "ü" are unknown, the last " a" is cut
+        seq = encode("a?b ü a", build_vocab(["a b", "a"], mode="char"), 7)
+        assert seq.ids == (2, 4, UNK, 6, 5, UNK, 3)
+        assert seq.mask == (1,) * 7
+        assert seq.raw_length == 7
 
     def test_truncation(self, vocab):
         text = " ".join(["a"] * 100)
