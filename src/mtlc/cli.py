@@ -36,7 +36,7 @@ from .errors import (
     MtlcError,
     NumericalError,
 )
-from .metrics import MetricsReport, build_report, format_report, report_to_dict
+from .metrics import MetricsReport, build_report, format_report, load_report, report_to_dict
 from .mtl import Model, TrainTrace, build_model, evaluate, expected_param_shapes, train
 from .numcore import Tensor
 from .text import build_vocab, load_vocab, save_vocab
@@ -250,59 +250,23 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_run_report(run_dir: str) -> dict:
-    path = os.path.join(run_dir, REPORT_JSON)
-    if not os.path.exists(path):
-        raise ConfigError(f"run {run_dir!r} has no {REPORT_JSON}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise CorruptArtifactError(f"{path} is not a JSON report: {err}") from None
-    if not isinstance(report, dict) or not isinstance(report.get("tasks"), dict):
-        raise CorruptArtifactError(f"{path} has no 'tasks' table")
-    return report
-
-
 def cmd_report(args) -> int:
     run_dirs = [r.strip() for r in args.runs.split(",") if r.strip()]
     if not run_dirs:
         raise ConfigError("--runs needs at least one run directory")
-    reports = {run: _load_run_report(run) for run in run_dirs}
+    reports = [load_report(os.path.join(run, REPORT_JSON)) for run in run_dirs]
     names = [os.path.basename(os.path.normpath(run)) or run for run in run_dirs]
-
-    tasks: list[str] = []
-    for rep in reports.values():
-        for task in rep["tasks"]:
-            if task not in tasks:
-                tasks.append(task)
+    tasks = dict.fromkeys(task for rep in reports for task in rep)
 
     tsv_lines = ["\t".join(["task", "row"] + names)]
     text_lines = []
     for task in tasks:
-        rows: list[tuple[str, list[Optional[float]]]] = []
-        labels: list[str] = []
-        for rep in reports.values():
-            if task in rep["tasks"]:
-                labels = rep["tasks"][task]["labels"]
-                break
-        for label in labels:
-            vals = []
-            for run in run_dirs:
-                tr = reports[run]["tasks"].get(task)
-                f1 = None
-                if tr:
-                    for entry in tr["per_class"]:
-                        if entry["label"] == label:
-                            f1 = entry["f1"]
-                vals.append(f1)
-            rows.append((label, vals))
-        for agg, key in (("Macro average", "macro"), ("Weighted average", "weighted")):
-            vals = [
-                reports[run]["tasks"][task][key]["f1"] if task in reports[run]["tasks"] else None
-                for run in run_dirs
-            ]
-            rows.append((agg, vals))
+        runs = [rep.get(task) for rep in reports]
+        # the union of the runs' classes, in first-seen order
+        labels = dict.fromkeys(label for tr in runs if tr for label in tr.per_class)
+        rows = [(label, [tr and tr.per_class.get(label) for tr in runs]) for label in labels]
+        rows.append(("Macro average", [tr and tr.macro for tr in runs]))
+        rows.append(("Weighted average", [tr and tr.weighted for tr in runs]))
 
         width = max(len(r[0]) for r in rows)
         text_lines.append(f"== {task} (F1) ==")

@@ -1,4 +1,5 @@
-"""Confusion matrices and precision/recall/F1 reporting.
+"""Confusion matrices, precision/recall/F1 scores, and the `report.json`
+format: `report_to_dict` writes it and `load_report` reads it back.
 
 Macro scores are unweighted means over classes, weighted scores are
 support-weighted means, and the pooled TP-ratio variant is exposed
@@ -8,12 +9,14 @@ at full precision internally and only rounded when serialized.
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError, CorruptArtifactError
 
 ROUND_DIGITS = 5
 
@@ -56,86 +59,51 @@ def confusion(golds: Sequence[int], preds: Sequence[int], n_classes: int) -> np.
     """Count matrix with entry [gold, predicted]."""
     if len(golds) != len(preds):
         raise ContractError(f"golds ({len(golds)}) and preds ({len(preds)}) differ in length")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for g, p in zip(golds, preds):
-        if not (0 <= g < n_classes and 0 <= p < n_classes):
-            raise ContractError(f"label pair ({g}, {p}) out of range for {n_classes} classes")
-        cm[g, p] += 1
-    return cm
+    g = np.asarray(golds, dtype=np.int64)
+    p = np.asarray(preds, dtype=np.int64)
+    bad = (g < 0) | (g >= n_classes) | (p < 0) | (p >= n_classes)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractError(f"label pair ({g[i]}, {p[i]}) out of range for {n_classes} classes")
+    cm = np.bincount(g * n_classes + p, minlength=n_classes * n_classes)
+    return cm.reshape(n_classes, n_classes)
 
 
-def _ratio(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
-
-
-def per_class_prf(cm: np.ndarray) -> list[tuple[float, float, float, int]]:
-    """(precision, recall, f1, support) per class; 0/0 ratios become 0."""
-    cm = np.asarray(cm)
-    out = []
-    for c in range(cm.shape[0]):
-        tp = float(cm[c, c])
-        precision = _ratio(tp, float(cm[:, c].sum()))
-        recall = _ratio(tp, float(cm[c, :].sum()))
-        f1 = _ratio(2.0 * precision * recall, precision + recall)
-        out.append((precision, recall, f1, int(cm[c, :].sum())))
-    return out
-
-
-def macro_avg(per_class: Sequence[tuple[float, float, float, int]]) -> Averages:
-    """Unweighted mean over classes, zero-score classes included."""
-    if not per_class:
-        raise ContractError("macro average over zero classes")
-    n = len(per_class)
-    return Averages(
-        precision=sum(p for p, _, _, _ in per_class) / n,
-        recall=sum(r for _, r, _, _ in per_class) / n,
-        f1=sum(f for _, _, f, _ in per_class) / n,
-    )
-
-
-def weighted_avg(per_class: Sequence[tuple[float, float, float, int]]) -> Averages:
-    """Support-weighted mean over classes."""
-    total = sum(s for _, _, _, s in per_class)
-    if total <= 0:
-        raise ContractError("weighted average needs positive total support")
-    return Averages(
-        precision=sum(p * s for p, _, _, s in per_class) / total,
-        recall=sum(r * s for _, r, _, s in per_class) / total,
-        f1=sum(f * s for _, _, f, s in per_class) / total,
-    )
-
-
-def micro_avg(cm: np.ndarray) -> Averages:
-    """Pooled counts: sum(TP) / sum(TP+FP) and sum(TP) / sum(TP+FN)."""
-    cm = np.asarray(cm)
-    tp = float(np.trace(cm))
-    pred_total = float(cm.sum())
-    gold_total = float(cm.sum())
-    p = _ratio(tp, pred_total)
-    r = _ratio(tp, gold_total)
-    return Averages(precision=p, recall=r, f1=_ratio(2.0 * p * r, p + r))
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, with 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0)
 
 
 def task_report(
     task: str, labels: Sequence[str], golds: Sequence[int], preds: Sequence[int]
 ) -> TaskReport:
     cm = confusion(golds, preds, len(labels))
-    prf = per_class_prf(cm)
-    per_class = tuple(
-        ClassScores(label=lab, precision=p, recall=r, f1=f, support=s)
-        for lab, (p, r, f, s) in zip(labels, prf)
-    )
-    accuracy = _ratio(float(np.trace(cm)), float(cm.sum()))
+    total = int(cm.sum())
+    if total <= 0:
+        raise ContractError(f"task {task!r}: scores need positive total support")
+    tp = np.diagonal(cm)
+    support = cm.sum(axis=1)
+    precision = _ratio(tp, cm.sum(axis=0))
+    recall = _ratio(tp, support)
+    # rows P, R, F1; columns classes. Row sums run left to right as Python's
+    # sum would, for up to 7 classes.
+    prf = np.stack([precision, recall, _ratio(2.0 * precision * recall, precision + recall)])
+    # pooled counts: micro precision and recall both equal accuracy
+    accuracy = float(tp.sum()) / total
+    micro_f1 = 2.0 * accuracy * accuracy / (accuracy + accuracy) if accuracy else 0.0
     return TaskReport(
         task=task,
         labels=tuple(labels),
-        per_class=per_class,
-        macro=macro_avg(prf),
-        weighted=weighted_avg(prf),
-        micro=micro_avg(cm),
+        per_class=tuple(
+            ClassScores(label, p, r, f, s)
+            for label, p, r, f, s in zip(labels, *prf.tolist(), support.tolist())
+        ),
+        macro=Averages(*(prf.sum(axis=1) / len(labels)).tolist()),
+        weighted=Averages(*((prf * support).sum(axis=1) / total).tolist()),
+        micro=Averages(accuracy, accuracy, micro_f1),
         accuracy=accuracy,
         confusion=cm,
-        total_support=int(cm.sum()),
+        total_support=total,
     )
 
 
@@ -166,6 +134,10 @@ def _round(x: float) -> float:
     return round(x, ROUND_DIGITS)
 
 
+def _rounded(scores: ClassScores | Averages) -> dict:
+    return {key: _round(getattr(scores, key)) for key in ("precision", "recall", "f1")}
+
+
 def report_to_dict(report: MetricsReport) -> dict:
     """JSON-ready dict; the only place scores are rounded."""
     out: dict = {"tasks": {}}
@@ -173,34 +145,58 @@ def report_to_dict(report: MetricsReport) -> dict:
         out["tasks"][task] = {
             "labels": list(tr.labels),
             "per_class": [
-                {
-                    "label": cs.label,
-                    "precision": _round(cs.precision),
-                    "recall": _round(cs.recall),
-                    "f1": _round(cs.f1),
-                    "support": cs.support,
-                }
-                for cs in tr.per_class
+                {"label": cs.label, **_rounded(cs), "support": cs.support} for cs in tr.per_class
             ],
-            "macro": {
-                "precision": _round(tr.macro.precision),
-                "recall": _round(tr.macro.recall),
-                "f1": _round(tr.macro.f1),
-            },
-            "weighted": {
-                "precision": _round(tr.weighted.precision),
-                "recall": _round(tr.weighted.recall),
-                "f1": _round(tr.weighted.f1),
-            },
-            "micro": {
-                "precision": _round(tr.micro.precision),
-                "recall": _round(tr.micro.recall),
-                "f1": _round(tr.micro.f1),
-            },
+            "macro": _rounded(tr.macro),
+            "weighted": _rounded(tr.weighted),
+            "micro": _rounded(tr.micro),
             "accuracy": _round(tr.accuracy),
             "total_support": tr.total_support,
             "confusion": tr.confusion.tolist(),
         }
+    return out
+
+
+@dataclass(frozen=True)
+class TaskF1:
+    """The F1 scores a `report.json` holds for one task."""
+
+    per_class: dict[str, float]  # label -> F1, in the report's class order
+    macro: float
+    weighted: float
+
+
+def load_report(path: str) -> dict[str, TaskF1]:
+    """Read back the F1 scores of a file written from `report_to_dict`.
+
+    A missing file is a ConfigError. A file that is not JSON, or lacks a key
+    this reads, is a CorruptArtifactError naming the file and the key."""
+    if not os.path.exists(path):
+        raise ConfigError(f"no report at {path!r}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise CorruptArtifactError(f"{path} is not a JSON report: {err}") from None
+
+    def get(table: object, key: str, kind: type | tuple[type, ...], where: str):
+        value = table.get(key) if isinstance(table, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise CorruptArtifactError(f"{path}: {where} has no valid {key!r}")
+        return value
+
+    out = {}
+    for task, entry in get(raw, "tasks", dict, "the report").items():
+        where = f"task {task!r}"
+        per_class = {}
+        for i, cls in enumerate(get(entry, "per_class", list, where)):
+            label = get(cls, "label", str, f"{where} class {i}")
+            per_class[label] = float(get(cls, "f1", (int, float), f"{where} class {label!r}"))
+        macro, weighted = (
+            float(get(get(entry, key, dict, where), "f1", (int, float), f"{where} {key}"))
+            for key in ("macro", "weighted")
+        )
+        out[task] = TaskF1(per_class, macro, weighted)
     return out
 
 

@@ -28,7 +28,7 @@ from mtlc.losses import (
     kld,
     LossConfig,
 )
-from mtlc.metrics import confusion, macro_avg, per_class_prf, weighted_avg
+from mtlc.metrics import task_report
 from mtlc.mtl import (
     RegimeConfig,
     SoftShareConfig,
@@ -341,8 +341,8 @@ def test_criterion_4_metrics_against_brute_force():
         size = int(rng.integers(5, 120))
         golds = rng.integers(0, n, size=size).tolist()
         preds = rng.integers(0, n, size=size).tolist()
-        cm = confusion(golds, preds, n)
-        got = per_class_prf(cm)
+        tr = task_report("t", [f"c{c}" for c in range(n)], golds, preds)
+        got = [(cs.precision, cs.recall, cs.f1, cs.support) for cs in tr.per_class]
 
         oracle = []
         for c in range(n):
@@ -355,11 +355,11 @@ def test_criterion_4_metrics_against_brute_force():
             oracle.append((precision, recall, f1, tp + fn))
         assert got == oracle
 
-        assert macro_avg(got).f1 == sum(o[2] for o in oracle) / n
+        assert tr.macro.f1 == sum(o[2] for o in oracle) / n
         total = sum(o[3] for o in oracle)
-        assert weighted_avg(got).f1 == sum(o[2] * o[3] for o in oracle) / total
+        assert tr.weighted.f1 == sum(o[2] * o[3] for o in oracle) / total
         accuracy = sum(g == p for g, p in zip(golds, preds)) / size
-        assert abs(weighted_avg(got).recall - accuracy) < 1e-12
+        assert abs(tr.weighted.recall - accuracy) < 1e-12
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     report("metrics oracle", f"1000 matrices exact, {elapsed:.1f}s")

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from mtlc.cli import main
+from mtlc.data import schemas_for_language
+from mtlc.metrics import build_report, report_to_dict
 from mtlc.toy import materialize, toy_tsv
 
 
@@ -327,13 +329,56 @@ class TestReport:
         assert code == 2
         assert "ghost" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("body", ['{"tasks": {', '{"runs": {}}'])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"tasks": {',
+            '{"runs": {}}',
+            '{"tasks": {"sentiment": {}}}',
+            '{"tasks": {"sentiment": []}}',
+            '{"tasks": {"sentiment": {"labels": ["a"], "per_class": [{"label": "a"}],'
+            ' "macro": {"f1": 0.5}, "weighted": {"f1": 0.5}}}}',
+        ],
+    )
     def test_corrupt_report_named_exits_5(self, tmp_path, capsys, body):
         run = tmp_path / "broken"
         run.mkdir()
         (run / "report.json").write_text(body, encoding="utf-8")
         assert main(["report", "--runs", str(run)]) == 5
         assert str(run / "report.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", [("ml", "kn"), ("kn", "ml")])
+    def test_rows_are_the_union_of_the_runs_classes(self, tmp_path, capsys, order):
+        """Malayalam's offense scheme lacks Kannada's 'Offensive targeted others'."""
+        for name, language in (("ml", "malayalam"), ("kn", "kannada")):
+            classes = {task: s.classes for task, s in schemas_for_language(language).items()}
+            golds = {task: list(range(len(c))) for task, c in classes.items()}
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "report.json").write_text(
+                json.dumps(report_to_dict(build_report(golds, golds, classes))), encoding="utf-8"
+            )
+        tsv_path = tmp_path / "cmp.tsv"
+        runs = ",".join(str(tmp_path / name) for name in order)
+        assert main(["report", "--runs", runs, "--out", str(tsv_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        def cells(label):
+            line = next(ln for ln in lines if ln.startswith(label))
+            return line[len(label):].split()
+
+        assert cells("Not offensive") == ["1.00000", "1.00000", "+0.00000"]
+        kn_first = order[0] == "kn"
+        assert cells("Offensive targeted others") == (
+            ["1.00000", "-"] if kn_first else ["-", "1.00000"]
+        )
+        rows = [ln.split("\t") for ln in tsv_path.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [row[1] for row in rows if row[0] == "offense"][-3:] == (
+            ["Other language", "Macro average", "Weighted average"]
+            if kn_first
+            else ["Offensive targeted others", "Macro average", "Weighted average"]
+        )
+        others = next(row for row in rows if row[1] == "Offensive targeted others")
+        assert others[2:] == (["1.00000", ""] if kn_first else ["", "1.00000"])
 
 
 class TestHeapSetting:

@@ -1,19 +1,20 @@
-"""Confusion matrices, per-class P/R/F1, and report assembly."""
+"""Confusion matrices, per-class P/R/F1, report assembly, and reading reports back."""
+
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtlc.errors import ContractError
+from mtlc.errors import ConfigError, ContractError, CorruptArtifactError
 from mtlc.metrics import (
     build_report,
     confusion,
     format_report,
-    macro_avg,
-    micro_avg,
-    per_class_prf,
+    load_report,
     report_to_dict,
     task_report,
-    weighted_avg,
 )
 
 
@@ -55,10 +56,24 @@ class TestConfusion:
             confusion([0, 3], [0, 0], 2)
 
 
+def report_of(cm):
+    """task_report over gold and predicted lists whose confusion matrix is `cm`."""
+    cm = np.asarray(cm)
+    n = cm.shape[0]
+    pairs = [(g, p) for g in range(n) for p in range(n) for _ in range(int(cm[g, p]))]
+    golds = [g for g, _ in pairs]
+    preds = [p for _, p in pairs]
+    return task_report("t", [f"c{i}" for i in range(n)], golds, preds)
+
+
+def prf_tuples(report):
+    return [(cs.precision, cs.recall, cs.f1, cs.support) for cs in report.per_class]
+
+
 class TestPerClassPrf:
     def test_hand_case(self):
         cm = np.array([[5, 1], [2, 2]])
-        (p0, r0, f0, s0), (p1, r1, f1, s1) = per_class_prf(cm)
+        (p0, r0, f0, s0), (p1, r1, f1, s1) = prf_tuples(report_of(cm))
         assert (p0, r0) == (5 / 7, 5 / 6)
         assert f0 == pytest.approx(0.76923, abs=5e-6)
         assert (p1, r1) == (2 / 3, 1 / 2)
@@ -67,11 +82,11 @@ class TestPerClassPrf:
 
     def test_empty_class_zero_convention(self):
         cm = np.array([[3, 0], [0, 0]])
-        _, (p1, r1, f1, s1) = per_class_prf(cm)
+        _, (p1, r1, f1, s1) = prf_tuples(report_of(cm))
         assert (p1, r1, f1, s1) == (0.0, 0.0, 0.0, 0)
 
     def test_diagonal_is_all_ones(self):
-        scores = per_class_prf(np.diag([4, 2, 9]))
+        scores = prf_tuples(report_of(np.diag([4, 2, 9])))
         for p, r, f, _ in scores:
             assert (p, r, f) == (1.0, 1.0, 1.0)
 
@@ -80,34 +95,37 @@ class TestAverages:
     HAND_CM = np.array([[5, 1], [2, 2]])
 
     def test_macro_hand_case(self):
-        macro = macro_avg(per_class_prf(self.HAND_CM))
+        macro = report_of(self.HAND_CM).macro
         assert macro.f1 == pytest.approx(0.67033, abs=5e-6)
 
     def test_weighted_hand_case(self):
-        weighted = weighted_avg(per_class_prf(self.HAND_CM))
+        weighted = report_of(self.HAND_CM).weighted
         assert weighted.f1 == pytest.approx(0.69011, abs=5e-6)
 
     def test_identical_scores_collapse(self):
-        per_class = [(0.6, 0.6, 0.6, 5), (0.6, 0.6, 0.6, 5)]
-        assert macro_avg(per_class).f1 == pytest.approx(0.6)
-        assert weighted_avg(per_class).f1 == pytest.approx(0.6)
+        report = report_of([[3, 2], [2, 3]])
+        assert prf_tuples(report) == [pytest.approx((0.6, 0.6, 0.6, 5))] * 2
+        assert report.macro.f1 == pytest.approx(0.6)
+        assert report.weighted.f1 == pytest.approx(0.6)
 
     def test_uniform_supports_weighted_equals_macro(self):
-        per_class = [(0.9, 0.8, 0.85, 7), (0.1, 0.3, 0.15, 7), (0.5, 0.5, 0.5, 7)]
-        assert weighted_avg(per_class).f1 == pytest.approx(macro_avg(per_class).f1)
+        report = report_of([[5, 1, 1], [2, 3, 2], [0, 3, 4]])
+        assert [cs.support for cs in report.per_class] == [7, 7, 7]
+        assert report.weighted.f1 == pytest.approx(report.macro.f1)
 
     def test_empty_class_lowers_macro(self):
-        base = [(1.0, 1.0, 1.0, 5)]
-        with_empty = base + [(0.0, 0.0, 0.0, 0)]
-        assert macro_avg(with_empty).f1 < macro_avg(base).f1
+        base = report_of([[5]])
+        with_empty = report_of([[5, 0], [0, 0]])
+        assert with_empty.macro.f1 < base.macro.f1
 
     def test_single_nonempty_class_dominates_weighted(self):
-        per_class = [(0.7, 0.6, 0.65, 9), (0.0, 0.0, 0.0, 0)]
-        assert weighted_avg(per_class).f1 == pytest.approx(0.65)
+        report = report_of([[6, 3], [0, 0]])
+        assert prf_tuples(report)[1] == (0.0, 0.0, 0.0, 0)
+        assert report.weighted.f1 == pytest.approx(report.per_class[0].f1)
 
     def test_zero_support_rejected(self):
         with pytest.raises(ContractError):
-            weighted_avg([(0.0, 0.0, 0.0, 0)])
+            task_report("t", ["a"], [], [])
 
 
 class TestRandomOracle:
@@ -117,7 +135,7 @@ class TestRandomOracle:
             n = int(rng.integers(2, 7))
             golds = rng.integers(0, n, size=200).tolist()
             preds = rng.integers(0, n, size=200).tolist()
-            got = per_class_prf(confusion(golds, preds, n))
+            got = prf_tuples(task_report("t", list("abcdef")[:n], golds, preds))
             assert got == brute_force_scores(golds, preds, n)
 
     def test_weighted_recall_equals_accuracy(self):
@@ -125,14 +143,14 @@ class TestRandomOracle:
             rng = np.random.default_rng(seed)
             golds = rng.integers(0, 4, size=150).tolist()
             preds = rng.integers(0, 4, size=150).tolist()
-            cm = confusion(golds, preds, 4)
-            weighted = weighted_avg(per_class_prf(cm))
+            weighted = task_report("t", list("abcd"), golds, preds).weighted
             accuracy = sum(g == p for g, p in zip(golds, preds)) / 150
             assert weighted.recall == pytest.approx(accuracy, abs=1e-12)
 
     def test_micro_identities(self):
-        cm = confusion([0, 0, 1, 2], [0, 1, 1, 1], 3)
-        micro = micro_avg(cm)
+        report = task_report("t", list("abc"), [0, 0, 1, 2], [0, 1, 1, 1])
+        cm = report.confusion
+        micro = report.micro
         assert micro.precision == micro.recall == pytest.approx(np.trace(cm) / cm.sum())
 
     def test_f1_between_p_and_r(self):
@@ -140,7 +158,7 @@ class TestRandomOracle:
             rng = np.random.default_rng(seed)
             golds = rng.integers(0, 3, size=60).tolist()
             preds = rng.integers(0, 3, size=60).tolist()
-            for p, r, f, _ in per_class_prf(confusion(golds, preds, 3)):
+            for p, r, f, _ in prf_tuples(task_report("t", list("abc"), golds, preds)):
                 if p > 0 and r > 0:
                     assert min(p, r) - 1e-12 <= f <= max(p, r) + 1e-12
 
@@ -197,3 +215,55 @@ class TestBuildReport:
             "labels", "per_class", "macro", "weighted", "micro",
             "accuracy", "total_support", "confusion",
         }
+
+
+@st.composite
+def gold_pred_lists(draw):
+    n = draw(st.integers(2, 6))
+    size = draw(st.integers(1, 80))
+    label = st.integers(0, n - 1)
+    golds = draw(st.lists(label, min_size=size, max_size=size))
+    preds = draw(st.lists(label, min_size=size, max_size=size))
+    return n, golds, preds
+
+
+class TestLoadReport:
+    @given(gold_pred_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_reads_back_what_report_to_dict_wrote(self, tmp_path_factory, case):
+        n, golds, preds = case
+        labels = [f"class {i}" for i in range(n)]
+        written = report_to_dict(build_report({"t": golds}, {"t": preds}, {"t": labels}))
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        path.write_text(json.dumps(written), encoding="utf-8")
+        got = load_report(str(path))["t"]
+        entry = written["tasks"]["t"]
+        assert got.per_class == {c["label"]: c["f1"] for c in entry["per_class"]}
+        assert list(got.per_class) == labels
+        assert (got.macro, got.weighted) == (entry["macro"]["f1"], entry["weighted"]["f1"])
+
+    def test_missing_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="ghost"):
+            load_report(str(tmp_path / "ghost" / "report.json"))
+
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ([], "tasks"),
+            ({"tasks": []}, "tasks"),
+            ({"tasks": {"t": {}}}, "per_class"),
+            ({"tasks": {"t": []}}, "per_class"),
+            ({"tasks": {"t": {"per_class": [{"f1": 0.5}]}}}, "label"),
+            ({"tasks": {"t": {"per_class": [{"label": "a"}]}}}, "f1"),
+            ({"tasks": {"t": {"per_class": [{"label": "a", "f1": True}]}}}, "f1"),
+            ({"tasks": {"t": {"per_class": [], "weighted": {"f1": 0.5}}}}, "macro"),
+            ({"tasks": {"t": {"per_class": [], "macro": {"f1": 0.5}, "weighted": {}}}}, "f1"),
+        ],
+    )
+    def test_names_the_file_and_the_missing_key(self, tmp_path, body, key):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        with pytest.raises(CorruptArtifactError) as err:
+            load_report(str(path))
+        assert str(path) in str(err.value)
+        assert repr(key) in str(err.value)
