@@ -15,6 +15,7 @@ from .data import Batch, Corpus, SplitSet, batches, class_counts, encode_split
 from .encoder import (
     EncoderConfig,
     HeadSpec,
+    Packed,
     classify,
     encoder_forward,
     head_view,
@@ -219,10 +220,21 @@ def batch_logits(
     packed = pack(seqs, model.encoder_cfg)
     out: dict[str, Tensor] = {}
     for prefix, tasks in towers(model.regime).items():
-        pooled = encoder_forward(packed, model.params, model.encoder_cfg, training, rng, prefix)
-        for task in tasks:
-            out[task] = classify(pooled, head_view(model.params, task, prefix))
+        out.update(tower_logits(model, packed, prefix, tasks, training, rng))
     return out
+
+
+def tower_logits(
+    model: Model,
+    packed: Packed,
+    prefix: str,
+    tasks: Sequence[str],
+    training: bool = False,
+    rng: Optional[np.random.Generator] = None,
+) -> dict[str, Tensor]:
+    """Logits of `tasks`' heads over one pass of the encoder at `prefix`."""
+    pooled = encoder_forward(packed, model.params, model.encoder_cfg, training, rng, prefix)
+    return {task: classify(pooled, head_view(model.params, task, prefix)) for task in tasks}
 
 
 def weighted_sum(losses: Sequence[Tensor], task_weights: Sequence[float]) -> Tensor:
@@ -292,9 +304,22 @@ def train(
 ) -> tuple[dict[str, Tensor], TrainTrace]:
     """Run the configured regime over the train split.
 
-    Per epoch: seeded shuffle, fixed-size batches, forward, weighted loss,
-    zero grads, backward, clip, AdamW step; validation weighted F1 is
-    recorded after each epoch. Returns the trained parameters and the trace.
+    Per epoch: seeded shuffle and fixed-size batches. A batch is packed
+    once, and each encoder of `towers(regime)` in turn runs its forward,
+    its tasks' losses and the backward of their weighted sum on a tape of
+    its own, so only one encoder's activations are alive at a time. The
+    coupling penalty, when there is one, runs on a further tape through
+    `soft_loss`, with the losses' values as constants, so the objective is
+    `soft_loss`'s. Each parameter enters one op of its encoder's forward,
+    so it gets one gradient term from its encoder and at most one from the
+    penalty, and two terms add the same in either order: the gradients
+    equal one backward of the whole objective bit for bit. Then
+    clip and AdamW step; validation weighted F1 is recorded after each
+    epoch. Returns the trained parameters and the trace.
+
+    A non-finite task loss raises NumericalError naming the task, epoch
+    and batch before its encoder's backward; a non-finite objective or
+    gradient raises before the update, so no parameter changes.
     """
     if not splits.train.records or not splits.val.records:
         raise ContractError("train and validation splits must be non-empty")
@@ -312,6 +337,7 @@ def train(
     train_set = encode_split(splits.train, vocab, model.encoder_cfg.max_len)
     val_set = encode_split(splits.val, vocab, model.encoder_cfg.max_len)
     trace = TrainTrace()
+    task_weight = dict(zip(regime.tasks, regime.task_weights))
 
     for epoch in range(train_cfg.epochs):
         started = time.perf_counter()
@@ -323,18 +349,36 @@ def train(
         seen = 0
         for batch_index, batch in enumerate(epoch_batches):
             zero_grads(model.params)
+            packed = pack(batch.seqs, model.encoder_cfg)
+            loss_values: dict[str, float] = {}
+            predicted: dict[str, np.ndarray] = {}
+            for prefix, tasks in towers(regime).items():
+                with GradTape() as tape:
+                    logits = tower_logits(model, packed, prefix, tasks, True, dropout_rng)
+                    losses = [
+                        compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])
+                        for t in tasks
+                    ]
+                    tower_loss = weighted_sum(losses, [task_weight[t] for t in tasks])
+                for t, loss in zip(tasks, losses):
+                    loss_values[t] = loss.item()
+                    predicted[t] = logits[t].data.argmax(axis=1)
+                if not math.isfinite(tower_loss.item()):
+                    bad = [t for t in tasks if not math.isfinite(loss_values[t])] or tasks
+                    raise NumericalError(
+                        f"non-finite {'+'.join(bad)} loss at epoch {epoch} batch {batch_index}"
+                    )
+                backward(tape, tower_loss)
             with GradTape() as tape:
-                logits = batch_logits(model, batch.seqs, training=True, rng=dropout_rng)
-                task_losses = {
-                    t: compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])
-                    for t in regime.tasks
-                }
-                total = soft_loss([task_losses[t] for t in regime.tasks], model.params, regime)
+                total = soft_loss(
+                    [Tensor(loss_values[t]) for t in regime.tasks], model.params, regime
+                )
             if not math.isfinite(total.item()):
                 raise NumericalError(
-                    f"non-finite loss at epoch {epoch} batch {batch_index}"
+                    f"non-finite objective at epoch {epoch} batch {batch_index}"
                 )
-            backward(tape, total)
+            if len(tape):  # the coupling penalty was recorded
+                backward(tape, total)
             grads = {
                 name: p.grad if p.grad is not None else np.zeros(p.shape)
                 for name, p in model.params.items()
@@ -347,8 +391,8 @@ def train(
             adamw_step(model.params, grads, states, train_cfg.optimizer)
             seen += len(batch)
             for task in regime.tasks:
-                loss_sums[task] += task_losses[task].item() * len(batch)
-                hits[task] += int((logits[task].data.argmax(axis=1) == batch.labels[task]).sum())
+                loss_sums[task] += loss_values[task] * len(batch)
+                hits[task] += int((predicted[task] == batch.labels[task]).sum())
 
         val_preds = _predict(model, val_set)
         val_f1 = {}

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mtlc import mtl
-from mtlc.data import Batch, Corpus, Record, SplitSet, schemas_for_language
+from mtlc.data import Batch, Corpus, Record, SplitSet, batches, encode_split, schemas_for_language
 from mtlc.encoder import EncoderConfig, forward_call_count, reset_forward_calls
 from mtlc.errors import ConfigError, ContractError, NumericalError
-from mtlc.losses import LossConfig, cross_entropy
+from mtlc.losses import LossConfig, compute_loss, cross_entropy
 from mtlc.mtl import (
     RegimeConfig,
     SoftShareConfig,
@@ -22,7 +22,7 @@ from mtlc.mtl import (
     train,
     weighted_sum,
 )
-from mtlc.numcore import GradTape, OptimHyper, Tensor, backward
+from mtlc.numcore import GradTape, OptimHyper, Tensor, backward, child_seed, stream, zero_grads
 from mtlc.text import encode
 
 TASKS = ("sentiment", "offense")
@@ -51,6 +51,51 @@ def toy_encoder(vocab, **over):
 
 def toy_hyper(lr=3e-3):
     return OptimHyper(learning_rate=lr, weight_decay=0.01, clip_norm=1.0)
+
+
+def soft_regime(penalty="frobenius", lam=0.1, weights=None):
+    soft = SoftShareConfig(penalty=penalty, lam=lam, coupled_layer_names=default_coupled_layers(1))
+    return regime_for("soft_share", weights=weights, soft=soft)
+
+
+STEP_BATCH = 16
+
+
+class _StopBeforeUpdate(Exception):
+    pass
+
+
+def first_step_grads(splits, regime, model, vocab, monkeypatch, seed=1):
+    """Run `train` up to its first AdamW step and return the gradients that
+    step was given; no parameter is updated."""
+    seen = {}
+
+    def stop(params, grads, states, hyper):
+        seen.update((name, grad.copy()) for name, grad in grads.items())
+        raise _StopBeforeUpdate
+
+    monkeypatch.setattr(mtl, "adamw_step", stop)
+    tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=seed)
+    with pytest.raises(_StopBeforeUpdate):
+        train(splits, regime, tc, model, vocab)
+    return seen
+
+
+def joint_step_grads(splits, regime, model, vocab, seed=1):
+    """Reference for `first_step_grads`: the same first batch and dropout
+    stream, with every encoder, every loss and the objective on one tape
+    and one backward."""
+    encoded = encode_split(splits.train, vocab, model.encoder_cfg.max_len)
+    batch = batches(encoded, STEP_BATCH, True, child_seed(stream(seed, "shuffle")))[0]
+    zero_grads(model.params)
+    with GradTape() as tape:
+        logits = batch_logits(model, batch.seqs, training=True, rng=stream(seed, "dropout"))
+        losses = [
+            compute_loss(logits[t], batch.labels[t], regime.losses[t], None) for t in regime.tasks
+        ]
+        total = soft_loss(losses, model.params, regime)
+    backward(tape, total)
+    return {name: p.grad for name, p in model.params.items()}
 
 
 class TestRegimeValidation:
@@ -406,6 +451,68 @@ class TestTrain:
             train(toy_splits, regime, tc, model, toy_vocab)
         for name, p in model.params.items():
             assert np.array_equal(p.data, before[name]), name
+
+
+class TestTrainStep:
+    """Each encoder runs forward and backward on a tape of its own, and the
+    coupling penalty on a third; the gradients equal one joint backward."""
+
+    def _model(self, regime, vocab):
+        return build_model(regime, toy_encoder(vocab, d_model=8, n_heads=2, d_ffn=16), N_CLASSES, seed=6)
+
+    @pytest.mark.parametrize(
+        "regime",
+        [
+            regime_for("stl"),
+            regime_for("hard_share", weights=(0.7, 1.3)),
+            soft_regime("frobenius", weights=(0.7, 1.3)),
+            soft_regime("trace_norm", weights=(0.7, 1.3)),
+        ],
+        ids=["stl", "hard_share", "soft_frobenius", "soft_trace_norm"],
+    )
+    def test_gradients_match_one_joint_backward_bit_for_bit(
+        self, regime, toy_splits, toy_vocab, monkeypatch
+    ):
+        got = first_step_grads(
+            toy_splits, regime, self._model(regime, toy_vocab), toy_vocab, monkeypatch
+        )
+        want = joint_step_grads(toy_splits, regime, self._model(regime, toy_vocab), toy_vocab)
+        assert set(got) == set(want)
+        for name, grad in got.items():
+            assert np.array_equal(grad, want[name]), name
+
+    def test_each_soft_tape_holds_one_tower(self, toy_splits, toy_vocab, monkeypatch):
+        regime = soft_regime("trace_norm")
+        model = self._model(regime, toy_vocab)
+        tapes = []
+
+        def recording_backward(tape, loss):
+            watched = {t.name for t in tape._watched.values()}
+            tapes.append((watched, forward_call_count()))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(mtl, "backward", recording_backward)
+        reset_forward_calls()
+        first_step_grads(toy_splits, regime, model, toy_vocab, monkeypatch)
+        assert forward_call_count() == 2 * STEP_BATCH  # one batch per tower
+        (first, _), (second, _), (penalty, _) = tapes
+        assert first and all(name.startswith("tower.sentiment.") for name in first)
+        assert second and all(name.startswith("tower.offense.") for name in second)
+        coupled = {f"tower.{t}.{n}" for t in TASKS for n in regime.soft.coupled_layer_names}
+        assert penalty == coupled
+        # a tower's backward ran before the next tower's forward
+        assert [calls for _, calls in tapes] == [STEP_BATCH, 2 * STEP_BATCH, 2 * STEP_BATCH]
+
+    def test_non_finite_tower_loss_names_its_task(self, toy_splits, toy_vocab):
+        regime = soft_regime("trace_norm")
+        model = self._model(regime, toy_vocab)
+        model.params["tower.offense.pooler_w"].data[0, 0] = float("nan")
+        before = {name: p.data.copy() for name, p in model.params.items()}
+        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=1)
+        with pytest.raises(NumericalError, match="offense loss at epoch 0 batch 0"):
+            train(toy_splits, regime, tc, model, toy_vocab)
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name], equal_nan=True), name
 
 
 class TestEvaluate:
