@@ -1,6 +1,6 @@
 """Training regimes: single-task, hard parameter sharing (one encoder, two
 heads, summed losses), and soft parameter sharing (two towers coupled by a
-Frobenius or trace-norm penalty)."""
+Frobenius or trace-norm penalty, applied as a proximal step)."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .encoder import (
     pack,
     param_shapes,
 )
-from .errors import ConfigError, ContractError, NumericalError
+from .errors import ConfigError, ContractError, NumericalError, ShapeError
 from .losses import ClassWeights, LossConfig, class_weights, compute_loss
 from .metrics import task_report
 from .numcore import (
@@ -34,12 +34,10 @@ from .numcore import (
     adamw_step,
     backward,
     child_seed,
-    concat_rows,
-    frobenius_sq_distance,
     init_states,
     scale,
     stream,
-    trace_norm_penalty,
+    svt,
     zero_grads,
 )
 from .text import TokenSeq, Vocab
@@ -188,19 +186,19 @@ def expected_param_shapes(
 
 def coupled_pairs(
     regime: RegimeConfig, params: Mapping[str, Tensor]
-) -> list[tuple[Tensor, Tensor]]:
-    """Each coupled layer's tensor in the first and in the second tower;
-    none when every task shares one encoder."""
+) -> dict[str, tuple[Tensor, Tensor]]:
+    """Each coupled layer's name -> its tensor in the first and in the
+    second tower; none when every task shares one encoder."""
     prefixes = list(towers(regime))
     if len(prefixes) == 1:
-        return []
+        return {}
     assert regime.soft is not None
     first, second = prefixes
-    pairs = []
+    pairs = {}
     for name in regime.soft.coupled_layer_names:
         if first + name not in params or second + name not in params:
             raise ConfigError(f"coupled layer {name!r} missing from one of the towers")
-        pairs.append((params[first + name], params[second + name]))
+        pairs[name] = (params[first + name], params[second + name])
     return pairs
 
 
@@ -252,29 +250,50 @@ def soft_loss(
     params: Mapping[str, Tensor],
     regime: RegimeConfig,
 ) -> Tensor:
-    """The training objective of every regime: the weighted task-loss sum,
-    plus lambda times the coupling penalty when the regime couples towers.
+    """The differentiable part of every regime's objective: the weighted
+    task-loss sum. A coupling penalty stays off the tape; `couple` applies
+    it as a proximal step after the optimizer's."""
+    return weighted_sum(losses, regime.task_weights)
 
-    Frobenius couples each pair directly; the trace-norm variant penalizes
-    the row-stack of the two matrices.
-    """
-    total = weighted_sum(losses, regime.task_weights)
+
+def frobenius_penalty(a: Tensor, b: Tensor, eta: float) -> None:
+    """Proximal step of eta * ||a - b||_F^2 on one coupled pair, in place:
+    the pair's mean stays and its difference shrinks by 1 / (1 + 4 eta)."""
+    if a.shape != b.shape:
+        raise ShapeError(f"coupled pair shapes disagree: {a.shape} vs {b.shape}")
+    mean = (a.data + b.data) / 2
+    half_diff = (a.data - b.data) / (2 * (1 + 4 * eta))
+    a.data, b.data = mean + half_diff, mean - half_diff
+
+
+def trace_norm_penalty(a: Tensor, b: Tensor, eta: float) -> None:
+    """Proximal step of eta * ||[a; b]||_* on one coupled pair, in place:
+    singular-value thresholding of the row-stack, split back."""
+    stacked = svt(np.concatenate([a.data, b.data]), eta)
+    a.data, b.data = stacked[: a.shape[0]], stacked[a.shape[0] :]
+
+
+def couple(regime: RegimeConfig, params: Mapping[str, Tensor], learning_rate: float) -> None:
+    """The coupling penalty's proximal step, taken after each optimizer step
+    with eta = learning_rate * lambda (a forward-backward split: the task
+    losses take the gradient step, the penalty its proximal operator). At
+    lambda 0 nothing runs, so an uncoupled soft run is a plain AdamW run.
+    A NumericalError names the coupled layer."""
     pairs = coupled_pairs(regime, params)
     if not pairs or regime.soft.lam == 0.0:
-        return total
-    penalty: Optional[Tensor] = None
-    for a, b in pairs:
-        if regime.soft.penalty == FROBENIUS:
-            term = frobenius_sq_distance(a, b)
-        else:
-            term = trace_norm_penalty(concat_rows([a, b]))
-        penalty = term if penalty is None else add(penalty, term)
-    return add(total, scale(penalty, regime.soft.lam))
+        return
+    prox = frobenius_penalty if regime.soft.penalty == FROBENIUS else trace_norm_penalty
+    eta = learning_rate * regime.soft.lam
+    for name, (a, b) in pairs.items():
+        try:
+            prox(a, b, eta)
+        except NumericalError as exc:
+            raise NumericalError(f"coupled layer {name!r}: {exc}") from exc
 
 
 def coupling_distance(model: Model) -> float:
     """Current sum of squared Frobenius distances over the coupled layers."""
-    pairs = coupled_pairs(model.regime, model.params)
+    pairs = coupled_pairs(model.regime, model.params).values()
     return sum((float(((a.data - b.data) ** 2).sum()) for a, b in pairs), 0.0)
 
 
@@ -307,15 +326,12 @@ def train(
     Per epoch: seeded shuffle and fixed-size batches. A batch is packed
     once, and each encoder of `towers(regime)` in turn runs its forward,
     its tasks' losses and the backward of their weighted sum on a tape of
-    its own, so only one encoder's activations are alive at a time. The
-    coupling penalty, when there is one, runs on a further tape through
-    `soft_loss`, with the losses' values as constants, so the objective is
-    `soft_loss`'s. Each parameter enters one op of its encoder's forward,
-    so it gets one gradient term from its encoder and at most one from the
-    penalty, and two terms add the same in either order: the gradients
-    equal one backward of the whole objective bit for bit. Then
-    clip and AdamW step; validation weighted F1 is recorded after each
-    epoch. Returns the trained parameters and the trace.
+    its own, so only one encoder's activations are alive at a time. Each
+    parameter belongs to one encoder, so the gradients equal one backward
+    of `soft_loss` over all encoders bit for bit. Then clip and AdamW
+    step, and `couple` takes the coupling penalty's proximal step;
+    validation weighted F1 is recorded after each epoch. Returns the
+    trained parameters and the trace.
 
     A non-finite task loss raises NumericalError naming the task, epoch
     and batch before its encoder's backward; a non-finite objective or
@@ -369,16 +385,13 @@ def train(
                         f"non-finite {'+'.join(bad)} loss at epoch {epoch} batch {batch_index}"
                     )
                 backward(tape, tower_loss)
-            with GradTape() as tape:
-                total = soft_loss(
-                    [Tensor(loss_values[t]) for t in regime.tasks], model.params, regime
-                )
+            total = soft_loss(
+                [Tensor(loss_values[t]) for t in regime.tasks], model.params, regime
+            )
             if not math.isfinite(total.item()):
                 raise NumericalError(
                     f"non-finite objective at epoch {epoch} batch {batch_index}"
                 )
-            if len(tape):  # the coupling penalty was recorded
-                backward(tape, total)
             grads = {
                 name: p.grad if p.grad is not None else np.zeros(p.shape)
                 for name, p in model.params.items()
@@ -389,6 +402,7 @@ def train(
                         f"non-finite gradient for {name!r} at epoch {epoch} batch {batch_index}"
                     )
             adamw_step(model.params, grads, states, train_cfg.optimizer)
+            couple(regime, model.params, train_cfg.optimizer.learning_rate)
             seen += len(batch)
             for task in regime.tasks:
                 loss_sums[task] += loss_values[task] * len(batch)

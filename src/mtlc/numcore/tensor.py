@@ -334,21 +334,6 @@ def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
     return _record(Tensor(x.data[idx]), (x,), bwd)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    parts = list(parts)
-    heights = [p.shape[0] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-
-    def bwd(g):
-        outs, r = [], 0
-        for h in heights:
-            outs.append(g[r : r + h])
-            r += h
-        return tuple(outs)
-
-    return _record(out, tuple(parts), bwd)
-
-
 # ---------------------------------------------------------------------------
 # reductions with custom stable kernels
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Finite-difference verification harness for taped gradients."""
+"""Verification harnesses: central finite differences for taped gradients,
+and the optimality condition of the trace norm's proximal step."""
 
 from __future__ import annotations
 
@@ -38,3 +39,23 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float((np.abs(analytic - numeric) / denom).max())
+
+
+def svt_residual(w: np.ndarray, w_new: np.ndarray, eta: float, rank_tol: float = 1e-9) -> float:
+    """How far (w - w_new) / eta lies from the trace norm's subdifferential
+    at w_new, {U_r V_r^T + Z : U_r^T Z = 0, Z V_r = 0, ||Z||_2 <= 1}, where
+    U_r, V_r span w_new's singular directions above `rank_tol`. It is 0 up
+    to rounding exactly when w_new = argmin eta ||W'||_* + 1/2 ||W' - w||^2.
+    """
+    g = (w - w_new) / eta
+    u, s, vt = np.linalg.svd(w_new, full_matrices=False)
+    r = int(np.count_nonzero(s > rank_tol))
+    u_r, vt_r = u[:, :r], vt[:r]
+    z = g - u_r @ vt_r
+    return float(
+        max(
+            np.abs(u_r.T @ z).max(initial=0.0),
+            np.abs(z @ vt_r.T).max(initial=0.0),
+            np.linalg.norm(z, 2) - 1.0,
+        )
+    )

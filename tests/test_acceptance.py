@@ -37,7 +37,9 @@ from mtlc.mtl import (
     build_model,
     coupling_distance,
     default_coupled_layers,
+    frobenius_penalty,
     soft_loss,
+    trace_norm_penalty,
     train,
     weighted_sum,
 )
@@ -48,10 +50,8 @@ from mtlc.numcore import (
     Tensor,
     add,
     affine,
-    concat_rows,
     dropout,
     exp,
-    frobenius_sq_distance,
     gather_rows,
     layer_norm_rows,
     log_sum_exp,
@@ -67,13 +67,13 @@ from mtlc.numcore import (
     sub,
     sum_all,
     tanh,
-    trace_norm_penalty,
 )
 from mtlc.toy import materialize
 
-from gradcheck import grad_check
+from gradcheck import grad_check, svt_residual
 
 GRAD_TOL = 1e-4
+PROX_TOL = 1e-12
 N_INSTANCES = 100
 TASKS = ("sentiment", "offense")
 N_CLASSES = {"sentiment": 5, "offense": 6}
@@ -139,14 +139,11 @@ def _numcore_op_cases():
         ("log_sum_exp", lambda x: log_sum_exp(x), (7,)),
         ("sum_all", lambda x: sum_all(x), (3, 4)),
         ("gather_rows", lambda x: sum_all(mul(gather_rows(x, [0, 2, 2]), Tensor(np.arange(12.0).reshape(3, 4)))), (3, 4)),
-        ("concat_rows", lambda x: sum_all(mul(concat_rows([x, x]), Tensor(np.arange(24.0).reshape(6, 4)))), (3, 4)),
         ("reshape", lambda x: sum_all(mul(reshape(x, (4, 3)), Tensor(np.arange(12.0).reshape(4, 3)))), (3, 4)),
         # x feeds all three operands, so every adjoint affine returns is checked
         ("affine", lambda x: sum_all(mul(affine(x, x, reshape(gather_rows(x, [1]), (3,))), Tensor(np.arange(9.0).reshape(3, 3)))), (3, 3)),
         ("layer_norm_rows", lambda x: sum_all(mul(layer_norm_rows(x, Tensor(np.full(4, 1.3)), Tensor(np.full(4, -0.2))), w34)), (3, 4)),
         ("dropout", lambda x: sum_all(mul(dropout(x, 0.4, True, stream(31, "gc-dropout")), w34)), (3, 4)),
-        ("frobenius_sq_distance", lambda x: frobenius_sq_distance(x, rng_tensor(994, (3, 4))), (3, 4)),
-        ("trace_norm_penalty", lambda x: trace_norm_penalty(x), (4, 3)),
     ]
 
 
@@ -205,6 +202,45 @@ def _loss_op_cases():
     ]
 
 
+def _prox_cases():
+    """The coupling penalties' proximal steps, each a function of a seed
+    returning how far its output is from the minimizer's optimality
+    condition."""
+
+    def stacked_svt(a, b, eta):
+        ta, tb = Tensor(a.copy()), Tensor(b.copy())
+        trace_norm_penalty(ta, tb, eta)
+        return svt_residual(np.concatenate([a, b]), np.concatenate([ta.data, tb.data]), eta)
+
+    def trace_case(seed):
+        rng = np.random.default_rng(seed)
+        return stacked_svt(rng.uniform(-2, 2, (4, 3)), rng.uniform(-2, 2, (4, 3)), 1.5)
+
+    def near_zero_repeated_case(seed):
+        # singular values 3, 3, 1e-15 and 0: a repeated pair above eta, two
+        # at or near zero below it
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(8, 4)))
+        v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        w = (u * np.array([3.0, 3.0, 1e-15, 0.0])) @ v.T
+        return stacked_svt(w[:4], w[4:], 0.5)
+
+    def frobenius_case(seed):
+        # the gradient of 1/2 |A'-A|^2 + 1/2 |B'-B|^2 + eta |A'-B'|^2 vanishes
+        rng = np.random.default_rng(seed)
+        a, b, eta = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (3, 4)), 0.7
+        ta, tb = Tensor(a.copy()), Tensor(b.copy())
+        frobenius_penalty(ta, tb, eta)
+        pull = 2 * eta * (ta.data - tb.data)
+        return max(np.abs(ta.data - a + pull).max(), np.abs(tb.data - b - pull).max())
+
+    return [
+        ("trace_norm_penalty", trace_case),
+        ("trace_norm_penalty[near_zero_repeated]", near_zero_repeated_case),
+        ("frobenius_penalty", frobenius_case),
+    ]
+
+
 def test_criterion_1_gradient_suite():
     started = time.perf_counter()
     failures = []
@@ -235,6 +271,11 @@ def test_criterion_1_gradient_suite():
                 )
                 worst = max(worst, grad_check(f, probe, h=1e-5))
         if worst >= GRAD_TOL:
+            failures.append((name, worst))
+
+    for name, residual in _prox_cases():
+        worst = max(residual(seed) for seed in range(N_INSTANCES))
+        if worst >= PROX_TOL:
             failures.append((name, worst))
 
     # end-to-end: full hard-share loss on a 2-sample batch, every parameter
@@ -287,8 +328,8 @@ def test_criterion_1_covers_every_exported_taped_op():
         for name, fn in vars(numcore_tensor).items()
         if inspect.isfunction(fn) and fn.__module__ == numcore_tensor.__name__ and not name.startswith("_")
     }
-    required = taped - {"backward"} | {"frobenius_sq_distance", "trace_norm_penalty"}
-    cases = _numcore_op_cases() + _loss_op_cases() + _encoder_op_cases()
+    required = taped - {"backward"} | {"frobenius_penalty", "trace_norm_penalty"}
+    cases = _numcore_op_cases() + _loss_op_cases() + _encoder_op_cases() + _prox_cases()
     covered = {case[0].split("[")[0] for case in cases}
     assert sorted(required - covered) == []
 

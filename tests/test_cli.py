@@ -3,6 +3,7 @@
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from mtlc.cli import main
@@ -126,6 +127,23 @@ class TestTrain:
         assert main(["train", "--config", str(fast_cfg)]) == 0
         for name, blob in before.items():
             assert (trained_run / name).read_bytes() == blob, name
+
+    def test_failed_svd_names_the_coupled_layer_and_exits_4(
+        self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys
+    ):
+        text = fast_cfg.read_text(encoding="utf-8")
+        text = text.replace(
+            "regime.kind = hard_share", "regime.kind = soft_share\nregime.penalty = trace_norm"
+        ).replace(f"output.dir = {toy_dir}/run_fast", f"output.dir = {tmp_path}/run")
+        cfg = tmp_path / "soft.cfg"
+        cfg.write_text(text, encoding="utf-8")
+
+        def failing_svd(a, full_matrices=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert "coupled layer 'layer0.wq'" in capsys.readouterr().err
 
     def test_invalid_config_exits_2_without_outputs(self, toy_dir, fast_cfg, tmp_path, capsys):
         text = fast_cfg.read_text(encoding="utf-8").replace(

@@ -1,4 +1,6 @@
-"""Frobenius distance and the trace norm."""
+"""The coupling penalties' proximal steps: singular-value thresholding for
+the trace norm, and the closed-form step of the squared Frobenius
+distance (`mtl.frobenius_penalty`)."""
 
 import time
 
@@ -6,17 +8,10 @@ import numpy as np
 import pytest
 
 from mtlc.errors import NumericalError, ShapeError
-from mtlc.numcore import (
-    GradTape,
-    Tensor,
-    backward,
-    concat_rows,
-    frobenius_sq_distance,
-    trace_norm,
-    trace_norm_penalty,
-)
+from mtlc.mtl import frobenius_penalty
+from mtlc.numcore import Tensor, svt
 
-from gradcheck import grad_check
+from gradcheck import svt_residual
 
 # row-stacked tower pairs the default config couples: wq/wk/wv/wo, ffn_w1, ffn_w2
 COUPLED_SHAPES = [(128, 64), (128, 128), (256, 64)]
@@ -28,83 +23,90 @@ def holding(value, shape=(4, 3)):
     return a
 
 
+def stepped(a, b, eta):
+    ta, tb = Tensor(a.copy()), Tensor(b.copy())
+    frobenius_penalty(ta, tb, eta)
+    return ta.data, tb.data
+
+
 class TestFrobeniusSqDistance:
     def test_equal_inputs_zero(self):
         x = np.random.default_rng(0).normal(size=(3, 3))
-        assert frobenius_sq_distance(Tensor(x), Tensor(x)).item() == 0.0
+        a, b = stepped(x, x, 0.5)
+        assert np.array_equal(a, x) and np.array_equal(b, x)
 
     def test_identity_vs_zero(self):
-        d = frobenius_sq_distance(Tensor(np.eye(2)), Tensor(np.zeros((2, 2))))
-        assert d.item() == 2.0
+        a, b = stepped(np.eye(2), np.zeros((2, 2)), 0.25)
+        assert np.array_equal(a - b, np.eye(2) / 2)
+        assert np.array_equal(a + b, np.eye(2))
 
     def test_symmetric(self):
         rng = np.random.default_rng(1)
-        a, b = Tensor(rng.normal(size=(4, 2))), Tensor(rng.normal(size=(4, 2)))
-        assert frobenius_sq_distance(a, b).item() == frobenius_sq_distance(b, a).item()
+        x, y = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        a, b = stepped(x, y, 0.3)
+        b2, a2 = stepped(y, x, 0.3)
+        assert np.array_equal(a, a2) and np.array_equal(b, b2)
 
     def test_gradient_is_two_delta(self):
+        # the proximal step is an implicit gradient step: each side moves by
+        # -eta times the penalty's gradient 2(a' - b') at the new point
         rng = np.random.default_rng(2)
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 3)))
-        with GradTape() as tape:
-            loss = frobenius_sq_distance(a, b)
-        backward(tape, loss)
-        assert np.allclose(a.grad, 2 * (a.data - b.data))
+        x, y = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        a, b = stepped(x, y, 0.7)
+        assert np.abs(a - (x - 0.7 * 2 * (a - b))).max() < 1e-12
+        assert np.abs(b - (y + 0.7 * 2 * (a - b))).max() < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            frobenius_sq_distance(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
+            frobenius_penalty(Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 2))), 0.1)
 
 
 class TestTraceNorm:
     def test_diagonal_case(self):
-        value, _ = trace_norm(np.diag([3.0, -2.0]))
-        assert value == pytest.approx(5.0, abs=1e-12)
+        assert np.abs(svt(np.diag([3.0, -2.0]), 0.5) - np.diag([2.5, -1.5])).max() < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_identity(self, k):
-        value, sub = trace_norm(np.eye(k))
-        assert value == pytest.approx(float(k), abs=1e-12)
-        assert np.allclose(sub, np.eye(k))
+        assert np.abs(svt(np.eye(k), 0.25) - 0.75 * np.eye(k)).max() < 1e-12
+        assert np.array_equal(svt(np.eye(k), 1.5), np.zeros((k, k)))
 
     def test_matches_eigenvalue_oracle(self):
-        # independent route: trace norm = sum of sqrt eigenvalues of W^T W
+        # independent route: W' = W V diag(max(1 - eta / sigma, 0)) V^T from
+        # the eigenvectors V of W^T W (its eigenvalues are sigma^2)
         for shape in [(4, 3), (3, 5), *COUPLED_SHAPES]:
             for seed in range(100 if shape[0] * shape[1] < 100 else 3):
                 w = np.random.default_rng(seed).normal(size=shape)
-                value, _ = trace_norm(w)
-                gram = w.T @ w if shape[0] >= shape[1] else w @ w.T
-                oracle = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None)).sum()
-                assert abs(value - oracle) < 1e-8, (shape, seed)
+                eta = float(np.random.default_rng(seed + 500).uniform(0.1, 2.0))
+                lam, v = np.linalg.eigh(w.T @ w)
+                sigma = np.sqrt(np.clip(lam, 1e-300, None))
+                oracle = w @ (v * np.maximum(1.0 - eta / sigma, 0.0)) @ v.T
+                assert np.abs(svt(w, eta) - oracle).max() < 1e-8, (shape, seed)
 
-    def test_dominates_frobenius_norm(self):
+    def test_shrinks_every_singular_value(self):
         for seed in range(100):
-            shape = np.random.default_rng(seed).integers(1, 6, size=2)
-            w = np.random.default_rng(seed + 1000).normal(size=tuple(shape))
-            value, _ = trace_norm(w)
-            assert value >= np.linalg.norm(w) - 1e-12
+            shape = tuple(np.random.default_rng(seed).integers(1, 6, size=2))
+            w = np.random.default_rng(seed + 1000).normal(size=shape)
+            before = np.linalg.svd(w, compute_uv=False)
+            after = np.linalg.svd(svt(w, 0.4), compute_uv=False)
+            assert np.abs(after - np.maximum(before - 0.4, 0.0)).max() < 1e-12, seed
 
-    def test_subgradient_vs_finite_differences(self):
-        for shape in [(4, 3), (3, 5)]:
-            for seed in range(20):
-                w = Tensor(np.random.default_rng(seed).uniform(-2, 2, size=shape))
-                assert grad_check(lambda t: trace_norm_penalty(t), w) < 1e-5, (shape, seed)
-        # coupled shapes: differences over the first row only, stacked onto
-        # the rest with concat_rows as soft sharing stacks its towers
-        for shape in COUPLED_SHAPES:
-            w = np.random.default_rng(7).uniform(-2, 2, size=shape)
-            rest = Tensor(w[1:])
-            f = lambda t: trace_norm_penalty(concat_rows([t, rest]))
-            assert grad_check(f, Tensor(w[:1])) < 1e-5, shape
+    def test_optimality_condition(self):
+        for shape in [(4, 3), (3, 5), *COUPLED_SHAPES]:
+            for seed in range(20 if shape[0] * shape[1] < 100 else 2):
+                w = np.random.default_rng(seed).uniform(-2, 2, size=shape)
+                # the largest singular values are ~10-20 here: an eta of 2
+                # keeps some directions and thresholds others
+                residual = svt_residual(w, svt(w, 2.0), 2.0)
+                assert residual < 1e-12, (shape, seed, residual)
 
     @pytest.mark.parametrize("shape", [(3, 2), (256, 64)])
     def test_rank_deficient(self, shape):
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=shape[0]), rng.normal(size=shape[1])
-        value, sub = trace_norm(np.outer(x, y))
-        assert value == pytest.approx(np.linalg.norm(x) * np.linalg.norm(y), rel=1e-12)
-        x_hat, y_hat = x / np.linalg.norm(x), y / np.linalg.norm(y)
-        assert np.abs(sub - np.outer(x_hat, y_hat)).max() < 1e-12
+        sigma = np.linalg.norm(x) * np.linalg.norm(y)
+        w = np.outer(x, y)
+        assert np.abs(svt(w, 0.5) - (1 - 0.5 / sigma) * w).max() < 1e-12
+        assert np.array_equal(svt(w, 2 * sigma), np.zeros(shape))
 
     @pytest.mark.parametrize(
         "data, error",
@@ -118,7 +120,7 @@ class TestTraceNorm:
     def test_invalid_input_rejected(self, data, error):
         started = time.perf_counter()
         with pytest.raises(error, match=r"\(\d+(, \d+)?,?\)"):
-            trace_norm(data)
+            svt(data, 0.1)
         assert time.perf_counter() - started < 1.0
 
     def test_lapack_failure_is_numerical_error(self, monkeypatch):
@@ -127,12 +129,4 @@ class TestTraceNorm:
 
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         with pytest.raises(NumericalError, match=r"\(4, 3\)"):
-            trace_norm(np.ones((4, 3)))
-
-    def test_penalty_joins_graph(self):
-        w = Tensor(np.random.default_rng(5).normal(size=(3, 2)), requires_grad=True)
-        with GradTape() as tape:
-            loss = trace_norm_penalty(w)
-        backward(tape, loss)
-        _, sub = trace_norm(w.data)
-        assert np.allclose(w.grad, sub)
+            svt(np.ones((4, 3)), 0.1)

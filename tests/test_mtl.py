@@ -291,42 +291,54 @@ class TestSoftLoss:
         l1, l2 = Tensor(0.43), Tensor(1.17)
         out = soft_loss((l1, l2), model.params, model.regime)
         assert out.item() == 0.43 + 1.17
+        # and no coupling step runs: every parameter keeps its array
+        arrays = {name: p.data for name, p in model.params.items()}
+        mtl.couple(model.regime, model.params, 1.0)
+        assert all(p.data is arrays[name] for name, p in model.params.items())
 
     def test_identical_towers_zero_penalty(self, toy_vocab):
         model = self._soft_model(toy_vocab, lam=5.0)
         t1, t2 = model.regime.tasks
         for name in model.regime.soft.coupled_layer_names:
             model.params[f"tower.{t2}.{name}"].data = model.params[f"tower.{t1}.{name}"].data.copy()
+        before = {name: p.data.copy() for name, p in model.params.items()}
         out = soft_loss((Tensor(1.0), Tensor(2.0)), model.params, model.regime)
         assert out.item() == 3.0
+        mtl.couple(model.regime, model.params, 0.01)
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name
         assert coupling_distance(model) == 0.0
 
     def test_hand_computed_two_layer_case(self, toy_vocab):
         model = self._soft_model(toy_vocab, lam=0.5, coupled=("layer0.wq", "layer0.wk"))
         t1, t2 = model.regime.tasks
-        d1 = d2 = 0.0
-        for name, acc in (("layer0.wq", "d1"), ("layer0.wk", "d2")):
-            a = model.params[f"tower.{t1}.{name}"].data
-            b = model.params[f"tower.{t2}.{name}"].data
-            if acc == "d1":
-                d1 = float(((a - b) ** 2).sum())
-            else:
-                d2 = float(((a - b) ** 2).sum())
+        before = {name: p.data.copy() for name, p in model.params.items()}
         out = soft_loss((Tensor(0.2), Tensor(0.3)), model.params, model.regime)
-        assert out.item() == pytest.approx(0.5 + 0.5 * (d1 + d2), abs=1e-12)
+        assert out.item() == pytest.approx(0.5, abs=1e-12)
+        mtl.couple(model.regime, model.params, 0.2)
+        shrink = 1 / (1 + 4 * 0.2 * 0.5)  # eta = lr * lambda
+        for name in ("layer0.wq", "layer0.wk"):
+            a0, b0 = before[f"tower.{t1}.{name}"], before[f"tower.{t2}.{name}"]
+            a, b = model.params[f"tower.{t1}.{name}"].data, model.params[f"tower.{t2}.{name}"].data
+            assert np.abs((a + b) - (a0 + b0)).max() < 1e-12
+            assert np.abs((a - b) - shrink * (a0 - b0)).max() < 1e-12
+        for name in ("layer0.wv", "layer0.ffn_w1", "pooler_w"):
+            for t in (t1, t2):
+                assert np.array_equal(model.params[f"tower.{t}.{name}"].data, before[f"tower.{t}.{name}"])
 
     def test_trace_norm_penalty_route(self, toy_vocab):
-        from mtlc.numcore import trace_norm
-
         model = self._soft_model(toy_vocab, lam=2.0, penalty="trace_norm", coupled=("layer0.wq",))
         t1, t2 = model.regime.tasks
-        stacked = np.concatenate(
-            [model.params[f"tower.{t1}.layer0.wq"].data, model.params[f"tower.{t2}.layer0.wq"].data],
-            axis=0,
-        )
-        expected, _ = trace_norm(stacked)
+        a, b = model.params[f"tower.{t1}.layer0.wq"], model.params[f"tower.{t2}.layer0.wq"]
+        stacked = np.concatenate([a.data, b.data], axis=0)
+        u, sigma, vt = np.linalg.svd(stacked, full_matrices=False)
+        eta = 0.03 * 2.0
+        assert sigma.min() < eta < sigma.max()  # some directions are cut, some kept
+        expected = u @ np.diag(np.maximum(sigma - eta, 0.0)) @ vt
         out = soft_loss((Tensor(1.0), Tensor(1.0)), model.params, model.regime)
-        assert out.item() == pytest.approx(2.0 + 2.0 * expected, rel=1e-12)
+        assert out.item() == 2.0
+        mtl.couple(model.regime, model.params, 0.03)
+        assert np.abs(np.concatenate([a.data, b.data]) - expected).max() < 1e-12
 
     def test_missing_coupled_layer_named(self, toy_vocab):
         model = self._soft_model(toy_vocab, lam=1.0, coupled=("layer0.wq",))
@@ -338,7 +350,7 @@ class TestSoftLoss:
             soft=SoftShareConfig(penalty="frobenius", lam=1.0, coupled_layer_names=("layer9.wq",)),
         )
         with pytest.raises(ConfigError, match="layer9.wq"):
-            soft_loss((Tensor(1.0), Tensor(1.0)), model.params, regime_bad)
+            mtl.couple(regime_bad, model.params, 0.01)
 
     def test_stl_weight_scales_its_loss(self):
         loss = Tensor(0.83)
@@ -411,6 +423,19 @@ class TestTrain:
             assert 0.0 <= ep.val_weighted_f1["offense"] <= 1.0
             assert ep.wall_seconds > 0
 
+    def test_trace_norm_soft_sharing_trains_at_the_default_lambda(self, toy_splits, toy_vocab):
+        # the toy run's config with soft sharing and the trace norm: as a
+        # subgradient through AdamW, lambda 0.1 shrank every coupled weight
+        # to zero and both tasks stayed at chance (F1 0.067 / 0.039)
+        soft = SoftShareConfig(penalty="trace_norm", coupled_layer_names=default_coupled_layers(1))
+        assert soft.lam == 0.1
+        regime = regime_for("soft_share", soft=soft)
+        model = build_model(regime, toy_encoder(toy_vocab), N_CLASSES, seed=1)
+        tc = TrainConfig(epochs=5, batch_size=16, optimizer=toy_hyper(), seed=1)
+        _, trace = train(toy_splits, regime, tc, model, toy_vocab)
+        f1 = trace.epochs[-1].val_weighted_f1
+        assert f1["sentiment"] >= 0.9 and f1["offense"] >= 0.9, f1
+
     def test_empty_split_rejected(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab)
         regime = regime_for("stl", "sentiment")
@@ -455,7 +480,8 @@ class TestTrain:
 
 class TestTrainStep:
     """Each encoder runs forward and backward on a tape of its own, and the
-    coupling penalty on a third; the gradients equal one joint backward."""
+    gradients equal one joint backward; the coupling penalty stays off the
+    tapes and takes its proximal step after AdamW."""
 
     def _model(self, regime, vocab):
         return build_model(regime, toy_encoder(vocab, d_model=8, n_heads=2, d_ffn=16), N_CLASSES, seed=6)
@@ -495,24 +521,73 @@ class TestTrainStep:
         reset_forward_calls()
         first_step_grads(toy_splits, regime, model, toy_vocab, monkeypatch)
         assert forward_call_count() == 2 * STEP_BATCH  # one batch per tower
-        (first, _), (second, _), (penalty, _) = tapes
+        (first, _), (second, _) = tapes  # no tape for the penalty
         assert first and all(name.startswith("tower.sentiment.") for name in first)
         assert second and all(name.startswith("tower.offense.") for name in second)
-        coupled = {f"tower.{t}.{n}" for t in TASKS for n in regime.soft.coupled_layer_names}
-        assert penalty == coupled
         # a tower's backward ran before the next tower's forward
-        assert [calls for _, calls in tapes] == [STEP_BATCH, 2 * STEP_BATCH, 2 * STEP_BATCH]
+        assert [calls for _, calls in tapes] == [STEP_BATCH, 2 * STEP_BATCH]
 
-    def test_non_finite_tower_loss_names_its_task(self, toy_splits, toy_vocab):
+    @pytest.mark.parametrize("penalty", ["frobenius", "trace_norm"])
+    def test_prox_runs_once_per_coupled_layer_after_adamw(
+        self, penalty, toy_splits, toy_vocab, monkeypatch
+    ):
+        regime = soft_regime(penalty, lam=0.5)
+        model = self._model(regime, toy_vocab)
+        name_of = {id(p): name for name, p in model.params.items()}
+        events = []
+        real_step, real_prox = mtl.adamw_step, getattr(mtl, f"{penalty}_penalty")
+
+        def recording_step(*args):
+            events.append("adamw")
+            return real_step(*args)
+
+        def recording_prox(a, b, eta):
+            events.append((name_of[id(a)], name_of[id(b)], eta))
+            return real_prox(a, b, eta)
+
+        monkeypatch.setattr(mtl, "adamw_step", recording_step)
+        monkeypatch.setattr(mtl, f"{penalty}_penalty", recording_prox)
+        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(lr=0.002), seed=1)
+        train(toy_splits, regime, tc, model, toy_vocab)
+        step = ["adamw"] + [
+            (f"tower.sentiment.{name}", f"tower.offense.{name}", 0.002 * 0.5)
+            for name in regime.soft.coupled_layer_names
+        ]
+        n_steps = -(-len(toy_splits.train.records) // STEP_BATCH)
+        assert events == step * n_steps
+
+    def test_non_finite_tower_loss_names_its_task(self, toy_splits, toy_vocab, monkeypatch):
         regime = soft_regime("trace_norm")
         model = self._model(regime, toy_vocab)
         model.params["tower.offense.pooler_w"].data[0, 0] = float("nan")
         before = {name: p.data.copy() for name, p in model.params.items()}
+        for name in ("adamw_step", "trace_norm_penalty"):
+            monkeypatch.setattr(mtl, name, None)  # calling either fails the test
         tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=1)
         with pytest.raises(NumericalError, match="offense loss at epoch 0 batch 0"):
             train(toy_splits, regime, tc, model, toy_vocab)
         for name, p in model.params.items():
             assert np.array_equal(p.data, before[name], equal_nan=True), name
+
+    def test_non_finite_gradient_stops_before_adamw_and_the_prox(
+        self, toy_splits, toy_vocab, monkeypatch
+    ):
+        regime = soft_regime("trace_norm")
+        model = self._model(regime, toy_vocab)
+        before = {name: p.data.copy() for name, p in model.params.items()}
+
+        def poisoned_backward(tape, loss):
+            backward(tape, loss)
+            model.params["tower.sentiment.layer0.wq"].grad[0, 0] = float("nan")
+
+        monkeypatch.setattr(mtl, "backward", poisoned_backward)
+        for name in ("adamw_step", "trace_norm_penalty"):
+            monkeypatch.setattr(mtl, name, None)
+        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=1)
+        with pytest.raises(NumericalError, match="'tower.sentiment.layer0.wq' at epoch 0 batch 0"):
+            train(toy_splits, regime, tc, model, toy_vocab)
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name
 
 
 class TestEvaluate:

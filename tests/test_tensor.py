@@ -13,7 +13,6 @@ from mtlc.numcore import (
     add,
     affine,
     backward,
-    concat_rows,
     dropout,
     gather_rows,
     layer_norm_rows,
@@ -236,10 +235,6 @@ class TestShapingOps:
     def test_gather_rows_range_check(self):
         with pytest.raises(ContractError):
             gather_rows(Tensor(np.eye(2)), [0, 2])
-
-    def test_slice_concat_partition(self):
-        x = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(concat_rows([Tensor(x[:1]), Tensor(x[1:])]).data, x)
 
 
 class TestLayerNorm:
