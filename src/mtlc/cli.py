@@ -27,7 +27,6 @@ from .data import (
     split_manifest,
     stratified_split,
 )
-from .encoder import HeadSpec
 from .errors import (
     ConfigError,
     ContractError,
@@ -36,7 +35,7 @@ from .errors import (
     MtlcError,
     NumericalError,
 )
-from .metrics import MetricsReport, build_report, format_report, load_report, report_to_dict
+from .metrics import TaskReport, build_report, format_report, load_report, report_to_dict
 from .mtl import Model, TrainTrace, build_model, evaluate, expected_param_shapes, train
 from .numcore import Tensor
 from .text import build_vocab, load_vocab, save_vocab
@@ -44,8 +43,7 @@ from .text import build_vocab, load_vocab, save_vocab
 CHECKPOINT_NAME = "checkpoint.mtlc"
 VOCAB_NAME = "vocab.txt"
 TRACE_NAME = "trace.tsv"
-REPORT_JSON = "report.json"
-REPORT_TEXT = "report.txt"
+REPORT = "report"  # report.json and report.txt
 
 
 def _write_text(path: str, text: str) -> None:
@@ -94,12 +92,12 @@ def cmd_split(args) -> int:
     if args.sentiment_input or args.offense_input:
         if not (args.sentiment_input and args.offense_input):
             raise ConfigError("--sentiment-input and --offense-input must be given together")
-        corpus, report = merge_task_files(
+        corpus, sentiment_only, offense_only = merge_task_files(
             args.sentiment_input, args.offense_input, schemas, args.language
         )
         print(
-            f"merge: dropped {report.dropped_first_only} sentiment-only and "
-            f"{report.dropped_second_only} offense-only comments",
+            f"merge: dropped {sentiment_only} sentiment-only and "
+            f"{offense_only} offense-only comments",
             file=sys.stderr,
         )
     elif args.input:
@@ -167,22 +165,44 @@ def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model
             )
     # evaluation only: frozen parameters put nothing on any tape
     params = {name: Tensor(arrays[name], name=name) for name in arrays}
-    heads = {task: HeadSpec(task=task, n_classes=n_classes[task]) for task in cfg.regime.tasks}
-    model = Model(regime=cfg.regime, encoder_cfg=enc_cfg, heads=heads, params=params)
+    model = Model(regime=cfg.regime, encoder_cfg=enc_cfg, params=params)
     return model, cfg, vocab
 
 
-def _report_for(model: Model, corpus: Corpus, vocab) -> MetricsReport:
+def _report_for(model: Model, corpus: Corpus, vocab) -> dict[str, TaskReport]:
     preds = evaluate(model, corpus, vocab)
     golds = {task: [rec.labels[task] for rec in corpus.records] for task in model.regime.tasks}
     schemas = {task: corpus.schemas[task].classes for task in model.regime.tasks}
     return build_report(golds, preds, schemas)
 
 
+def _write_report(
+    out_dir: str, stem: str, report: dict[str, TaskReport], tasks: Sequence[str], label: str
+) -> None:
+    """Write `<stem>.json` and `<stem>.txt`; print each weighted F1 in `tasks` order."""
+    _write_text(
+        os.path.join(out_dir, stem + ".json"),
+        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
+    )
+    _write_text(os.path.join(out_dir, stem + ".txt"), format_report(report))
+    for task in tasks:
+        print(f"{task} {label} = {report[task].weighted.f1:.5f}")
+
+
+def _read_config(path: str) -> str:
+    """The config file's text without a BOM; a ConfigError if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {path!r} is not UTF-8 text ({err.reason})") from None
+    except OSError as err:
+        raise ConfigError(f"cannot read config {path!r}: {err.strerror}") from None
+
+
 def cmd_train(args) -> int:
     seed_override = _resolve_seed(args.seed)
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = load_config(fh.read(), seed_override=seed_override, check_paths=True)
+    cfg = load_config(_read_config(args.config), seed_override=seed_override, check_paths=True)
     splits = _load_split_corpora(cfg)
     vocab = build_vocab(
         (rec.text for rec in splits.train.records),
@@ -191,8 +211,7 @@ def cmd_train(args) -> int:
         max_size=cfg.max_size,
     )
     enc_cfg = dataclasses.replace(cfg.encoder, vocab_size=len(vocab))
-    schemas = schemas_for_language(cfg.language)
-    n_classes = {task: schemas[task].n_classes for task in cfg.regime.tasks}
+    n_classes = {task: splits.train.schemas[task].n_classes for task in cfg.regime.tasks}
     model = build_model(cfg.regime, enc_cfg, n_classes, cfg.train_cfg.seed)
     params, trace = train(splits, cfg.regime, cfg.train_cfg, model, vocab)
 
@@ -208,14 +227,7 @@ def cmd_train(args) -> int:
     # checkpoint so cmd_evaluate reproduces these numbers exactly
     saved_model, _, saved_vocab = _model_from_checkpoint(checkpoint_path, vocab_path)
     report = _report_for(saved_model, splits.val, saved_vocab)
-    _write_text(
-        os.path.join(out, REPORT_JSON),
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-    )
-    _write_text(os.path.join(out, REPORT_TEXT), format_report(report))
-
-    for task in cfg.regime.tasks:
-        print(f"{task} validation weighted F1 = {report.tasks[task].weighted.f1:.5f}")
+    _write_report(out, REPORT, report, cfg.regime.tasks, "validation weighted F1")
     return 0
 
 
@@ -235,13 +247,7 @@ def cmd_evaluate(args) -> int:
 
     out_dir = args.out_dir or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)
-    _write_text(
-        os.path.join(out_dir, "eval_report.json"),
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-    )
-    _write_text(os.path.join(out_dir, "eval_report.txt"), format_report(report))
-    for task in cfg.regime.tasks:
-        print(f"{task} weighted F1 = {report.tasks[task].weighted.f1:.5f}")
+    _write_report(out_dir, "eval_report", report, cfg.regime.tasks, "weighted F1")
     return 0
 
 
@@ -254,7 +260,7 @@ def cmd_report(args) -> int:
     run_dirs = [r.strip() for r in args.runs.split(",") if r.strip()]
     if not run_dirs:
         raise ConfigError("--runs needs at least one run directory")
-    reports = [load_report(os.path.join(run, REPORT_JSON)) for run in run_dirs]
+    reports = [load_report(os.path.join(run, REPORT + ".json")) for run in run_dirs]
     names = [os.path.basename(os.path.normpath(run)) or run for run in run_dirs]
     tasks = dict.fromkeys(task for rep in reports for task in rep)
 

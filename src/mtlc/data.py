@@ -105,12 +105,6 @@ class SplitSet:
     test: Corpus
 
 
-@dataclass
-class MergeReport:
-    dropped_first_only: int
-    dropped_second_only: int
-
-
 def _norm_text(text: str) -> str:
     # the reader drops a BOM only at the start of a file, so a comment that
     # began with U+FEFF would lose it once written first: trim it like whitespace
@@ -122,12 +116,15 @@ def _norm_text(text: str) -> str:
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     rows = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            rows.append((lineno, line.split("\t")))
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                rows.append((lineno, line.split("\t")))
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text ({err.reason})") from None
     if not rows:
         raise DataError(f"{path}: file contains no rows")
     return rows
@@ -203,8 +200,9 @@ def merge_task_files(
     offense_path: str,
     schemas: dict[str, LabelSchema],
     language: str,
-) -> tuple[Corpus, MergeReport]:
-    """Inner-join two 2-column task files on exact (normalized) text."""
+) -> tuple[Corpus, int, int]:
+    """Inner-join two 2-column task files on exact (normalized) text. Returns
+    the corpus and the count of distinct texts each file lost to the join."""
     sent_rows = _ingest(sentiment_path, _read_rows(sentiment_path), [schemas[SENTIMENT_TASK]])
     off_rows = _ingest(offense_path, _read_rows(offense_path), [schemas[OFFENSE_TASK]])
     sent_map: dict[str, int] = {}
@@ -218,11 +216,8 @@ def merge_task_files(
         Record(text=t, labels={SENTIMENT_TASK: sent_map[t], OFFENSE_TASK: off_map[t]})
         for t in shared
     ]
-    report = MergeReport(
-        dropped_first_only=len(sent_map) - len(shared),
-        dropped_second_only=len(off_map) - len(shared),
-    )
-    return Corpus(records=records, schemas=dict(schemas), language=language), report
+    corpus = Corpus(records=records, schemas=dict(schemas), language=language)
+    return corpus, len(sent_map) - len(shared), len(off_map) - len(shared)
 
 
 def class_counts(corpus: Corpus, task: str) -> list[int]:

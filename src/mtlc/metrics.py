@@ -50,11 +50,6 @@ class TaskReport:
     total_support: int
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    tasks: dict[str, TaskReport]
-
-
 def confusion(golds: Sequence[int], preds: Sequence[int], n_classes: int) -> np.ndarray:
     """Count matrix with entry [gold, predicted]."""
     if len(golds) != len(preds):
@@ -111,18 +106,17 @@ def build_report(
     golds: Mapping[str, Sequence[int]],
     preds: Mapping[str, Sequence[int]],
     schemas: Mapping[str, Sequence[str]],
-) -> MetricsReport:
-    """Assemble per-task reports; `schemas` maps task -> ordered class names."""
+) -> dict[str, TaskReport]:
+    """Per-task reports in sorted task order; `schemas` maps task -> class names."""
     if set(golds) != set(preds) or not set(golds) <= set(schemas):
         raise ContractError(
             f"task mismatch: golds {sorted(golds)}, preds {sorted(preds)}, "
             f"schemas {sorted(schemas)}"
         )
-    tasks = {
+    return {
         task: task_report(task, list(schemas[task]), golds[task], preds[task])
         for task in sorted(golds)
     }
-    return MetricsReport(tasks=tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +132,10 @@ def _rounded(scores: ClassScores | Averages) -> dict:
     return {key: _round(getattr(scores, key)) for key in ("precision", "recall", "f1")}
 
 
-def report_to_dict(report: MetricsReport) -> dict:
+def report_to_dict(report: Mapping[str, TaskReport]) -> dict:
     """JSON-ready dict; the only place scores are rounded."""
     out: dict = {"tasks": {}}
-    for task, tr in report.tasks.items():
+    for task, tr in report.items():
         out["tasks"][task] = {
             "labels": list(tr.labels),
             "per_class": [
@@ -200,10 +194,10 @@ def load_report(path: str) -> dict[str, TaskF1]:
     return out
 
 
-def format_report(report: MetricsReport) -> str:
+def format_report(report: Mapping[str, TaskReport]) -> str:
     """Aligned text table: class rows plus macro and weighted rows per task."""
     lines = []
-    for task, tr in report.tasks.items():
+    for task, tr in report.items():
         lines.append(f"== {task} ==")
         width = max([len("Weighted average")] + [len(label) for label in tr.labels])
         header = f"{'':<{width}}  {'P':>8}  {'R':>8}  {'F1':>8}  {'support':>8}"

@@ -5,7 +5,6 @@ Frobenius or trace-norm penalty, applied as a proximal step)."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -128,7 +127,6 @@ class EpochStats:
     train_loss: dict[str, float]
     train_accuracy: dict[str, float]
     val_weighted_f1: dict[str, float]
-    wall_seconds: float
 
 
 @dataclass
@@ -145,7 +143,6 @@ class Model:
 
     regime: RegimeConfig
     encoder_cfg: EncoderConfig
-    heads: dict[str, HeadSpec]
     params: dict[str, Tensor]
 
 
@@ -169,7 +166,7 @@ def build_model(
     for prefix, tasks in towers(regime).items():
         params.update(init_params(encoder_cfg, [heads[t] for t in tasks], seed, prefix=prefix))
     coupled_pairs(regime, params)  # a coupled layer missing from a tower fails at build
-    return Model(regime=regime, encoder_cfg=encoder_cfg, heads=heads, params=params)
+    return Model(regime=regime, encoder_cfg=encoder_cfg, params=params)
 
 
 def expected_param_shapes(
@@ -314,6 +311,18 @@ def _class_weight_table(
     return table
 
 
+def _check_heads(model: Model, split: Corpus) -> None:
+    """A ContractError unless each head's `b_out` has one entry per class of the split."""
+    for prefix, tasks in towers(model.regime).items():
+        for task in tasks:
+            if task not in split.schemas:
+                raise ContractError(f"split has no labels for task {task!r}")
+            want = split.schemas[task].n_classes
+            have = head_view(model.params, task, prefix)["b_out"].shape[0]
+            if have != want:
+                raise ContractError(f"head for {task!r} has {have} classes but schema has {want}")
+
+
 def train(
     splits: SplitSet,
     regime: RegimeConfig,
@@ -339,13 +348,7 @@ def train(
     """
     if not splits.train.records or not splits.val.records:
         raise ContractError("train and validation splits must be non-empty")
-    for task in regime.tasks:
-        want = splits.train.schemas[task].n_classes
-        have = model.heads[task].n_classes
-        if want != have:
-            raise ContractError(
-                f"head for {task!r} has {have} classes but schema has {want}"
-            )
+    _check_heads(model, splits.train)
     states = init_states(model.params)
     weights = _class_weight_table(regime, splits.train)
     shuffle_rng = stream(train_cfg.seed, "shuffle")
@@ -356,18 +359,15 @@ def train(
     task_weight = dict(zip(regime.tasks, regime.task_weights))
 
     for epoch in range(train_cfg.epochs):
-        started = time.perf_counter()
         epoch_batches = batches(
             train_set, train_cfg.batch_size, train_cfg.shuffle, child_seed(shuffle_rng)
         )
         loss_sums = {task: 0.0 for task in regime.tasks}
         hits = {task: 0 for task in regime.tasks}
-        seen = 0
         for batch_index, batch in enumerate(epoch_batches):
             zero_grads(model.params)
             packed = pack(batch.seqs, model.encoder_cfg)
             loss_values: dict[str, float] = {}
-            predicted: dict[str, np.ndarray] = {}
             for prefix, tasks in towers(regime).items():
                 with GradTape() as tape:
                     logits = tower_logits(model, packed, prefix, tasks, True, dropout_rng)
@@ -378,7 +378,8 @@ def train(
                     tower_loss = weighted_sum(losses, [task_weight[t] for t in tasks])
                 for t, loss in zip(tasks, losses):
                     loss_values[t] = loss.item()
-                    predicted[t] = logits[t].data.argmax(axis=1)
+                    loss_sums[t] += loss_values[t] * len(batch)
+                    hits[t] += int((logits[t].data.argmax(axis=1) == batch.labels[t]).sum())
                 if not math.isfinite(tower_loss.item()):
                     bad = [t for t in tasks if not math.isfinite(loss_values[t])] or tasks
                     raise NumericalError(
@@ -403,10 +404,6 @@ def train(
                     )
             adamw_step(model.params, grads, states, train_cfg.optimizer)
             couple(regime, model.params, train_cfg.optimizer.learning_rate)
-            seen += len(batch)
-            for task in regime.tasks:
-                loss_sums[task] += loss_values[task] * len(batch)
-                hits[task] += int((predicted[task] == batch.labels[task]).sum())
 
         val_preds = _predict(model, val_set)
         val_f1 = {}
@@ -417,10 +414,9 @@ def train(
             val_f1[task] = tr.weighted.f1
         trace.epochs.append(
             EpochStats(
-                train_loss={t: loss_sums[t] / seen for t in regime.tasks},
-                train_accuracy={t: hits[t] / seen for t in regime.tasks},
+                train_loss={t: loss_sums[t] / len(train_set) for t in regime.tasks},
+                train_accuracy={t: hits[t] / len(train_set) for t in regime.tasks},
                 val_weighted_f1=val_f1,
-                wall_seconds=time.perf_counter() - started,
             )
         )
     return model.params, trace
@@ -467,12 +463,5 @@ def evaluate(model: Model, split: Corpus, vocab: Vocab) -> dict[str, list[int]]:
 
     Ties break to the lowest class index. Results are in corpus order.
     """
-    for task in model.regime.tasks:
-        if task not in split.schemas:
-            raise ContractError(f"split has no labels for task {task!r}")
-        if split.schemas[task].n_classes != model.heads[task].n_classes:
-            raise ContractError(
-                f"schema/head class count mismatch for {task!r}: "
-                f"{split.schemas[task].n_classes} vs {model.heads[task].n_classes}"
-            )
+    _check_heads(model, split)
     return _predict(model, encode_split(split, vocab, model.encoder_cfg.max_len))

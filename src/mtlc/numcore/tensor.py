@@ -185,31 +185,24 @@ def _unbroadcast(g: Array, shape: tuple) -> Array:
     return g.reshape(shape)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 
 
-def add(a: Tensor, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
     sa, sb = a.shape, b.shape
     return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
     sa, sb = a.shape, b.shape
     return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
-def mul(a: Tensor, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     out = Tensor(ad * bd)
     return _record(

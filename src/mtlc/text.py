@@ -11,7 +11,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import ContractError, DataError
 
@@ -29,9 +29,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK)
 
 
 @dataclass(frozen=True)
@@ -109,11 +106,6 @@ def encode(text: str, vocab: Vocab, max_len: int) -> TokenSeq:
     return TokenSeq(ids=ids, mask=mask, raw_length=len(tokens))
 
 
-def decode(ids: Sequence[int], vocab: Vocab) -> list[str]:
-    """Tokens for `ids` with the special ids stripped (round-trip helper)."""
-    return [vocab.id_to_token[i] for i in ids if i > SEP]
-
-
 def save_vocab(vocab: Vocab, path: str) -> None:
     lines = [VOCAB_FORMAT_VERSION, vocab.mode]
     for token in vocab.id_to_token[len(SPECIAL_TOKENS) :]:
@@ -125,8 +117,11 @@ def save_vocab(vocab: Vocab, path: str) -> None:
 
 
 def load_vocab(path: str) -> Vocab:
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        raw = fh.read()
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: vocabulary file is not UTF-8 text ({err.reason})") from None
     lines = raw.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -145,6 +145,39 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 4
         assert "coupled layer 'layer0.wq'" in capsys.readouterr().err
 
+    def test_stdout_lists_validation_f1_in_task_order(self, toy_dir, fast_cfg, tmp_path, capsys):
+        # the report sorts its tasks; stdout follows the config's task order
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            fast_cfg.read_text(encoding="utf-8")
+            .replace(f"output.dir = {toy_dir}/run_fast", f"output.dir = {tmp_path}/run")
+            .replace("train.epochs = 2", "train.epochs = 1"),
+            encoding="utf-8",
+        )
+        assert main(["train", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+        assert capsys.readouterr().out.splitlines() == [
+            f"{task} validation weighted F1 = {report['tasks'][task]['weighted']['f1']:.5f}"
+            for task in ("sentiment", "offense")
+        ]
+
+    def test_config_with_a_bom_trains(self, toy_dir, fast_cfg, tmp_path):
+        text = (
+            fast_cfg.read_text(encoding="utf-8")
+            .replace(f"output.dir = {toy_dir}/run_fast", f"output.dir = {tmp_path}/run")
+            .replace("train.epochs = 2", "train.epochs = 1")
+        )
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text("\ufeff" + text, encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert (tmp_path / "run" / "checkpoint.mtlc").exists()
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "a_directory"])
+    def test_unreadable_config_path_exits_2_naming_it(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
+        assert main(["train", "--config", str(tmp_path / name)]) == 2
+        assert str(tmp_path / name) in capsys.readouterr().err
+
     def test_invalid_config_exits_2_without_outputs(self, toy_dir, fast_cfg, tmp_path, capsys):
         text = fast_cfg.read_text(encoding="utf-8").replace(
             "train.batch_size = 16", "train.batch_size = 13"
@@ -223,6 +256,17 @@ class TestEvaluate:
         baseline = (trained_run / "report.json").read_bytes()
         evaluated = (trained_run / "eval_report.json").read_bytes()
         assert baseline == evaluated
+
+    def test_stdout_lists_weighted_f1_in_task_order(self, toy_dir, trained_run, tmp_path, capsys):
+        checkpoint = str(trained_run / "checkpoint.mtlc")
+        data = str(toy_dir / "test.tsv")
+        out = str(tmp_path)
+        assert main(["evaluate", "--checkpoint", checkpoint, "--data", data, "--out-dir", out]) == 0
+        report = json.loads((tmp_path / "eval_report.json").read_text(encoding="utf-8"))
+        assert capsys.readouterr().out.splitlines() == [
+            f"{task} weighted F1 = {report['tasks'][task]['weighted']['f1']:.5f}"
+            for task in ("sentiment", "offense")
+        ]
 
     def test_corrupt_checkpoint_exits_5(self, trained_run, tmp_path, toy_dir, capsys):
         blob = bytearray((trained_run / "checkpoint.mtlc").read_bytes())
@@ -397,6 +441,54 @@ class TestReport:
         )
         others = next(row for row in rows if row[1] == "Offensive targeted others")
         assert others[2:] == (["1.00000", ""] if kn_first else ["", "1.00000"])
+
+
+class TestNonUtf8Input:
+    """Each input file that is not UTF-8 text ends in an error naming it."""
+
+    LATIN1_ROW = "caf\u00e9\tPositive\tNot offensive\n".encode("latin-1")
+
+    def test_split_input_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "corpus.tsv"
+        bad.write_bytes(self.LATIN1_ROW)
+        assert main(["split", "--input", str(bad), "--out-dir", str(tmp_path / "o")]) == 3
+        assert str(bad) in capsys.readouterr().err
+
+    def test_train_config_exits_2(self, toy_dir, fast_cfg, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(fast_cfg.read_bytes() + "# caf\u00e9\n".encode("latin-1"))
+        assert main(["train", "--config", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_train_data_exits_3(self, toy_dir, fast_cfg, tmp_path, capsys):
+        bad = tmp_path / "train.tsv"
+        bad.write_bytes((toy_dir / "train.tsv").read_bytes() + self.LATIN1_ROW)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            fast_cfg.read_text(encoding="utf-8")
+            .replace(f"data.train = {toy_dir}/train.tsv", f"data.train = {bad}")
+            .replace(f"output.dir = {toy_dir}/run_fast", f"output.dir = {tmp_path}/never"),
+            encoding="utf-8",
+        )
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_evaluate_data_exits_3(self, trained_run, tmp_path, capsys):
+        bad = tmp_path / "test.tsv"
+        bad.write_bytes(self.LATIN1_ROW)
+        checkpoint = str(trained_run / "checkpoint.mtlc")
+        assert main(["evaluate", "--checkpoint", checkpoint, "--data", str(bad)]) == 3
+        assert str(bad) in capsys.readouterr().err
+
+    def test_evaluate_vocab_exits_3(self, toy_dir, trained_run, tmp_path, capsys):
+        bad = tmp_path / "vocab.txt"
+        bad.write_bytes((trained_run / "vocab.txt").read_bytes() + "\u00e9\n".encode("latin-1"))
+        checkpoint = str(trained_run / "checkpoint.mtlc")
+        data = str(toy_dir / "val.tsv")
+        code = main(["evaluate", "--checkpoint", checkpoint, "--data", data, "--vocab", str(bad)])
+        assert code == 3
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestHeapSetting:

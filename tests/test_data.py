@@ -162,26 +162,26 @@ class TestMergeTaskFiles:
     def test_identical_text_sets(self, tmp_path):
         sent = write(tmp_path, "s.tsv", "one\tPositive\ntwo\tNegative\n")
         off = write(tmp_path, "o.tsv", "one\tNot offensive\ntwo\tOther language\n")
-        corpus, report = merge_task_files(sent, off, SCHEMAS, "kannada")
+        corpus, sentiment_only, offense_only = merge_task_files(sent, off, SCHEMAS, "kannada")
         assert len(corpus) == 2
-        assert report.dropped_first_only == 0 and report.dropped_second_only == 0
+        assert sentiment_only == 0 and offense_only == 0
 
     def test_disjoint_sets(self, tmp_path):
         sent = write(tmp_path, "s.tsv", "one\tPositive\n")
         off = write(tmp_path, "o.tsv", "two\tNot offensive\n")
-        corpus, report = merge_task_files(sent, off, SCHEMAS, "kannada")
+        corpus, sentiment_only, offense_only = merge_task_files(sent, off, SCHEMAS, "kannada")
         assert len(corpus) == 0
-        assert (report.dropped_first_only, report.dropped_second_only) == (1, 1)
+        assert (sentiment_only, offense_only) == (1, 1)
 
     def test_partial_overlap(self, tmp_path):
         sent_lines = [f"t{i}\tPositive" for i in range(10)]
         off_lines = [f"t{i}\tNot offensive" for i in range(4, 12)]
         sent = write(tmp_path, "s.tsv", "\n".join(sent_lines) + "\n")
         off = write(tmp_path, "o.tsv", "\n".join(off_lines) + "\n")
-        corpus, report = merge_task_files(sent, off, SCHEMAS, "kannada")
+        corpus, sentiment_only, offense_only = merge_task_files(sent, off, SCHEMAS, "kannada")
         assert len(corpus) == 6
-        assert report.dropped_first_only == 4
-        assert report.dropped_second_only == 2
+        assert sentiment_only == 4
+        assert offense_only == 2
 
 
 class TestStratifiedSplit:

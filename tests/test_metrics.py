@@ -178,7 +178,7 @@ class TestBuildReport:
     def test_perfect_two_task_report(self):
         golds = {"sentiment": [0, 1, 2], "offense": [1, 1, 0]}
         report = build_report(golds, golds, {"sentiment": ["a", "b", "c"], "offense": ["x", "y"]})
-        for tr in report.tasks.values():
+        for tr in report.values():
             assert tr.weighted.f1 == 1.0
             assert tr.macro.recall <= 1.0
             for cs in tr.per_class:
@@ -201,11 +201,11 @@ class TestBuildReport:
         golds = {"t": [0] * 2 + [1]}
         preds = {"t": [0, 1, 1]}
         report = build_report(golds, preds, {"t": ["a", "b"]})
-        raw = report.tasks["t"].per_class[0].precision
+        raw = report["t"].per_class[0].precision
         assert raw == 1.0  # internal full precision
         d = report_to_dict(report)
         assert d["tasks"]["t"]["per_class"][0]["precision"] == 1.0
-        assert d["tasks"]["t"]["macro"]["f1"] == round(report.tasks["t"].macro.f1, 5)
+        assert d["tasks"]["t"]["macro"]["f1"] == round(report["t"].macro.f1, 5)
 
     def test_dict_structure_stable(self):
         golds = {"t": [0, 1]}

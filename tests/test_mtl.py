@@ -421,7 +421,6 @@ class TestTrain:
             assert set(ep.train_loss) == {"offense"}
             assert 0.0 <= ep.train_accuracy["offense"] <= 1.0
             assert 0.0 <= ep.val_weighted_f1["offense"] <= 1.0
-            assert ep.wall_seconds > 0
 
     def test_trace_norm_soft_sharing_trains_at_the_default_lambda(self, toy_splits, toy_vocab):
         # the toy run's config with soft sharing and the trace norm: as a
@@ -435,6 +434,16 @@ class TestTrain:
         _, trace = train(toy_splits, regime, tc, model, toy_vocab)
         f1 = trace.epochs[-1].val_weighted_f1
         assert f1["sentiment"] >= 0.9 and f1["offense"] >= 0.9, f1
+
+    @pytest.mark.parametrize(
+        "regime", [regime_for("hard_share"), soft_regime()], ids=["hard", "soft"]
+    )
+    def test_head_class_count_comes_from_its_weights(self, toy_splits, toy_vocab, regime):
+        cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2)
+        model = build_model(regime, cfg, {**N_CLASSES, "offense": 5}, seed=0)
+        tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=0)
+        with pytest.raises(ContractError, match="'offense' has 5 classes but schema has 6"):
+            train(toy_splits, regime, tc, model, toy_vocab)
 
     def test_empty_split_rejected(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab)
@@ -700,7 +709,7 @@ class TestEvaluate:
         cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2, d_ffn=16, dropout_p=0.0)
         model = build_model(regime_for("hard_share"), cfg, N_CLASSES, seed=0)
         word = toy_vocab.id_to_token[4]
-        model.params["tok_emb"].data[toy_vocab.lookup(word)] = np.nan
+        model.params["tok_emb"].data[toy_vocab.token_to_id[word]] = np.nan
         schemas = schemas_for_language("kannada")
         texts = ["u"] * 6 + [word] + ["u u"] * 3  # only comment 6 sees the NaN row
         records = [Record(text=t, labels={"sentiment": 0, "offense": 0}) for t in texts]

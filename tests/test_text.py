@@ -9,7 +9,6 @@ from mtlc.text import (
     SEP,
     UNK,
     build_vocab,
-    decode,
     encode,
     load_vocab,
     save_vocab,
@@ -107,7 +106,7 @@ class TestEncode:
 
     def test_round_trip_for_in_vocab_text(self, vocab):
         seq = encode("a b a", vocab, 8)
-        assert decode(seq.ids, vocab) == ["a", "b", "a"]
+        assert [vocab.id_to_token[i] for i in seq.ids if i > SEP] == ["a", "b", "a"]
 
     def test_mask_sum_identity(self, vocab):
         for text in ("", "a", "a b", " ".join(["b"] * 50)):
