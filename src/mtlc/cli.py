@@ -238,8 +238,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     vocab_path = args.vocab or os.path.join(os.path.dirname(args.checkpoint), VOCAB_NAME)
-    if not os.path.exists(vocab_path):
-        raise ConfigError(f"vocabulary file not found at {vocab_path!r} (use --vocab)")
+    if not os.path.isfile(vocab_path):
+        raise ConfigError(f"no vocabulary file at {vocab_path!r} (use --vocab)")
     model, cfg, vocab = _model_from_checkpoint(args.checkpoint, vocab_path)
     schemas = schemas_for_language(cfg.language)
     corpus = load_joint_tsv(args.data, schemas, cfg.language)

@@ -184,8 +184,8 @@ def load_config(
             if not typed[key]:
                 raise ConfigError(f"{key}: required path is missing")
         for key in ("data.train", "data.val", "data.test"):
-            if typed[key] and not os.path.exists(typed[key]):
-                raise ConfigError(f"{key}: path {typed[key]!r} does not exist")
+            if typed[key] and not os.path.isfile(typed[key]):
+                raise ConfigError(f"{key}: path {typed[key]!r} is not a file")
     for key, low in (("text.min_freq", 1), ("text.max_size", 1), ("text.max_len", 3)):
         if typed[key] < low:
             raise ConfigError(f"{key}: must be >= {low}, got {typed[key]}")

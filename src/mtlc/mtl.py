@@ -53,8 +53,9 @@ PENALTIES = (FROBENIUS, TRACE_NORM)
 BATCH_SIZES = (16, 32, 64)
 
 # packed rows (valid positions) per prediction batch: bounds the working set
-# of evaluation, which the heap keeps once it has grown to it
-PREDICT_ROWS = 2048
+# of evaluation, which the heap keeps once it has grown to it, below that of
+# a training step
+PREDICT_ROWS = 1024
 
 
 def default_coupled_layers(n_layers: int) -> tuple[str, ...]:

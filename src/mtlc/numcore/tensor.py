@@ -155,6 +155,10 @@ def backward(tape: GradTape, loss: Tensor) -> None:
     tape._replayed = True
     records = tape._records
     adjoint: dict[int, Array] = {loss._key: np.ones(())}
+    # keys whose adjoint is an array this loop allocated (a sum of two
+    # contributions) and nothing else holds: a closure may return its
+    # output's adjoint, or a view of it, for one input or several
+    owned: set[int] = set()
     while records:
         out, inputs, bwd = records.pop()
         g = adjoint.pop(out, None)
@@ -164,7 +168,14 @@ def backward(tape: GradTape, loss: Tensor) -> None:
             if gi is None or k is None:
                 continue
             prev = adjoint.get(k)
-            adjoint[k] = gi if prev is None else prev + gi
+            if prev is None:
+                adjoint[k] = gi
+            elif k in owned:
+                prev += gi
+            else:
+                adjoint[k] = total = prev + gi
+                if total.ndim:  # a 0-d sum is a numpy scalar, which += rebinds
+                    owned.add(k)
     for k, t in tape._watched.items():
         g = adjoint.get(k)
         if g is None:
@@ -407,9 +418,11 @@ def segment_attention(
         # a view when `a` is contiguous, so matmul can write into it
         return a[rows].reshape(g, length, n_heads, -1).transpose(2, 0, 1, 3)
 
+    # bwd reads these counts, not q and k, so it keeps only the scaled q
+    nq, nk = q.shape[0], k.shape[0]
     c = 1.0 / np.sqrt(q.shape[1] // n_heads)
     qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
-    out = np.empty((q.shape[0], n_heads, vh.shape[2]))
+    out = np.empty((nq, n_heads, vh.shape[2]))
     probs = []
     for qs, ks, g, ql, kl in runs:
         # key-major scores [heads, G, kl, ql]: the softmax reduces over
@@ -437,9 +450,9 @@ def segment_attention(
             np.matmul(ds, qr, out=views(gk, ks, g, kl))
             np.matmul(p, gr, out=views(gv, ks, g, kl))
         gq *= c
-        return gq.reshape(q.shape[0], -1), gk.reshape(k.shape[0], -1), gv.reshape(k.shape[0], -1)
+        return gq.reshape(nq, -1), gk.reshape(nk, -1), gv.reshape(nk, -1)
 
-    return _record(Tensor(out.reshape(q.shape[0], -1)), (q, k, v), bwd)
+    return _record(Tensor(out.reshape(nq, -1)), (q, k, v), bwd)
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

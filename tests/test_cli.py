@@ -221,6 +221,14 @@ class TestTrain:
         assert "data.test" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    def test_test_split_directory_exits_2(self, toy_dir, fast_cfg, tmp_path, capsys):
+        folder = tmp_path / "test_dir"
+        folder.mkdir()
+        cfg = self.with_test_split(toy_dir, fast_cfg, tmp_path, folder, tmp_path / "never")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "data.test" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     def test_seed_sources(self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys):
         # env beats config; flag beats env: verify via the embedded config text
         from mtlc.checkpoint import load_checkpoint
@@ -349,6 +357,14 @@ class TestEvaluate:
         shutil.copy(trained_run / "checkpoint.mtlc", lonely)
         code = main(["evaluate", "--checkpoint", str(lonely), "--data", str(toy_dir / "val.tsv")])
         assert code == 2
+
+
+    def test_vocab_directory_exits_2(self, trained_run, toy_dir, tmp_path, capsys):
+        args = ["--checkpoint", str(trained_run / "checkpoint.mtlc"), "--vocab", str(tmp_path)]
+        args += ["--data", str(toy_dir / "val.tsv"), "--out-dir", str(tmp_path / "out")]
+        assert main(["evaluate", *args]) == 2
+        assert "--vocab" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReport:

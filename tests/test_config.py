@@ -63,6 +63,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="data.train"):
             load_config(f"data.train = /nope.tsv\ndata.val = {paths['val']}\n")
 
+    @pytest.mark.parametrize("key", ["data.train", "data.val", "data.test"])
+    def test_directory_path_named(self, paths, tmp_path, key):
+        given = {"data.train": paths["train"], "data.val": paths["val"], key: str(tmp_path)}
+        text = "".join(f"{k} = {v}\n" for k, v in given.items())
+        with pytest.raises(ConfigError, match=f"{key}: path .* is not a file"):
+            load_config(text)
+
     def test_check_paths_off_for_embedded_configs(self):
         cfg = load_config("data.train = /gone.tsv\ndata.val = /gone2.tsv\n", check_paths=False)
         assert cfg.train_path == "/gone.tsv"

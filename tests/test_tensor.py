@@ -22,6 +22,7 @@ from mtlc.numcore import (
     relu,
     reshape,
     scale,
+    segment_attention,
     stream,
     sum_all,
     tanh,
@@ -161,6 +162,63 @@ class TestBackward:
         assert grad_check(f, x, h=1e-5) < 1e-4
 
 
+class TestInPlaceAccumulation:
+    """backward adds a third and later contribution in place into the sum it
+    allocated for the second; each gradient still equals the out-of-place
+    left-to-right sum of its contributions, bit for bit."""
+
+    def test_add_of_a_tensor_with_itself(self):
+        # add returns its output's adjoint for both inputs: add(s, x) gives
+        # s and x one array, and add(x, x) gives x it twice
+        rng = np.random.default_rng(7)
+        w, w2 = rng.normal(size=(2, 3, 4))
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        with GradTape() as tape:
+            s = add(x, x)
+            m = mul(x, Tensor(w2))
+            t = add(s, x)
+            loss = sum_all(add(mul(t, Tensor(w)), m))
+        backward(tape, loss)
+        g = np.ones((3, 4))
+        # in the order backward meets them: add(s, x), mul(x, w2), add(x, x) twice
+        assert np.array_equal(x.grad, ((g * w + g * w2) + g * w) + g * w)
+
+    def test_three_matmuls_on_one_layer_norm_output(self):
+        rng = np.random.default_rng(8)
+        ws = [rng.normal(size=(4, 3)) for _ in range(3)]
+        cs = [rng.normal(size=(5, 3)) for _ in range(3)]
+        x0, gain, bias = rng.normal(size=(5, 4)), rng.normal(size=4), rng.normal(size=4)
+
+        def leaves():
+            return [Tensor(a, requires_grad=True) for a in (x0, gain, bias)]
+
+        x, gn, bs = leaves()
+        with GradTape() as tape:
+            h = layer_norm_rows(x, gn, bs)
+            q, k, v = (mul(matmul(h, Tensor(w)), Tensor(c)) for w, c in zip(ws, cs))
+            loss = sum_all(add(add(q, k), v))
+        backward(tape, loss)
+        # the adjoint of h, summed out of place in backward's order: v, k, q
+        gq, gk, gv = (np.ones((5, 3)) * c for c in cs)
+        gh = (gv @ ws[2].T + gk @ ws[1].T) + gq @ ws[0].T
+        ref = leaves()
+        with GradTape() as tape:
+            loss = sum_all(mul(layer_norm_rows(*ref), Tensor(gh)))
+        backward(tape, loss)
+        for got, want in zip((x, gn, bs), ref):
+            assert np.array_equal(got.grad, want.grad)
+
+    def test_zero_d_tensor_with_three_consumers(self):
+        # a 0-d sum is a numpy scalar: it cannot be written in place
+        x = Tensor(1.5, requires_grad=True)
+        c1, c2, c3 = 0.1, 0.2, 0.7
+        with GradTape() as tape:
+            a, b, c = (mul(x, Tensor(ci)) for ci in (c1, c2, c3))
+            loss = add(add(a, b), c)
+        backward(tape, loss)
+        assert np.array_equal(x.grad, (c3 + c2) + c1)
+
+
 class TestLeanTape:
     """A record keeps only what its backward reads, and backward releases it."""
 
@@ -191,6 +249,20 @@ class TestLeanTape:
         backward(tape, loss)
         assert held() is None
         assert np.array_equal(w.grad, np.full((3, 2), 4.0))
+
+    def test_attention_keeps_only_the_scaled_q(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        with GradTape() as tape:
+            q = matmul(x, w)
+            out = segment_attention(q, x, x, [2, 3], [2, 3], 2)
+            loss = sum_all(out)
+        held = weakref.ref(q.data)
+        del q
+        assert held() is None
+        backward(tape, loss)
+        assert w.grad.shape == (4, 4)
 
     def test_length_survives_backward(self):
         x = Tensor(np.ones(3), requires_grad=True)

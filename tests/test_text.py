@@ -137,7 +137,8 @@ class TestVocabFile:
         vocab = build_vocab(["xy"], mode="char")
         path = str(tmp_path / "vocab.txt")
         save_vocab(vocab, path)
-        lines = open(path, encoding="utf-8").read().split("\n")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
         assert lines[0] == "1"
         assert lines[1] == "char"
         assert lines[2] == "x"
