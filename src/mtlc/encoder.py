@@ -13,6 +13,7 @@ the computation.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
@@ -221,17 +222,22 @@ def encoder_forward(
     residual and feed-forward of that row alone; its keys and values still
     come from every row of the sequence. Returns the tanh-pooled
     [B, d_model] vectors. `batch` is B sequences or their `pack`.
+
+    Parameters stacked on a leading tower axis ([T, ...] arrays, as
+    `mtl.Model.stacks` holds them) run T encoders in one pass over the
+    same batch and return [T, B, d_model]; each tower's slice equals its
+    own pass bit for bit, and the forward counter adds T * B.
     """
     if not isinstance(batch, Packed):
         batch = pack(batch, config)
     ids, positions, lengths, cls_rows = batch
     if training and config.dropout_p > 0 and rng is None:
         raise ContractError("training with dropout needs an explicit rng stream")
+    tok, pos = params[prefix + "tok_emb"], params[prefix + "pos_emb"]
     global _FORWARD_CALLS
     with _FORWARD_LOCK:
-        _FORWARD_CALLS += len(lengths)
+        _FORWARD_CALLS += len(lengths) * math.prod(tok.shape[:-2])
 
-    tok, pos = params[prefix + "tok_emb"], params[prefix + "pos_emb"]
     x = add(gather_rows(tok, ids), gather_rows(pos, positions))
     for i in range(config.n_layers):
         p = f"{prefix}layer{i}."

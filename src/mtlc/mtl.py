@@ -52,9 +52,9 @@ PENALTIES = (FROBENIUS, TRACE_NORM)
 
 BATCH_SIZES = (16, 32, 64)
 
-# packed rows (valid positions) per prediction batch: bounds the working set
-# of evaluation, which the heap keeps once it has grown to it, below that of
-# a training step
+# packed rows (valid positions) times encoder towers per prediction batch:
+# bounds the working set of evaluation, which the heap keeps once it has
+# grown to it, below that of a training step
 PREDICT_ROWS = 1024
 
 
@@ -140,11 +140,44 @@ class TrainTrace:
 
 @dataclass
 class Model:
-    """Everything needed to run forward passes for one configured regime."""
+    """Everything needed to run forward passes for one configured regime.
+
+    A soft-sharing model holds each encoder parameter once, in `stacks`, as
+    a [towers, ...] array in `towers` order, and each tower's Tensor of
+    that name views its slice. Prediction runs every tower in one encoder
+    pass over the stacks; training, the optimizer, the coupling step and
+    the checkpoint see one Tensor per tower and update it in place."""
 
     regime: RegimeConfig
     encoder_cfg: EncoderConfig
     params: dict[str, Tensor]
+    stacks: dict[str, Tensor] = field(init=False, repr=False, compare=False)
+    # tower Tensor name -> the name of its stack and the slice it should view
+    _views: dict[str, tuple[str, np.ndarray]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.stacks, self._views = {}, {}
+        if self.regime.kind == SOFT_SHARE:
+            for name in param_shapes(self.encoder_cfg, ()):
+                self._stack(name)
+
+    def _stack(self, name: str) -> None:
+        keys = [prefix + name for prefix in towers(self.regime)]
+        stack = np.stack([self.params[key].data for key in keys])
+        for key, view in zip(keys, stack):
+            self.params[key].data = view
+            self._views[key] = (name, view)
+        self.stacks[name] = Tensor(stack, name=name)
+
+    def stacked(self) -> dict[str, Tensor]:
+        """`stacks`, after restacking each name of which a tower Tensor no
+        longer views its slice, because its `.data` was rebound: prediction
+        never reads a stale weight. An in-place edit reaches the stack."""
+        params = self.params
+        stale = {name for key, (name, view) in self._views.items() if params[key].data is not view}
+        for name in stale:
+            self._stack(name)
+        return self.stacks
 
 
 def towers(regime: RegimeConfig) -> dict[str, tuple[str, ...]]:
@@ -220,6 +253,20 @@ def batch_logits(
     return out
 
 
+def predict_logits(model: Model, seqs: Sequence[TokenSeq]) -> dict[str, Tensor]:
+    """Per-task inference logits, bit for bit those of `batch_logits`. Soft
+    sharing runs both towers in one encoder pass over `model.stacked()`,
+    and each head on its tower's slice of the pooled output."""
+    if not model.stacks:
+        return batch_logits(model, seqs)
+    pooled = encoder_forward(pack(seqs, model.encoder_cfg), model.stacked(), model.encoder_cfg)
+    return {
+        task: classify(Tensor(tower_pooled), head_view(model.params, task, prefix))
+        for (prefix, tasks), tower_pooled in zip(towers(model.regime).items(), pooled.data)
+        for task in tasks
+    }
+
+
 def tower_logits(
     model: Model,
     packed: Packed,
@@ -261,14 +308,16 @@ def frobenius_penalty(a: Tensor, b: Tensor, eta: float) -> None:
         raise ShapeError(f"coupled pair shapes disagree: {a.shape} vs {b.shape}")
     mean = (a.data + b.data) / 2
     half_diff = (a.data - b.data) / (2 * (1 + 4 * eta))
-    a.data, b.data = mean + half_diff, mean - half_diff
+    np.add(mean, half_diff, out=a.data)
+    np.subtract(mean, half_diff, out=b.data)
 
 
 def trace_norm_penalty(a: Tensor, b: Tensor, eta: float) -> None:
     """Proximal step of eta * ||[a; b]||_* on one coupled pair, in place:
-    singular-value thresholding of the row-stack, split back."""
+    singular-value thresholding of the row-stack, written back into both."""
     stacked = svt(np.concatenate([a.data, b.data]), eta)
-    a.data, b.data = stacked[: a.shape[0]], stacked[a.shape[0] :]
+    a.data[...] = stacked[: a.shape[0]]
+    b.data[...] = stacked[a.shape[0] :]
 
 
 def couple(regime: RegimeConfig, params: Mapping[str, Tensor], learning_rate: float) -> None:
@@ -427,15 +476,17 @@ def _predict(model: Model, encoded: Batch) -> dict[str, list[int]]:
     """Argmax predictions in corpus order. The comments are stably sorted
     by valid length, so equal-length comments sit side by side and
     attention covers each such run in one call, and cut into consecutive
-    batches of at most `PREDICT_ROWS` packed rows; a longer comment runs
-    alone. Raises NumericalError, naming the comment's corpus index and the
-    task, if a logit is not finite."""
+    batches of at most `PREDICT_ROWS` packed rows per encoder tower run
+    together (`predict_logits`): 1,024 for one encoder, 512 for two; a
+    longer comment runs alone. Raises NumericalError, naming the comment's
+    corpus index and the task, if a logit is not finite."""
     lengths = [sum(seq.mask) for seq in encoded.seqs]
     order = np.argsort(lengths, kind="stable")
     preds = {task: np.empty(len(order), dtype=np.int64) for task in model.regime.tasks}
-    for start, stop in _row_budget_spans([lengths[i] for i in order]):
+    n_towers = len(towers(model.regime))
+    for start, stop in _row_budget_spans([lengths[i] for i in order], n_towers):
         rows = order[start:stop]
-        logits = batch_logits(model, [encoded.seqs[i] for i in rows])
+        logits = predict_logits(model, [encoded.seqs[i] for i in rows])
         for task in model.regime.tasks:
             data = logits[task].data
             if not np.isfinite(data).all():
@@ -445,13 +496,14 @@ def _predict(model: Model, encoded: Batch) -> dict[str, list[int]]:
     return {task: p.tolist() for task, p in preds.items()}
 
 
-def _row_budget_spans(lengths: Sequence[int]) -> list[tuple[int, int]]:
+def _row_budget_spans(lengths: Sequence[int], n_towers: int) -> list[tuple[int, int]]:
     """Consecutive [start, stop) spans of `lengths`, each summing to at most
-    `PREDICT_ROWS`, or holding one longer item alone."""
+    `PREDICT_ROWS` once multiplied by `n_towers`, or holding one longer
+    item alone."""
     spans = []
     start = rows = 0
     for i, n in enumerate(lengths):
-        if i > start and rows + n > PREDICT_ROWS:
+        if i > start and (rows + n) * n_towers > PREDICT_ROWS:
             spans.append((start, i))
             start, rows = i, 0
         rows += n

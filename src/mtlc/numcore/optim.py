@@ -92,17 +92,18 @@ def adamw_step(
     for name in sorted(params):
         p, g, s = params[name], grads[name], states[name]
         s.t += 1
-        # in place, with the same operations in the same order
+        # in place, with the same operations in the same order; the
+        # parameter too, so a view (a soft-sharing tower's slice of its
+        # stack) stays attached
         s.m *= hyper.beta1
         s.m += (1.0 - hyper.beta1) * g
         s.v *= hyper.beta2
         s.v += (1.0 - hyper.beta2) * (g * g)
         m_hat = s.m / (1.0 - hyper.beta1**s.t)
         v_hat = s.v / (1.0 - hyper.beta2**s.t)
-        new = p.data - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon)
+        p.data -= hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon)
         if hyper.weight_decay > 0:
-            new = new - hyper.learning_rate * hyper.weight_decay * new
-        p.data = new
+            p.data -= hyper.learning_rate * hyper.weight_decay * p.data
 
 
 def zero_grads(params: Mapping[str, Tensor]) -> None:

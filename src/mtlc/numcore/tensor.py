@@ -279,28 +279,41 @@ def exp(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _tower_error(op: str, *operands: Tensor) -> ShapeError:
+    """The error of an op whose matrix operands are not all 2-D, or not all
+    3-D with one leading tower axis of the same length."""
+    listed = " and ".join(str(t.shape) for t in operands)
+    return ShapeError(f"{op} needs 2-D operands, or 3-D ones with one tower count, got {listed}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Standard 2-D matrix product [m,k] @ [k,n] -> [m,n]."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    """Matrix product [m,k] @ [k,n] -> [m,n], or per tower
+    [T,m,k] @ [T,k,n] -> [T,m,n]."""
     ad, bd = a.data, b.data
+    if not 2 <= ad.ndim == bd.ndim <= 3 or ad.shape[:-2] != bd.shape[:-2]:
+        raise _tower_error("matmul", a, b)
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
     out = Tensor(ad @ bd)
-    return _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    return _record(out, (a, b), lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a 2-D x, 2-D w and a 1-D bias b broadcast over the rows,
-    as one tape record: the bias is added in place to the product."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"affine needs 2-D x and w, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise ShapeError(f"affine shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    or per tower for [T,n,k] x, [T,k,m] w and [T,m] b, as one tape record:
+    the bias is added in place to the product."""
     xd, wd = x.data, w.data
+    if not 2 <= xd.ndim == wd.ndim <= 3 or xd.shape[:-2] != wd.shape[:-2]:
+        raise _tower_error("affine", x, w)
+    if xd.shape[-1] != wd.shape[-2] or b.data.shape != wd.shape[:-2] + wd.shape[-1:]:
+        raise ShapeError(f"affine shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
     y = xd @ wd
-    y += b.data
-    return _record(Tensor(y), (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
+    y += b.data[..., None, :]
+    return _record(
+        Tensor(y),
+        (x, w, b),
+        lambda g: (g @ wd.swapaxes(-1, -2), xd.swapaxes(-1, -2) @ g, g.sum(axis=-2)),
+    )
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -316,12 +329,13 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
-    """Rows `ids` of a 2-D tensor; repeated ids accumulate in the gradient."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"gather_rows needs a 2-D tensor, got {x.shape}")
+    """Rows `ids` of a 2-D tensor, or of each tower of a 3-D one; repeated
+    ids accumulate in the gradient."""
+    if not 2 <= x.data.ndim <= 3:
+        raise _tower_error("gather_rows", x)
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ContractError(f"row id out of range 0..{x.shape[0] - 1}")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[-2]):
+        raise ContractError(f"row id out of range 0..{x.shape[-2] - 1}")
     shape = x.shape
 
     def bwd(g):
@@ -332,10 +346,10 @@ def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
             order = np.argsort(idx, kind="stable")
             ordered = idx[order]
             firsts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-            gx[ordered[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
+            gx[..., ordered[firsts], :] = np.add.reduceat(g[..., order, :], firsts, axis=-2)
         return (gx,)
 
-    return _record(Tensor(x.data[idx]), (x,), bwd)
+    return _record(Tensor(x.data[..., idx, :]), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +383,15 @@ def segment_attention(
     sequence: the `q_lengths[i]` query rows of sequence i attend to its
     `kv_lengths[i]` key rows and to no other row. The columns of q/k and of
     v split into `n_heads` equal heads, and the output holds the heads side
-    by side, [rows of q, width of v]. One tape record with a hand-written
-    backward covers every head and sequence.
+    by side, [rows of q, width of v]. With a leading tower axis, [T, rows,
+    width] operands, every tower attends over the same segments. One tape
+    record with a hand-written backward covers every head and sequence.
 
     Consecutive sequences with equal (q, kv) lengths form a run. A run's
-    rows are contiguous, so each run is one [heads, sequences, length, w]
-    view and its scores, softmax and weighted sum are one stacked call
-    each; a run of one sequence is the per-sequence computation.
+    rows are contiguous, so each run is one [(towers,) heads, sequences,
+    length, w] view and its scores, softmax and weighted sum are one
+    stacked call each; a run of one sequence is the per-sequence
+    computation.
 
     q is scaled by 1/sqrt(d_k) once per call, and each run's scores are
     key-major, [heads, sequences, keys, queries]. The products are written
@@ -383,25 +399,29 @@ def segment_attention(
     query row's softmax correction as the row sum of dO * O, once per call
     (as FlashAttention does), not from the score block.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError(f"attention needs 2-D q/k/v, got {q.shape}/{k.shape}/{v.shape}")
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
-        raise ShapeError(f"q/k widths or k/v lengths disagree: {q.shape}/{k.shape}/{v.shape}")
-    if n_heads < 1 or q.shape[1] % n_heads or v.shape[1] % n_heads:
-        raise ShapeError(f"widths {q.shape[1]}/{v.shape[1]} do not split into {n_heads} heads")
+    q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
+    lead = q_shape[:-2]
+    same_towers = lead == k_shape[:-2] == v_shape[:-2]
+    if not (2 <= len(q_shape) == len(k_shape) == len(v_shape) <= 3 and same_towers):
+        raise _tower_error("attention", q, k, v)
+    if q_shape[-1] != k_shape[-1] or k_shape[-2] != v_shape[-2]:
+        raise ShapeError(f"q/k widths or k/v lengths disagree: {q_shape}/{k_shape}/{v_shape}")
+    if n_heads < 1 or q_shape[-1] % n_heads or v_shape[-1] % n_heads:
+        raise ShapeError(f"widths {q_shape[-1]}/{v_shape[-1]} do not split into {n_heads} heads")
+    nq, nk = q_shape[-2], k_shape[-2]
     if (
         len(q_lengths) != len(kv_lengths)
         or min(q_lengths, default=0) < 1
         or min(kv_lengths, default=0) < 1
-        or (sum(q_lengths), sum(kv_lengths)) != (q.shape[0], k.shape[0])
+        or (sum(q_lengths), sum(kv_lengths)) != (nq, nk)
     ):
         raise ShapeError(
             f"segment lengths {list(q_lengths)}/{list(kv_lengths)} must be positive, one pair "
-            f"per sequence, and cover the {q.shape[0]}/{k.shape[0]} q/k rows"
+            f"per sequence, and cover the {nq}/{nk} q/k rows"
         )
 
-    def heads(a: Array) -> Array:  # [rows, heads * w] -> [rows, heads, w]
-        return a.reshape(a.shape[0], n_heads, -1)
+    def heads(a: Array) -> Array:  # [..., rows, heads * w] -> [..., rows, heads, w]
+        return a.reshape(*a.shape[:-1], n_heads, -1)
 
     # each run: its query rows, its key rows, and the [heads, G, L, w] shape
     # that splits both into its G sequences
@@ -413,72 +433,77 @@ def segment_attention(
         q_start += g * ql
         kv_start += g * kl
 
+    towers = (slice(None),) * len(lead)
+    to_heads_first = (2, 0, 1, 3) if not lead else (0, 3, 1, 2, 4)
+
     def views(a: Array, rows: slice, g: int, length: int) -> Array:
-        # a run's rows of a [rows, heads, w] array as [heads, G, length, w];
-        # a view when `a` is contiguous, so matmul can write into it
-        return a[rows].reshape(g, length, n_heads, -1).transpose(2, 0, 1, 3)
+        # a run's rows of a [..., rows, heads, w] array as [..., heads, G,
+        # length, w]; a view when `a` is contiguous, so matmul can write into it
+        block = a[towers + (rows,)].reshape(*lead, g, length, n_heads, -1)
+        return block.transpose(*to_heads_first)
 
     # bwd reads these counts, not q and k, so it keeps only the scaled q
-    nq, nk = q.shape[0], k.shape[0]
-    c = 1.0 / np.sqrt(q.shape[1] // n_heads)
+    c = 1.0 / np.sqrt(q_shape[-1] // n_heads)
     qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
-    out = np.empty((nq, n_heads, vh.shape[2]))
+    out = np.empty(lead + (nq, n_heads, vh.shape[-1]))
     probs = []
     for qs, ks, g, ql, kl in runs:
-        # key-major scores [heads, G, kl, ql]: the softmax reduces over
-        # axis 2, which numpy does in fewer passes than over the last axis
-        p = views(kh, ks, g, kl) @ views(qh, qs, g, ql).transpose(0, 1, 3, 2)
-        p -= p.max(axis=2, keepdims=True)
+        # key-major scores [..., heads, G, kl, ql]: the softmax reduces over
+        # the keys, which numpy does in fewer passes than over the last axis
+        p = views(kh, ks, g, kl) @ views(qh, qs, g, ql).swapaxes(-1, -2)
+        p -= p.max(axis=-2, keepdims=True)
         np.exp(p, out=p)
-        total = p.sum(axis=2, keepdims=True)
+        total = p.sum(axis=-2, keepdims=True)
         p *= np.reciprocal(total, out=total)
         probs.append(p)
-        np.matmul(p.transpose(0, 1, 3, 2), views(vh, ks, g, kl), out=views(out, qs, g, ql))
+        np.matmul(p.swapaxes(-1, -2), views(vh, ks, g, kl), out=views(out, qs, g, ql))
 
     def bwd(g_out):
         gh = heads(g_out)
         # each query row's sum over keys of dP * P, per head, is dO . O
-        rows_d = np.einsum("rhw,rhw->hr", gh, out)
+        rows_d = np.einsum("...rhw,...rhw->...hr", gh, out)
         gq, gk, gv = np.empty(qh.shape), np.empty(kh.shape), np.empty(vh.shape)
         for (qs, ks, g, ql, kl), p in zip(runs, probs):
             gr, qr = views(gh, qs, g, ql), views(qh, qs, g, ql)
             kr, vr = views(kh, ks, g, kl), views(vh, ks, g, kl)
-            ds = vr @ gr.transpose(0, 1, 3, 2)
-            ds -= rows_d[:, qs].reshape(n_heads, g, 1, ql)
+            ds = vr @ gr.swapaxes(-1, -2)
+            ds -= rows_d[..., qs].reshape(lead + (n_heads, g, 1, ql))
             ds *= p
-            np.matmul(ds.transpose(0, 1, 3, 2), kr, out=views(gq, qs, g, ql))
+            np.matmul(ds.swapaxes(-1, -2), kr, out=views(gq, qs, g, ql))
             np.matmul(ds, qr, out=views(gk, ks, g, kl))
             np.matmul(p, gr, out=views(gv, ks, g, kl))
         gq *= c
-        return gq.reshape(nq, -1), gk.reshape(nk, -1), gv.reshape(nk, -1)
+        return gq.reshape(lead + (nq, -1)), gk.reshape(lead + (nk, -1)), gv.reshape(lead + (nk, -1))
 
-    return _record(Tensor(out.reshape(nq, -1)), (q, k, v), bwd)
+    return _record(Tensor(out.reshape(lead + (nq, -1))), (q, k, v), bwd)
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row of a 2-D tensor to zero mean / unit variance, then
-    apply a learned per-column gain and bias."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm_rows needs a 2-D tensor, got {x.shape}")
-    n = x.shape[1]
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError(f"gain/bias must be shape ({n},), got {gain.shape}/{bias.shape}")
+    apply a learned per-column gain and bias; with a leading tower axis,
+    [T, rows, n] x and [T, n] gain and bias, per tower."""
+    if not 2 <= x.data.ndim <= 3:
+        raise _tower_error("layer_norm_rows", x)
+    lead = x.shape[:-2]
+    n = x.shape[-1]
+    if gain.shape != lead + (n,) or bias.shape != lead + (n,):
+        raise ShapeError(f"gain/bias must be shape {lead + (n,)}, got {gain.shape}/{bias.shape}")
     mean = np.full(n, 1.0 / n)  # row means as one matvec
-    xhat = x.data - (x.data @ mean)[:, None]
-    inv = (1.0 / np.sqrt(np.square(xhat) @ mean + eps))[:, None]
+    xhat = x.data - (x.data @ mean)[..., None]
+    inv = (1.0 / np.sqrt(np.square(xhat) @ mean + eps))[..., None]
     xhat *= inv
-    gd = gain.data
+    gd = gain.data[..., None, :]
     y = xhat * gd
-    y += bias.data
+    y += bias.data[..., None, :]
     out = Tensor(y)
 
     def bwd(g):
         dxhat = g * gd
-        proj = ((dxhat * xhat) @ mean)[:, None]
-        dxhat -= (dxhat @ mean)[:, None]
+        proj = ((dxhat * xhat) @ mean)[..., None]
+        dxhat -= (dxhat @ mean)[..., None]
         dxhat -= xhat * proj
         dxhat *= inv
-        return dxhat, (g * xhat).sum(axis=0), g.sum(axis=0)
+        return dxhat, (g * xhat).sum(axis=-2), g.sum(axis=-2)
 
     return _record(out, (x, gain, bias), bwd)
 

@@ -5,7 +5,7 @@ import pytest
 
 from mtlc import mtl
 from mtlc.data import Batch, Corpus, Record, SplitSet, batches, encode_split, schemas_for_language
-from mtlc.encoder import EncoderConfig, forward_call_count, reset_forward_calls
+from mtlc.encoder import EncoderConfig, forward_call_count, param_shapes, reset_forward_calls
 from mtlc.errors import ConfigError, ContractError, NumericalError
 from mtlc.losses import LossConfig, compute_loss, cross_entropy
 from mtlc.mtl import (
@@ -18,11 +18,21 @@ from mtlc.mtl import (
     default_coupled_layers,
     evaluate,
     expected_param_shapes,
+    predict_logits,
     soft_loss,
     train,
     weighted_sum,
 )
-from mtlc.numcore import GradTape, OptimHyper, Tensor, backward, child_seed, stream, zero_grads
+from mtlc.numcore import (
+    GradTape,
+    OptimHyper,
+    Tensor,
+    backward,
+    child_seed,
+    stream,
+    svt,
+    zero_grads,
+)
 from mtlc.text import encode
 
 TASKS = ("sentiment", "offense")
@@ -339,6 +349,30 @@ class TestSoftLoss:
         assert out.item() == 2.0
         mtl.couple(model.regime, model.params, 0.03)
         assert np.abs(np.concatenate([a.data, b.data]) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("penalty", ["frobenius", "trace_norm"])
+    def test_couple_writes_into_the_tower_stacks(self, toy_vocab, penalty):
+        model = self._soft_model(toy_vocab, lam=2.0, penalty=penalty)
+        t1, t2 = model.regime.tasks
+        before = {name: p.data.copy() for name, p in model.params.items()}
+        stacks = dict(model.stacks)
+        mtl.couple(model.regime, model.params, 0.03)
+        eta = 0.03 * 2.0
+        for name in model.regime.soft.coupled_layer_names:
+            a0, b0 = before[f"tower.{t1}.{name}"], before[f"tower.{t2}.{name}"]
+            # the out-of-place steps the pair took before they wrote in place
+            if penalty == "frobenius":
+                mean, half_diff = (a0 + b0) / 2, (a0 - b0) / (2 * (1 + 4 * eta))
+                want = np.stack([mean + half_diff, mean - half_diff])
+            else:
+                want = svt(np.concatenate([a0, b0]), eta).reshape((2,) + a0.shape)
+            stack = model.stacks[name].data
+            assert model.stacks[name] is stacks[name]
+            assert np.array_equal(stack, want), name
+            for i, task in enumerate((t1, t2)):
+                view = model.params[f"tower.{task}.{name}"].data
+                assert view.base is stack and np.array_equal(view, want[i])
+        assert model.stacked() is model.stacks and model.stacks == stacks
 
     def test_missing_coupled_layer_named(self, toy_vocab):
         model = self._soft_model(toy_vocab, lam=1.0, coupled=("layer0.wq",))
@@ -728,6 +762,137 @@ class TestEvaluate:
         )
         with pytest.raises(ContractError):
             evaluate(model, wrong, toy_vocab)
+
+
+class TestStackedPrediction:
+    """Soft-sharing prediction runs both towers in one encoder pass over the
+    tower stacks; it must give `batch_logits`' per-tower logits bit for bit."""
+
+    def _model(self, vocab, max_len=8, seed=4):
+        cfg = toy_encoder(vocab, max_len=max_len, d_model=8, n_heads=2, d_ffn=16, dropout_p=0.0)
+        model = build_model(regime_for("soft_share", soft=SoftShareConfig()), cfg, N_CLASSES, seed)
+        rng = np.random.default_rng(seed)
+        for name, p in model.params.items():  # unit-scale activations, so predictions vary
+            if p.data.ndim == 2:
+                p.data[...] = rng.normal(size=p.shape) / np.sqrt(1 if "emb" in name else p.shape[0])
+        return model
+
+    def _seqs(self, records, vocab, model):
+        return [encode(r.text, vocab, model.encoder_cfg.max_len) for r in records]
+
+    def _assert_same_logits(self, model, seqs):
+        stacked, per_tower = predict_logits(model, seqs), batch_logits(model, seqs)
+        assert set(stacked) == set(per_tower) == set(TASKS)
+        for task in TASKS:
+            assert np.array_equal(stacked[task].data, per_tower[task].data), task
+
+    def test_towers_view_their_stacks(self, toy_vocab):
+        model = self._model(toy_vocab)
+        # every encoder parameter, no head
+        assert set(model.stacks) == set(param_shapes(model.encoder_cfg, ()))
+        for name, stack in model.stacks.items():
+            assert stack.shape[0] == 2 and not stack.requires_grad
+            for i, task in enumerate(TASKS):
+                view = model.params[f"tower.{task}.{name}"].data
+                assert view.base is stack.data and np.array_equal(view, stack.data[i])
+        hard = build_model(regime_for("hard_share"), model.encoder_cfg, N_CLASSES, seed=4)
+        assert hard.stacks == {}
+
+    def test_one_comment(self, toy_splits, toy_vocab, monkeypatch):
+        model = self._model(toy_vocab)
+        seqs = self._seqs(toy_splits.val.records[:1], toy_vocab, model)
+        calls = []
+        forward = mtl.encoder_forward
+        monkeypatch.setattr(mtl, "encoder_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
+        reset_forward_calls()
+        predict_logits(model, seqs)
+        # one encoder pass, counted as one sequence per tower
+        assert len(calls) == 1 and forward_call_count() == 2
+        self._assert_same_logits(model, seqs)
+
+    def test_length_ordered_batches(self, toy_vocab, monkeypatch):
+        monkeypatch.setattr(mtl, "PREDICT_ROWS", 64)
+        model = self._model(toy_vocab, max_len=24)
+        rng = np.random.default_rng(9)
+        words = list(toy_vocab.id_to_token[4:])
+        records = [
+            Record(text=" ".join(rng.choice(words, size=rng.integers(0, 22))), labels={})
+            for _ in range(60)
+        ]
+        seqs = self._seqs(records, toy_vocab, model)
+        lengths = [sum(seq.mask) for seq in seqs]
+        order = np.argsort(lengths, kind="stable")
+        spans = mtl._row_budget_spans([lengths[i] for i in order], 2)
+        assert len(spans) > 3
+        for start, stop in spans:
+            self._assert_same_logits(model, [seqs[i] for i in order[start:stop]])
+
+    def test_batches_hold_the_tower_row_budget(self, toy_vocab, monkeypatch):
+        monkeypatch.setattr(mtl, "PREDICT_ROWS", 150)
+        model = self._model(toy_vocab, max_len=200)
+        rng = np.random.default_rng(6)
+        words = list(toy_vocab.id_to_token[4:])
+        schemas = schemas_for_language("kannada")
+        # 7 to 99 rows a comment: some pack in pairs, the longest run alone
+        records = [
+            Record(
+                text=" ".join(rng.choice(words, size=rng.integers(5, 98))),
+                labels={"sentiment": 0, "offense": 0},
+            )
+            for _ in range(40)
+        ]
+        split = Corpus(records=records, schemas=schemas, language="kannada")
+        packed = []
+        forward = mtl.encoder_forward
+
+        def spy(batch, params, *args, **kwargs):
+            packed.append((len(batch.lengths), sum(batch.lengths) * params["tok_emb"].shape[0]))
+            return forward(batch, params, *args, **kwargs)
+
+        monkeypatch.setattr(mtl, "encoder_forward", spy)
+        preds = evaluate(model, split, toy_vocab)
+        assert sum(n for n, _ in packed) == len(records)
+        assert all(tower_rows <= mtl.PREDICT_ROWS or n == 1 for n, tower_rows in packed)
+        assert any(n > 1 for n, _ in packed) and any(rows > 150 for _, rows in packed)
+        monkeypatch.setattr(mtl, "encoder_forward", forward)
+        singles = [
+            evaluate(model, Corpus(records=[r], schemas=schemas, language="kannada"), toy_vocab)
+            for r in records
+        ]
+        for task in TASKS:
+            assert preds[task] == [single[task][0] for single in singles]
+
+    def test_in_place_edit_reaches_prediction(self, toy_splits, toy_vocab):
+        model = self._model(toy_vocab)
+        seqs = self._seqs(toy_splits.val.records[:5], toy_vocab, model)
+        stacks = dict(model.stacks)
+        before = predict_logits(model, seqs)
+        model.params["tower.offense.pooler_b"].data += 1.0
+        after = predict_logits(model, seqs)
+        assert model.stacks == stacks  # nothing restacked
+        assert np.array_equal(after["sentiment"].data, before["sentiment"].data)
+        assert not np.array_equal(after["offense"].data, before["offense"].data)
+        self._assert_same_logits(model, seqs)
+
+    def test_rebound_weight_is_restacked(self, toy_splits, toy_vocab):
+        model = self._model(toy_vocab)
+        seqs = self._seqs(toy_splits.val.records[:5], toy_vocab, model)
+        before = predict_logits(model, seqs)
+        old = model.stacks["layer0.wq"]
+        wq = model.params["tower.sentiment.layer0.wq"]
+        wq.data = wq.data * 3.0
+        self._assert_same_logits(model, seqs)
+        assert model.stacks["layer0.wq"] is not old
+        assert wq.data.base is model.stacks["layer0.wq"].data
+        assert not np.array_equal(predict_logits(model, seqs)["sentiment"].data, before["sentiment"].data)
+        # tied to the other tower's slice of the new stack: still not stale
+        model.params["tower.offense.layer0.wq"].data = wq.data
+        self._assert_same_logits(model, seqs)
+        # a new Tensor in the map is read too
+        name = "tower.offense.pooler_w"
+        model.params[name] = Tensor(np.zeros(model.params[name].shape), name=name)
+        self._assert_same_logits(model, seqs)
+        assert not model.stacks["pooler_w"].data[1].any()
 
 
 class TestExpectedShapes:

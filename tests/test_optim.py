@@ -68,6 +68,28 @@ class TestAdamWStep:
             assert (states["w"].v >= 0).all()
         assert states["w"].t == 5
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_updates_the_array_in_place_bit_for_bit(self, weight_decay):
+        rng = np.random.default_rng(8)
+        stack = rng.normal(size=(2, 4, 3))
+        # a view, as a soft-sharing tower's parameter views its stack
+        params = {"w": Tensor(stack[1], requires_grad=True, name="w")}
+        array = params["w"].data
+        states = init_states(params)
+        hyper = OptimHyper(learning_rate=0.05, weight_decay=weight_decay, clip_norm=0.0)
+        for step in range(1, 4):
+            before = array.copy()
+            adamw_step(params, {"w": rng.normal(size=(4, 3))}, states, hyper)
+            assert params["w"].data is array and array.base is stack
+            # the out-of-place formula, from the moments the step left
+            m_hat = states["w"].m / (1.0 - hyper.beta1**step)
+            v_hat = states["w"].v / (1.0 - hyper.beta2**step)
+            want = before - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon)
+            if weight_decay > 0:
+                want = want - hyper.learning_rate * hyper.weight_decay * want
+            assert np.array_equal(array, want)
+            assert np.array_equal(stack[1], want)
+
     def test_shape_mismatch_rejected(self):
         params = make_param([1.0, 2.0])
         with pytest.raises(ShapeError, match="w"):

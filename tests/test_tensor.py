@@ -433,3 +433,72 @@ class TestFiniteness:
         out = log_sum_exp(Tensor(np.array([1e4, -1e4, 0.0])))
         assert math.isfinite(out.item())
         assert abs(out.item() - 1e4) < 1e-9
+
+
+class TestTowerAxis:
+    """matmul, affine, layer_norm_rows, gather_rows and segment_attention take
+    an optional leading tower axis: each tower's slice is its 2-D call bit
+    for bit, and the gradients pass central differences."""
+
+    LENGTHS = [2, 2, 3]  # a run of two sequences and one of its own
+
+    def _operands(self, seed):
+        rng = np.random.default_rng(seed)
+        n = sum(self.LENGTHS)
+        return {
+            "matmul": [rng.normal(size=(2, n, 4)), rng.normal(size=(2, 4, 3))],
+            "affine": [rng.normal(size=(2, n, 4)), rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 3))],
+            "layer_norm_rows": [rng.normal(size=(2, n, 4)), rng.uniform(0.5, 2, (2, 4)), rng.normal(size=(2, 4))],
+            "gather_rows": [rng.normal(size=(2, 5, 4))],
+            "segment_attention": [rng.normal(size=(2, n, 4)) for _ in range(3)],
+            "segment_attention[cls]": [rng.normal(size=(2, 3, 4))] + [rng.normal(size=(2, n, 4)) for _ in range(2)],
+        }
+
+    def _op(self, case):
+        return {
+            "matmul": matmul,
+            "affine": affine,
+            "layer_norm_rows": layer_norm_rows,
+            "gather_rows": lambda x: gather_rows(x, [1, 4, 1, 0]),
+            "segment_attention": lambda q, k, v: segment_attention(q, k, v, self.LENGTHS, self.LENGTHS, 2),
+            "segment_attention[cls]": lambda q, k, v: segment_attention(q, k, v, [1, 1, 1], self.LENGTHS, 2),
+        }[case]
+
+    def test_each_tower_is_its_own_call(self):
+        for case, arrays in self._operands(0).items():
+            op = self._op(case)
+            stacked = op(*(Tensor(a) for a in arrays)).data
+            for i in range(2):
+                alone = op(*(Tensor(a[i]) for a in arrays)).data
+                assert np.array_equal(stacked[i], alone), (case, i)
+
+    def test_gradients_at_two_towers(self):
+        for seed in range(3):
+            for case, arrays in self._operands(seed).items():
+                op = self._op(case)
+                out_shape = op(*(Tensor(a) for a in arrays)).shape
+                w = Tensor(np.random.default_rng(100 + seed).normal(size=out_shape))
+                for j in range(len(arrays)):
+
+                    def loss(x, j=j):
+                        args = [x if i == j else Tensor(a) for i, a in enumerate(arrays)]
+                        return sum_all(mul(op(*args), w))
+
+                    assert grad_check(loss, Tensor(arrays[j])) < 1e-4, (case, j, seed)
+
+    def test_tower_axes_that_disagree(self):
+        two, three = np.ones((2, 5, 4)), np.ones((3, 4, 4))
+        for call in (
+            lambda: matmul(Tensor(two), Tensor(three)),
+            lambda: matmul(Tensor(two), Tensor(np.ones((4, 4)))),
+            lambda: affine(Tensor(two), Tensor(three), Tensor(np.ones((3, 4)))),
+            lambda: affine(Tensor(two), Tensor(np.ones((2, 4, 4))), Tensor(np.ones(4))),
+            lambda: affine(Tensor(two), Tensor(np.ones((2, 4, 4))), Tensor(np.ones((3, 4)))),
+            lambda: layer_norm_rows(Tensor(two), Tensor(np.ones(4)), Tensor(np.ones(4))),
+            lambda: layer_norm_rows(Tensor(two), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4)))),
+            lambda: gather_rows(Tensor(np.ones((2, 2, 5, 4))), [0]),
+            lambda: segment_attention(Tensor(two), Tensor(np.ones((3, 5, 4))), Tensor(np.ones((3, 5, 4))), [5], [5], 2),
+            lambda: segment_attention(Tensor(two), Tensor(two), Tensor(np.ones((5, 4))), [5], [5], 2),
+        ):
+            with pytest.raises(ShapeError):
+                call()
