@@ -19,7 +19,6 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .data import (
     Corpus,
-    SplitSet,
     corpus_to_tsv,
     load_joint_tsv,
     merge_task_files,
@@ -36,7 +35,7 @@ from .errors import (
     NumericalError,
 )
 from .metrics import TaskReport, build_report, format_report, load_report, report_to_dict
-from .mtl import Model, TrainTrace, build_model, evaluate, expected_param_shapes, train
+from .mtl import EpochStats, Model, build_model, evaluate, expected_param_shapes, train
 from .numcore import Tensor
 from .text import build_vocab, load_vocab, save_vocab
 
@@ -65,12 +64,12 @@ def _resolve_seed(flag_seed: Optional[int]) -> Optional[int]:
     return None
 
 
-def _trace_tsv(trace: TrainTrace, tasks: Sequence[str]) -> str:
+def _trace_tsv(epochs: Sequence[EpochStats], tasks: Sequence[str]) -> str:
     cols = ["epoch"]
     for task in tasks:
         cols += [f"{task}_train_loss", f"{task}_train_acc", f"{task}_val_f1"]
     lines = ["\t".join(cols)]
-    for i, ep in enumerate(trace.epochs):
+    for i, ep in enumerate(epochs):
         row = [str(i)]
         for task in tasks:
             row += [
@@ -133,19 +132,12 @@ def cmd_split(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_split_corpora(cfg: RunConfig) -> SplitSet:
-    """Train and val only: training never reads the test split, and
-    `mtlc evaluate --data` scores one, so `data.test` is never parsed."""
-    schemas = schemas_for_language(cfg.language)
-    train_corpus = load_joint_tsv(cfg.train_path, schemas, cfg.language)
-    val_corpus = load_joint_tsv(cfg.val_path, schemas, cfg.language)
-    test_corpus = Corpus(records=[], schemas=schemas, language=cfg.language)
-    return SplitSet(train=train_corpus, val=val_corpus, test=test_corpus)
-
-
 def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model, RunConfig, object]:
     config_text, arrays = load_checkpoint(checkpoint_path)
-    cfg = load_config(config_text, check_paths=False)
+    try:
+        cfg = load_config(config_text, check_paths=False)
+    except ConfigError as err:
+        raise ConfigError(f"checkpoint {checkpoint_path!r}: embedded config: {err}") from None
     vocab = load_vocab(vocab_path)
     schemas = schemas_for_language(cfg.language)
     enc_cfg = dataclasses.replace(cfg.encoder, vocab_size=len(vocab))
@@ -203,30 +195,34 @@ def _read_config(path: str) -> str:
 def cmd_train(args) -> int:
     seed_override = _resolve_seed(args.seed)
     cfg = load_config(_read_config(args.config), seed_override=seed_override, check_paths=True)
-    splits = _load_split_corpora(cfg)
+    # training never reads the test split, and `mtlc evaluate --data` scores
+    # one, so `data.test` is never parsed
+    schemas = schemas_for_language(cfg.language)
+    train_split = load_joint_tsv(cfg.train_path, schemas, cfg.language)
+    val_split = load_joint_tsv(cfg.val_path, schemas, cfg.language)
     vocab = build_vocab(
-        (rec.text for rec in splits.train.records),
+        (rec.text for rec in train_split.records),
         mode=cfg.text_mode,
         min_freq=cfg.min_freq,
         max_size=cfg.max_size,
     )
     enc_cfg = dataclasses.replace(cfg.encoder, vocab_size=len(vocab))
-    n_classes = {task: splits.train.schemas[task].n_classes for task in cfg.regime.tasks}
+    n_classes = {task: schemas[task].n_classes for task in cfg.regime.tasks}
     model = build_model(cfg.regime, enc_cfg, n_classes, cfg.train_cfg.seed)
-    params, trace = train(splits, cfg.regime, cfg.train_cfg, model, vocab)
+    epochs = train(model, train_split, val_split, vocab, cfg.train_cfg)
 
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     vocab_path = os.path.join(out, VOCAB_NAME)
     save_vocab(vocab, vocab_path)
     checkpoint_path = os.path.join(out, CHECKPOINT_NAME)
-    save_checkpoint(checkpoint_path, cfg.to_text(), params)
-    _write_text(os.path.join(out, TRACE_NAME), _trace_tsv(trace, cfg.regime.tasks))
+    save_checkpoint(checkpoint_path, cfg.to_text(), model.params)
+    _write_text(os.path.join(out, TRACE_NAME), _trace_tsv(epochs, cfg.regime.tasks))
 
     # the stored float32 weights are the contract: report from the reloaded
     # checkpoint so cmd_evaluate reproduces these numbers exactly
     saved_model, _, saved_vocab = _model_from_checkpoint(checkpoint_path, vocab_path)
-    report = _report_for(saved_model, splits.val, saved_vocab)
+    report = _report_for(saved_model, val_split, saved_vocab)
     _write_report(out, REPORT, report, cfg.regime.tasks, "validation weighted F1")
     return 0
 

@@ -10,7 +10,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .data import Batch, Corpus, SplitSet, batches, class_counts, encode_split
+from .data import Batch, Corpus, batches, class_counts, encode_split
 from .encoder import (
     EncoderConfig,
     HeadSpec,
@@ -128,14 +128,6 @@ class EpochStats:
     train_loss: dict[str, float]
     train_accuracy: dict[str, float]
     val_weighted_f1: dict[str, float]
-
-
-@dataclass
-class TrainTrace:
-    epochs: list[EpochStats] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.epochs)
 
 
 @dataclass
@@ -290,11 +282,7 @@ def weighted_sum(losses: Sequence[Tensor], task_weights: Sequence[float]) -> Ten
     return total
 
 
-def soft_loss(
-    losses: Sequence[Tensor],
-    params: Mapping[str, Tensor],
-    regime: RegimeConfig,
-) -> Tensor:
+def soft_loss(losses: Sequence[Tensor], regime: RegimeConfig) -> Tensor:
     """The differentiable part of every regime's objective: the weighted
     task-loss sum. A coupling penalty stays off the tape; `couple` applies
     it as a proximal step after the optimizer's."""
@@ -374,38 +362,38 @@ def _check_heads(model: Model, split: Corpus) -> None:
 
 
 def train(
-    splits: SplitSet,
-    regime: RegimeConfig,
-    train_cfg: TrainConfig,
     model: Model,
+    train_split: Corpus,
+    val_split: Corpus,
     vocab: Vocab,
-) -> tuple[dict[str, Tensor], TrainTrace]:
-    """Run the configured regime over the train split.
+    train_cfg: TrainConfig,
+) -> list[EpochStats]:
+    """Run `model.regime` over the train split, updating `model.params` in
+    place; one EpochStats per epoch.
 
     Per epoch: seeded shuffle and fixed-size batches. A batch is packed
     once, and each encoder of `towers(regime)` in turn runs its forward,
     its tasks' losses and the backward of their weighted sum on a tape of
     its own, so only one encoder's activations are alive at a time. Each
     parameter belongs to one encoder, so the gradients equal one backward
-    of `soft_loss` over all encoders bit for bit. Then clip and AdamW
-    step, and `couple` takes the coupling penalty's proximal step;
-    validation weighted F1 is recorded after each epoch. Returns the
-    trained parameters and the trace.
+    of `soft_loss` over all encoders bit for bit. Then the AdamW step, and
+    `couple` takes the coupling penalty's proximal step; validation
+    weighted F1 is recorded after each epoch.
 
-    A non-finite task loss raises NumericalError naming the task, epoch
-    and batch before its encoder's backward; a non-finite objective or
-    gradient raises before the update, so no parameter changes.
+    An empty split raises ContractError. A non-finite task loss raises
+    NumericalError naming the task, epoch and batch before its encoder's
+    backward; a non-finite objective or gradient raises before the update,
+    so no parameter changes.
     """
-    if not splits.train.records or not splits.val.records:
-        raise ContractError("train and validation splits must be non-empty")
-    _check_heads(model, splits.train)
+    regime = model.regime
+    train_set = encode_split(train_split, vocab, model.encoder_cfg.max_len)
+    val_set = encode_split(val_split, vocab, model.encoder_cfg.max_len)
+    _check_heads(model, train_split)
     states = init_states(model.params)
-    weights = _class_weight_table(regime, splits.train)
+    weights = _class_weight_table(regime, train_split)
     shuffle_rng = stream(train_cfg.seed, "shuffle")
     dropout_rng = stream(train_cfg.seed, "dropout")
-    train_set = encode_split(splits.train, vocab, model.encoder_cfg.max_len)
-    val_set = encode_split(splits.val, vocab, model.encoder_cfg.max_len)
-    trace = TrainTrace()
+    epochs: list[EpochStats] = []
     task_weight = dict(zip(regime.tasks, regime.task_weights))
 
     for epoch in range(train_cfg.epochs):
@@ -415,6 +403,7 @@ def train(
         loss_sums = {task: 0.0 for task in regime.tasks}
         hits = {task: 0 for task in regime.tasks}
         for batch_index, batch in enumerate(epoch_batches):
+            at = f"at epoch {epoch} batch {batch_index}"
             zero_grads(model.params)
             packed = pack(batch.seqs, model.encoder_cfg)
             loss_values: dict[str, float] = {}
@@ -432,44 +421,32 @@ def train(
                     hits[t] += int((logits[t].data.argmax(axis=1) == batch.labels[t]).sum())
                 if not math.isfinite(tower_loss.item()):
                     bad = [t for t in tasks if not math.isfinite(loss_values[t])] or tasks
-                    raise NumericalError(
-                        f"non-finite {'+'.join(bad)} loss at epoch {epoch} batch {batch_index}"
-                    )
+                    raise NumericalError(f"non-finite {'+'.join(bad)} loss {at}")
                 backward(tape, tower_loss)
-            total = soft_loss(
-                [Tensor(loss_values[t]) for t in regime.tasks], model.params, regime
-            )
+            total = soft_loss([Tensor(loss_values[t]) for t in regime.tasks], regime)
             if not math.isfinite(total.item()):
-                raise NumericalError(
-                    f"non-finite objective at epoch {epoch} batch {batch_index}"
-                )
-            grads = {
-                name: p.grad if p.grad is not None else np.zeros(p.shape)
-                for name, p in model.params.items()
-            }
-            for name, grad in grads.items():
-                if not np.isfinite(grad).all():
-                    raise NumericalError(
-                        f"non-finite gradient for {name!r} at epoch {epoch} batch {batch_index}"
-                    )
-            adamw_step(model.params, grads, states, train_cfg.optimizer)
+                raise NumericalError(f"non-finite objective {at}")
+            try:
+                adamw_step(model.params, states, train_cfg.optimizer)
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} {at}") from exc
             couple(regime, model.params, train_cfg.optimizer.learning_rate)
 
         val_preds = _predict(model, val_set)
         val_f1 = {}
         for task in regime.tasks:
             tr = task_report(
-                task, splits.val.schemas[task].classes, list(val_set.labels[task]), val_preds[task]
+                task, val_split.schemas[task].classes, list(val_set.labels[task]), val_preds[task]
             )
             val_f1[task] = tr.weighted.f1
-        trace.epochs.append(
+        epochs.append(
             EpochStats(
                 train_loss={t: loss_sums[t] / len(train_set) for t in regime.tasks},
                 train_accuracy={t: hits[t] / len(train_set) for t in regime.tasks},
                 val_weighted_f1=val_f1,
             )
         )
-    return model.params, trace
+    return epochs
 
 
 def _predict(model: Model, encoded: Batch) -> dict[str, list[int]]:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from ..errors import ContractError, ShapeError
+from ..errors import ContractError, NumericalError, ShapeError
 from .tensor import Tensor
 
 
@@ -59,38 +60,37 @@ def global_grad_norm(grads: Mapping[str, np.ndarray]) -> float:
     return float(np.sqrt(total))
 
 
-def clip_by_global_norm(
-    grads: Mapping[str, np.ndarray], clip_norm: float
-) -> dict[str, np.ndarray]:
-    """Rescale gradients so the global norm is at most `clip_norm`."""
-    norm = global_grad_norm(grads)
-    if norm <= clip_norm or norm == 0.0:
-        return dict(grads)
-    factor = clip_norm / norm
-    return {name: g * factor for name, g in grads.items()}
-
-
 def adamw_step(
     params: Mapping[str, Tensor],
-    grads: Mapping[str, np.ndarray],
     states: Mapping[str, AdamWState],
     hyper: OptimHyper,
 ) -> None:
-    """One in-place update: clip, bias-corrected Adam, then decoupled decay
-    applied to the post-Adam parameter."""
-    missing = set(params) - set(grads)
-    if missing:
-        raise ContractError(f"gradients missing for parameters: {sorted(missing)}")
-    for name in params:
-        if params[name].shape != np.shape(grads[name]):
+    """One in-place update from each parameter's `.grad` (None reads as
+    zeros): clip to the global norm, bias-corrected Adam, then decoupled
+    decay applied to the post-Adam parameter.
+
+    Checks every gradient before anything changes: a shape that is not its
+    parameter's raises ShapeError, and a global norm that is not finite
+    raises NumericalError naming the first non-finite gradient in sorted-name
+    order. Finite gradients whose norm overflows clip by a factor of 0."""
+    grads = {
+        name: np.zeros(p.shape) if p.grad is None else p.grad for name, p in params.items()
+    }
+    for name, g in grads.items():
+        if params[name].shape != g.shape:
             raise ShapeError(
-                f"parameter {name}: shape {params[name].shape} vs gradient "
-                f"shape {np.shape(grads[name])}"
+                f"parameter {name}: shape {params[name].shape} vs gradient shape {g.shape}"
             )
-    if hyper.clip_norm > 0:
-        grads = clip_by_global_norm(grads, hyper.clip_norm)
+    norm = global_grad_norm(grads)
+    if not math.isfinite(norm):
+        for name in sorted(grads):
+            if not np.isfinite(grads[name]).all():
+                raise NumericalError(f"non-finite gradient for {name!r}")
+    factor = hyper.clip_norm / norm if 0.0 < hyper.clip_norm < norm else None
     for name in sorted(params):
         p, g, s = params[name], grads[name], states[name]
+        if factor is not None:
+            g = g * factor
         s.t += 1
         # in place, with the same operations in the same order; the
         # parameter too, so a view (a soft-sharing tower's slice of its

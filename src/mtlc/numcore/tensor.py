@@ -155,10 +155,6 @@ def backward(tape: GradTape, loss: Tensor) -> None:
     tape._replayed = True
     records = tape._records
     adjoint: dict[int, Array] = {loss._key: np.ones(())}
-    # keys whose adjoint is an array this loop allocated (a sum of two
-    # contributions) and nothing else holds: a closure may return its
-    # output's adjoint, or a view of it, for one input or several
-    owned: set[int] = set()
     while records:
         out, inputs, bwd = records.pop()
         g = adjoint.pop(out, None)
@@ -168,14 +164,7 @@ def backward(tape: GradTape, loss: Tensor) -> None:
             if gi is None or k is None:
                 continue
             prev = adjoint.get(k)
-            if prev is None:
-                adjoint[k] = gi
-            elif k in owned:
-                prev += gi
-            else:
-                adjoint[k] = total = prev + gi
-                if total.ndim:  # a 0-d sum is a numpy scalar, which += rebinds
-                    owned.add(k)
+            adjoint[k] = gi if prev is None else prev + gi
     for k, t in tape._watched.items():
         g = adjoint.get(k)
         if g is None:

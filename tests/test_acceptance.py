@@ -434,33 +434,31 @@ def test_criterion_6_convergence_and_stl_equivalence(toy_splits, toy_vocab):
     cfg = toy_encoder_cfg(toy_vocab)
 
     hard = build_model(regime_for("hard_share"), cfg, N_CLASSES, seed=1)
-    _, hard_trace = train(toy_splits, regime_for("hard_share"), toy_train_cfg(), hard, toy_vocab)
+    hard_epochs = train(hard, toy_splits.train, toy_splits.val, toy_vocab, toy_train_cfg())
     hard_seconds = time.perf_counter() - started
     reached = [
         i
-        for i, ep in enumerate(hard_trace.epochs)
+        for i, ep in enumerate(hard_epochs)
         if all(ep.train_accuracy[t] >= 0.95 for t in TASKS)
     ]
-    assert reached, f"hard sharing never hit 95/95 within 30 epochs: last={hard_trace.epochs[-1].train_accuracy}"
+    assert reached, f"hard sharing never hit 95/95 within 30 epochs: last={hard_epochs[-1].train_accuracy}"
     assert hard_seconds < 120.0, f"hard-share run took {hard_seconds:.0f}s (budget 120s)"
 
     stl_hit = {}
     for task in TASKS:
         model = build_model(regime_for("stl", task), cfg, N_CLASSES, seed=1)
-        _, trace = train(toy_splits, regime_for("stl", task), toy_train_cfg(), model, toy_vocab)
-        hit = [i for i, ep in enumerate(trace.epochs) if ep.train_accuracy[task] >= 0.95]
+        epochs = train(model, toy_splits.train, toy_splits.val, toy_vocab, toy_train_cfg())
+        hit = [i for i, ep in enumerate(epochs) if ep.train_accuracy[task] >= 0.95]
         assert hit, f"STL {task} never hit 95% within 30 epochs"
         stl_hit[task] = hit[0]
 
     # zero-weighted hard sharing replays the STL trajectory
     short = toy_train_cfg(epochs=4)
     stl = build_model(regime_for("stl", "sentiment"), cfg, N_CLASSES, seed=1)
-    _, stl_trace = train(toy_splits, regime_for("stl", "sentiment"), short, stl, toy_vocab)
+    stl_epochs = train(stl, toy_splits.train, toy_splits.val, toy_vocab, short)
     zeroed = build_model(regime_for("hard_share", weights=(1.0, 0.0)), cfg, N_CLASSES, seed=1)
-    _, zero_trace = train(
-        toy_splits, regime_for("hard_share", weights=(1.0, 0.0)), short, zeroed, toy_vocab
-    )
-    for a, b in zip(stl_trace.epochs, zero_trace.epochs):
+    zero_epochs = train(zeroed, toy_splits.train, toy_splits.val, toy_vocab, short)
+    for a, b in zip(stl_epochs, zero_epochs):
         assert abs(a.train_loss["sentiment"] - b.train_loss["sentiment"]) <= 1e-12
         assert abs(a.val_weighted_f1["sentiment"] - b.val_weighted_f1["sentiment"]) <= 1e-12
 
@@ -484,15 +482,14 @@ def test_criterion_7_soft_coupling_monotonicity(toy_splits, toy_vocab):
         soft = SoftShareConfig(penalty="frobenius", lam=lam, coupled_layer_names=coupled)
         regime = regime_for("soft_share", soft=soft)
         model = build_model(regime, cfg, N_CLASSES, seed=1)
-        train(toy_splits, regime, toy_train_cfg(epochs=10), model, toy_vocab)
+        train(model, toy_splits.train, toy_splits.val, toy_vocab, toy_train_cfg(epochs=10))
         distances[lam] = coupling_distance(model)
     assert distances[10.0] < distances[0.0]
 
     soft0 = SoftShareConfig(penalty="frobenius", lam=0.0, coupled_layer_names=coupled)
     regime0 = regime_for("soft_share", soft=soft0)
-    model0 = build_model(regime0, cfg, N_CLASSES, seed=2)
     l1, l2 = Tensor(1.25), Tensor(0.5)
-    assert abs(soft_loss((l1, l2), model0.params, regime0).item() - 1.75) <= 1e-12
+    assert abs(soft_loss((l1, l2), regime0).item() - 1.75) <= 1e-12
     report(
         "soft-sharing coupling",
         f"distance lam=10: {distances[10.0]:.4f} < lam=0: {distances[0.0]:.4f}",

@@ -330,10 +330,11 @@ class TestEvaluate:
             "regime.task = bogus",
             "regime.lambda = nan",
             "regime.coupled_layers = layer9.wq",
+            "model.dropout = 7",
         ],
     )
     def test_embedded_config_with_an_unused_bad_value_exits_2(
-        self, trained_run, tmp_path, toy_dir, line
+        self, trained_run, tmp_path, toy_dir, line, capsys
     ):
         import shutil
 
@@ -346,9 +347,12 @@ class TestEvaluate:
         bad = tmp_path / "bad.mtlc"
         save_checkpoint(str(bad), "\n".join(lines) + "\n", arrays)
         shutil.copy(trained_run / "vocab.txt", tmp_path / "vocab.txt")
+        capsys.readouterr()
         code = main(["evaluate", "--checkpoint", str(bad), "--data", str(toy_dir / "val.tsv")])
         assert code == 2
         assert not (tmp_path / "eval_report.json").exists()
+        err = capsys.readouterr().err
+        assert f"checkpoint {str(bad)!r}: embedded config: {key}" in err
 
     def test_missing_vocab_exits_2(self, trained_run, toy_dir, tmp_path):
         import shutil

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtlc import mtl
-from mtlc.data import Batch, Corpus, Record, SplitSet, batches, encode_split, schemas_for_language
+from mtlc.data import Batch, Corpus, Record, batches, encode_split, schemas_for_language
 from mtlc.encoder import EncoderConfig, forward_call_count, param_shapes, reset_forward_calls
 from mtlc.errors import ConfigError, ContractError, NumericalError
 from mtlc.losses import LossConfig, compute_loss, cross_entropy
@@ -29,6 +29,7 @@ from mtlc.numcore import (
     Tensor,
     backward,
     child_seed,
+    init_states,
     stream,
     svt,
     zero_grads,
@@ -80,14 +81,14 @@ def first_step_grads(splits, regime, model, vocab, monkeypatch, seed=1):
     step was given; no parameter is updated."""
     seen = {}
 
-    def stop(params, grads, states, hyper):
-        seen.update((name, grad.copy()) for name, grad in grads.items())
+    def stop(params, states, hyper):
+        seen.update((name, p.grad.copy()) for name, p in params.items())
         raise _StopBeforeUpdate
 
     monkeypatch.setattr(mtl, "adamw_step", stop)
     tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=seed)
     with pytest.raises(_StopBeforeUpdate):
-        train(splits, regime, tc, model, vocab)
+        train(model, splits.train, splits.val, vocab, tc)
     return seen
 
 
@@ -103,7 +104,7 @@ def joint_step_grads(splits, regime, model, vocab, seed=1):
         losses = [
             compute_loss(logits[t], batch.labels[t], regime.losses[t], None) for t in regime.tasks
         ]
-        total = soft_loss(losses, model.params, regime)
+        total = soft_loss(losses, regime)
     backward(tape, total)
     return {name: p.grad for name, p in model.params.items()}
 
@@ -299,7 +300,7 @@ class TestSoftLoss:
     def test_lambda_zero_is_exact_sum(self, toy_vocab):
         model = self._soft_model(toy_vocab, lam=0.0)
         l1, l2 = Tensor(0.43), Tensor(1.17)
-        out = soft_loss((l1, l2), model.params, model.regime)
+        out = soft_loss((l1, l2), model.regime)
         assert out.item() == 0.43 + 1.17
         # and no coupling step runs: every parameter keeps its array
         arrays = {name: p.data for name, p in model.params.items()}
@@ -312,7 +313,7 @@ class TestSoftLoss:
         for name in model.regime.soft.coupled_layer_names:
             model.params[f"tower.{t2}.{name}"].data = model.params[f"tower.{t1}.{name}"].data.copy()
         before = {name: p.data.copy() for name, p in model.params.items()}
-        out = soft_loss((Tensor(1.0), Tensor(2.0)), model.params, model.regime)
+        out = soft_loss((Tensor(1.0), Tensor(2.0)), model.regime)
         assert out.item() == 3.0
         mtl.couple(model.regime, model.params, 0.01)
         for name, p in model.params.items():
@@ -323,7 +324,7 @@ class TestSoftLoss:
         model = self._soft_model(toy_vocab, lam=0.5, coupled=("layer0.wq", "layer0.wk"))
         t1, t2 = model.regime.tasks
         before = {name: p.data.copy() for name, p in model.params.items()}
-        out = soft_loss((Tensor(0.2), Tensor(0.3)), model.params, model.regime)
+        out = soft_loss((Tensor(0.2), Tensor(0.3)), model.regime)
         assert out.item() == pytest.approx(0.5, abs=1e-12)
         mtl.couple(model.regime, model.params, 0.2)
         shrink = 1 / (1 + 4 * 0.2 * 0.5)  # eta = lr * lambda
@@ -345,7 +346,7 @@ class TestSoftLoss:
         eta = 0.03 * 2.0
         assert sigma.min() < eta < sigma.max()  # some directions are cut, some kept
         expected = u @ np.diag(np.maximum(sigma - eta, 0.0)) @ vt
-        out = soft_loss((Tensor(1.0), Tensor(1.0)), model.params, model.regime)
+        out = soft_loss((Tensor(1.0), Tensor(1.0)), model.regime)
         assert out.item() == 2.0
         mtl.couple(model.regime, model.params, 0.03)
         assert np.abs(np.concatenate([a.data, b.data]) - expected).max() < 1e-12
@@ -388,8 +389,8 @@ class TestSoftLoss:
 
     def test_stl_weight_scales_its_loss(self):
         loss = Tensor(0.83)
-        unit = soft_loss((loss,), {}, regime_for("stl", weights=(1.0,)))
-        half = soft_loss((loss,), {}, regime_for("stl", weights=(0.5,)))
+        unit = soft_loss((loss,), regime_for("stl", weights=(1.0,)))
+        half = soft_loss((loss,), regime_for("stl", weights=(0.5,)))
         assert half.item() == 0.5 * unit.item()
 
     def test_build_rejects_missing_coupling(self, toy_vocab):
@@ -405,12 +406,12 @@ class TestTrain:
         results = []
         for _ in range(2):
             model = build_model(regime, cfg, N_CLASSES, seed=1)
-            params, trace = train(toy_splits, regime, tc, model, toy_vocab)
-            results.append((params, trace))
+            epochs = train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
+            results.append((model.params, epochs))
         (p1, t1), (p2, t2) = results
         for name in p1:
             assert np.array_equal(p1[name].data, p2[name].data)
-        for a, b in zip(t1.epochs, t2.epochs):
+        for a, b in zip(t1, t2):
             assert a.train_loss == b.train_loss
             assert a.train_accuracy == b.train_accuracy
             assert a.val_weighted_f1 == b.val_weighted_f1
@@ -420,13 +421,11 @@ class TestTrain:
         tc = TrainConfig(epochs=3, batch_size=16, optimizer=toy_hyper(), seed=1)
 
         stl = build_model(regime_for("stl", "sentiment"), cfg, N_CLASSES, seed=1)
-        _, stl_trace = train(toy_splits, regime_for("stl", "sentiment"), tc, stl, toy_vocab)
+        stl_epochs = train(stl, toy_splits.train, toy_splits.val, toy_vocab, tc)
 
         hard = build_model(regime_for("hard_share", weights=(1.0, 0.0)), cfg, N_CLASSES, seed=1)
-        _, hard_trace = train(
-            toy_splits, regime_for("hard_share", weights=(1.0, 0.0)), tc, hard, toy_vocab
-        )
-        for a, b in zip(stl_trace.epochs, hard_trace.epochs):
+        hard_epochs = train(hard, toy_splits.train, toy_splits.val, toy_vocab, tc)
+        for a, b in zip(stl_epochs, hard_epochs):
             assert abs(a.train_loss["sentiment"] - b.train_loss["sentiment"]) <= 1e-12
             assert a.train_accuracy["sentiment"] == b.train_accuracy["sentiment"]
             assert abs(a.val_weighted_f1["sentiment"] - b.val_weighted_f1["sentiment"]) <= 1e-12
@@ -438,9 +437,9 @@ class TestTrain:
         regime = regime_for("hard_share")
         tc = TrainConfig(epochs=8, batch_size=16, optimizer=toy_hyper(lr=1e-3), seed=1)
         model = build_model(regime, cfg, N_CLASSES, seed=1)
-        _, trace = train(toy_splits, regime, tc, model, toy_vocab)
+        epochs = train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
         for task in TASKS:
-            losses = [e.train_loss[task] for e in trace.epochs]
+            losses = [e.train_loss[task] for e in epochs]
             for earlier, later in zip(losses[1:], losses[2:]):
                 assert later <= earlier + 1e-9
 
@@ -449,9 +448,9 @@ class TestTrain:
         regime = regime_for("stl", "offense")
         tc = TrainConfig(epochs=2, batch_size=16, optimizer=toy_hyper(), seed=0)
         model = build_model(regime, cfg, N_CLASSES, seed=0)
-        _, trace = train(toy_splits, regime, tc, model, toy_vocab)
-        assert len(trace) == 2
-        for ep in trace.epochs:
+        epochs = train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
+        assert len(epochs) == 2
+        for ep in epochs:
             assert set(ep.train_loss) == {"offense"}
             assert 0.0 <= ep.train_accuracy["offense"] <= 1.0
             assert 0.0 <= ep.val_weighted_f1["offense"] <= 1.0
@@ -465,8 +464,8 @@ class TestTrain:
         regime = regime_for("soft_share", soft=soft)
         model = build_model(regime, toy_encoder(toy_vocab), N_CLASSES, seed=1)
         tc = TrainConfig(epochs=5, batch_size=16, optimizer=toy_hyper(), seed=1)
-        _, trace = train(toy_splits, regime, tc, model, toy_vocab)
-        f1 = trace.epochs[-1].val_weighted_f1
+        epochs = train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
+        f1 = epochs[-1].val_weighted_f1
         assert f1["sentiment"] >= 0.9 and f1["offense"] >= 0.9, f1
 
     @pytest.mark.parametrize(
@@ -477,7 +476,7 @@ class TestTrain:
         model = build_model(regime, cfg, {**N_CLASSES, "offense": 5}, seed=0)
         tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=0)
         with pytest.raises(ContractError, match="'offense' has 5 classes but schema has 6"):
-            train(toy_splits, regime, tc, model, toy_vocab)
+            train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
 
     def test_empty_split_rejected(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab)
@@ -485,9 +484,8 @@ class TestTrain:
         tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=0)
         model = build_model(regime, cfg, N_CLASSES, seed=0)
         empty = Corpus(records=[], schemas=toy_splits.train.schemas, language="kannada")
-        broken = SplitSet(train=toy_splits.train, val=empty, test=empty)
-        with pytest.raises(ContractError):
-            train(broken, regime, tc, model, toy_vocab)
+        with pytest.raises(ContractError, match="empty split"):
+            train(model, toy_splits.train, empty, toy_vocab, tc)
 
     def test_non_finite_loss_aborts_with_coordinates(self, toy_splits, toy_vocab):
         from mtlc.errors import NumericalError
@@ -498,7 +496,7 @@ class TestTrain:
         model = build_model(regime, cfg, N_CLASSES, seed=0)
         model.params["pooler_w"].data[0, 0] = float("nan")
         with pytest.raises(NumericalError, match="epoch 0 batch 0"):
-            train(toy_splits, regime, tc, model, toy_vocab)
+            train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
 
     def test_non_finite_gradient_aborts_before_the_step(self, toy_splits, toy_vocab, monkeypatch):
         import mtlc.mtl
@@ -516,7 +514,7 @@ class TestTrain:
 
         monkeypatch.setattr(mtlc.mtl, "backward", poisoned_backward)
         with pytest.raises(NumericalError, match="'pooler_w' at epoch 0 batch 0"):
-            train(toy_splits, regime, tc, model, toy_vocab)
+            train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
         for name, p in model.params.items():
             assert np.array_equal(p.data, before[name]), name
 
@@ -591,7 +589,7 @@ class TestTrainStep:
         monkeypatch.setattr(mtl, "adamw_step", recording_step)
         monkeypatch.setattr(mtl, f"{penalty}_penalty", recording_prox)
         tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(lr=0.002), seed=1)
-        train(toy_splits, regime, tc, model, toy_vocab)
+        train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
         step = ["adamw"] + [
             (f"tower.sentiment.{name}", f"tower.offense.{name}", 0.002 * 0.5)
             for name in regime.soft.coupled_layer_names
@@ -608,7 +606,7 @@ class TestTrainStep:
             monkeypatch.setattr(mtl, name, None)  # calling either fails the test
         tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=1)
         with pytest.raises(NumericalError, match="offense loss at epoch 0 batch 0"):
-            train(toy_splits, regime, tc, model, toy_vocab)
+            train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
         for name, p in model.params.items():
             assert np.array_equal(p.data, before[name], equal_nan=True), name
 
@@ -619,18 +617,28 @@ class TestTrainStep:
         model = self._model(regime, toy_vocab)
         before = {name: p.data.copy() for name, p in model.params.items()}
 
+        states, couplings = {}, []
+
         def poisoned_backward(tape, loss):
             backward(tape, loss)
             model.params["tower.sentiment.layer0.wq"].grad[0, 0] = float("nan")
 
+        def recording_init_states(params):
+            states.update(init_states(params))
+            return states
+
         monkeypatch.setattr(mtl, "backward", poisoned_backward)
-        for name in ("adamw_step", "trace_norm_penalty"):
-            monkeypatch.setattr(mtl, name, None)
+        monkeypatch.setattr(mtl, "init_states", recording_init_states)
+        monkeypatch.setattr(mtl, "couple", lambda *args: couplings.append(args))
         tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=1)
         with pytest.raises(NumericalError, match="'tower.sentiment.layer0.wq' at epoch 0 batch 0"):
-            train(toy_splits, regime, tc, model, toy_vocab)
+            train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
         for name, p in model.params.items():
             assert np.array_equal(p.data, before[name]), name
+        assert set(states) == set(model.params)
+        for name, s in states.items():
+            assert s.t == 0 and not s.m.any() and not s.v.any(), name
+        assert couplings == []
 
 
 class TestEvaluate:
@@ -934,7 +942,7 @@ class TestConcurrency:
 
         def train_once():
             model = build_model(regime, cfg, N_CLASSES, seed=1)
-            train(toy_splits, regime, tc, model, toy_vocab)
+            train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
             return model
 
         def train_then_signal():

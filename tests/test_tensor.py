@@ -163,9 +163,10 @@ class TestBackward:
 
 
 class TestInPlaceAccumulation:
-    """backward adds a third and later contribution in place into the sum it
-    allocated for the second; each gradient still equals the out-of-place
-    left-to-right sum of its contributions, bit for bit."""
+    """backward sums an adjoint's contributions out of place, in the order
+    it meets them, and never writes into an array a closure returned; each
+    gradient equals the left-to-right sum of its contributions, bit for
+    bit."""
 
     def test_add_of_a_tensor_with_itself(self):
         # add returns its output's adjoint for both inputs: add(s, x) gives
@@ -209,7 +210,7 @@ class TestInPlaceAccumulation:
             assert np.array_equal(got.grad, want.grad)
 
     def test_zero_d_tensor_with_three_consumers(self):
-        # a 0-d sum is a numpy scalar: it cannot be written in place
+        # a 0-d sum is a numpy scalar, not an array
         x = Tensor(1.5, requires_grad=True)
         c1, c2, c3 = 0.1, 0.2, 0.7
         with GradTape() as tape:
