@@ -22,7 +22,7 @@ from .encoder import (
     pack,
     param_shapes,
 )
-from .errors import ConfigError, ContractError, NumericalError, ShapeError
+from .errors import ConfigError, ContractError, NumericalError
 from .losses import ClassWeights, LossConfig, class_weights, compute_loss
 from .metrics import task_report
 from .numcore import (
@@ -104,8 +104,8 @@ class RegimeConfig:
             raise ConfigError(f"task_weights must be nonnegative, got {self.task_weights}")
         if set(self.losses) != set(self.tasks):
             raise ConfigError(f"loss config tasks {sorted(self.losses)} != tasks {self.tasks}")
-        if self.kind == SOFT_SHARE and self.soft is None:
-            raise ConfigError("soft_share regime needs a SoftShareConfig")
+        if (self.kind == SOFT_SHARE) != (self.soft is not None):
+            raise ConfigError(f"a SoftShareConfig goes with soft_share alone; kind is {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -134,42 +134,33 @@ class EpochStats:
 class Model:
     """Everything needed to run forward passes for one configured regime.
 
-    A soft-sharing model holds each encoder parameter once, in `stacks`, as
-    a [towers, ...] array in `towers` order, and each tower's Tensor of
-    that name views its slice. Prediction runs every tower in one encoder
-    pass over the stacks; training, the optimizer, the coupling step and
-    the checkpoint see one Tensor per tower and update it in place."""
+    Each encoder parameter lives once, in `stacks`, as a [towers, ...]
+    array in `towers` order: one tower for STL and hard sharing, two for
+    soft sharing. Each tower's Tensor of that name views its slice.
+    Prediction runs every tower in one encoder pass over the stacks, and
+    the coupling step works on each coupled stack whole; training, the
+    optimizer and the checkpoint see one Tensor per tower. Weights are
+    edited in place: a tower Tensor whose `.data` is rebound no longer
+    reaches its stack, so new weights take a new Model.
+
+    A coupled layer that is not an encoder parameter raises ConfigError."""
 
     regime: RegimeConfig
     encoder_cfg: EncoderConfig
     params: dict[str, Tensor]
     stacks: dict[str, Tensor] = field(init=False, repr=False, compare=False)
-    # tower Tensor name -> the name of its stack and the slice it should view
-    _views: dict[str, tuple[str, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.stacks, self._views = {}, {}
-        if self.regime.kind == SOFT_SHARE:
-            for name in param_shapes(self.encoder_cfg, ()):
-                self._stack(name)
-
-    def _stack(self, name: str) -> None:
-        keys = [prefix + name for prefix in towers(self.regime)]
-        stack = np.stack([self.params[key].data for key in keys])
-        for key, view in zip(keys, stack):
-            self.params[key].data = view
-            self._views[key] = (name, view)
-        self.stacks[name] = Tensor(stack, name=name)
-
-    def stacked(self) -> dict[str, Tensor]:
-        """`stacks`, after restacking each name of which a tower Tensor no
-        longer views its slice, because its `.data` was rebound: prediction
-        never reads a stale weight. An in-place edit reaches the stack."""
-        params = self.params
-        stale = {name for key, (name, view) in self._views.items() if params[key].data is not view}
-        for name in stale:
-            self._stack(name)
-        return self.stacks
+        self.stacks = {}
+        for name in param_shapes(self.encoder_cfg, ()):
+            keys = [prefix + name for prefix in towers(self.regime)]
+            stack = np.stack([self.params[key].data for key in keys])
+            for key, view in zip(keys, stack):
+                self.params[key].data = view
+            self.stacks[name] = Tensor(stack, name=name)
+        for name in self.regime.soft.coupled_layer_names if self.regime.soft else ():
+            if name not in self.stacks:
+                raise ConfigError(f"coupled layer {name!r} is not an encoder parameter")
 
 
 def towers(regime: RegimeConfig) -> dict[str, tuple[str, ...]]:
@@ -191,7 +182,6 @@ def build_model(
     params: dict[str, Tensor] = {}
     for prefix, tasks in towers(regime).items():
         params.update(init_params(encoder_cfg, [heads[t] for t in tasks], seed, prefix=prefix))
-    coupled_pairs(regime, params)  # a coupled layer missing from a tower fails at build
     return Model(regime=regime, encoder_cfg=encoder_cfg, params=params)
 
 
@@ -207,51 +197,16 @@ def expected_param_shapes(
     return shapes
 
 
-def coupled_pairs(
-    regime: RegimeConfig, params: Mapping[str, Tensor]
-) -> dict[str, tuple[Tensor, Tensor]]:
-    """Each coupled layer's name -> its tensor in the first and in the
-    second tower; none when every task shares one encoder."""
-    prefixes = list(towers(regime))
-    if len(prefixes) == 1:
-        return {}
-    assert regime.soft is not None
-    first, second = prefixes
-    pairs = {}
-    for name in regime.soft.coupled_layer_names:
-        if first + name not in params or second + name not in params:
-            raise ConfigError(f"coupled layer {name!r} missing from one of the towers")
-        pairs[name] = (params[first + name], params[second + name])
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # forward passes
 # ---------------------------------------------------------------------------
 
 
-def batch_logits(
-    model: Model,
-    seqs: Sequence[TokenSeq],
-    training: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> dict[str, Tensor]:
-    """Per-task [len(seqs), n_classes] logits. The batch is packed once,
-    and each encoder encodes it once for every head that sits on it."""
-    packed = pack(seqs, model.encoder_cfg)
-    out: dict[str, Tensor] = {}
-    for prefix, tasks in towers(model.regime).items():
-        out.update(tower_logits(model, packed, prefix, tasks, training, rng))
-    return out
-
-
 def predict_logits(model: Model, seqs: Sequence[TokenSeq]) -> dict[str, Tensor]:
-    """Per-task inference logits, bit for bit those of `batch_logits`. Soft
-    sharing runs both towers in one encoder pass over `model.stacked()`,
-    and each head on its tower's slice of the pooled output."""
-    if not model.stacks:
-        return batch_logits(model, seqs)
-    pooled = encoder_forward(pack(seqs, model.encoder_cfg), model.stacked(), model.encoder_cfg)
+    """Per-task inference logits: every tower in one encoder pass over
+    `model.stacks`, and each head on its tower's slice of the pooled
+    output; bit for bit the logits of `tower_logits` on each tower."""
+    pooled = encoder_forward(pack(seqs, model.encoder_cfg), model.stacks, model.encoder_cfg)
     return {
         task: classify(Tensor(tower_pooled), head_view(model.params, task, prefix))
         for (prefix, tasks), tower_pooled in zip(towers(model.regime).items(), pooled.data)
@@ -289,47 +244,50 @@ def soft_loss(losses: Sequence[Tensor], regime: RegimeConfig) -> Tensor:
     return weighted_sum(losses, regime.task_weights)
 
 
-def frobenius_penalty(a: Tensor, b: Tensor, eta: float) -> None:
-    """Proximal step of eta * ||a - b||_F^2 on one coupled pair, in place:
-    the pair's mean stays and its difference shrinks by 1 / (1 + 4 eta)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"coupled pair shapes disagree: {a.shape} vs {b.shape}")
-    mean = (a.data + b.data) / 2
-    half_diff = (a.data - b.data) / (2 * (1 + 4 * eta))
-    np.add(mean, half_diff, out=a.data)
-    np.subtract(mean, half_diff, out=b.data)
+def frobenius_penalty(pair: np.ndarray, eta: float) -> None:
+    """Proximal step of eta * ||a - b||_F^2 on one coupled [2, ...] stack
+    [a, b], in place: the pair's mean stays and its difference shrinks by
+    1 / (1 + 4 eta)."""
+    a, b = pair
+    mean = (a + b) / 2
+    half_diff = (a - b) / (2 * (1 + 4 * eta))
+    np.add(mean, half_diff, out=a)
+    np.subtract(mean, half_diff, out=b)
 
 
-def trace_norm_penalty(a: Tensor, b: Tensor, eta: float) -> None:
-    """Proximal step of eta * ||[a; b]||_* on one coupled pair, in place:
-    singular-value thresholding of the row-stack, written back into both."""
-    stacked = svt(np.concatenate([a.data, b.data]), eta)
-    a.data[...] = stacked[: a.shape[0]]
-    b.data[...] = stacked[a.shape[0] :]
+def trace_norm_penalty(pair: np.ndarray, eta: float) -> None:
+    """Proximal step of eta * ||[a; b]||_* on one coupled [2, ...] stack
+    [a, b], in place: singular-value thresholding of its row-stack, the
+    [-1, c] view of the stack."""
+    pair[...] = svt(pair.reshape(-1, pair.shape[-1]), eta).reshape(pair.shape)
 
 
-def couple(regime: RegimeConfig, params: Mapping[str, Tensor], learning_rate: float) -> None:
-    """The coupling penalty's proximal step, taken after each optimizer step
-    with eta = learning_rate * lambda (a forward-backward split: the task
-    losses take the gradient step, the penalty its proximal operator). At
-    lambda 0 nothing runs, so an uncoupled soft run is a plain AdamW run.
-    A NumericalError names the coupled layer."""
-    pairs = coupled_pairs(regime, params)
-    if not pairs or regime.soft.lam == 0.0:
+def couple(model: Model, learning_rate: float) -> None:
+    """The coupling penalty's proximal step on each coupled stack, taken
+    after each optimizer step with eta = learning_rate * lambda (a
+    forward-backward split: the task losses take the gradient step, the
+    penalty its proximal operator). Without a coupling, or at lambda 0,
+    nothing runs, so an uncoupled soft run is a plain AdamW run. A
+    NumericalError names the coupled layer."""
+    soft = model.regime.soft
+    if soft is None or soft.lam == 0.0:
         return
-    prox = frobenius_penalty if regime.soft.penalty == FROBENIUS else trace_norm_penalty
-    eta = learning_rate * regime.soft.lam
-    for name, (a, b) in pairs.items():
+    prox = frobenius_penalty if soft.penalty == FROBENIUS else trace_norm_penalty
+    eta = learning_rate * soft.lam
+    for name in soft.coupled_layer_names:
         try:
-            prox(a, b, eta)
+            prox(model.stacks[name].data, eta)
         except NumericalError as exc:
             raise NumericalError(f"coupled layer {name!r}: {exc}") from exc
 
 
 def coupling_distance(model: Model) -> float:
     """Current sum of squared Frobenius distances over the coupled layers."""
-    pairs = coupled_pairs(model.regime, model.params).values()
-    return sum((float(((a.data - b.data) ** 2).sum()) for a, b in pairs), 0.0)
+    total = 0.0
+    for name in model.regime.soft.coupled_layer_names if model.regime.soft else ():
+        a, b = model.stacks[name].data
+        total += float(((a - b) ** 2).sum())
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +388,7 @@ def train(
                 adamw_step(model.params, states, train_cfg.optimizer)
             except NumericalError as exc:
                 raise NumericalError(f"{exc} {at}") from exc
-            couple(regime, model.params, train_cfg.optimizer.learning_rate)
+            couple(model, train_cfg.optimizer.learning_rate)
 
         val_preds = _predict(model, val_set)
         val_f1 = {}

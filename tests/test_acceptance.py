@@ -33,11 +33,11 @@ from mtlc.mtl import (
     RegimeConfig,
     SoftShareConfig,
     TrainConfig,
-    batch_logits,
     build_model,
     coupling_distance,
     default_coupled_layers,
     frobenius_penalty,
+    predict_logits,
     soft_loss,
     trace_norm_penalty,
     train,
@@ -208,9 +208,9 @@ def _prox_cases():
     condition."""
 
     def stacked_svt(a, b, eta):
-        ta, tb = Tensor(a.copy()), Tensor(b.copy())
-        trace_norm_penalty(ta, tb, eta)
-        return svt_residual(np.concatenate([a, b]), np.concatenate([ta.data, tb.data]), eta)
+        pair = np.stack([a, b])
+        trace_norm_penalty(pair, eta)
+        return svt_residual(np.concatenate([a, b]), np.concatenate(pair), eta)
 
     def trace_case(seed):
         rng = np.random.default_rng(seed)
@@ -229,10 +229,10 @@ def _prox_cases():
         # the gradient of 1/2 |A'-A|^2 + 1/2 |B'-B|^2 + eta |A'-B'|^2 vanishes
         rng = np.random.default_rng(seed)
         a, b, eta = rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (3, 4)), 0.7
-        ta, tb = Tensor(a.copy()), Tensor(b.copy())
-        frobenius_penalty(ta, tb, eta)
-        pull = 2 * eta * (ta.data - tb.data)
-        return max(np.abs(ta.data - a + pull).max(), np.abs(tb.data - b - pull).max())
+        pair = np.stack([a, b])
+        frobenius_penalty(pair, eta)
+        pull = 2 * eta * (pair[0] - pair[1])
+        return max(np.abs(pair[0] - a + pull).max(), np.abs(pair[1] - b - pull).max())
 
     return [
         ("trace_norm_penalty", trace_case),
@@ -561,14 +561,14 @@ def test_criterion_9_shared_encoder_halves_forward_ops(toy_splits, toy_vocab):
     batch = batches(encode_split(toy_splits.val, toy_vocab, cfg.max_len), 16, False, 0)[0]
 
     reset_forward_calls()
-    batch_logits(shared, batch.seqs)
+    predict_logits(shared, batch.seqs)
     shared_calls = forward_call_count()
 
     reset_forward_calls()
     for task in TASKS:
         stl = build_model(regime_for("stl", task), cfg, N_CLASSES, seed=3)
         for seq in batch.seqs:
-            batch_logits(stl, [seq])
+            predict_logits(stl, [seq])
     stl_calls = forward_call_count()
 
     assert shared_calls == len(batch)
