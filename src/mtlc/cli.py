@@ -150,6 +150,12 @@ def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model
             f"checkpoint tensors do not match the config-implied set "
             f"(missing {missing}, unexpected {extra})"
         )
+    rows = {arrays[name].shape[0] for name in expected if name.endswith("tok_emb") and arrays[name].ndim}
+    if len(rows) == 1 and len(vocab) not in rows:  # sound embeddings sized for another vocabulary
+        raise DataError(
+            f"vocabulary {vocab_path!r} has {len(vocab)} tokens but checkpoint "
+            f"{checkpoint_path!r} embeds {rows.pop()} tokens; they are not from the same run"
+        )
     for name, shape in expected.items():
         if tuple(arrays[name].shape) != tuple(shape):
             raise CorruptArtifactError(

@@ -180,12 +180,17 @@ def load_config(
             raise ConfigError(f"{key}: {err}") from None
 
     if check_paths:
-        for key in ("data.train", "data.val"):
+        for key in ("data.train", "data.val", "output.dir"):
             if not typed[key]:
                 raise ConfigError(f"{key}: required path is missing")
         for key in ("data.train", "data.val", "data.test"):
             if typed[key] and not os.path.isfile(typed[key]):
                 raise ConfigError(f"{key}: path {typed[key]!r} is not a file")
+        nearest = os.path.abspath(typed["output.dir"])
+        while not os.path.lexists(nearest):  # the run makes the missing part
+            nearest = os.path.dirname(nearest)
+        if not os.path.isdir(nearest):
+            raise ConfigError(f"output.dir: path {typed['output.dir']!r} is a file or under one")
     for key, low in (("text.min_freq", 1), ("text.max_size", 1), ("text.max_len", 3)):
         if typed[key] < low:
             raise ConfigError(f"{key}: must be >= {low}, got {typed[key]}")

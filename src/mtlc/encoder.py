@@ -213,7 +213,6 @@ def encoder_forward(
     config: EncoderConfig,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
-    prefix: str = "",
 ) -> Tensor:
     """Embed the valid positions of a batch, run the pre-norm transformer
     stack on the packed rows, and pool each sequence's [CLS] row.
@@ -223,24 +222,24 @@ def encoder_forward(
     come from every row of the sequence. Returns the tanh-pooled
     [B, d_model] vectors. `batch` is B sequences or their `pack`.
 
-    Parameters stacked on a leading tower axis ([T, ...] arrays, as
-    `mtl.Model.stacks` holds them) run T encoders in one pass over the
-    same batch and return [T, B, d_model]; each tower's slice equals its
-    own pass bit for bit, and the forward counter adds T * B.
+    `params` maps plain names (`tok_emb`, `layer{i}.wq`, ...) to one
+    encoder's tensors, or to [T, ...] stacks (`mtl.Model.stacks`), which run
+    T encoders in one pass and return [T, B, d_model]; each tower's slice
+    equals its own pass bit for bit, and the forward counter adds T * B.
     """
     if not isinstance(batch, Packed):
         batch = pack(batch, config)
     ids, positions, lengths, cls_rows = batch
     if training and config.dropout_p > 0 and rng is None:
         raise ContractError("training with dropout needs an explicit rng stream")
-    tok, pos = params[prefix + "tok_emb"], params[prefix + "pos_emb"]
+    tok, pos = params["tok_emb"], params["pos_emb"]
     global _FORWARD_CALLS
     with _FORWARD_LOCK:
         _FORWARD_CALLS += len(lengths) * math.prod(tok.shape[:-2])
 
     x = add(gather_rows(tok, ids), gather_rows(pos, positions))
     for i in range(config.n_layers):
-        p = f"{prefix}layer{i}."
+        p = f"layer{i}."
         h = layer_norm_rows(x, params[p + "norm1_g"], params[p + "norm1_b"])
         if i == config.n_layers - 1:
             x = gather_rows(x, cls_rows)
@@ -253,8 +252,8 @@ def encoder_forward(
         inner = relu(affine(h, params[p + "ffn_w1"], params[p + "ffn_b1"]))
         ff = affine(inner, params[p + "ffn_w2"], params[p + "ffn_b2"])
         x = add(x, dropout(ff, config.dropout_p, training, rng))
-    x = layer_norm_rows(x, params[prefix + "final_norm_g"], params[prefix + "final_norm_b"])
-    return tanh(affine(x, params[prefix + "pooler_w"], params[prefix + "pooler_b"]))
+    x = layer_norm_rows(x, params["final_norm_g"], params["final_norm_b"])
+    return tanh(affine(x, params["pooler_w"], params["pooler_b"]))
 
 
 def classify(pooled: Tensor, head_params: Mapping[str, Tensor]) -> Tensor:

@@ -14,7 +14,6 @@ from .data import Batch, Corpus, batches, class_counts, encode_split
 from .encoder import (
     EncoderConfig,
     HeadSpec,
-    Packed,
     classify,
     encoder_forward,
     head_view,
@@ -205,26 +204,13 @@ def expected_param_shapes(
 def predict_logits(model: Model, seqs: Sequence[TokenSeq]) -> dict[str, Tensor]:
     """Per-task inference logits: every tower in one encoder pass over
     `model.stacks`, and each head on its tower's slice of the pooled
-    output; bit for bit the logits of `tower_logits` on each tower."""
+    output; bit for bit those of one pass per tower, as `train` runs it."""
     pooled = encoder_forward(pack(seqs, model.encoder_cfg), model.stacks, model.encoder_cfg)
     return {
         task: classify(Tensor(tower_pooled), head_view(model.params, task, prefix))
         for (prefix, tasks), tower_pooled in zip(towers(model.regime).items(), pooled.data)
         for task in tasks
     }
-
-
-def tower_logits(
-    model: Model,
-    packed: Packed,
-    prefix: str,
-    tasks: Sequence[str],
-    training: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> dict[str, Tensor]:
-    """Logits of `tasks`' heads over one pass of the encoder at `prefix`."""
-    pooled = encoder_forward(packed, model.params, model.encoder_cfg, training, rng, prefix)
-    return {task: classify(pooled, head_view(model.params, task, prefix)) for task in tasks}
 
 
 def weighted_sum(losses: Sequence[Tensor], task_weights: Sequence[float]) -> Tensor:
@@ -330,13 +316,14 @@ def train(
     place; one EpochStats per epoch.
 
     Per epoch: seeded shuffle and fixed-size batches. A batch is packed
-    once, and each encoder of `towers(regime)` in turn runs its forward,
-    its tasks' losses and the backward of their weighted sum on a tape of
-    its own, so only one encoder's activations are alive at a time. Each
-    parameter belongs to one encoder, so the gradients equal one backward
-    of `soft_loss` over all encoders bit for bit. Then the AdamW step, and
-    `couple` takes the coupling penalty's proximal step; validation
-    weighted F1 is recorded after each epoch.
+    once, and each encoder of `towers(regime)` in turn runs
+    `encoder_forward` on its own 2-D tensors, its heads, its tasks' losses
+    and their weighted sum's backward on a tape of its own, so only one
+    encoder's activations are alive at a time. Each parameter belongs to
+    one encoder, so the gradients equal one backward of `soft_loss` over
+    all encoders bit for bit. Then the AdamW step, and `couple` takes the
+    coupling penalty's proximal step; validation weighted F1 is recorded
+    after each epoch.
 
     An empty split raises ContractError. A non-finite task loss raises
     NumericalError naming the task, epoch and batch before its encoder's
@@ -366,8 +353,10 @@ def train(
             packed = pack(batch.seqs, model.encoder_cfg)
             loss_values: dict[str, float] = {}
             for prefix, tasks in towers(regime).items():
+                tower = {name: model.params[prefix + name] for name in model.stacks}
                 with GradTape() as tape:
-                    logits = tower_logits(model, packed, prefix, tasks, True, dropout_rng)
+                    pooled = encoder_forward(packed, tower, model.encoder_cfg, True, dropout_rng)
+                    logits = {t: classify(pooled, head_view(model.params, t, prefix)) for t in tasks}
                     losses = [
                         compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])
                         for t in tasks

@@ -32,8 +32,8 @@ Array = np.ndarray
 class Tensor:
     """A dense float64 array plus autodiff bookkeeping.
 
-    `grad` is populated (and accumulated) by `backward`; `name` lets the
-    optimizer and checkpoints address parameters.
+    `grad` is populated (and accumulated) by `backward`; `name` labels the
+    tensor in `repr` alone (the optimizer and checkpoints use dict keys).
     """
 
     __slots__ = ("data", "requires_grad", "name", "grad", "_key")

@@ -229,6 +229,21 @@ class TestTrain:
         assert "data.test" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/run"])
+    def test_output_dir_on_a_file_exits_2_before_training(
+        self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys, out
+    ):
+        import mtlc.cli as cli
+
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        cfg = self.with_test_split(toy_dir, fast_cfg, tmp_path, toy_dir / "test.tsv", tmp_path / out)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "output.dir" in err and str(tmp_path / out) in err
+        assert trained == []
+
     def test_seed_sources(self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys):
         # env beats config; flag beats env: verify via the embedded config text
         from mtlc.checkpoint import load_checkpoint
@@ -362,6 +377,24 @@ class TestEvaluate:
         code = main(["evaluate", "--checkpoint", str(lonely), "--data", str(toy_dir / "val.tsv")])
         assert code == 2
 
+
+    def test_another_runs_vocab_exits_3_naming_both_files(self, trained_run, toy_dir, tmp_path, capsys):
+        from mtlc.text import load_vocab
+
+        own = load_vocab(str(trained_run / "vocab.txt"))
+        foreign = tmp_path / "vocab.txt"
+        foreign.write_text(
+            (trained_run / "vocab.txt").read_text(encoding="utf-8") + "zzunseenword\n",
+            encoding="utf-8",
+        )
+        checkpoint = str(trained_run / "checkpoint.mtlc")
+        args = ["--checkpoint", checkpoint, "--vocab", str(foreign)]
+        args += ["--data", str(toy_dir / "val.tsv"), "--out-dir", str(tmp_path / "out")]
+        assert main(["evaluate", *args]) == 3
+        err = capsys.readouterr().err
+        assert repr(str(foreign)) in err and repr(checkpoint) in err
+        assert f"{len(own) + 1} tokens" in err and f"embeds {len(own)} tokens" in err
+        assert not (tmp_path / "out").exists()
 
     def test_vocab_directory_exits_2(self, trained_run, toy_dir, tmp_path, capsys):
         args = ["--checkpoint", str(trained_run / "checkpoint.mtlc"), "--vocab", str(tmp_path)]

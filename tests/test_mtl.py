@@ -5,7 +5,15 @@ import pytest
 
 from mtlc import mtl
 from mtlc.data import Batch, Corpus, Record, batches, encode_split, schemas_for_language
-from mtlc.encoder import EncoderConfig, forward_call_count, param_shapes, reset_forward_calls
+from mtlc.encoder import (
+    EncoderConfig,
+    classify,
+    encoder_forward,
+    forward_call_count,
+    head_view,
+    param_shapes,
+    reset_forward_calls,
+)
 from mtlc.errors import ConfigError, ContractError, NumericalError
 from mtlc.losses import LossConfig, compute_loss, cross_entropy
 from mtlc.mtl import (
@@ -19,7 +27,6 @@ from mtlc.mtl import (
     expected_param_shapes,
     predict_logits,
     soft_loss,
-    tower_logits,
     train,
     weighted_sum,
 )
@@ -71,11 +78,15 @@ def soft_regime(penalty="frobenius", lam=0.1, weights=None):
 
 def logits_per_tower(model, seqs, training=False, rng=None):
     """Per-task logits the way training takes them: one pack of `seqs`, and
-    `tower_logits` on each tower's 2-D parameter views in `towers` order."""
+    in `towers` order `encoder_forward` on each tower's own map of its 2-D
+    parameter views, then its tasks' heads."""
     packed = mtl.pack(seqs, model.encoder_cfg)
     out = {}
     for prefix, tasks in mtl.towers(model.regime).items():
-        out.update(tower_logits(model, packed, prefix, tasks, training, rng))
+        tower = {name: model.params[prefix + name] for name in model.stacks}
+        pooled = encoder_forward(packed, tower, model.encoder_cfg, training, rng)
+        for task in tasks:
+            out[task] = classify(pooled, head_view(model.params, task, prefix))
     return out
 
 
@@ -784,7 +795,7 @@ class TestEvaluate:
 
 class TestStackedPrediction:
     """Prediction runs every tower in one encoder pass over the tower
-    stacks; it must give each tower's `tower_logits` bit for bit. Soft
+    stacks; it must give `logits_per_tower` bit for bit. Soft
     sharing here, STL and hard sharing in the subclasses below."""
 
     regime = regime_for("soft_share", soft=SoftShareConfig())
