@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import functools
 import json
 import os
 import sys
 from typing import Optional, Sequence
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, load_config
+from .config import RunConfig, check_out_dir, load_config
 from .data import (
     Corpus,
     corpus_to_tsv,
@@ -87,6 +88,7 @@ def _trace_tsv(epochs: Sequence[EpochStats], tasks: Sequence[str]) -> str:
 
 
 def cmd_split(args) -> int:
+    check_out_dir(args.out_dir, "--out-dir")
     schemas = schemas_for_language(args.language)
     if args.sentiment_input or args.offense_input:
         if not (args.sentiment_input and args.offense_input):
@@ -242,6 +244,8 @@ def cmd_evaluate(args) -> int:
     vocab_path = args.vocab or os.path.join(os.path.dirname(args.checkpoint), VOCAB_NAME)
     if not os.path.isfile(vocab_path):
         raise ConfigError(f"no vocabulary file at {vocab_path!r} (use --vocab)")
+    if args.out_dir:
+        check_out_dir(args.out_dir, "--out-dir")
     model, cfg, vocab = _model_from_checkpoint(args.checkpoint, vocab_path)
     schemas = schemas_for_language(cfg.language)
     corpus = load_joint_tsv(args.data, schemas, cfg.language)
@@ -307,6 +311,7 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing never changes the parser; main builds it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtlc",

@@ -150,6 +150,16 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
+def check_out_dir(path: str, name: str) -> None:
+    """A ConfigError naming `name` unless `path` is a directory or can be
+    made one: its nearest existing ancestor must be a directory."""
+    nearest = os.path.abspath(path)
+    while not os.path.lexists(nearest):  # the run makes the missing part
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise ConfigError(f"{name}: path {path!r} is a file or under one")
+
+
 def _checked(section: str, ctor, **kwargs):
     """`ctor(**kwargs)`, its range-check failure reported under `section`."""
     try:
@@ -186,11 +196,7 @@ def load_config(
         for key in ("data.train", "data.val", "data.test"):
             if typed[key] and not os.path.isfile(typed[key]):
                 raise ConfigError(f"{key}: path {typed[key]!r} is not a file")
-        nearest = os.path.abspath(typed["output.dir"])
-        while not os.path.lexists(nearest):  # the run makes the missing part
-            nearest = os.path.dirname(nearest)
-        if not os.path.isdir(nearest):
-            raise ConfigError(f"output.dir: path {typed['output.dir']!r} is a file or under one")
+        check_out_dir(typed["output.dir"], "output.dir")
     for key, low in (("text.min_freq", 1), ("text.max_size", 1), ("text.max_len", 3)):
         if typed[key] < low:
             raise ConfigError(f"{key}: must be >= {low}, got {typed[key]}")

@@ -4,11 +4,10 @@
 All parameters live in one flat name -> Tensor map so the optimizer and the
 checkpoint format can address them uniformly.
 
-A batch runs as one forward pass over packed rows: the valid (unmasked)
-positions of every sequence are stacked into one [N, d_model] matrix, so
-embeddings, norms, projections and the feed-forward are single 2-D ops, and
-attention keeps each sequence to its own rows. Pad positions never enter
-the computation.
+A batch runs as one forward pass over packed rows: the positions of every
+sequence are stacked into one [N, d_model] matrix, so embeddings, norms,
+projections and the feed-forward are single 2-D ops, and attention keeps
+each sequence to its own rows. An encoded sequence holds no padding.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -177,9 +177,9 @@ def attention_block(
 
 
 class Packed(NamedTuple):
-    """A batch's valid rows, sequence after sequence: their token ids and
-    positions, the number of valid rows of each sequence, and the row that
-    holds each sequence's [CLS] position."""
+    """A batch's rows, sequence after sequence: their token ids and
+    positions, the number of rows of each sequence, and the row that holds
+    each sequence's [CLS] position."""
 
     ids: np.ndarray
     positions: np.ndarray
@@ -188,23 +188,22 @@ class Packed(NamedTuple):
 
 
 def pack(seqs: Sequence[TokenSeq], config: EncoderConfig) -> Packed:
-    """Check a batch against `config` and gather its valid rows; every
+    """Check a batch against `config` and concatenate its ids; every
     encoder of a model can run on the one result."""
     if not seqs:
         raise ContractError("encoder_forward needs at least one sequence")
     for seq in seqs:
-        if len(seq.ids) != config.max_len or len(seq.mask) != config.max_len:
+        if seq.max_len != config.max_len or not 1 <= len(seq.ids) <= config.max_len:
             raise ContractError(
-                f"sequence length {len(seq.ids)} does not match config max_len {config.max_len}"
+                f"sequence of {len(seq.ids)} ids encoded for max_len {seq.max_len} "
+                f"does not fit config max_len {config.max_len}"
             )
-    valid = np.array([seq.mask for seq in seqs]) > 0
-    if not valid[:, 0].all():
-        raise ContractError("position 0 ([CLS]) must be valid in every sequence")
-    ids = np.array([seq.ids for seq in seqs])[valid]
+    lengths = [len(seq.ids) for seq in seqs]
+    ids = np.fromiter(chain.from_iterable(seq.ids for seq in seqs), np.intp, sum(lengths))
     if ids.max() >= config.vocab_size:
         raise ContractError(f"token id {ids.max()} out of range for vocab size {config.vocab_size}")
-    lengths = valid.sum(axis=1).tolist()
-    return Packed(ids, np.nonzero(valid)[1], lengths, np.cumsum([0] + lengths[:-1]))
+    starts = np.cumsum([0] + lengths[:-1])
+    return Packed(ids, np.arange(len(ids)) - np.repeat(starts, lengths), lengths, starts)
 
 
 def encoder_forward(
@@ -214,7 +213,7 @@ def encoder_forward(
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Embed the valid positions of a batch, run the pre-norm transformer
+    """Embed the positions of a batch, run the pre-norm transformer
     stack on the packed rows, and pool each sequence's [CLS] row.
 
     Only the [CLS] row is pooled, so the last layer computes the query,

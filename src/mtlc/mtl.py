@@ -51,7 +51,7 @@ PENALTIES = (FROBENIUS, TRACE_NORM)
 
 BATCH_SIZES = (16, 32, 64)
 
-# packed rows (valid positions) times encoder towers per prediction batch:
+# packed rows (comment positions) times encoder towers per prediction batch:
 # bounds the working set of evaluation, which the heap keeps once it has
 # grown to it, below that of a training step
 PREDICT_ROWS = 1024
@@ -398,13 +398,13 @@ def train(
 
 def _predict(model: Model, encoded: Batch) -> dict[str, list[int]]:
     """Argmax predictions in corpus order. The comments are stably sorted
-    by valid length, so equal-length comments sit side by side and
-    attention covers each such run in one call, and cut into consecutive
+    by length, so equal-length comments sit side by side and attention
+    covers each such run in one call, and cut into consecutive
     batches of at most `PREDICT_ROWS` packed rows per encoder tower run
     together (`predict_logits`): 1,024 for one encoder, 512 for two; a
     longer comment runs alone. Raises NumericalError, naming the comment's
     corpus index and the task, if a logit is not finite."""
-    lengths = [sum(seq.mask) for seq in encoded.seqs]
+    lengths = [len(seq.ids) for seq in encoded.seqs]
     order = np.argsort(lengths, kind="stable")
     preds = {task: np.empty(len(order), dtype=np.int64) for task in model.regime.tasks}
     n_towers = len(towers(model.regime))

@@ -33,14 +33,17 @@ class Vocab:
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """One encoded comment: fixed-length ids with a 0/1 validity mask."""
+    """One encoded comment: its ids, [CLS] to [SEP] with no padding, for
+    sequences of at most `max_len` positions."""
 
     ids: tuple[int, ...]
-    mask: tuple[int, ...]
+    max_len: int
     raw_length: int
 
-    def __len__(self) -> int:
-        return len(self.ids)
+    @property
+    def mask(self) -> tuple[int, ...]:
+        """1 for each id, then 0 up to `max_len`."""
+        return (1,) * len(self.ids) + (0,) * (self.max_len - len(self.ids))
 
 
 def _strip_punct(word: str) -> str:
@@ -95,15 +98,12 @@ def build_vocab(
 
 
 def encode(text: str, vocab: Vocab, max_len: int) -> TokenSeq:
-    """[CLS] + token ids truncated to max_len-2 + [SEP], padded to max_len."""
+    """[CLS] + token ids truncated to max_len-2 + [SEP]."""
     if max_len < 3:
         raise ContractError(f"max_len must be >= 3, got {max_len}")
     tokens = tokenize(text, vocab.mode)
-    kept = tokens[: max_len - 2]
-    pad = max_len - 2 - len(kept)
-    ids = (CLS, *map(vocab.token_to_id.get, kept, repeat(UNK)), SEP) + (PAD,) * pad
-    mask = (1,) * (len(kept) + 2) + (0,) * pad
-    return TokenSeq(ids=ids, mask=mask, raw_length=len(tokens))
+    ids = (CLS, *map(vocab.token_to_id.get, tokens[: max_len - 2], repeat(UNK)), SEP)
+    return TokenSeq(ids, max_len, raw_length=len(tokens))
 
 
 def save_vocab(vocab: Vocab, path: str) -> None:

@@ -158,7 +158,7 @@ def _encoder_op_cases():
 
     from mtlc.text import TokenSeq
 
-    seq = TokenSeq(ids=(2, 4, 5, 6, 3, 0), mask=(1, 1, 1, 1, 1, 0), raw_length=3)
+    seq = TokenSeq(ids=(2, 4, 5, 6, 3), max_len=6, raw_length=3)
 
     def enc_loss(name):
         def f(x):
@@ -290,8 +290,8 @@ def test_criterion_1_gradient_suite():
     from mtlc.text import TokenSeq
 
     seqs = [
-        TokenSeq(ids=(2, 4, 7, 3, 0, 0), mask=(1, 1, 1, 1, 0, 0), raw_length=2),
-        TokenSeq(ids=(2, 9, 5, 6, 3, 0), mask=(1, 1, 1, 1, 1, 0), raw_length=3),
+        TokenSeq(ids=(2, 4, 7, 3), max_len=6, raw_length=2),
+        TokenSeq(ids=(2, 9, 5, 6, 3), max_len=6, raw_length=3),
     ]
     golds = {"sentiment": (1, 4), "offense": (0, 5)}
 

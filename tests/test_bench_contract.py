@@ -7,7 +7,9 @@ import importlib.util
 from pathlib import Path
 
 import mtlc.cli
+import mtlc.data
 import mtlc.mtl
+import mtlc.text
 
 TRACING = Path(__file__).resolve().parent.parent / "mtlc_bench" / "tracing.py"
 
@@ -35,3 +37,13 @@ def test_every_traced_target_resolves():
 def test_names_the_benchmark_calls_exist():
     assert callable(mtlc.cli._model_from_checkpoint)
     assert callable(mtlc.mtl.evaluate)
+
+
+def test_an_encoded_comment_has_the_mask_the_tracer_counts():
+    # `_count_encoded` reads `len(seq.mask)` as positions and `sum(seq.mask)`
+    # as valid positions of each `mtlc.data.encode` result
+    vocab = mtlc.text.build_vocab(["ab"], mode="char")
+    for text, max_len in (("", 3), ("ab", 6), ("abab" * 5, 8)):
+        seq = mtlc.data.encode(text, vocab, max_len)
+        assert len(seq.mask) == max_len
+        assert sum(seq.mask) == len(seq.ids)

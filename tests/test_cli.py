@@ -108,6 +108,21 @@ class TestSplit:
         assert "(nan, 0.5, 0.5)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/x"])
+    def test_out_dir_on_a_file_exits_2_before_reading_input(self, tmp_path, monkeypatch, capsys, out):
+        import mtlc.cli as cli
+
+        src = tmp_path / "corpus.tsv"
+        src.write_text(toy_tsv(), encoding="utf-8")
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        read = []
+        monkeypatch.setattr(cli, "load_joint_tsv", lambda *args: read.append(args))
+        assert main(["split", "--input", str(src), "--out-dir", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "--out-dir" in err and str(tmp_path / out) in err
+        assert read == []
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
+
 
 class TestTrain:
     def test_artifacts_and_summary(self, trained_run, capsys):
@@ -290,6 +305,22 @@ class TestEvaluate:
             f"{task} weighted F1 = {report['tasks'][task]['weighted']['f1']:.5f}"
             for task in ("sentiment", "offense")
         ]
+
+    @pytest.mark.parametrize("out", ["afile", "afile/x"])
+    def test_out_dir_on_a_file_exits_2_before_evaluating(
+        self, toy_dir, trained_run, tmp_path, monkeypatch, capsys, out
+    ):
+        import mtlc.cli as cli
+
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        evaluated = []
+        monkeypatch.setattr(cli, "evaluate", lambda *args: evaluated.append(args))
+        args = ["--checkpoint", str(trained_run / "checkpoint.mtlc"), "--data", str(toy_dir / "val.tsv")]
+        assert main(["evaluate", *args, "--out-dir", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "--out-dir" in err and str(tmp_path / out) in err
+        assert evaluated == []
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
 
     def test_corrupt_checkpoint_exits_5(self, trained_run, tmp_path, toy_dir, capsys):
         blob = bytearray((trained_run / "checkpoint.mtlc").read_bytes())
@@ -542,6 +573,25 @@ class TestNonUtf8Input:
         code = main(["evaluate", "--checkpoint", checkpoint, "--data", data, "--vocab", str(bad)])
         assert code == 3
         assert str(bad) in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path):
+        import mtlc.cli as cli
+
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            main(["report", "--runs", str(tmp_path)])  # exits 2: no report.json
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_parse_errors_still_exit_2_with_usage(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main(["evaluate", "--data", "x.tsv"])
+            assert stop.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: mtlc evaluate") and "--checkpoint" in err
 
 
 class TestHeapSetting:

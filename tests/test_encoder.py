@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlc.errors import ContractError, ShapeError
 from mtlc.encoder import (
@@ -15,11 +17,12 @@ from mtlc.encoder import (
     forward_call_count,
     head_view,
     init_params,
+    pack,
     param_shapes,
     reset_forward_calls,
 )
 from mtlc.numcore import GradTape, Tensor, backward, matmul, mul, segment_attention, stream, sum_all
-from mtlc.text import build_vocab, encode
+from mtlc.text import PAD, build_vocab, encode
 
 from gradcheck import grad_check
 
@@ -32,9 +35,10 @@ def attention(q, k, v, q_lengths=None, kv_lengths=None, n_heads=1):
 
 
 def padded_reference(seqs, params, cfg):
-    """Pooled [CLS] vectors of the full-length per-head computation: every
-    position (pads included) runs every layer, and pad keys get a -1e9
-    score bias, as the per-sample encoder did before packing."""
+    """Pooled [CLS] vectors of the full-length per-head computation: each
+    sequence's ids are padded to max_len, every position (pads included)
+    runs every layer, and pad keys get a -1e9 score bias, as the
+    per-sample encoder did before packing."""
     p = {name: t.data for name, t in params.items()}
 
     def norm(x, g, b):
@@ -46,7 +50,8 @@ def padded_reference(seqs, params, cfg):
     out = []
     for seq in seqs:
         bias = np.where(np.asarray(seq.mask) > 0, 0.0, -1e9)[None, :]
-        x = p["tok_emb"][list(seq.ids)] + p["pos_emb"]
+        ids = seq.ids + (PAD,) * (cfg.max_len - len(seq.ids))
+        x = p["tok_emb"][list(ids)] + p["pos_emb"]
         for i in range(cfg.n_layers):
             w = {k[len(f"layer{i}.") :]: v for k, v in p.items() if k.startswith(f"layer{i}.")}
             h = norm(x, w["norm1_g"], w["norm1_b"])
@@ -243,16 +248,6 @@ class TestEncoderForward:
         cls = encoder_forward([seq], params, small_config)
         assert np.array_equal(cls.data, np.zeros((1, 8)))
 
-    def test_padded_tail_change_is_shielded(self, small_config, params, vocab):
-        seq = encode("a b c", vocab, small_config.max_len)
-        base = encoder_forward([seq], params, small_config).data
-        tampered = list(seq.ids)
-        assert seq.mask[6] == 0
-        tampered[6] = 5  # still a pad slot, different token id
-        seq2 = type(seq)(ids=tuple(tampered), mask=seq.mask, raw_length=seq.raw_length)
-        out = encoder_forward([seq2], params, small_config).data
-        assert np.abs(base - out).max() < 1e-9
-
     def test_training_mode_deterministic_per_stream(self, heads, vocab):
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ffn=16, max_len=8, dropout_p=0.3)
         params = init_params(cfg, heads, seed=1)
@@ -274,7 +269,7 @@ class TestEncoderForward:
 
     def test_out_of_vocab_id_rejected(self, small_config, params, vocab):
         seq = encode("a", vocab, small_config.max_len)
-        bad = type(seq)(ids=(2, 99, 3, 0, 0, 0, 0, 0), mask=seq.mask, raw_length=1)
+        bad = type(seq)(ids=(2, 99, 3), max_len=seq.max_len, raw_length=1)
         with pytest.raises(ContractError):
             encoder_forward([bad], params, small_config)
 
@@ -398,7 +393,7 @@ class TestPacking:
 
     @pytest.fixture
     def mixed(self, small_config, vocab):
-        cls_only = type(encode("", vocab, 8))(ids=(2,) + (0,) * 7, mask=(1,) + (0,) * 7, raw_length=0)
+        cls_only = type(encode("", vocab, 8))(ids=(2,), max_len=8, raw_length=0)
         texts = ["a b c", "d", "a b c d e f", "b c d e f a b c d e", "", "c c"]
         return [cls_only] + [encode(t, vocab, small_config.max_len) for t in texts]
 
@@ -493,9 +488,9 @@ class TestPacking:
         from mtlc.text import TokenSeq
 
         seqs = [
-            TokenSeq(ids=(2, 0, 0, 0, 0, 0), mask=(1, 0, 0, 0, 0, 0), raw_length=0),
-            TokenSeq(ids=(2, 4, 5, 6, 7, 3), mask=(1,) * 6, raw_length=4),
-            TokenSeq(ids=(2, 9, 3, 0, 0, 0), mask=(1, 1, 1, 0, 0, 0), raw_length=1),
+            TokenSeq(ids=(2,), max_len=6, raw_length=0),
+            TokenSeq(ids=(2, 4, 5, 6, 7, 3), max_len=6, raw_length=4),
+            TokenSeq(ids=(2, 9, 3), max_len=6, raw_length=1),
         ]
         weights = Tensor(np.arange(15.0).reshape(3, 5) / 10.0)
 
@@ -528,10 +523,46 @@ class TestPacking:
         got = encoder_forward(mixed, params, small_config).data
         assert np.abs(got - padded_reference(mixed, params, small_config)).max() <= 1e-12
 
-    def test_cls_must_be_valid(self, small_config, params, vocab):
-        seq = encode("a", vocab, small_config.max_len)
-        bad = type(seq)(ids=seq.ids, mask=(0,) + seq.mask[1:], raw_length=1)
+    @pytest.mark.parametrize(
+        "ids, max_len",
+        [
+            ((2, 4, 3), 6),  # encoded for another max_len
+            ((), 8),  # no [CLS]
+            ((2,) + (4,) * 7 + (3,), 8),  # more ids than positions
+            ((2, 12, 3), 8),  # past the vocabulary
+        ],
+        ids=["foreign max_len", "empty", "too many ids", "out of vocabulary"],
+    )
+    def test_pack_rejects(self, small_config, ids, max_len):
+        from mtlc.text import TokenSeq
+
+        good = TokenSeq(ids=(2, 3), max_len=small_config.max_len, raw_length=0)
         with pytest.raises(ContractError):
-            encoder_forward([bad], params, small_config)
+            pack([good, TokenSeq(ids=ids, max_len=max_len, raw_length=len(ids))], small_config)
+
+    def test_empty_batch_rejected(self, small_config, params):
         with pytest.raises(ContractError):
             encoder_forward([], params, small_config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(st.text(alphabet="ab c.", max_size=14), min_size=1, max_size=6),
+        corpus=st.lists(st.text(alphabet="abc .", min_size=1, max_size=10), min_size=1, max_size=4),
+        mode=st.sampled_from(["char", "word"]),
+        max_len=st.integers(min_value=3, max_value=12),
+    )
+    def test_pack_equals_the_padded_derivation(self, texts, corpus, mode, max_len):
+        """`pack` of encoded comments against the arrays derived from their
+        PAD-filled ids and 0/1 masks, value for value."""
+        vocab = build_vocab(corpus, mode=mode)
+        seqs = [encode(text, vocab, max_len) for text in texts]
+        for seq in seqs:
+            assert len(seq.mask) == max_len and sum(seq.mask) == len(seq.ids)
+        valid = np.array([seq.mask for seq in seqs]) > 0
+        padded = np.array([seq.ids + (PAD,) * (max_len - len(seq.ids)) for seq in seqs])
+        lengths = valid.sum(axis=1).tolist()
+        got = pack(seqs, EncoderConfig(vocab_size=len(vocab), max_len=max_len))
+        assert np.array_equal(got.ids, padded[valid])
+        assert np.array_equal(got.positions, np.nonzero(valid)[1])
+        assert got.lengths == lengths
+        assert np.array_equal(got.cls_rows, np.cumsum([0] + lengths[:-1]))

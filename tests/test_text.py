@@ -5,7 +5,6 @@ import pytest
 from mtlc.errors import ContractError, DataError
 from mtlc.text import (
     CLS,
-    PAD,
     SEP,
     UNK,
     build_vocab,
@@ -32,7 +31,7 @@ class TestBuildVocab:
         vocab = build_vocab(["a b", "a"], mode="word", min_freq=2)
         assert "b" not in vocab.token_to_id
         seq = encode("a b", vocab, 5)
-        assert seq.ids == (CLS, vocab.token_to_id["a"], UNK, SEP, PAD)
+        assert seq.ids == (CLS, vocab.token_to_id["a"], UNK, SEP)
 
     def test_frequency_then_lexicographic_rank(self):
         vocab = build_vocab(["z z b a"], mode="word")
@@ -76,13 +75,13 @@ class TestEncode:
 
     def test_empty_text(self, vocab):
         seq = encode("", vocab, 6)
-        assert seq.ids == (CLS, SEP, PAD, PAD, PAD, PAD)
+        assert seq.ids == (CLS, SEP)
         assert seq.mask == (1, 1, 0, 0, 0, 0)
         assert seq.raw_length == 0
 
     def test_hand_case(self, vocab):
         seq = encode("a b", vocab, 5)
-        assert seq.ids == (2, 4, 5, 3, 0)
+        assert seq.ids == (2, 4, 5, 3)
         assert seq.mask == (1, 1, 1, 1, 0)
         # char ids a=4, " "=5, b=6: "?" and "ü" are unknown, the last " a" is cut
         seq = encode("a?b ü a", build_vocab(["a b", "a"], mode="char"), 7)
