@@ -282,14 +282,17 @@ class Batch:
         return len(self.seqs)
 
 
-def encode_split(split: Corpus, vocab: Vocab, max_len: int) -> Batch:
-    """Every record of a split, encoded once, in corpus order."""
+def encode_texts(split: Corpus, vocab: Vocab, max_len: int) -> tuple[TokenSeq, ...]:
+    """Every comment of a split, encoded once, in corpus order."""
     if not split.records:
         raise ContractError("cannot encode an empty split")
-    return Batch(
-        seqs=tuple(encode(rec.text, vocab, max_len) for rec in split.records),
-        labels={t: tuple(rec.labels[t] for rec in split.records) for t in split.tasks},
-    )
+    return tuple(encode(rec.text, vocab, max_len) for rec in split.records)
+
+
+def encode_split(split: Corpus, vocab: Vocab, max_len: int) -> Batch:
+    """`encode_texts` of a split, with its labels."""
+    seqs = encode_texts(split, vocab, max_len)
+    return Batch(seqs, {t: tuple(rec.labels[t] for rec in split.records) for t in split.tasks})
 
 
 def batches(encoded: Batch, batch_size: int, shuffle: bool, seed: int) -> list[Batch]:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -199,11 +200,19 @@ def pack(seqs: Sequence[TokenSeq], config: EncoderConfig) -> Packed:
                 f"does not fit config max_len {config.max_len}"
             )
     lengths = [len(seq.ids) for seq in seqs]
-    ids = np.fromiter(chain.from_iterable(seq.ids for seq in seqs), np.intp, sum(lengths))
-    if ids.max() >= config.vocab_size:
-        raise ContractError(f"token id {ids.max()} out of range for vocab size {config.vocab_size}")
-    starts = np.cumsum([0] + lengths[:-1])
-    return Packed(ids, np.arange(len(ids)) - np.repeat(starts, lengths), lengths, starts)
+    starts = list(accumulate(lengths, initial=0))
+    ids = np.fromiter(chain.from_iterable(seq.ids for seq in seqs), np.intp, starts.pop())
+    for bad in (ids.min(), ids.max()):
+        if not 0 <= bad < config.vocab_size:
+            raise ContractError(f"token id {bad} out of range for vocab size {config.vocab_size}")
+    positions = _positions(config.max_len)
+    return Packed(ids, np.concatenate([positions[:n] for n in lengths]), lengths, np.array(starts))
+
+
+@lru_cache(maxsize=None)
+def _positions(max_len: int) -> np.ndarray:
+    """Positions 0..max_len-1, whose slices `pack` concatenates."""
+    return np.arange(max_len)
 
 
 def encoder_forward(

@@ -10,7 +10,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .data import Batch, Corpus, batches, class_counts, encode_split
+from .data import Corpus, batches, class_counts, encode_split, encode_texts
 from .encoder import (
     EncoderConfig,
     HeadSpec,
@@ -138,9 +138,11 @@ class Model:
     soft sharing. Each tower's Tensor of that name views its slice.
     Prediction runs every tower in one encoder pass over the stacks, and
     the coupling step works on each coupled stack whole; training, the
-    optimizer and the checkpoint see one Tensor per tower. Weights are
-    edited in place: a tower Tensor whose `.data` is rebound no longer
-    reaches its stack, so new weights take a new Model.
+    optimizer and the checkpoint see one Tensor per tower. `heads` maps
+    each task to its tower's index and its head's Tensors from `params`.
+    Weights are edited in place: a Tensor whose `.data` is rebound no
+    longer reaches its stack, nor a replaced one `heads`, so new weights
+    take a new Model.
 
     A coupled layer that is not an encoder parameter raises ConfigError."""
 
@@ -148,9 +150,15 @@ class Model:
     encoder_cfg: EncoderConfig
     params: dict[str, Tensor]
     stacks: dict[str, Tensor] = field(init=False, repr=False, compare=False)
+    heads: dict[str, tuple[int, dict[str, Tensor]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.stacks = {}
+        self.heads = {
+            task: (i, head_view(self.params, task, prefix))
+            for i, (prefix, tasks) in enumerate(towers(self.regime).items())
+            for task in tasks
+        }
         for name in param_shapes(self.encoder_cfg, ()):
             keys = [prefix + name for prefix in towers(self.regime)]
             stack = np.stack([self.params[key].data for key in keys])
@@ -205,12 +213,8 @@ def predict_logits(model: Model, seqs: Sequence[TokenSeq]) -> dict[str, Tensor]:
     """Per-task inference logits: every tower in one encoder pass over
     `model.stacks`, and each head on its tower's slice of the pooled
     output; bit for bit those of one pass per tower, as `train` runs it."""
-    pooled = encoder_forward(pack(seqs, model.encoder_cfg), model.stacks, model.encoder_cfg)
-    return {
-        task: classify(Tensor(tower_pooled), head_view(model.params, task, prefix))
-        for (prefix, tasks), tower_pooled in zip(towers(model.regime).items(), pooled.data)
-        for task in tasks
-    }
+    pooled = encoder_forward(pack(seqs, model.encoder_cfg), model.stacks, model.encoder_cfg).data
+    return {task: classify(Tensor(pooled[i]), head) for task, (i, head) in model.heads.items()}
 
 
 def weighted_sum(losses: Sequence[Tensor], task_weights: Sequence[float]) -> Tensor:
@@ -295,14 +299,12 @@ def _class_weight_table(
 
 def _check_heads(model: Model, split: Corpus) -> None:
     """A ContractError unless each head's `b_out` has one entry per class of the split."""
-    for prefix, tasks in towers(model.regime).items():
-        for task in tasks:
-            if task not in split.schemas:
-                raise ContractError(f"split has no labels for task {task!r}")
-            want = split.schemas[task].n_classes
-            have = head_view(model.params, task, prefix)["b_out"].shape[0]
-            if have != want:
-                raise ContractError(f"head for {task!r} has {have} classes but schema has {want}")
+    for task, (_, head) in model.heads.items():
+        if task not in split.schemas:
+            raise ContractError(f"split has no labels for task {task!r}")
+        want, have = split.schemas[task].n_classes, head["b_out"].shape[0]
+        if have != want:
+            raise ContractError(f"head for {task!r} has {have} classes but schema has {want}")
 
 
 def train(
@@ -356,7 +358,7 @@ def train(
                 tower = {name: model.params[prefix + name] for name in model.stacks}
                 with GradTape() as tape:
                     pooled = encoder_forward(packed, tower, model.encoder_cfg, True, dropout_rng)
-                    logits = {t: classify(pooled, head_view(model.params, t, prefix)) for t in tasks}
+                    logits = {t: classify(pooled, model.heads[t][1]) for t in tasks}
                     losses = [
                         compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])
                         for t in tasks
@@ -379,7 +381,7 @@ def train(
                 raise NumericalError(f"{exc} {at}") from exc
             couple(model, train_cfg.optimizer.learning_rate)
 
-        val_preds = _predict(model, val_set)
+        val_preds = _predict(model, val_set.seqs)
         val_f1 = {}
         for task in regime.tasks:
             tr = task_report(
@@ -396,7 +398,7 @@ def train(
     return epochs
 
 
-def _predict(model: Model, encoded: Batch) -> dict[str, list[int]]:
+def _predict(model: Model, seqs: Sequence[TokenSeq]) -> dict[str, list[int]]:
     """Argmax predictions in corpus order. The comments are stably sorted
     by length, so equal-length comments sit side by side and attention
     covers each such run in one call, and cut into consecutive
@@ -404,13 +406,13 @@ def _predict(model: Model, encoded: Batch) -> dict[str, list[int]]:
     together (`predict_logits`): 1,024 for one encoder, 512 for two; a
     longer comment runs alone. Raises NumericalError, naming the comment's
     corpus index and the task, if a logit is not finite."""
-    lengths = [len(seq.ids) for seq in encoded.seqs]
+    lengths = [len(seq.ids) for seq in seqs]
     order = np.argsort(lengths, kind="stable")
     preds = {task: np.empty(len(order), dtype=np.int64) for task in model.regime.tasks}
     n_towers = len(towers(model.regime))
     for start, stop in _row_budget_spans([lengths[i] for i in order], n_towers):
         rows = order[start:stop]
-        logits = predict_logits(model, [encoded.seqs[i] for i in rows])
+        logits = predict_logits(model, [seqs[i] for i in rows])
         for task in model.regime.tasks:
             data = logits[task].data
             if not np.isfinite(data).all():
@@ -441,4 +443,4 @@ def evaluate(model: Model, split: Corpus, vocab: Vocab) -> dict[str, list[int]]:
     Ties break to the lowest class index. Results are in corpus order.
     """
     _check_heads(model, split)
-    return _predict(model, encode_split(split, vocab, model.encoder_cfg.max_len))
+    return _predict(model, encode_texts(split, vocab, model.encoder_cfg.max_len))

@@ -17,8 +17,10 @@ never lands on a tape another thread is filling.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextvars import ContextVar, Token
+from functools import lru_cache
 from itertools import count, groupby
 from typing import Callable, Optional, Sequence
 
@@ -323,9 +325,13 @@ def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
     if not 2 <= x.data.ndim <= 3:
         raise _tower_error("gather_rows", x)
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[-2]):
-        raise ContractError(f"row id out of range 0..{x.shape[-2] - 1}")
     shape = x.shape
+    try:  # `take` raises past the last row; it would wrap a negative id
+        if idx.size and idx.min() < 0:
+            raise IndexError
+        rows = x.data.take(idx, axis=-2)
+    except IndexError:
+        raise ContractError(f"row id out of range 0..{shape[-2] - 1}") from None
 
     def bwd(g):
         # sum the rows of each id in one pass: sort the ids, then reduce
@@ -338,7 +344,7 @@ def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
             gx[..., ordered[firsts], :] = np.add.reduceat(g[..., order, :], firsts, axis=-2)
         return (gx,)
 
-    return _record(Tensor(x.data[..., idx, :]), (x,), bwd)
+    return _record(Tensor(rows), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +416,7 @@ def segment_attention(
         )
 
     def heads(a: Array) -> Array:  # [..., rows, heads * w] -> [..., rows, heads, w]
-        return a.reshape(*a.shape[:-1], n_heads, -1)
+        return a.reshape(a.shape[:-1] + (n_heads, a.shape[-1] // n_heads))
 
     # each run: its query rows, its key rows, and the [heads, G, L, w] shape
     # that splits both into its G sequences
@@ -422,17 +428,16 @@ def segment_attention(
         q_start += g * ql
         kv_start += g * kl
 
-    towers = (slice(None),) * len(lead)
     to_heads_first = (2, 0, 1, 3) if not lead else (0, 3, 1, 2, 4)
 
     def views(a: Array, rows: slice, g: int, length: int) -> Array:
         # a run's rows of a [..., rows, heads, w] array as [..., heads, G,
         # length, w]; a view when `a` is contiguous, so matmul can write into it
-        block = a[towers + (rows,)].reshape(*lead, g, length, n_heads, -1)
-        return block.transpose(*to_heads_first)
+        block = a[..., rows, :, :].reshape(lead + (g, length) + a.shape[-2:])
+        return block.transpose(to_heads_first)
 
     # bwd reads these counts, not q and k, so it keeps only the scaled q
-    c = 1.0 / np.sqrt(q_shape[-1] // n_heads)
+    c = 1.0 / math.sqrt(q_shape[-1] // n_heads)
     qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
     out = np.empty(lead + (nq, n_heads, vh.shape[-1]))
     probs = []
@@ -462,9 +467,17 @@ def segment_attention(
             np.matmul(ds, qr, out=views(gk, ks, g, kl))
             np.matmul(p, gr, out=views(gv, ks, g, kl))
         gq *= c
-        return gq.reshape(lead + (nq, -1)), gk.reshape(lead + (nk, -1)), gv.reshape(lead + (nk, -1))
+        return gq.reshape(q_shape), gk.reshape(k_shape), gv.reshape(v_shape)
 
-    return _record(Tensor(out.reshape(lead + (nq, -1))), (q, k, v), bwd)
+    return _record(Tensor(out.reshape(lead + (nq, v_shape[-1]))), (q, k, v), bwd)
+
+
+@lru_cache(maxsize=None)
+def _mean_vector(n: int) -> Array:
+    """The read-only length-n vector of 1/n, shared by every call."""
+    mean = np.full(n, 1.0 / n)
+    mean.flags.writeable = False
+    return mean
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -477,9 +490,11 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     n = x.shape[-1]
     if gain.shape != lead + (n,) or bias.shape != lead + (n,):
         raise ShapeError(f"gain/bias must be shape {lead + (n,)}, got {gain.shape}/{bias.shape}")
-    mean = np.full(n, 1.0 / n)  # row means as one matvec
+    mean = _mean_vector(n)  # row means as one matvec
     xhat = x.data - (x.data @ mean)[..., None]
-    inv = (1.0 / np.sqrt(np.square(xhat) @ mean + eps))[..., None]
+    inv = np.square(xhat) @ mean
+    inv += eps
+    inv = np.divide(1.0, np.sqrt(inv, out=inv), out=inv)[..., None]
     xhat *= inv
     gd = gain.data[..., None, :]
     y = xhat * gd

@@ -1,6 +1,7 @@
 """Attention, the transformer stack, pooling, and classification heads."""
 
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from mtlc.encoder import (
     param_shapes,
     reset_forward_calls,
 )
+from mtlc.losses import LossConfig
+from mtlc.mtl import RegimeConfig, SoftShareConfig, build_model, predict_logits, towers
 from mtlc.numcore import GradTape, Tensor, backward, matmul, mul, segment_attention, stream, sum_all
-from mtlc.text import PAD, build_vocab, encode
+from mtlc.text import PAD, TokenSeq, build_vocab, encode
 
 from gradcheck import grad_check
 
@@ -68,6 +71,80 @@ def padded_reference(seqs, params, cfg):
         cls = norm(x, p["final_norm_g"], p["final_norm_b"])[0]
         out.append(np.tanh(cls @ p["pooler_w"] + p["pooler_b"]))
     return np.stack(out)
+
+
+def plain_inference(model, seqs):
+    """`predict_logits` restated in plain numpy on the model's [towers, ...]
+    stacks: the numpy calls the ops make at inference, in the order they
+    make them, so its logits equal the ops' bit for bit, and a change to an
+    op's arithmetic shows as a changed bit."""
+    cfg, p = model.encoder_cfg, {name: t.data for name, t in model.stacks.items()}
+    lengths = [len(seq.ids) for seq in seqs]
+    ids = np.array([i for seq in seqs for i in seq.ids])
+    positions = np.concatenate([np.arange(n) for n in lengths])
+    cls_rows = np.cumsum([0] + lengths[:-1])
+
+    def norm(x, g, b):
+        mean = np.full(x.shape[-1], 1.0 / x.shape[-1])
+        xhat = x - (x @ mean)[..., None]
+        xhat *= (1.0 / np.sqrt(np.square(xhat) @ mean + 1e-5))[..., None]
+        y = xhat * g[..., None, :]
+        y += b[..., None, :]
+        return y
+
+    def affine(x, w, b):
+        y = x @ w
+        y += b[..., None, :]
+        return y
+
+    def attend(q, k, v, q_lengths):
+        # each run of equal (q, kv) lengths as one [towers, heads, G, L, w]
+        # view, key-major scores, as `segment_attention` computes them
+        n_heads, towers_, width = cfg.n_heads, len(q), q.shape[-1] // cfg.n_heads
+
+        def split(a):
+            return a.reshape(a.shape[:-1] + (n_heads, width))
+
+        def view(a, start, g, n):
+            block = a[:, start : start + g * n].reshape((towers_, g, n, n_heads, width))
+            return block.transpose(0, 3, 1, 2, 4)
+
+        qh, kh, vh = split(q * (1.0 / math.sqrt(width))), split(k), split(v)
+        out = np.empty(qh.shape)
+        q_start = kv_start = 0
+        for (ql, kl), run in groupby(zip(q_lengths, lengths)):
+            g = len(list(run))
+            scores = view(kh, kv_start, g, kl) @ view(qh, q_start, g, ql).swapaxes(-1, -2)
+            scores -= scores.max(axis=-2, keepdims=True)
+            np.exp(scores, out=scores)
+            total = scores.sum(axis=-2, keepdims=True)
+            scores *= np.reciprocal(total, out=total)
+            weighted = view(out, q_start, g, ql)
+            np.matmul(scores.swapaxes(-1, -2), view(vh, kv_start, g, kl), out=weighted)
+            q_start, kv_start = q_start + g * ql, kv_start + g * kl
+        return out.reshape(q.shape)
+
+    x = p["tok_emb"][:, ids] + p["pos_emb"][:, positions]
+    for i in range(cfg.n_layers):
+        w = {name[len(f"layer{i}.") :]: a for name, a in p.items() if name.startswith(f"layer{i}.")}
+        h = norm(x, w["norm1_g"], w["norm1_b"])
+        if i == cfg.n_layers - 1:
+            x, queries, q_lengths = x[:, cls_rows], h[:, cls_rows], [1] * len(seqs)
+        else:
+            queries, q_lengths = h, lengths
+        x = x + attend(queries @ w["wq"], h @ w["wk"], h @ w["wv"], q_lengths) @ w["wo"]
+        h = norm(x, w["norm2_g"], w["norm2_b"])
+        inner = np.maximum(affine(h, w["ffn_w1"], w["ffn_b1"]), 0.0)
+        x = x + affine(inner, w["ffn_w2"], w["ffn_b2"])
+    x = norm(x, p["final_norm_g"], p["final_norm_b"])
+    pooled = np.tanh(affine(x, p["pooler_w"], p["pooler_b"]))
+    logits = {}
+    for tower, (prefix, tasks) in enumerate(towers(model.regime).items()):
+        for task in tasks:
+            head = {leaf: t.data for leaf, t in head_view(model.params, task, prefix).items()}
+            hidden = np.maximum(affine(pooled[tower], head["w_hidden"], head["b_hidden"]), 0.0)
+            logits[task] = affine(hidden, head["w_out"], head["b_out"])
+    return logits
 
 
 def row_major_reference(q, k, v, q_lengths, kv_lengths, n_heads, g_out):
@@ -530,12 +607,11 @@ class TestPacking:
             ((), 8),  # no [CLS]
             ((2,) + (4,) * 7 + (3,), 8),  # more ids than positions
             ((2, 12, 3), 8),  # past the vocabulary
+            ((2, -1, 3), 8),  # below the vocabulary
         ],
-        ids=["foreign max_len", "empty", "too many ids", "out of vocabulary"],
+        ids=["foreign max_len", "empty", "too many ids", "out of vocabulary", "negative id"],
     )
     def test_pack_rejects(self, small_config, ids, max_len):
-        from mtlc.text import TokenSeq
-
         good = TokenSeq(ids=(2, 3), max_len=small_config.max_len, raw_length=0)
         with pytest.raises(ContractError):
             pack([good, TokenSeq(ids=ids, max_len=max_len, raw_length=len(ids))], small_config)
@@ -566,3 +642,48 @@ class TestPacking:
         assert np.array_equal(got.positions, np.nonzero(valid)[1])
         assert got.lengths == lengths
         assert np.array_equal(got.cls_rows, np.cumsum([0] + lengths[:-1]))
+
+
+class TestInferenceReference:
+    """`predict_logits` against `plain_inference`, bit for bit: one tower
+    (hard sharing) and two (soft sharing), every comment length from [CLS]
+    alone to max_len, each comment alone and all in one mixed batch."""
+
+    @pytest.fixture(params=["hard_share", "soft_share"])
+    def model(self, request):
+        tasks = ("sentiment", "offense")
+        regime = RegimeConfig(
+            kind=request.param,
+            tasks=tasks,
+            losses={t: LossConfig() for t in tasks},
+            soft=SoftShareConfig() if request.param == "soft_share" else None,
+        )
+        cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ffn=16, max_len=8)
+        model = build_model(regime, cfg, {"sentiment": 5, "offense": 6}, seed=7)
+        rng = np.random.default_rng(7)
+        for name, t in model.params.items():  # unit-scale activations, not init's 0.02
+            t.data[...] = rng.normal(size=t.shape) / np.sqrt(1 if "emb" in name else t.shape[0])
+        return model
+
+    @pytest.fixture
+    def seqs(self, model):
+        rng = np.random.default_rng(8)
+        max_len = model.encoder_cfg.max_len
+        inner = [tuple(rng.integers(4, 12, size=n - 2).tolist()) for n in range(2, max_len + 1)]
+        return [TokenSeq((2,), max_len, 0)] + [TokenSeq((2, *t, 3), max_len, len(t)) for t in inner]
+
+    def assert_same_bits(self, model, seqs):
+        got, want = predict_logits(model, seqs), plain_inference(model, seqs)
+        assert list(got) == list(want) == list(model.regime.tasks)
+        for task in want:
+            assert np.array_equal(got[task].data, want[task]), task
+
+    def test_each_length_alone(self, model, seqs):
+        assert [len(seq.ids) for seq in seqs] == list(range(1, model.encoder_cfg.max_len + 1))
+        for seq in seqs:
+            self.assert_same_bits(model, [seq])
+
+    def test_mixed_batch(self, model, seqs):
+        # shuffled, with repeats, so runs of equal lengths sit beside single comments
+        order = np.random.default_rng(9).permutation(2 * len(seqs)) % len(seqs)
+        self.assert_same_bits(model, [seqs[i] for i in order] + seqs[3:6] + seqs[4:5])

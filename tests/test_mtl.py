@@ -703,10 +703,21 @@ class TestEvaluate:
         assert preds["sentiment"] == [2] * 10
 
     def test_length_ordered_batches_keep_corpus_order(self, toy_vocab):
+        self._assert_single_comments_match_the_batch(
+            toy_vocab, regime_for("soft_share", soft=SoftShareConfig())
+        )
+
+    @pytest.mark.parametrize("kind", ["stl", "hard_share"])
+    def test_length_ordered_batches_keep_corpus_order_one_tower(self, toy_vocab, kind):
+        # at seed 4 (and 5) one task predicts a single class for every comment
+        self._assert_single_comments_match_the_batch(toy_vocab, regime_for(kind), seed=6)
+
+    def _assert_single_comments_match_the_batch(self, toy_vocab, regime, seed=4):
+        """Single-comment `evaluate` calls give the predictions of one
+        evaluate over the split, whose batches are length-ordered."""
         cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2, d_ffn=16, dropout_p=0.0)
-        regime = regime_for("soft_share", soft=SoftShareConfig())
-        model = build_model(regime, cfg, N_CLASSES, seed=4)
-        rng = np.random.default_rng(4)
+        model = build_model(regime, cfg, N_CLASSES, seed=seed)
+        rng = np.random.default_rng(seed)
         for name, p in model.params.items():  # unit-scale activations, so predictions vary
             if p.data.ndim == 2:
                 p.data[...] = rng.normal(size=p.shape) / np.sqrt(1 if "emb" in name else p.shape[0])
@@ -723,7 +734,8 @@ class TestEvaluate:
             evaluate(model, Corpus(records=[r], schemas=schemas, language="kannada"), toy_vocab)
             for r in records
         ]
-        for task in TASKS:
+        assert list(preds) == list(regime.tasks)
+        for task in regime.tasks:
             assert preds[task] == [single[task][0] for single in singles]
             assert len(set(preds[task])) > 1
 

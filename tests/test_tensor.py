@@ -309,6 +309,24 @@ class TestShapingOps:
         with pytest.raises(ContractError):
             gather_rows(Tensor(np.eye(2)), [0, 2])
 
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)], ids=["2-D", "3-D towers"])
+    @pytest.mark.parametrize("bad", [-1, 4], ids=["id -1", "id n"])
+    def test_gather_rows_rejects_ids_outside_the_rows(self, shape, bad):
+        # numpy would wrap -1 to the last row; the op names the valid range
+        x = Tensor(np.arange(np.prod(shape), dtype=float).reshape(shape))
+        with pytest.raises(ContractError, match=r"row id out of range 0\.\.3"):
+            gather_rows(x, [0, bad, 1])
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)], ids=["2-D", "3-D towers"])
+    def test_gather_rows_of_no_ids(self, shape):
+        x = Tensor(np.ones(shape), requires_grad=True)
+        with GradTape() as tape:
+            rows = gather_rows(x, [])
+            loss = sum_all(rows)
+        assert rows.shape == shape[:-2] + (0, 3)
+        backward(tape, loss)
+        assert np.array_equal(x.grad, np.zeros(shape))
+
 
 class TestLayerNorm:
     def test_zero_rows_stay_zero(self):
