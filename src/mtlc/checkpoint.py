@@ -48,13 +48,11 @@ def _tensor_bytes(name: str, data: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def serialize(config_text: str, params: Mapping[str, "Tensor | np.ndarray"]) -> bytes:
+def serialize(config_text: str, params: Mapping[str, Tensor]) -> bytes:
     config_bytes = config_text.encode("utf-8")
     parts = [MAGIC, struct.pack("<H", FORMAT_VERSION), struct.pack("<I", len(config_bytes)), config_bytes]
     for name in sorted(params):
-        value = params[name]
-        data = value.data if isinstance(value, Tensor) else np.asarray(value)
-        parts.append(_tensor_bytes(name, data))
+        parts.append(_tensor_bytes(name, params[name].data))
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -111,7 +109,7 @@ def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
     return config_text, params
 
 
-def save_checkpoint(path: str, config_text: str, params: Mapping[str, "Tensor | np.ndarray"]) -> None:
+def save_checkpoint(path: str, config_text: str, params: Mapping[str, Tensor]) -> None:
     """Atomic write: serialize to a temp file, then rename into place."""
     blob = serialize(config_text, params)
     tmp = path + ".tmp"

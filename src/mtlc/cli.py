@@ -11,10 +11,13 @@ import argparse
 import ctypes
 import dataclasses
 import functools
+import glob
 import json
 import os
 import sys
 from typing import Optional, Sequence
+
+import numpy
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, check_out_dir, load_config
@@ -145,24 +148,17 @@ def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model
     enc_cfg = dataclasses.replace(cfg.encoder, vocab_size=len(vocab))
     n_classes = {task: schemas[task].n_classes for task in cfg.regime.tasks}
     expected = expected_param_shapes(cfg.regime, enc_cfg, n_classes)
-    if set(expected) != set(arrays):
-        missing = sorted(set(expected) - set(arrays))[:5]
-        extra = sorted(set(arrays) - set(expected))[:5]
-        raise CorruptArtifactError(
-            f"checkpoint tensors do not match the config-implied set "
-            f"(missing {missing}, unexpected {extra})"
-        )
-    rows = {arrays[name].shape[0] for name in expected if name.endswith("tok_emb") and arrays[name].ndim}
+    shapes = {name: array.shape for name, array in arrays.items()}
+    rows = {shapes[name][0] for name in expected if name.endswith("tok_emb") and shapes.get(name)}
     if len(rows) == 1 and len(vocab) not in rows:  # sound embeddings sized for another vocabulary
         raise DataError(
             f"vocabulary {vocab_path!r} has {len(vocab)} tokens but checkpoint "
             f"{checkpoint_path!r} embeds {rows.pop()} tokens; they are not from the same run"
         )
-    for name, shape in expected.items():
-        if tuple(arrays[name].shape) != tuple(shape):
-            raise CorruptArtifactError(
-                f"checkpoint tensor {name!r} has shape {arrays[name].shape}, expected {shape}"
-            )
+    if shapes != expected:
+        wrong = sorted(n for n in shapes.keys() | expected.keys() if shapes.get(n) != expected.get(n))
+        listed = ", ".join(f"{n!r} is {shapes.get(n)}, expected {expected.get(n)}" for n in wrong[:5])
+        raise CorruptArtifactError(f"checkpoint tensors disagree with its config: {listed}")
     # evaluation only: frozen parameters put nothing on any tape
     params = {name: Tensor(arrays[name], name=name) for name in arrays}
     model = Model(regime=cfg.regime, encoder_cfg=enc_cfg, params=params)
@@ -394,19 +390,45 @@ def _keep_heap_mapped() -> None:
         mallopt(param, value)
 
 
+# OpenBLAS's thread-count setter in numpy 2's wheels, numpy 1's, and a plain build
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"
+)
+_blas_set = False
+
+
+def _pin_blas_thread() -> None:
+    """Run the OpenBLAS in numpy's wheel (numpy.libs beside the package,
+    .dylibs in it) on one thread, once per process: the thread count
+    decides how a GEMM splits its sums, so its bits. Without a setter,
+    says so on stderr."""
+    global _blas_set
+    if _blas_set:
+        return
+    _blas_set = True
+    home = os.path.dirname(numpy.__file__)
+    libs = glob.glob(os.path.join(home, os.pardir, "numpy.libs", "*openblas*"))
+    for path in sorted(libs + glob.glob(os.path.join(home, ".dylibs", "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_THREAD_SETTERS:
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+                return
+    print("mtlc: BLAS threads unpinned; bits repeat only at a fixed thread count", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _keep_heap_mapped()
+    _pin_blas_thread()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except MtlcError as err:
-        for cls, code in _EXIT_CODES:
-            if isinstance(err, cls):
-                print(f"error: {err}", file=sys.stderr)
-                return code
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return next((code for cls, code in _EXIT_CODES if isinstance(err, cls)), 2)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -161,10 +161,13 @@ def check_out_dir(path: str, name: str) -> None:
 
 
 def _checked(section: str, ctor, **kwargs):
-    """`ctor(**kwargs)`, its range-check failure reported under `section`."""
+    """`ctor(**kwargs)`, its range-check failure reported under `section`;
+    `max_len`, the one encoder field set outside `model`, under `text`."""
     try:
         return ctor(**kwargs)
     except (ConfigError, ContractError) as err:
+        if str(err).startswith("max_len "):
+            section = "text"
         raise ConfigError(f"{section}.{err}") from None
 
 
@@ -197,9 +200,9 @@ def load_config(
             if typed[key] and not os.path.isfile(typed[key]):
                 raise ConfigError(f"{key}: path {typed[key]!r} is not a file")
         check_out_dir(typed["output.dir"], "output.dir")
-    for key, low in (("text.min_freq", 1), ("text.max_size", 1), ("text.max_len", 3)):
-        if typed[key] < low:
-            raise ConfigError(f"{key}: must be >= {low}, got {typed[key]}")
+    for key in ("text.min_freq", "text.max_size"):
+        if typed[key] < 1:
+            raise ConfigError(f"{key}: must be >= 1, got {typed[key]}")
 
     encoder = _checked(
         "model",

@@ -298,8 +298,6 @@ def encode_split(split: Corpus, vocab: Vocab, max_len: int) -> Batch:
 def batches(encoded: Batch, batch_size: int, shuffle: bool, seed: int) -> list[Batch]:
     """Group an encoded split into fixed-size batches (last one partial),
     in the order of a seeded permutation when `shuffle` is set."""
-    if batch_size < 1:
-        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     n = len(encoded)
     order = stream(seed, "batch-shuffle").permutation(n) if shuffle else range(n)
     return [

@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,9 +52,11 @@ class EncoderConfig:
     dropout_p: float = 0.4
 
     def __post_init__(self):
-        for field_name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ffn", "max_len"):
+        for field_name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ffn"):
             if getattr(self, field_name) < 1:
                 raise ContractError(f"{field_name} must be >= 1, got {getattr(self, field_name)}")
+        if self.max_len < 3:  # [CLS], at least one token, [SEP]
+            raise ContractError(f"max_len must be >= 3, got {self.max_len}")
         if self.d_model % self.n_heads != 0:
             raise ContractError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
@@ -216,7 +218,7 @@ def _positions(max_len: int) -> np.ndarray:
 
 
 def encoder_forward(
-    batch: Union[Sequence[TokenSeq], Packed],
+    batch: Packed,
     params: Mapping[str, Tensor],
     config: EncoderConfig,
     training: bool = False,
@@ -228,15 +230,13 @@ def encoder_forward(
     Only the [CLS] row is pooled, so the last layer computes the query,
     residual and feed-forward of that row alone; its keys and values still
     come from every row of the sequence. Returns the tanh-pooled
-    [B, d_model] vectors. `batch` is B sequences or their `pack`.
+    [B, d_model] vectors. `batch` is the `pack` of B sequences.
 
     `params` maps plain names (`tok_emb`, `layer{i}.wq`, ...) to one
     encoder's tensors, or to [T, ...] stacks (`mtl.Model.stacks`), which run
     T encoders in one pass and return [T, B, d_model]; each tower's slice
     equals its own pass bit for bit, and the forward counter adds T * B.
     """
-    if not isinstance(batch, Packed):
-        batch = pack(batch, config)
     ids, positions, lengths, cls_rows = batch
     if training and config.dropout_p > 0 and rng is None:
         raise ContractError("training with dropout needs an explicit rng stream")

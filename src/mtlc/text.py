@@ -99,8 +99,6 @@ def build_vocab(
 
 def encode(text: str, vocab: Vocab, max_len: int) -> TokenSeq:
     """[CLS] + token ids truncated to max_len-2 + [SEP]."""
-    if max_len < 3:
-        raise ContractError(f"max_len must be >= 3, got {max_len}")
     tokens = tokenize(text, vocab.mode)
     ids = (CLS, *map(vocab.token_to_id.get, tokens[: max_len - 2], repeat(UNK)), SEP)
     return TokenSeq(ids, max_len, raw_length=len(tokens))

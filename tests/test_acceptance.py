@@ -17,6 +17,7 @@ from mtlc.encoder import (
     forward_call_count,
     head_view,
     init_params,
+    pack,
     reset_forward_calls,
 )
 from mtlc.losses import (
@@ -164,7 +165,7 @@ def _encoder_op_cases():
         def f(x):
             trial = dict(base)
             trial[name] = x
-            cls = encoder_forward([seq], trial, enc_cfg)
+            cls = encoder_forward(pack([seq], enc_cfg), trial, enc_cfg)
             logits = classify(cls, head_view(trial, "sentiment"))
             return sum_all(mul(logits, Tensor(np.arange(1.0, 6.0))))
 
@@ -296,7 +297,7 @@ def test_criterion_1_gradient_suite():
     golds = {"sentiment": (1, 4), "offense": (0, 5)}
 
     def mtl_loss(trial):
-        cls = encoder_forward(seqs, trial, enc_cfg)
+        cls = encoder_forward(pack(seqs, enc_cfg), trial, enc_cfg)
         per_task = {task: cross_entropy(classify(cls, head_view(trial, task)), golds[task]) for task in TASKS}
         return weighted_sum((per_task["sentiment"], per_task["offense"]), (1.0, 1.0))
 

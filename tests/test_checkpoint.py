@@ -60,7 +60,7 @@ class TestRoundTrip:
         path = str(tmp_path / "model.mtlc")
         save_checkpoint(path, CONFIG, params)
         _, first = load_checkpoint(path)
-        save_checkpoint(path, CONFIG, first)
+        save_checkpoint(path, CONFIG, {name: Tensor(a) for name, a in first.items()})
         _, second = load_checkpoint(path)
         for name in first:
             assert np.array_equal(first[name], second[name])

@@ -99,6 +99,32 @@ class TestSplit:
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["split", "--out-dir", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "body, why",
+        [("", "no rows"), ("\n\n", "no rows"), ("text\tsentiment\toffense\n", "only a header")],
+        ids=["empty", "blank lines", "header only"],
+    )
+    def test_input_without_data_rows_exits_3(self, tmp_path, capsys, body, why):
+        src = tmp_path / "corpus.tsv"
+        src.write_text(body, encoding="utf-8")
+        assert main(["split", "--input", str(src), "--out-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(src) in err and why in err
+        assert not (tmp_path / "o").exists()
+
+    def test_os_error_from_a_command_exits_3(self, tmp_path, monkeypatch, capsys):
+        import mtlc.cli as cli
+
+        def full_disk(path, text):
+            raise OSError(28, "No space left on device", path)
+
+        src = tmp_path / "corpus.tsv"
+        src.write_text(toy_tsv(), encoding="utf-8")
+        monkeypatch.setattr(cli, "_write_text", full_disk)
+        assert main(["split", "--input", str(src), "--out-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No space left on device" in err
+
     def test_non_finite_ratios_exit_2(self, tmp_path, capsys):
         src = tmp_path / "corpus.tsv"
         src.write_text(toy_tsv(), encoding="utf-8")
@@ -354,11 +380,12 @@ class TestEvaluate:
         import numpy as np
 
         from mtlc.checkpoint import load_checkpoint, serialize
+        from mtlc.numcore import Tensor
 
         # save a marker value in pooler_w, then overwrite its bytes with NaN
         config_text, arrays = load_checkpoint(str(trained_run / "checkpoint.mtlc"))
         arrays["pooler_w"] = np.full(arrays["pooler_w"].shape, 3.0)
-        body = serialize(config_text, arrays)[:-4]
+        body = serialize(config_text, {name: Tensor(a) for name, a in arrays.items()})[:-4]
         marker = struct.pack("<f", 3.0) * arrays["pooler_w"].size
         assert body.count(marker) == 1
         body = body.replace(marker, struct.pack("<f", float("nan")) * arrays["pooler_w"].size)
@@ -385,13 +412,15 @@ class TestEvaluate:
         import shutil
 
         from mtlc.checkpoint import load_checkpoint, save_checkpoint
+        from mtlc.numcore import Tensor
 
         config_text, arrays = load_checkpoint(str(trained_run / "checkpoint.mtlc"))
         key = line.partition(" =")[0]
         lines = [line if row.startswith(key + " =") else row for row in config_text.splitlines()]
         assert line in lines
         bad = tmp_path / "bad.mtlc"
-        save_checkpoint(str(bad), "\n".join(lines) + "\n", arrays)
+        params = {name: Tensor(a) for name, a in arrays.items()}
+        save_checkpoint(str(bad), "\n".join(lines) + "\n", params)
         shutil.copy(trained_run / "vocab.txt", tmp_path / "vocab.txt")
         capsys.readouterr()
         code = main(["evaluate", "--checkpoint", str(bad), "--data", str(toy_dir / "val.tsv")])
@@ -426,6 +455,34 @@ class TestEvaluate:
         assert repr(str(foreign)) in err and repr(checkpoint) in err
         assert f"{len(own) + 1} tokens" in err and f"embeds {len(own)} tokens" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda arrays: arrays.pop("head.offense.b_out"), "'head.offense.b_out' is None"),
+            (lambda arrays: arrays.update(stray=np.zeros(3)), "'stray' is (3,), expected None"),
+            (lambda arrays: arrays.update(pooler_b=np.zeros(5)), "'pooler_b' is (5,), expected (16,)"),
+        ],
+        ids=["missing tensor", "extra tensor", "wrong shape"],
+    )
+    def test_tensors_that_disagree_with_the_config_exit_5_naming_them(
+        self, trained_run, toy_dir, tmp_path, capsys, edit, named
+    ):
+        import shutil
+
+        from mtlc.checkpoint import load_checkpoint, save_checkpoint
+        from mtlc.numcore import Tensor
+
+        # a sound file (its CRC holds) whose tensor table the config does not imply
+        config_text, arrays = load_checkpoint(str(trained_run / "checkpoint.mtlc"))
+        edit(arrays)
+        bad = tmp_path / "bad.mtlc"
+        save_checkpoint(str(bad), config_text, {name: Tensor(a) for name, a in arrays.items()})
+        shutil.copy(trained_run / "vocab.txt", tmp_path / "vocab.txt")
+        code = main(["evaluate", "--checkpoint", str(bad), "--data", str(toy_dir / "val.tsv")])
+        assert code == 5
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "eval_report.json").exists()
 
     def test_vocab_directory_exits_2(self, trained_run, toy_dir, tmp_path, capsys):
         args = ["--checkpoint", str(trained_run / "checkpoint.mtlc"), "--vocab", str(tmp_path)]
@@ -607,6 +664,7 @@ class TestHeapSetting:
             return 1
 
         monkeypatch.setattr(cli, "_heap_set", False)
+        monkeypatch.setattr(cli, "_blas_set", True)  # the fake library has no BLAS to pin
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
         return calls
 
@@ -624,3 +682,49 @@ class TestHeapSetting:
         monkeypatch.setattr(cli, "_is_glibc", lambda: False)
         main(["report", "--runs", str(tmp_path)])
         assert mallopt_calls == []
+
+
+class TestBlasThreads:
+    def test_checkpoint_bits_do_not_depend_on_the_blas_thread_count(self, toy_dir, tmp_path):
+        # char mode at batch 64 packs about 1,600 rows, enough for OpenBLAS
+        # to split a weight gradient's sum over two threads, and 30 epochs
+        # carry a last-bit difference into the stored float32 weights
+        import os
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import mtlc
+
+        text = (toy_dir / "toy.cfg").read_text(encoding="utf-8")
+        changes = {"text.mode": "char", "text.max_len": "32", "train.batch_size": "64"}
+        for key, value in {**changes, "output.dir": str(tmp_path / "run")}.items():
+            text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        cfg = tmp_path / "char.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        src = str(Path(mtlc.__file__).resolve().parents[1])
+        runs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            subprocess.run(
+                [sys.executable, "-m", "mtlc.cli", "train", "--config", str(cfg)],
+                env=env, check=True, capture_output=True,
+            )
+            runs[threads] = {
+                name: (tmp_path / "run" / name).read_bytes()
+                for name in ("checkpoint.mtlc", "trace.tsv", "report.json")
+            }
+        for name, blob in runs["1"].items():
+            assert runs["2"][name] == blob, name
+
+    def test_without_a_setter_says_so_once(self, monkeypatch, tmp_path, capsys):
+        import mtlc.cli as cli
+
+        monkeypatch.setattr(cli, "_blas_set", False)
+        monkeypatch.setattr(cli, "_BLAS_THREAD_SETTERS", ("no_such_setter",))
+        for _ in range(2):
+            main(["report", "--runs", str(tmp_path)])  # exits 2: no report.json
+        err = capsys.readouterr().err
+        assert err.count("BLAS threads unpinned") == 1

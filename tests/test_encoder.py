@@ -223,6 +223,12 @@ class TestConfigValidation:
         with pytest.raises(ContractError):
             EncoderConfig(vocab_size=0)
 
+    def test_max_len_holds_cls_a_token_and_sep(self):
+        for short in (1, 2):
+            with pytest.raises(ContractError, match="max_len"):
+                EncoderConfig(vocab_size=10, max_len=short)
+        assert EncoderConfig(vocab_size=10, max_len=3).max_len == 3
+
     def test_head_min_classes(self):
         with pytest.raises(ContractError):
             HeadSpec("t", 1)
@@ -322,41 +328,41 @@ class TestEncoderForward:
             for name, t in init_params(small_config, heads, seed=0).items()
         }
         seq = encode("a b c", vocab, small_config.max_len)
-        cls = encoder_forward([seq], params, small_config)
+        cls = encoder_forward(pack([seq], small_config), params, small_config)
         assert np.array_equal(cls.data, np.zeros((1, 8)))
 
     def test_training_mode_deterministic_per_stream(self, heads, vocab):
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ffn=16, max_len=8, dropout_p=0.3)
         params = init_params(cfg, heads, seed=1)
         seq = encode("a b c d", vocab, cfg.max_len)
-        a = encoder_forward([seq], params, cfg, training=True, rng=stream(9, "drop")).data
-        b = encoder_forward([seq], params, cfg, training=True, rng=stream(9, "drop")).data
+        a = encoder_forward(pack([seq], cfg), params, cfg, training=True, rng=stream(9, "drop")).data
+        b = encoder_forward(pack([seq], cfg), params, cfg, training=True, rng=stream(9, "drop")).data
         assert np.array_equal(a, b)
 
     def test_shape_invariant_across_lengths(self, small_config, params, vocab):
         for n_tokens in range(1, small_config.max_len - 1):
             text = " ".join(["b"] * n_tokens)
             seq = encode(text, vocab, small_config.max_len)
-            assert encoder_forward([seq], params, small_config).shape == (1, 8)
+            assert encoder_forward(pack([seq], small_config), params, small_config).shape == (1, 8)
 
-    def test_wrong_length_rejected(self, small_config, params, vocab):
+    def test_wrong_length_rejected(self, small_config, vocab):
         seq = encode("a", vocab, 6)
         with pytest.raises(ContractError):
-            encoder_forward([seq], params, small_config)
+            pack([seq], small_config)
 
-    def test_out_of_vocab_id_rejected(self, small_config, params, vocab):
+    def test_out_of_vocab_id_rejected(self, small_config, vocab):
         seq = encode("a", vocab, small_config.max_len)
         bad = type(seq)(ids=(2, 99, 3), max_len=seq.max_len, raw_length=1)
         with pytest.raises(ContractError):
-            encoder_forward([bad], params, small_config)
+            pack([bad], small_config)
 
     def test_forward_counter(self, small_config, params, vocab):
         reset_forward_calls()
         seq = encode("a b", vocab, small_config.max_len)
         for _ in range(3):
-            encoder_forward([seq], params, small_config)
+            encoder_forward(pack([seq], small_config), params, small_config)
         assert forward_call_count() == 3
-        encoder_forward([seq] * 4, params, small_config)
+        encoder_forward(pack([seq] * 4, small_config), params, small_config)
         assert forward_call_count() == 7  # sequences encoded, not calls
 
 
@@ -373,7 +379,7 @@ class TestClassify:
 
     def test_logit_sizes_match_schemas(self, small_config, params, vocab):
         seq = encode("a b", vocab, small_config.max_len)
-        cls = encoder_forward([seq, seq, seq], params, small_config)
+        cls = encoder_forward(pack([seq, seq, seq], small_config), params, small_config)
         assert classify(cls, head_view(params, "sentiment")).shape == (3, 5)
         assert classify(cls, head_view(params, "offense")).shape == (3, 6)
 
@@ -414,14 +420,14 @@ def closed_form_count(config, heads):
 
 class TestParams:
     def test_count_matches_closed_form(self, small_config, heads, params):
-        total = sum(p.size for p in params.values())
+        total = sum(p.data.size for p in params.values())
         assert total == closed_form_count(small_config, heads)
 
     def test_count_formula_default_head(self):
         cfg = EncoderConfig(vocab_size=100, d_model=64, n_heads=4, n_layers=2, d_ffn=128, max_len=64)
         heads = [HeadSpec("sentiment", 5)]
         params = init_params(cfg, heads, seed=0)
-        assert sum(p.size for p in params.values()) == closed_form_count(cfg, heads)
+        assert sum(p.data.size for p in params.values()) == closed_form_count(cfg, heads)
 
     def test_name_set_is_deterministic(self, small_config, heads):
         assert sorted(param_shapes(small_config, heads)) == sorted(
@@ -455,7 +461,7 @@ class TestEncoderGradients:
         def loss_with(name, x):
             trial = dict(params)
             trial[name] = x
-            cls = encoder_forward([seq], trial, cfg)
+            cls = encoder_forward(pack([seq], cfg), trial, cfg)
             logits = classify(cls, head_view(trial, "sentiment"))
             return sum_all(mul(logits, Tensor(np.arange(1.0, 6.0))))
 
@@ -574,7 +580,8 @@ class TestPacking:
         def loss_with(name, x):
             trial = dict(params)
             trial[name] = x
-            logits = classify(encoder_forward(seqs, trial, cfg), head_view(trial, "sentiment"))
+            pooled = encoder_forward(pack(seqs, cfg), trial, cfg)
+            logits = classify(pooled, head_view(trial, "sentiment"))
             return sum_all(mul(logits, weights))
 
         for name in ("layer0.wq", "layer0.wk", "layer1.wv", "layer1.wo", "layer1.ffn_w2", "pos_emb"):
@@ -583,11 +590,15 @@ class TestPacking:
 
     def test_same_logits_alone_and_in_any_batch(self, small_config, params, mixed):
         head = head_view(params, "sentiment")
-        alone = [classify(encoder_forward([s], params, small_config), head).data[0] for s in mixed]
+
+        def logits(seqs):
+            return classify(encoder_forward(pack(seqs, small_config), params, small_config), head).data
+
+        alone = [logits([s])[0] for s in mixed]
         rng = np.random.default_rng(3)
         for _ in range(5):
             order = rng.permutation(len(mixed))
-            batch = classify(encoder_forward([mixed[i] for i in order], params, small_config), head).data
+            batch = logits([mixed[i] for i in order])
             for row, i in enumerate(order):
                 assert np.abs(batch[row] - alone[i]).max() <= 1e-12
 
@@ -597,7 +608,7 @@ class TestPacking:
             name: Tensor(rng.uniform(-0.5, 0.5, size=t.shape), name=name)
             for name, t in init_params(small_config, heads, seed=0).items()
         }
-        got = encoder_forward(mixed, params, small_config).data
+        got = encoder_forward(pack(mixed, small_config), params, small_config).data
         assert np.abs(got - padded_reference(mixed, params, small_config)).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -616,9 +627,9 @@ class TestPacking:
         with pytest.raises(ContractError):
             pack([good, TokenSeq(ids=ids, max_len=max_len, raw_length=len(ids))], small_config)
 
-    def test_empty_batch_rejected(self, small_config, params):
+    def test_empty_batch_rejected(self, small_config):
         with pytest.raises(ContractError):
-            encoder_forward([], params, small_config)
+            pack([], small_config)
 
     @settings(max_examples=60, deadline=None)
     @given(

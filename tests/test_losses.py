@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlc.errors import ContractError, DataError
 from mtlc.losses import (
@@ -120,15 +122,29 @@ class TestHinge:
 
 
 class TestFocal:
-    def test_gamma_zero_is_cross_entropy_bitwise(self):
-        for seed in range(30):
-            rng = np.random.default_rng(seed)
-            logits = rng.uniform(-4, 4, size=6)
-            target = int(rng.integers(0, 6))
-            cw = class_weights(rng.integers(1, 100, size=6).tolist())
-            a = focal(Tensor(logits), target, 0.0, cw).item()
-            b = cross_entropy(Tensor(logits), target, cw).item()
-            assert a == b  # identical code path, bit for bit
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 9),
+        classes=st.integers(2, 7),
+        scale=st.sampled_from([1e-3, 1.0, 4.0, 40.0, 800.0]),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gamma_zero_is_cross_entropy_bitwise(self, rows, classes, scale, weighted, seed):
+        # focal has no gamma = 0 branch: (1 - p)^0 = 1 times -log p must
+        # give cross-entropy's value and gradient bits
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(rows, classes)) * scale
+        targets = rng.integers(0, classes, size=rows)
+        cw = class_weights(rng.integers(1, 100, size=classes).tolist()) if weighted else None
+        bits = []
+        for loss_of in (lambda x: focal(x, targets, 0.0, cw), lambda x: cross_entropy(x, targets, cw)):
+            x = Tensor(logits, requires_grad=True)
+            with GradTape() as tape:
+                loss = loss_of(x)
+            backward(tape, loss)
+            bits.append((loss.data.tobytes(), x.grad.tobytes()))
+        assert bits[0] == bits[1]
 
     def test_perfect_prediction_is_zero(self):
         for gamma in (0.0, 1.0, 2.0, 5.0):
@@ -151,8 +167,9 @@ class TestFocal:
         assert loss.item() == pytest.approx(0.17329, abs=5e-6)
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ContractError):
-            focal(Tensor([0.0, 0.0]), 0, -1.0)
+        with pytest.raises(ContractError, match="focal_gamma"):
+            LossConfig(kind=LossKind.FOCAL, focal_gamma=-1.0)
+        assert LossConfig(kind=LossKind.FOCAL, focal_gamma=0.0).focal_gamma == 0.0
 
 
 class TestKld:
@@ -175,8 +192,11 @@ class TestKld:
         assert loss.item() == pytest.approx(0.36806, abs=5e-6)
 
     def test_epsilon_bounds(self):
-        with pytest.raises(ContractError):
-            kld(Tensor([0.0, 0.0]), 0, 0.5)
+        for bad in (-0.1, 0.5, 0.7):
+            with pytest.raises(ContractError, match="kld_epsilon"):
+                LossConfig(kind=LossKind.KLD, kld_epsilon=bad)
+        for good in (0.0, 0.49):
+            assert LossConfig(kind=LossKind.KLD, kld_epsilon=good).kld_epsilon == good
 
 
 class TestLossProperties:

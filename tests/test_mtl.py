@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from mtlc import mtl
-from mtlc.data import Batch, Corpus, Record, batches, encode_split, schemas_for_language
+from mtlc.data import (
+    Batch,
+    Corpus,
+    Record,
+    batches,
+    class_counts,
+    encode_split,
+    schemas_for_language,
+)
 from mtlc.encoder import (
     EncoderConfig,
     classify,
@@ -15,7 +23,7 @@ from mtlc.encoder import (
     reset_forward_calls,
 )
 from mtlc.errors import ConfigError, ContractError, NumericalError
-from mtlc.losses import LossConfig, compute_loss, cross_entropy
+from mtlc.losses import LossConfig, LossKind, class_weights, compute_loss, cross_entropy
 from mtlc.mtl import (
     RegimeConfig,
     SoftShareConfig,
@@ -113,17 +121,18 @@ def first_step_grads(splits, regime, model, vocab, monkeypatch, seed=1):
     return seen
 
 
-def joint_step_grads(splits, regime, model, vocab, seed=1):
+def joint_step_grads(splits, regime, model, vocab, seed=1, weights=None):
     """Reference for `first_step_grads`: the same first batch and dropout
-    stream, with every encoder, every loss and the objective on one tape
-    and one backward."""
+    stream, with every encoder, every loss (with its task's class `weights`,
+    if any) and the objective on one tape and one backward."""
     encoded = encode_split(splits.train, vocab, model.encoder_cfg.max_len)
     batch = batches(encoded, STEP_BATCH, True, child_seed(stream(seed, "shuffle")))[0]
     zero_grads(model.params)
     with GradTape() as tape:
         logits = logits_per_tower(model, batch.seqs, training=True, rng=stream(seed, "dropout"))
         losses = [
-            compute_loss(logits[t], batch.labels[t], regime.losses[t], None) for t in regime.tasks
+            compute_loss(logits[t], batch.labels[t], regime.losses[t], (weights or {}).get(t))
+            for t in regime.tasks
         ]
         total = soft_loss(losses, regime)
     backward(tape, total)
@@ -577,6 +586,28 @@ class TestTrainStep:
         assert set(got) == set(want)
         for name, grad in got.items():
             assert np.array_equal(grad, want[name]), name
+
+    def test_class_weights_come_from_the_train_split(self, toy_splits, toy_vocab, monkeypatch):
+        # regime.class_weights = true: each task's loss weighs its classes by
+        # their inverse frequency in the train split
+        kinds = {"sentiment": LossKind.CROSS_ENTROPY, "offense": LossKind.FOCAL}
+        regime = RegimeConfig(
+            kind="hard_share",
+            tasks=TASKS,
+            losses={t: LossConfig(kind=kinds[t], use_class_weights=True) for t in TASKS},
+            task_weights=(1.0, 1.0),
+        )
+        weights = {t: class_weights(class_counts(toy_splits.train, t)) for t in TASKS}
+        got = first_step_grads(
+            toy_splits, regime, self._model(regime, toy_vocab), toy_vocab, monkeypatch
+        )
+        want = joint_step_grads(
+            toy_splits, regime, self._model(regime, toy_vocab), toy_vocab, weights=weights
+        )
+        unweighted = joint_step_grads(toy_splits, regime, self._model(regime, toy_vocab), toy_vocab)
+        for name, grad in got.items():
+            assert np.array_equal(grad, want[name]), name
+        assert not np.array_equal(got["pooler_w"], unweighted["pooler_w"])
 
     def test_each_soft_tape_holds_one_tower(self, toy_splits, toy_vocab, monkeypatch):
         regime = soft_regime("trace_norm")

@@ -7,13 +7,8 @@ import numpy as np
 import pytest
 
 from mtlc.errors import ContractError, NumericalError, ShapeError
-from mtlc.numcore import (
-    OptimHyper,
-    Tensor,
-    adamw_step,
-    global_grad_norm,
-    init_states,
-)
+from mtlc.numcore import OptimHyper, Tensor, adamw_step, init_states
+from mtlc.numcore.optim import global_grad_norm
 
 
 def make_param(values, name="w"):

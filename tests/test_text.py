@@ -96,10 +96,6 @@ class TestEncode:
         assert sum(seq.mask) - 2 == 6  # [CLS] and [SEP] around 6 kept tokens
         assert seq.ids[0] == CLS and seq.ids[7] == SEP
 
-    def test_min_length(self, vocab):
-        with pytest.raises(ContractError):
-            encode("a", vocab, 2)
-
     def test_deterministic(self, vocab):
         assert encode("a b a", vocab, 6) == encode("a b a", vocab, 6)
 
