@@ -109,13 +109,18 @@ def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
     return config_text, params
 
 
-def save_checkpoint(path: str, config_text: str, params: Mapping[str, Tensor]) -> None:
-    """Atomic write: serialize to a temp file, then rename into place."""
-    blob = serialize(config_text, params)
+def write_atomic(path: str, data: str | bytes) -> None:
+    """Write `data`, a str as UTF-8, to `path + ".tmp"`, then rename it into
+    place: a failed write leaves whatever `path` held. Every file mtlc
+    writes goes through here."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
     os.replace(tmp, path)
+
+
+def save_checkpoint(path: str, config_text: str, params: Mapping[str, Tensor]) -> None:
+    write_atomic(path, serialize(config_text, params))
 
 
 def load_checkpoint(path: str) -> tuple[str, dict[str, np.ndarray]]:

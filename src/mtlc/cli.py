@@ -19,16 +19,15 @@ from typing import Optional, Sequence
 
 import numpy
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import RunConfig, check_out_dir, load_config
 from .data import (
     Corpus,
-    corpus_to_tsv,
     load_joint_tsv,
     merge_task_files,
     schemas_for_language,
-    split_manifest,
     stratified_split,
+    write_splits,
 )
 from .errors import (
     ConfigError,
@@ -47,13 +46,6 @@ CHECKPOINT_NAME = "checkpoint.mtlc"
 VOCAB_NAME = "vocab.txt"
 TRACE_NAME = "trace.tsv"
 REPORT = "report"  # report.json and report.txt
-
-
-def _write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _resolve_seed(flag_seed: Optional[int]) -> Optional[int]:
@@ -118,13 +110,7 @@ def cmd_split(args) -> int:
         raise ConfigError(f"--ratios needs numbers, got {args.ratios!r}") from None
 
     splits = stratified_split(corpus, ratios, args.seed, args.stratify_task)
-    os.makedirs(args.out_dir, exist_ok=True)
-    for name, part in (("train", splits.train), ("val", splits.val), ("test", splits.test)):
-        _write_text(os.path.join(args.out_dir, f"{name}.tsv"), corpus_to_tsv(part))
-    _write_text(
-        os.path.join(args.out_dir, "manifest.txt"),
-        split_manifest(splits, args.seed, ratios, args.stratify_task),
-    )
+    write_splits(args.out_dir, splits, args.seed, ratios, args.stratify_task)
     print(
         f"split {len(corpus)} records into {len(splits.train)}/{len(splits.val)}/{len(splits.test)}"
         f" at {args.out_dir}"
@@ -176,11 +162,11 @@ def _write_report(
     out_dir: str, stem: str, report: dict[str, TaskReport], tasks: Sequence[str], label: str
 ) -> None:
     """Write `<stem>.json` and `<stem>.txt`; print each weighted F1 in `tasks` order."""
-    _write_text(
+    write_atomic(
         os.path.join(out_dir, stem + ".json"),
         json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
     )
-    _write_text(os.path.join(out_dir, stem + ".txt"), format_report(report))
+    write_atomic(os.path.join(out_dir, stem + ".txt"), format_report(report))
     for task in tasks:
         print(f"{task} {label} = {report[task].weighted.f1:.5f}")
 
@@ -221,7 +207,7 @@ def cmd_train(args) -> int:
     save_vocab(vocab, vocab_path)
     checkpoint_path = os.path.join(out, CHECKPOINT_NAME)
     save_checkpoint(checkpoint_path, cfg.to_text(), model.params)
-    _write_text(os.path.join(out, TRACE_NAME), _trace_tsv(epochs, cfg.regime.tasks))
+    write_atomic(os.path.join(out, TRACE_NAME), _trace_tsv(epochs, cfg.regime.tasks))
 
     # the stored float32 weights are the contract: report from the reloaded
     # checkpoint so cmd_evaluate reproduces these numbers exactly
@@ -298,7 +284,7 @@ def cmd_report(args) -> int:
     table = "\n".join(text_lines)
     print(table)
     if args.out:
-        _write_text(args.out, "\n".join(tsv_lines) + "\n")
+        write_atomic(args.out, "\n".join(tsv_lines) + "\n")
     return 0
 
 
@@ -362,7 +348,6 @@ _EXIT_CODES = (
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
-_heap_set = False
 
 
 def _is_glibc() -> bool:
@@ -374,13 +359,10 @@ def _is_glibc() -> bool:
         return False
 
 
+@functools.cache  # once per process
 def _keep_heap_mapped() -> None:
-    """Apply `_HEAP_SETTINGS` through glibc's `mallopt`, once per process.
-    They hold for the whole process. Elsewhere than on glibc, does nothing."""
-    global _heap_set
-    if _heap_set:
-        return
-    _heap_set = True
+    """Apply `_HEAP_SETTINGS` through glibc's `mallopt`. They hold for the
+    whole process. Elsewhere than on glibc, does nothing."""
     if not _is_glibc():
         return
     mallopt = ctypes.CDLL(None).mallopt
@@ -394,18 +376,13 @@ def _keep_heap_mapped() -> None:
 _BLAS_THREAD_SETTERS = (
     "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"
 )
-_blas_set = False
 
 
+@functools.cache  # once per process
 def _pin_blas_thread() -> None:
     """Run the OpenBLAS in numpy's wheel (numpy.libs beside the package,
-    .dylibs in it) on one thread, once per process: the thread count
-    decides how a GEMM splits its sums, so its bits. Without a setter,
-    says so on stderr."""
-    global _blas_set
-    if _blas_set:
-        return
-    _blas_set = True
+    .dylibs in it) on one thread: the thread count decides how a GEMM
+    splits its sums, so its bits. Without a setter, says so on stderr."""
     home = os.path.dirname(numpy.__file__)
     libs = glob.glob(os.path.join(home, os.pardir, "numpy.libs", "*openblas*"))
     for path in sorted(libs + glob.glob(os.path.join(home, ".dylibs", "*openblas*"))):

@@ -9,10 +9,12 @@ embedded tab cannot round-trip and its row is rejected.
 from __future__ import annotations
 
 import math
+import os
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .checkpoint import write_atomic
 from .errors import ContractError, DataError
 from .numcore import stream
 from .text import TokenSeq, Vocab, encode
@@ -310,7 +312,7 @@ def batches(encoded: Batch, batch_size: int, shuffle: bool, seed: int) -> list[B
 
 
 # ---------------------------------------------------------------------------
-# split persistence (written by the CLI, readable by load_joint_tsv)
+# split persistence (written by `mtlc split` and the toy, readable by load_joint_tsv)
 # ---------------------------------------------------------------------------
 
 
@@ -323,18 +325,29 @@ def corpus_to_tsv(corpus: Corpus) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def split_manifest(
-    splits: SplitSet, seed: int, ratios: tuple[float, float, float], stratify_task: str
-) -> str:
-    """Human-readable provenance for a split directory."""
-    lines = [
+def write_splits(
+    directory: str,
+    splits: SplitSet,
+    seed: int,
+    ratios: tuple[float, float, float],
+    stratify_task: str,
+) -> dict[str, str]:
+    """Write a split directory, made if missing: train.tsv, val.tsv and
+    test.tsv, then manifest.txt, their human-readable provenance. Returns
+    each TSV's path by split name."""
+    os.makedirs(directory, exist_ok=True)
+    manifest = [
         f"seed = {seed}",
         f"ratios = {ratios[0]},{ratios[1]},{ratios[2]}",
         f"stratify_task = {stratify_task}",
     ]
+    paths = {}
     for name, part in (("train", splits.train), ("val", splits.val), ("test", splits.test)):
-        lines.append(f"{name}.size = {len(part)}")
+        paths[name] = os.path.join(directory, f"{name}.tsv")
+        write_atomic(paths[name], corpus_to_tsv(part))
+        manifest.append(f"{name}.size = {len(part)}")
         for task in part.tasks:
             counts = ",".join(str(c) for c in class_counts(part, task))
-            lines.append(f"{name}.{task}.counts = {counts}")
-    return "\n".join(lines) + "\n"
+            manifest.append(f"{name}.{task}.counts = {counts}")
+    write_atomic(os.path.join(directory, "manifest.txt"), "\n".join(manifest) + "\n")
+    return paths

@@ -194,15 +194,16 @@ def compute_loss(
 ) -> Tensor:
     """Batch mean of the configured loss over [B, C] logits and B targets.
 
-    Class weights apply to cross-entropy and focal only.
+    Cross-entropy and focal apply the class `weights` they are given;
+    hinge and KLD ignore them. Whether a task has weights is `mtl.train`'s
+    decision, from `cfg.use_class_weights`.
     """
-    w = weights if cfg.use_class_weights else None
     if cfg.kind is LossKind.CROSS_ENTROPY:
-        return cross_entropy(logits, targets, w)
+        return cross_entropy(logits, targets, weights)
     if cfg.kind is LossKind.HINGE:
         return hinge_multiclass(logits, targets)
     if cfg.kind is LossKind.FOCAL:
-        return focal(logits, targets, cfg.focal_gamma, w)
+        return focal(logits, targets, cfg.focal_gamma, weights)
     if cfg.kind is LossKind.KLD:
         return kld(logits, targets, cfg.kld_epsilon)
     raise ContractError(f"unhandled loss kind {cfg.kind}")

@@ -83,9 +83,8 @@ def task_report(
     # rows P, R, F1; columns classes. Row sums run left to right as Python's
     # sum would, for up to 7 classes.
     prf = np.stack([precision, recall, _ratio(2.0 * precision * recall, precision + recall)])
-    # pooled counts: micro precision and recall both equal accuracy
+    # pooled counts: micro precision, recall and so F1 all equal accuracy
     accuracy = float(tp.sum()) / total
-    micro_f1 = 2.0 * accuracy * accuracy / (accuracy + accuracy) if accuracy else 0.0
     return TaskReport(
         task=task,
         labels=tuple(labels),
@@ -95,7 +94,7 @@ def task_report(
         ),
         macro=Averages(*(prf.sum(axis=1) / len(labels)).tolist()),
         weighted=Averages(*((prf * support).sum(axis=1) / total).tolist()),
-        micro=Averages(accuracy, accuracy, micro_f1),
+        micro=Averages(accuracy, accuracy, accuracy),
         accuracy=accuracy,
         confusion=cm,
         total_support=total,

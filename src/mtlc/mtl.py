@@ -22,7 +22,7 @@ from .encoder import (
     param_shapes,
 )
 from .errors import ConfigError, ContractError, NumericalError
-from .losses import ClassWeights, LossConfig, class_weights, compute_loss
+from .losses import LossConfig, class_weights, compute_loss
 from .metrics import task_report
 from .numcore import (
     GradTape,
@@ -218,9 +218,7 @@ def predict_logits(model: Model, seqs: Sequence[TokenSeq]) -> dict[str, Tensor]:
 
 
 def weighted_sum(losses: Sequence[Tensor], task_weights: Sequence[float]) -> Tensor:
-    """Sum over tasks of w_t * L_t; the count check stops `zip` dropping a loss."""
-    if len(losses) != len(task_weights):
-        raise ContractError(f"{len(task_weights)} task weights for {len(losses)} losses")
+    """Sum over tasks of w_t * L_t."""
     total = scale(losses[0], task_weights[0])
     for loss, weight in zip(losses[1:], task_weights[1:]):
         total = add(total, scale(loss, weight))
@@ -285,18 +283,6 @@ def coupling_distance(model: Model) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _class_weight_table(
-    regime: RegimeConfig, train_split: Corpus
-) -> dict[str, Optional[ClassWeights]]:
-    table: dict[str, Optional[ClassWeights]] = {}
-    for task in regime.tasks:
-        if regime.losses[task].use_class_weights:
-            table[task] = class_weights(class_counts(train_split, task))
-        else:
-            table[task] = None
-    return table
-
-
 def _check_heads(model: Model, split: Corpus) -> None:
     """A ContractError unless each head's `b_out` has one entry per class of the split."""
     for task, (_, head) in model.heads.items():
@@ -337,7 +323,10 @@ def train(
     val_set = encode_split(val_split, vocab, model.encoder_cfg.max_len)
     _check_heads(model, train_split)
     states = init_states(model.params)
-    weights = _class_weight_table(regime, train_split)
+    weights = {  # the one place a task's class weighting is decided
+        t: class_weights(class_counts(train_split, t)) if regime.losses[t].use_class_weights else None
+        for t in regime.tasks
+    }
     shuffle_rng = stream(train_cfg.seed, "shuffle")
     dropout_rng = stream(train_cfg.seed, "dropout")
     epochs: list[EpochStats] = []

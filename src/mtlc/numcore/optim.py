@@ -18,7 +18,7 @@ class OptimHyper:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    weight_decay: float = 0.0
+    weight_decay: float = 0.01
     clip_norm: float = 1.0  # 0 disables clipping
 
     def __post_init__(self):

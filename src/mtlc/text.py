@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Optional
 
+from .checkpoint import write_atomic
 from .errors import ContractError, DataError
 
 PAD, UNK, CLS, SEP = 0, 1, 2, 3
@@ -110,8 +111,7 @@ def save_vocab(vocab: Vocab, path: str) -> None:
         if "\n" in token or "\r" in token:
             raise ContractError(f"token {token!r} contains a line break")
         lines.append(token)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_vocab(path: str) -> Vocab:

@@ -13,17 +13,18 @@ from __future__ import annotations
 import os
 import sys
 
+from .checkpoint import write_atomic
 from .data import (
     OFFENSE_CLASSES,
     SENTIMENT_CLASSES,
-    corpus_to_tsv,
     load_joint_tsv,
     schemas_for_language,
-    split_manifest,
     stratified_split,
+    write_splits,
 )
 
 TOY_SEED = 5
+TOY_RATIOS = (0.8, 0.1, 0.1)
 TOY_SIZE = 200
 
 _SENT_MARKERS = ("happyword", "sadword", "mixword", "okword", "langword")
@@ -80,19 +81,10 @@ def materialize(directory: str) -> dict[str, str]:
     """
     os.makedirs(directory, exist_ok=True)
     tsv_path = os.path.join(directory, "toy.tsv")
-    with open(tsv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(toy_tsv())
-
-    schemas = schemas_for_language("kannada")
-    corpus = load_joint_tsv(tsv_path, schemas, "kannada")
-    splits = stratified_split(corpus, (0.8, 0.1, 0.1), seed=TOY_SEED)
-    paths = {}
-    for name, part in (("train", splits.train), ("val", splits.val), ("test", splits.test)):
-        paths[name] = os.path.join(directory, f"{name}.tsv")
-        with open(paths[name], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(corpus_to_tsv(part))
-    with open(os.path.join(directory, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(split_manifest(splits, TOY_SEED, (0.8, 0.1, 0.1), "sentiment"))
+    write_atomic(tsv_path, toy_tsv())
+    corpus = load_joint_tsv(tsv_path, schemas_for_language("kannada"), "kannada")
+    splits = stratified_split(corpus, TOY_RATIOS, seed=TOY_SEED)
+    paths = write_splits(directory, splits, TOY_SEED, TOY_RATIOS, "sentiment")
 
     configs = {}
     for run, kind, task in (
@@ -100,19 +92,13 @@ def materialize(directory: str) -> dict[str, str]:
         ("stl_sentiment", "stl", "sentiment"),
         ("stl_offense", "stl", "offense"),
     ):
-        cfg_path = os.path.join(directory, f"{run}.cfg")
-        with open(cfg_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                _CONFIG_TEMPLATE.format(
-                    train=paths["train"],
-                    val=paths["val"],
-                    test=paths["test"],
-                    kind=kind,
-                    task=task,
-                    out=os.path.join(directory, f"run_{run}"),
-                )
-            )
-        configs[run] = cfg_path
+        configs[run] = os.path.join(directory, f"{run}.cfg")
+        write_atomic(
+            configs[run],
+            _CONFIG_TEMPLATE.format(
+                **paths, kind=kind, task=task, out=os.path.join(directory, f"run_{run}")
+            ),
+        )
     return configs
 
 

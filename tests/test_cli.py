@@ -113,14 +113,14 @@ class TestSplit:
         assert not (tmp_path / "o").exists()
 
     def test_os_error_from_a_command_exits_3(self, tmp_path, monkeypatch, capsys):
-        import mtlc.cli as cli
+        import mtlc.data as data
 
         def full_disk(path, text):
             raise OSError(28, "No space left on device", path)
 
         src = tmp_path / "corpus.tsv"
         src.write_text(toy_tsv(), encoding="utf-8")
-        monkeypatch.setattr(cli, "_write_text", full_disk)
+        monkeypatch.setattr(data, "write_atomic", full_disk)
         assert main(["split", "--input", str(src), "--out-dir", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "No space left on device" in err
@@ -168,6 +168,30 @@ class TestTrain:
         assert main(["train", "--config", str(fast_cfg)]) == 0
         for name, blob in before.items():
             assert (trained_run / name).read_bytes() == blob, name
+
+    def test_failed_rename_exits_3_and_keeps_the_old_vocabulary(
+        self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys
+    ):
+        import mtlc.checkpoint as checkpoint
+
+        text = (
+            fast_cfg.read_text(encoding="utf-8")
+            .replace(f"output.dir = {toy_dir}/run_fast", f"output.dir = {tmp_path}/run")
+            .replace("train.epochs = 2", "train.epochs = 1")
+        )
+        char_cfg, word_cfg = tmp_path / "char.cfg", tmp_path / "word.cfg"
+        char_cfg.write_text(text.replace("text.mode = word", "text.mode = char"), encoding="utf-8")
+        word_cfg.write_text(text, encoding="utf-8")
+        assert main(["train", "--config", str(char_cfg)]) == 0
+        old = (tmp_path / "run" / "vocab.txt").read_bytes()
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device", dst)
+
+        monkeypatch.setattr(checkpoint.os, "replace", full_disk)
+        assert main(["train", "--config", str(word_cfg)]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert (tmp_path / "run" / "vocab.txt").read_bytes() == old
 
     def test_failed_svd_names_the_coupled_layer_and_exits_4(
         self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys
@@ -654,7 +678,7 @@ class TestParser:
 class TestHeapSetting:
     @pytest.fixture
     def mallopt_calls(self, monkeypatch):
-        """Calls `cli.main` makes to mallopt, with the once-per-process flag reset."""
+        """Calls `cli.main` makes to mallopt, with the once-per-process cache cleared."""
         import mtlc.cli as cli
 
         calls = []
@@ -663,10 +687,11 @@ class TestHeapSetting:
             calls.append((param, value))
             return 1
 
-        monkeypatch.setattr(cli, "_heap_set", False)
-        monkeypatch.setattr(cli, "_blas_set", True)  # the fake library has no BLAS to pin
+        cli._keep_heap_mapped.cache_clear()
+        cli._pin_blas_thread()  # the fake library has no BLAS to pin: pin the real one first
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-        return calls
+        yield calls
+        cli._keep_heap_mapped.cache_clear()
 
     def test_set_once_per_process_on_glibc(self, mallopt_calls, monkeypatch, tmp_path):
         import mtlc.cli as cli
@@ -722,9 +747,10 @@ class TestBlasThreads:
     def test_without_a_setter_says_so_once(self, monkeypatch, tmp_path, capsys):
         import mtlc.cli as cli
 
-        monkeypatch.setattr(cli, "_blas_set", False)
+        cli._pin_blas_thread.cache_clear()
         monkeypatch.setattr(cli, "_BLAS_THREAD_SETTERS", ("no_such_setter",))
         for _ in range(2):
             main(["report", "--runs", str(tmp_path)])  # exits 2: no report.json
         err = capsys.readouterr().err
+        cli._pin_blas_thread.cache_clear()
         assert err.count("BLAS threads unpinned") == 1

@@ -1,13 +1,17 @@
 """Flat-text run configuration parsing and validation."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
 from mtlc.config import _KEYS, load_config, parse_flat
+from mtlc.encoder import EncoderConfig
 from mtlc.errors import ConfigError
-from mtlc.losses import LossKind
+from mtlc.losses import LossConfig, LossKind
+from mtlc.mtl import RegimeConfig, SoftShareConfig, TrainConfig
+from mtlc.numcore import OptimHyper
 
 MINIMAL = """
 data.train = {train}
@@ -213,3 +217,46 @@ def test_readme_config_block_lists_every_key_with_its_default():
     for (key, _, shown), (default, _) in zip(rows, _KEYS.values()):
         key, shown = key.strip(), shown.strip()
         assert shown == default or (key in required and shown == "..."), key
+
+
+# config key -> the dataclass field that repeats its default
+DEFAULT_FIELDS = {
+    "text.max_len": (EncoderConfig, "max_len"),
+    "model.d_model": (EncoderConfig, "d_model"),
+    "model.n_heads": (EncoderConfig, "n_heads"),
+    "model.n_layers": (EncoderConfig, "n_layers"),
+    "model.d_ffn": (EncoderConfig, "d_ffn"),
+    "model.dropout": (EncoderConfig, "dropout_p"),
+    "regime.loss": (LossConfig, "kind"),
+    "regime.focal_gamma": (LossConfig, "focal_gamma"),
+    "regime.kld_epsilon": (LossConfig, "kld_epsilon"),
+    "regime.class_weights": (LossConfig, "use_class_weights"),
+    "regime.task_weights": (RegimeConfig, "task_weights"),
+    "regime.penalty": (SoftShareConfig, "penalty"),
+    "regime.lambda": (SoftShareConfig, "lam"),
+    "train.epochs": (TrainConfig, "epochs"),
+    "train.batch_size": (TrainConfig, "batch_size"),
+    "train.seed": (TrainConfig, "seed"),
+    "train.shuffle": (TrainConfig, "shuffle"),
+    "train.lr": (OptimHyper, "learning_rate"),
+    "train.beta1": (OptimHyper, "beta1"),
+    "train.beta2": (OptimHyper, "beta2"),
+    "train.epsilon": (OptimHyper, "epsilon"),
+    "train.weight_decay": (OptimHyper, "weight_decay"),
+    "train.clip_norm": (OptimHyper, "clip_norm"),
+}
+# keys whose default no dataclass field repeats
+NO_FIELD = {
+    "data.train", "data.val", "data.test", "data.format", "data.language", "text.mode",
+    "text.min_freq", "text.max_size", "regime.kind", "regime.task", "regime.loss_sentiment",
+    "regime.loss_offense", "regime.coupled_layers", "output.dir",
+}
+
+
+def test_dataclass_defaults_agree_with_the_config_defaults():
+    # a library caller who builds the dataclasses directly gets the README's defaults
+    assert DEFAULT_FIELDS.keys() | NO_FIELD == _KEYS.keys()
+    for key, (cls, name) in DEFAULT_FIELDS.items():
+        default, parse = _KEYS[key]
+        field = {f.name: f for f in dataclasses.fields(cls)}[name]
+        assert parse(default) == field.default, key

@@ -153,6 +153,12 @@ class TestRandomOracle:
         micro = report.micro
         assert micro.precision == micro.recall == pytest.approx(np.trace(cm) / cm.sum())
 
+    def test_micro_f1_is_accuracy_bit_for_bit(self):
+        # one right in five: 2a²/(a + a) at a = 1/5 rounds away from 1/5 in the last bit
+        report = task_report("t", list("ab"), [0, 0, 0, 0, 1], [0, 1, 1, 1, 0])
+        assert report.accuracy == 0.2
+        assert report.micro.f1 == report.accuracy
+
     def test_f1_between_p_and_r(self):
         for seed in range(50):
             rng = np.random.default_rng(seed)

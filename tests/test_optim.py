@@ -59,7 +59,7 @@ class TestAdamWStep:
     def test_zero_grad_no_decay_leaves_params(self):
         params = make_param([1.0, -2.0, 3.0])
         states = init_states(params)
-        step(params, {"w": np.zeros(3)}, states, OptimHyper(learning_rate=0.1))
+        step(params, {"w": np.zeros(3)}, states, OptimHyper(learning_rate=0.1, weight_decay=0.0))
         assert params["w"].data.tolist() == [1.0, -2.0, 3.0]
         assert states["w"].t == 1
 
@@ -74,7 +74,7 @@ class TestAdamWStep:
         g = np.array([0.3, -1.7, 2.5])
         params = make_param([0.0, 0.0, 0.0])
         states = init_states(params)
-        hyper = OptimHyper(learning_rate=1e-2, epsilon=1e-12, clip_norm=0.0)
+        hyper = OptimHyper(learning_rate=1e-2, weight_decay=0.0, epsilon=1e-12, clip_norm=0.0)
         step(params, {"w": g.copy()}, states, hyper)
         # m_hat = g, v_hat = g^2 after bias correction, so step = -lr*sign(g)
         assert np.allclose(params["w"].data, -1e-2 * np.sign(g), atol=1e-10)
@@ -177,7 +177,7 @@ class TestClipping:
     def test_clip_zero_disables(self):
         params = make_param([0.0])
         states = init_states(params)
-        hyper = OptimHyper(learning_rate=1.0, clip_norm=0.0, epsilon=1e-12)
+        hyper = OptimHyper(learning_rate=1.0, weight_decay=0.0, clip_norm=0.0, epsilon=1e-12)
         step(params, {"w": np.array([100.0])}, states, hyper)
         assert np.array_equal(states["w"].m, (1.0 - hyper.beta1) * np.array([100.0]))
         # unclipped: full -lr*sign step
@@ -190,7 +190,7 @@ class TestClipping:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning reaches the run's stderr
             assert global_grad_norm(grads) == np.inf
-            step(params, grads, states, OptimHyper(learning_rate=0.1, clip_norm=1.0))
+            step(params, grads, states, OptimHyper(learning_rate=0.1, weight_decay=0.0, clip_norm=1.0))
         for name, value in (("a", 1.0), ("b", -2.0)):
             assert states[name].t == 1
             assert not states[name].m.any() and not states[name].v.any()
