@@ -160,15 +160,20 @@ def check_out_dir(path: str, name: str) -> None:
         raise ConfigError(f"{name}: path {path!r} is a file or under one")
 
 
+# the fields whose config key is not `<section>.<field>`
+_FIELD_KEYS = {"max_len": "text.max_len", "learning_rate": "train.lr"}
+
+
 def _checked(section: str, ctor, **kwargs):
-    """`ctor(**kwargs)`, its range-check failure reported under `section`;
-    `max_len`, the one encoder field set outside `model`, under `text`."""
+    """`ctor(**kwargs)`; a range-check failure names the config key of the
+    field its message starts with: `<section>.<field>`, or its `_FIELD_KEYS`
+    entry."""
     try:
         return ctor(**kwargs)
     except (ConfigError, ContractError) as err:
-        if str(err).startswith("max_len "):
-            section = "text"
-        raise ConfigError(f"{section}.{err}") from None
+        field, sep, rest = str(err).partition(" ")
+        key = _FIELD_KEYS.get(field, f"{section}.{field}")
+        raise ConfigError(f"{key}{sep}{rest}") from None
 
 
 def load_config(

@@ -111,26 +111,24 @@ def param_shapes(config: EncoderConfig, heads: Sequence[HeadSpec]) -> dict[str, 
     return shapes
 
 
-def init_params(
-    config: EncoderConfig, heads: Sequence[HeadSpec], seed: int, prefix: str = ""
-) -> dict[str, Tensor]:
-    """Fresh parameters: truncated normal (std 0.02) matrices and embeddings,
-    zero biases, unit normalization gains.
+def init_params(shapes: Mapping[str, tuple], seed: int) -> dict[str, Tensor]:
+    """Fresh parameters for a name -> shape table, in its order: truncated
+    normal (std 0.02) matrices and embeddings, zero biases, unit
+    normalization gains.
 
-    Each tensor draws from its own named stream, so adding or removing heads
-    never shifts the initialization of the remaining tensors.
+    Each tensor draws from its own named stream, `init/<name>`, so adding or
+    removing heads never shifts the initialization of the remaining tensors.
     """
     params: dict[str, Tensor] = {}
-    for name, shape in param_shapes(config, heads).items():
-        full = prefix + name
+    for name, shape in shapes.items():
         base = name.rsplit(".", 1)[-1]
         if base.endswith("_g"):
             data = np.ones(shape)
         elif base.startswith("b_") or base.endswith(("_b", "_b1", "_b2")):
             data = np.zeros(shape)
         else:
-            data = truncated_normal(stream(seed, f"init/{full}"), shape, INIT_STD)
-        params[full] = Tensor(data, requires_grad=True, name=full)
+            data = truncated_normal(stream(seed, f"init/{name}"), shape, INIT_STD)
+        params[name] = Tensor(data, requires_grad=True, name=name)
     return params
 
 

@@ -76,33 +76,21 @@ class LossConfig:
             raise ContractError(f"kld_epsilon must be in [0, 0.5), got {self.kld_epsilon}")
 
 
-@dataclass(frozen=True)
-class ClassWeights:
-    """Inverse-frequency class weights w_i = 1 - count_i / total."""
-
-    w: tuple[float, ...]
-
-    def __getitem__(self, i: int) -> float:
-        return self.w[i]
-
-    def __len__(self) -> int:
-        return len(self.w)
-
-
-def class_weights(counts: Sequence[int]) -> ClassWeights:
-    """Weights from per-class counts; a zero-count class is untrainable and
-    rejected instead of silently getting weight 1."""
+def class_weights(counts: Sequence[int]) -> tuple[float, ...]:
+    """Inverse-frequency class weights w_i = 1 - count_i / total from
+    per-class counts; a zero-count class is untrainable and rejected instead
+    of silently getting weight 1."""
     if len(counts) < 2:
         raise ContractError("class weights need at least 2 classes")
     zero = [i for i, c in enumerate(counts) if c <= 0]
     if zero:
         raise DataError(f"degenerate classes with zero count at indices {zero}")
     total = sum(counts)
-    return ClassWeights(w=tuple(1.0 - c / total for c in counts))
+    return tuple(1.0 - c / total for c in counts)
 
 
 def _as_batch(
-    logits: Tensor, targets: Targets, weights: Optional[ClassWeights] = None
+    logits: Tensor, targets: Targets, weights: Optional[Sequence[float]] = None
 ) -> tuple[Tensor, np.ndarray]:
     """[B, C] logits and B in-range int targets; a 1-D logit vector with a
     single target is a batch of one."""
@@ -128,15 +116,15 @@ def _target_logits(logits: Tensor, t: np.ndarray) -> Tensor:
     return reshape(picked, (b,))
 
 
-def _mean(per_row: Tensor, t: np.ndarray, weights: Optional[ClassWeights]) -> Tensor:
+def _mean(per_row: Tensor, t: np.ndarray, weights: Optional[Sequence[float]]) -> Tensor:
     """Batch mean of per-row losses, each scaled by its target's class weight."""
     if weights is not None:
-        per_row = mul(per_row, Tensor(np.asarray(weights.w)[t]))
+        per_row = mul(per_row, Tensor(np.asarray(weights)[t]))
     return scale(sum_all(per_row), 1.0 / len(t))
 
 
 def cross_entropy(
-    logits: Tensor, targets: Targets, weights: Optional[ClassWeights] = None
+    logits: Tensor, targets: Targets, weights: Optional[Sequence[float]] = None
 ) -> Tensor:
     logits, t = _as_batch(logits, targets, weights)
     # -log softmax(logits)[target] per row, via log-sum-exp for stability
@@ -158,7 +146,7 @@ def focal(
     logits: Tensor,
     targets: Targets,
     gamma: float = 2.0,
-    weights: Optional[ClassWeights] = None,
+    weights: Optional[Sequence[float]] = None,
 ) -> Tensor:
     """Cross-entropy modulated by (1 - p_target)^gamma."""
     logits, t = _as_batch(logits, targets, weights)
@@ -190,7 +178,7 @@ def compute_loss(
     logits: Tensor,
     targets: Targets,
     cfg: LossConfig,
-    weights: Optional[ClassWeights] = None,
+    weights: Optional[Sequence[float]] = None,
 ) -> Tensor:
     """Batch mean of the configured loss over [B, C] logits and B targets.
 

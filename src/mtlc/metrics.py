@@ -1,10 +1,11 @@
 """Confusion matrices, precision/recall/F1 scores, and the `report.json`
 format: `report_to_dict` writes it and `load_report` reads it back.
 
-Macro scores are unweighted means over classes, weighted scores are
-support-weighted means, and the pooled TP-ratio variant is exposed
-separately as `micro`. Degenerate 0/0 ratios resolve to 0. Values are kept
-at full precision internally and only rounded when serialized.
+Macro scores are unweighted means over classes and weighted scores are
+support-weighted means. Pooled (micro) precision, recall and F1 all equal
+accuracy, so `report.json`'s `micro` block is written from it. Degenerate
+0/0 ratios resolve to 0. Values are kept at full precision internally and
+only rounded when serialized.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class TaskReport:
     per_class: tuple[ClassScores, ...]
     macro: Averages
     weighted: Averages
-    micro: Averages
     accuracy: float
     confusion: np.ndarray  # rows = gold, columns = predicted
     total_support: int
@@ -83,8 +83,6 @@ def task_report(
     # rows P, R, F1; columns classes. Row sums run left to right as Python's
     # sum would, for up to 7 classes.
     prf = np.stack([precision, recall, _ratio(2.0 * precision * recall, precision + recall)])
-    # pooled counts: micro precision, recall and so F1 all equal accuracy
-    accuracy = float(tp.sum()) / total
     return TaskReport(
         task=task,
         labels=tuple(labels),
@@ -94,8 +92,7 @@ def task_report(
         ),
         macro=Averages(*(prf.sum(axis=1) / len(labels)).tolist()),
         weighted=Averages(*((prf * support).sum(axis=1) / total).tolist()),
-        micro=Averages(accuracy, accuracy, accuracy),
-        accuracy=accuracy,
+        accuracy=float(tp.sum()) / total,
         confusion=cm,
         total_support=total,
     )
@@ -142,7 +139,7 @@ def report_to_dict(report: Mapping[str, TaskReport]) -> dict:
             ],
             "macro": _rounded(tr.macro),
             "weighted": _rounded(tr.weighted),
-            "micro": _rounded(tr.micro),
+            "micro": dict.fromkeys(("precision", "recall", "f1"), _round(tr.accuracy)),
             "accuracy": _round(tr.accuracy),
             "total_support": tr.total_support,
             "confusion": tr.confusion.tolist(),

@@ -185,23 +185,22 @@ def build_model(
     n_classes: Mapping[str, int],
     seed: int,
 ) -> Model:
-    heads = {task: HeadSpec(task=task, n_classes=n_classes[task]) for task in regime.tasks}
-    params: dict[str, Tensor] = {}
-    for prefix, tasks in towers(regime).items():
-        params.update(init_params(encoder_cfg, [heads[t] for t in tasks], seed, prefix=prefix))
-    return Model(regime=regime, encoder_cfg=encoder_cfg, params=params)
+    shapes = expected_param_shapes(regime, encoder_cfg, n_classes)
+    return Model(regime=regime, encoder_cfg=encoder_cfg, params=init_params(shapes, seed))
 
 
 def expected_param_shapes(
     regime: RegimeConfig, encoder_cfg: EncoderConfig, n_classes: Mapping[str, int]
 ) -> dict[str, tuple]:
-    """Exact tensor name -> shape map implied by a (regime, config) pair."""
+    """Exact tensor name -> shape map implied by a (regime, config) pair:
+    what `build_model` initializes and a checkpoint must hold, tower by
+    tower, each encoder's parameters before its heads'."""
     heads = {task: HeadSpec(task=task, n_classes=n_classes[task]) for task in regime.tasks}
-    shapes: dict[str, tuple] = {}
-    for prefix, tasks in towers(regime).items():
-        for name, shape in param_shapes(encoder_cfg, [heads[t] for t in tasks]).items():
-            shapes[prefix + name] = shape
-    return shapes
+    return {
+        prefix + name: shape
+        for prefix, tasks in towers(regime).items()
+        for name, shape in param_shapes(encoder_cfg, [heads[t] for t in tasks]).items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ class OptimHyper:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ContractError(f"betas must be in (0,1), got {self.beta1}, {self.beta2}")
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 < beta < 1.0:
+                raise ContractError(f"{name} must be in (0,1), got {beta}")
         if self.epsilon <= 0:
             raise ContractError(f"epsilon must be > 0, got {self.epsilon}")
         if self.weight_decay < 0:
@@ -42,13 +43,9 @@ class AdamWState:
     v: np.ndarray
     t: int = 0
 
-    @classmethod
-    def zeros(cls, shape) -> "AdamWState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0)
-
 
 def init_states(params: Mapping[str, Tensor]) -> dict[str, AdamWState]:
-    return {name: AdamWState.zeros(p.shape) for name, p in params.items()}
+    return {name: AdamWState(np.zeros(p.shape), np.zeros(p.shape)) for name, p in params.items()}
 
 
 def global_grad_norm(grads: Mapping[str, np.ndarray]) -> float:
@@ -110,4 +107,4 @@ def adamw_step(
 
 def zero_grads(params: Mapping[str, Tensor]) -> None:
     for p in params.values():
-        p.zero_grad()
+        p.grad = None

@@ -26,7 +26,10 @@ MODES = ("word", "char")
 class Vocab:
     mode: str
     id_to_token: tuple[str, ...]
-    token_to_id: dict[str, int] = field(compare=False)
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "token_to_id", {t: i for i, t in enumerate(self.id_to_token)})
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -90,12 +93,7 @@ def build_vocab(
     )
     if max_size is not None:
         ranked = ranked[:max_size]
-    id_to_token = SPECIAL_TOKENS + tuple(ranked)
-    return Vocab(
-        mode=mode,
-        id_to_token=id_to_token,
-        token_to_id={tok: i for i, tok in enumerate(id_to_token)},
-    )
+    return Vocab(mode=mode, id_to_token=SPECIAL_TOKENS + tuple(ranked))
 
 
 def encode(text: str, vocab: Vocab, max_len: int) -> TokenSeq:
@@ -133,8 +131,4 @@ def load_vocab(path: str) -> Vocab:
     id_to_token = SPECIAL_TOKENS + tuple(lines[2:])
     if len(set(id_to_token)) != len(id_to_token):
         raise DataError(f"{path}: duplicate tokens in vocabulary file")
-    return Vocab(
-        mode=mode,
-        id_to_token=id_to_token,
-        token_to_id={tok: i for i, tok in enumerate(id_to_token)},
-    )
+    return Vocab(mode=mode, id_to_token=id_to_token)

@@ -18,6 +18,7 @@ from mtlc.encoder import (
     head_view,
     init_params,
     pack,
+    param_shapes,
     reset_forward_calls,
 )
 from mtlc.losses import (
@@ -155,7 +156,7 @@ def _encoder_op_cases():
     enc_cfg = EncoderConfig(vocab_size=9, d_model=4, n_heads=2, n_layers=1,
                             d_ffn=8, max_len=6, dropout_p=0.0)
     heads = [HeadSpec("sentiment", 5, hidden=8)]
-    base = init_params(enc_cfg, heads, seed=17)
+    base = init_params(param_shapes(enc_cfg, heads), seed=17)
 
     from mtlc.text import TokenSeq
 
@@ -286,7 +287,7 @@ def test_criterion_1_gradient_suite():
     rng = np.random.default_rng(42)
     params = {
         name: Tensor(rng.uniform(-0.8, 0.8, size=t.shape), requires_grad=True, name=name)
-        for name, t in init_params(enc_cfg, heads, seed=0).items()
+        for name, t in init_params(param_shapes(enc_cfg, heads), seed=0).items()
     }
     from mtlc.text import TokenSeq
 
@@ -366,8 +367,8 @@ def test_criterion_3_class_weights_from_published_counts():
     counts = [3291, 1481, 678, 820, 1003]
     cw = class_weights(counts)
     assert abs(cw[0] - (1.0 - 3291 / 7273)) < 1e-9
-    assert sum(cw.w) == 4.0
-    report("class-weight reproduction", f"w_positive={cw[0]:.5f}, sum={sum(cw.w)}")
+    assert sum(cw) == 4.0
+    report("class-weight reproduction", f"w_positive={cw[0]:.5f}, sum={sum(cw)}")
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,12 @@ class TestCorruption:
         with pytest.raises(CorruptArtifactError):
             deserialize(bytes(blob))
 
+    def test_unknown_format_version_with_valid_crc(self):
+        body = bytearray(serialize(CONFIG, sample_params())[:-4])
+        body[4:6] = struct.pack("<H", FORMAT_VERSION + 1)
+        with pytest.raises(CorruptArtifactError, match=f"format version {FORMAT_VERSION + 1}"):
+            deserialize(with_crc(bytes(body)))
+
     def test_duplicate_tensor_rejected(self):
         from mtlc.checkpoint import _tensor_bytes
 

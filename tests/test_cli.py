@@ -331,6 +331,49 @@ class TestTrain:
             assert f"train.seed = {expected}" in config_text
 
 
+class TestOneWriter:
+    def test_every_file_is_renamed_into_place_whole(self, tmp_path, monkeypatch):
+        # README § Quick start: every file mtlc writes goes to <name>.tmp and
+        # is renamed into place; a file written any other way is not renamed
+        import os
+        from pathlib import Path
+
+        import mtlc.checkpoint as checkpoint
+
+        renamed = []
+        replace = os.replace
+
+        def recording_replace(src, dst):
+            renamed.append((src, dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(checkpoint.os, "replace", recording_replace)
+        toy = tmp_path / "toy"
+        configs = materialize(str(toy))
+        cfg = tmp_path / "fast.cfg"  # written by the test, outside the checked tree
+        text = (
+            Path(configs["toy"]).read_text(encoding="utf-8")
+            .replace("train.epochs = 30", "train.epochs = 1")
+            .replace(f"output.dir = {toy}/run_toy", f"output.dir = {toy}/run")
+        )
+        cfg.write_text(text, encoding="utf-8")
+        run = toy / "run"
+        for argv in (
+            ["split", "--input", str(toy / "toy.tsv"), "--out-dir", str(toy / "resplit")],
+            ["train", "--config", str(cfg)],
+            ["evaluate", "--checkpoint", str(run / "checkpoint.mtlc"), "--data", str(toy / "test.tsv"),
+             "--out-dir", str(toy / "eval")],
+            ["report", "--runs", str(run), "--out", str(toy / "cmp.tsv")],
+        ):
+            assert main(argv) == 0, argv
+        written = {str(path) for path in toy.rglob("*") if path.is_file()}
+        assert written == {dst for _, dst in renamed}
+        assert all(src == dst + ".tmp" for src, dst in renamed)
+        assert {"vocab.txt", "eval_report.json", "cmp.tsv", "manifest.txt", "toy.cfg"} <= {
+            os.path.basename(path) for path in written
+        }
+
+
 class TestEvaluate:
     def test_round_trip_reproduces_validation_report(self, toy_dir, trained_run, capsys):
         code = main(
@@ -743,6 +786,48 @@ class TestBlasThreads:
             }
         for name, blob in runs["1"].items():
             assert runs["2"][name] == blob, name
+
+    def test_a_library_caller_keeps_its_thread_count(self, tmp_path):
+        # README: `cli.main` pins one BLAS thread; a program that calls
+        # mtlc's modules directly keeps its own count
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import mtlc
+
+        script = """
+import ctypes, glob, os, sys
+import numpy
+from mtlc import cli, config, mtl
+
+home = os.path.dirname(numpy.__file__)
+libs = glob.glob(os.path.join(home, os.pardir, "numpy.libs", "*openblas*"))
+names = [name.replace("set", "get") for name in cli._BLAS_THREAD_SETTERS]
+getters = [getattr(lib, name) for lib in map(ctypes.CDLL, sorted(libs)) for name in names
+           if hasattr(lib, name)]
+if not getters:
+    print("no getter")
+    sys.exit()
+get = getters[0]
+before = get()
+cfg = config.load_config("", check_paths=False)
+mtl.build_model(cfg.regime, cfg.encoder, {"sentiment": 5, "offense": 6}, seed=0)
+library = get()
+cli.main(["report", "--runs", sys.argv[1]])  # exits 2: no report.json
+print(before, library, get())
+"""
+        src = str(Path(mtlc.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout.split()
+        if out == ["no", "getter"] or out[0] != "2":
+            pytest.skip(f"no OpenBLAS running two threads in numpy's wheel: {out}")
+        assert out == ["2", "2", "1"]
 
     def test_without_a_setter_says_so_once(self, monkeypatch, tmp_path, capsys):
         import mtlc.cli as cli

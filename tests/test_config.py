@@ -83,7 +83,9 @@ class TestLoadConfig:
         [
             ("train.epochs = 0", "epochs"),
             ("train.batch_size = 7", "batch_size"),
-            ("train.lr = -1", "learning_rate"),
+            ("train.lr = -1", "train.lr"),
+            ("train.beta1 = 1", "train.beta1"),
+            ("train.beta2 = 0", "train.beta2"),
             ("model.dropout = 1.0", "model.dropout"),
             ("model.d_model = 30", "model.d_model"),
             ("text.max_len = 2", "text.max_len"),

@@ -132,6 +132,13 @@ class TestLoadJointTsv:
         with pytest.raises(DataError, match="line 5"):
             load_joint_tsv(path, SCHEMAS, "kannada")
 
+    def test_empty_text_is_a_bad_row(self, tmp_path):
+        rows = ["ok {}\tPositive\tNot offensive".format(i) for i in range(9)]
+        rows.insert(3, " \ufeff\tPositive\tNot offensive")  # empty once trimmed
+        path = write(tmp_path, "c.tsv", "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match="line 4: empty text column"):
+            load_joint_tsv(path, SCHEMAS, "kannada")
+
     def test_embedded_tab_makes_row_malformed(self, tmp_path):
         path = write(tmp_path, "c.tsv", "has\ttab inside\tPositive\tNot offensive\n")
         with pytest.raises(DataError, match="columns"):

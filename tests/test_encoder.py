@@ -202,7 +202,7 @@ def heads():
 
 @pytest.fixture
 def params(small_config, heads):
-    return init_params(small_config, heads, seed=3)
+    return init_params(param_shapes(small_config, heads), seed=3)
 
 
 @pytest.fixture
@@ -283,7 +283,7 @@ class TestAttention:
 class TestMultiHead:
     def test_single_head_degenerates_to_attention(self, small_config, heads):
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=1, n_layers=1, d_ffn=16, max_len=8, dropout_p=0.0)
-        params = init_params(cfg, heads, seed=5)
+        params = init_params(param_shapes(cfg, heads), seed=5)
         x = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
         lengths = [3, 1]
         got = attention_block(x, x, params, "layer0.", 1, lengths, lengths)
@@ -321,11 +321,11 @@ class TestEncoderForward:
     def test_zero_params_give_zero_cls(self, small_config, heads, vocab):
         params = {
             name: Tensor(
-                np.ones(t.shape) if name.endswith("_g") else np.zeros(t.shape),
+                np.ones(shape) if name.endswith("_g") else np.zeros(shape),
                 requires_grad=True,
                 name=name,
             )
-            for name, t in init_params(small_config, heads, seed=0).items()
+            for name, shape in param_shapes(small_config, heads).items()
         }
         seq = encode("a b c", vocab, small_config.max_len)
         cls = encoder_forward(pack([seq], small_config), params, small_config)
@@ -333,7 +333,7 @@ class TestEncoderForward:
 
     def test_training_mode_deterministic_per_stream(self, heads, vocab):
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ffn=16, max_len=8, dropout_p=0.3)
-        params = init_params(cfg, heads, seed=1)
+        params = init_params(param_shapes(cfg, heads), seed=1)
         seq = encode("a b c d", vocab, cfg.max_len)
         a = encoder_forward(pack([seq], cfg), params, cfg, training=True, rng=stream(9, "drop")).data
         b = encoder_forward(pack([seq], cfg), params, cfg, training=True, rng=stream(9, "drop")).data
@@ -426,12 +426,12 @@ class TestParams:
     def test_count_formula_default_head(self):
         cfg = EncoderConfig(vocab_size=100, d_model=64, n_heads=4, n_layers=2, d_ffn=128, max_len=64)
         heads = [HeadSpec("sentiment", 5)]
-        params = init_params(cfg, heads, seed=0)
+        params = init_params(param_shapes(cfg, heads), seed=0)
         assert sum(p.data.size for p in params.values()) == closed_form_count(cfg, heads)
 
     def test_name_set_is_deterministic(self, small_config, heads):
         assert sorted(param_shapes(small_config, heads)) == sorted(
-            init_params(small_config, heads, seed=9)
+            init_params(param_shapes(small_config, heads), seed=9)
         )
 
     def test_init_distribution(self, small_config, heads, params):
@@ -442,8 +442,8 @@ class TestParams:
         assert np.array_equal(params["layer0.ffn_b1"].data, np.zeros(16))
 
     def test_per_tensor_streams_are_stable(self, small_config, heads):
-        both = init_params(small_config, heads, seed=4)
-        solo = init_params(small_config, heads[:1], seed=4)
+        both = init_params(param_shapes(small_config, heads), seed=4)
+        solo = init_params(param_shapes(small_config, heads[:1]), seed=4)
         for name in solo:
             assert np.array_equal(both[name].data, solo[name].data)
 
@@ -453,8 +453,8 @@ class TestEncoderGradients:
         cfg = EncoderConfig(vocab_size=12, d_model=4, n_heads=2, n_layers=1, d_ffn=8, max_len=6, dropout_p=0.0)
         rng = np.random.default_rng(55)
         params = {
-            name: Tensor(rng.uniform(-0.5, 0.5, size=t.shape), requires_grad=True, name=name)
-            for name, t in init_params(cfg, [HeadSpec("sentiment", 5, hidden=8)], seed=0).items()
+            name: Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True, name=name)
+            for name, shape in param_shapes(cfg, [HeadSpec("sentiment", 5, hidden=8)]).items()
         }
         seq = encode("a b c", vocab, cfg.max_len)
 
@@ -565,8 +565,8 @@ class TestPacking:
         cfg = EncoderConfig(vocab_size=12, d_model=4, n_heads=2, n_layers=2, d_ffn=8, max_len=6, dropout_p=0.0)
         rng = np.random.default_rng(56)
         params = {
-            name: Tensor(rng.uniform(-0.5, 0.5, size=t.shape), requires_grad=True, name=name)
-            for name, t in init_params(cfg, heads[:1], seed=0).items()
+            name: Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True, name=name)
+            for name, shape in param_shapes(cfg, heads[:1]).items()
         }
         from mtlc.text import TokenSeq
 
@@ -605,8 +605,8 @@ class TestPacking:
     def test_matches_padded_full_length_reference(self, small_config, heads, mixed):
         rng = np.random.default_rng(9)
         params = {
-            name: Tensor(rng.uniform(-0.5, 0.5, size=t.shape), name=name)
-            for name, t in init_params(small_config, heads, seed=0).items()
+            name: Tensor(rng.uniform(-0.5, 0.5, size=shape), name=name)
+            for name, shape in param_shapes(small_config, heads).items()
         }
         got = encoder_forward(pack(mixed, small_config), params, small_config).data
         assert np.abs(got - padded_reference(mixed, params, small_config)).max() <= 1e-12

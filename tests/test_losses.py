@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mtlc.errors import ContractError, DataError
 from mtlc.losses import (
-    ClassWeights,
     LossConfig,
     LossKind,
     class_weights,
@@ -32,18 +31,18 @@ class TestClassWeights:
         assert cw[0] == pytest.approx(1 - 3291 / 7273, abs=1e-12)
         assert cw[0] == pytest.approx(0.54750, abs=5e-6)
         assert cw[1] == pytest.approx(0.79637, abs=5e-6)
-        assert sum(cw.w) == 4.0
+        assert sum(cw) == 4.0
 
     def test_equal_counts(self):
         for c in (2, 3, 5, 6):
             cw = class_weights([10] * c)
-            assert all(w == pytest.approx((c - 1) / c, abs=1e-15) for w in cw.w)
+            assert all(w == pytest.approx((c - 1) / c, abs=1e-15) for w in cw)
 
     def test_sum_identity(self):
         for seed in range(50):
             counts = np.random.default_rng(seed).integers(1, 10_000, size=5).tolist()
             cw = class_weights(counts)
-            assert sum(cw.w) == pytest.approx(4.0, abs=1e-12)
+            assert sum(cw) == pytest.approx(4.0, abs=1e-12)
 
     def test_zero_count_class_rejected(self):
         with pytest.raises(DataError, match="degenerate"):
@@ -64,7 +63,7 @@ class TestCrossEntropy:
         assert loss.item() < 1e-12
 
     def test_weighted_hand_case(self):
-        loss = cross_entropy(Tensor([1.0, 0.0]), 0, ClassWeights((0.5, 0.5)))
+        loss = cross_entropy(Tensor([1.0, 0.0]), 0, (0.5, 0.5))
         assert loss.item() == pytest.approx(0.5 * math.log(1 + math.exp(-1)), abs=1e-12)
         assert loss.item() == pytest.approx(0.15663, abs=5e-6)
 

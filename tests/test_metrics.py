@@ -148,16 +148,20 @@ class TestRandomOracle:
             assert weighted.recall == pytest.approx(accuracy, abs=1e-12)
 
     def test_micro_identities(self):
-        report = task_report("t", list("abc"), [0, 0, 1, 2], [0, 1, 1, 1])
-        cm = report.confusion
-        micro = report.micro
-        assert micro.precision == micro.recall == pytest.approx(np.trace(cm) / cm.sum())
+        report = build_report({"t": [0, 0, 1, 2]}, {"t": [0, 1, 1, 1]}, {"t": list("abc")})
+        cm = report["t"].confusion
+        d = report_to_dict(report)["tasks"]["t"]
+        assert d["micro"] == dict.fromkeys(("precision", "recall", "f1"), d["accuracy"])
+        assert d["accuracy"] == round(np.trace(cm) / cm.sum(), 5)
 
     def test_micro_f1_is_accuracy_bit_for_bit(self):
-        # one right in five: 2a²/(a + a) at a = 1/5 rounds away from 1/5 in the last bit
-        report = task_report("t", list("ab"), [0, 0, 0, 0, 1], [0, 1, 1, 1, 0])
-        assert report.accuracy == 0.2
-        assert report.micro.f1 == report.accuracy
+        # one right in five: 2a²/(a + a) at a = 1/5 rounds away from 1/5 in the last bit,
+        # so a micro F1 taken from pooled P and R would not be accuracy
+        report = build_report({"t": [0, 0, 0, 0, 1]}, {"t": [0, 1, 1, 1, 0]}, {"t": list("ab")})
+        d = report_to_dict(report)["tasks"]["t"]
+        assert report["t"].accuracy == 0.2
+        for key in ("precision", "recall", "f1"):
+            assert d["micro"][key] == d["accuracy"] == round(report["t"].accuracy, 5)
 
     def test_f1_between_p_and_r(self):
         for seed in range(50):
@@ -174,7 +178,7 @@ class TestRandomOracle:
             golds = rng.integers(0, 5, size=80).tolist()
             preds = rng.integers(0, 5, size=80).tolist()
             report = task_report("t", list("abcde"), golds, preds)
-            values = [report.macro.f1, report.weighted.f1, report.micro.f1, report.accuracy]
+            values = [report.macro.f1, report.weighted.f1, report.accuracy]
             for cs in report.per_class:
                 values += [cs.precision, cs.recall, cs.f1]
             assert all(0.0 <= v <= 1.0 for v in values)

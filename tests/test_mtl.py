@@ -14,6 +14,7 @@ from mtlc.data import (
     schemas_for_language,
 )
 from mtlc.encoder import (
+    INIT_STD,
     EncoderConfig,
     classify,
     encoder_forward,
@@ -47,6 +48,7 @@ from mtlc.numcore import (
     init_states,
     stream,
     svt,
+    truncated_normal,
     zero_grads,
 )
 from mtlc.text import encode
@@ -290,7 +292,7 @@ class TestHardLoss:
 
         def task_grads(task):
             for p in model.params.values():
-                p.zero_grad()
+                p.grad = None
             with GradTape() as tape:
                 logits = logits_per_tower(model, [seq])
                 loss = cross_entropy(logits[task], [rec.labels[task]])
@@ -300,7 +302,7 @@ class TestHardLoss:
         g1 = task_grads("sentiment")
         g2 = task_grads("offense")
         for p in model.params.values():
-            p.zero_grad()
+            p.grad = None
         with GradTape() as tape:
             logits = logits_per_tower(model, [seq])
             total = weighted_sum(
@@ -976,6 +978,30 @@ class TestExpectedShapes:
         assert "tower.sentiment.tok_emb" in shapes
         assert "tower.offense.head.offense.w_out" in shapes
         assert not any(name.startswith("tok_emb") for name in shapes)
+
+    @pytest.mark.parametrize("kind", ["stl", "hard_share", "soft_share"])
+    def test_build_model_initializes_the_table(self, toy_vocab, kind):
+        # the table a checkpoint is checked against, in its order, and each
+        # value its own draw: a tower's tensors draw from `init/tower.<task>.<name>`
+        soft = SoftShareConfig(lam=0.0, coupled_layer_names=()) if kind == "soft_share" else None
+        regime = regime_for(kind, soft=soft)
+        cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2)
+        shapes = expected_param_shapes(regime, cfg, N_CLASSES)
+        params = build_model(regime, cfg, N_CLASSES, seed=7).params
+        assert list(params) == list(shapes)
+        biases = ("ffn_b1", "ffn_b2", "norm1_b", "norm2_b", "final_norm_b", "pooler_b", "b_hidden", "b_out")
+        drawn = 0
+        for name, shape in shapes.items():
+            leaf = name.rsplit(".", 1)[-1]
+            if leaf.endswith("_g"):
+                want = np.ones(shape)
+            elif leaf in biases:
+                want = np.zeros(shape)
+            else:
+                want = truncated_normal(stream(7, "init/" + name), shape, INIT_STD)
+                drawn += 1
+            assert params[name].shape == shape and np.array_equal(params[name].data, want), name
+        assert drawn == len(mtl.towers(regime)) * 9 + len(regime.tasks) * 2
 
 
 class TestConcurrency:
