@@ -36,8 +36,6 @@ def _tensor_bytes(name: str, data: np.ndarray) -> bytes:
     encoded = name.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise ContractError(f"tensor name too long: {name[:40]}...")
-    if data.ndim > 0xFF:
-        raise ContractError(f"tensor rank {data.ndim} exceeds format limit")
     parts = [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", data.ndim)]
     parts.append(struct.pack(f"<{data.ndim}I", *data.shape))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -12,7 +12,6 @@ import math
 import os
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .checkpoint import write_atomic
 from .errors import ContractError, DataError
@@ -144,18 +143,17 @@ def _is_header(cols: list[str], schemas_by_col: list[LabelSchema]) -> bool:
     return True
 
 
-def _ingest(
-    path: str,
-    rows: list[tuple[int, list[str]]],
-    schemas_by_col: list[LabelSchema],
-) -> list[tuple[str, list[int]]]:
-    """Shared row-level policy: collect bad rows, fail when over the limit."""
+def _ingest(path: str, schemas_by_col: list[LabelSchema]) -> dict[str, list[int]]:
+    """Shared row-level policy: collect bad rows, fail when over the limit.
+    Maps each text to its labels in first-seen order; a repeated comment
+    keeps its first labels, and every good row counts toward the limit."""
+    rows = _read_rows(path)
     n_cols = 1 + len(schemas_by_col)
     if _is_header(rows[0][1], schemas_by_col):
         rows = rows[1:]
         if not rows:
             raise DataError(f"{path}: only a header row, no data")
-    parsed: list[tuple[str, list[int]]] = []
+    parsed: dict[str, list[int]] = {}
     bad: list[str] = []
     for lineno, cols in rows:
         if len(cols) != n_cols:
@@ -170,30 +168,18 @@ def _ingest(
         except DataError as err:
             bad.append(f"line {lineno}: {err}")
             continue
-        parsed.append((text, labels))
-    if bad and len(bad) > BAD_ROW_LIMIT * (len(bad) + len(parsed)):
+        parsed.setdefault(text, labels)
+    if bad and len(bad) > BAD_ROW_LIMIT * len(rows):
         detail = "\n".join(bad[:20])
         raise DataError(f"{path}: {len(bad)} bad rows (over the {BAD_ROW_LIMIT:.0%} limit):\n{detail}")
     return parsed
 
 
-def _dedup(pairs: Iterable[tuple[str, dict[str, int]]]) -> list[Record]:
-    seen: set[str] = set()
-    records = []
-    for text, labels in pairs:
-        if text in seen:
-            continue
-        seen.add(text)
-        records.append(Record(text=text, labels=labels))
-    return records
-
-
 def load_joint_tsv(path: str, schemas: dict[str, LabelSchema], language: str) -> Corpus:
     """Three-column TSV: text, sentiment label, offense label."""
     tasks = list(schemas)
-    rows = _read_rows(path)
-    parsed = _ingest(path, rows, [schemas[t] for t in tasks])
-    records = _dedup((text, dict(zip(tasks, labels))) for text, labels in parsed)
+    parsed = _ingest(path, [schemas[t] for t in tasks])
+    records = [Record(text=t, labels=dict(zip(tasks, labels))) for t, labels in parsed.items()]
     return Corpus(records=records, schemas=dict(schemas), language=language)
 
 
@@ -205,21 +191,15 @@ def merge_task_files(
 ) -> tuple[Corpus, int, int]:
     """Inner-join two 2-column task files on exact (normalized) text. Returns
     the corpus and the count of distinct texts each file lost to the join."""
-    sent_rows = _ingest(sentiment_path, _read_rows(sentiment_path), [schemas[SENTIMENT_TASK]])
-    off_rows = _ingest(offense_path, _read_rows(offense_path), [schemas[OFFENSE_TASK]])
-    sent_map: dict[str, int] = {}
-    for text, labels in sent_rows:
-        sent_map.setdefault(text, labels[0])
-    off_map: dict[str, int] = {}
-    for text, labels in off_rows:
-        off_map.setdefault(text, labels[0])
-    shared = [t for t in sent_map if t in off_map]
+    sent = _ingest(sentiment_path, [schemas[SENTIMENT_TASK]])
+    off = _ingest(offense_path, [schemas[OFFENSE_TASK]])
     records = [
-        Record(text=t, labels={SENTIMENT_TASK: sent_map[t], OFFENSE_TASK: off_map[t]})
-        for t in shared
+        Record(text=t, labels={SENTIMENT_TASK: labels[0], OFFENSE_TASK: off[t][0]})
+        for t, labels in sent.items()
+        if t in off
     ]
     corpus = Corpus(records=records, schemas=dict(schemas), language=language)
-    return corpus, len(sent_map) - len(shared), len(off_map) - len(shared)
+    return corpus, len(sent) - len(records), len(off) - len(records)
 
 
 def class_counts(corpus: Corpus, task: str) -> list[int]:

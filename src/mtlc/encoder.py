@@ -112,19 +112,18 @@ def param_shapes(config: EncoderConfig, heads: Sequence[HeadSpec]) -> dict[str, 
 
 
 def init_params(shapes: Mapping[str, tuple], seed: int) -> dict[str, Tensor]:
-    """Fresh parameters for a name -> shape table, in its order: truncated
-    normal (std 0.02) matrices and embeddings, zero biases, unit
-    normalization gains.
+    """Fresh parameters for a name -> shape table, in its order: unit
+    normalization gains (names ending `_g`), zero biases (every other 1-D
+    tensor), truncated normal (std 0.02) matrices and embeddings.
 
     Each tensor draws from its own named stream, `init/<name>`, so adding or
     removing heads never shifts the initialization of the remaining tensors.
     """
     params: dict[str, Tensor] = {}
     for name, shape in shapes.items():
-        base = name.rsplit(".", 1)[-1]
-        if base.endswith("_g"):
+        if name.endswith("_g"):
             data = np.ones(shape)
-        elif base.startswith("b_") or base.endswith(("_b", "_b1", "_b2")):
+        elif len(shape) == 1:
             data = np.zeros(shape)
         else:
             data = truncated_normal(stream(seed, f"init/{name}"), shape, INIT_STD)

@@ -40,7 +40,6 @@ class Averages:
 
 @dataclass(frozen=True)
 class TaskReport:
-    task: str
     labels: tuple[str, ...]
     per_class: tuple[ClassScores, ...]
     macro: Averages
@@ -84,7 +83,6 @@ def task_report(
     # sum would, for up to 7 classes.
     prf = np.stack([precision, recall, _ratio(2.0 * precision * recall, precision + recall)])
     return TaskReport(
-        task=task,
         labels=tuple(labels),
         per_class=tuple(
             ClassScores(label, p, r, f, s)
@@ -203,13 +201,10 @@ def format_report(report: Mapping[str, TaskReport]) -> str:
                 f"{cs.label:<{width}}  {cs.precision:>8.5f}  {cs.recall:>8.5f}"
                 f"  {cs.f1:>8.5f}  {cs.support:>8d}"
             )
-        lines.append(
-            f"{'Macro average':<{width}}  {tr.macro.precision:>8.5f}"
-            f"  {tr.macro.recall:>8.5f}  {tr.macro.f1:>8.5f}  {tr.total_support:>8d}"
-        )
-        lines.append(
-            f"{'Weighted average':<{width}}  {tr.weighted.precision:>8.5f}"
-            f"  {tr.weighted.recall:>8.5f}  {tr.weighted.f1:>8.5f}  {tr.total_support:>8d}"
-        )
+        for name, avg in (("Macro average", tr.macro), ("Weighted average", tr.weighted)):
+            lines.append(
+                f"{name:<{width}}  {avg.precision:>8.5f}  {avg.recall:>8.5f}"
+                f"  {avg.f1:>8.5f}  {tr.total_support:>8d}"
+            )
         lines.append("")
     return "\n".join(lines)

@@ -23,7 +23,7 @@ from .encoder import (
 )
 from .errors import ConfigError, ContractError, NumericalError
 from .losses import LossConfig, class_weights, compute_loss
-from .metrics import task_report
+from .metrics import build_report
 from .numcore import (
     GradTape,
     OptimHyper,
@@ -369,18 +369,16 @@ def train(
                 raise NumericalError(f"{exc} {at}") from exc
             couple(model, train_cfg.optimizer.learning_rate)
 
-        val_preds = _predict(model, val_set.seqs)
-        val_f1 = {}
-        for task in regime.tasks:
-            tr = task_report(
-                task, val_split.schemas[task].classes, list(val_set.labels[task]), val_preds[task]
-            )
-            val_f1[task] = tr.weighted.f1
+        val_report = build_report(
+            {t: val_set.labels[t] for t in regime.tasks},
+            _predict(model, val_set.seqs),
+            {t: val_split.schemas[t].classes for t in regime.tasks},
+        )
         epochs.append(
             EpochStats(
                 train_loss={t: loss_sums[t] / len(train_set) for t in regime.tasks},
                 train_accuracy={t: hits[t] / len(train_set) for t in regime.tasks},
-                val_weighted_f1=val_f1,
+                val_weighted_f1={t: val_report[t].weighted.f1 for t in regime.tasks},
             )
         )
     return epochs

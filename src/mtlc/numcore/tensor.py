@@ -10,7 +10,7 @@ backward closure holds only the arrays that closure reads, so a forward
 intermediate that no backward reads is freed as soon as the caller drops
 it. `backward` consumes the tape: it releases each record once replayed.
 
-The active tapes are per context (`contextvars`): an op records onto the
+The active tape is per context (`contextvars`): an op records onto the
 innermost tape entered in its own thread, so a forward pass in one thread
 never lands on a tape another thread is filling.
 """
@@ -95,7 +95,7 @@ class GradTape:
         self._tokens: list[Token] = []
 
     def __enter__(self) -> "GradTape":
-        self._tokens.append(_ACTIVE.set(_ACTIVE.get() + (self,)))
+        self._tokens.append(_ACTIVE.set(self))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -120,18 +120,18 @@ class GradTape:
         return self._count
 
 
-# the tapes entered in the current context, innermost last
-_ACTIVE: ContextVar[tuple[GradTape, ...]] = ContextVar("mtlc_active_tapes", default=())
+# the innermost tape entered in the current context, or None
+_ACTIVE: ContextVar[Optional[GradTape]] = ContextVar("mtlc_active_tape", default=None)
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
     """Attach `out` to the active tape if any input participates in autodiff.
     `bwd` maps the output's adjoint to one adjoint per input; it should hold
     only the arrays it reads, since the tape keeps it until `backward`."""
-    tapes = _ACTIVE.get()
-    if tapes and any(t.requires_grad for t in inputs):
+    tape = _ACTIVE.get()
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tapes[-1]._add(out, inputs, bwd)
+        tape._add(out, inputs, bwd)
     return out
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -134,6 +135,24 @@ class TestSplit:
         assert "(nan, 0.5, 0.5)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--sentiment-input", "{src}"], "--offense-input"),
+            (["--input", "{src}", "--ratios", "0.8,0.2"], "--ratios"),
+            (["--input", "{src}", "--ratios", "a,b,c"], "--ratios"),
+        ],
+        ids=["sentiment input alone", "two ratios", "ratios not numbers"],
+    )
+    def test_bad_flags_exit_2_naming_the_flag(self, tmp_path, capsys, flags, named):
+        src = tmp_path / "corpus.tsv"
+        src.write_text(toy_tsv(), encoding="utf-8")
+        out = tmp_path / "o"
+        argv = ["split", *(flag.format(src=src) for flag in flags), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["afile", "afile/x"])
     def test_out_dir_on_a_file_exits_2_before_reading_input(self, tmp_path, monkeypatch, capsys, out):
         import mtlc.cli as cli
@@ -252,6 +271,42 @@ class TestTrain:
         bad.write_text(text, encoding="utf-8")
         assert main(["train", "--config", str(bad)]) == 2
         assert "batch_size" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "text.min_freq = 0",
+            "text.max_size = 0",
+            "regime.task_weights = 1,1,1",  # three weights for hard sharing's two tasks
+            "regime.class_weights = maybe",
+        ],
+    )
+    def test_bad_value_exits_2_naming_its_key(self, toy_dir, fast_cfg, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        text = fast_cfg.read_text(encoding="utf-8")
+        text = re.sub(rf"^{re.escape(key)} = .*\n", "", text, flags=re.M)
+        text = text.replace(f"output.dir = {toy_dir}/run_fast", f"output.dir = {tmp_path}/never")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + line + "\n", encoding="utf-8")
+        assert "regime.kind = hard_share" in text and "regime.task_weights" not in text
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_non_integer_seed_variable_exits_2(
+        self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            fast_cfg.read_text(encoding="utf-8").replace(
+                f"output.dir = {toy_dir}/run_fast", f"output.dir = {tmp_path}/never"
+            ),
+            encoding="utf-8",
+        )
+        monkeypatch.setenv("MTLC_SEED", "abc")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "MTLC_SEED" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
     @staticmethod
@@ -593,6 +648,10 @@ class TestReport:
             for value in cells[2:]:
                 if value:
                     float(value)  # re-parses as numbers
+
+    def test_runs_without_a_directory_exit_2(self, capsys):
+        assert main(["report", "--runs", ","]) == 2
+        assert "--runs" in capsys.readouterr().err
 
     def test_missing_report_named(self, tmp_path, capsys):
         code = main(["report", "--runs", str(tmp_path / "ghost")])

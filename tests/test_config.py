@@ -221,6 +221,16 @@ def test_readme_config_block_lists_every_key_with_its_default():
         assert shown == default or (key in required and shown == "..."), key
 
 
+def test_readme_config_block_loads_with_every_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(.*?)```", readme.split("## Configuration", 1)[1], re.S).group(1)
+    values = parse_flat(block)  # a `#` after a value would stay part of it
+    assert list(values) == list(_KEYS)
+    for key, (default, _) in _KEYS.items():
+        assert key in ("data.train", "data.val") or values[key] == default, key
+    load_config(block, check_paths=False)
+
+
 # config key -> the dataclass field that repeats its default
 DEFAULT_FIELDS = {
     "text.max_len": (EncoderConfig, "max_len"),

@@ -164,6 +164,13 @@ class TestLoadJointTsv:
         b = load_joint_tsv(path, SCHEMAS, "kannada")
         assert a.records == b.records
 
+    def test_repeats_count_as_good_rows_toward_the_limit(self, tmp_path):
+        # 1 bad row in 100 is not over 1%, though 99 of the rows are one comment
+        rows = ["same comment\tPositive\tNot offensive"] * 99 + ["broken\tJoyful\tNot offensive"]
+        path = write(tmp_path, "c.tsv", "\n".join(rows) + "\n")
+        corpus = load_joint_tsv(path, SCHEMAS, "kannada")
+        assert corpus.records == [Record("same comment", {"sentiment": 0, "offense": 0})]
+
 
 class TestMergeTaskFiles:
     def test_identical_text_sets(self, tmp_path):
@@ -189,6 +196,15 @@ class TestMergeTaskFiles:
         assert len(corpus) == 6
         assert sentiment_only == 4
         assert offense_only == 2
+
+    def test_repeated_text_keeps_its_first_label(self, tmp_path):
+        sent = write(
+            tmp_path, "s.tsv", "one\tPositive\nlone\tNeutral\nlone\tMixed feelings\none\tNegative\n"
+        )
+        off = write(tmp_path, "o.tsv", "one\tNot offensive\none\tOther language\n")
+        corpus, sentiment_only, offense_only = merge_task_files(sent, off, SCHEMAS, "kannada")
+        assert corpus.records == [Record("one", {"sentiment": 0, "offense": 0})]
+        assert (sentiment_only, offense_only) == (1, 0)  # "lone" counts once
 
 
 class TestStratifiedSplit:

@@ -149,6 +149,16 @@ class TestBackward:
             backward(tape, loss)
         assert np.array_equal(x.grad, 2 * np.ones(2))
 
+    def test_nested_tapes_record_on_the_innermost(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with GradTape() as outer:
+            _ = mul(x, x)
+            with GradTape() as inner:
+                _ = mul(x, x)
+            assert (len(outer), len(inner)) == (1, 1)
+            _ = sum_all(x)  # the inner tape has exited: back on the outer one
+        assert (len(outer), len(inner)) == (2, 1)
+
     def test_composite_graph_matches_finite_differences(self):
         def f(x):
             h = tanh(matmul(x, Tensor(np.random.default_rng(5).normal(size=(4, 3)))))
