@@ -23,6 +23,7 @@ from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import RunConfig, check_out_dir, load_config
 from .data import (
     Corpus,
+    check_ratios,
     load_joint_tsv,
     merge_task_files,
     schemas_for_language,
@@ -83,6 +84,11 @@ def _trace_tsv(epochs: Sequence[EpochStats], tasks: Sequence[str]) -> str:
 
 
 def cmd_split(args) -> int:
+    try:
+        ratios = tuple(float(part) for part in args.ratios.split(","))
+    except ValueError:
+        raise ConfigError(f"--ratios needs numbers, got {args.ratios!r}") from None
+    check_ratios(ratios, "--ratios")
     check_out_dir(args.out_dir, "--out-dir")
     schemas = schemas_for_language(args.language)
     if args.sentiment_input or args.offense_input:
@@ -100,14 +106,6 @@ def cmd_split(args) -> int:
         corpus = load_joint_tsv(args.input, schemas, args.language)
     else:
         raise ConfigError("either --input or the --sentiment-input/--offense-input pair is required")
-
-    parts = args.ratios.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--ratios needs three comma-separated numbers, got {args.ratios!r}")
-    try:
-        ratios = (float(parts[0]), float(parts[1]), float(parts[2]))
-    except ValueError:
-        raise ConfigError(f"--ratios needs numbers, got {args.ratios!r}") from None
 
     splits = stratified_split(corpus, ratios, args.seed, args.stratify_task)
     write_splits(args.out_dir, splits, args.seed, ratios, args.stratify_task)

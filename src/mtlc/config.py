@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, Optional, Union
 
 from .data import OFFENSE_TASK, SENTIMENT_TASK, LANGUAGES
 from .encoder import EncoderConfig, param_shapes
@@ -66,47 +66,82 @@ def _loss_override(text: str) -> Optional[LossKind]:
     return LossKind.parse(text) if text else None
 
 
-# key -> (default text, parser). The order is the order of `to_text`, which
-# every checkpoint embeds; a parser raises ValueError or ContractError.
-_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "data.train": ("", str),
-    "data.val": ("", str),
-    "data.test": ("", str),
-    "data.format": ("joint", _one_of(("joint",), fold_case=False)),
-    "data.language": ("kannada", _one_of(LANGUAGES)),
-    "text.mode": ("char", _one_of(MODES)),
-    "text.min_freq": ("1", int),
-    "text.max_size": ("20000", int),
-    "text.max_len": ("64", int),
-    "model.d_model": ("64", int),
-    "model.n_heads": ("4", int),
-    "model.n_layers": ("2", int),
-    "model.d_ffn": ("128", int),
-    "model.dropout": ("0.4", _finite),
-    "regime.kind": ("hard_share", _one_of(REGIMES)),
-    "regime.task": ("sentiment", _one_of(TASKS)),
-    "regime.loss": ("CE", LossKind.parse),
-    "regime.loss_sentiment": ("", _loss_override),
-    "regime.loss_offense": ("", _loss_override),
-    "regime.focal_gamma": ("2.0", _finite),
-    "regime.kld_epsilon": ("0.1", _finite),
-    "regime.class_weights": ("false", _bool),
-    "regime.task_weights": ("1,1", _finite_list),
-    "regime.penalty": ("frobenius", _one_of(PENALTIES)),
-    "regime.lambda": ("0.1", _finite),
-    "regime.coupled_layers": ("default", str),
-    "train.epochs": ("5", int),
-    "train.batch_size": ("32", int),
-    "train.lr": ("0.001", _finite),
-    "train.beta1": ("0.9", _finite),
-    "train.beta2": ("0.999", _finite),
-    "train.epsilon": ("1e-8", _finite),
-    "train.weight_decay": ("0.01", _finite),
-    "train.clip_norm": ("1.0", _finite),
-    "train.seed": ("0", int),
-    "train.shuffle": ("true", _bool),
-    "output.dir": ("runs/run", str),
+def _float_text(value: float) -> str:
+    """`repr` without the exponent's zero padding: `1e-8`, not `1e-08`."""
+    mantissa, e, exponent = repr(value).partition("e")
+    return f"{mantissa}e{int(exponent)}" if e else mantissa
+
+
+# parser -> the formatter that renders a value as text it parses back to;
+# any other parser's values render with `str`
+_FORMATS: dict[Callable[[str], object], Callable[[object], str]] = {
+    _finite: _float_text,
+    _finite_list: lambda values: ",".join(f"{value:g}" for value in values),
+    _bool: lambda value: "true" if value else "false",
+    LossKind.parse: lambda kind: kind.value,
 }
+
+# key -> (parser, home). The home is the (dataclass, field) that holds the
+# key's value, whose default is the key's default, or else the key's default
+# text. The order is the order of `to_text`, which every checkpoint embeds;
+# a parser raises ValueError or ContractError.
+_KEYS: dict[str, tuple[Callable[[str], object], Union[str, tuple[type, str]]]] = {
+    "data.train": (str, ""),
+    "data.val": (str, ""),
+    "data.test": (str, ""),
+    "data.format": (_one_of(("joint",), fold_case=False), "joint"),
+    "data.language": (_one_of(LANGUAGES), "kannada"),
+    "text.mode": (_one_of(MODES), "char"),
+    "text.min_freq": (int, "1"),
+    "text.max_size": (int, "20000"),
+    "text.max_len": (int, (EncoderConfig, "max_len")),
+    "model.d_model": (int, (EncoderConfig, "d_model")),
+    "model.n_heads": (int, (EncoderConfig, "n_heads")),
+    "model.n_layers": (int, (EncoderConfig, "n_layers")),
+    "model.d_ffn": (int, (EncoderConfig, "d_ffn")),
+    "model.dropout": (_finite, (EncoderConfig, "dropout_p")),
+    "regime.kind": (_one_of(REGIMES), "hard_share"),
+    "regime.task": (_one_of(TASKS), "sentiment"),
+    "regime.loss": (LossKind.parse, (LossConfig, "kind")),
+    "regime.loss_sentiment": (_loss_override, ""),
+    "regime.loss_offense": (_loss_override, ""),
+    "regime.focal_gamma": (_finite, (LossConfig, "focal_gamma")),
+    "regime.kld_epsilon": (_finite, (LossConfig, "kld_epsilon")),
+    "regime.class_weights": (_bool, (LossConfig, "use_class_weights")),
+    "regime.task_weights": (_finite_list, (RegimeConfig, "task_weights")),
+    "regime.penalty": (_one_of(PENALTIES), (SoftShareConfig, "penalty")),
+    "regime.lambda": (_finite, (SoftShareConfig, "lam")),
+    "regime.coupled_layers": (str, "default"),
+    "train.epochs": (int, (TrainConfig, "epochs")),
+    "train.batch_size": (int, (TrainConfig, "batch_size")),
+    "train.lr": (_finite, (OptimHyper, "learning_rate")),
+    "train.beta1": (_finite, (OptimHyper, "beta1")),
+    "train.beta2": (_finite, (OptimHyper, "beta2")),
+    "train.epsilon": (_finite, (OptimHyper, "epsilon")),
+    "train.weight_decay": (_finite, (OptimHyper, "weight_decay")),
+    "train.clip_norm": (_finite, (OptimHyper, "clip_norm")),
+    "train.seed": (int, (TrainConfig, "seed")),
+    "train.shuffle": (_bool, (TrainConfig, "shuffle")),
+    "output.dir": (str, "runs/run"),
+}
+
+
+def _index() -> tuple[dict[str, str], dict[type, dict[str, str]]]:
+    """Each key's default text, and per dataclass the fields the table
+    homes there, as field -> key."""
+    defaults, homed = {}, {}
+    for key, (parse, home) in _KEYS.items():
+        if isinstance(home, str):
+            defaults[key] = home
+            continue
+        cls, name = home
+        homed.setdefault(cls, {})[name] = key
+        default = next(f.default for f in fields(cls) if f.name == name)
+        defaults[key] = _FORMATS.get(parse, str)(default)
+    return defaults, homed
+
+
+_DEFAULTS, _HOMED = _index()
 
 
 def parse_flat(text: str) -> dict[str, str]:
@@ -160,20 +195,22 @@ def check_out_dir(path: str, name: str) -> None:
         raise ConfigError(f"{name}: path {path!r} is a file or under one")
 
 
-# the fields whose config key is not `<section>.<field>`
-_FIELD_KEYS = {"max_len": "text.max_len", "learning_rate": "train.lr"}
-
-
-def _checked(section: str, ctor, **kwargs):
-    """`ctor(**kwargs)`; a range-check failure names the config key of the
-    field its message starts with: `<section>.<field>`, or its `_FIELD_KEYS`
-    entry."""
+def _build(cls, typed: dict[str, object], **computed):
+    """A `cls` whose fields come from `typed`, the parsed values of the keys
+    the table homes in `cls`, and from `computed`, which wins. A range error
+    whose message starts with a homed field's name names that field's key
+    instead; any other error propagates unchanged."""
+    homed = _HOMED[cls]
+    kwargs = {name: typed[key] for name, key in homed.items()}
+    kwargs.update(computed)
     try:
-        return ctor(**kwargs)
+        return cls(**kwargs)
     except (ConfigError, ContractError) as err:
-        field, sep, rest = str(err).partition(" ")
-        key = _FIELD_KEYS.get(field, f"{section}.{field}")
-        raise ConfigError(f"{key}{sep}{rest}") from None
+        message = str(err)
+        name = message.split(" ", 1)[0].rstrip(":")
+        if name not in homed:
+            raise
+        raise ConfigError(homed[name] + message[len(name):]) from None
 
 
 def load_config(
@@ -185,13 +222,12 @@ def load_config(
     survives to a later edit of it. `seed_override` implements the flag/env
     precedence over the config file.
     """
-    values = {key: default for key, (default, _) in _KEYS.items()}
-    values.update(parse_flat(text))
+    values = {**_DEFAULTS, **parse_flat(text)}
     if seed_override is not None:
         values["train.seed"] = str(int(seed_override))
 
     typed = {}
-    for key, (_, parse) in _KEYS.items():
+    for key, (parse, _) in _KEYS.items():
         try:
             typed[key] = parse(values[key])
         except (ValueError, ContractError) as err:
@@ -209,73 +245,27 @@ def load_config(
         if typed[key] < 1:
             raise ConfigError(f"{key}: must be >= 1, got {typed[key]}")
 
-    encoder = _checked(
-        "model",
-        EncoderConfig,
-        vocab_size=len(SPECIAL_TOKENS),
-        d_model=typed["model.d_model"],
-        n_heads=typed["model.n_heads"],
-        n_layers=typed["model.n_layers"],
-        d_ffn=typed["model.d_ffn"],
-        max_len=typed["text.max_len"],
-        dropout_p=typed["model.dropout"],
-    )
+    encoder = _build(EncoderConfig, typed, vocab_size=len(SPECIAL_TOKENS))
+    kind = typed["regime.kind"]
+    tasks = (typed["regime.task"],) if kind == STL else TASKS
     losses = {
-        task: _checked(
-            "regime",
-            LossConfig,
-            kind=typed[f"regime.loss_{task}"] or typed["regime.loss"],
-            focal_gamma=typed["regime.focal_gamma"],
-            kld_epsilon=typed["regime.kld_epsilon"],
-            use_class_weights=typed["regime.class_weights"],
-        )
-        for task in TASKS
+        task: _build(LossConfig, typed, kind=typed[f"regime.loss_{task}"] or typed["regime.loss"])
+        for task in tasks
     }
     coupled_text = typed["regime.coupled_layers"]
     if coupled_text.lower() == "default":
         coupled = default_coupled_layers(encoder.n_layers)
     else:
         coupled = tuple(name.strip() for name in coupled_text.split(",") if name.strip())
+    if not coupled:  # uncoupled towers are spelled `regime.lambda = 0`
+        raise ConfigError(f"regime.coupled_layers: {coupled_text!r} names no parameter")
     unknown = sorted(set(coupled) - set(param_shapes(encoder, ())))
     if unknown:
         raise ConfigError(f"regime.coupled_layers: not encoder parameters: {unknown}")
-    soft = _checked(
-        "regime",
-        SoftShareConfig,
-        penalty=typed["regime.penalty"],
-        lam=typed["regime.lambda"],
-        coupled_layer_names=coupled,
-    )
-    # STL trains its one task at weight 1
-    kind = typed["regime.kind"]
-    tasks = (typed["regime.task"],) if kind == STL else TASKS
-    regime = _checked(
-        "regime",
-        RegimeConfig,
-        kind=kind,
-        tasks=tasks,
-        losses={task: losses[task] for task in tasks},
-        task_weights=(1.0,) if kind == STL else typed["regime.task_weights"],
-        soft=soft if kind == SOFT_SHARE else None,
-    )
-    train_cfg = _checked(
-        "train",
-        TrainConfig,
-        epochs=typed["train.epochs"],
-        batch_size=typed["train.batch_size"],
-        optimizer=_checked(
-            "train",
-            OptimHyper,
-            learning_rate=typed["train.lr"],
-            beta1=typed["train.beta1"],
-            beta2=typed["train.beta2"],
-            epsilon=typed["train.epsilon"],
-            weight_decay=typed["train.weight_decay"],
-            clip_norm=typed["train.clip_norm"],
-        ),
-        seed=typed["train.seed"],
-        shuffle=typed["train.shuffle"],
-    )
+    soft = _build(SoftShareConfig, typed, coupled_layer_names=coupled)
+    stl_weight = {"task_weights": (1.0,)} if kind == STL else {}  # STL trains at weight 1
+    regime = _build(RegimeConfig, typed, kind=kind, tasks=tasks, losses=losses,
+                    soft=soft if kind == SOFT_SHARE else None, **stl_weight)
     return RunConfig(
         raw=values,
         train_path=typed["data.train"],
@@ -286,6 +276,6 @@ def load_config(
         max_size=typed["text.max_size"],
         encoder=encoder,
         regime=regime,
-        train_cfg=train_cfg,
+        train_cfg=_build(TrainConfig, typed, optimizer=_build(OptimHyper, typed)),
         output_dir=typed["output.dir"],
     )

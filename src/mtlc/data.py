@@ -212,6 +212,16 @@ def class_counts(corpus: Corpus, task: str) -> list[int]:
     return counts
 
 
+def check_ratios(ratios: tuple[float, ...], name: str = "ratios") -> None:
+    """A ContractError naming `name` unless `ratios`, the train, val and test
+    shares, are three finite, nonnegative numbers that sum to 1."""
+    finite = all(math.isfinite(r) and r >= 0 for r in ratios)
+    if len(ratios) != 3 or not finite or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ContractError(
+            f"{name} must be three finite, nonnegative numbers that sum to 1, got {ratios}"
+        )
+
+
 def stratified_split(
     corpus: Corpus,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -223,8 +233,7 @@ def stratified_split(
     Classes with fewer than 3 members go entirely to train (warned via the
     returned sizes rather than a log dependency).
     """
-    if any(not math.isfinite(r) or r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ContractError(f"ratios must be finite, nonnegative and sum to 1, got {ratios}")
+    check_ratios(ratios)
     if stratify_task not in corpus.schemas:
         raise ContractError(f"unknown stratify task {stratify_task!r}")
     by_class: dict[int, list[Record]] = {}

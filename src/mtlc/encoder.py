@@ -62,7 +62,7 @@ class EncoderConfig:
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
         if not 0.0 <= self.dropout_p < 1.0:
-            raise ContractError(f"dropout must be in [0, 1), got {self.dropout_p}")
+            raise ContractError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
 
 @dataclass(frozen=True)

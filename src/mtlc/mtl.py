@@ -77,7 +77,7 @@ class SoftShareConfig:
         if self.penalty not in PENALTIES:
             raise ConfigError(f"unknown soft-share penalty {self.penalty!r}; expected {PENALTIES}")
         if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+            raise ConfigError(f"lam must be >= 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,8 @@ class RegimeConfig:
             )
         if any(w < 0 for w in self.task_weights):
             raise ConfigError(f"task_weights must be nonnegative, got {self.task_weights}")
+        if not any(self.task_weights):  # no task loss to minimize
+            raise ConfigError(f"task_weights must not all be 0, got {self.task_weights}")
         if set(self.losses) != set(self.tasks):
             raise ConfigError(f"loss config tasks {sorted(self.losses)} != tasks {self.tasks}")
         if (self.kind == SOFT_SHARE) != (self.soft is not None):

@@ -141,8 +141,9 @@ class TestSplit:
             (["--sentiment-input", "{src}"], "--offense-input"),
             (["--input", "{src}", "--ratios", "0.8,0.2"], "--ratios"),
             (["--input", "{src}", "--ratios", "a,b,c"], "--ratios"),
+            (["--input", "{src}", "--ratios", "0.5,0.6,0.1"], "--ratios"),
         ],
-        ids=["sentiment input alone", "two ratios", "ratios not numbers"],
+        ids=["sentiment input alone", "two ratios", "ratios not numbers", "ratios sum to 1.2"],
     )
     def test_bad_flags_exit_2_naming_the_flag(self, tmp_path, capsys, flags, named):
         src = tmp_path / "corpus.tsv"
@@ -151,6 +152,16 @@ class TestSplit:
         argv = ["split", *(flag.format(src=src) for flag in flags), "--out-dir", str(out)]
         assert main(argv) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ratios", ["a,b,c", "0.8,0.2", "0.5,0.6,0.1"])
+    def test_bad_ratios_exit_2_before_reading_input(self, tmp_path, capsys, ratios):
+        # read first, the input's bad row would exit 3
+        src = tmp_path / "bad.tsv"
+        src.write_text("broken\tHappy\tNot offensive\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["split", "--input", str(src), "--out-dir", str(out), "--ratios", ratios]) == 2
+        assert "--ratios" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("out", ["afile", "afile/x"])
@@ -279,6 +290,8 @@ class TestTrain:
             "text.min_freq = 0",
             "text.max_size = 0",
             "regime.task_weights = 1,1,1",  # three weights for hard sharing's two tasks
+            "regime.task_weights = 0,0",  # no task loss to minimize
+            "regime.coupled_layers = ,",  # names no parameter, in any regime
             "regime.class_weights = maybe",
         ],
     )

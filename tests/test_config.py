@@ -6,12 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from mtlc.config import _KEYS, load_config, parse_flat
+from mtlc.config import _DEFAULTS, _KEYS, _build, load_config, parse_flat
 from mtlc.encoder import EncoderConfig
-from mtlc.errors import ConfigError
-from mtlc.losses import LossConfig, LossKind
-from mtlc.mtl import RegimeConfig, SoftShareConfig, TrainConfig
-from mtlc.numcore import OptimHyper
+from mtlc.errors import ConfigError, ContractError
+from mtlc.losses import LossKind
 
 MINIMAL = """
 data.train = {train}
@@ -111,11 +109,43 @@ class TestLoadConfig:
              "regime.coupled_layers"),
             ("regime.kind = soft_share\nregime.coupled_layers = head.offense.w_out",
              "regime.coupled_layers"),
+            # a list that names no parameter, in every regime: uncoupled towers
+            # are spelled `regime.lambda = 0`
+            ("regime.kind = soft_share\nregime.coupled_layers = ,", "regime.coupled_layers"),
+            ("regime.coupled_layers = ,", "regime.coupled_layers"),
+            ("regime.kind = stl\nregime.coupled_layers = , ,", "regime.coupled_layers"),
+            # shared regimes with no task loss to minimize
+            ("regime.task_weights = 0,0", "regime.task_weights"),
+            ("regime.kind = soft_share\nregime.task_weights = 0,0", "regime.task_weights"),
         ],
     )
     def test_out_of_bounds_fields_are_named(self, paths, line, field):
         with pytest.raises(ConfigError, match=field):
             load_config(config_text(paths, line + "\n"))
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("model.dropout = 1.0", "model.dropout must be in [0, 1), got 1.0"),
+            ("regime.lambda = -2", "regime.lambda must be >= 0, got -2.0"),
+            ("regime.task_weights = 1,1,1", "regime.task_weights: 3 weights for 2 tasks"),
+            ("regime.task_weights = -1,1", "regime.task_weights must be nonnegative, got (-1.0, 1.0)"),
+            ("text.max_len = 2", "text.max_len must be >= 3, got 2"),
+            ("train.lr = 0", "train.lr must be > 0, got 0.0"),
+            ("model.d_model = 30", "model.d_model (30) must be divisible by n_heads (4)"),
+            ("train.batch_size = 7", "train.batch_size must be one of (16, 32, 64), got 7"),
+        ],
+    )
+    def test_range_errors_name_the_key_in_place_of_the_field(self, paths, line, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(config_text(paths, line + "\n"))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", ["hard_share", "soft_share"])
+    def test_one_zero_task_weight_stays_valid(self, paths, kind):
+        # zero-weighted hard sharing is criterion 3's STL equivalence
+        cfg = load_config(config_text(paths, f"regime.kind = {kind}\nregime.task_weights = 0,1\n"))
+        assert cfg.regime.task_weights == (0.0, 1.0)
 
     def test_seed_override_wins(self, paths):
         cfg = load_config(config_text(paths, "train.seed = 3\n"), seed_override=99)
@@ -209,66 +239,29 @@ def test_checkpoint_config_format_is_pinned():
     assert load_config(DEFAULT_TEXT, check_paths=False).to_text() == DEFAULT_TEXT
 
 
-def test_readme_config_block_lists_every_key_with_its_default():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Configuration", 1)[1]
-    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
-    rows = [line.split("#", 1)[0].partition("=") for line in block.splitlines()]
-    assert [key.strip() for key, _, _ in rows] == list(_KEYS)
-    required = ("data.train", "data.val")
-    for (key, _, shown), (default, _) in zip(rows, _KEYS.values()):
-        key, shown = key.strip(), shown.strip()
-        assert shown == default or (key in required and shown == "..."), key
-
-
 def test_readme_config_block_loads_with_every_default():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```\n(.*?)```", readme.split("## Configuration", 1)[1], re.S).group(1)
     values = parse_flat(block)  # a `#` after a value would stay part of it
     assert list(values) == list(_KEYS)
-    for key, (default, _) in _KEYS.items():
-        assert key in ("data.train", "data.val") or values[key] == default, key
+    for key, default in _DEFAULTS.items():
+        # the required paths are shown as `...`
+        shown = "..." if key in ("data.train", "data.val") else default
+        assert values[key] == shown, key
     load_config(block, check_paths=False)
 
 
-# config key -> the dataclass field that repeats its default
-DEFAULT_FIELDS = {
-    "text.max_len": (EncoderConfig, "max_len"),
-    "model.d_model": (EncoderConfig, "d_model"),
-    "model.n_heads": (EncoderConfig, "n_heads"),
-    "model.n_layers": (EncoderConfig, "n_layers"),
-    "model.d_ffn": (EncoderConfig, "d_ffn"),
-    "model.dropout": (EncoderConfig, "dropout_p"),
-    "regime.loss": (LossConfig, "kind"),
-    "regime.focal_gamma": (LossConfig, "focal_gamma"),
-    "regime.kld_epsilon": (LossConfig, "kld_epsilon"),
-    "regime.class_weights": (LossConfig, "use_class_weights"),
-    "regime.task_weights": (RegimeConfig, "task_weights"),
-    "regime.penalty": (SoftShareConfig, "penalty"),
-    "regime.lambda": (SoftShareConfig, "lam"),
-    "train.epochs": (TrainConfig, "epochs"),
-    "train.batch_size": (TrainConfig, "batch_size"),
-    "train.seed": (TrainConfig, "seed"),
-    "train.shuffle": (TrainConfig, "shuffle"),
-    "train.lr": (OptimHyper, "learning_rate"),
-    "train.beta1": (OptimHyper, "beta1"),
-    "train.beta2": (OptimHyper, "beta2"),
-    "train.epsilon": (OptimHyper, "epsilon"),
-    "train.weight_decay": (OptimHyper, "weight_decay"),
-    "train.clip_norm": (OptimHyper, "clip_norm"),
-}
-# keys whose default no dataclass field repeats
-NO_FIELD = {
-    "data.train", "data.val", "data.test", "data.format", "data.language", "text.mode",
-    "text.min_freq", "text.max_size", "regime.kind", "regime.task", "regime.loss_sentiment",
-    "regime.loss_offense", "regime.coupled_layers", "output.dir",
-}
-
-
 def test_dataclass_defaults_agree_with_the_config_defaults():
-    # a library caller who builds the dataclasses directly gets the README's defaults
-    assert DEFAULT_FIELDS.keys() | NO_FIELD == _KEYS.keys()
-    for key, (cls, name) in DEFAULT_FIELDS.items():
-        default, parse = _KEYS[key]
-        field = {f.name: f for f in dataclasses.fields(cls)}[name]
-        assert parse(default) == field.default, key
+    # a library caller who builds the dataclasses directly gets the README's
+    # defaults: a field-homed key's default text parses back to its field's default
+    for key, (parse, home) in _KEYS.items():
+        if not isinstance(home, str):
+            cls, name = home
+            field = {f.name: f for f in dataclasses.fields(cls)}[name]
+            assert parse(_DEFAULTS[key]) == field.default, key
+
+
+def test_an_error_on_a_field_no_key_fills_propagates_unchanged():
+    typed = {key: parse(_DEFAULTS[key]) for key, (parse, _) in _KEYS.items()}
+    with pytest.raises(ContractError, match=r"^vocab_size must be >= 1, got 0$"):
+        _build(EncoderConfig, typed, vocab_size=0)
