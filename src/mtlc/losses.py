@@ -174,6 +174,10 @@ def kld(logits: Tensor, targets: Targets, epsilon: float = 0.1) -> Tensor:
     return add(scale(cross, 1.0 / b), Tensor(neg_entropy))
 
 
+# the loss kinds that apply class weights; hinge and KLD take none
+CLASS_WEIGHTED = frozenset({LossKind.CROSS_ENTROPY, LossKind.FOCAL})
+
+
 def compute_loss(
     logits: Tensor,
     targets: Targets,
@@ -182,9 +186,9 @@ def compute_loss(
 ) -> Tensor:
     """Batch mean of the configured loss over [B, C] logits and B targets.
 
-    Cross-entropy and focal apply the class `weights` they are given;
-    hinge and KLD ignore them. Whether a task has weights is `mtl.train`'s
-    decision, from `cfg.use_class_weights`.
+    The kinds in `CLASS_WEIGHTED` apply the class `weights` they are given;
+    the others ignore them. Whether a task has weights is `mtl.train`'s
+    decision, from `cfg.use_class_weights` and that set.
     """
     if cfg.kind is LossKind.CROSS_ENTROPY:
         return cross_entropy(logits, targets, weights)

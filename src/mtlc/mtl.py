@@ -22,7 +22,7 @@ from .encoder import (
     param_shapes,
 )
 from .errors import ConfigError, ContractError, NumericalError
-from .losses import LossConfig, class_weights, compute_loss
+from .losses import CLASS_WEIGHTED, LossConfig, class_weights, compute_loss
 from .metrics import build_report
 from .numcore import (
     GradTape,
@@ -325,7 +325,9 @@ def train(
     _check_heads(model, train_split)
     states = init_states(model.params)
     weights = {  # the one place a task's class weighting is decided
-        t: class_weights(class_counts(train_split, t)) if regime.losses[t].use_class_weights else None
+        t: class_weights(class_counts(train_split, t))
+        if regime.losses[t].use_class_weights and regime.losses[t].kind in CLASS_WEIGHTED
+        else None
         for t in regime.tasks
     }
     shuffle_rng = stream(train_cfg.seed, "shuffle")

@@ -18,7 +18,6 @@ never lands on a tape another thread is filling.
 from __future__ import annotations
 
 import math
-import threading
 from contextvars import ContextVar, Token
 from functools import lru_cache
 from itertools import count, groupby
@@ -30,22 +29,33 @@ from ..errors import ContractError, ShapeError
 
 Array = np.ndarray
 
+# tape keys, unique for the life of the process, so a record need not hold
+# a tensor to keep its key from being reused. A key is set before any tape
+# can see its tensor, so tapes in several threads never race to set one.
+_KEYS = count()
+
 
 class Tensor:
     """A dense float64 array plus autodiff bookkeeping.
 
-    `grad` is populated (and accumulated) by `backward`; `name` labels the
-    tensor in `repr` alone (the optimizer and checkpoints use dict keys).
+    A tensor takes gradients exactly when it holds a tape key: a leaf made
+    with `requires_grad=True` takes one here, an op output when a tape
+    records it, and a frozen tensor never. `grad` is populated (and
+    accumulated) by `backward`; `name` labels the tensor in `repr` alone
+    (the optimizer and checkpoints use dict keys).
     """
 
-    __slots__ = ("data", "requires_grad", "name", "grad", "_key")
+    __slots__ = ("data", "name", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.name = name
         self.grad: Optional[Array] = None
-        self._key: Optional[int] = None  # tape key, set when first recorded
+        self._key: Optional[int] = next(_KEYS) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._key is not None
 
     @property
     def shape(self) -> tuple:
@@ -59,22 +69,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-
-# tape keys, unique for the life of the process, so a record need not hold
-# a tensor to keep its key from being reused. An op's output is new and
-# takes its key at once; an input may be a leaf that tapes in several
-# threads reach first at the same time, so it takes its key under a lock.
-_KEYS = count()
-_KEY_LOCK = threading.Lock()
-
-
-def _input_key(t: Tensor) -> int:
-    if t._key is None:
-        with _KEY_LOCK:
-            if t._key is None:
-                t._key = next(_KEYS)
-    return t._key
 
 
 class GradTape:
@@ -102,17 +96,12 @@ class GradTape:
         _ACTIVE.reset(self._tokens.pop())
 
     def _add(self, out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> None:
-        keys = []
-        for t in inputs:
-            if not t.requires_grad:
-                keys.append(None)
-                continue
-            k = _input_key(t)
-            if k not in self._produced:
+        keys = tuple(t._key for t in inputs)
+        for k, t in zip(keys, inputs):
+            if k is not None and k not in self._produced:
                 self._watched.setdefault(k, t)
-            keys.append(k)
         k = out._key = next(_KEYS)
-        self._records.append((k, tuple(keys), bwd))
+        self._records.append((k, keys, bwd))
         self._produced.add(k)
         self._count += 1
 
@@ -129,8 +118,7 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
     `bwd` maps the output's adjoint to one adjoint per input; it should hold
     only the arrays it reads, since the tape keeps it until `backward`."""
     tape = _ACTIVE.get()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
+    if tape is not None and any(t._key is not None for t in inputs):
         tape._add(out, inputs, bwd)
     return out
 

@@ -1,14 +1,18 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 
 import json
+import os
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mtlc.cli import main
 from mtlc.data import schemas_for_language
+from mtlc.errors import ConfigError
 from mtlc.metrics import build_report, report_to_dict
 from mtlc.toy import materialize, toy_tsv
 
@@ -911,3 +915,95 @@ print(before, library, get())
         err = capsys.readouterr().err
         cli._pin_blas_thread.cache_clear()
         assert err.count("BLAS threads unpinned") == 1
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """The toy's files, a one-epoch config that names them and its output
+    directory relative to this directory, and that config's trained run
+    (`run/`)."""
+    directory = tmp_path_factory.mktemp("contract")
+    materialize(str(directory))
+    text = (directory / "toy.cfg").read_text(encoding="utf-8")
+    changes = {
+        "data.train": "train.tsv", "data.val": "val.tsv", "data.test": "test.tsv",
+        "output.dir": "run", "train.epochs": "1", "model.d_model": "8", "model.n_heads": "2",
+        "model.d_ffn": "16",
+    }
+    for key, value in changes.items():
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+    (directory / "one_epoch.cfg").write_text(text, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(directory)
+        assert main(["train", "--config", "one_epoch.cfg"]) == 0
+    return directory
+
+
+class TestExitCodeContract:
+    """Mutated inputs keep the exit-code contract: a checkpoint cut short or
+    with bytes inserted or deleted exits 5; a mutated TSV, config or
+    vocabulary exits 0, 2 or 3; no exception escapes `main`. Every command
+    runs in `contract_dir`, so a mutated `output.dir` writes under it."""
+
+    @staticmethod
+    def _main(directory, argv):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(directory)
+            return main(argv)
+
+    def _evaluate(
+        self, directory, checkpoint="run/checkpoint.mtlc", data="val.tsv", vocab="run/vocab.txt"
+    ):
+        argv = ["--checkpoint", checkpoint, "--data", data, "--vocab", vocab, "--out-dir", "eval"]
+        return self._main(directory, ["evaluate", *argv])
+
+    @staticmethod
+    def _mutate(draw, blob: bytes, kinds=("flip", "insert", "delete")) -> bytes:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "truncate":
+            return blob[: draw(st.integers(0, len(blob) - 1))]
+        at = draw(st.integers(0, len(blob) - 1))
+        if kind == "flip":
+            return blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1 :]
+        if kind == "insert":
+            return blob[:at] + draw(st.binary(min_size=1, max_size=8)) + blob[at:]
+        return blob[:at] + blob[at + draw(st.integers(1, 8)) :]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_a_cut_or_shifted_checkpoint_exits_5(self, contract_dir, data):
+        blob = (contract_dir / "run" / "checkpoint.mtlc").read_bytes()
+        bad = self._mutate(data.draw, blob, ("truncate", "insert", "delete"))
+        (contract_dir / "bad.mtlc").write_bytes(bad)
+        assert self._evaluate(contract_dir, checkpoint="bad.mtlc") == 5
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_mutated_tsv_exits_0_2_or_3(self, contract_dir, data):
+        bad = self._mutate(data.draw, (contract_dir / "val.tsv").read_bytes())
+        (contract_dir / "bad.tsv").write_bytes(bad)
+        assert self._evaluate(contract_dir, data="bad.tsv") in (0, 2, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_a_mutated_vocabulary_exits_0_2_or_3(self, contract_dir, data):
+        bad = self._mutate(data.draw, (contract_dir / "run" / "vocab.txt").read_bytes())
+        (contract_dir / "bad_vocab.txt").write_bytes(bad)
+        assert self._evaluate(contract_dir, vocab="bad_vocab.txt") in (0, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_flipped_config_byte_exits_0_2_or_3(self, contract_dir, data):
+        # one byte flipped, so a number moves by at most one digit and a run
+        # stays short; a flip that turns `output.dir` into a path outside
+        # this directory (`output.dir =/run`) is not run
+        from mtlc.config import parse_flat
+
+        bad = self._mutate(data.draw, (contract_dir / "one_epoch.cfg").read_bytes(), ("flip",))
+        try:
+            out = parse_flat(bad.decode("utf-8-sig")).get("output.dir", "")
+        except (UnicodeDecodeError, ConfigError):
+            out = ""
+        assume(not os.path.isabs(out) and ".." not in out)
+        (contract_dir / "bad.cfg").write_bytes(bad)
+        assert self._main(contract_dir, ["train", "--config", "bad.cfg"]) in (0, 2, 3)

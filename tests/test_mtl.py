@@ -23,7 +23,7 @@ from mtlc.encoder import (
     param_shapes,
     reset_forward_calls,
 )
-from mtlc.errors import ConfigError, ContractError, NumericalError
+from mtlc.errors import ConfigError, ContractError, DataError, NumericalError
 from mtlc.losses import LossConfig, LossKind, class_weights, compute_loss, cross_entropy
 from mtlc.mtl import (
     RegimeConfig,
@@ -415,6 +415,12 @@ class TestSoftLoss:
         mtl.couple(model, 0.03)
         assert np.array_equal(stack, want)
 
+    def test_non_finite_coupled_weight_names_its_layer(self, toy_vocab):
+        model = self._soft_model(toy_vocab, lam=2.0, penalty="trace_norm", coupled=("layer0.wk",))
+        model.stacks["layer0.wk"].data[1, 0, 0] = np.inf
+        with pytest.raises(NumericalError, match="coupled layer 'layer0.wk'"):
+            mtl.couple(model, 0.03)
+
     def test_missing_coupled_layer_named(self, toy_vocab):
         # a Model made from existing weights, as loading a checkpoint makes one
         model = self._soft_model(toy_vocab, lam=1.0, coupled=("layer0.wq",))
@@ -610,6 +616,28 @@ class TestTrainStep:
         for name, grad in got.items():
             assert np.array_equal(grad, want[name]), name
         assert not np.array_equal(got["pooler_w"], unweighted["pooler_w"])
+
+    def test_only_weighted_losses_compute_class_weights(self, toy_splits, toy_vocab):
+        # a train split with no offense `Other language` comment: HL and KLD
+        # weigh no class, so they train on it; CE and FL would weigh the
+        # empty class
+        other = toy_splits.train.schemas["offense"].index("Other language")
+        records = [r for r in toy_splits.train.records if r.labels["offense"] != other]
+        split = Corpus(records=records, schemas=toy_splits.train.schemas, language="kannada")
+        tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=1)
+        for kind in LossKind:
+            regime = RegimeConfig(
+                kind="hard_share",
+                tasks=TASKS,
+                losses={t: LossConfig(kind=kind, use_class_weights=True) for t in TASKS},
+            )
+            model = self._model(regime, toy_vocab)
+            if kind in (LossKind.CROSS_ENTROPY, LossKind.FOCAL):
+                with pytest.raises(DataError, match=rf"zero count at indices \[{other}\]"):
+                    train(model, split, toy_splits.val, toy_vocab, tc)
+            else:
+                (epoch,) = train(model, split, toy_splits.val, toy_vocab, tc)
+                assert all(np.isfinite(v) for v in epoch.train_loss.values())
 
     def test_each_soft_tape_holds_one_tower(self, toy_splits, toy_vocab, monkeypatch):
         regime = soft_regime("trace_norm")

@@ -293,6 +293,55 @@ class TestLeanTape:
         assert np.array_equal(x.grad, 2 * np.ones(3))
 
 
+class TestTapeKeys:
+    """A tensor takes gradients exactly when it holds a tape key: a leaf
+    takes its key when made, an op output when a tape records it."""
+
+    def test_a_leaf_holds_its_key_before_any_tape_records_it(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        frozen = Tensor(np.ones(3))
+        assert x._key is not None and x.requires_grad
+        assert frozen._key is None and not frozen.requires_grad
+        key = x._key
+        with GradTape() as tape:
+            y = mul(x, frozen)
+        assert x._key == key  # recording keeps the leaf's key
+        assert y._key is not None and y.requires_grad
+        assert tape._records[0][:2] == (y._key, (key, None))
+
+    def test_an_op_output_off_a_tape_holds_no_key(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        y = matmul(x, x)
+        assert y._key is None and not y.requires_grad
+        with GradTape():
+            z = mul(Tensor(np.ones(2)), Tensor(np.ones(2)))  # no input takes gradients
+        assert z._key is None
+
+    def test_requires_grad_is_read_only(self):
+        x = Tensor(np.ones(2))
+        with pytest.raises(AttributeError):
+            x.requires_grad = True
+        assert x._key is None
+
+    def test_evaluating_a_checkpoint_loaded_model_gives_no_parameter_a_key(self, tmp_path):
+        from mtlc import cli, mtl
+        from mtlc.data import load_joint_tsv, schemas_for_language
+        from mtlc.toy import materialize
+
+        materialize(str(tmp_path))
+        text = (tmp_path / "toy.cfg").read_text(encoding="utf-8")
+        (tmp_path / "fast.cfg").write_text(text.replace("train.epochs = 30", "train.epochs = 1"))
+        assert cli.main(["train", "--config", str(tmp_path / "fast.cfg")]) == 0
+        run = tmp_path / "run_toy"
+        model, cfg, vocab = cli._model_from_checkpoint(
+            str(run / "checkpoint.mtlc"), str(run / "vocab.txt")
+        )
+        schemas = schemas_for_language(cfg.language)
+        mtl.evaluate(model, load_joint_tsv(str(tmp_path / "test.tsv"), schemas, cfg.language), vocab)
+        tensors = {**model.params, **model.stacks}
+        assert tensors and all(t._key is None for t in tensors.values())
+
+
 class TestShapingOps:
     def test_gather_rows_repeats_accumulate(self):
         x = Tensor(np.eye(3), requires_grad=True)
