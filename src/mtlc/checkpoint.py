@@ -2,7 +2,8 @@
 
 Layout, little-endian throughout:
 
-    magic "MTLC" | u16 format version | u32 config length | config UTF-8 |
+    magic "MTLC" | u16 format version (2) | u32 config length | config UTF-8 |
+    32-byte sha256 of the vocabulary file the weights were trained with |
     repeated { u16 name length | name UTF-8 | u8 rank | u32 dims... |
                float32 row-major payload } |
     u32 CRC32 of all prior bytes
@@ -29,7 +30,8 @@ from .errors import ContractError, CorruptArtifactError, NumericalError
 from .numcore import Tensor
 
 MAGIC = b"MTLC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DIGEST_SIZE = 32  # sha256
 
 
 def _tensor_bytes(name: str, data: np.ndarray) -> bytes:
@@ -46,17 +48,19 @@ def _tensor_bytes(name: str, data: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def serialize(config_text: str, params: Mapping[str, Tensor]) -> bytes:
+def serialize(config_text: str, vocab_digest: bytes, params: Mapping[str, Tensor]) -> bytes:
     config_bytes = config_text.encode("utf-8")
     parts = [MAGIC, struct.pack("<H", FORMAT_VERSION), struct.pack("<I", len(config_bytes)), config_bytes]
+    parts.append(vocab_digest)
     for name in sorted(params):
         parts.append(_tensor_bytes(name, params[name].data))
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
-    """Parse and validate a checkpoint; tensors come back as float64."""
+def deserialize(blob: bytes) -> tuple[str, bytes, dict[str, np.ndarray]]:
+    """Parse and validate a checkpoint: its config text, its vocabulary
+    digest and its tensors, as float64."""
     if len(blob) < len(MAGIC) + 2 + 4 + 4:
         raise CorruptArtifactError("checkpoint truncated: too short for header and CRC")
     body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
@@ -71,13 +75,14 @@ def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
         raise CorruptArtifactError(f"unsupported checkpoint format version {version}")
     (config_len,) = struct.unpack_from("<I", body, offset)
     offset += 4
-    if offset + config_len > len(body):
-        raise CorruptArtifactError("checkpoint truncated inside the config block")
+    if offset + config_len + DIGEST_SIZE > len(body):
+        raise CorruptArtifactError("checkpoint truncated inside the config block or digest")
     try:
         config_text = body[offset : offset + config_len].decode("utf-8")
     except UnicodeDecodeError as err:
         raise CorruptArtifactError(f"checkpoint config block is not UTF-8: {err}") from None
-    offset += config_len
+    offset += config_len + DIGEST_SIZE
+    vocab_digest = body[offset - DIGEST_SIZE : offset]
 
     params: dict[str, np.ndarray] = {}
     while offset < len(body):
@@ -104,7 +109,7 @@ def deserialize(blob: bytes) -> tuple[str, dict[str, np.ndarray]]:
         if not np.isfinite(payload).all():
             raise CorruptArtifactError(f"checkpoint tensor {name!r} holds NaN or infinity")
         params[name] = payload.astype(np.float64).reshape(dims)
-    return config_text, params
+    return config_text, vocab_digest, params
 
 
 def write_atomic(path: str, data: str | bytes) -> None:
@@ -117,11 +122,12 @@ def write_atomic(path: str, data: str | bytes) -> None:
     os.replace(tmp, path)
 
 
-def save_checkpoint(path: str, config_text: str, params: Mapping[str, Tensor]) -> None:
-    write_atomic(path, serialize(config_text, params))
+def save_checkpoint(
+    path: str, config_text: str, vocab_digest: bytes, params: Mapping[str, Tensor]
+) -> None:
+    write_atomic(path, serialize(config_text, vocab_digest, params))
 
 
-def load_checkpoint(path: str) -> tuple[str, dict[str, np.ndarray]]:
+def load_checkpoint(path: str) -> tuple[str, bytes, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    return deserialize(blob)
+        return deserialize(fh.read())

@@ -12,6 +12,7 @@ import ctypes
 import dataclasses
 import functools
 import glob
+import hashlib
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from .config import RunConfig, check_out_dir, load_config
 from .data import (
     Corpus,
     check_ratios,
+    check_stratify_task,
     load_joint_tsv,
     merge_task_files,
     schemas_for_language,
@@ -91,6 +93,7 @@ def cmd_split(args) -> int:
     check_ratios(ratios, "--ratios")
     check_out_dir(args.out_dir, "--out-dir")
     schemas = schemas_for_language(args.language)
+    check_stratify_task(args.stratify_task, schemas, "--stratify-task")
     if args.sentiment_input or args.offense_input:
         if not (args.sentiment_input and args.offense_input):
             raise ConfigError("--sentiment-input and --offense-input must be given together")
@@ -122,23 +125,23 @@ def cmd_split(args) -> int:
 
 
 def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model, RunConfig, object]:
-    config_text, arrays = load_checkpoint(checkpoint_path)
+    config_text, vocab_digest, arrays = load_checkpoint(checkpoint_path)
     try:
         cfg = load_config(config_text, check_paths=False)
     except ConfigError as err:
         raise ConfigError(f"checkpoint {checkpoint_path!r}: embedded config: {err}") from None
+    with open(vocab_path, "rb") as fh:
+        if hashlib.sha256(fh.read()).digest() != vocab_digest:
+            raise DataError(
+                f"vocabulary {vocab_path!r} is not the one checkpoint {checkpoint_path!r} "
+                "was trained with; they are not from the same run"
+            )
     vocab = load_vocab(vocab_path)
     schemas = schemas_for_language(cfg.language)
     enc_cfg = dataclasses.replace(cfg.encoder, vocab_size=len(vocab))
     n_classes = {task: schemas[task].n_classes for task in cfg.regime.tasks}
     expected = expected_param_shapes(cfg.regime, enc_cfg, n_classes)
     shapes = {name: array.shape for name, array in arrays.items()}
-    rows = {shapes[name][0] for name in expected if name.endswith("tok_emb") and shapes.get(name)}
-    if len(rows) == 1 and len(vocab) not in rows:  # sound embeddings sized for another vocabulary
-        raise DataError(
-            f"vocabulary {vocab_path!r} has {len(vocab)} tokens but checkpoint "
-            f"{checkpoint_path!r} embeds {rows.pop()} tokens; they are not from the same run"
-        )
     if shapes != expected:
         wrong = sorted(n for n in shapes.keys() | expected.keys() if shapes.get(n) != expected.get(n))
         listed = ", ".join(f"{n!r} is {shapes.get(n)}, expected {expected.get(n)}" for n in wrong[:5])
@@ -202,9 +205,9 @@ def cmd_train(args) -> int:
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     vocab_path = os.path.join(out, VOCAB_NAME)
-    save_vocab(vocab, vocab_path)
+    vocab_digest = hashlib.sha256(save_vocab(vocab, vocab_path)).digest()
     checkpoint_path = os.path.join(out, CHECKPOINT_NAME)
-    save_checkpoint(checkpoint_path, cfg.to_text(), model.params)
+    save_checkpoint(checkpoint_path, cfg.to_text(), vocab_digest, model.params)
     write_atomic(os.path.join(out, TRACE_NAME), _trace_tsv(epochs, cfg.regime.tasks))
 
     # the stored float32 weights are the contract: report from the reloaded

@@ -259,7 +259,7 @@ def load_config(
         coupled = tuple(name.strip() for name in coupled_text.split(",") if name.strip())
     if not coupled:  # uncoupled towers are spelled `regime.lambda = 0`
         raise ConfigError(f"regime.coupled_layers: {coupled_text!r} names no parameter")
-    unknown = sorted(set(coupled) - set(param_shapes(encoder, ())))
+    unknown = sorted(set(coupled) - set(param_shapes(encoder, {})))
     if unknown:
         raise ConfigError(f"regime.coupled_layers: not encoder parameters: {unknown}")
     soft = _build(SoftShareConfig, typed, coupled_layer_names=coupled)

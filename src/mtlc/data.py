@@ -222,6 +222,12 @@ def check_ratios(ratios: tuple[float, ...], name: str = "ratios") -> None:
         )
 
 
+def check_stratify_task(task: str, schemas: dict, name: str = "stratify_task") -> None:
+    """A ContractError naming `name` unless `task` is one of the tasks of `schemas`."""
+    if task not in schemas:
+        raise ContractError(f"{name} must be one of {tuple(schemas)}, got {task!r}")
+
+
 def stratified_split(
     corpus: Corpus,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -234,8 +240,7 @@ def stratified_split(
     returned sizes rather than a log dependency).
     """
     check_ratios(ratios)
-    if stratify_task not in corpus.schemas:
-        raise ContractError(f"unknown stratify task {stratify_task!r}")
+    check_stratify_task(stratify_task, corpus.schemas)
     by_class: dict[int, list[Record]] = {}
     for rec in corpus.records:
         by_class.setdefault(rec.labels[stratify_task], []).append(rec)

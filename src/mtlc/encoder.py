@@ -39,6 +39,7 @@ from .numcore import (
 from .text import TokenSeq
 
 INIT_STD = 0.02
+HEAD_HIDDEN = 128  # width of each classification head's hidden layer
 
 
 @dataclass(frozen=True)
@@ -65,20 +66,10 @@ class EncoderConfig:
             raise ContractError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
 
-@dataclass(frozen=True)
-class HeadSpec:
-    task: str
-    n_classes: int
-    hidden: int = 128
-
-    def __post_init__(self):
-        if self.n_classes < 2:
-            raise ContractError(f"a head needs >= 2 classes, got {self.n_classes}")
-        if self.hidden < 1:
-            raise ContractError(f"head hidden width must be >= 1, got {self.hidden}")
-
-
-def param_shapes(config: EncoderConfig, heads: Sequence[HeadSpec]) -> dict[str, tuple]:
+def param_shapes(
+    config: EncoderConfig, heads: Mapping[str, int], hidden: int = HEAD_HIDDEN
+) -> dict[str, tuple]:
+    """One encoder's tensor shapes, then a head's per task of `heads` (task -> class count)."""
     d, f = config.d_model, config.d_ffn
     shapes: dict[str, tuple] = {
         "tok_emb": (config.vocab_size, d),
@@ -102,12 +93,12 @@ def param_shapes(config: EncoderConfig, heads: Sequence[HeadSpec]) -> dict[str, 
     shapes["final_norm_b"] = (d,)
     shapes["pooler_w"] = (d, d)
     shapes["pooler_b"] = (d,)
-    for head in heads:
-        p = f"head.{head.task}."
-        shapes[p + "w_hidden"] = (d, head.hidden)
-        shapes[p + "b_hidden"] = (head.hidden,)
-        shapes[p + "w_out"] = (head.hidden, head.n_classes)
-        shapes[p + "b_out"] = (head.n_classes,)
+    for task, n_classes in heads.items():
+        p = f"head.{task}."
+        shapes[p + "w_hidden"] = (d, hidden)
+        shapes[p + "b_hidden"] = (hidden,)
+        shapes[p + "w_out"] = (hidden, n_classes)
+        shapes[p + "b_out"] = (n_classes,)
     return shapes
 
 
@@ -201,9 +192,6 @@ def pack(seqs: Sequence[TokenSeq], config: EncoderConfig) -> Packed:
     lengths = [len(seq.ids) for seq in seqs]
     starts = list(accumulate(lengths, initial=0))
     ids = np.fromiter(chain.from_iterable(seq.ids for seq in seqs), np.intp, starts.pop())
-    for bad in (ids.min(), ids.max()):
-        if not 0 <= bad < config.vocab_size:
-            raise ContractError(f"token id {bad} out of range for vocab size {config.vocab_size}")
     positions = _positions(config.max_len)
     return Packed(ids, np.concatenate([positions[:n] for n in lengths]), lengths, np.array(starts))
 

@@ -13,7 +13,6 @@ import numpy as np
 from .data import Corpus, batches, class_counts, encode_split, encode_texts
 from .encoder import (
     EncoderConfig,
-    HeadSpec,
     classify,
     encoder_forward,
     head_view,
@@ -144,9 +143,7 @@ class Model:
     each task to its tower's index and its head's Tensors from `params`.
     Weights are edited in place: a Tensor whose `.data` is rebound no
     longer reaches its stack, nor a replaced one `heads`, so new weights
-    take a new Model.
-
-    A coupled layer that is not an encoder parameter raises ConfigError."""
+    take a new Model."""
 
     regime: RegimeConfig
     encoder_cfg: EncoderConfig
@@ -161,15 +158,12 @@ class Model:
             for i, (prefix, tasks) in enumerate(towers(self.regime).items())
             for task in tasks
         }
-        for name in param_shapes(self.encoder_cfg, ()):
+        for name in param_shapes(self.encoder_cfg, {}):
             keys = [prefix + name for prefix in towers(self.regime)]
             stack = np.stack([self.params[key].data for key in keys])
             for key, view in zip(keys, stack):
                 self.params[key].data = view
             self.stacks[name] = Tensor(stack, name=name)
-        for name in self.regime.soft.coupled_layer_names if self.regime.soft else ():
-            if name not in self.stacks:
-                raise ConfigError(f"coupled layer {name!r} is not an encoder parameter")
 
 
 def towers(regime: RegimeConfig) -> dict[str, tuple[str, ...]]:
@@ -197,11 +191,10 @@ def expected_param_shapes(
     """Exact tensor name -> shape map implied by a (regime, config) pair:
     what `build_model` initializes and a checkpoint must hold, tower by
     tower, each encoder's parameters before its heads'."""
-    heads = {task: HeadSpec(task=task, n_classes=n_classes[task]) for task in regime.tasks}
     return {
         prefix + name: shape
         for prefix, tasks in towers(regime).items()
-        for name, shape in param_shapes(encoder_cfg, [heads[t] for t in tasks]).items()
+        for name, shape in param_shapes(encoder_cfg, {t: n_classes[t] for t in tasks}).items()
     }
 
 

@@ -42,7 +42,6 @@ class TokenSeq:
 
     ids: tuple[int, ...]
     max_len: int
-    raw_length: int
 
     @property
     def mask(self) -> tuple[int, ...]:
@@ -100,16 +99,19 @@ def encode(text: str, vocab: Vocab, max_len: int) -> TokenSeq:
     """[CLS] + token ids truncated to max_len-2 + [SEP]."""
     tokens = tokenize(text, vocab.mode)
     ids = (CLS, *map(vocab.token_to_id.get, tokens[: max_len - 2], repeat(UNK)), SEP)
-    return TokenSeq(ids, max_len, raw_length=len(tokens))
+    return TokenSeq(ids, max_len)
 
 
-def save_vocab(vocab: Vocab, path: str) -> None:
+def save_vocab(vocab: Vocab, path: str) -> bytes:
+    """Write `vocab` to `path`; returns the bytes written."""
     lines = [VOCAB_FORMAT_VERSION, vocab.mode]
     for token in vocab.id_to_token[len(SPECIAL_TOKENS) :]:
         if "\n" in token or "\r" in token:
             raise ContractError(f"token {token!r} contains a line break")
         lines.append(token)
-    write_atomic(path, "\n".join(lines) + "\n")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    write_atomic(path, data)
+    return data
 
 
 def load_vocab(path: str) -> Vocab:

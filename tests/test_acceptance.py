@@ -10,7 +10,6 @@ from mtlc.cli import main as cli_main
 from mtlc.data import Corpus, Record, schemas_for_language, stratified_split
 from mtlc.encoder import (
     EncoderConfig,
-    HeadSpec,
     attention_block,
     classify,
     encoder_forward,
@@ -155,12 +154,12 @@ def _encoder_op_cases():
     w_att = Tensor(np.arange(10.0).reshape(2, 5))
     enc_cfg = EncoderConfig(vocab_size=9, d_model=4, n_heads=2, n_layers=1,
                             d_ffn=8, max_len=6, dropout_p=0.0)
-    heads = [HeadSpec("sentiment", 5, hidden=8)]
-    base = init_params(param_shapes(enc_cfg, heads), seed=17)
+    heads = {"sentiment": 5}
+    base = init_params(param_shapes(enc_cfg, heads, hidden=8), seed=17)
 
     from mtlc.text import TokenSeq
 
-    seq = TokenSeq(ids=(2, 4, 5, 6, 3), max_len=6, raw_length=3)
+    seq = TokenSeq(ids=(2, 4, 5, 6, 3), max_len=6)
 
     def enc_loss(name):
         def f(x):
@@ -283,17 +282,17 @@ def test_criterion_1_gradient_suite():
     # end-to-end: full hard-share loss on a 2-sample batch, every parameter
     enc_cfg = EncoderConfig(vocab_size=10, d_model=8, n_heads=2, n_layers=1,
                             d_ffn=16, max_len=6, dropout_p=0.0)
-    heads = [HeadSpec("sentiment", 5, hidden=16), HeadSpec("offense", 6, hidden=16)]
+    heads = {"sentiment": 5, "offense": 6}
     rng = np.random.default_rng(42)
     params = {
         name: Tensor(rng.uniform(-0.8, 0.8, size=t.shape), requires_grad=True, name=name)
-        for name, t in init_params(param_shapes(enc_cfg, heads), seed=0).items()
+        for name, t in init_params(param_shapes(enc_cfg, heads, hidden=16), seed=0).items()
     }
     from mtlc.text import TokenSeq
 
     seqs = [
-        TokenSeq(ids=(2, 4, 7, 3), max_len=6, raw_length=2),
-        TokenSeq(ids=(2, 9, 5, 6, 3), max_len=6, raw_length=3),
+        TokenSeq(ids=(2, 4, 7, 3), max_len=6),
+        TokenSeq(ids=(2, 9, 5, 6, 3), max_len=6),
     ]
     golds = {"sentiment": (1, 4), "offense": (0, 5)}
 

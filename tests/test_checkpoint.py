@@ -1,5 +1,6 @@
 """Binary checkpoint container: layout, CRC integrity, round trips."""
 
+import hashlib
 import struct
 import zlib
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtlc.checkpoint import (
+    DIGEST_SIZE,
     FORMAT_VERSION,
     MAGIC,
     deserialize,
@@ -20,6 +22,7 @@ from mtlc.errors import CorruptArtifactError, NumericalError
 from mtlc.numcore import Tensor
 
 CONFIG = "train.seed = 7\n"
+DIGEST = hashlib.sha256(b"1\nword\nthe\n").digest()  # of a one-token vocabulary file
 
 
 def with_crc(body: bytes) -> bytes:
@@ -28,9 +31,10 @@ def with_crc(body: bytes) -> bytes:
 
 
 def forge(config: bytes, table: bytes) -> bytes:
-    """A checkpoint with a valid header and CRC around raw config and tensor-table bytes."""
+    """A checkpoint with a valid header, digest and CRC around raw config and
+    tensor-table bytes."""
     header = MAGIC + struct.pack("<H", FORMAT_VERSION) + struct.pack("<I", len(config))
-    return with_crc(header + config + table)
+    return with_crc(header + config + DIGEST + table)
 
 
 def sample_params():
@@ -46,9 +50,9 @@ class TestRoundTrip:
     def test_values_survive_as_float32(self, tmp_path):
         params = sample_params()
         path = str(tmp_path / "model.mtlc")
-        save_checkpoint(path, CONFIG, params)
-        config_text, loaded = load_checkpoint(path)
-        assert config_text == CONFIG
+        save_checkpoint(path, CONFIG, DIGEST, params)
+        config_text, digest, loaded = load_checkpoint(path)
+        assert config_text == CONFIG and digest == DIGEST
         assert set(loaded) == set(params)
         for name, p in params.items():
             assert loaded[name].dtype == np.float64
@@ -58,28 +62,28 @@ class TestRoundTrip:
         # float32 rounding happens once: a second save/load changes nothing
         params = sample_params()
         path = str(tmp_path / "model.mtlc")
-        save_checkpoint(path, CONFIG, params)
-        _, first = load_checkpoint(path)
-        save_checkpoint(path, CONFIG, {name: Tensor(a) for name, a in first.items()})
-        _, second = load_checkpoint(path)
+        save_checkpoint(path, CONFIG, DIGEST, params)
+        _, _, first = load_checkpoint(path)
+        save_checkpoint(path, CONFIG, DIGEST, {name: Tensor(a) for name, a in first.items()})
+        _, _, second = load_checkpoint(path)
         for name in first:
             assert np.array_equal(first[name], second[name])
 
     def test_serialized_layout(self):
-        blob = serialize(CONFIG, sample_params())
+        blob = serialize(CONFIG, DIGEST, sample_params())
         assert blob[:4] == MAGIC
         assert int.from_bytes(blob[4:6], "little") == FORMAT_VERSION
         config_len = int.from_bytes(blob[6:10], "little")
         assert blob[10 : 10 + config_len].decode() == CONFIG
-
+        assert blob[10 + config_len : 10 + config_len + DIGEST_SIZE] == DIGEST
     def test_deterministic_bytes(self):
         params = sample_params()
-        assert serialize(CONFIG, params) == serialize(CONFIG, params)
+        assert serialize(CONFIG, DIGEST, params) == serialize(CONFIG, DIGEST, params)
 
     def test_name_order_is_canonical(self):
         params = sample_params()
         reordered = dict(reversed(list(params.items())))
-        assert serialize(CONFIG, params) == serialize(CONFIG, reordered)
+        assert serialize(CONFIG, DIGEST, params) == serialize(CONFIG, DIGEST, reordered)
 
     def test_non_finite_save_rejected(self, tmp_path):
         # 1e39 is a finite float64 that overflows float32
@@ -88,13 +92,13 @@ class TestRoundTrip:
             params = sample_params()
             params["w_a"].data[1, 2] = bad
             with pytest.raises(NumericalError, match="w_a"):
-                save_checkpoint(str(path), CONFIG, params)
+                save_checkpoint(str(path), CONFIG, DIGEST, params)
             assert not path.exists() and not (tmp_path / "model.mtlc.tmp").exists()
 
 
 class TestCorruption:
     def test_crc_fuzzing_100_single_byte_flips(self):
-        blob = bytearray(serialize(CONFIG, sample_params()))
+        blob = bytearray(serialize(CONFIG, DIGEST, sample_params()))
         rng = np.random.default_rng(1234)
         for _ in range(100):
             pos = int(rng.integers(0, len(blob)))
@@ -106,19 +110,19 @@ class TestCorruption:
         deserialize(bytes(blob))  # restored blob still parses
 
     def test_truncation_detected(self, tmp_path):
-        blob = serialize(CONFIG, sample_params())
+        blob = serialize(CONFIG, DIGEST, sample_params())
         for cut in (len(blob) - 1, len(blob) // 2, 3):
             with pytest.raises(CorruptArtifactError):
                 deserialize(blob[:cut])
 
     def test_bad_magic(self):
-        blob = bytearray(serialize(CONFIG, sample_params()))
+        blob = bytearray(serialize(CONFIG, DIGEST, sample_params()))
         blob[0:4] = b"NOPE"
         with pytest.raises(CorruptArtifactError):
             deserialize(bytes(blob))
 
     def test_unknown_format_version_with_valid_crc(self):
-        body = bytearray(serialize(CONFIG, sample_params())[:-4])
+        body = bytearray(serialize(CONFIG, DIGEST, sample_params())[:-4])
         body[4:6] = struct.pack("<H", FORMAT_VERSION + 1)
         with pytest.raises(CorruptArtifactError, match=f"format version {FORMAT_VERSION + 1}"):
             deserialize(with_crc(bytes(body)))
@@ -151,7 +155,7 @@ class TestCorruption:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_any_truncation_is_corrupt(self, data):
-        blob = serialize(CONFIG, sample_params())
+        blob = serialize(CONFIG, DIGEST, sample_params())
         cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
         with pytest.raises(CorruptArtifactError):
             deserialize(blob[:cut])
@@ -159,19 +163,19 @@ class TestCorruption:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_any_edit_with_valid_crc_parses_or_is_corrupt(self, data):
-        body = bytearray(serialize(CONFIG, sample_params())[:-4])
+        body = bytearray(serialize(CONFIG, DIGEST, sample_params())[:-4])
         edit = st.tuples(st.integers(0, len(body) - 1), st.integers(0, 255))
         edits = data.draw(st.lists(edit, min_size=1, max_size=3), label="edits")
         for pos, value in edits:
             body[pos] = value
         try:
-            _, params = deserialize(with_crc(bytes(body)))
+            _, _, params = deserialize(with_crc(bytes(body)))
         except CorruptArtifactError:
             return
         assert all(np.isfinite(p).all() for p in params.values())
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path):
         path = str(tmp_path / "model.mtlc")
-        save_checkpoint(path, CONFIG, sample_params())
+        save_checkpoint(path, CONFIG, DIGEST, sample_params())
         leftovers = [p.name for p in tmp_path.iterdir()]
         assert leftovers == ["model.mtlc"]

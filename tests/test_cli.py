@@ -168,6 +168,16 @@ class TestSplit:
         assert "--ratios" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_stratify_task_exits_2_before_reading_input(self, tmp_path, capsys):
+        # read first, the input's bad row would exit 3
+        src = tmp_path / "bad.tsv"
+        src.write_text("broken\tHappy\tNot offensive\n", encoding="utf-8")
+        out = tmp_path / "o"
+        argv = ["split", "--input", str(src), "--out-dir", str(out), "--stratify-task", "bogus"]
+        assert main(argv) == 2
+        assert "--stratify-task" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["afile", "afile/x"])
     def test_out_dir_on_a_file_exits_2_before_reading_input(self, tmp_path, monkeypatch, capsys, out):
         import mtlc.cli as cli
@@ -226,6 +236,48 @@ class TestTrain:
         assert main(["train", "--config", str(word_cfg)]) == 3
         assert "No space left on device" in capsys.readouterr().err
         assert (tmp_path / "run" / "vocab.txt").read_bytes() == old
+
+    def test_stale_vocabulary_of_the_same_size_exits_3(
+        self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys
+    ):
+        import mtlc.checkpoint as checkpoint
+
+        # two trainings into one output.dir whose vocabularies differ at one
+        # size: the second writes its vocab.txt, then fails to rename its
+        # checkpoint into place, which leaves the first run's checkpoint
+        text = (
+            fast_cfg.read_text(encoding="utf-8")
+            .replace(f"output.dir = {toy_dir}/run_fast", f"output.dir = {tmp_path}/run")
+            .replace("train.epochs = 2", "train.epochs = 1")
+            .replace("text.max_size = 4000", "text.max_size = 12")
+        )
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        first.write_text(text, encoding="utf-8")
+        second.write_text(
+            text.replace(f"data.train = {toy_dir}/train.tsv", f"data.train = {toy_dir}/test.tsv"),
+            encoding="utf-8",
+        )
+        vocab = tmp_path / "run" / "vocab.txt"
+        assert main(["train", "--config", str(first)]) == 0
+        old = vocab.read_bytes()
+        replace = os.replace
+
+        def failing_checkpoint_rename(src, dst):
+            if str(dst).endswith("checkpoint.mtlc"):
+                raise OSError(28, "No space left on device", dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(checkpoint.os, "replace", failing_checkpoint_rename)
+        assert main(["train", "--config", str(second)]) == 3
+        monkeypatch.undo()
+        new = vocab.read_bytes()
+        assert new != old and len(new.splitlines()) == len(old.splitlines())
+        capsys.readouterr()
+        data = str(toy_dir / "val.tsv")
+        stale = str(tmp_path / "run" / "checkpoint.mtlc")
+        assert main(["evaluate", "--checkpoint", stale, "--data", data]) == 3
+        err = capsys.readouterr().err
+        assert repr(str(vocab)) in err and repr(stale) in err
 
     def test_failed_svd_names_the_coupled_layer_and_exits_4(
         self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys
@@ -398,7 +450,7 @@ class TestTrain:
             )
             monkeypatch.setenv("MTLC_SEED", env)
             assert main(["train", "--config", str(cfg)] + argv) == 0
-            config_text, _ = load_checkpoint(str(tmp_path / name / "checkpoint.mtlc"))
+            config_text, _, _ = load_checkpoint(str(tmp_path / name / "checkpoint.mtlc"))
             expected = "123" if name == "env" else "77"
             assert f"train.seed = {expected}" in config_text
 
@@ -522,9 +574,9 @@ class TestEvaluate:
         from mtlc.numcore import Tensor
 
         # save a marker value in pooler_w, then overwrite its bytes with NaN
-        config_text, arrays = load_checkpoint(str(trained_run / "checkpoint.mtlc"))
+        config_text, digest, arrays = load_checkpoint(str(trained_run / "checkpoint.mtlc"))
         arrays["pooler_w"] = np.full(arrays["pooler_w"].shape, 3.0)
-        body = serialize(config_text, {name: Tensor(a) for name, a in arrays.items()})[:-4]
+        body = serialize(config_text, digest, {name: Tensor(a) for name, a in arrays.items()})[:-4]
         marker = struct.pack("<f", 3.0) * arrays["pooler_w"].size
         assert body.count(marker) == 1
         body = body.replace(marker, struct.pack("<f", float("nan")) * arrays["pooler_w"].size)
@@ -553,13 +605,13 @@ class TestEvaluate:
         from mtlc.checkpoint import load_checkpoint, save_checkpoint
         from mtlc.numcore import Tensor
 
-        config_text, arrays = load_checkpoint(str(trained_run / "checkpoint.mtlc"))
+        config_text, digest, arrays = load_checkpoint(str(trained_run / "checkpoint.mtlc"))
         key = line.partition(" =")[0]
         lines = [line if row.startswith(key + " =") else row for row in config_text.splitlines()]
         assert line in lines
         bad = tmp_path / "bad.mtlc"
         params = {name: Tensor(a) for name, a in arrays.items()}
-        save_checkpoint(str(bad), "\n".join(lines) + "\n", params)
+        save_checkpoint(str(bad), "\n".join(lines) + "\n", digest, params)
         shutil.copy(trained_run / "vocab.txt", tmp_path / "vocab.txt")
         capsys.readouterr()
         code = main(["evaluate", "--checkpoint", str(bad), "--data", str(toy_dir / "val.tsv")])
@@ -578,9 +630,6 @@ class TestEvaluate:
 
 
     def test_another_runs_vocab_exits_3_naming_both_files(self, trained_run, toy_dir, tmp_path, capsys):
-        from mtlc.text import load_vocab
-
-        own = load_vocab(str(trained_run / "vocab.txt"))
         foreign = tmp_path / "vocab.txt"
         foreign.write_text(
             (trained_run / "vocab.txt").read_text(encoding="utf-8") + "zzunseenword\n",
@@ -592,8 +641,39 @@ class TestEvaluate:
         assert main(["evaluate", *args]) == 3
         err = capsys.readouterr().err
         assert repr(str(foreign)) in err and repr(checkpoint) in err
-        assert f"{len(own) + 1} tokens" in err and f"embeds {len(own)} tokens" in err
         assert not (tmp_path / "out").exists()
+
+    def test_swapped_tokens_exit_3_naming_both_files(self, trained_run, toy_dir, tmp_path, capsys):
+        # the same tokens, two of them in each other's rows: the same size
+        lines = (trained_run / "vocab.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2], lines[3] = lines[3], lines[2]
+        swapped = tmp_path / "vocab.txt"
+        swapped.write_text("".join(lines), encoding="utf-8")
+        checkpoint = str(trained_run / "checkpoint.mtlc")
+        args = ["--checkpoint", checkpoint, "--vocab", str(swapped)]
+        args += ["--data", str(toy_dir / "val.tsv"), "--out-dir", str(tmp_path / "out")]
+        assert main(["evaluate", *args]) == 3
+        err = capsys.readouterr().err
+        assert repr(str(swapped)) in err and repr(checkpoint) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_version_1_checkpoint_exits_5(self, trained_run, toy_dir, tmp_path, capsys):
+        import shutil
+        import struct
+        import zlib
+
+        from mtlc.checkpoint import DIGEST_SIZE
+
+        # the same file as format version 1 wrote it: no digest after the config
+        body = (trained_run / "checkpoint.mtlc").read_bytes()[:-4]
+        cut = 10 + int.from_bytes(body[6:10], "little")
+        v1 = body[:4] + struct.pack("<H", 1) + body[6:cut] + body[cut + DIGEST_SIZE :]
+        old = tmp_path / "old.mtlc"
+        old.write_bytes(v1 + struct.pack("<I", zlib.crc32(v1)))
+        shutil.copy(trained_run / "vocab.txt", tmp_path / "vocab.txt")
+        assert main(["evaluate", "--checkpoint", str(old), "--data", str(toy_dir / "val.tsv")]) == 5
+        assert "format version 1" in capsys.readouterr().err
+        assert not (tmp_path / "eval_report.json").exists()
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -613,10 +693,11 @@ class TestEvaluate:
         from mtlc.numcore import Tensor
 
         # a sound file (its CRC holds) whose tensor table the config does not imply
-        config_text, arrays = load_checkpoint(str(trained_run / "checkpoint.mtlc"))
+        config_text, digest, arrays = load_checkpoint(str(trained_run / "checkpoint.mtlc"))
         edit(arrays)
         bad = tmp_path / "bad.mtlc"
-        save_checkpoint(str(bad), config_text, {name: Tensor(a) for name, a in arrays.items()})
+        params = {name: Tensor(a) for name, a in arrays.items()}
+        save_checkpoint(str(bad), config_text, digest, params)
         shutil.copy(trained_run / "vocab.txt", tmp_path / "vocab.txt")
         code = main(["evaluate", "--checkpoint", str(bad), "--data", str(toy_dir / "val.tsv")])
         assert code == 5

@@ -263,6 +263,11 @@ class TestStratifiedSplit:
         with pytest.raises(ContractError):
             stratified_split(corpus, (0.5, 0.2, 0.2))
 
+    def test_unknown_stratify_task_named(self):
+        corpus = make_corpus([0, 1, 2])
+        with pytest.raises(ContractError, match="stratify_task must be one of .* got 'bogus'"):
+            stratified_split(corpus, stratify_task="bogus")
+
 
 class TestBatches:
     @pytest.fixture

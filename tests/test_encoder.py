@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mtlc.errors import ContractError, ShapeError
 from mtlc.encoder import (
     EncoderConfig,
-    HeadSpec,
     attention_block,
     classify,
     encoder_forward,
@@ -195,14 +194,17 @@ def small_config():
     )
 
 
+HIDDEN = 16  # the head width of the `heads` fixture's models
+
+
 @pytest.fixture
 def heads():
-    return [HeadSpec("sentiment", 5, hidden=16), HeadSpec("offense", 6, hidden=16)]
+    return {"sentiment": 5, "offense": 6}
 
 
 @pytest.fixture
 def params(small_config, heads):
-    return init_params(param_shapes(small_config, heads), seed=3)
+    return init_params(param_shapes(small_config, heads, HIDDEN), seed=3)
 
 
 @pytest.fixture
@@ -228,10 +230,6 @@ class TestConfigValidation:
             with pytest.raises(ContractError, match="max_len"):
                 EncoderConfig(vocab_size=10, max_len=short)
         assert EncoderConfig(vocab_size=10, max_len=3).max_len == 3
-
-    def test_head_min_classes(self):
-        with pytest.raises(ContractError):
-            HeadSpec("t", 1)
 
 
 class TestAttention:
@@ -283,7 +281,7 @@ class TestAttention:
 class TestMultiHead:
     def test_single_head_degenerates_to_attention(self, small_config, heads):
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=1, n_layers=1, d_ffn=16, max_len=8, dropout_p=0.0)
-        params = init_params(param_shapes(cfg, heads), seed=5)
+        params = init_params(param_shapes(cfg, heads, HIDDEN), seed=5)
         x = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
         lengths = [3, 1]
         got = attention_block(x, x, params, "layer0.", 1, lengths, lengths)
@@ -325,7 +323,7 @@ class TestEncoderForward:
                 requires_grad=True,
                 name=name,
             )
-            for name, shape in param_shapes(small_config, heads).items()
+            for name, shape in param_shapes(small_config, heads, HIDDEN).items()
         }
         seq = encode("a b c", vocab, small_config.max_len)
         cls = encoder_forward(pack([seq], small_config), params, small_config)
@@ -333,7 +331,7 @@ class TestEncoderForward:
 
     def test_training_mode_deterministic_per_stream(self, heads, vocab):
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ffn=16, max_len=8, dropout_p=0.3)
-        params = init_params(param_shapes(cfg, heads), seed=1)
+        params = init_params(param_shapes(cfg, heads, HIDDEN), seed=1)
         seq = encode("a b c d", vocab, cfg.max_len)
         a = encoder_forward(pack([seq], cfg), params, cfg, training=True, rng=stream(9, "drop")).data
         b = encoder_forward(pack([seq], cfg), params, cfg, training=True, rng=stream(9, "drop")).data
@@ -350,11 +348,12 @@ class TestEncoderForward:
         with pytest.raises(ContractError):
             pack([seq], small_config)
 
-    def test_out_of_vocab_id_rejected(self, small_config, vocab):
-        seq = encode("a", vocab, small_config.max_len)
-        bad = type(seq)(ids=(2, 99, 3), max_len=seq.max_len, raw_length=1)
-        with pytest.raises(ContractError):
-            pack([bad], small_config)
+    def test_out_of_vocab_id_rejected(self, small_config, params):
+        # the embedding gather bounds each id by the table's rows
+        for bad_id in (99, -1):
+            bad = TokenSeq(ids=(2, bad_id, 3), max_len=small_config.max_len)
+            with pytest.raises(ContractError, match=r"row id out of range 0\.\.11"):
+                encoder_forward(pack([bad], small_config), params, small_config)
 
     def test_forward_counter(self, small_config, params, vocab):
         reset_forward_calls()
@@ -407,31 +406,31 @@ class TestClassify:
             head_view(params, "nosuch")
 
 
-def closed_form_count(config, heads):
+def closed_form_count(config, heads, hidden):
     d, f, n_l = config.d_model, config.d_ffn, config.n_layers
     total = config.vocab_size * d + config.max_len * d
     total += n_l * (4 * d * d + d * f + f + f * d + d + 4 * d)
     total += 2 * d  # final norm
     total += d * d + d  # pooler
-    for head in heads:
-        total += d * head.hidden + head.hidden + head.hidden * head.n_classes + head.n_classes
+    for n_classes in heads.values():
+        total += d * hidden + hidden + hidden * n_classes + n_classes
     return total
 
 
 class TestParams:
     def test_count_matches_closed_form(self, small_config, heads, params):
         total = sum(p.data.size for p in params.values())
-        assert total == closed_form_count(small_config, heads)
+        assert total == closed_form_count(small_config, heads, HIDDEN)
 
     def test_count_formula_default_head(self):
         cfg = EncoderConfig(vocab_size=100, d_model=64, n_heads=4, n_layers=2, d_ffn=128, max_len=64)
-        heads = [HeadSpec("sentiment", 5)]
+        heads = {"sentiment": 5}
         params = init_params(param_shapes(cfg, heads), seed=0)
-        assert sum(p.data.size for p in params.values()) == closed_form_count(cfg, heads)
+        assert sum(p.data.size for p in params.values()) == closed_form_count(cfg, heads, 128)
 
     def test_name_set_is_deterministic(self, small_config, heads):
-        assert sorted(param_shapes(small_config, heads)) == sorted(
-            init_params(param_shapes(small_config, heads), seed=9)
+        assert sorted(param_shapes(small_config, heads, HIDDEN)) == sorted(
+            init_params(param_shapes(small_config, heads, HIDDEN), seed=9)
         )
 
     def test_init_distribution(self, small_config, heads, params):
@@ -442,8 +441,8 @@ class TestParams:
         assert np.array_equal(params["layer0.ffn_b1"].data, np.zeros(16))
 
     def test_per_tensor_streams_are_stable(self, small_config, heads):
-        both = init_params(param_shapes(small_config, heads), seed=4)
-        solo = init_params(param_shapes(small_config, heads[:1]), seed=4)
+        both = init_params(param_shapes(small_config, heads, HIDDEN), seed=4)
+        solo = init_params(param_shapes(small_config, {"sentiment": 5}, HIDDEN), seed=4)
         for name in solo:
             assert np.array_equal(both[name].data, solo[name].data)
 
@@ -454,7 +453,7 @@ class TestEncoderGradients:
         rng = np.random.default_rng(55)
         params = {
             name: Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True, name=name)
-            for name, shape in param_shapes(cfg, [HeadSpec("sentiment", 5, hidden=8)]).items()
+            for name, shape in param_shapes(cfg, {"sentiment": 5}, hidden=8).items()
         }
         seq = encode("a b c", vocab, cfg.max_len)
 
@@ -476,7 +475,7 @@ class TestPacking:
 
     @pytest.fixture
     def mixed(self, small_config, vocab):
-        cls_only = type(encode("", vocab, 8))(ids=(2,), max_len=8, raw_length=0)
+        cls_only = TokenSeq(ids=(2,), max_len=8)
         texts = ["a b c", "d", "a b c d e f", "b c d e f a b c d e", "", "c c"]
         return [cls_only] + [encode(t, vocab, small_config.max_len) for t in texts]
 
@@ -561,19 +560,19 @@ class TestPacking:
             segment_attention(x, x, x, [2, 3], [2, 3], 2)
         assert len(tape) == 1
 
-    def test_encoder_gradients_through_mixed_lengths(self, heads):
+    def test_encoder_gradients_through_mixed_lengths(self):
         cfg = EncoderConfig(vocab_size=12, d_model=4, n_heads=2, n_layers=2, d_ffn=8, max_len=6, dropout_p=0.0)
         rng = np.random.default_rng(56)
         params = {
             name: Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True, name=name)
-            for name, shape in param_shapes(cfg, heads[:1]).items()
+            for name, shape in param_shapes(cfg, {"sentiment": 5}, HIDDEN).items()
         }
         from mtlc.text import TokenSeq
 
         seqs = [
-            TokenSeq(ids=(2,), max_len=6, raw_length=0),
-            TokenSeq(ids=(2, 4, 5, 6, 7, 3), max_len=6, raw_length=4),
-            TokenSeq(ids=(2, 9, 3), max_len=6, raw_length=1),
+            TokenSeq(ids=(2,), max_len=6),
+            TokenSeq(ids=(2, 4, 5, 6, 7, 3), max_len=6),
+            TokenSeq(ids=(2, 9, 3), max_len=6),
         ]
         weights = Tensor(np.arange(15.0).reshape(3, 5) / 10.0)
 
@@ -606,7 +605,7 @@ class TestPacking:
         rng = np.random.default_rng(9)
         params = {
             name: Tensor(rng.uniform(-0.5, 0.5, size=shape), name=name)
-            for name, shape in param_shapes(small_config, heads).items()
+            for name, shape in param_shapes(small_config, heads, HIDDEN).items()
         }
         got = encoder_forward(pack(mixed, small_config), params, small_config).data
         assert np.abs(got - padded_reference(mixed, params, small_config)).max() <= 1e-12
@@ -617,15 +616,13 @@ class TestPacking:
             ((2, 4, 3), 6),  # encoded for another max_len
             ((), 8),  # no [CLS]
             ((2,) + (4,) * 7 + (3,), 8),  # more ids than positions
-            ((2, 12, 3), 8),  # past the vocabulary
-            ((2, -1, 3), 8),  # below the vocabulary
         ],
-        ids=["foreign max_len", "empty", "too many ids", "out of vocabulary", "negative id"],
+        ids=["foreign max_len", "empty", "too many ids"],
     )
     def test_pack_rejects(self, small_config, ids, max_len):
-        good = TokenSeq(ids=(2, 3), max_len=small_config.max_len, raw_length=0)
+        good = TokenSeq(ids=(2, 3), max_len=small_config.max_len)
         with pytest.raises(ContractError):
-            pack([good, TokenSeq(ids=ids, max_len=max_len, raw_length=len(ids))], small_config)
+            pack([good, TokenSeq(ids=ids, max_len=max_len)], small_config)
 
     def test_empty_batch_rejected(self, small_config):
         with pytest.raises(ContractError):
@@ -681,7 +678,7 @@ class TestInferenceReference:
         rng = np.random.default_rng(8)
         max_len = model.encoder_cfg.max_len
         inner = [tuple(rng.integers(4, 12, size=n - 2).tolist()) for n in range(2, max_len + 1)]
-        return [TokenSeq((2,), max_len, 0)] + [TokenSeq((2, *t, 3), max_len, len(t)) for t in inner]
+        return [TokenSeq((2,), max_len)] + [TokenSeq((2, *t, 3), max_len) for t in inner]
 
     def assert_same_bits(self, model, seqs):
         got, want = predict_logits(model, seqs), plain_inference(model, seqs)

@@ -77,7 +77,6 @@ class TestEncode:
         seq = encode("", vocab, 6)
         assert seq.ids == (CLS, SEP)
         assert seq.mask == (1, 1, 0, 0, 0, 0)
-        assert seq.raw_length == 0
 
     def test_hand_case(self, vocab):
         seq = encode("a b", vocab, 5)
@@ -87,12 +86,10 @@ class TestEncode:
         seq = encode("a?b ü a", build_vocab(["a b", "a"], mode="char"), 7)
         assert seq.ids == (2, 4, UNK, 6, 5, UNK, 3)
         assert seq.mask == (1,) * 7
-        assert seq.raw_length == 7
 
     def test_truncation(self, vocab):
         text = " ".join(["a"] * 100)
         seq = encode(text, vocab, 8)
-        assert seq.raw_length == 100
         assert sum(seq.mask) - 2 == 6  # [CLS] and [SEP] around 6 kept tokens
         assert seq.ids[0] == CLS and seq.ids[7] == SEP
 
