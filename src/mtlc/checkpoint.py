@@ -8,12 +8,13 @@ Layout, little-endian throughout:
                float32 row-major payload } |
     u32 CRC32 of all prior bytes
 
-Weights are stored as float32 (half the size); reloading then evaluating
-uses exactly the stored values, so predictions from a checkpoint are
-reproducible even though resumed training differs from an uninterrupted
-float64 run. Every stored value is finite: saving a NaN or infinity, or a
-float64 beyond float32's range, raises NumericalError, and a file holding
-one is corrupt.
+Weights are stored as float32 (half the size) and load as float32: a
+loaded model computes in the float32 its checkpoint stores, on exactly the
+stored values, so predictions from a checkpoint are reproducible even
+though resumed training would differ from an uninterrupted float64 run.
+Built and trained models stay float64. Every stored value is finite:
+saving a NaN or infinity, or a float64 beyond float32's range, raises
+NumericalError, and a file holding one is corrupt.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def serialize(config_text: str, vocab_digest: bytes, params: Mapping[str, Tensor
 
 def deserialize(blob: bytes) -> tuple[str, bytes, dict[str, np.ndarray]]:
     """Parse and validate a checkpoint: its config text, its vocabulary
-    digest and its tensors, as float64."""
+    digest and its tensors, as writable float32 arrays."""
     if len(blob) < len(MAGIC) + 2 + 4 + 4:
         raise CorruptArtifactError("checkpoint truncated: too short for header and CRC")
     body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
@@ -108,7 +109,7 @@ def deserialize(blob: bytes) -> tuple[str, bytes, dict[str, np.ndarray]]:
             raise CorruptArtifactError(f"duplicate tensor {name!r} in checkpoint")
         if not np.isfinite(payload).all():
             raise CorruptArtifactError(f"checkpoint tensor {name!r} holds NaN or infinity")
-        params[name] = payload.astype(np.float64).reshape(dims)
+        params[name] = payload.astype(np.float32).reshape(dims)
     return config_text, vocab_digest, params
 
 

@@ -146,7 +146,8 @@ def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model
         wrong = sorted(n for n in shapes.keys() | expected.keys() if shapes.get(n) != expected.get(n))
         listed = ", ".join(f"{n!r} is {shapes.get(n)}, expected {expected.get(n)}" for n in wrong[:5])
         raise CorruptArtifactError(f"checkpoint tensors disagree with its config: {listed}")
-    # evaluation only: frozen parameters put nothing on any tape
+    # evaluation only: frozen parameters put nothing on any tape, and the
+    # model computes in the float32 the checkpoint stores
     params = {name: Tensor(arrays[name], name=name) for name in arrays}
     model = Model(regime=cfg.regime, encoder_cfg=enc_cfg, params=params)
     return model, cfg, vocab
@@ -211,7 +212,7 @@ def cmd_train(args) -> int:
     write_atomic(os.path.join(out, TRACE_NAME), _trace_tsv(epochs, cfg.regime.tasks))
 
     # the stored float32 weights are the contract: report from the reloaded
-    # checkpoint so cmd_evaluate reproduces these numbers exactly
+    # checkpoint, in float32, so cmd_evaluate reproduces these numbers exactly
     saved_model, _, saved_vocab = _model_from_checkpoint(checkpoint_path, vocab_path)
     report = _report_for(saved_model, val_split, saved_vocab)
     _write_report(out, REPORT, report, cfg.regime.tasks, "validation weighted F1")

@@ -1,9 +1,15 @@
-"""Dense float64 tensors with taped reverse-mode automatic differentiation.
+"""Dense tensors with taped reverse-mode automatic differentiation.
 
 A `GradTape` is a Wengert list: ops executed while a tape is active append
 one record each, and `backward` replays the records in reverse, which is a
-reverse topological order by construction. Only float64 is supported; the
-models here are small enough that precision beats speed.
+reverse topological order by construction.
+
+A tensor holds float64, or float32 when it is given a float32 array. Built
+and trained models, tapes, optimizer steps and gradient checks are float64.
+A model loaded from a checkpoint computes in the float32 its checkpoint
+stores: an inference forward over float32 tensors stays float32, so an op
+that makes an array of its own (layer norm's 1/n vector, attention's
+output buffer) makes it in its input's dtype.
 
 A record names its output and inputs by key, not by object, and its
 backward closure holds only the arrays that closure reads, so a forward
@@ -34,9 +40,11 @@ Array = np.ndarray
 # can see its tensor, so tapes in several threads never race to set one.
 _KEYS = count()
 
+_FLOAT32 = np.dtype(np.float32)
+
 
 class Tensor:
-    """A dense float64 array plus autodiff bookkeeping.
+    """A dense float64 or float32 array plus autodiff bookkeeping.
 
     A tensor takes gradients exactly when it holds a tape key: a leaf made
     with `requires_grad=True` takes one here, an op output when a tape
@@ -48,7 +56,8 @@ class Tensor:
     __slots__ = ("data", "name", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == _FLOAT32 else data.astype(np.float64, copy=False)
         self.name = name
         self.grad: Optional[Array] = None
         self._key: Optional[int] = next(_KEYS) if requires_grad else None
@@ -420,7 +429,7 @@ def segment_attention(
     # bwd reads these counts, not q and k, so it keeps only the scaled q
     c = 1.0 / math.sqrt(q_shape[-1] // n_heads)
     qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
-    out = np.empty(lead + (nq, n_heads, vh.shape[-1]))
+    out = np.empty(lead + (nq, n_heads, vh.shape[-1]), np.result_type(qh, kh, vh))
     probs = []
     for qs, ks, g, ql, kl in runs:
         # key-major scores [..., heads, G, kl, ql]: the softmax reduces over
@@ -454,9 +463,9 @@ def segment_attention(
 
 
 @lru_cache(maxsize=None)
-def _mean_vector(n: int) -> Array:
-    """The read-only length-n vector of 1/n, shared by every call."""
-    mean = np.full(n, 1.0 / n)
+def _mean_vector(n: int, dtype: np.dtype) -> Array:
+    """The read-only length-n vector of 1/n in `dtype`, shared by every call."""
+    mean = np.full(n, 1.0 / n, dtype)
     mean.flags.writeable = False
     return mean
 
@@ -471,7 +480,7 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     n = x.shape[-1]
     if gain.shape != lead + (n,) or bias.shape != lead + (n,):
         raise ShapeError(f"gain/bias must be shape {lead + (n,)}, got {gain.shape}/{bias.shape}")
-    mean = _mean_vector(n)  # row means as one matvec
+    mean = _mean_vector(n, x.data.dtype)  # row means as one matvec
     xhat = x.data - (x.data @ mean)[..., None]
     inv = np.square(xhat) @ mean
     inv += eps

@@ -55,7 +55,7 @@ class TestRoundTrip:
         assert config_text == CONFIG and digest == DIGEST
         assert set(loaded) == set(params)
         for name, p in params.items():
-            assert loaded[name].dtype == np.float64
+            assert loaded[name].dtype == np.float32
             assert np.array_equal(loaded[name], p.data.astype(np.float32).astype(np.float64))
 
     def test_reload_is_stable(self, tmp_path):

@@ -22,7 +22,7 @@ from mtlc.encoder import (
     reset_forward_calls,
 )
 from mtlc.losses import LossConfig
-from mtlc.mtl import RegimeConfig, SoftShareConfig, build_model, predict_logits, towers
+from mtlc.mtl import Model, RegimeConfig, SoftShareConfig, build_model, predict_logits, towers
 from mtlc.numcore import GradTape, Tensor, backward, matmul, mul, segment_attention, stream, sum_all
 from mtlc.text import PAD, TokenSeq, build_vocab, encode
 
@@ -76,7 +76,8 @@ def plain_inference(model, seqs):
     """`predict_logits` restated in plain numpy on the model's [towers, ...]
     stacks: the numpy calls the ops make at inference, in the order they
     make them, so its logits equal the ops' bit for bit, and a change to an
-    op's arithmetic shows as a changed bit."""
+    op's arithmetic shows as a changed bit. Every array it makes takes the
+    weights' dtype, as the ops' do."""
     cfg, p = model.encoder_cfg, {name: t.data for name, t in model.stacks.items()}
     lengths = [len(seq.ids) for seq in seqs]
     ids = np.array([i for seq in seqs for i in seq.ids])
@@ -84,7 +85,7 @@ def plain_inference(model, seqs):
     cls_rows = np.cumsum([0] + lengths[:-1])
 
     def norm(x, g, b):
-        mean = np.full(x.shape[-1], 1.0 / x.shape[-1])
+        mean = np.full(x.shape[-1], 1.0 / x.shape[-1], x.dtype)
         xhat = x - (x @ mean)[..., None]
         xhat *= (1.0 / np.sqrt(np.square(xhat) @ mean + 1e-5))[..., None]
         y = xhat * g[..., None, :]
@@ -109,7 +110,7 @@ def plain_inference(model, seqs):
             return block.transpose(0, 3, 1, 2, 4)
 
         qh, kh, vh = split(q * (1.0 / math.sqrt(width))), split(k), split(v)
-        out = np.empty(qh.shape)
+        out = np.empty_like(qh)
         q_start = kv_start = 0
         for (ql, kl), run in groupby(zip(q_lengths, lengths)):
             g = len(list(run))
@@ -123,12 +124,13 @@ def plain_inference(model, seqs):
             q_start, kv_start = q_start + g * ql, kv_start + g * kl
         return out.reshape(q.shape)
 
-    x = p["tok_emb"][:, ids] + p["pos_emb"][:, positions]
+    x = p["tok_emb"].take(ids, axis=-2) + p["pos_emb"].take(positions, axis=-2)
     for i in range(cfg.n_layers):
         w = {name[len(f"layer{i}.") :]: a for name, a in p.items() if name.startswith(f"layer{i}.")}
         h = norm(x, w["norm1_g"], w["norm1_b"])
         if i == cfg.n_layers - 1:
-            x, queries, q_lengths = x[:, cls_rows], h[:, cls_rows], [1] * len(seqs)
+            x, queries = x.take(cls_rows, axis=-2), h.take(cls_rows, axis=-2)
+            q_lengths = [1] * len(seqs)
         else:
             queries, q_lengths = h, lengths
         x = x + attend(queries @ w["wq"], h @ w["wk"], h @ w["wv"], q_lengths) @ w["wo"]
@@ -655,7 +657,8 @@ class TestPacking:
 class TestInferenceReference:
     """`predict_logits` against `plain_inference`, bit for bit: one tower
     (hard sharing) and two (soft sharing), every comment length from [CLS]
-    alone to max_len, each comment alone and all in one mixed batch."""
+    alone to max_len, each comment alone and all in one mixed batch, in
+    float64 and, as a checkpoint-loaded model runs, in float32."""
 
     @pytest.fixture(params=["hard_share", "soft_share"])
     def model(self, request):
@@ -695,3 +698,13 @@ class TestInferenceReference:
         # shuffled, with repeats, so runs of equal lengths sit beside single comments
         order = np.random.default_rng(9).permutation(2 * len(seqs)) % len(seqs)
         self.assert_same_bits(model, [seqs[i] for i in order] + seqs[3:6] + seqs[4:5])
+
+    def test_float32_model(self, model, seqs):
+        # the float32 model `cli._model_from_checkpoint` makes of a checkpoint
+        params = {name: Tensor(t.data.astype(np.float32)) for name, t in model.params.items()}
+        model = Model(regime=model.regime, encoder_cfg=model.encoder_cfg, params=params)
+        order = np.random.default_rng(9).permutation(2 * len(seqs)) % len(seqs)
+        for batch in [[seq] for seq in seqs] + [[seqs[i] for i in order]]:
+            logits = predict_logits(model, batch).values()
+            assert all(t.data.dtype == np.float32 for t in logits)
+            self.assert_same_bits(model, batch)
