@@ -8,13 +8,13 @@ Layout, little-endian throughout:
                float32 row-major payload } |
     u32 CRC32 of all prior bytes
 
-Weights are stored as float32 (half the size) and load as float32: a
-loaded model computes in the float32 its checkpoint stores, on exactly the
-stored values, so predictions from a checkpoint are reproducible even
-though resumed training would differ from an uninterrupted float64 run.
-Built and trained models stay float64. Every stored value is finite:
-saving a NaN or infinity, or a float64 beyond float32's range, raises
-NumericalError, and a file holding one is corrupt.
+Weights are stored as float32 (half the size) and load as float32.
+`stored_values` rounds them once: `serialize` writes its arrays and
+`mtl.train` validates each epoch on them, so every prediction, from a
+loaded checkpoint or in training, runs on exactly the stored values;
+resumed training would differ from an uninterrupted float64 run. Every
+stored value is finite: a NaN or infinity, or a float64 beyond float32's
+range, raises NumericalError, and a file holding one is corrupt.
 """
 
 from __future__ import annotations
@@ -35,17 +35,25 @@ FORMAT_VERSION = 2
 DIGEST_SIZE = 32  # sha256
 
 
+def stored_values(params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
+    """The native float32 arrays a checkpoint of `params` stores, by sorted
+    name: what `deserialize` returns. A NumericalError names the first
+    tensor that is not finite in float32."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stored = {name: params[name].data.astype(np.float32) for name in sorted(params)}
+    for name, values in stored.items():
+        if not np.isfinite(values).all():
+            raise NumericalError(f"tensor {name!r} holds values that are not finite in float32")
+    return stored
+
+
 def _tensor_bytes(name: str, data: np.ndarray) -> bytes:
     encoded = name.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise ContractError(f"tensor name too long: {name[:40]}...")
     parts = [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", data.ndim)]
     parts.append(struct.pack(f"<{data.ndim}I", *data.shape))
-    with np.errstate(over="ignore", invalid="ignore"):
-        payload = np.ascontiguousarray(data, dtype="<f4")
-    if not np.isfinite(payload).all():
-        raise NumericalError(f"tensor {name!r} holds values that are not finite in float32")
-    parts.append(payload.tobytes())
+    parts.append(np.ascontiguousarray(data, dtype="<f4").tobytes())
     return b"".join(parts)
 
 
@@ -53,8 +61,8 @@ def serialize(config_text: str, vocab_digest: bytes, params: Mapping[str, Tensor
     config_bytes = config_text.encode("utf-8")
     parts = [MAGIC, struct.pack("<H", FORMAT_VERSION), struct.pack("<I", len(config_bytes)), config_bytes]
     parts.append(vocab_digest)
-    for name in sorted(params):
-        parts.append(_tensor_bytes(name, params[name].data))
+    for name, values in stored_values(params).items():
+        parts.append(_tensor_bytes(name, values))
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
 

@@ -23,7 +23,6 @@ import numpy
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import RunConfig, check_out_dir, load_config
 from .data import (
-    Corpus,
     check_ratios,
     check_stratify_task,
     load_joint_tsv,
@@ -71,11 +70,8 @@ def _trace_tsv(epochs: Sequence[EpochStats], tasks: Sequence[str]) -> str:
     for i, ep in enumerate(epochs):
         row = [str(i)]
         for task in tasks:
-            row += [
-                f"{ep.train_loss[task]:.10g}",
-                f"{ep.train_accuracy[task]:.10g}",
-                f"{ep.val_weighted_f1[task]:.10g}",
-            ]
+            stats = (ep.train_loss[task], ep.train_accuracy[task], ep.val_report[task].weighted.f1)
+            row += [f"{value:.10g}" for value in stats]
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"
 
@@ -153,13 +149,6 @@ def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model
     return model, cfg, vocab
 
 
-def _report_for(model: Model, corpus: Corpus, vocab) -> dict[str, TaskReport]:
-    preds = evaluate(model, corpus, vocab)
-    golds = {task: [rec.labels[task] for rec in corpus.records] for task in model.regime.tasks}
-    schemas = {task: corpus.schemas[task].classes for task in model.regime.tasks}
-    return build_report(golds, preds, schemas)
-
-
 def _write_report(
     out_dir: str, stem: str, report: dict[str, TaskReport], tasks: Sequence[str], label: str
 ) -> None:
@@ -205,17 +194,12 @@ def cmd_train(args) -> int:
 
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    vocab_path = os.path.join(out, VOCAB_NAME)
-    vocab_digest = hashlib.sha256(save_vocab(vocab, vocab_path)).digest()
-    checkpoint_path = os.path.join(out, CHECKPOINT_NAME)
-    save_checkpoint(checkpoint_path, cfg.to_text(), vocab_digest, model.params)
+    vocab_digest = hashlib.sha256(save_vocab(vocab, os.path.join(out, VOCAB_NAME))).digest()
+    save_checkpoint(os.path.join(out, CHECKPOINT_NAME), cfg.to_text(), vocab_digest, model.params)
     write_atomic(os.path.join(out, TRACE_NAME), _trace_tsv(epochs, cfg.regime.tasks))
-
-    # the stored float32 weights are the contract: report from the reloaded
-    # checkpoint, in float32, so cmd_evaluate reproduces these numbers exactly
-    saved_model, _, saved_vocab = _model_from_checkpoint(checkpoint_path, vocab_path)
-    report = _report_for(saved_model, val_split, saved_vocab)
-    _write_report(out, REPORT, report, cfg.regime.tasks, "validation weighted F1")
+    # the last validation ran on the weights as stored, so `mtlc evaluate`
+    # on the checkpoint reproduces this report exactly
+    _write_report(out, REPORT, epochs[-1].val_report, cfg.regime.tasks, "validation weighted F1")
     return 0
 
 
@@ -233,7 +217,9 @@ def cmd_evaluate(args) -> int:
     model, cfg, vocab = _model_from_checkpoint(args.checkpoint, vocab_path)
     schemas = schemas_for_language(cfg.language)
     corpus = load_joint_tsv(args.data, schemas, cfg.language)
-    report = _report_for(model, corpus, vocab)
+    golds = {task: [rec.labels[task] for rec in corpus.records] for task in cfg.regime.tasks}
+    classes = {task: corpus.schemas[task].classes for task in cfg.regime.tasks}
+    report = build_report(golds, evaluate(model, corpus, vocab), classes)
 
     out_dir = args.out_dir or os.path.dirname(args.checkpoint) or "."
     os.makedirs(out_dir, exist_ok=True)

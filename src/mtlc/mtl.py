@@ -10,6 +10,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .checkpoint import stored_values
 from .data import Corpus, batches, class_counts, encode_split, encode_texts
 from .encoder import (
     EncoderConfig,
@@ -22,7 +23,7 @@ from .encoder import (
 )
 from .errors import ConfigError, ContractError, NumericalError
 from .losses import CLASS_WEIGHTED, LossConfig, class_weights, compute_loss
-from .metrics import build_report
+from .metrics import TaskReport, build_report
 from .numcore import (
     GradTape,
     OptimHyper,
@@ -57,13 +58,11 @@ PREDICT_ROWS = 1024
 
 
 def default_coupled_layers(n_layers: int) -> tuple[str, ...]:
-    """Attention projections and FFN matrices of every layer; embeddings,
-    norms, biases, and heads stay task-private."""
-    names = []
-    for i in range(n_layers):
-        for leaf in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2"):
-            names.append(f"layer{i}.{leaf}")
-    return tuple(names)
+    """Attention projections and FFN matrices of every layer, the 2-D
+    `layer{i}.` tensors of `param_shapes`; embeddings, norms, biases, and
+    heads stay task-private."""
+    shapes = param_shapes(EncoderConfig(vocab_size=1, n_layers=n_layers), {})
+    return tuple(name for name, shape in shapes.items() if name.startswith("layer") and len(shape) == 2)
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ class TrainConfig:
 class EpochStats:
     train_loss: dict[str, float]
     train_accuracy: dict[str, float]
-    val_weighted_f1: dict[str, float]
+    val_report: dict[str, TaskReport]
 
 
 @dataclass
@@ -304,18 +303,21 @@ def train(
     encoder's activations are alive at a time. Each parameter belongs to
     one encoder, so the gradients equal one backward of `soft_loss` over
     all encoders bit for bit. Then the AdamW step, and `couple` takes the
-    coupling penalty's proximal step; validation weighted F1 is recorded
-    after each epoch.
+    coupling penalty's proximal step. Each epoch ends with one validation
+    report, on the weights as a checkpoint stores them (`stored_values`).
 
     An empty split raises ContractError. A non-finite task loss raises
     NumericalError naming the task, epoch and batch before its encoder's
     backward; a non-finite objective or gradient raises before the update,
-    so no parameter changes.
+    so no parameter changes; a weight beyond float32's range raises at its
+    epoch's validation, naming the tensor. These checks, not numpy
+    warnings, report a step's overflow.
     """
     regime = model.regime
     train_set = encode_split(train_split, vocab, model.encoder_cfg.max_len)
     val_set = encode_split(val_split, vocab, model.encoder_cfg.max_len)
-    _check_heads(model, train_split)
+    for split in (train_split, val_split):
+        _check_heads(model, split)
     states = init_states(model.params)
     weights = {  # the one place a task's class weighting is decided
         t: class_weights(class_counts(train_split, t))
@@ -334,53 +336,57 @@ def train(
         )
         loss_sums = {task: 0.0 for task in regime.tasks}
         hits = {task: 0 for task in regime.tasks}
-        for batch_index, batch in enumerate(epoch_batches):
-            at = f"at epoch {epoch} batch {batch_index}"
-            zero_grads(model.params)
-            packed = pack(batch.seqs, model.encoder_cfg)
-            loss_values: dict[str, float] = {}
-            for prefix, tasks in towers(regime).items():
-                tower = {name: model.params[prefix + name] for name in model.stacks}
-                with GradTape() as tape:
-                    pooled = encoder_forward(packed, tower, model.encoder_cfg, True, dropout_rng)
-                    logits = {t: classify(pooled, model.heads[t][1]) for t in tasks}
-                    losses = [
-                        compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])
-                        for t in tasks
-                    ]
-                    tower_loss = weighted_sum(losses, [task_weight[t] for t in tasks])
-                for t, loss in zip(tasks, losses):
-                    loss_values[t] = loss.item()
-                    loss_sums[t] += loss_values[t] * len(batch)
-                    hits[t] += int((logits[t].data.argmax(axis=1) == batch.labels[t]).sum())
-                if not math.isfinite(tower_loss.item()):
-                    bad = [t for t in tasks if not math.isfinite(loss_values[t])] or tasks
-                    raise NumericalError(f"non-finite {'+'.join(bad)} loss {at}")
-                backward(tape, tower_loss)
-            total = soft_loss([Tensor(loss_values[t]) for t in regime.tasks], regime)
-            if not math.isfinite(total.item()):
-                raise NumericalError(f"non-finite objective {at}")
-            try:
-                adamw_step(model.params, states, train_cfg.optimizer)
-            except NumericalError as exc:
-                raise NumericalError(f"{exc} {at}") from exc
-            couple(model, train_cfg.optimizer.learning_rate)
+        with np.errstate(all="ignore"):
+            for batch_index, batch in enumerate(epoch_batches):
+                at = f"at epoch {epoch} batch {batch_index}"
+                zero_grads(model.params)
+                packed = pack(batch.seqs, model.encoder_cfg)
+                loss_values: dict[str, float] = {}
+                for prefix, tasks in towers(regime).items():
+                    tower = {name: model.params[prefix + name] for name in model.stacks}
+                    with GradTape() as tape:
+                        pooled = encoder_forward(packed, tower, model.encoder_cfg, True, dropout_rng)
+                        logits = {t: classify(pooled, model.heads[t][1]) for t in tasks}
+                        losses = [
+                            compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])
+                            for t in tasks
+                        ]
+                        tower_loss = weighted_sum(losses, [task_weight[t] for t in tasks])
+                    for t, loss in zip(tasks, losses):
+                        loss_values[t] = loss.item()
+                        loss_sums[t] += loss_values[t] * len(batch)
+                        hits[t] += int((logits[t].data.argmax(axis=1) == batch.labels[t]).sum())
+                    if not math.isfinite(tower_loss.item()):
+                        bad = [t for t in tasks if not math.isfinite(loss_values[t])] or tasks
+                        raise NumericalError(f"non-finite {'+'.join(bad)} loss {at}")
+                    backward(tape, tower_loss)
+                total = soft_loss([Tensor(loss_values[t]) for t in regime.tasks], regime)
+                if not math.isfinite(total.item()):
+                    raise NumericalError(f"non-finite objective {at}")
+                try:
+                    adamw_step(model.params, states, train_cfg.optimizer)
+                except NumericalError as exc:
+                    raise NumericalError(f"{exc} {at}") from exc
+                couple(model, train_cfg.optimizer.learning_rate)
 
+        stored = stored_values(model.params)
+        frozen = Model(regime, model.encoder_cfg, {n: Tensor(a, name=n) for n, a in stored.items()})
         val_report = build_report(
             {t: val_set.labels[t] for t in regime.tasks},
-            _predict(model, val_set.seqs),
+            _predict(frozen, val_set.seqs),
             {t: val_split.schemas[t].classes for t in regime.tasks},
         )
         epochs.append(
             EpochStats(
                 train_loss={t: loss_sums[t] / len(train_set) for t in regime.tasks},
                 train_accuracy={t: hits[t] / len(train_set) for t in regime.tasks},
-                val_weighted_f1={t: val_report[t].weighted.f1 for t in regime.tasks},
+                val_report=val_report,
             )
         )
     return epochs
 
 
+@np.errstate(all="ignore")  # a non-finite logit is named below
 def _predict(model: Model, seqs: Sequence[TokenSeq]) -> dict[str, list[int]]:
     """Argmax predictions in corpus order. The comments are stably sorted
     by length, so equal-length comments sit side by side and attention

@@ -5,11 +5,11 @@ one record each, and `backward` replays the records in reverse, which is a
 reverse topological order by construction.
 
 A tensor holds float64, or float32 when it is given a float32 array. Built
-and trained models, tapes, optimizer steps and gradient checks are float64.
-A model loaded from a checkpoint computes in the float32 its checkpoint
-stores: an inference forward over float32 tensors stays float32, so an op
-that makes an array of its own (layer norm's 1/n vector, attention's
-output buffer) makes it in its input's dtype.
+and trained models, tapes, optimizer steps and gradient checks are float64;
+every prediction (an epoch's validation, a loaded checkpoint's) runs in the
+float32 a checkpoint stores. A float32 forward stays float32: an op that
+makes an array of its own (layer norm's 1/n vector, attention's output
+buffer) makes it in its input's dtype.
 
 A record names its output and inputs by key, not by object, and its
 backward closure holds only the arrays that closure reads, so a forward

@@ -17,6 +17,7 @@ from mtlc.checkpoint import (
     load_checkpoint,
     save_checkpoint,
     serialize,
+    stored_values,
 )
 from mtlc.errors import CorruptArtifactError, NumericalError
 from mtlc.numcore import Tensor
@@ -68,6 +69,19 @@ class TestRoundTrip:
         _, _, second = load_checkpoint(path)
         for name in first:
             assert np.array_equal(first[name], second[name])
+
+    def test_stored_values_are_what_a_checkpoint_loads(self):
+        # native float32 arrays in sorted-name order, the values bit for bit
+        params = sample_params()
+        _, _, loaded = deserialize(serialize(CONFIG, DIGEST, params))
+        stored = stored_values(params)
+        assert list(stored) == sorted(params) == list(loaded)
+        for name, values in stored.items():
+            assert values.dtype == np.dtype(np.float32) and values.flags.c_contiguous
+            assert values.tobytes() == loaded[name].tobytes(), name
+        params["b"].data[0] = 1e39
+        with pytest.raises(NumericalError, match="tensor 'b'"):
+            stored_values(params)
 
     def test_serialized_layout(self):
         blob = serialize(CONFIG, DIGEST, sample_params())

@@ -296,6 +296,99 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 4
         assert "coupled layer 'layer0.wq'" in capsys.readouterr().err
 
+    @staticmethod
+    def run_cfg(toy_dir, fast_cfg, tmp_path, *edits) -> str:
+        """fast.cfg writing to `tmp_path/run`, with each (old, new) line edit."""
+        text = fast_cfg.read_text(encoding="utf-8")
+        for old, new in ((f"output.dir = {toy_dir}/run_fast", f"output.dir = {tmp_path}/run"), *edits):
+            assert old in text, old
+            text = text.replace(old, new)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        return str(cfg)
+
+    @pytest.mark.parametrize(
+        "regime",
+        [
+            "regime.kind = stl",
+            "regime.kind = hard_share",
+            "regime.kind = soft_share\nregime.penalty = trace_norm",
+            "regime.kind = soft_share\nregime.penalty = frobenius",
+        ],
+        ids=["stl", "hard", "soft trace norm", "soft frobenius"],
+    )
+    def test_last_trace_row_holds_the_reports_weighted_f1(
+        self, toy_dir, fast_cfg, tmp_path, regime
+    ):
+        cfg = self.run_cfg(toy_dir, fast_cfg, tmp_path, ("regime.kind = hard_share", regime))
+        assert main(["train", "--config", cfg]) == 0
+        header, *rows = (tmp_path / "run" / "trace.tsv").read_text(encoding="utf-8").splitlines()
+        last = dict(zip(header.split("\t"), rows[-1].split("\t")))
+        report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+        assert set(report["tasks"]) == ({"sentiment"} if "stl" in regime else {"sentiment", "offense"})
+        for task, scores in report["tasks"].items():
+            assert round(float(last[f"{task}_val_f1"]), 5) == scores["weighted"]["f1"], task
+
+    def test_reports_without_reading_back_what_it_wrote(
+        self, toy_dir, fast_cfg, tmp_path, monkeypatch
+    ):
+        import mtlc.cli as cli
+        import mtlc.mtl as mtl
+
+        def no_reads(*args, **kwargs):
+            raise AssertionError("mtlc train read back a file it wrote")
+
+        monkeypatch.setattr(cli, "load_checkpoint", no_reads)
+        monkeypatch.setattr(cli, "load_vocab", no_reads)
+        calls, predict = [], mtl._predict
+
+        def counted(model, seqs):
+            calls.append(len(seqs))
+            return predict(model, seqs)
+
+        monkeypatch.setattr(mtl, "_predict", counted)
+        assert main(["train", "--config", self.run_cfg(toy_dir, fast_cfg, tmp_path)]) == 0
+        n_val = len((toy_dir / "val.tsv").read_text(encoding="utf-8").splitlines())
+        assert calls == [n_val, n_val]  # once per epoch, on the validation split
+        report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+        assert set(report["tasks"]) == {"sentiment", "offense"}
+
+    def test_weight_past_float32_range_exits_4_before_any_artifact(
+        self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys
+    ):
+        import mtlc.mtl as mtl
+
+        step = mtl.adamw_step
+
+        def diverging_step(params, states, hyper):
+            step(params, states, hyper)
+            params["head.offense.b_out"].data[0] = 1e39  # finite in float64 alone
+
+        monkeypatch.setattr(mtl, "adamw_step", diverging_step)
+        assert main(["train", "--config", self.run_cfg(toy_dir, fast_cfg, tmp_path)]) == 4
+        assert "tensor 'head.offense.b_out'" in capsys.readouterr().err
+        for name in ("checkpoint.mtlc", "vocab.txt", "trace.tsv", "report.json", "report.txt"):
+            assert not (tmp_path / "run" / name).exists(), name
+
+    def test_diverging_run_exits_4_without_a_numpy_warning(self, toy_dir, fast_cfg, tmp_path):
+        # train.lr = 1e37 is finite and accepted; its first steps overflow
+        # float64, which the loss check names, under warnings as errors
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import mtlc
+
+        cfg = self.run_cfg(toy_dir, fast_cfg, tmp_path, ("train.lr = 0.003", "train.lr = 1e37"))
+        src = str(Path(mtlc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "mtlc.cli", "train", "--config", cfg],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 4, done.stderr
+        assert re.fullmatch(r"error: non-finite \S+ loss at epoch \d+ batch \d+\n", done.stderr)
+
     def test_stdout_lists_validation_f1_in_task_order(self, toy_dir, fast_cfg, tmp_path, capsys):
         # the report sorts its tasks; stdout follows the config's task order
         cfg = tmp_path / "run.cfg"
@@ -765,6 +858,37 @@ class TestPredictionPrecision:
         n_classes = {task: head["b_out"].shape[0] for task, (_, head) in model.heads.items()}
         built = build_model(model.regime, model.encoder_cfg, n_classes, seed=0)
         assert self.created_dtypes(monkeypatch, built, seqs) == {np.dtype(np.float64)}
+
+    def test_training_validates_on_float32_tensors(self, run, toy_dir, monkeypatch):
+        """Each epoch's validation predicts on the weights as the checkpoint
+        stores them, so every Tensor it makes is float32; the trained
+        model's own weights stay float64."""
+        import mtlc.mtl as mtl
+        from mtlc.numcore import Tensor
+
+        kind, _ = run
+        made, weights, trained = [], [], []
+        init, predict, stored = Tensor.__init__, mtl._predict, mtl.stored_values
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self.data.dtype)
+
+        def validation(model, seqs):
+            weights.extend(p.data.dtype for p in model.params.values())
+            with monkeypatch.context() as patch:
+                patch.setattr(Tensor, "__init__", recording)
+                return predict(model, seqs)
+
+        def storing(params):
+            trained.extend(p.data.dtype for p in params.values())
+            return stored(params)
+
+        monkeypatch.setattr(mtl, "_predict", validation)
+        monkeypatch.setattr(mtl, "stored_values", storing)
+        assert main(["train", "--config", str(toy_dir / f"fast_{kind}.cfg")]) == 0
+        assert made and set(made) == set(weights) == {np.dtype(np.float32)}
+        assert set(trained) == {np.dtype(np.float64)}
 
 
 class TestReport:

@@ -318,6 +318,16 @@ class TestHardLoss:
             assert np.abs(combined[name] - (g1[name] + g2[name])).max() < 1e-12
 
 
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_default_coupled_layers_are_each_layers_matrices(n_layers):
+    leaves = ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2")
+    names = default_coupled_layers(n_layers)
+    assert names == tuple(f"layer{i}.{leaf}" for i in range(n_layers) for leaf in leaves)
+    shapes = param_shapes(EncoderConfig(vocab_size=9, n_layers=n_layers), {"sentiment": 5})
+    layer_matrices = [n for n, shape in shapes.items() if n.startswith("layer") and len(shape) == 2]
+    assert list(names) == layer_matrices
+
+
 class TestSoftLoss:
     def _soft_model(self, vocab, lam, penalty="frobenius", coupled=None):
         soft = SoftShareConfig(
@@ -444,7 +454,8 @@ class TestTrain:
         for a, b in zip(t1, t2):
             assert a.train_loss == b.train_loss
             assert a.train_accuracy == b.train_accuracy
-            assert a.val_weighted_f1 == b.val_weighted_f1
+            f1_a, f1_b = ({t: r.weighted.f1 for t, r in e.val_report.items()} for e in (a, b))
+            assert f1_a == f1_b
 
     def test_stl_matches_zero_weighted_hard_share(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab)
@@ -458,7 +469,8 @@ class TestTrain:
         for a, b in zip(stl_epochs, hard_epochs):
             assert abs(a.train_loss["sentiment"] - b.train_loss["sentiment"]) <= 1e-12
             assert a.train_accuracy["sentiment"] == b.train_accuracy["sentiment"]
-            assert abs(a.val_weighted_f1["sentiment"] - b.val_weighted_f1["sentiment"]) <= 1e-12
+            f1_a, f1_b = a.val_report["sentiment"].weighted.f1, b.val_report["sentiment"].weighted.f1
+            assert abs(f1_a - f1_b) <= 1e-12
         for name, p in stl.params.items():
             assert np.array_equal(p.data, hard.params[name].data), name
 
@@ -483,7 +495,7 @@ class TestTrain:
         for ep in epochs:
             assert set(ep.train_loss) == {"offense"}
             assert 0.0 <= ep.train_accuracy["offense"] <= 1.0
-            assert 0.0 <= ep.val_weighted_f1["offense"] <= 1.0
+            assert 0.0 <= ep.val_report["offense"].weighted.f1 <= 1.0
 
     def test_trace_norm_soft_sharing_trains_at_the_default_lambda(self, toy_splits, toy_vocab):
         # the toy run's config with soft sharing and the trace norm: as a
@@ -495,7 +507,7 @@ class TestTrain:
         model = build_model(regime, toy_encoder(toy_vocab), N_CLASSES, seed=1)
         tc = TrainConfig(epochs=5, batch_size=16, optimizer=toy_hyper(), seed=1)
         epochs = train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
-        f1 = epochs[-1].val_weighted_f1
+        f1 = {task: report.weighted.f1 for task, report in epochs[-1].val_report.items()}
         assert f1["sentiment"] >= 0.9 and f1["offense"] >= 0.9, f1
 
     @pytest.mark.parametrize(
