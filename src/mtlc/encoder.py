@@ -105,7 +105,7 @@ def param_shapes(
 def init_params(shapes: Mapping[str, tuple], seed: int) -> dict[str, Tensor]:
     """Fresh parameters for a name -> shape table, in its order: unit
     normalization gains (names ending `_g`), zero biases (every other 1-D
-    tensor), truncated normal (std 0.02) matrices and embeddings.
+    tensor), truncated normal (std `INIT_STD`) matrices and embeddings.
 
     Each tensor draws from its own named stream, `init/<name>`, so adding or
     removing heads never shifts the initialization of the remaining tensors.
@@ -155,16 +155,16 @@ def attention_block(
     params: Mapping[str, Tensor],
     layer_prefix: str,
     n_heads: int,
-    q_lengths: Sequence[int],
-    kv_lengths: Sequence[int],
+    lengths: Sequence[int],
 ) -> Tensor:
     """Multi-head attention of packed query rows over packed memory rows:
-    project to q/k/v, attend within each sequence, apply W_O."""
+    project to q/k/v, attend within each sequence, apply W_O. The queries
+    are every memory row or one row per sequence (`segment_attention`)."""
     p = layer_prefix
     q = matmul(queries, params[p + "wq"])
     k = matmul(memory, params[p + "wk"])
     v = matmul(memory, params[p + "wv"])
-    return matmul(segment_attention(q, k, v, q_lengths, kv_lengths, n_heads), params[p + "wo"])
+    return matmul(segment_attention(q, k, v, lengths, n_heads), params[p + "wo"])
 
 
 class Packed(NamedTuple):
@@ -206,7 +206,6 @@ def encoder_forward(
     batch: Packed,
     params: Mapping[str, Tensor],
     config: EncoderConfig,
-    training: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
     """Embed the positions of a batch, run the pre-norm transformer
@@ -215,7 +214,9 @@ def encoder_forward(
     Only the [CLS] row is pooled, so the last layer computes the query,
     residual and feed-forward of that row alone; its keys and values still
     come from every row of the sequence. Returns the tanh-pooled
-    [B, d_model] vectors. `batch` is the `pack` of B sequences.
+    [B, d_model] vectors. `batch` is the `pack` of B sequences. Dropout
+    draws from `rng` when it is given (training) and is the identity
+    without it.
 
     `params` maps plain names (`tok_emb`, `layer{i}.wq`, ...) to one
     encoder's tensors, or to [T, ...] stacks (`mtl.Model.stacks`), which run
@@ -223,8 +224,6 @@ def encoder_forward(
     equals its own pass bit for bit, and the forward counter adds T * B.
     """
     ids, positions, lengths, cls_rows = batch
-    if training and config.dropout_p > 0 and rng is None:
-        raise ContractError("training with dropout needs an explicit rng stream")
     tok, pos = params["tok_emb"], params["pos_emb"]
     global _FORWARD_CALLS
     with _FORWARD_LOCK:
@@ -234,17 +233,15 @@ def encoder_forward(
     for i in range(config.n_layers):
         p = f"layer{i}."
         h = layer_norm_rows(x, params[p + "norm1_g"], params[p + "norm1_b"])
+        queries = h
         if i == config.n_layers - 1:
-            x = gather_rows(x, cls_rows)
-            queries, q_lengths = gather_rows(h, cls_rows), [1] * len(lengths)
-        else:
-            queries, q_lengths = h, lengths
-        attended = attention_block(queries, h, params, p, config.n_heads, q_lengths, lengths)
-        x = add(x, dropout(attended, config.dropout_p, training, rng))
+            x, queries = gather_rows(x, cls_rows), gather_rows(h, cls_rows)
+        attended = attention_block(queries, h, params, p, config.n_heads, lengths)
+        x = add(x, dropout(attended, config.dropout_p, rng))
         h = layer_norm_rows(x, params[p + "norm2_g"], params[p + "norm2_b"])
         inner = relu(affine(h, params[p + "ffn_w1"], params[p + "ffn_b1"]))
         ff = affine(inner, params[p + "ffn_w2"], params[p + "ffn_b2"])
-        x = add(x, dropout(ff, config.dropout_p, training, rng))
+        x = add(x, dropout(ff, config.dropout_p, rng))
     x = layer_norm_rows(x, params["final_norm_g"], params["final_norm_b"])
     return tanh(affine(x, params["pooler_w"], params["pooler_b"]))
 

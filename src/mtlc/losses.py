@@ -145,7 +145,7 @@ def hinge_multiclass(logits: Tensor, targets: Targets) -> Tensor:
 def focal(
     logits: Tensor,
     targets: Targets,
-    gamma: float = 2.0,
+    gamma: float,
     weights: Optional[Sequence[float]] = None,
 ) -> Tensor:
     """Cross-entropy modulated by (1 - p_target)^gamma."""
@@ -155,7 +155,7 @@ def focal(
     return _mean(mul(modulator, neg(log_pt)), t, weights)
 
 
-def kld(logits: Tensor, targets: Targets, epsilon: float = 0.1) -> Tensor:
+def kld(logits: Tensor, targets: Targets, epsilon: float) -> Tensor:
     """KL divergence from the smoothed one-hot target to softmax(logits).
 
     p_target = 1 - epsilon, the rest share epsilon; with epsilon 0 this is

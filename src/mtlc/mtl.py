@@ -345,7 +345,7 @@ def train(
                 for prefix, tasks in towers(regime).items():
                     tower = {name: model.params[prefix + name] for name in model.stacks}
                     with GradTape() as tape:
-                        pooled = encoder_forward(packed, tower, model.encoder_cfg, True, dropout_rng)
+                        pooled = encoder_forward(packed, tower, model.encoder_cfg, dropout_rng)
                         logits = {t: classify(pooled, model.heads[t][1]) for t in tasks}
                         losses = [
                             compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])

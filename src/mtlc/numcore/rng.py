@@ -26,7 +26,7 @@ def child_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63 - 1))
 
 
-def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """Normal(0, std) resampled until within 2 std, the usual embedding init."""
     out = rng.normal(0.0, std, size=shape)
     flat = out.reshape(-1)  # a view: out is freshly allocated, so contiguous

@@ -42,6 +42,8 @@ _KEYS = count()
 
 _FLOAT32 = np.dtype(np.float32)
 
+LAYER_NORM_EPS = 1e-5  # what `layer_norm_rows` adds to each row's variance
+
 
 class Tensor:
     """A dense float64 or float32 array plus autodiff bookkeeping.
@@ -355,28 +357,25 @@ def log_sum_exp(x: Tensor) -> Tensor:
 
 
 def segment_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    q_lengths: Sequence[int],
-    kv_lengths: Sequence[int],
-    n_heads: int,
+    q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], n_heads: int
 ) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(d_k)) v over packed sequences.
 
-    The rows of `q` and of `k`/`v` are consecutive segments, one per
-    sequence: the `q_lengths[i]` query rows of sequence i attend to its
-    `kv_lengths[i]` key rows and to no other row. The columns of q/k and of
-    v split into `n_heads` equal heads, and the output holds the heads side
-    by side, [rows of q, width of v]. With a leading tower axis, [T, rows,
-    width] operands, every tower attends over the same segments. One tape
-    record with a hand-written backward covers every head and sequence.
+    The rows of `k`/`v` are consecutive segments, one per sequence: the
+    `lengths[i]` key rows of sequence i. q's row count picks its layout:
+    as many rows as k, each attending within its own sequence, or one row
+    per sequence (its [CLS] query) attending to all of that sequence. When
+    every length is 1 the two readings are the same computation. The
+    columns of q/k and of v split into `n_heads` equal heads, and the output
+    holds the heads side by side, [rows of q, width of v]. With a leading
+    tower axis, [T, rows, width] operands, every tower attends over the same
+    segments. One tape record with a hand-written backward covers every head
+    and sequence.
 
-    Consecutive sequences with equal (q, kv) lengths form a run. A run's
-    rows are contiguous, so each run is one [(towers,) heads, sequences,
-    length, w] view and its scores, softmax and weighted sum are one
-    stacked call each; a run of one sequence is the per-sequence
-    computation.
+    Consecutive sequences of equal length form a run. A run's rows are
+    contiguous, so each run is one [(towers,) heads, sequences, length, w]
+    view and its scores, softmax and weighted sum are one stacked call each;
+    a run of one sequence is the per-sequence computation.
 
     q is scaled by 1/sqrt(d_k) once per call, and each run's scores are
     key-major, [heads, sequences, keys, queries]. The products are written
@@ -394,16 +393,14 @@ def segment_attention(
     if n_heads < 1 or q_shape[-1] % n_heads or v_shape[-1] % n_heads:
         raise ShapeError(f"widths {q_shape[-1]}/{v_shape[-1]} do not split into {n_heads} heads")
     nq, nk = q_shape[-2], k_shape[-2]
-    if (
-        len(q_lengths) != len(kv_lengths)
-        or min(q_lengths, default=0) < 1
-        or min(kv_lengths, default=0) < 1
-        or (sum(q_lengths), sum(kv_lengths)) != (nq, nk)
-    ):
+    if min(lengths, default=0) < 1 or sum(lengths) != nk:
+        raise ShapeError(f"segment lengths {list(lengths)} must be positive and cover the {nk} k rows")
+    if nq not in (nk, len(lengths)):
         raise ShapeError(
-            f"segment lengths {list(q_lengths)}/{list(kv_lengths)} must be positive, one pair "
-            f"per sequence, and cover the {nq}/{nk} q/k rows"
+            f"q has {nq} rows; attention needs one per k row ({nk}) "
+            f"or one per sequence ({len(lengths)})"
         )
+    per_row = nq == nk  # else one query row per sequence
 
     def heads(a: Array) -> Array:  # [..., rows, heads * w] -> [..., rows, heads, w]
         return a.reshape(a.shape[:-1] + (n_heads, a.shape[-1] // n_heads))
@@ -411,8 +408,8 @@ def segment_attention(
     # each run: its query rows, its key rows, and the [heads, G, L, w] shape
     # that splits both into its G sequences
     runs, q_start, kv_start = [], 0, 0
-    for (ql, kl), group in groupby(zip(q_lengths, kv_lengths)):
-        g = len(list(group))
+    for kl, group in groupby(lengths):
+        g, ql = len(list(group)), kl if per_row else 1
         q_rows, kv_rows = slice(q_start, q_start + g * ql), slice(kv_start, kv_start + g * kl)
         runs.append((q_rows, kv_rows, g, ql, kl))
         q_start += g * ql
@@ -470,7 +467,7 @@ def _mean_vector(n: int, dtype: np.dtype) -> Array:
     return mean
 
 
-def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of a 2-D tensor to zero mean / unit variance, then
     apply a learned per-column gain and bias; with a leading tower axis,
     [T, rows, n] x and [T, n] gain and bias, per tower."""
@@ -483,7 +480,7 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
     mean = _mean_vector(n, x.data.dtype)  # row means as one matvec
     xhat = x.data - (x.data @ mean)[..., None]
     inv = np.square(xhat) @ mean
-    inv += eps
+    inv += LAYER_NORM_EPS
     inv = np.divide(1.0, np.sqrt(inv, out=inv), out=inv)[..., None]
     xhat *= inv
     gd = gain.data[..., None, :]
@@ -507,15 +504,16 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
 # ---------------------------------------------------------------------------
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
+def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
     """Zero each element with probability `p` and rescale survivors by
-    1/(1-p) while training; exact identity at inference.
+    1/(1-p), drawing the mask from `rng`; without a stream (inference) it
+    returns `x` itself.
 
     The tape keeps the boolean mask (an eighth of the float scale) and the
     backward rebuilds the same scale from it."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
     mask = rng.random(x.shape) >= p
     out = Tensor(x.data * (mask / (1.0 - p)))

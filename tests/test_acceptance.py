@@ -144,7 +144,7 @@ def _numcore_op_cases():
         # x feeds all three operands, so every adjoint affine returns is checked
         ("affine", lambda x: sum_all(mul(affine(x, x, reshape(gather_rows(x, [1]), (3,))), Tensor(np.arange(9.0).reshape(3, 3)))), (3, 3)),
         ("layer_norm_rows", lambda x: sum_all(mul(layer_norm_rows(x, Tensor(np.full(4, 1.3)), Tensor(np.full(4, -0.2))), w34)), (3, 4)),
-        ("dropout", lambda x: sum_all(mul(dropout(x, 0.4, True, stream(31, "gc-dropout")), w34)), (3, 4)),
+        ("dropout", lambda x: sum_all(mul(dropout(x, 0.4, stream(31, "gc-dropout")), w34)), (3, 4)),
     ]
 
 
@@ -178,11 +178,11 @@ def _encoder_op_cases():
             "layer0.wv": rng_tensor(885, (4, 4), -0.5, 0.5),
             "layer0.wo": rng_tensor(886, (4, 4), -0.5, 0.5),
         }
-        out = attention_block(x, x, params, "layer0.", 2, [3, 1], [3, 1])
+        out = attention_block(x, x, params, "layer0.", 2, [3, 1])
         return sum_all(mul(out, Tensor(np.arange(16.0).reshape(4, 4))))
 
     cases = [
-        ("segment_attention[q]", lambda x: sum_all(mul(segment_attention(x, kv, vv, [1, 1], [3, 1], 1), w_att)), (2, 3)),
+        ("segment_attention[q]", lambda x: sum_all(mul(segment_attention(x, kv, vv, [3, 1], 1), w_att)), (2, 3)),
         ("multi_head_x", mh_case, (4, 4)),
         ("classify_cls", lambda x: sum_all(mul(classify(reshape(x, (1, 4)), head_view(base, "sentiment")), Tensor(np.arange(1.0, 6.0)))), (4,)),
     ]

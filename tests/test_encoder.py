@@ -29,11 +29,15 @@ from mtlc.text import PAD, TokenSeq, build_vocab, encode
 from gradcheck import grad_check
 
 
-def attention(q, k, v, q_lengths=None, kv_lengths=None, n_heads=1):
+def attention(q, k, v, lengths=None, n_heads=1):
     """One sequence (or the given segments) through the packed attention op."""
-    q_lengths = q_lengths or [q.shape[0]]
-    kv_lengths = kv_lengths or [k.shape[0]]
-    return segment_attention(q, k, v, q_lengths, kv_lengths, n_heads)
+    return segment_attention(q, k, v, lengths or [k.shape[0]], n_heads)
+
+
+def query_rows(lengths, per_row):
+    """The query segment lengths of a layout: every key row, or one row
+    (the [CLS] query) per sequence."""
+    return list(lengths) if per_row else [1] * len(lengths)
 
 
 def padded_reference(seqs, params, cfg):
@@ -173,11 +177,11 @@ def row_major_reference(q, k, v, q_lengths, kv_lengths, n_heads, g_out):
     return out, gq, gk, gv
 
 
-def attention_and_grads(q, k, v, q_lengths, kv_lengths, n_heads, g_out):
+def attention_and_grads(q, k, v, lengths, n_heads, g_out):
     """The kernel's output and its gradients of sum(output * g_out)."""
     qt, kt, vt = (Tensor(a, requires_grad=True) for a in (q, k, v))
     with GradTape() as tape:
-        out = segment_attention(qt, kt, vt, q_lengths, kv_lengths, n_heads)
+        out = segment_attention(qt, kt, vt, lengths, n_heads)
         loss = sum_all(mul(out, Tensor(g_out)))
     backward(tape, loss)
     return out.data, qt.grad, kt.grad, vt.grad
@@ -240,11 +244,11 @@ class TestAttention:
         assert attention(one, one, one).data.tolist() == [[1.0]]
 
     def test_equal_scores_give_column_mean(self):
-        q = Tensor(np.zeros((2, 3)))
         k = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         v = Tensor(np.random.default_rng(1).normal(size=(4, 5)))
-        out = attention(q, k, v)
-        assert np.abs(out.data - v.data.mean(axis=0)).max() < 1e-12
+        for n_queries in (4, 1):  # a query per key row, or one for the sequence
+            out = attention(Tensor(np.zeros((n_queries, 3))), k, v)
+            assert np.abs(out.data - v.data.mean(axis=0)).max() < 1e-12
 
     def test_matches_three_line_oracle(self):
         rng = np.random.default_rng(7)
@@ -259,12 +263,14 @@ class TestAttention:
     def test_masked_keys_get_zero_weight(self):
         # the rows of another sequence are invisible, as masked keys were
         rng = np.random.default_rng(8)
-        q, k, v = rng.normal(size=(3, 2)), rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-        out = attention(Tensor(q), Tensor(k), Tensor(v), [2, 1], [2, 3])
+        k, v = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
         k2, v2 = k.copy(), v.copy()
         k2[2:], v2[2:] = 1e6, 1e6  # the second sequence's keys and values
-        out2 = attention(Tensor(q), Tensor(k2), Tensor(v2), [2, 1], [2, 3])
-        assert np.array_equal(out.data[:2], out2.data[:2])
+        for per_row, first in ((True, 2), (False, 1)):  # the first sequence's query rows
+            q = rng.normal(size=(sum(query_rows([2, 3], per_row)), 2))
+            out = attention(Tensor(q), Tensor(k), Tensor(v), [2, 3])
+            out2 = attention(Tensor(q), Tensor(k2), Tensor(v2), [2, 3])
+            assert np.array_equal(out.data[:first], out2.data[:first])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
@@ -272,12 +278,27 @@ class TestAttention:
 
     def test_mask_length_checked(self):
         x = Tensor(np.zeros((2, 2)))
-        with pytest.raises(ShapeError):
-            attention(x, x, x, [2], [3])
-        with pytest.raises(ShapeError):
-            attention(x, x, x, [1, 1], [2])
-        with pytest.raises(ShapeError):
-            attention(x, x, x, [2, 0], [1, 1])
+        for lengths in ([3], [2, 0], [1], []):
+            with pytest.raises(ShapeError, match="segment lengths"):
+                segment_attention(x, x, x, lengths, 1)
+
+    def test_query_rows_are_per_key_or_per_sequence(self):
+        # 5 key rows in 2 sequences: a q of 3 rows is neither layout
+        k = Tensor(np.zeros((5, 2)))
+        with pytest.raises(ShapeError, match=r"q has 3 rows.*\(5\).*\(2\)"):
+            segment_attention(Tensor(np.zeros((3, 2))), k, k, [2, 3], 1)
+        for n_queries in (5, 2):
+            assert segment_attention(Tensor(np.zeros((n_queries, 2))), k, k, [2, 3], 1).shape == (n_queries, 2)
+
+    def test_every_length_one_reads_either_layout(self):
+        # q holds one row per key row and one per sequence at once; each row
+        # attends to its one key with weight 1, as its sequence alone does
+        rng = np.random.default_rng(12)
+        q, k, v = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 6))
+        got = segment_attention(Tensor(q), Tensor(k), Tensor(v), [1] * 5, 2).data
+        alone = [segment_attention(Tensor(q[[i]]), Tensor(k[[i]]), Tensor(v[[i]]), [1], 2).data for i in range(5)]
+        assert np.array_equal(got, np.concatenate(alone))
+        assert np.array_equal(got, v)
 
 
 class TestMultiHead:
@@ -286,13 +307,12 @@ class TestMultiHead:
         params = init_params(param_shapes(cfg, heads, HIDDEN), seed=5)
         x = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
         lengths = [3, 1]
-        got = attention_block(x, x, params, "layer0.", 1, lengths, lengths)
+        got = attention_block(x, x, params, "layer0.", 1, lengths)
         expected = matmul(
             attention(
                 matmul(x, params["layer0.wq"]),
                 matmul(x, params["layer0.wk"]),
                 matmul(x, params["layer0.wv"]),
-                lengths,
                 lengths,
             ),
             params["layer0.wo"],
@@ -301,18 +321,18 @@ class TestMultiHead:
 
     def test_output_shape(self, params):
         x = Tensor(np.random.default_rng(3).normal(size=(5, 8)))
-        assert attention_block(x, x, params, "layer0.", 2, [2, 3], [2, 3]).shape == (5, 8)
+        assert attention_block(x, x, params, "layer0.", 2, [2, 3]).shape == (5, 8)
         cls_rows = Tensor(x.data[[0, 2]])
-        assert attention_block(cls_rows, x, params, "layer0.", 2, [1, 1], [2, 3]).shape == (2, 8)
+        assert attention_block(cls_rows, x, params, "layer0.", 2, [2, 3]).shape == (2, 8)
 
     def test_pad_content_permutation_invariance(self, params):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 8))
         lengths = [3, 3]
-        base = attention_block(Tensor(x), Tensor(x), params, "layer0.", 2, lengths, lengths).data
+        base = attention_block(Tensor(x), Tensor(x), params, "layer0.", 2, lengths).data
         x2 = x.copy()
         x2[[3, 4, 5]] = x2[[5, 3, 4]]  # permute the second sequence's rows
-        swapped = attention_block(Tensor(x2), Tensor(x2), params, "layer0.", 2, lengths, lengths).data
+        swapped = attention_block(Tensor(x2), Tensor(x2), params, "layer0.", 2, lengths).data
         assert np.abs(base[:3] - swapped[:3]).max() < 1e-9
         assert np.abs(base[[5, 3, 4]] - swapped[3:]).max() < 1e-9
 
@@ -335,9 +355,10 @@ class TestEncoderForward:
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ffn=16, max_len=8, dropout_p=0.3)
         params = init_params(param_shapes(cfg, heads, HIDDEN), seed=1)
         seq = encode("a b c d", vocab, cfg.max_len)
-        a = encoder_forward(pack([seq], cfg), params, cfg, training=True, rng=stream(9, "drop")).data
-        b = encoder_forward(pack([seq], cfg), params, cfg, training=True, rng=stream(9, "drop")).data
+        a = encoder_forward(pack([seq], cfg), params, cfg, rng=stream(9, "drop")).data
+        b = encoder_forward(pack([seq], cfg), params, cfg, rng=stream(9, "drop")).data
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, encoder_forward(pack([seq], cfg), params, cfg).data)
 
     def test_shape_invariant_across_lengths(self, small_config, params, vocab):
         for n_tokens in range(1, small_config.max_len - 1):
@@ -483,12 +504,13 @@ class TestPacking:
 
     def test_fused_attention_gradients(self):
         layouts = [
-            ([1, 3, 8], [1, 3, 8]),  # self-attention, a length-1 and a full-length sequence
-            ([1, 1, 1], [1, 3, 8]),  # [CLS] queries only, as in the last layer
-            ([3, 3, 3, 1, 5, 5], [3, 3, 3, 1, 5, 5]),  # runs of equal lengths beside a singleton
-            ([1] * 6, [3, 3, 3, 1, 5, 5]),  # [CLS] queries over repeated kv lengths
+            ([1, 3, 8], True),  # self-attention, a length-1 and a full-length sequence
+            ([1, 3, 8], False),  # [CLS] queries only, as in the last layer
+            ([3, 3, 3, 1, 5, 5], True),  # runs of equal lengths beside a singleton
+            ([3, 3, 3, 1, 5, 5], False),  # [CLS] queries over repeated kv lengths
         ]
-        for q_lengths, kv_lengths in layouts:
+        for kv_lengths, per_row in layouts:
+            q_lengths = query_rows(kv_lengths, per_row)
             rng = np.random.default_rng(sum(q_lengths))
             q = rng.uniform(-1, 1, size=(sum(q_lengths), 4))
             k = rng.uniform(-1, 1, size=(sum(kv_lengths), 4))
@@ -496,7 +518,7 @@ class TestPacking:
             w = Tensor(rng.uniform(-1, 1, size=(sum(q_lengths), 6)))
 
             def loss(qq, kk, vv):
-                return sum_all(mul(segment_attention(qq, kk, vv, q_lengths, kv_lengths, 2), w))
+                return sum_all(mul(segment_attention(qq, kk, vv, kv_lengths, 2), w))
 
             assert grad_check(lambda x: loss(x, Tensor(k), Tensor(v)), Tensor(q)) < 1e-4
             assert grad_check(lambda x: loss(Tensor(q), x, Tensor(v)), Tensor(k)) < 1e-4
@@ -505,14 +527,15 @@ class TestPacking:
     def test_sequence_alone_equals_its_rows_in_a_run(self):
         rng = np.random.default_rng(15)
         lengths = [3, 3, 3, 1, 5, 5]
-        for q_lengths, kv_lengths in ((lengths, lengths), ([1] * 6, lengths)):
+        for per_row in (True, False):
+            q_lengths, kv_lengths = query_rows(lengths, per_row), lengths
             q = rng.normal(size=(sum(q_lengths), 8))
             k, v = rng.normal(size=(sum(kv_lengths), 8)), rng.normal(size=(sum(kv_lengths), 6))
-            packed = segment_attention(*map(Tensor, (q, k, v)), q_lengths, kv_lengths, 2).data
+            packed = segment_attention(*map(Tensor, (q, k, v)), kv_lengths, 2).data
             q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(kv_lengths)
             for ql, qe, kl, ke in zip(q_lengths, q_ends, kv_lengths, kv_ends):
                 qs, ks = slice(qe - ql, qe), slice(ke - kl, ke)
-                alone = segment_attention(*map(Tensor, (q[qs], k[ks], v[ks])), [ql], [kl], 2).data
+                alone = segment_attention(*map(Tensor, (q[qs], k[ks], v[ks])), [kl], 2).data
                 assert np.abs(packed[qs] - alone).max() < 1e-12
 
     def test_softmax_stable_at_extreme_scores(self):
@@ -536,7 +559,7 @@ class TestPacking:
                 scores = q[start : start + n, c] @ k[start : start + n, c].T / 2
                 assert np.abs(scores).max() >= 1e4
                 assert np.diff(np.sort(scores.max(axis=1))).min() > 1000
-        got = attention_and_grads(q, k, v, q_lengths, kv_lengths, n_heads, g_out)
+        got = attention_and_grads(q, k, v, kv_lengths, n_heads, g_out)
         want = row_major_reference(q, k, v, q_lengths, kv_lengths, n_heads, g_out)
         assert_close_to_reference(got, want)
 
@@ -546,20 +569,21 @@ class TestPacking:
         # lengths, as a length-ordered batch of the benchmark meets them
         kv_lengths = [1, 5] + [64] * 64 + [7]
         n_heads = 4
-        for q_lengths in (kv_lengths, [1] * len(kv_lengths)):
+        for per_row in (True, False):
+            q_lengths = query_rows(kv_lengths, per_row)
             rng = np.random.default_rng(width + len(q_lengths))
             q = rng.normal(size=(sum(q_lengths), n_heads * width))
             k = rng.normal(size=(sum(kv_lengths), n_heads * width))
             v = rng.normal(size=(sum(kv_lengths), n_heads * width))
             g_out = rng.normal(size=(sum(q_lengths), n_heads * width))
-            got = attention_and_grads(q, k, v, q_lengths, kv_lengths, n_heads, g_out)
+            got = attention_and_grads(q, k, v, kv_lengths, n_heads, g_out)
             want = row_major_reference(q, k, v, q_lengths, kv_lengths, n_heads, g_out)
             assert_close_to_reference(got, want)
 
     def test_fused_attention_is_one_tape_record(self):
         x = Tensor(np.random.default_rng(1).normal(size=(5, 4)), requires_grad=True)
         with GradTape() as tape:
-            segment_attention(x, x, x, [2, 3], [2, 3], 2)
+            segment_attention(x, x, x, [2, 3], 2)
         assert len(tape) == 1
 
     def test_encoder_gradients_through_mixed_lengths(self):

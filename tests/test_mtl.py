@@ -86,7 +86,7 @@ def soft_regime(penalty="frobenius", lam=0.1, weights=None):
     return regime_for("soft_share", weights=weights, soft=soft)
 
 
-def logits_per_tower(model, seqs, training=False, rng=None):
+def logits_per_tower(model, seqs, rng=None):
     """Per-task logits the way training takes them: one pack of `seqs`, and
     in `towers` order `encoder_forward` on each tower's own map of its 2-D
     parameter views, then its tasks' heads."""
@@ -94,7 +94,7 @@ def logits_per_tower(model, seqs, training=False, rng=None):
     out = {}
     for prefix, tasks in mtl.towers(model.regime).items():
         tower = {name: model.params[prefix + name] for name in model.stacks}
-        pooled = encoder_forward(packed, tower, model.encoder_cfg, training, rng)
+        pooled = encoder_forward(packed, tower, model.encoder_cfg, rng)
         for task in tasks:
             out[task] = classify(pooled, head_view(model.params, task, prefix))
     return out
@@ -131,7 +131,7 @@ def joint_step_grads(splits, regime, model, vocab, seed=1, weights=None):
     batch = batches(encoded, STEP_BATCH, True, child_seed(stream(seed, "shuffle")))[0]
     zero_grads(model.params)
     with GradTape() as tape:
-        logits = logits_per_tower(model, batch.seqs, training=True, rng=stream(seed, "dropout"))
+        logits = logits_per_tower(model, batch.seqs, rng=stream(seed, "dropout"))
         losses = [
             compute_loss(logits[t], batch.labels[t], regime.losses[t], (weights or {}).get(t))
             for t in regime.tasks

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mtlc.errors import ContractError, ShapeError
 from mtlc.numcore import (
@@ -238,7 +240,7 @@ class TestLeanTape:
         w = Tensor(np.random.default_rng(1).normal(size=(3, 3)), requires_grad=True)
         with GradTape() as tape:
             summed = add(x, x)
-            dropped = dropout(x, 0.5, training=True, rng=stream(0, "d"))
+            dropped = dropout(x, 0.5, stream(0, "d"))
             pre = matmul(x, w)
             y = relu(pre)
             dead = [weakref.ref(t.data) for t in (summed, dropped, pre)]
@@ -267,7 +269,7 @@ class TestLeanTape:
         w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
         with GradTape() as tape:
             q = matmul(x, w)
-            out = segment_attention(q, x, x, [2, 3], [2, 3], 2)
+            out = segment_attention(q, x, x, [2, 3], 2)
             loss = sum_all(out)
         held = weakref.ref(q.data)
         del q
@@ -464,22 +466,27 @@ class TestAffine:
 
 
 class TestDropout:
-    def test_inference_is_bit_identical_identity(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(5, 5)))
-        out = dropout(x, 0.4, training=False, rng=stream(0, "d"))
-        assert out is x
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @example(0.4)
+    def test_inference_is_bit_identical_identity(self, p):
+        # without a stream, dropout returns x itself and records nothing
+        x = Tensor(np.random.default_rng(0).normal(size=(5, 5)), requires_grad=True)
+        with GradTape() as tape:
+            assert dropout(x, p, None) is x
+        assert len(tape) == 0
 
     def test_p_zero_is_identity(self):
         x = Tensor(np.ones(10))
-        assert dropout(x, 0.0, training=True, rng=stream(0, "d")) is x
+        assert dropout(x, 0.0, stream(0, "d")) is x
 
     def test_p_one_rejected(self):
-        with pytest.raises(ContractError):
-            dropout(Tensor(np.ones(3)), 1.0, training=True, rng=stream(0, "d"))
+        for rng in (stream(0, "d"), None):
+            with pytest.raises(ContractError):
+                dropout(Tensor(np.ones(3)), 1.0, rng)
 
     def test_law_of_large_numbers(self):
         x = Tensor(np.ones(1_000_000))
-        out = dropout(x, 0.4, training=True, rng=stream(7, "dropout-lln"))
+        out = dropout(x, 0.4, stream(7, "dropout-lln"))
         zero_fraction = float((out.data == 0.0).mean())
         assert abs(zero_fraction - 0.4) < 0.005
         assert abs(out.data.mean() - 1.0) < 0.01
@@ -487,7 +494,7 @@ class TestDropout:
     def test_gradient_matches_mask(self):
         x = Tensor(np.ones(1000), requires_grad=True)
         with GradTape() as tape:
-            out = dropout(x, 0.3, training=True, rng=stream(3, "d"))
+            out = dropout(x, 0.3, stream(3, "d"))
             loss = sum_all(out)
         backward(tape, loss)
         surviving = out.data != 0.0
@@ -538,8 +545,8 @@ class TestTowerAxis:
             "affine": affine,
             "layer_norm_rows": layer_norm_rows,
             "gather_rows": lambda x: gather_rows(x, [1, 4, 1, 0]),
-            "segment_attention": lambda q, k, v: segment_attention(q, k, v, self.LENGTHS, self.LENGTHS, 2),
-            "segment_attention[cls]": lambda q, k, v: segment_attention(q, k, v, [1, 1, 1], self.LENGTHS, 2),
+            "segment_attention": lambda q, k, v: segment_attention(q, k, v, self.LENGTHS, 2),
+            "segment_attention[cls]": lambda q, k, v: segment_attention(q, k, v, self.LENGTHS, 2),
         }[case]
 
     def test_each_tower_is_its_own_call(self):
@@ -575,8 +582,8 @@ class TestTowerAxis:
             lambda: layer_norm_rows(Tensor(two), Tensor(np.ones(4)), Tensor(np.ones(4))),
             lambda: layer_norm_rows(Tensor(two), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4)))),
             lambda: gather_rows(Tensor(np.ones((2, 2, 5, 4))), [0]),
-            lambda: segment_attention(Tensor(two), Tensor(np.ones((3, 5, 4))), Tensor(np.ones((3, 5, 4))), [5], [5], 2),
-            lambda: segment_attention(Tensor(two), Tensor(two), Tensor(np.ones((5, 4))), [5], [5], 2),
+            lambda: segment_attention(Tensor(two), Tensor(np.ones((3, 5, 4))), Tensor(np.ones((3, 5, 4))), [5], 2),
+            lambda: segment_attention(Tensor(two), Tensor(two), Tensor(np.ones((5, 4))), [5], 2),
         ):
             with pytest.raises(ShapeError):
                 call()
