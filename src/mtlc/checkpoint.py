@@ -138,5 +138,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[str, bytes, dict[str, np.ndarray]]:
+    """`deserialize` of the file at `path`; a failed check names the file."""
     with open(path, "rb") as fh:
-        return deserialize(fh.read())
+        try:
+            return deserialize(fh.read())
+        except CorruptArtifactError as err:
+            raise CorruptArtifactError(f"{path}: {err}") from None

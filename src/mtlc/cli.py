@@ -1,7 +1,7 @@
 """Command-line surface: split, train, evaluate, and compare runs.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-error, 5 corrupt artifact. The environment variable MTLC_SEED overrides the
+A command exits 0, the `exit_code` of the `MtlcError` it raised, or 3 on a
+failed read or write. The environment variable MTLC_SEED overrides the
 config seed; an explicit --seed flag beats both.
 """
 
@@ -31,18 +31,11 @@ from .data import (
     stratified_split,
     write_splits,
 )
-from .errors import (
-    ConfigError,
-    ContractError,
-    CorruptArtifactError,
-    DataError,
-    MtlcError,
-    NumericalError,
-)
+from .errors import ConfigError, CorruptArtifactError, DataError, MtlcError
 from .metrics import TaskReport, build_report, format_report, load_report, report_to_dict
 from .mtl import EpochStats, Model, build_model, evaluate, expected_param_shapes, train
 from .numcore import Tensor
-from .text import build_vocab, load_vocab, save_vocab
+from .text import build_vocab, parse_vocab, save_vocab
 
 CHECKPOINT_NAME = "checkpoint.mtlc"
 VOCAB_NAME = "vocab.txt"
@@ -127,12 +120,13 @@ def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model
     except ConfigError as err:
         raise ConfigError(f"checkpoint {checkpoint_path!r}: embedded config: {err}") from None
     with open(vocab_path, "rb") as fh:
-        if hashlib.sha256(fh.read()).digest() != vocab_digest:
-            raise DataError(
-                f"vocabulary {vocab_path!r} is not the one checkpoint {checkpoint_path!r} "
-                "was trained with; they are not from the same run"
-            )
-    vocab = load_vocab(vocab_path)
+        data = fh.read()
+    if hashlib.sha256(data).digest() != vocab_digest:
+        raise DataError(
+            f"vocabulary {vocab_path!r} is not the one checkpoint {checkpoint_path!r} "
+            "was trained with; they are not from the same run"
+        )
+    vocab = parse_vocab(data, vocab_path)
     schemas = schemas_for_language(cfg.language)
     enc_cfg = dataclasses.replace(cfg.encoder, vocab_size=len(vocab))
     n_classes = {task: schemas[task].n_classes for task in cfg.regime.tasks}
@@ -319,15 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_CODES = (
-    (ConfigError, 2),
-    (ContractError, 2),
-    (DataError, 3),
-    (NumericalError, 4),
-    (CorruptArtifactError, 5),
-)
-
-
 # glibc <malloc.h> parameters and the values mtlc sets: freed blocks up to
 # 32 MiB return to the heap rather than to the kernel through munmap, and
 # the heap top is trimmed only past 256 MiB free. A process that trains and
@@ -393,7 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except MtlcError as err:
         print(f"error: {err}", file=sys.stderr)
-        return next((code for cls, code in _EXIT_CODES if isinstance(err, cls)), 2)
+        return err.exit_code
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -91,7 +91,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], Union[str, tuple[type, str]]]] =
     "data.test": (str, ""),
     "data.format": (_one_of(("joint",), fold_case=False), "joint"),
     "data.language": (_one_of(LANGUAGES), "kannada"),
-    "text.mode": (_one_of(MODES), "char"),
+    "text.mode": (_one_of(MODES), "char"),  # the corpora mix scripts inside a comment
     "text.min_freq": (int, "1"),
     "text.max_size": (int, "20000"),
     "text.max_len": (int, (EncoderConfig, "max_len")),

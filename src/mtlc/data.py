@@ -212,7 +212,7 @@ def class_counts(corpus: Corpus, task: str) -> list[int]:
     return counts
 
 
-def check_ratios(ratios: tuple[float, ...], name: str = "ratios") -> None:
+def check_ratios(ratios: tuple[float, ...], name: str) -> None:
     """A ContractError naming `name` unless `ratios`, the train, val and test
     shares, are three finite, nonnegative numbers that sum to 1."""
     finite = all(math.isfinite(r) and r >= 0 for r in ratios)
@@ -222,25 +222,22 @@ def check_ratios(ratios: tuple[float, ...], name: str = "ratios") -> None:
         )
 
 
-def check_stratify_task(task: str, schemas: dict, name: str = "stratify_task") -> None:
+def check_stratify_task(task: str, schemas: dict, name: str) -> None:
     """A ContractError naming `name` unless `task` is one of the tasks of `schemas`."""
     if task not in schemas:
         raise ContractError(f"{name} must be one of {tuple(schemas)}, got {task!r}")
 
 
 def stratified_split(
-    corpus: Corpus,
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
-    stratify_task: str = SENTIMENT_TASK,
+    corpus: Corpus, ratios: tuple[float, float, float], seed: int, stratify_task: str
 ) -> SplitSet:
     """Per-class seeded shuffle, then floor/floor/remainder partition.
 
     Classes with fewer than 3 members go entirely to train (warned via the
     returned sizes rather than a log dependency).
     """
-    check_ratios(ratios)
-    check_stratify_task(stratify_task, corpus.schemas)
+    check_ratios(ratios, "ratios")
+    check_stratify_task(stratify_task, corpus.schemas, "stratify_task")
     by_class: dict[int, list[Record]] = {}
     for rec in corpus.records:
         by_class.setdefault(rec.labels[stratify_task], []).append(rec)

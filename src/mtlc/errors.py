@@ -1,12 +1,14 @@
 """Exception hierarchy shared by every module.
 
-The CLI maps these onto process exit codes, so raising the right class
-matters more than the message text.
+Each class carries the process exit code the CLI returns for it, as its
+`exit_code`, so raising the right class matters more than the message text.
 """
 
 
 class MtlcError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class ContractError(MtlcError):
@@ -18,16 +20,22 @@ class ShapeError(ContractError):
 
 
 class ConfigError(MtlcError):
-    """Invalid run configuration (exit code 2)."""
+    """Invalid run configuration."""
 
 
 class DataError(MtlcError):
-    """Corpus ingestion or schema failure (exit code 3)."""
+    """Corpus ingestion or schema failure."""
+
+    exit_code = 3
 
 
 class NumericalError(MtlcError):
-    """Non-finite values or a non-converging numeric routine (exit code 4)."""
+    """Non-finite values or a non-converging numeric routine."""
+
+    exit_code = 4
 
 
 class CorruptArtifactError(MtlcError):
-    """A checkpoint or other stored artifact failed validation (exit code 5)."""
+    """A checkpoint or other stored artifact failed validation."""
+
+    exit_code = 5

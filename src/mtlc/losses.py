@@ -1,12 +1,13 @@
 """Classification losses: cross-entropy, multi-class hinge, focal, KLD.
 
-All four consume raw [B, C] logits with one target per row and return the
-batch mean as a taped scalar, so gradients flow through the same autodiff
-machinery as the encoder; a 1-D logit vector with one int target is a batch
-of one. Cross-entropy and the focal/KLD variants go through one shared
-row-wise log-sum-exp core: focal with gamma=0 equals cross-entropy bit for
-bit, in value and gradient, and KLD with zero label smoothing reproduces
-cross-entropy exactly. `LossConfig` holds the range of gamma and epsilon.
+All four consume the [B, C] logits the model makes, with one target per
+row, and return the batch mean as a taped scalar, so gradients flow through
+the same autodiff machinery as the encoder; one comment is a [1, C] batch,
+and any other shape is a ContractError. Cross-entropy and the focal/KLD
+variants go through one shared row-wise log-sum-exp core: focal with
+gamma=0 equals cross-entropy bit for bit, in value and gradient, and KLD
+with zero label smoothing reproduces cross-entropy exactly. `LossConfig`
+holds the range of gamma and epsilon.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .numcore import (
     sum_all,
 )
 
-Targets = Union[int, Sequence[int], np.ndarray]
+Targets = Union[Sequence[int], np.ndarray]
 
 
 class LossKind(Enum):
@@ -89,13 +90,10 @@ def class_weights(counts: Sequence[int]) -> tuple[float, ...]:
     return tuple(1.0 - c / total for c in counts)
 
 
-def _as_batch(
+def _batch_targets(
     logits: Tensor, targets: Targets, weights: Optional[Sequence[float]] = None
-) -> tuple[Tensor, np.ndarray]:
-    """[B, C] logits and B in-range int targets; a 1-D logit vector with a
-    single target is a batch of one."""
-    if logits.data.ndim == 1:
-        logits, targets = reshape(logits, (1, logits.shape[0])), [targets]
+) -> np.ndarray:
+    """The B targets of [B, C] `logits` as an int array, each in range."""
     if logits.data.ndim != 2 or logits.shape[0] == 0:
         raise ContractError(f"losses need non-empty [B, C] logits, got shape {logits.shape}")
     b, n = logits.shape
@@ -106,7 +104,7 @@ def _as_batch(
         raise ContractError(f"targets {t.tolist()} out of range for {n} classes")
     if weights is not None and len(weights) != n:
         raise ContractError(f"{len(weights)} class weights for {n} classes")
-    return logits, t
+    return t
 
 
 def _target_logits(logits: Tensor, t: np.ndarray) -> Tensor:
@@ -126,14 +124,14 @@ def _mean(per_row: Tensor, t: np.ndarray, weights: Optional[Sequence[float]]) ->
 def cross_entropy(
     logits: Tensor, targets: Targets, weights: Optional[Sequence[float]] = None
 ) -> Tensor:
-    logits, t = _as_batch(logits, targets, weights)
+    t = _batch_targets(logits, targets, weights)
     # -log softmax(logits)[target] per row, via log-sum-exp for stability
     return _mean(sub(log_sum_exp(logits), _target_logits(logits, t)), t, weights)
 
 
 def hinge_multiclass(logits: Tensor, targets: Targets) -> Tensor:
     """Sum over wrong classes of max(0, 1 + logit_wrong - logit_target)."""
-    logits, t = _as_batch(logits, targets)
+    t = _batch_targets(logits, targets)
     b, n = logits.shape
     margins = add(sub(logits, reshape(_target_logits(logits, t), (b, 1))), Tensor(1.0))
     # the target's own term is max(0, 1) = 1 by construction; mask it out
@@ -149,7 +147,7 @@ def focal(
     weights: Optional[Sequence[float]] = None,
 ) -> Tensor:
     """Cross-entropy modulated by (1 - p_target)^gamma."""
-    logits, t = _as_batch(logits, targets, weights)
+    t = _batch_targets(logits, targets, weights)
     log_pt = sub(_target_logits(logits, t), log_sum_exp(logits))
     modulator = pow_const(sub(Tensor(1.0), exp(log_pt)), gamma)
     return _mean(mul(modulator, neg(log_pt)), t, weights)
@@ -161,7 +159,7 @@ def kld(logits: Tensor, targets: Targets, epsilon: float) -> Tensor:
     p_target = 1 - epsilon, the rest share epsilon; with epsilon 0 this is
     exactly cross-entropy because a one-hot p has zero entropy.
     """
-    logits, t = _as_batch(logits, targets)
+    t = _batch_targets(logits, targets)
     b, n = logits.shape
     if epsilon == 0.0 or n == 1:
         return cross_entropy(logits, t)

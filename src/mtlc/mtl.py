@@ -67,9 +67,9 @@ def default_coupled_layers(n_layers: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SoftShareConfig:
+    coupled_layer_names: tuple[str, ...]
     penalty: str = FROBENIUS
     lam: float = 0.1
-    coupled_layer_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.penalty not in PENALTIES:

@@ -64,8 +64,9 @@ def adamw_step(
     states: Mapping[str, AdamWState],
     hyper: OptimHyper,
 ) -> None:
-    """One in-place update from each parameter's `.grad` (None reads as
-    zeros): clip to the global norm, bias-corrected Adam, then decoupled
+    """One in-place update from each parameter's `.grad`, where `None` (a
+    parameter off the loss's path, which `backward` leaves as it was) reads
+    as zeros: clip to the global norm, bias-corrected Adam, then decoupled
     decay applied to the post-Adam parameter.
 
     Checks every gradient before anything changes: a shape that is not its

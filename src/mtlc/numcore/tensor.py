@@ -135,8 +135,9 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
 
 
 def backward(tape: GradTape, loss: Tensor) -> None:
-    """Accumulate gradients of `loss` into every watched leaf's `.grad`;
-    leaves the tape saw off the path from `loss` accumulate zero arrays.
+    """Accumulate gradients of `loss` into every watched leaf's `.grad`; a
+    leaf the tape saw off the path from `loss` keeps its `.grad` as it was
+    (`adamw_step` reads a `None` gradient as zeros).
 
     Consumes the tape: each record, and the forward state its closure
     holds, is released once replayed, and a second call raises."""
@@ -161,9 +162,8 @@ def backward(tape: GradTape, loss: Tensor) -> None:
             adjoint[k] = gi if prev is None else prev + gi
     for k, t in tape._watched.items():
         g = adjoint.get(k)
-        if g is None:
-            g = np.zeros_like(t.data)
-        t.grad = g if t.grad is None else t.grad + g
+        if g is not None:
+            t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: Array, shape: tuple) -> Array:
@@ -345,10 +345,9 @@ def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
 
 
 def log_sum_exp(x: Tensor) -> Tensor:
-    """log(sum(exp(x))) over the last axis: a scalar for a 1-D tensor, one
-    value per row for a 2-D one. The gradient is the softmax."""
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"log_sum_exp needs a 1-D or 2-D tensor, got {x.shape}")
+    """log(sum(exp(x))) of each row of a 2-D tensor; the gradient is the softmax."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"log_sum_exp needs a 2-D tensor, got {x.shape}")
     m = x.data.max(axis=-1, keepdims=True)
     e = np.exp(x.data - m)
     z = e.sum(axis=-1, keepdims=True)

@@ -2,8 +2,9 @@
 
 A deliberately small substitute for subword tokenizers: either whole
 whitespace-split words (surrounding punctuation stripped) or single Unicode
-scalar values. Char mode is the default because the corpora mix Latin and
-Dravidian scripts inside one comment.
+scalar values. `build_vocab` takes every setting from its caller (`mtlc
+train` passes the config's `text.mode`, `text.min_freq`, `text.max_size`),
+and `parse_vocab` parses a vocabulary file's bytes its caller has read.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .checkpoint import write_atomic
 from .errors import ContractError, DataError
@@ -66,12 +67,7 @@ def tokenize(text: str, mode: str) -> list[str]:
     raise ContractError(f"unknown tokenizer mode {mode!r}, expected one of {MODES}")
 
 
-def build_vocab(
-    corpus: Iterable[str],
-    mode: str = "char",
-    min_freq: int = 1,
-    max_size: Optional[int] = None,
-) -> Vocab:
+def build_vocab(corpus: Iterable[str], mode: str, min_freq: int, max_size: int) -> Vocab:
     """Frequency-ranked vocabulary over `corpus`.
 
     Tokens seen at least `min_freq` times are kept, ordered by descending
@@ -90,9 +86,7 @@ def build_vocab(
         (tok for tok, n in freq.items() if n >= min_freq),
         key=lambda tok: (-freq[tok], tok),
     )
-    if max_size is not None:
-        ranked = ranked[:max_size]
-    return Vocab(mode=mode, id_to_token=SPECIAL_TOKENS + tuple(ranked))
+    return Vocab(mode=mode, id_to_token=SPECIAL_TOKENS + tuple(ranked[:max_size]))
 
 
 def encode(text: str, vocab: Vocab, max_len: int) -> TokenSeq:
@@ -114,10 +108,11 @@ def save_vocab(vocab: Vocab, path: str) -> bytes:
     return data
 
 
-def load_vocab(path: str) -> Vocab:
+def parse_vocab(data: bytes, path: str) -> Vocab:
+    """The vocabulary `save_vocab` wrote as `data`; `path` names the file in
+    errors. The caller reads the bytes, so it can check them first."""
     try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            raw = fh.read()
+        raw = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise DataError(f"{path}: vocabulary file is not UTF-8 text ({err.reason})") from None
     lines = raw.split("\n")

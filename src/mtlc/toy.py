@@ -17,6 +17,7 @@ from .checkpoint import write_atomic
 from .data import (
     OFFENSE_CLASSES,
     SENTIMENT_CLASSES,
+    SENTIMENT_TASK,
     load_joint_tsv,
     schemas_for_language,
     stratified_split,
@@ -25,6 +26,7 @@ from .data import (
 
 TOY_SEED = 5
 TOY_RATIOS = (0.8, 0.1, 0.1)
+TOY_STRATIFY_TASK = SENTIMENT_TASK
 TOY_SIZE = 200
 
 _SENT_MARKERS = ("happyword", "sadword", "mixword", "okword", "langword")
@@ -83,8 +85,8 @@ def materialize(directory: str) -> dict[str, str]:
     tsv_path = os.path.join(directory, "toy.tsv")
     write_atomic(tsv_path, toy_tsv())
     corpus = load_joint_tsv(tsv_path, schemas_for_language("kannada"), "kannada")
-    splits = stratified_split(corpus, TOY_RATIOS, seed=TOY_SEED)
-    paths = write_splits(directory, splits, TOY_SEED, TOY_RATIOS, "sentiment")
+    splits = stratified_split(corpus, TOY_RATIOS, TOY_SEED, TOY_STRATIFY_TASK)
+    paths = write_splits(directory, splits, TOY_SEED, TOY_RATIOS, TOY_STRATIFY_TASK)
 
     configs = {}
     for run, kind, task in (

@@ -23,9 +23,11 @@ def toy_corpus():
 
 @pytest.fixture(scope="session")
 def toy_splits(toy_corpus):
-    return stratified_split(toy_corpus, (0.8, 0.1, 0.1), seed=5)
+    return stratified_split(toy_corpus, (0.8, 0.1, 0.1), 5, "sentiment")
 
 
 @pytest.fixture(scope="session")
 def toy_vocab(toy_splits):
-    return build_vocab((r.text for r in toy_splits.train.records), mode="word")
+    # toy.cfg's text settings
+    texts = (r.text for r in toy_splits.train.records)
+    return build_vocab(texts, mode="word", min_freq=1, max_size=4000)

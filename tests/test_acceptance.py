@@ -137,7 +137,7 @@ def _numcore_op_cases():
         ("tanh", lambda x: sum_all(mul(tanh(x), w34)), (3, 4)),
         ("exp", lambda x: sum_all(mul(exp(x), w34)), (3, 4)),
         ("pow_const", lambda x: sum_all(pow_const(add(mul(x, x), Tensor(0.1)), 1.7)), (3, 4)),
-        ("log_sum_exp", lambda x: log_sum_exp(x), (7,)),
+        ("log_sum_exp", lambda x: sum_all(log_sum_exp(x)), (1, 7)),
         ("sum_all", lambda x: sum_all(x), (3, 4)),
         ("gather_rows", lambda x: sum_all(mul(gather_rows(x, [0, 2, 2]), Tensor(np.arange(12.0).reshape(3, 4)))), (3, 4)),
         ("reshape", lambda x: sum_all(mul(reshape(x, (4, 3)), Tensor(np.arange(12.0).reshape(4, 3)))), (3, 4)),
@@ -194,11 +194,11 @@ def _encoder_op_cases():
 
 def _loss_op_cases():
     return [
-        ("cross_entropy", lambda x: cross_entropy(x, 2), (6,)),
-        ("weighted_cross_entropy", lambda x: cross_entropy(x, 1, class_weights([4, 2, 9, 5, 3, 7])), (6,)),
-        ("hinge_multiclass", lambda x: hinge_multiclass(x, 3), (6,)),
-        ("focal", lambda x: focal(x, 0, 2.0), (6,)),
-        ("kld", lambda x: kld(x, 4, 0.1), (6,)),
+        ("cross_entropy", lambda x: cross_entropy(x, [2]), (1, 6)),
+        ("weighted_cross_entropy", lambda x: cross_entropy(x, [1], class_weights([4, 2, 9, 5, 3, 7])), (1, 6)),
+        ("hinge_multiclass", lambda x: hinge_multiclass(x, [3]), (1, 6)),
+        ("focal", lambda x: focal(x, [0], 2.0), (1, 6)),
+        ("kld", lambda x: kld(x, [4], 0.1), (1, 6)),
         ("batch_loss", lambda x: compute_loss(reshape(x, (2, 2)), [1, 0], LossConfig()), (4,)),
     ]
 
@@ -344,13 +344,13 @@ def test_criterion_2_loss_identities():
     started = time.perf_counter()
     for seed in range(200):
         rng = np.random.default_rng(seed)
-        logits = Tensor(rng.uniform(-4, 4, size=6))
-        target = int(rng.integers(0, 6))
+        logits = Tensor(rng.uniform(-4, 4, size=(1, 6)))
+        target = [int(rng.integers(0, 6))]
         cw = class_weights(rng.integers(1, 50, size=6).tolist())
         assert focal(logits, target, 0.0, cw).item() == cross_entropy(logits, target, cw).item()
         assert abs(kld(logits, target, 0.0).item() - cross_entropy(logits, target).item()) <= 1e-12
     for n in (2, 3, 5, 6):
-        assert hinge_multiclass(Tensor(np.full(n, 0.37)), 0).item() == float(n - 1)
+        assert hinge_multiclass(Tensor(np.full((1, n), 0.37)), [0]).item() == float(n - 1)
     assert weighted_sum((Tensor(0.7), Tensor(0.3)), (1.0, 1.0)).item() == 1.0
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -419,7 +419,7 @@ def test_criterion_5_split_sizes_match_published_test_support():
         for i in range(7273)
     ]
     corpus = Corpus(records=records, schemas=schemas, language="kannada")
-    splits = stratified_split(corpus, (0.8, 0.1, 0.1), seed=0)
+    splits = stratified_split(corpus, (0.8, 0.1, 0.1), 0, "sentiment")
     sizes = (len(splits.train), len(splits.val), len(splits.test))
     assert sizes == (5818, 727, 728)
     report("split reproduction", f"7273 -> {sizes[0]}/{sizes[1]}/{sizes[2]}")

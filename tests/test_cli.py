@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mtlc.cli import main
 from mtlc.data import schemas_for_language
-from mtlc.errors import ConfigError
+from mtlc.errors import ConfigError, MtlcError
 from mtlc.metrics import build_report, report_to_dict
 from mtlc.toy import materialize, toy_tsv
 
@@ -339,7 +339,7 @@ class TestTrain:
             raise AssertionError("mtlc train read back a file it wrote")
 
         monkeypatch.setattr(cli, "load_checkpoint", no_reads)
-        monkeypatch.setattr(cli, "load_vocab", no_reads)
+        monkeypatch.setattr(cli, "parse_vocab", no_reads)
         calls, predict = [], mtl._predict
 
         def counted(model, seqs):
@@ -642,6 +642,7 @@ class TestEvaluate:
         shutil.copy(trained_run / "vocab.txt", tmp_path / "vocab.txt")
         code = main(["evaluate", "--checkpoint", str(bad), "--data", str(toy_dir / "val.tsv")])
         assert code == 5
+        assert capsys.readouterr().err.startswith(f"error: {bad}: checkpoint CRC mismatch")
 
     def test_config_block_not_utf8_exits_5(self, trained_run, tmp_path, toy_dir):
         import shutil
@@ -749,6 +750,37 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert repr(str(swapped)) in err and repr(checkpoint) in err
         assert not (tmp_path / "out").exists()
+
+    def test_opens_the_vocabulary_once_and_parses_the_bytes_it_checked(
+        self, trained_run, toy_dir, tmp_path, monkeypatch
+    ):
+        import builtins
+        import hashlib
+
+        import mtlc.cli as cli
+        from mtlc.checkpoint import load_checkpoint
+
+        checkpoint = str(trained_run / "checkpoint.mtlc")
+        vocab = str(trained_run / "vocab.txt")
+        opened, parsed = [], []
+        real_open, real_parse = builtins.open, cli.parse_vocab
+
+        def counting_open(file, *args, **kwargs):
+            if os.fspath(file) == vocab:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        def recording_parse(data, path):
+            parsed.append(data)
+            return real_parse(data, path)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(cli, "parse_vocab", recording_parse)
+        args = ["--checkpoint", checkpoint, "--data", str(toy_dir / "val.tsv")]
+        assert main(["evaluate", *args, "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(opened) == 1
+        _, digest, _ = load_checkpoint(checkpoint)
+        assert [hashlib.sha256(data).digest() for data in parsed] == [digest]
 
     def test_version_1_checkpoint_exits_5(self, trained_run, toy_dir, tmp_path, capsys):
         import shutil
@@ -1197,6 +1229,33 @@ def contract_dir(tmp_path_factory):
         mp.chdir(directory)
         assert main(["train", "--config", "one_epoch.cfg"]) == 0
     return directory
+
+
+def _error_classes(cls=MtlcError):
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _error_classes(child)]
+
+
+class TestExitCodes:
+    # the process exit code of each error class, as the README states them
+    STATED = {
+        "MtlcError": 2, "ContractError": 2, "ShapeError": 2, "ConfigError": 2,
+        "DataError": 3, "NumericalError": 4, "CorruptArtifactError": 5,
+    }
+
+    def test_every_error_class_is_stated(self):
+        assert sorted(cls.__name__ for cls in _error_classes()) == sorted(self.STATED)
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+    def test_a_command_exits_with_its_errors_code(self, cls, fast_cfg, monkeypatch, capsys):
+        import mtlc.cli as cli
+
+        def raising(*args, **kwargs):
+            raise cls("raised inside the command")
+
+        monkeypatch.setattr(cli, "load_config", raising)
+        code = main(["train", "--config", str(fast_cfg)])
+        assert code == cls.exit_code == self.STATED[cls.__name__]
+        assert capsys.readouterr().err == "error: raised inside the command\n"
 
 
 class TestExitCodeContract:

@@ -122,7 +122,8 @@ class TestLoadJointTsv:
         )
         corpus = load_joint_tsv(path, SCHEMAS, "kannada")
         assert corpus.records[0].text == "hi there"
-        vocab = build_vocab(rec.text for rec in corpus.records)
+        texts = (rec.text for rec in corpus.records)
+        vocab = build_vocab(texts, mode="char", min_freq=1, max_size=100)
         assert "\ufeff" not in vocab.token_to_id
 
     def test_bad_rows_over_limit_fail_with_line_numbers(self, tmp_path):
@@ -210,31 +211,31 @@ class TestMergeTaskFiles:
 class TestStratifiedSplit:
     def test_single_class_7273_reproduces_test_support(self):
         corpus = make_corpus([0] * 7273)
-        splits = stratified_split(corpus, (0.8, 0.1, 0.1), seed=1)
+        splits = stratified_split(corpus, (0.8, 0.1, 0.1), 1, "sentiment")
         assert (len(splits.train), len(splits.val), len(splits.test)) == (5818, 727, 728)
 
     def test_everything_to_train(self):
         corpus = make_corpus([0, 1, 2] * 10)
-        splits = stratified_split(corpus, (1.0, 0.0, 0.0), seed=0)
+        splits = stratified_split(corpus, (1.0, 0.0, 0.0), 0, "sentiment")
         assert len(splits.train) == 30 and len(splits.val) == 0 and len(splits.test) == 0
 
     def test_same_seed_identical_membership(self):
         corpus = make_corpus([i % 3 for i in range(60)])
-        a = stratified_split(corpus, seed=7)
-        b = stratified_split(corpus, seed=7)
+        a = stratified_split(corpus, (0.8, 0.1, 0.1), 7, "sentiment")
+        b = stratified_split(corpus, (0.8, 0.1, 0.1), 7, "sentiment")
         assert [r.text for r in a.train.records] == [r.text for r in b.train.records]
         assert [r.text for r in a.test.records] == [r.text for r in b.test.records]
 
     def test_different_seed_same_sizes_different_membership(self):
         corpus = make_corpus([i % 3 for i in range(60)])
-        a = stratified_split(corpus, seed=7)
-        b = stratified_split(corpus, seed=8)
+        a = stratified_split(corpus, (0.8, 0.1, 0.1), 7, "sentiment")
+        b = stratified_split(corpus, (0.8, 0.1, 0.1), 8, "sentiment")
         assert len(a.train) == len(b.train) and len(a.test) == len(b.test)
         assert [r.text for r in a.train.records] != [r.text for r in b.train.records]
 
     def test_tiny_class_goes_to_train(self):
         corpus = make_corpus([0] * 20 + [1] * 2)
-        splits = stratified_split(corpus, seed=0)
+        splits = stratified_split(corpus, (0.8, 0.1, 0.1), 0, "sentiment")
         train_counts = class_counts(splits.train, "sentiment")
         assert train_counts[1] == 2
         assert class_counts(splits.val, "sentiment")[1] == 0
@@ -242,7 +243,7 @@ class TestStratifiedSplit:
 
     def test_partition_property(self):
         corpus = make_corpus([i % 4 for i in range(157)])
-        splits = stratified_split(corpus, seed=3)
+        splits = stratified_split(corpus, (0.8, 0.1, 0.1), 3, "sentiment")
         assert len(splits.train) + len(splits.val) + len(splits.test) == 157
         all_texts = sorted(
             [r.text for part in (splits.train, splits.val, splits.test) for r in part.records]
@@ -251,7 +252,7 @@ class TestStratifiedSplit:
 
     def test_per_class_train_fraction(self):
         corpus = make_corpus([i % 4 for i in range(157)])
-        splits = stratified_split(corpus, seed=3)
+        splits = stratified_split(corpus, (0.8, 0.1, 0.1), 3, "sentiment")
         full = class_counts(corpus, "sentiment")
         train = class_counts(splits.train, "sentiment")
         for c in range(4):
@@ -261,18 +262,18 @@ class TestStratifiedSplit:
     def test_bad_ratios(self):
         corpus = make_corpus([0, 1, 2])
         with pytest.raises(ContractError):
-            stratified_split(corpus, (0.5, 0.2, 0.2))
+            stratified_split(corpus, (0.5, 0.2, 0.2), 0, "sentiment")
 
     def test_unknown_stratify_task_named(self):
         corpus = make_corpus([0, 1, 2])
         with pytest.raises(ContractError, match="stratify_task must be one of .* got 'bogus'"):
-            stratified_split(corpus, stratify_task="bogus")
+            stratified_split(corpus, (0.8, 0.1, 0.1), 0, "bogus")
 
 
 class TestBatches:
     @pytest.fixture
     def vocab(self):
-        return build_vocab(["text one two"], mode="word")
+        return build_vocab(["text one two"], mode="word", min_freq=1, max_size=100)
 
     def test_sizes(self, vocab):
         corpus = make_corpus([0] * 10)

@@ -215,7 +215,7 @@ def params(small_config, heads):
 
 @pytest.fixture
 def vocab():
-    return build_vocab(["a b c d e f", "b c d"], mode="word")
+    return build_vocab(["a b c d e f", "b c d"], mode="word", min_freq=1, max_size=100)
 
 
 class TestConfigValidation:
@@ -664,7 +664,7 @@ class TestPacking:
     def test_pack_equals_the_padded_derivation(self, texts, corpus, mode, max_len):
         """`pack` of encoded comments against the arrays derived from their
         PAD-filled ids and 0/1 masks, value for value."""
-        vocab = build_vocab(corpus, mode=mode)
+        vocab = build_vocab(corpus, mode=mode, min_freq=1, max_size=100)
         seqs = [encode(text, vocab, max_len) for text in texts]
         for seq in seqs:
             assert len(seq.mask) == max_len and sum(seq.mask) == len(seq.ids)
@@ -691,7 +691,7 @@ class TestInferenceReference:
             kind=request.param,
             tasks=tasks,
             losses={t: LossConfig() for t in tasks},
-            soft=SoftShareConfig() if request.param == "soft_share" else None,
+            soft=SoftShareConfig(coupled_layer_names=()) if request.param == "soft_share" else None,
         )
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ffn=16, max_len=8)
         model = build_model(regime, cfg, {"sentiment": 5, "offense": 6}, seed=7)

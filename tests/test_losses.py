@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mtlc.errors import ContractError, DataError
 from mtlc.losses import (
+    CLASS_WEIGHTED,
     LossConfig,
     LossKind,
     class_weights,
@@ -23,6 +24,11 @@ from mtlc.numcore import GradTape, Tensor, backward
 from gradcheck import grad_check
 
 KANNADA_SENTIMENT_COUNTS = [3291, 1481, 678, 820, 1003]
+
+
+def one(logits):
+    """A batch of one comment: its logits as a [1, C] tensor."""
+    return Tensor(np.asarray(logits, dtype=float)[None, :])
 
 
 class TestClassWeights:
@@ -55,44 +61,44 @@ class TestClassWeights:
 
 class TestCrossEntropy:
     def test_uniform_case(self):
-        loss = cross_entropy(Tensor(np.zeros(5)), 0)
+        loss = cross_entropy(one(np.zeros(5)), [0])
         assert loss.item() == pytest.approx(math.log(5), abs=1e-12)
 
     def test_perfect_prediction_limit(self):
-        loss = cross_entropy(Tensor(np.array([50.0, 0.0, 0.0])), 0)
+        loss = cross_entropy(one([50.0, 0.0, 0.0]), [0])
         assert loss.item() < 1e-12
 
     def test_weighted_hand_case(self):
-        loss = cross_entropy(Tensor([1.0, 0.0]), 0, (0.5, 0.5))
+        loss = cross_entropy(one([1.0, 0.0]), [0], (0.5, 0.5))
         assert loss.item() == pytest.approx(0.5 * math.log(1 + math.exp(-1)), abs=1e-12)
         assert loss.item() == pytest.approx(0.15663, abs=5e-6)
 
     def test_target_out_of_range(self):
         with pytest.raises(ContractError):
-            cross_entropy(Tensor(np.zeros(3)), 3)
+            cross_entropy(one(np.zeros(3)), [3])
 
     def test_stable_for_huge_logits(self):
-        loss = cross_entropy(Tensor([1000.0, 0.0]), 1)
+        loss = cross_entropy(one([1000.0, 0.0]), [1])
         assert loss.item() == pytest.approx(1000.0, rel=1e-12)
 
     def test_equal_count_weights_scale_uniform_ce(self):
-        logits = Tensor(np.random.default_rng(0).normal(size=4))
+        logits = one(np.random.default_rng(0).normal(size=4))
         cw = class_weights([5, 5, 5, 5])
-        plain = cross_entropy(logits, 2).item()
-        weighted = cross_entropy(logits, 2, cw).item()
+        plain = cross_entropy(logits, [2]).item()
+        weighted = cross_entropy(logits, [2], cw).item()
         assert weighted == pytest.approx(plain * 3 / 4, rel=1e-12)
 
 
 class TestHinge:
     def test_all_margins_satisfied(self):
-        assert hinge_multiclass(Tensor([2.0, 0.5, -1.0]), 0).item() == 0.0
+        assert hinge_multiclass(one([2.0, 0.5, -1.0]), [0]).item() == 0.0
 
     def test_hand_case(self):
-        assert hinge_multiclass(Tensor([2.0, 0.5, -1.0]), 1).item() == 2.5
+        assert hinge_multiclass(one([2.0, 0.5, -1.0]), [1]).item() == 2.5
 
     def test_all_equal_logits(self):
         for n in (2, 4, 6):
-            loss = hinge_multiclass(Tensor(np.full(n, 1.3)), 0)
+            loss = hinge_multiclass(one(np.full(n, 1.3)), [0])
             assert loss.item() == float(n - 1)
 
     def test_matches_brute_force_sum(self):
@@ -101,13 +107,13 @@ class TestHinge:
             logits = rng.uniform(-3, 3, size=5)
             target = int(rng.integers(0, 5))
             brute = sum(max(0.0, 1 + logits[y] - logits[target]) for y in range(5) if y != target)
-            assert hinge_multiclass(Tensor(logits), target).item() == pytest.approx(brute, abs=1e-12)
+            assert hinge_multiclass(one(logits), [target]).item() == pytest.approx(brute, abs=1e-12)
 
     def test_piecewise_linear_scaling(self):
         # doubling logits around the boundary scales every active margin term
         logits = np.array([0.0, -2.0, 1.5])
-        base = hinge_multiclass(Tensor(logits), 0).item()
-        doubled = hinge_multiclass(Tensor(2 * logits), 0).item()
+        base = hinge_multiclass(one(logits), [0]).item()
+        doubled = hinge_multiclass(one(2 * logits), [0]).item()
         active = [y for y in (1, 2) if 1 + logits[y] - logits[0] > 0]
         expected = sum(1 + 2 * (logits[y] - logits[0]) for y in active)
         assert doubled == pytest.approx(expected, abs=1e-12)
@@ -115,9 +121,9 @@ class TestHinge:
 
     def test_binary_special_case(self):
         # two classes with logits [0, s]: max(0, 1 - y s) for y = +1 (target 1) or -1 (target 0)
-        assert hinge_multiclass(Tensor([0.0, 0.3]), 1).item() == pytest.approx(0.7)
-        assert hinge_multiclass(Tensor([0.0, 0.3]), 0).item() == pytest.approx(1.3)
-        assert hinge_multiclass(Tensor([0.0, 2.0]), 1).item() == 0.0
+        assert hinge_multiclass(one([0.0, 0.3]), [1]).item() == pytest.approx(0.7)
+        assert hinge_multiclass(one([0.0, 0.3]), [0]).item() == pytest.approx(1.3)
+        assert hinge_multiclass(one([0.0, 2.0]), [1]).item() == 0.0
 
 
 class TestFocal:
@@ -147,7 +153,7 @@ class TestFocal:
 
     def test_perfect_prediction_is_zero(self):
         for gamma in (0.0, 1.0, 2.0, 5.0):
-            loss = focal(Tensor([60.0, 0.0]), 0, gamma)
+            loss = focal(one([60.0, 0.0]), [0], gamma)
             assert loss.item() < 1e-12
 
     def test_certain_prediction_has_zero_gradient_below_gamma_one(self):
@@ -161,7 +167,7 @@ class TestFocal:
             assert np.array_equal(logits.grad, np.zeros((1, 3))), gamma
 
     def test_half_probability_hand_case(self):
-        loss = focal(Tensor([0.0, 0.0]), 0, 2.0)
+        loss = focal(one([0.0, 0.0]), [0], 2.0)
         assert loss.item() == pytest.approx(0.25 * math.log(2), abs=1e-12)
         assert loss.item() == pytest.approx(0.17329, abs=5e-6)
 
@@ -176,16 +182,16 @@ class TestKld:
         for seed in range(30):
             logits = np.random.default_rng(seed).uniform(-4, 4, size=5)
             target = int(np.random.default_rng(seed + 99).integers(0, 5))
-            a = kld(Tensor(logits), target, 0.0).item()
-            b = cross_entropy(Tensor(logits), target).item()
+            a = kld(one(logits), [target], 0.0).item()
+            b = cross_entropy(one(logits), [target]).item()
             assert abs(a - b) < 1e-12
 
     def test_identical_distributions_zero(self):
-        loss = kld(Tensor([60.0, 0.0, 0.0]), 0, 0.0)
+        loss = kld(one([60.0, 0.0, 0.0]), [0], 0.0)
         assert loss.item() < 1e-12
 
     def test_smoothed_hand_case(self):
-        loss = kld(Tensor([0.0, 0.0]), 0, 0.1)
+        loss = kld(one([0.0, 0.0]), [0], 0.1)
         expected = 0.9 * math.log(0.9 / 0.5) + 0.1 * math.log(0.1 / 0.5)
         assert loss.item() == pytest.approx(expected, abs=1e-12)
         assert loss.item() == pytest.approx(0.36806, abs=5e-6)
@@ -204,15 +210,15 @@ class TestLossProperties:
         cfg = LossConfig(kind=kind)
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            logits = Tensor(rng.uniform(-5, 5, size=4))
+            logits = one(rng.uniform(-5, 5, size=4))
             target = int(rng.integers(0, 4))
-            assert compute_loss(logits, target, cfg).item() >= 0.0
+            assert compute_loss(logits, [target], cfg).item() >= 0.0
 
     def test_strictly_positive_off_target(self):
-        logits = Tensor(np.array([1.0, 0.5, 0.0]))
-        assert cross_entropy(logits, 1).item() > 0
-        assert focal(logits, 1, 2.0).item() > 0
-        assert kld(logits, 1, 0.1).item() > 0
+        logits = one([1.0, 0.5, 0.0])
+        assert cross_entropy(logits, [1]).item() > 0
+        assert focal(logits, [1], 2.0).item() > 0
+        assert kld(logits, [1], 0.1).item() > 0
 
     @pytest.mark.parametrize(
         "fn",
@@ -228,17 +234,18 @@ class TestLossProperties:
     def test_gradients(self, fn):
         for seed in range(25):
             rng = np.random.default_rng(seed)
-            logits = Tensor(rng.uniform(-2, 2, size=5))
+            logits = one(rng.uniform(-2, 2, size=5))
             target = int(rng.integers(0, 5))
-            assert grad_check(lambda t: fn(t, target), logits) < 1e-4
+            assert grad_check(lambda t: fn(t, [target]), logits) < 1e-4
 
     def test_class_weights_ignored_by_hinge_and_kld(self):
         cw = class_weights([1, 9])
-        logits = Tensor([0.3, -0.2])
+        logits = one([0.3, -0.2])
         weighted_cfg = LossConfig(kind=LossKind.HINGE, use_class_weights=True)
-        assert compute_loss(logits, 0, weighted_cfg, cw).item() == hinge_multiclass(logits, 0).item()
+        hinge = hinge_multiclass(logits, [0]).item()
+        assert compute_loss(logits, [0], weighted_cfg, cw).item() == hinge
         weighted_cfg = LossConfig(kind=LossKind.KLD, use_class_weights=True, kld_epsilon=0.1)
-        assert compute_loss(logits, 0, weighted_cfg, cw).item() == kld(logits, 0, 0.1).item()
+        assert compute_loss(logits, [0], weighted_cfg, cw).item() == kld(logits, [0], 0.1).item()
 
 
 def per_sample_reference(kind, logits, target, weights=None, gamma=2.0, epsilon=0.1):
@@ -265,8 +272,9 @@ class TestBatchLoss:
         cw = class_weights([3, 5, 9])
         for kind in LossKind:
             cfg = LossConfig(kind=kind, use_class_weights=True)
-            one = compute_loss(Tensor(logits), 2, cfg, cw).item()
-            assert compute_loss(Tensor(logits[None, :]), [2], cfg, cw).item() == one
+            w = cw if kind in CLASS_WEIGHTED else None
+            expected = per_sample_reference(kind, logits, 2, w)
+            assert abs(compute_loss(one(logits), [2], cfg, cw).item() - expected) <= 1e-12, kind
 
     def test_two_samples(self):
         logits = Tensor(np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -290,6 +298,12 @@ class TestBatchLoss:
                     got = compute_loss(Tensor(logits), targets, cfg, cw if weighted else None).item()
                     assert abs(got - sum(rows) / 17) <= 1e-12, (seed, kind, weighted)
 
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_one_dimensional_logits_rejected(self, kind):
+        # a comment is a [1, C] batch; a bare logit vector is no batch
+        with pytest.raises(ContractError, match=r"\[B, C\] logits"):
+            compute_loss(Tensor(np.zeros(3)), [0], LossConfig(kind=kind))
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
             compute_loss(Tensor(np.zeros((0, 3))), [], LossConfig())
@@ -300,15 +314,15 @@ class TestBatchLoss:
         row = np.array([0.5, -0.25, 1.0])
         for kind in LossKind:
             cfg = LossConfig(kind=kind)
-            one = Tensor(row, requires_grad=True)
+            single = Tensor(row[None, :], requires_grad=True)
             with GradTape() as tape:
-                loss = compute_loss(one, 1, cfg)
+                loss = compute_loss(single, [1], cfg)
             backward(tape, loss)
             four = Tensor(np.tile(row, (4, 1)), requires_grad=True)
             with GradTape() as tape:
                 loss = compute_loss(four, [1] * 4, cfg)
             backward(tape, loss)
-            assert np.abs(four.grad - one.grad / 4).max() < 1e-15, kind
+            assert np.abs(four.grad - single.grad / 4).max() < 1e-15, kind
 
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_batched_gradients(self, kind):

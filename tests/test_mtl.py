@@ -163,7 +163,7 @@ class TestRegimeValidation:
     def test_only_soft_share_takes_a_soft_config(self, kind):
         # one encoder has no pair to couple
         with pytest.raises(ConfigError, match=f"kind is '{kind}'"):
-            regime_for(kind, soft=SoftShareConfig())
+            regime_for(kind, soft=SoftShareConfig(coupled_layer_names=()))
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ConfigError):
@@ -171,7 +171,7 @@ class TestRegimeValidation:
 
     def test_unknown_penalty(self):
         with pytest.raises(ConfigError):
-            SoftShareConfig(penalty="nuclear-ish", lam=1.0)
+            SoftShareConfig(coupled_layer_names=(), penalty="nuclear-ish", lam=1.0)
 
     def test_epochs_bound(self):
         with pytest.raises(ConfigError):
@@ -211,9 +211,9 @@ class TestHardForward:
             logits = logits_per_tower(model, batch.seqs)
             loss1 = cross_entropy(logits["sentiment"], batch.labels["sentiment"])
         backward(tape, loss1)
+        # off the loss's path: no gradient, which adamw_step reads as zeros
         for leaf in ("w_hidden", "b_hidden", "w_out", "b_out"):
-            grad = model.params[f"head.offense.{leaf}"].grad
-            assert np.array_equal(grad, np.zeros(grad.shape))
+            assert model.params[f"head.offense.{leaf}"].grad is None
         assert np.abs(model.params["head.sentiment.w_out"].grad).max() > 0
 
     def test_forward_op_count_is_half_of_two_stl_passes(self, toy_splits, toy_vocab):
@@ -760,7 +760,7 @@ class TestEvaluate:
 
     def test_length_ordered_batches_keep_corpus_order(self, toy_vocab):
         self._assert_single_comments_match_the_batch(
-            toy_vocab, regime_for("soft_share", soft=SoftShareConfig())
+            toy_vocab, regime_for("soft_share", soft=SoftShareConfig(coupled_layer_names=()))
         )
 
     @pytest.mark.parametrize("kind", ["stl", "hard_share"])
@@ -866,7 +866,7 @@ class TestStackedPrediction:
     stacks; it must give `logits_per_tower` bit for bit. Soft
     sharing here, STL and hard sharing in the subclasses below."""
 
-    regime = regime_for("soft_share", soft=SoftShareConfig())
+    regime = regime_for("soft_share", soft=SoftShareConfig(coupled_layer_names=()))
 
     def _model(self, vocab, max_len=8, seed=4):
         cfg = toy_encoder(vocab, max_len=max_len, d_model=8, n_heads=2, d_ffn=16, dropout_p=0.0)

@@ -7,7 +7,17 @@ import numpy as np
 import pytest
 
 from mtlc.errors import ContractError, NumericalError, ShapeError
-from mtlc.numcore import OptimHyper, Tensor, adamw_step, init_states
+from mtlc.numcore import (
+    GradTape,
+    OptimHyper,
+    Tensor,
+    adamw_step,
+    backward,
+    init_states,
+    mul,
+    sum_all,
+    zero_grads,
+)
 from mtlc.numcore.optim import global_grad_norm
 
 
@@ -135,6 +145,36 @@ class TestAdamWStep:
             runs.append(snapshot(params, states))
         assert_same(*runs)
         assert not np.array_equal(runs[0][0]["a"], values["a"])
+
+    def test_an_off_path_parameter_steps_as_an_explicit_zero_bit_for_bit(self):
+        # backward leaves a leaf off the loss's path at grad None; the step
+        # reads that as zeros
+        rng = np.random.default_rng(4)
+        values = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)}
+        weights = Tensor(rng.normal(size=(2, 3)))
+        hyper = OptimHyper(learning_rate=0.05, weight_decay=0.05, clip_norm=1.0)
+        runs = []
+        for explicit in (False, True):
+            params = {
+                name: Tensor(v.copy(), requires_grad=True, name=name) for name, v in values.items()
+            }
+            states = init_states(params)
+            for _ in range(3):
+                zero_grads(params)
+                with GradTape() as tape:
+                    sum_all(params["b"])  # on the tape, off the loss's path
+                    loss = sum_all(mul(params["a"], weights))
+                backward(tape, loss)
+                assert params["b"].grad is None
+                if explicit:
+                    params["b"].grad = np.zeros(4)
+                adamw_step(params, states, hyper)
+            runs.append({
+                n: (p.data.tobytes(), states[n].m.tobytes(), states[n].v.tobytes())
+                for n, p in params.items()
+            })
+        assert runs[0] == runs[1]
+        assert runs[0]["b"][0] != values["b"].tobytes()  # weight decay moved it
 
     @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
     def test_non_finite_grad_names_the_sorted_first_and_changes_nothing(self, clip_norm):

@@ -22,7 +22,6 @@ from mtlc.numcore import (
     matmul,
     mul,
     relu,
-    reshape,
     scale,
     segment_attention,
     stream,
@@ -116,15 +115,18 @@ class TestBackward:
         with pytest.raises(ContractError):
             backward(tape, Tensor(1.0))
 
-    def test_off_path_tensors_get_zero_gradients(self):
+    def test_off_path_leaves_keep_their_grad(self):
         x = Tensor(np.ones(3), requires_grad=True, name="x")
         unused = Tensor(np.ones(2), requires_grad=True, name="unused")
+        held = Tensor(np.ones(2), requires_grad=True, name="held")
+        held.grad = np.full(2, 0.5)
         with GradTape() as tape:
-            _ = sum_all(unused)  # on the tape, off the loss path
+            _ = sum_all(add(unused, held))  # on the tape, off the loss path
             loss = sum_all(x)
         backward(tape, loss)
         assert np.array_equal(x.grad, np.ones(3))
-        assert np.array_equal(unused.grad, np.zeros(2))
+        assert unused.grad is None
+        assert held.grad.tolist() == [0.5, 0.5]
 
     def test_shared_input_accumulates(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
@@ -164,7 +166,7 @@ class TestBackward:
     def test_composite_graph_matches_finite_differences(self):
         def f(x):
             h = tanh(matmul(x, Tensor(np.random.default_rng(5).normal(size=(4, 3)))))
-            return log_sum_exp(reshape(sum_all_rows(h), (3,)))
+            return sum_all(log_sum_exp(sum_all_rows(h)))
 
         def sum_all_rows(t):
             ones = Tensor(np.ones((1, t.shape[0])))
@@ -515,9 +517,14 @@ class TestFiniteness:
             assert np.isfinite(out.data).all()
 
     def test_log_sum_exp_extreme(self):
-        out = log_sum_exp(Tensor(np.array([1e4, -1e4, 0.0])))
+        out = log_sum_exp(Tensor(np.array([[1e4, -1e4, 0.0]])))
         assert math.isfinite(out.item())
         assert abs(out.item() - 1e4) < 1e-9
+
+    def test_log_sum_exp_takes_only_a_matrix(self):
+        for shape in ((3,), (2, 2, 3), ()):
+            with pytest.raises(ShapeError, match="2-D"):
+                log_sum_exp(Tensor(np.zeros(shape)))
 
 
 class TestTowerAxis:

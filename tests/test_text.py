@@ -9,7 +9,7 @@ from mtlc.text import (
     UNK,
     build_vocab,
     encode,
-    load_vocab,
+    parse_vocab,
     save_vocab,
     tokenize,
 )
@@ -17,36 +17,36 @@ from mtlc.text import (
 
 class TestBuildVocab:
     def test_word_mode_hand_case(self):
-        vocab = build_vocab(["a b", "a"], mode="word", min_freq=1)
+        vocab = build_vocab(["a b", "a"], mode="word", min_freq=1, max_size=100)
         assert vocab.token_to_id == {
             "[PAD]": 0, "[UNK]": 1, "[CLS]": 2, "[SEP]": 3, "a": 4, "b": 5,
         }
 
     def test_char_mode_hand_case(self):
-        vocab = build_vocab(["ab"], mode="char")
+        vocab = build_vocab(["ab"], mode="char", min_freq=1, max_size=100)
         assert vocab.token_to_id["a"] == 4
         assert vocab.token_to_id["b"] == 5
 
     def test_min_freq_threshold(self):
-        vocab = build_vocab(["a b", "a"], mode="word", min_freq=2)
+        vocab = build_vocab(["a b", "a"], mode="word", min_freq=2, max_size=100)
         assert "b" not in vocab.token_to_id
         seq = encode("a b", vocab, 5)
         assert seq.ids == (CLS, vocab.token_to_id["a"], UNK, SEP)
 
     def test_frequency_then_lexicographic_rank(self):
-        vocab = build_vocab(["z z b a"], mode="word")
+        vocab = build_vocab(["z z b a"], mode="word", min_freq=1, max_size=100)
         assert vocab.id_to_token[4:] == ("z", "a", "b")
 
     def test_max_size_caps_after_specials(self):
-        vocab = build_vocab(["a b c d e"], mode="word", max_size=2)
+        vocab = build_vocab(["a b c d e"], mode="word", min_freq=1, max_size=2)
         assert len(vocab) == 6
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ContractError):
-            build_vocab([], mode="word")
+            build_vocab([], mode="word", min_freq=1, max_size=100)
 
     def test_bijection(self):
-        vocab = build_vocab(["some words and more words"], mode="word")
+        vocab = build_vocab(["some words and more words"], mode="word", min_freq=1, max_size=100)
         assert sorted(vocab.token_to_id.values()) == list(range(len(vocab)))
         for tok, i in vocab.token_to_id.items():
             assert vocab.id_to_token[i] == tok
@@ -71,7 +71,7 @@ class TestTokenize:
 class TestEncode:
     @pytest.fixture
     def vocab(self):
-        return build_vocab(["a b", "a"], mode="word")
+        return build_vocab(["a b", "a"], mode="word", min_freq=1, max_size=100)
 
     def test_empty_text(self, vocab):
         seq = encode("", vocab, 6)
@@ -83,7 +83,8 @@ class TestEncode:
         assert seq.ids == (2, 4, 5, 3)
         assert seq.mask == (1, 1, 1, 1, 0)
         # char ids a=4, " "=5, b=6: "?" and "ü" are unknown, the last " a" is cut
-        seq = encode("a?b ü a", build_vocab(["a b", "a"], mode="char"), 7)
+        vocab = build_vocab(["a b", "a"], mode="char", min_freq=1, max_size=100)
+        seq = encode("a?b ü a", vocab, 7)
         assert seq.ids == (2, 4, UNK, 6, 5, UNK, 3)
         assert seq.mask == (1,) * 7
 
@@ -118,15 +119,15 @@ class TestEncode:
 
 class TestVocabFile:
     def test_round_trip(self, tmp_path):
-        vocab = build_vocab(["a b c", "b c"], mode="word")
+        vocab = build_vocab(["a b c", "b c"], mode="word", min_freq=1, max_size=100)
         path = str(tmp_path / "vocab.txt")
         save_vocab(vocab, path)
-        loaded = load_vocab(path)
+        loaded = parse_vocab((tmp_path / "vocab.txt").read_bytes(), path)
         assert loaded.id_to_token == vocab.id_to_token
         assert loaded.mode == vocab.mode
 
     def test_header_format(self, tmp_path):
-        vocab = build_vocab(["xy"], mode="char")
+        vocab = build_vocab(["xy"], mode="char", min_freq=1, max_size=100)
         path = str(tmp_path / "vocab.txt")
         save_vocab(vocab, path)
         with open(path, encoding="utf-8") as fh:
@@ -135,19 +136,18 @@ class TestVocabFile:
         assert lines[1] == "char"
         assert lines[2] == "x"
 
-    def test_bad_version_rejected(self, tmp_path):
-        path = str(tmp_path / "vocab.txt")
-        path_obj = tmp_path / "vocab.txt"
-        path_obj.write_text("9\nword\na\n", encoding="utf-8")
+    def test_bad_version_rejected(self):
         with pytest.raises(DataError):
-            load_vocab(path)
+            parse_vocab(b"9\nword\na\n", "vocab.txt")
 
-    def test_bad_mode_rejected(self, tmp_path):
-        (tmp_path / "vocab.txt").write_text("1\nbpe\na\n", encoding="utf-8")
+    def test_bad_mode_rejected(self):
         with pytest.raises(DataError):
-            load_vocab(str(tmp_path / "vocab.txt"))
+            parse_vocab(b"1\nbpe\na\n", "vocab.txt")
 
-    def test_duplicate_token_rejected(self, tmp_path):
-        (tmp_path / "vocab.txt").write_text("1\nword\na\na\n", encoding="utf-8")
+    def test_duplicate_token_rejected(self):
         with pytest.raises(DataError):
-            load_vocab(str(tmp_path / "vocab.txt"))
+            parse_vocab(b"1\nword\na\na\n", "vocab.txt")
+
+    def test_non_utf8_rejected_naming_the_file(self):
+        with pytest.raises(DataError, match="vocab.txt.*not UTF-8"):
+            parse_vocab(b"1\nword\n\xff\n", "vocab.txt")
