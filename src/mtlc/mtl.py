@@ -51,9 +51,9 @@ PENALTIES = (FROBENIUS, TRACE_NORM)
 
 BATCH_SIZES = (16, 32, 64)
 
-# packed rows (comment positions) times encoder towers per prediction batch:
-# bounds the working set of evaluation, which the heap keeps once it has
-# grown to it, below that of a training step
+# packed rows (comment positions) per prediction batch, which each encoder
+# tower runs: bounds the working set of evaluation, which the heap keeps once
+# it has grown to it, below that of a training step
 PREDICT_ROWS = 1024
 
 
@@ -390,16 +390,15 @@ def train(
 def _predict(model: Model, seqs: Sequence[TokenSeq]) -> dict[str, list[int]]:
     """Argmax predictions in corpus order. The comments are stably sorted
     by length, so equal-length comments sit side by side and attention
-    covers each such run in one call, and cut into consecutive
-    batches of at most `PREDICT_ROWS` packed rows per encoder tower run
-    together (`predict_logits`): 1,024 for one encoder, 512 for two; a
-    longer comment runs alone. Raises NumericalError, naming the comment's
-    corpus index and the task, if a logit is not finite."""
+    covers each such run in one call, and cut into consecutive batches of
+    at most `PREDICT_ROWS` packed rows, which every encoder tower of
+    `predict_logits` runs together; a longer comment runs alone. Raises
+    NumericalError, naming the comment's corpus index and the task, if a
+    logit is not finite."""
     lengths = [len(seq.ids) for seq in seqs]
     order = np.argsort(lengths, kind="stable")
     preds = {task: np.empty(len(order), dtype=np.int64) for task in model.regime.tasks}
-    n_towers = len(towers(model.regime))
-    for start, stop in _row_budget_spans([lengths[i] for i in order], n_towers):
+    for start, stop in _row_budget_spans([lengths[i] for i in order]):
         rows = order[start:stop]
         logits = predict_logits(model, [seqs[i] for i in rows])
         for task in model.regime.tasks:
@@ -411,14 +410,13 @@ def _predict(model: Model, seqs: Sequence[TokenSeq]) -> dict[str, list[int]]:
     return {task: p.tolist() for task, p in preds.items()}
 
 
-def _row_budget_spans(lengths: Sequence[int], n_towers: int) -> list[tuple[int, int]]:
+def _row_budget_spans(lengths: Sequence[int]) -> list[tuple[int, int]]:
     """Consecutive [start, stop) spans of `lengths`, each summing to at most
-    `PREDICT_ROWS` once multiplied by `n_towers`, or holding one longer
-    item alone."""
+    `PREDICT_ROWS`, or holding one longer item alone."""
     spans = []
     start = rows = 0
     for i, n in enumerate(lengths):
-        if i > start and (rows + n) * n_towers > PREDICT_ROWS:
+        if i > start and rows + n > PREDICT_ROWS:
             spans.append((start, i))
             start, rows = i, 0
         rows += n

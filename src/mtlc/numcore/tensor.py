@@ -376,11 +376,16 @@ def segment_attention(
     view and its scores, softmax and weighted sum are one stacked call each;
     a run of one sequence is the per-sequence computation.
 
-    q is scaled by 1/sqrt(d_k) once per call, and each run's scores are
-    key-major, [heads, sequences, keys, queries]. The products are written
-    straight into the output and gradient arrays. The backward takes each
-    query row's softmax correction as the row sum of dO * O, once per call
-    (as FlashAttention does), not from the score block.
+    q is scaled by 1/sqrt(d_k) once per call. A run of per-row queries
+    stores its scores keys outermost, [heads, keys, sequences, queries], so
+    its softmax sweeps contiguous [sequences x queries] rows once per key; a
+    [CLS] run stores them key-major, [heads, sequences, keys, 1]. Either way
+    numpy takes a query's max and sum over its keys in the order it would
+    for the sequence alone, so a sequence's bits in a run are its bits
+    alone. The products are written straight into the output and gradient
+    arrays. The backward takes each query row's softmax correction as the
+    row sum of dO * O, once per call (as FlashAttention does), not from the
+    score block.
     """
     q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
     lead = q_shape[:-2]
@@ -426,15 +431,20 @@ def segment_attention(
     c = 1.0 / math.sqrt(q_shape[-1] // n_heads)
     qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
     out = np.empty(lead + (nq, n_heads, vh.shape[-1]), np.result_type(qh, kh, vh))
+    keys_axis = -3 if per_row else -2  # of a run's score block
     probs = []
     for qs, ks, g, ql, kl in runs:
-        # key-major scores [..., heads, G, kl, ql]: the softmax reduces over
-        # the keys, which numpy does in fewer passes than over the last axis
-        p = views(kh, ks, g, kl) @ views(qh, qs, g, ql).swapaxes(-1, -2)
-        p -= p.max(axis=-2, keepdims=True)
-        np.exp(p, out=p)
-        total = p.sum(axis=-2, keepdims=True)
-        p *= np.reciprocal(total, out=total)
+        # p is [..., heads, G, kl, ql], a view of `block`, whose softmax
+        # reduces over the keys: outermost for a per-row run, so each key's
+        # [G x ql] scores are one contiguous row; key-major for a [CLS] run,
+        # since with ql = 1 keys outermost would be summed in another order
+        block = np.empty(lead + (n_heads,) + ((kl, g, ql) if per_row else (g, kl, ql)), out.dtype)
+        p = block.swapaxes(-3, -2) if per_row else block
+        np.matmul(views(kh, ks, g, kl), views(qh, qs, g, ql).swapaxes(-1, -2), out=p)
+        block -= block.max(axis=keys_axis, keepdims=True)
+        np.exp(block, out=block)
+        total = block.sum(axis=keys_axis, keepdims=True)
+        block *= np.reciprocal(total, out=total)
         probs.append(p)
         np.matmul(p.swapaxes(-1, -2), views(vh, ks, g, kl), out=views(out, qs, g, ql))
 

@@ -1,7 +1,7 @@
 """Attention, the transformer stack, pooling, and classification heads."""
 
 import math
-from itertools import groupby
+from itertools import groupby, product
 
 import numpy as np
 import pytest
@@ -79,8 +79,9 @@ def padded_reference(seqs, params, cfg):
 def plain_inference(model, seqs):
     """`predict_logits` restated in plain numpy on the model's [towers, ...]
     stacks: the numpy calls the ops make at inference, in the order they
-    make them, so its logits equal the ops' bit for bit, and a change to an
-    op's arithmetic shows as a changed bit. Every array it makes takes the
+    make them (but every attention run's scores key-major, see `attend`),
+    so its logits equal the ops' bit for bit, and a change to an op's
+    arithmetic shows as a changed bit. Every array it makes takes the
     weights' dtype, as the ops' do."""
     cfg, p = model.encoder_cfg, {name: t.data for name, t in model.stacks.items()}
     lengths = [len(seq.ids) for seq in seqs]
@@ -103,7 +104,9 @@ def plain_inference(model, seqs):
 
     def attend(q, k, v, q_lengths):
         # each run of equal (q, kv) lengths as one [towers, heads, G, L, w]
-        # view, key-major scores, as `segment_attention` computes them
+        # view, its scores key-major, [towers, heads, G, keys, queries], for
+        # every run: the reference layout, which `segment_attention` must
+        # equal bit for bit where it lays a per-row run's keys outermost
         n_heads, towers_, width = cfg.n_heads, len(q), q.shape[-1] // cfg.n_heads
 
         def split(a):
@@ -525,18 +528,33 @@ class TestPacking:
             assert grad_check(lambda x: loss(Tensor(q), Tensor(k), x), Tensor(v)) < 1e-4
 
     def test_sequence_alone_equals_its_rows_in_a_run(self):
+        # bit for bit, in float64 and float32, with and without a tower
+        # axis: a per-row run of 3 or 5 sequences lays its scores out keys
+        # outermost, a lone sequence is one sequence's block, and every
+        # query's softmax takes the same values in the same order; so do
+        # the float64 gradients
         rng = np.random.default_rng(15)
         lengths = [3, 3, 3, 1, 5, 5]
-        for per_row in (True, False):
-            q_lengths, kv_lengths = query_rows(lengths, per_row), lengths
-            q = rng.normal(size=(sum(q_lengths), 8))
-            k, v = rng.normal(size=(sum(kv_lengths), 8)), rng.normal(size=(sum(kv_lengths), 6))
-            packed = segment_attention(*map(Tensor, (q, k, v)), kv_lengths, 2).data
-            q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(kv_lengths)
-            for ql, qe, kl, ke in zip(q_lengths, q_ends, kv_lengths, kv_ends):
+        for dtype, lead, per_row in product((np.float64, np.float32), ((), (2,)), (True, False)):
+            q_lengths = query_rows(lengths, per_row)
+            q = rng.normal(size=lead + (sum(q_lengths), 8)).astype(dtype)
+            k = rng.normal(size=lead + (sum(lengths), 8)).astype(dtype)
+            v = rng.normal(size=lead + (sum(lengths), 6)).astype(dtype)
+            g_out = rng.normal(size=lead + (sum(q_lengths), 6))
+            packed = segment_attention(*map(Tensor, (q, k, v)), lengths, 2).data
+            assert packed.dtype == dtype
+            if dtype == np.float64:
+                packed_grads = attention_and_grads(q, k, v, lengths, 2, g_out)[1:]
+            q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(lengths)
+            for ql, qe, kl, ke in zip(q_lengths, q_ends, lengths, kv_ends):
                 qs, ks = slice(qe - ql, qe), slice(ke - kl, ke)
-                alone = segment_attention(*map(Tensor, (q[qs], k[ks], v[ks])), [kl], 2).data
-                assert np.abs(packed[qs] - alone).max() < 1e-12
+                rows = (q[..., qs, :], k[..., ks, :], v[..., ks, :])
+                alone = segment_attention(*map(Tensor, rows), [kl], 2).data
+                assert np.array_equal(packed[..., qs, :], alone), (dtype, lead, per_row)
+                if dtype == np.float64:
+                    grads = attention_and_grads(*rows, [kl], 2, g_out[..., qs, :])[1:]
+                    for got, want, r in zip(packed_grads, grads, (qs, ks, ks)):
+                        assert np.array_equal(got[..., r, :], want), (lead, per_row)
 
     def test_softmax_stable_at_extreme_scores(self):
         # integer q and k and a scale of 1/2 keep every score exact. In each
