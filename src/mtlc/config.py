@@ -264,7 +264,7 @@ def load_config(
         raise ConfigError(f"regime.coupled_layers: not encoder parameters: {unknown}")
     soft = _build(SoftShareConfig, typed, coupled_layer_names=coupled)
     stl_weight = {"task_weights": (1.0,)} if kind == STL else {}  # STL trains at weight 1
-    regime = _build(RegimeConfig, typed, kind=kind, tasks=tasks, losses=losses,
+    regime = _build(RegimeConfig, typed, tasks=tasks, losses=losses,
                     soft=soft if kind == SOFT_SHARE else None, **stl_weight)
     return RunConfig(
         raw=values,

@@ -80,19 +80,17 @@ class SoftShareConfig:
 
 @dataclass(frozen=True)
 class RegimeConfig:
-    kind: str
+    """A regime's kind is its tasks and coupling: one task is STL, two are
+    hard sharing, and two with a `soft` coupling are soft sharing."""
+
     tasks: tuple[str, ...]
     losses: dict[str, LossConfig]
     task_weights: tuple[float, ...] = (1.0, 1.0)
     soft: Optional[SoftShareConfig] = None
 
     def __post_init__(self):
-        if self.kind not in REGIMES:
-            raise ConfigError(f"unknown regime {self.kind!r}; expected one of {REGIMES}")
-        if self.kind == STL and len(self.tasks) != 1:
-            raise ConfigError(f"STL trains exactly one task, got {self.tasks}")
-        if self.kind in (HARD_SHARE, SOFT_SHARE) and len(self.tasks) != 2:
-            raise ConfigError(f"{self.kind} trains exactly two tasks, got {self.tasks}")
+        if len(self.tasks) not in ((2,) if self.soft is not None else (1, 2)):
+            raise ConfigError(f"a regime trains one task or two, soft sharing two; got {self.tasks}")
         if len(self.task_weights) != len(self.tasks):
             raise ConfigError(
                 f"task_weights: {len(self.task_weights)} weights for {len(self.tasks)} tasks"
@@ -103,8 +101,6 @@ class RegimeConfig:
             raise ConfigError(f"task_weights must not all be 0, got {self.task_weights}")
         if set(self.losses) != set(self.tasks):
             raise ConfigError(f"loss config tasks {sorted(self.losses)} != tasks {self.tasks}")
-        if (self.kind == SOFT_SHARE) != (self.soft is not None):
-            raise ConfigError(f"a SoftShareConfig goes with soft_share alone; kind is {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ def towers(regime: RegimeConfig) -> dict[str, tuple[str, ...]]:
     """Parameter-name prefix of each encoder -> the tasks whose heads sit on
     it: one shared encoder for STL and hard sharing, one tower per task for
     soft sharing."""
-    if regime.kind == SOFT_SHARE:
+    if regime.soft is not None:
         return {f"tower.{task}.": (task,) for task in regime.tasks}
     return {"": regime.tasks}
 
@@ -216,13 +212,6 @@ def weighted_sum(losses: Sequence[Tensor], task_weights: Sequence[float]) -> Ten
     for loss, weight in zip(losses[1:], task_weights[1:]):
         total = add(total, scale(loss, weight))
     return total
-
-
-def soft_loss(losses: Sequence[Tensor], regime: RegimeConfig) -> Tensor:
-    """The differentiable part of every regime's objective: the weighted
-    task-loss sum. A coupling penalty stays off the tape; `couple` applies
-    it as a proximal step after the optimizer's."""
-    return weighted_sum(losses, regime.task_weights)
 
 
 def frobenius_penalty(pair: np.ndarray, eta: float) -> None:
@@ -301,17 +290,19 @@ def train(
     `encoder_forward` on its own 2-D tensors, its heads, its tasks' losses
     and their weighted sum's backward on a tape of its own, so only one
     encoder's activations are alive at a time. Each parameter belongs to
-    one encoder, so the gradients equal one backward of `soft_loss` over
-    all encoders bit for bit. Then the AdamW step, and `couple` takes the
-    coupling penalty's proximal step. Each epoch ends with one validation
-    report, on the weights as a checkpoint stores them (`stored_values`).
+    one encoder, so the gradients equal one backward of `weighted_sum`
+    over all encoders bit for bit. Then the AdamW step, and `couple` takes
+    the coupling penalty's proximal step. Each epoch ends with one
+    validation report, on the weights as a checkpoint stores them
+    (`stored_values`).
 
-    An empty split raises ContractError. A non-finite task loss raises
-    NumericalError naming the task, epoch and batch before its encoder's
-    backward; a non-finite objective or gradient raises before the update,
-    so no parameter changes; a weight beyond float32's range raises at its
-    epoch's validation, naming the tensor. These checks, not numpy
-    warnings, report a step's overflow.
+    An empty split raises ContractError. Every NumericalError of a step
+    names its epoch and batch: a non-finite task loss, named, before its
+    encoder's backward; a non-finite objective or gradient before the
+    update, so no parameter changes; a failed coupling step, naming its
+    layer. A weight beyond float32's range raises at its epoch's
+    validation, naming the tensor. These checks, not numpy warnings,
+    report a step's overflow.
     """
     regime = model.regime
     train_set = encode_split(train_split, vocab, model.encoder_cfg.max_len)
@@ -338,36 +329,34 @@ def train(
         hits = {task: 0 for task in regime.tasks}
         with np.errstate(all="ignore"):
             for batch_index, batch in enumerate(epoch_batches):
-                at = f"at epoch {epoch} batch {batch_index}"
-                zero_grads(model.params)
-                packed = pack(batch.seqs, model.encoder_cfg)
-                loss_values: dict[str, float] = {}
-                for prefix, tasks in towers(regime).items():
-                    tower = {name: model.params[prefix + name] for name in model.stacks}
-                    with GradTape() as tape:
-                        pooled = encoder_forward(packed, tower, model.encoder_cfg, dropout_rng)
-                        logits = {t: classify(pooled, model.heads[t][1]) for t in tasks}
-                        losses = [
-                            compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])
-                            for t in tasks
-                        ]
-                        tower_loss = weighted_sum(losses, [task_weight[t] for t in tasks])
-                    for t, loss in zip(tasks, losses):
-                        loss_values[t] = loss.item()
-                        loss_sums[t] += loss_values[t] * len(batch)
-                        hits[t] += int((logits[t].data.argmax(axis=1) == batch.labels[t]).sum())
-                    if not math.isfinite(tower_loss.item()):
-                        bad = [t for t in tasks if not math.isfinite(loss_values[t])] or tasks
-                        raise NumericalError(f"non-finite {'+'.join(bad)} loss {at}")
-                    backward(tape, tower_loss)
-                total = soft_loss([Tensor(loss_values[t]) for t in regime.tasks], regime)
-                if not math.isfinite(total.item()):
-                    raise NumericalError(f"non-finite objective {at}")
                 try:
+                    zero_grads(model.params)
+                    packed = pack(batch.seqs, model.encoder_cfg)
+                    loss_values: dict[str, float] = {}
+                    for prefix, tasks in towers(regime).items():
+                        tower = {name: model.params[prefix + name] for name in model.stacks}
+                        with GradTape() as tape:
+                            pooled = encoder_forward(packed, tower, model.encoder_cfg, dropout_rng)
+                            logits = {t: classify(pooled, model.heads[t][1]) for t in tasks}
+                            losses = [
+                                compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])
+                                for t in tasks
+                            ]
+                            tower_loss = weighted_sum(losses, [task_weight[t] for t in tasks])
+                        for t, loss in zip(tasks, losses):
+                            loss_values[t] = loss.item()
+                            loss_sums[t] += loss_values[t] * len(batch)
+                            hits[t] += int((logits[t].data.argmax(axis=1) == batch.labels[t]).sum())
+                        if not math.isfinite(tower_loss.item()):
+                            bad = [t for t in tasks if not math.isfinite(loss_values[t])] or tasks
+                            raise NumericalError(f"non-finite {'+'.join(bad)} loss")
+                        backward(tape, tower_loss)
+                    if not math.isfinite(sum(task_weight[t] * loss_values[t] for t in regime.tasks)):
+                        raise NumericalError("non-finite objective")
                     adamw_step(model.params, states, train_cfg.optimizer)
+                    couple(model, train_cfg.optimizer.learning_rate)
                 except NumericalError as exc:
-                    raise NumericalError(f"{exc} {at}") from exc
-                couple(model, train_cfg.optimizer.learning_rate)
+                    raise NumericalError(f"{exc} at epoch {epoch} batch {batch_index}") from exc
 
         stored = stored_values(model.params)
         frozen = Model(regime, model.encoder_cfg, {n: Tensor(a, name=n) for n, a in stored.items()})

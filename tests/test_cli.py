@@ -294,7 +294,19 @@ class TestTrain:
 
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         assert main(["train", "--config", str(cfg)]) == 4
-        assert "coupled layer 'layer0.wq'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "coupled layer 'layer0.wq'" in err and err.endswith(" at epoch 0 batch 0\n")
+
+    def test_objective_overflow_exits_4_naming_its_step(self, toy_dir, fast_cfg, tmp_path, capsys):
+        # each tower's weighted loss is finite at weight 1e308, but their sum is not
+        cfg = self.run_cfg(
+            toy_dir, fast_cfg, tmp_path,
+            ("regime.kind = hard_share", "regime.kind = soft_share\nregime.task_weights = 1e308,1e308"),
+            ("train.epochs = 2", "train.epochs = 1"),
+        )
+        assert main(["train", "--config", cfg]) == 4
+        assert capsys.readouterr().err == "error: non-finite objective at epoch 0 batch 0\n"
+        assert not (tmp_path / "run").exists()
 
     @staticmethod
     def run_cfg(toy_dir, fast_cfg, tmp_path, *edits) -> str:
@@ -882,7 +894,7 @@ class TestPredictionPrecision:
         model, cfg, vocab = cli._model_from_checkpoint(
             str(out / "checkpoint.mtlc"), str(out / "vocab.txt")
         )
-        assert model.regime.kind == kind
+        assert (model.regime.soft is not None) == (kind == "soft_share")
         schemas = schemas_for_language(cfg.language)
         val = load_joint_tsv(str(toy_dir / "val.tsv"), schemas, cfg.language)
         seqs = encode_texts(val, vocab, model.encoder_cfg.max_len)

@@ -706,7 +706,6 @@ class TestInferenceReference:
     def model(self, request):
         tasks = ("sentiment", "offense")
         regime = RegimeConfig(
-            kind=request.param,
             tasks=tasks,
             losses={t: LossConfig() for t in tasks},
             soft=SoftShareConfig(coupled_layer_names=()) if request.param == "soft_share" else None,

@@ -35,7 +35,6 @@ from mtlc.mtl import (
     evaluate,
     expected_param_shapes,
     predict_logits,
-    soft_loss,
     train,
     weighted_sum,
 )
@@ -60,7 +59,6 @@ N_CLASSES = {"sentiment": 5, "offense": 6}
 def regime_for(kind, task="sentiment", weights=None, soft=None):
     tasks = (task,) if kind == "stl" else TASKS
     return RegimeConfig(
-        kind=kind,
         tasks=tasks,
         losses={t: LossConfig() for t in tasks},
         task_weights=weights if weights is not None else tuple([1.0] * len(tasks)),
@@ -136,34 +134,25 @@ def joint_step_grads(splits, regime, model, vocab, seed=1, weights=None):
             compute_loss(logits[t], batch.labels[t], regime.losses[t], (weights or {}).get(t))
             for t in regime.tasks
         ]
-        total = soft_loss(losses, regime)
+        total = weighted_sum(losses, regime.task_weights)
     backward(tape, total)
     return {name: p.grad for name, p in model.params.items()}
 
 
 class TestRegimeValidation:
-    def test_stl_needs_one_task(self):
-        with pytest.raises(ConfigError):
-            RegimeConfig(kind="stl", tasks=TASKS, losses={t: LossConfig() for t in TASKS})
-
-    def test_hard_share_needs_two_tasks(self):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize(
+        "tasks", [(), ("sentiment", "offense", "sentiment")], ids=["no_task", "three_tasks"]
+    )
+    def test_one_task_or_two(self, tasks):
+        with pytest.raises(ConfigError, match="one task or two"):
             RegimeConfig(
-                kind="hard_share",
-                tasks=("sentiment",),
-                losses={"sentiment": LossConfig()},
-                task_weights=(1.0,),
+                tasks=tasks, losses={t: LossConfig() for t in tasks}, task_weights=(1.0,) * len(tasks)
             )
 
-    def test_soft_share_needs_soft_config(self):
-        with pytest.raises(ConfigError):
-            regime_for("soft_share")
-
-    @pytest.mark.parametrize("kind", ["stl", "hard_share"])
-    def test_only_soft_share_takes_a_soft_config(self, kind):
+    def test_soft_needs_two_tasks(self):
         # one encoder has no pair to couple
-        with pytest.raises(ConfigError, match=f"kind is '{kind}'"):
-            regime_for(kind, soft=SoftShareConfig(coupled_layer_names=()))
+        with pytest.raises(ConfigError, match="soft sharing two"):
+            regime_for("stl", soft=SoftShareConfig(coupled_layer_names=()))
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ConfigError):
@@ -342,7 +331,7 @@ class TestSoftLoss:
     def test_lambda_zero_is_exact_sum(self, toy_vocab):
         model = self._soft_model(toy_vocab, lam=0.0)
         l1, l2 = Tensor(0.43), Tensor(1.17)
-        out = soft_loss((l1, l2), model.regime)
+        out = weighted_sum((l1, l2), model.regime.task_weights)
         assert out.item() == 0.43 + 1.17
         # and no coupling step runs: every parameter keeps its array
         arrays = {name: p.data for name, p in model.params.items()}
@@ -355,7 +344,7 @@ class TestSoftLoss:
         for name in model.regime.soft.coupled_layer_names:
             model.params[f"tower.{t2}.{name}"].data[...] = model.params[f"tower.{t1}.{name}"].data
         before = {name: p.data.copy() for name, p in model.params.items()}
-        out = soft_loss((Tensor(1.0), Tensor(2.0)), model.regime)
+        out = weighted_sum((Tensor(1.0), Tensor(2.0)), model.regime.task_weights)
         assert out.item() == 3.0
         mtl.couple(model, 0.01)
         for name, p in model.params.items():
@@ -366,7 +355,7 @@ class TestSoftLoss:
         model = self._soft_model(toy_vocab, lam=0.5, coupled=("layer0.wq", "layer0.wk"))
         t1, t2 = model.regime.tasks
         before = {name: p.data.copy() for name, p in model.params.items()}
-        out = soft_loss((Tensor(0.2), Tensor(0.3)), model.regime)
+        out = weighted_sum((Tensor(0.2), Tensor(0.3)), model.regime.task_weights)
         assert out.item() == pytest.approx(0.5, abs=1e-12)
         mtl.couple(model, 0.2)
         shrink = 1 / (1 + 4 * 0.2 * 0.5)  # eta = lr * lambda
@@ -388,7 +377,7 @@ class TestSoftLoss:
         eta = 0.03 * 2.0
         assert sigma.min() < eta < sigma.max()  # some directions are cut, some kept
         expected = u @ np.diag(np.maximum(sigma - eta, 0.0)) @ vt
-        out = soft_loss((Tensor(1.0), Tensor(1.0)), model.regime)
+        out = weighted_sum((Tensor(1.0), Tensor(1.0)), model.regime.task_weights)
         assert out.item() == 2.0
         mtl.couple(model, 0.03)
         assert np.abs(np.concatenate([a.data, b.data]) - expected).max() < 1e-12
@@ -433,8 +422,8 @@ class TestSoftLoss:
 
     def test_stl_weight_scales_its_loss(self):
         loss = Tensor(0.83)
-        unit = soft_loss((loss,), regime_for("stl", weights=(1.0,)))
-        half = soft_loss((loss,), regime_for("stl", weights=(0.5,)))
+        unit = weighted_sum((loss,), regime_for("stl", weights=(1.0,)).task_weights)
+        half = weighted_sum((loss,), regime_for("stl", weights=(0.5,)).task_weights)
         assert half.item() == 0.5 * unit.item()
 
 
@@ -595,7 +584,6 @@ class TestTrainStep:
         # their inverse frequency in the train split
         kinds = {"sentiment": LossKind.CROSS_ENTROPY, "offense": LossKind.FOCAL}
         regime = RegimeConfig(
-            kind="hard_share",
             tasks=TASKS,
             losses={t: LossConfig(kind=kinds[t], use_class_weights=True) for t in TASKS},
             task_weights=(1.0, 1.0),
@@ -622,7 +610,6 @@ class TestTrainStep:
         tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=1)
         for kind in LossKind:
             regime = RegimeConfig(
-                kind="hard_share",
                 tasks=TASKS,
                 losses={t: LossConfig(kind=kind, use_class_weights=True) for t in TASKS},
             )
@@ -890,7 +877,7 @@ class TestStackedPrediction:
         model = self._model(toy_vocab)
         prefixes = list(mtl.towers(self.regime))
         # one tower for STL and hard sharing, one per task for soft sharing
-        assert len(prefixes) == (2 if self.regime.kind == "soft_share" else 1)
+        assert len(prefixes) == (2 if self.regime.soft is not None else 1)
         # every encoder parameter, no head
         assert set(model.stacks) == set(param_shapes(model.encoder_cfg, {}))
         for name, stack in model.stacks.items():
