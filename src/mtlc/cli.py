@@ -1,8 +1,8 @@
 """Command-line surface: split, train, evaluate, and compare runs.
 
 A command exits 0, the `exit_code` of the `MtlcError` it raised, or 3 on a
-failed read or write. The environment variable MTLC_SEED overrides the
-config seed; an explicit --seed flag beats both.
+failed read or write. `mtlc train` takes only `--config`: every setting of a
+run, its seed included, is in that file.
 """
 
 from __future__ import annotations
@@ -41,18 +41,6 @@ CHECKPOINT_NAME = "checkpoint.mtlc"
 VOCAB_NAME = "vocab.txt"
 TRACE_NAME = "trace.tsv"
 REPORT = "report"  # report.json and report.txt
-
-
-def _resolve_seed(flag_seed: Optional[int]) -> Optional[int]:
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get("MTLC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"MTLC_SEED must be an integer, got {env!r}") from None
-    return None
 
 
 def _trace_tsv(epochs: Sequence[EpochStats], tasks: Sequence[str]) -> str:
@@ -168,8 +156,7 @@ def _read_config(path: str) -> str:
 
 
 def cmd_train(args) -> int:
-    seed_override = _resolve_seed(args.seed)
-    cfg = load_config(_read_config(args.config), seed_override=seed_override, check_paths=True)
+    cfg = load_config(_read_config(args.config), check_paths=True)
     # training never reads the test split, and `mtlc evaluate --data` scores
     # one, so `data.test` is never parsed
     schemas = schemas_for_language(cfg.language)
@@ -296,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train per the config and write run artifacts")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None, help="overrides MTLC_SEED and config")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on a labeled TSV")

@@ -213,18 +213,13 @@ def _build(cls, typed: dict[str, object], **computed):
         raise ConfigError(homed[name] + message[len(name):]) from None
 
 
-def load_config(
-    text: str, seed_override: Optional[int] = None, check_paths: bool = True
-) -> RunConfig:
+def load_config(text: str, check_paths: bool = True) -> RunConfig:
     """Parse, apply defaults, validate bounds, and assemble typed configs.
 
     Every key is checked whatever `regime.kind` selects, so a bad value never
-    survives to a later edit of it. `seed_override` implements the flag/env
-    precedence over the config file.
+    survives to a later edit of it.
     """
     values = {**_DEFAULTS, **parse_flat(text)}
-    if seed_override is not None:
-        values["train.seed"] = str(int(seed_override))
 
     typed = {}
     for key, (parse, _) in _KEYS.items():

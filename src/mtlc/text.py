@@ -10,6 +10,7 @@ and `parse_vocab` parses a vocabulary file's bytes its caller has read.
 from __future__ import annotations
 
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable
@@ -74,12 +75,11 @@ def build_vocab(corpus: Iterable[str], mode: str, min_freq: int, max_size: int) 
     frequency then token text, capped at `max_size` entries after the four
     special tokens.
     """
-    freq: dict[str, int] = {}
+    freq: Counter[str] = Counter()
     texts = 0
     for text in corpus:
         texts += 1
-        for token in tokenize(text, mode):
-            freq[token] = freq.get(token, 0) + 1
+        freq.update(tokenize(text, mode))
     if texts == 0:
         raise ContractError("cannot build a vocabulary from an empty corpus")
     ranked = sorted(

@@ -17,6 +17,10 @@ from mtlc.metrics import build_report, report_to_dict
 from mtlc.toy import materialize, toy_tsv
 
 
+# what `mtlc train` writes
+ARTIFACTS = ("checkpoint.mtlc", "vocab.txt", "trace.tsv", "report.json", "report.txt")
+
+
 @pytest.fixture(scope="module")
 def toy_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("toy")
@@ -196,7 +200,7 @@ class TestSplit:
 
 class TestTrain:
     def test_artifacts_and_summary(self, trained_run, capsys):
-        for name in ("checkpoint.mtlc", "vocab.txt", "trace.tsv", "report.json", "report.txt"):
+        for name in ARTIFACTS:
             assert (trained_run / name).exists(), name
         trace = (trained_run / "trace.tsv").read_text(encoding="utf-8").splitlines()
         assert len(trace) == 1 + 2  # header + 2 epochs
@@ -205,10 +209,7 @@ class TestTrain:
         assert set(report["tasks"]) == {"sentiment", "offense"}
 
     def test_repeat_run_is_byte_identical(self, toy_dir, fast_cfg, trained_run):
-        before = {
-            name: (trained_run / name).read_bytes()
-            for name in ("checkpoint.mtlc", "vocab.txt", "trace.tsv", "report.json", "report.txt")
-        }
+        before = {name: (trained_run / name).read_bytes() for name in ARTIFACTS}
         assert main(["train", "--config", str(fast_cfg)]) == 0
         for name, blob in before.items():
             assert (trained_run / name).read_bytes() == blob, name
@@ -379,7 +380,7 @@ class TestTrain:
         monkeypatch.setattr(mtl, "adamw_step", diverging_step)
         assert main(["train", "--config", self.run_cfg(toy_dir, fast_cfg, tmp_path)]) == 4
         assert "tensor 'head.offense.b_out'" in capsys.readouterr().err
-        for name in ("checkpoint.mtlc", "vocab.txt", "trace.tsv", "report.json", "report.txt"):
+        for name in ARTIFACTS:
             assert not (tmp_path / "run" / name).exists(), name
 
     def test_diverging_run_exits_4_without_a_numpy_warning(self, toy_dir, fast_cfg, tmp_path):
@@ -468,21 +469,6 @@ class TestTrain:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
-    def test_non_integer_seed_variable_exits_2(
-        self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys
-    ):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            fast_cfg.read_text(encoding="utf-8").replace(
-                f"output.dir = {toy_dir}/run_fast", f"output.dir = {tmp_path}/never"
-            ),
-            encoding="utf-8",
-        )
-        monkeypatch.setenv("MTLC_SEED", "abc")
-        assert main(["train", "--config", str(cfg)]) == 2
-        assert "MTLC_SEED" in capsys.readouterr().err
-        assert not (tmp_path / "never").exists()
-
     @staticmethod
     def with_test_split(toy_dir, fast_cfg, tmp_path, test_tsv, out):
         """A copy of the fast config reading `test_tsv`, writing to `out`."""
@@ -500,12 +486,11 @@ class TestTrain:
         test_tsv = tmp_path / "test.tsv"
         test_tsv.write_bytes((toy_dir / "test.tsv").read_bytes())
         cfg = self.with_test_split(toy_dir, fast_cfg, tmp_path, test_tsv, tmp_path / "run")
-        names = ("checkpoint.mtlc", "vocab.txt", "trace.tsv", "report.json", "report.txt")
         assert main(["train", "--config", str(cfg)]) == 0
-        good = {name: (tmp_path / "run" / name).read_bytes() for name in names}
+        good = {name: (tmp_path / "run" / name).read_bytes() for name in ARTIFACTS}
         test_tsv.write_text("broken\tHappy\tNot offensive\nno tabs here\n", encoding="utf-8")
         assert main(["train", "--config", str(cfg)]) == 0
-        for name in names:
+        for name in ARTIFACTS:
             assert (tmp_path / "run" / name).read_bytes() == good[name], name
 
     def test_missing_test_split_exits_2(self, toy_dir, fast_cfg, tmp_path, capsys):
@@ -538,26 +523,44 @@ class TestTrain:
         assert "output.dir" in err and str(tmp_path / out) in err
         assert trained == []
 
-    def test_seed_sources(self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys):
-        # env beats config; flag beats env: verify via the embedded config text
-        from mtlc.checkpoint import load_checkpoint
+    def test_seed_variable_does_not_reach_a_run(self, toy_dir, fast_cfg, tmp_path, monkeypatch):
+        # the seed is `train.seed`: nothing in the environment changes a run
+        cfg = self.run_cfg(toy_dir, fast_cfg, tmp_path, ("train.epochs = 2", "train.epochs = 1"))
+        assert main(["train", "--config", cfg]) == 0
+        plain = {name: (tmp_path / "run" / name).read_bytes() for name in ARTIFACTS}
+        monkeypatch.setenv("MTLC_SEED", "9")
+        assert main(["train", "--config", cfg]) == 0
+        for name, blob in plain.items():
+            assert (tmp_path / "run" / name).read_bytes() == blob, name
 
-        text = fast_cfg.read_text(encoding="utf-8")
-        for name, argv, env in (
-            ("env", [], "123"),
-            ("flag", ["--seed", "77"], "123"),
-        ):
-            cfg = tmp_path / f"{name}.cfg"
-            cfg.write_text(
-                text.replace(f"output.dir = {toy_dir}/run_fast", f"output.dir = {tmp_path}/{name}")
-                .replace("train.epochs = 2", "train.epochs = 1"),
-                encoding="utf-8",
+    def test_seed_flag_is_a_usage_error(self, toy_dir, fast_cfg, tmp_path, capsys):
+        cfg = self.run_cfg(toy_dir, fast_cfg, tmp_path)
+        with pytest.raises(SystemExit) as stop:
+            main(["train", "--config", cfg, "--seed", "3"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_string_hash_seed_does_not_reach_a_run(self, toy_dir, fast_cfg, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import mtlc
+
+        cfg = self.run_cfg(toy_dir, fast_cfg, tmp_path)
+        src = str(Path(mtlc.__file__).resolve().parents[1])
+        runs = {}
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            subprocess.run(
+                [sys.executable, "-m", "mtlc.cli", "train", "--config", cfg],
+                env=env, check=True, capture_output=True,
             )
-            monkeypatch.setenv("MTLC_SEED", env)
-            assert main(["train", "--config", str(cfg)] + argv) == 0
-            config_text, _, _ = load_checkpoint(str(tmp_path / name / "checkpoint.mtlc"))
-            expected = "123" if name == "env" else "77"
-            assert f"train.seed = {expected}" in config_text
+            runs[hash_seed] = {name: (tmp_path / "run" / name).read_bytes() for name in ARTIFACTS}
+        for name, blob in runs["1"].items():
+            assert runs["2"][name] == blob, name
 
 
 class TestOneWriter:

@@ -147,11 +147,6 @@ class TestLoadConfig:
         cfg = load_config(config_text(paths, f"regime.kind = {kind}\nregime.task_weights = 0,1\n"))
         assert cfg.regime.task_weights == (0.0, 1.0)
 
-    def test_seed_override_wins(self, paths):
-        cfg = load_config(config_text(paths, "train.seed = 3\n"), seed_override=99)
-        assert cfg.train_cfg.seed == 99
-        assert cfg.raw["train.seed"] == "99"
-
     def test_stl_task_selection(self, paths):
         cfg = load_config(config_text(paths, "regime.kind = stl\nregime.task = offense\n"))
         assert cfg.regime.tasks == ("offense",)
