@@ -23,6 +23,7 @@ import math
 import os
 import struct
 import zlib
+from contextlib import suppress
 from typing import Mapping
 
 import numpy as np
@@ -123,12 +124,17 @@ def deserialize(blob: bytes) -> tuple[str, bytes, dict[str, np.ndarray]]:
 
 def write_atomic(path: str, data: str | bytes) -> None:
     """Write `data`, a str as UTF-8, to `path + ".tmp"`, then rename it into
-    place: a failed write leaves whatever `path` held. Every file mtlc
-    writes goes through here."""
+    place: a failed write or rename leaves whatever `path` held, and no
+    temp file. Every file mtlc writes goes through here."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):  # the open itself may have failed
+            os.remove(tmp)
+        raise
 
 
 def save_checkpoint(

@@ -257,6 +257,9 @@ def load_config(text: str, check_paths: bool = True) -> RunConfig:
     unknown = sorted(set(coupled) - set(param_shapes(encoder, {})))
     if unknown:
         raise ConfigError(f"regime.coupled_layers: not encoder parameters: {unknown}")
+    repeated = sorted({name for name in coupled if coupled.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"regime.coupled_layers: named more than once: {repeated}")
     soft = _build(SoftShareConfig, typed, coupled_layer_names=coupled)
     stl_weight = {"task_weights": (1.0,)} if kind == STL else {}  # STL trains at weight 1
     regime = _build(RegimeConfig, typed, tasks=tasks, losses=losses,

@@ -371,10 +371,12 @@ def segment_attention(
     segments. One tape record with a hand-written backward covers every head
     and sequence.
 
-    Consecutive sequences of equal length form a run. A run's rows are
-    contiguous, so each run is one [(towers,) heads, sequences, length, w]
-    view and its scores, softmax and weighted sum are one stacked call each;
-    a run of one sequence is the per-sequence computation.
+    q, k, v and the output split into heads once per call, as head-major
+    [(towers,) heads, rows, w] views. Consecutive sequences of equal length
+    form a run: a row slice of those views, reshaped to [(towers,) heads,
+    sequences, length, w], so its scores, softmax and weighted sum are one
+    stacked call each; a run of one sequence is the per-sequence
+    computation. The backward reuses each run's slices and probabilities.
 
     q is scaled by 1/sqrt(d_k) once per call. A run of per-row queries
     stores its scores keys outermost, [heads, keys, sequences, queries], so
@@ -406,66 +408,58 @@ def segment_attention(
         )
     per_row = nq == nk  # else one query row per sequence
 
-    def heads(a: Array) -> Array:  # [..., rows, heads * w] -> [..., rows, heads, w]
-        return a.reshape(a.shape[:-1] + (n_heads, a.shape[-1] // n_heads))
-
-    # each run: its query rows, its key rows, and the [heads, G, L, w] shape
-    # that splits both into its G sequences
-    runs, q_start, kv_start = [], 0, 0
-    for kl, group in groupby(lengths):
-        g, ql = len(list(group)), kl if per_row else 1
-        q_rows, kv_rows = slice(q_start, q_start + g * ql), slice(kv_start, kv_start + g * kl)
-        runs.append((q_rows, kv_rows, g, ql, kl))
-        q_start += g * ql
-        kv_start += g * kl
-
-    to_heads_first = (2, 0, 1, 3) if not lead else (0, 3, 1, 2, 4)
-
-    def views(a: Array, rows: slice, g: int, length: int) -> Array:
-        # a run's rows of a [..., rows, heads, w] array as [..., heads, G,
-        # length, w]; a view when `a` is contiguous, so matmul can write into it
-        block = a[..., rows, :, :].reshape(lead + (g, length) + a.shape[-2:])
-        return block.transpose(to_heads_first)
+    def heads(a: Array) -> Array:  # [..., rows, heads * w] -> [..., heads, rows, w]
+        return a.reshape(a.shape[:-1] + (n_heads, a.shape[-1] // n_heads)).swapaxes(-3, -2)
 
     # bwd reads these counts, not q and k, so it keeps only the scaled q
     c = 1.0 / math.sqrt(q_shape[-1] // n_heads)
     qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
-    out = np.empty(lead + (nq, n_heads, vh.shape[-1]), np.result_type(qh, kh, vh))
+    out = np.empty(lead + (nq, v_shape[-1]), np.result_type(qh, kh, vh))
+    oh = heads(out)
     keys_axis = -3 if per_row else -2  # of a run's score block
-    probs = []
-    for qs, ks, g, ql, kl in runs:
-        # p is [..., heads, G, kl, ql], a view of `block`, whose softmax
-        # reduces over the keys: outermost for a per-row run, so each key's
-        # [G x ql] scores are one contiguous row; key-major for a [CLS] run,
-        # since with ql = 1 keys outermost would be summed in another order
+    # each run's rows, the [..., heads, G, L, -1] shapes that split them into
+    # its G sequences (as views, so matmul writes into them), its q/k/v
+    # slices and its probabilities p, [..., heads, G, keys, queries]
+    runs, q_end, kv_end = [], 0, 0
+    for kl, group in groupby(lengths):
+        g, ql = len(list(group)), kl if per_row else 1
+        qs, ks = slice(q_end, q_end + g * ql), slice(kv_end, kv_end + g * kl)
+        q_end, kv_end = qs.stop, ks.stop
+        q_run, kv_run = lead + (n_heads, g, ql, -1), lead + (n_heads, g, kl, -1)
+        qr = qh[..., qs, :].reshape(q_run)
+        kr, vr = kh[..., ks, :].reshape(kv_run), vh[..., ks, :].reshape(kv_run)
+        # p is a view of `block`, whose softmax reduces over the keys:
+        # outermost for a per-row run, so each key's [G x ql] scores are one
+        # contiguous row; key-major for a [CLS] run, since with ql = 1 keys
+        # outermost would be summed in another order
         block = np.empty(lead + (n_heads,) + ((kl, g, ql) if per_row else (g, kl, ql)), out.dtype)
         p = block.swapaxes(-3, -2) if per_row else block
-        np.matmul(views(kh, ks, g, kl), views(qh, qs, g, ql).swapaxes(-1, -2), out=p)
+        np.matmul(kr, qr.swapaxes(-1, -2), out=p)
         block -= block.max(axis=keys_axis, keepdims=True)
         np.exp(block, out=block)
         total = block.sum(axis=keys_axis, keepdims=True)
         block *= np.reciprocal(total, out=total)
-        probs.append(p)
-        np.matmul(p.swapaxes(-1, -2), views(vh, ks, g, kl), out=views(out, qs, g, ql))
+        np.matmul(p.swapaxes(-1, -2), vr, out=oh[..., qs, :].reshape(q_run))
+        runs.append((qs, ks, q_run, kv_run, qr, kr, vr, p))
 
     def bwd(g_out):
         gh = heads(g_out)
         # each query row's sum over keys of dP * P, per head, is dO . O
-        rows_d = np.einsum("...rhw,...rhw->...hr", gh, out)
-        gq, gk, gv = np.empty(qh.shape), np.empty(kh.shape), np.empty(vh.shape)
-        for (qs, ks, g, ql, kl), p in zip(runs, probs):
-            gr, qr = views(gh, qs, g, ql), views(qh, qs, g, ql)
-            kr, vr = views(kh, ks, g, kl), views(vh, ks, g, kl)
+        rows_d = np.einsum("...hrw,...hrw->...hr", gh, oh)
+        gq, gk, gv = np.empty(q_shape), np.empty(k_shape), np.empty(v_shape)
+        gqh, gkh, gvh = heads(gq), heads(gk), heads(gv)
+        for qs, ks, q_run, kv_run, qr, kr, vr, p in runs:
+            gr = gh[..., qs, :].reshape(q_run)
             ds = vr @ gr.swapaxes(-1, -2)
-            ds -= rows_d[..., qs].reshape(lead + (n_heads, g, 1, ql))
+            ds -= rows_d[..., qs].reshape(q_run[:-2] + (1, -1))
             ds *= p
-            np.matmul(ds.swapaxes(-1, -2), kr, out=views(gq, qs, g, ql))
-            np.matmul(ds, qr, out=views(gk, ks, g, kl))
-            np.matmul(p, gr, out=views(gv, ks, g, kl))
+            np.matmul(ds.swapaxes(-1, -2), kr, out=gqh[..., qs, :].reshape(q_run))
+            np.matmul(ds, qr, out=gkh[..., ks, :].reshape(kv_run))
+            np.matmul(p, gr, out=gvh[..., ks, :].reshape(kv_run))
         gq *= c
-        return gq.reshape(q_shape), gk.reshape(k_shape), gv.reshape(v_shape)
+        return gq, gk, gv
 
-    return _record(Tensor(out.reshape(lead + (nq, v_shape[-1]))), (q, k, v), bwd)
+    return _record(Tensor(out), (q, k, v), bwd)
 
 
 @lru_cache(maxsize=None)

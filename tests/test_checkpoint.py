@@ -18,6 +18,7 @@ from mtlc.checkpoint import (
     save_checkpoint,
     serialize,
     stored_values,
+    write_atomic,
 )
 from mtlc.errors import CorruptArtifactError, NumericalError
 from mtlc.numcore import Tensor
@@ -193,3 +194,20 @@ class TestCorruption:
         save_checkpoint(path, CONFIG, DIGEST, sample_params())
         leftovers = [p.name for p in tmp_path.iterdir()]
         assert leftovers == ["model.mtlc"]
+
+    @pytest.mark.parametrize(
+        "target_is_dir,data,error",
+        [(True, "text", IsADirectoryError), (False, 5, TypeError)],
+        ids=["rename onto a directory", "write of a non-bytes value"],
+    )
+    def test_failed_atomic_write_leaves_target_and_no_tmp(self, tmp_path, target_is_dir, data, error):
+        target = tmp_path / "target.txt"
+        if target_is_dir:
+            target.mkdir()
+            (target / "kept").write_text("old")
+        else:
+            target.write_text("old")
+        with pytest.raises(error):
+            write_atomic(str(target), data)
+        assert (target / "kept" if target_is_dir else target).read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["target.txt"]

@@ -109,6 +109,11 @@ class TestLoadConfig:
              "regime.coupled_layers"),
             ("regime.kind = soft_share\nregime.coupled_layers = head.offense.w_out",
              "regime.coupled_layers"),
+            # each named at most once: a repeat would take its proximal step twice
+            ("regime.kind = soft_share\nregime.coupled_layers = layer0.wq, layer0.wq",
+             r"regime.coupled_layers: named more than once: \['layer0.wq'\]"),
+            ("regime.kind = stl\nregime.coupled_layers = layer0.wv,layer0.wq,layer0.wv,layer0.wo,layer0.wq",
+             r"regime.coupled_layers: named more than once: \['layer0.wq', 'layer0.wv'\]"),
             # a list that names no parameter, in every regime: uncoupled towers
             # are spelled `regime.lambda = 0`
             ("regime.kind = soft_share\nregime.coupled_layers = ,", "regime.coupled_layers"),

@@ -5,7 +5,7 @@ from itertools import groupby, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtlc.errors import ContractError, ShapeError
@@ -495,6 +495,15 @@ class TestEncoderGradients:
             assert grad_check(lambda x: loss_with(name, x), probe, h=1e-5) < 1e-4, name
 
 
+def every_fixed_layout_case(test):
+    """`test` with the layout [3, 3, 3, 1, 5, 5] as examples run on every
+    test run: both dtypes, with and without a tower axis, per-row and [CLS]."""
+    for dtype, lead, per_row in product((np.float64, np.float32), ((), (2,)), (True, False)):
+        test = example(runs=[(3, 3), (1, 1), (5, 2)], per_row=per_row, lead=lead,
+                       n_heads=2, head_widths=(4, 3), dtype=dtype, seed=15)(test)
+    return test
+
+
 class TestPacking:
     """The packed batch forward against per-sequence runs and the padded
     full-length computation it replaces."""
@@ -511,6 +520,7 @@ class TestPacking:
             ([1, 3, 8], False),  # [CLS] queries only, as in the last layer
             ([3, 3, 3, 1, 5, 5], True),  # runs of equal lengths beside a singleton
             ([3, 3, 3, 1, 5, 5], False),  # [CLS] queries over repeated kv lengths
+            ([2, 2, 4, 3, 3], True),  # a lone sequence between two runs
         ]
         for kv_lengths, per_row in layouts:
             q_lengths = query_rows(kv_lengths, per_row)
@@ -527,34 +537,48 @@ class TestPacking:
             assert grad_check(lambda x: loss(Tensor(q), x, Tensor(v)), Tensor(k)) < 1e-4
             assert grad_check(lambda x: loss(Tensor(q), Tensor(k), x), Tensor(v)) < 1e-4
 
-    def test_sequence_alone_equals_its_rows_in_a_run(self):
-        # bit for bit, in float64 and float32, with and without a tower
-        # axis: a per-row run of 3 or 5 sequences lays its scores out keys
-        # outermost, a lone sequence is one sequence's block, and every
-        # query's softmax takes the same values in the same order; so do
-        # the float64 gradients
-        rng = np.random.default_rng(15)
-        lengths = [3, 3, 3, 1, 5, 5]
-        for dtype, lead, per_row in product((np.float64, np.float32), ((), (2,)), (True, False)):
-            q_lengths = query_rows(lengths, per_row)
-            q = rng.normal(size=lead + (sum(q_lengths), 8)).astype(dtype)
-            k = rng.normal(size=lead + (sum(lengths), 8)).astype(dtype)
-            v = rng.normal(size=lead + (sum(lengths), 6)).astype(dtype)
-            g_out = rng.normal(size=lead + (sum(q_lengths), 6))
-            packed = segment_attention(*map(Tensor, (q, k, v)), lengths, 2).data
-            assert packed.dtype == dtype
+    @settings(max_examples=80, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 4)), min_size=1, max_size=6),
+        per_row=st.booleans(),
+        lead=st.sampled_from([(), (2,)]),
+        n_heads=st.integers(1, 3),
+        head_widths=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        seed=st.integers(0, 2**16),
+    )
+    @every_fixed_layout_case
+    def test_sequence_alone_equals_its_rows_in_a_run(
+        self, runs, per_row, lead, n_heads, head_widths, dtype, seed
+    ):
+        # bit for bit, on layouts of runs (each drawn length `count` times
+        # in a row, so runs of several sequences sit beside lone ones): a
+        # self-attention run lays its scores out keys outermost, which for a
+        # lone sequence is the memory of its key-major block, a [CLS] run
+        # lays them out key-major, and every query's softmax takes the same
+        # values in the same order; so do the float64 gradients
+        lengths = [length for length, count in runs for _ in range(count)]
+        q_lengths = query_rows(lengths, per_row)
+        qk_width, v_width = (n_heads * w for w in head_widths)
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=lead + (sum(q_lengths), qk_width)).astype(dtype)
+        k = rng.normal(size=lead + (sum(lengths), qk_width)).astype(dtype)
+        v = rng.normal(size=lead + (sum(lengths), v_width)).astype(dtype)
+        g_out = rng.normal(size=lead + (sum(q_lengths), v_width))
+        packed = segment_attention(*map(Tensor, (q, k, v)), lengths, n_heads).data
+        assert packed.dtype == dtype
+        if dtype == np.float64:
+            packed_grads = attention_and_grads(q, k, v, lengths, n_heads, g_out)[1:]
+        q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(lengths)
+        for ql, qe, kl, ke in zip(q_lengths, q_ends, lengths, kv_ends):
+            qs, ks = slice(qe - ql, qe), slice(ke - kl, ke)
+            rows = (q[..., qs, :], k[..., ks, :], v[..., ks, :])
+            alone = segment_attention(*map(Tensor, rows), [kl], n_heads).data
+            assert np.array_equal(packed[..., qs, :], alone)
             if dtype == np.float64:
-                packed_grads = attention_and_grads(q, k, v, lengths, 2, g_out)[1:]
-            q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(lengths)
-            for ql, qe, kl, ke in zip(q_lengths, q_ends, lengths, kv_ends):
-                qs, ks = slice(qe - ql, qe), slice(ke - kl, ke)
-                rows = (q[..., qs, :], k[..., ks, :], v[..., ks, :])
-                alone = segment_attention(*map(Tensor, rows), [kl], 2).data
-                assert np.array_equal(packed[..., qs, :], alone), (dtype, lead, per_row)
-                if dtype == np.float64:
-                    grads = attention_and_grads(*rows, [kl], 2, g_out[..., qs, :])[1:]
-                    for got, want, r in zip(packed_grads, grads, (qs, ks, ks)):
-                        assert np.array_equal(got[..., r, :], want), (lead, per_row)
+                grads = attention_and_grads(*rows, [kl], n_heads, g_out[..., qs, :])[1:]
+                for got, want, r in zip(packed_grads, grads, (qs, ks, ks)):
+                    assert np.array_equal(got[..., r, :], want)
 
     def test_softmax_stable_at_extreme_scores(self):
         # integer q and k and a scale of 1/2 keep every score exact. In each
