@@ -4,10 +4,12 @@ All four consume the [B, C] logits the model makes, with one target per
 row, and return the batch mean as a taped scalar, so gradients flow through
 the same autodiff machinery as the encoder; one comment is a [1, C] batch,
 and any other shape is a ContractError. Cross-entropy and the focal/KLD
-variants go through one shared row-wise log-sum-exp core: focal with
-gamma=0 equals cross-entropy bit for bit, in value and gradient, and KLD
-with zero label smoothing reproduces cross-entropy exactly. `LossConfig`
-holds the range of gamma and epsilon.
+variants go through one shared row-wise log-sum-exp core. Focal scales
+cross-entropy's per-row -log p_target, so with gamma=0 it equals
+cross-entropy bit for bit, in value and gradient; KLD with zero label
+smoothing gives cross-entropy within rounding, by its own formula. Every
+loss needs at least two classes. `LossConfig` holds the range of gamma and
+epsilon.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .numcore import (
     gather_rows,
     log_sum_exp,
     mul,
-    neg,
     pow_const,
     relu,
     reshape,
@@ -46,18 +47,10 @@ class LossKind(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "LossKind":
+        """A kind by its name or value, or by `CROSS-ENTROPY` or `KL`, in any case."""
         key = text.strip().upper()
-        aliases = {
-            "CE": cls.CROSS_ENTROPY,
-            "CROSS_ENTROPY": cls.CROSS_ENTROPY,
-            "CROSS-ENTROPY": cls.CROSS_ENTROPY,
-            "HL": cls.HINGE,
-            "HINGE": cls.HINGE,
-            "FL": cls.FOCAL,
-            "FOCAL": cls.FOCAL,
-            "KLD": cls.KLD,
-            "KL": cls.KLD,
-        }
+        aliases = {**cls.__members__, **{k.value: k for k in cls}}
+        aliases.update({"CROSS-ENTROPY": cls.CROSS_ENTROPY, "KL": cls.KLD})
         if key not in aliases:
             raise ContractError(f"unknown loss kind {text!r}; expected CE, HL, FL, or KLD")
         return aliases[key]
@@ -94,8 +87,8 @@ def _batch_targets(
     logits: Tensor, targets: Targets, weights: Optional[Sequence[float]] = None
 ) -> np.ndarray:
     """The B targets of [B, C] `logits` as an int array, each in range."""
-    if logits.data.ndim != 2 or logits.shape[0] == 0:
-        raise ContractError(f"losses need non-empty [B, C] logits, got shape {logits.shape}")
+    if logits.data.ndim != 2 or logits.shape[0] == 0 or logits.shape[1] < 2:
+        raise ContractError(f"losses need [B, C] logits with B >= 1 and C >= 2, got shape {logits.shape}")
     b, n = logits.shape
     t = np.asarray(targets, dtype=np.int64)
     if t.shape != (b,):
@@ -114,6 +107,11 @@ def _target_logits(logits: Tensor, t: np.ndarray) -> Tensor:
     return reshape(picked, (b,))
 
 
+def _nll_rows(logits: Tensor, t: np.ndarray) -> Tensor:
+    """[B] -log softmax(logits)[t] per row, via log-sum-exp for stability."""
+    return sub(log_sum_exp(logits), _target_logits(logits, t))
+
+
 def _mean(per_row: Tensor, t: np.ndarray, weights: Optional[Sequence[float]]) -> Tensor:
     """Batch mean of per-row losses, each scaled by its target's class weight."""
     if weights is not None:
@@ -125,8 +123,7 @@ def cross_entropy(
     logits: Tensor, targets: Targets, weights: Optional[Sequence[float]] = None
 ) -> Tensor:
     t = _batch_targets(logits, targets, weights)
-    # -log softmax(logits)[target] per row, via log-sum-exp for stability
-    return _mean(sub(log_sum_exp(logits), _target_logits(logits, t)), t, weights)
+    return _mean(_nll_rows(logits, t), t, weights)
 
 
 def hinge_multiclass(logits: Tensor, targets: Targets) -> Tensor:
@@ -146,26 +143,26 @@ def focal(
     gamma: float,
     weights: Optional[Sequence[float]] = None,
 ) -> Tensor:
-    """Cross-entropy modulated by (1 - p_target)^gamma."""
+    """Cross-entropy's per-row term scaled by (1 - p_target)^gamma, so
+    gamma = 0 is cross-entropy by construction."""
     t = _batch_targets(logits, targets, weights)
-    log_pt = sub(_target_logits(logits, t), log_sum_exp(logits))
-    modulator = pow_const(sub(Tensor(1.0), exp(log_pt)), gamma)
-    return _mean(mul(modulator, neg(log_pt)), t, weights)
+    nll = _nll_rows(logits, t)
+    modulator = pow_const(sub(Tensor(1.0), exp(scale(nll, -1.0))), gamma)
+    return _mean(mul(modulator, nll), t, weights)
 
 
 def kld(logits: Tensor, targets: Targets, epsilon: float) -> Tensor:
     """KL divergence from the smoothed one-hot target to softmax(logits).
 
-    p_target = 1 - epsilon, the rest share epsilon; with epsilon 0 this is
-    exactly cross-entropy because a one-hot p has zero entropy.
+    p_target = 1 - epsilon, the rest share epsilon; with epsilon 0, p is
+    one-hot with zero entropy, and this is cross-entropy within rounding.
     """
     t = _batch_targets(logits, targets)
     b, n = logits.shape
-    if epsilon == 0.0 or n == 1:
-        return cross_entropy(logits, t)
     p = np.full((b, n), epsilon / (n - 1))
     p[np.arange(b), t] = 1.0 - epsilon
-    neg_entropy = float((p[0] * np.log(p[0])).sum())
+    row = p[0][p[0] > 0.0]  # 0 log 0 = 0
+    neg_entropy = float((row * np.log(row)).sum())
     # sum(p) == 1 per row, so sum_i p_i (log p_i - log softmax_i) reduces to
     # -H(p) + lse(logits) - p . logits; every row has the same entropy
     cross = sub(sum_all(log_sum_exp(logits)), sum_all(mul(Tensor(p), logits)))

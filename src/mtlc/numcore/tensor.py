@@ -204,11 +204,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def neg(x: Tensor) -> Tensor:
-    out = Tensor(-x.data)
-    return _record(out, (x,), lambda g: (-g,))
-
-
 def scale(x: Tensor, c: float) -> Tensor:
     """Multiply by a python constant (no gradient flows to `c`)."""
     c = float(c)
@@ -396,7 +391,7 @@ def segment_attention(
         raise _tower_error("attention", q, k, v)
     if q_shape[-1] != k_shape[-1] or k_shape[-2] != v_shape[-2]:
         raise ShapeError(f"q/k widths or k/v lengths disagree: {q_shape}/{k_shape}/{v_shape}")
-    if n_heads < 1 or q_shape[-1] % n_heads or v_shape[-1] % n_heads:
+    if not 1 <= n_heads <= q_shape[-1] or q_shape[-1] % n_heads or v_shape[-1] % n_heads:
         raise ShapeError(f"widths {q_shape[-1]}/{v_shape[-1]} do not split into {n_heads} heads")
     nq, nk = q_shape[-2], k_shape[-2]
     if min(lengths, default=0) < 1 or sum(lengths) != nk:

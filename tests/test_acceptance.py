@@ -57,7 +57,6 @@ from mtlc.numcore import (
     log_sum_exp,
     matmul,
     mul,
-    neg,
     pow_const,
     relu,
     reshape,
@@ -129,7 +128,6 @@ def _numcore_op_cases():
         ("sub", lambda x: sum_all(mul(sub(rng_tensor(997, (3, 4)), x), w34)), (3, 4)),
         ("mul", lambda x: sum_all(mul(mul(x, rng_tensor(996, (3, 4))), w34)), (3, 4)),
         ("mul_broadcast", lambda x: sum_all(mul(mul(rng_tensor(995, (3, 4)), x), w34)), (4,)),
-        ("neg", lambda x: sum_all(mul(neg(x), w34)), (3, 4)),
         ("scale", lambda x: sum_all(mul(scale(x, -1.7), w34)), (3, 4)),
         ("relu", lambda x: sum_all(mul(relu(x), w34)), (3, 4)),
         ("tanh", lambda x: sum_all(mul(tanh(x), w34)), (3, 4)),

@@ -278,6 +278,11 @@ class TestAttention:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
+        # a q/k width of 0 splits into no head, per-row or [CLS]
+        k, v = Tensor(np.zeros((5, 0))), Tensor(np.ones((5, 4)))
+        for q, lengths, n_heads in ((k, [5], 1), (Tensor(np.zeros((2, 0))), [2, 3], 2)):
+            with pytest.raises(ShapeError, match=f"widths 0/4 do not split into {n_heads} heads"):
+                segment_attention(q, k, v, lengths, n_heads)
 
     def test_mask_length_checked(self):
         x = Tensor(np.zeros((2, 2)))

@@ -179,12 +179,23 @@ class TestFocal:
 
 class TestKld:
     def test_epsilon_zero_equals_cross_entropy(self):
-        for seed in range(30):
-            logits = np.random.default_rng(seed).uniform(-4, 4, size=5)
-            target = int(np.random.default_rng(seed + 99).integers(0, 5))
-            a = kld(one(logits), [target], 0.0).item()
-            b = cross_entropy(one(logits), [target]).item()
-            assert abs(a - b) < 1e-12
+        # no epsilon = 0 branch: KLD's own formula gives cross-entropy's
+        # value and gradient within rounding
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            rows, classes = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+            logits = rng.uniform(-1, 1, size=(rows, classes)) * rng.choice([1.0, 4.0, 30.0])
+            targets = rng.integers(0, classes, size=rows)
+            results = []
+            for loss_of in (lambda x: kld(x, targets, 0.0), lambda x: cross_entropy(x, targets)):
+                x = Tensor(logits, requires_grad=True)
+                with GradTape() as tape:
+                    loss = loss_of(x)
+                backward(tape, loss)
+                results.append((loss.item(), x.grad))
+            (a, grad_a), (b, grad_b) = results
+            assert abs(a - b) <= 1e-12, seed
+            assert np.abs(grad_a - grad_b).max() <= 1e-12, seed
 
     def test_identical_distributions_zero(self):
         loss = kld(one([60.0, 0.0, 0.0]), [0], 0.0)
@@ -304,6 +315,12 @@ class TestBatchLoss:
         with pytest.raises(ContractError, match=r"\[B, C\] logits"):
             compute_loss(Tensor(np.zeros(3)), [0], LossConfig(kind=kind))
 
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_one_class_logits_rejected(self, kind):
+        # one class has no alternative to score against
+        with pytest.raises(ContractError, match=r"C >= 2, got shape \(2, 1\)"):
+            compute_loss(Tensor(np.array([[1.5], [0.2]])), [0, 0], LossConfig(kind=kind))
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ContractError):
             compute_loss(Tensor(np.zeros((0, 3))), [], LossConfig())
@@ -335,13 +352,27 @@ class TestBatchLoss:
             assert grad_check(lambda t: compute_loss(t, targets, cfg, cw), logits) < 1e-4
 
 
+SPELLINGS = {
+    "CE": LossKind.CROSS_ENTROPY,
+    "CROSS_ENTROPY": LossKind.CROSS_ENTROPY,
+    "CROSS-ENTROPY": LossKind.CROSS_ENTROPY,
+    "HL": LossKind.HINGE,
+    "HINGE": LossKind.HINGE,
+    "FL": LossKind.FOCAL,
+    "FOCAL": LossKind.FOCAL,
+    "KLD": LossKind.KLD,
+    "KL": LossKind.KLD,
+}
+
+
 class TestLossKindParsing:
     def test_aliases(self):
-        assert LossKind.parse("ce") is LossKind.CROSS_ENTROPY
-        assert LossKind.parse("HL") is LossKind.HINGE
-        assert LossKind.parse("focal") is LossKind.FOCAL
-        assert LossKind.parse("kld") is LossKind.KLD
+        for spelling, kind in SPELLINGS.items():
+            mixed = "".join(c.lower() if i % 2 else c for i, c in enumerate(spelling))
+            for text in (spelling, spelling.lower(), mixed, f"  {mixed}  ", f"\t{spelling.lower()} "):
+                assert LossKind.parse(text) is kind, text
 
     def test_unknown(self):
-        with pytest.raises(ContractError):
-            LossKind.parse("mse")
+        for text in ("mse", "cross entropy", "KL_D", "C E", ""):
+            with pytest.raises(ContractError, match="unknown loss kind"):
+                LossKind.parse(text)
