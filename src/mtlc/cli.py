@@ -25,6 +25,7 @@ from .config import RunConfig, check_out_dir, load_config
 from .data import (
     check_ratios,
     check_stratify_task,
+    fold_word,
     load_joint_tsv,
     merge_task_files,
     schemas_for_language,
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--out-dir", required=True)
     p_split.add_argument("--ratios", default="0.8,0.1,0.1")
     p_split.add_argument("--seed", type=int, default=0)
-    p_split.add_argument("--stratify-task", default="sentiment")
+    p_split.add_argument("--stratify-task", default="sentiment", type=fold_word)
     p_split.add_argument("--language", default="kannada")
     p_split.set_defaults(func=cmd_split)
 

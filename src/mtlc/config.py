@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
-from .data import OFFENSE_TASK, SENTIMENT_TASK, LANGUAGES
+from .data import OFFENSE_TASK, SENTIMENT_TASK, LANGUAGES, fold_word
 from .encoder import EncoderConfig, param_shapes
 from .errors import ConfigError, ContractError
 from .losses import LossConfig, LossKind
@@ -42,28 +42,31 @@ def _finite_list(text: str) -> tuple[float, ...]:
     return tuple(_finite(part) for part in text.split(","))
 
 
-def _bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
+def _word(table: Union[dict[str, object], tuple[str, ...]]) -> Callable[[str], object]:
+    """A parser of one word of `table`, which maps each spelling to its
+    value (a tuple of words maps each to itself); words compare through
+    `data.fold_word`."""
+    if not isinstance(table, dict):
+        table = dict(zip(table, table))
+    folded = {fold_word(spelling): value for spelling, value in table.items()}
 
-
-def _one_of(options: tuple[str, ...], fold_case: bool = True) -> Callable[[str], str]:
-    def parse(text: str) -> str:
-        value = text.lower() if fold_case else text
-        if value not in options:
-            raise ValueError(f"expected one of {options}, got {text!r}")
-        return value
+    def parse(text: str) -> object:
+        word = fold_word(text)
+        if word not in folded:
+            raise ValueError(f"expected one of {tuple(table)}, got {text!r}")
+        return folded[word]
 
     return parse
 
 
-def _loss_override(text: str) -> Optional[LossKind]:
-    """Empty means the task trains with `regime.loss`."""
-    return LossKind.parse(text) if text else None
+_bool = _word({"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False})
+_LOSSES = {  # every spelling of a loss kind
+    "CE": LossKind.CROSS_ENTROPY, "CROSS_ENTROPY": LossKind.CROSS_ENTROPY,
+    "CROSS-ENTROPY": LossKind.CROSS_ENTROPY, "HL": LossKind.HINGE, "HINGE": LossKind.HINGE,
+    "FL": LossKind.FOCAL, "FOCAL": LossKind.FOCAL, "KLD": LossKind.KLD, "KL": LossKind.KLD,
+}
+_loss = _word(_LOSSES)
+_task_loss = _word({"": None, **_LOSSES})  # empty: the task trains with `regime.loss`
 
 
 def _float_text(value: float) -> str:
@@ -78,7 +81,7 @@ _FORMATS: dict[Callable[[str], object], Callable[[object], str]] = {
     _finite: _float_text,
     _finite_list: lambda values: ",".join(f"{value:g}" for value in values),
     _bool: lambda value: "true" if value else "false",
-    LossKind.parse: lambda kind: kind.value,
+    _loss: lambda kind: kind.value,
 }
 
 # key -> (parser, home). The home is the (dataclass, field) that holds the
@@ -89,9 +92,9 @@ _KEYS: dict[str, tuple[Callable[[str], object], Union[str, tuple[type, str]]]] =
     "data.train": (str, ""),
     "data.val": (str, ""),
     "data.test": (str, ""),
-    "data.format": (_one_of(("joint",), fold_case=False), "joint"),
-    "data.language": (_one_of(LANGUAGES), "kannada"),
-    "text.mode": (_one_of(MODES), "char"),  # the corpora mix scripts inside a comment
+    "data.format": (_word(("joint",)), "joint"),
+    "data.language": (_word(LANGUAGES), "kannada"),
+    "text.mode": (_word(MODES), "char"),  # the corpora mix scripts inside a comment
     "text.min_freq": (int, "1"),
     "text.max_size": (int, "20000"),
     "text.max_len": (int, (EncoderConfig, "max_len")),
@@ -100,16 +103,16 @@ _KEYS: dict[str, tuple[Callable[[str], object], Union[str, tuple[type, str]]]] =
     "model.n_layers": (int, (EncoderConfig, "n_layers")),
     "model.d_ffn": (int, (EncoderConfig, "d_ffn")),
     "model.dropout": (_finite, (EncoderConfig, "dropout_p")),
-    "regime.kind": (_one_of(REGIMES), "hard_share"),
-    "regime.task": (_one_of(TASKS), "sentiment"),
-    "regime.loss": (LossKind.parse, (LossConfig, "kind")),
-    "regime.loss_sentiment": (_loss_override, ""),
-    "regime.loss_offense": (_loss_override, ""),
+    "regime.kind": (_word(REGIMES), "hard_share"),
+    "regime.task": (_word(TASKS), "sentiment"),
+    "regime.loss": (_loss, (LossConfig, "kind")),
+    "regime.loss_sentiment": (_task_loss, ""),
+    "regime.loss_offense": (_task_loss, ""),
     "regime.focal_gamma": (_finite, (LossConfig, "focal_gamma")),
     "regime.kld_epsilon": (_finite, (LossConfig, "kld_epsilon")),
     "regime.class_weights": (_bool, (LossConfig, "use_class_weights")),
     "regime.task_weights": (_finite_list, (RegimeConfig, "task_weights")),
-    "regime.penalty": (_one_of(PENALTIES), (SoftShareConfig, "penalty")),
+    "regime.penalty": (_word(PENALTIES), (SoftShareConfig, "penalty")),
     "regime.lambda": (_finite, (SoftShareConfig, "lam")),
     "regime.coupled_layers": (str, "default"),
     "train.epochs": (int, (TrainConfig, "epochs")),
@@ -248,7 +251,7 @@ def load_config(text: str, check_paths: bool = True) -> RunConfig:
         for task in tasks
     }
     coupled_text = typed["regime.coupled_layers"]
-    if coupled_text.lower() == "default":
+    if fold_word(coupled_text) == "default":
         coupled = default_coupled_layers(encoder.n_layers)
     else:
         coupled = tuple(name.strip() for name in coupled_text.split(",") if name.strip())

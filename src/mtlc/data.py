@@ -51,7 +51,7 @@ class LabelSchema:
     _lookup: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        lookup = {c.lower(): i for i, c in enumerate(self.classes)}
+        lookup = {fold_word(c): i for i, c in enumerate(self.classes)}
         if len(lookup) != len(self.classes):
             raise ContractError(f"duplicate class names in schema for {self.task}")
         object.__setattr__(self, "_lookup", lookup)
@@ -61,15 +61,15 @@ class LabelSchema:
         return len(self.classes)
 
     def index(self, name: str) -> int:
-        """Case-insensitive, whitespace-trimmed lookup; raises on no match."""
+        """The class `name` spells, compared through `fold_word`; raises on no match."""
         try:
-            return self._lookup[name.strip().lower()]
+            return self._lookup[fold_word(name)]
         except KeyError:
             raise DataError(f"unknown {self.task} label {name!r}") from None
 
 
 def schemas_for_language(language: str) -> dict[str, LabelSchema]:
-    lang = language.strip().lower()
+    lang = fold_word(language)
     if lang not in LANGUAGES:
         raise ContractError(f"unknown language {language!r}; expected one of {LANGUAGES}")
     offense = OFFENSE_CLASSES_NO_OTO if lang == "malayalam" else OFFENSE_CLASSES
@@ -113,6 +113,13 @@ def _norm_text(text: str) -> str:
     while text[:1] == "\ufeff" or text[-1:] == "\ufeff":
         text = text.strip("\ufeff").strip()
     return text
+
+
+def fold_word(text: str) -> str:
+    """A typed word as it compares: trimmed, then lower-cased if ASCII; any other
+    word stays as typed, so no look-alike (Kelvin sign, `ſ`, `ﬂ`) folds to ASCII."""
+    text = text.strip()
+    return text.lower() if text.isascii() else text
 
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:

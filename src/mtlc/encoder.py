@@ -66,9 +66,7 @@ class EncoderConfig:
             raise ContractError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
 
-def param_shapes(
-    config: EncoderConfig, heads: Mapping[str, int], hidden: int = HEAD_HIDDEN
-) -> dict[str, tuple]:
+def param_shapes(config: EncoderConfig, heads: Mapping[str, int]) -> dict[str, tuple]:
     """One encoder's tensor shapes, then a head's per task of `heads` (task -> class count)."""
     d, f = config.d_model, config.d_ffn
     shapes: dict[str, tuple] = {
@@ -95,9 +93,9 @@ def param_shapes(
     shapes["pooler_b"] = (d,)
     for task, n_classes in heads.items():
         p = f"head.{task}."
-        shapes[p + "w_hidden"] = (d, hidden)
-        shapes[p + "b_hidden"] = (hidden,)
-        shapes[p + "w_out"] = (hidden, n_classes)
+        shapes[p + "w_hidden"] = (d, HEAD_HIDDEN)
+        shapes[p + "b_hidden"] = (HEAD_HIDDEN,)
+        shapes[p + "w_out"] = (HEAD_HIDDEN, n_classes)
         shapes[p + "b_out"] = (n_classes,)
     return shapes
 

@@ -9,7 +9,7 @@ cross-entropy's per-row -log p_target, so with gamma=0 it equals
 cross-entropy bit for bit, in value and gradient; KLD with zero label
 smoothing gives cross-entropy within rounding, by its own formula. Every
 loss needs at least two classes. `LossConfig` holds the range of gamma and
-epsilon.
+epsilon. `LossKind` names the four kinds; `config._LOSSES` holds their spellings.
 """
 
 from __future__ import annotations
@@ -44,16 +44,6 @@ class LossKind(Enum):
     HINGE = "HL"
     FOCAL = "FL"
     KLD = "KLD"
-
-    @classmethod
-    def parse(cls, text: str) -> "LossKind":
-        """A kind by its name or value, or by `CROSS-ENTROPY` or `KL`, in any case."""
-        key = text.strip().upper()
-        aliases = {**cls.__members__, **{k.value: k for k in cls}}
-        aliases.update({"CROSS-ENTROPY": cls.CROSS_ENTROPY, "KL": cls.KLD})
-        if key not in aliases:
-            raise ContractError(f"unknown loss kind {text!r}; expected CE, HL, FL, or KLD")
-        return aliases[key]
 
 
 @dataclass(frozen=True)

@@ -150,8 +150,12 @@ def _encoder_op_cases():
     w_att = Tensor(np.arange(10.0).reshape(2, 5))
     enc_cfg = EncoderConfig(vocab_size=9, d_model=4, n_heads=2, n_layers=1,
                             d_ffn=8, max_len=6, dropout_p=0.0)
-    heads = {"sentiment": 5}
-    base = init_params(param_shapes(enc_cfg, heads, hidden=8), seed=17)
+    # an 8-unit head: at HEAD_HIDDEN units, some probe puts a hidden unit's
+    # relu kink within one finite-difference step
+    shapes = param_shapes(enc_cfg, {"sentiment": 5})
+    shapes.update({"head.sentiment.w_hidden": (4, 8), "head.sentiment.b_hidden": (8,),
+                   "head.sentiment.w_out": (8, 5)})
+    base = init_params(shapes, seed=17)
 
     from mtlc.text import TokenSeq
 
@@ -282,7 +286,7 @@ def test_criterion_1_gradient_suite():
     rng = np.random.default_rng(42)
     params = {
         name: Tensor(rng.uniform(-0.8, 0.8, size=t.shape), requires_grad=True, name=name)
-        for name, t in init_params(param_shapes(enc_cfg, heads, hidden=16), seed=0).items()
+        for name, t in init_params(param_shapes(enc_cfg, heads), seed=0).items()
     }
     from mtlc.text import TokenSeq
 

@@ -105,6 +105,27 @@ class TestSplit:
         train_rows = (out / "train.tsv").read_text(encoding="utf-8").splitlines()
         assert len(train_rows) == 25
 
+    def test_stratify_task_folds_case(self, tmp_path):
+        src = tmp_path / "corpus.tsv"
+        src.write_text(toy_tsv(), encoding="utf-8")
+        outs = []
+        for name, task in (("a", "sentiment"), ("b", " Sentiment ")):
+            outs.append(tmp_path / name)
+            args = ["split", "--input", str(src), "--out-dir", str(outs[-1]), "--stratify-task", task]
+            assert main(args) == 0
+        assert "stratify_task = sentiment\n" in (outs[1] / "manifest.txt").read_text(encoding="utf-8")
+        for fname in ("train.tsv", "val.tsv", "test.tsv", "manifest.txt"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_a_look_alike_language_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "corpus.tsv"
+        src.write_text(toy_tsv(), encoding="utf-8")
+        out = tmp_path / "o"
+        # U+212A KELVIN SIGN in place of the K
+        assert main(["split", "--input", str(src), "--out-dir", str(out), "--language", "\u212aannada"]) == 2
+        assert "unknown language" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_exit_2(self, tmp_path):
         assert main(["split", "--out-dir", str(tmp_path / "x")]) == 2
 

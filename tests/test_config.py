@@ -7,9 +7,12 @@ from pathlib import Path
 import pytest
 
 from mtlc.config import _DEFAULTS, _KEYS, _build, load_config, parse_flat
+from mtlc.data import LANGUAGES
 from mtlc.encoder import EncoderConfig
 from mtlc.errors import ConfigError, ContractError
 from mtlc.losses import LossKind
+from mtlc.mtl import PENALTIES, REGIMES, default_coupled_layers
+from mtlc.text import MODES
 
 MINIMAL = """
 data.train = {train}
@@ -187,6 +190,84 @@ class TestLoadConfig:
         again = load_config(cfg.to_text(), check_paths=False)
         assert again.raw == cfg.raw
         assert again.to_text() == cfg.to_text()
+
+
+SPELLINGS = {
+    "CE": LossKind.CROSS_ENTROPY,
+    "CROSS_ENTROPY": LossKind.CROSS_ENTROPY,
+    "CROSS-ENTROPY": LossKind.CROSS_ENTROPY,
+    "HL": LossKind.HINGE,
+    "HINGE": LossKind.HINGE,
+    "FL": LossKind.FOCAL,
+    "FOCAL": LossKind.FOCAL,
+    "KLD": LossKind.KLD,
+    "KL": LossKind.KLD,
+}
+
+
+def load_line(line):
+    return load_config(f"data.train = a\ndata.val = b\n{line}\n", check_paths=False)
+
+
+class TestLossSpellings:
+    def test_aliases(self):
+        for spelling, kind in SPELLINGS.items():
+            mixed = "".join(c.lower() if i % 2 else c for i, c in enumerate(spelling))
+            for text in (spelling, spelling.lower(), mixed, f"  {mixed}  ", f"\t{spelling.lower()} "):
+                cfg = load_line(f"regime.loss = {text}")
+                assert all(lc.kind is kind for lc in cfg.regime.losses.values()), text
+
+    def test_unknown(self):
+        for text in ("mse", "cross entropy", "KL_D", "C E", ""):
+            with pytest.raises(ConfigError, match="^regime.loss: expected one of"):
+                load_line(f"regime.loss = {text}")
+
+
+BOOLEANS = ("true", "yes", "1", "false", "no", "0")
+WORDS = {
+    "data.format": ("joint",),
+    "data.language": LANGUAGES,
+    "text.mode": MODES,
+    "regime.kind": REGIMES,
+    "regime.task": ("sentiment", "offense"),
+    "regime.penalty": PENALTIES,
+    "regime.class_weights": BOOLEANS,
+    "train.shuffle": BOOLEANS,
+}
+
+
+class TestWords:
+    """Every typed word compares through `data.fold_word`: trimmed, and
+    lower-cased only if it is ASCII."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "regime.loss = \ufb02",  # the fl ligature
+            "regime.loss = CRO\u017f\u017f-ENTROPY",  # long s
+            "regime.loss_offense = \ufb02",
+            "regime.loss = \u212aLD",  # the Kelvin sign
+            "data.language = \u212aannada",
+        ],
+    )
+    def test_a_non_ascii_look_alike_is_no_word(self, line):
+        key = line.split(" ", 1)[0]
+        with pytest.raises(ConfigError, match=f"^{key}: expected one of"):
+            load_line(line)
+
+    @pytest.mark.parametrize("key,words", list(WORDS.items()))
+    def test_every_ascii_case_of_a_word_parses_to_its_value(self, key, words):
+        parse = _KEYS[key][0]
+        for word in words:
+            for text in (word.upper(), word.title(), f" {word.swapcase()}\t"):
+                assert parse(text) == parse(word), (key, text)
+
+    def test_the_format_word_folds_case(self):
+        assert load_line("data.format = JOINT").raw["data.format"] == "JOINT"
+
+    def test_coupled_layers_default_folds_case(self):
+        cfg = load_line("regime.kind = soft_share\nregime.coupled_layers = DEFAULT")
+        assert cfg.regime.soft.coupled_layer_names == default_coupled_layers(2)
 
 
 # the default `to_text` output: every checkpoint embeds this text and the

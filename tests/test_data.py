@@ -19,6 +19,7 @@ from mtlc.data import (
     class_counts,
     corpus_to_tsv,
     encode_split,
+    fold_word,
     load_joint_tsv,
     merge_task_files,
     schemas_for_language,
@@ -71,6 +72,26 @@ class TestSchemas:
         assert schema.index("\tNOT Offensive \r") == 0
         with pytest.raises(DataError, match="unknown offense label 'Offensive'"):
             schema.index("Offensive")
+
+    def test_a_non_ascii_look_alike_is_no_label(self):
+        # U+212A KELVIN SIGN lower-cases to `k`; `fold_word` leaves it as typed
+        schema = LabelSchema("sentiment", ("Keen", "Other"))
+        assert schema.index(" KEEN ") == 0
+        with pytest.raises(DataError, match="unknown sentiment label"):
+            schema.index("\u212aeen")
+
+    def test_language_folds_like_every_typed_word(self):
+        assert schemas_for_language(" TAMIL ") == schemas_for_language("tamil")
+        with pytest.raises(ContractError, match="unknown language"):
+            schemas_for_language("\u212aannada")
+
+    @pytest.mark.parametrize(
+        "text, word",
+        [(" Tamil\t", "tamil"), ("CROSS-ENTROPY", "cross-entropy"), ("\ufb02", "\ufb02"),
+         (" CRO\u017f\u017f ", "CRO\u017f\u017f"), ("\u212aannada", "\u212aannada"), ("", "")],
+    )
+    def test_fold_word(self, text, word):
+        assert fold_word(text) == word
 
     def test_duplicate_differing_only_in_case_rejected(self):
         with pytest.raises(ContractError, match="duplicate class names"):
@@ -324,6 +345,8 @@ class TestRoundTrip:
         assert sum(class_counts(corpus, "sentiment")) == len(corpus)
         empty = Corpus(records=[], schemas=SCHEMAS, language="kannada")
         assert class_counts(empty, "sentiment") == [0] * 5
+        with pytest.raises(ContractError, match="unknown task 'emotion'"):
+            class_counts(corpus, "emotion")
 
 
 # ---------------------------------------------------------------------------

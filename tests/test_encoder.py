@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mtlc.errors import ContractError, ShapeError
 from mtlc.encoder import (
+    HEAD_HIDDEN,
     EncoderConfig,
     attention_block,
     classify,
@@ -203,9 +204,6 @@ def small_config():
     )
 
 
-HIDDEN = 16  # the head width of the `heads` fixture's models
-
-
 @pytest.fixture
 def heads():
     return {"sentiment": 5, "offense": 6}
@@ -213,7 +211,7 @@ def heads():
 
 @pytest.fixture
 def params(small_config, heads):
-    return init_params(param_shapes(small_config, heads, HIDDEN), seed=3)
+    return init_params(param_shapes(small_config, heads), seed=3)
 
 
 @pytest.fixture
@@ -312,7 +310,7 @@ class TestAttention:
 class TestMultiHead:
     def test_single_head_degenerates_to_attention(self, small_config, heads):
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=1, n_layers=1, d_ffn=16, max_len=8, dropout_p=0.0)
-        params = init_params(param_shapes(cfg, heads, HIDDEN), seed=5)
+        params = init_params(param_shapes(cfg, heads), seed=5)
         x = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
         lengths = [3, 1]
         got = attention_block(x, x, params, "layer0.", 1, lengths)
@@ -353,7 +351,7 @@ class TestEncoderForward:
                 requires_grad=True,
                 name=name,
             )
-            for name, shape in param_shapes(small_config, heads, HIDDEN).items()
+            for name, shape in param_shapes(small_config, heads).items()
         }
         seq = encode("a b c", vocab, small_config.max_len)
         cls = encoder_forward(pack([seq], small_config), params, small_config)
@@ -361,7 +359,7 @@ class TestEncoderForward:
 
     def test_training_mode_deterministic_per_stream(self, heads, vocab):
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ffn=16, max_len=8, dropout_p=0.3)
-        params = init_params(param_shapes(cfg, heads, HIDDEN), seed=1)
+        params = init_params(param_shapes(cfg, heads), seed=1)
         seq = encode("a b c d", vocab, cfg.max_len)
         a = encoder_forward(pack([seq], cfg), params, cfg, rng=stream(9, "drop")).data
         b = encoder_forward(pack([seq], cfg), params, cfg, rng=stream(9, "drop")).data
@@ -451,17 +449,17 @@ def closed_form_count(config, heads, hidden):
 class TestParams:
     def test_count_matches_closed_form(self, small_config, heads, params):
         total = sum(p.data.size for p in params.values())
-        assert total == closed_form_count(small_config, heads, HIDDEN)
+        assert total == closed_form_count(small_config, heads, HEAD_HIDDEN)
 
     def test_count_formula_default_head(self):
         cfg = EncoderConfig(vocab_size=100, d_model=64, n_heads=4, n_layers=2, d_ffn=128, max_len=64)
         heads = {"sentiment": 5}
         params = init_params(param_shapes(cfg, heads), seed=0)
-        assert sum(p.data.size for p in params.values()) == closed_form_count(cfg, heads, 128)
+        assert sum(p.data.size for p in params.values()) == closed_form_count(cfg, heads, HEAD_HIDDEN)
 
     def test_name_set_is_deterministic(self, small_config, heads):
-        assert sorted(param_shapes(small_config, heads, HIDDEN)) == sorted(
-            init_params(param_shapes(small_config, heads, HIDDEN), seed=9)
+        assert sorted(param_shapes(small_config, heads)) == sorted(
+            init_params(param_shapes(small_config, heads), seed=9)
         )
 
     def test_init_distribution(self, small_config, heads, params):
@@ -472,8 +470,8 @@ class TestParams:
         assert np.array_equal(params["layer0.ffn_b1"].data, np.zeros(16))
 
     def test_per_tensor_streams_are_stable(self, small_config, heads):
-        both = init_params(param_shapes(small_config, heads, HIDDEN), seed=4)
-        solo = init_params(param_shapes(small_config, {"sentiment": 5}, HIDDEN), seed=4)
+        both = init_params(param_shapes(small_config, heads), seed=4)
+        solo = init_params(param_shapes(small_config, {"sentiment": 5}), seed=4)
         for name in solo:
             assert np.array_equal(both[name].data, solo[name].data)
 
@@ -484,7 +482,7 @@ class TestEncoderGradients:
         rng = np.random.default_rng(55)
         params = {
             name: Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True, name=name)
-            for name, shape in param_shapes(cfg, {"sentiment": 5}, hidden=8).items()
+            for name, shape in param_shapes(cfg, {"sentiment": 5}).items()
         }
         seq = encode("a b c", vocab, cfg.max_len)
 
@@ -638,7 +636,7 @@ class TestPacking:
         rng = np.random.default_rng(56)
         params = {
             name: Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True, name=name)
-            for name, shape in param_shapes(cfg, {"sentiment": 5}, HIDDEN).items()
+            for name, shape in param_shapes(cfg, {"sentiment": 5}).items()
         }
         from mtlc.text import TokenSeq
 
@@ -678,7 +676,7 @@ class TestPacking:
         rng = np.random.default_rng(9)
         params = {
             name: Tensor(rng.uniform(-0.5, 0.5, size=shape), name=name)
-            for name, shape in param_shapes(small_config, heads, HIDDEN).items()
+            for name, shape in param_shapes(small_config, heads).items()
         }
         got = encoder_forward(pack(mixed, small_config), params, small_config).data
         assert np.abs(got - padded_reference(mixed, params, small_config)).max() <= 1e-12

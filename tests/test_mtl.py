@@ -149,6 +149,10 @@ class TestRegimeValidation:
                 tasks=tasks, losses={t: LossConfig() for t in tasks}, task_weights=(1.0,) * len(tasks)
             )
 
+    def test_losses_name_the_regime_tasks(self):
+        with pytest.raises(ConfigError, match=r"loss config tasks \['offense'\] != tasks \('sentiment',\)"):
+            RegimeConfig(tasks=("sentiment",), losses={"offense": LossConfig()}, task_weights=(1.0,))
+
     def test_soft_needs_two_tasks(self):
         # one encoder has no pair to couple
         with pytest.raises(ConfigError, match="soft sharing two"):
@@ -508,6 +512,15 @@ class TestTrain:
         tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=0)
         with pytest.raises(ContractError, match="'offense' has 5 classes but schema has 6"):
             train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
+
+    def test_split_without_a_heads_task_rejected(self, toy_splits, toy_vocab):
+        cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2)
+        model = build_model(regime_for("hard_share"), cfg, N_CLASSES, seed=0)
+        tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=0)
+        schemas = {"sentiment": toy_splits.train.schemas["sentiment"]}
+        sentiment_only = Corpus(records=toy_splits.train.records, schemas=schemas, language="kannada")
+        with pytest.raises(ContractError, match="split has no labels for task 'offense'"):
+            train(model, sentiment_only, toy_splits.val, toy_vocab, tc)
 
     def test_empty_split_rejected(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab)

@@ -404,6 +404,12 @@ class TestLayerNorm:
         assert np.abs(y.data.mean(axis=1)).max() < 1e-12
         assert np.abs(y.data.std(axis=1) - 1.0).max() < 1e-3
 
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 5, 4)])
+    def test_takes_rows_or_towers_of_rows(self, shape):
+        gain = Tensor(np.ones(shape[:-2] + (4,)))
+        with pytest.raises(ShapeError, match="layer_norm_rows needs 2-D operands"):
+            layer_norm_rows(Tensor(np.ones(shape)), gain, gain)
+
     def test_gradients_all_inputs(self):
         rng = np.random.default_rng(9)
         xv, gv, bv = rng.normal(size=(3, 4)), rng.uniform(0.5, 2, 4), rng.normal(size=4)

@@ -136,6 +136,11 @@ class TestVocabFile:
         assert lines[1] == "char"
         assert lines[2] == "x"
 
+    @pytest.mark.parametrize("data", [b"", b"1\n", b"1"])
+    def test_file_shorter_than_its_header_rejected(self, data):
+        with pytest.raises(DataError, match="vocab.txt: vocabulary file is missing its 2-line header"):
+            parse_vocab(data, "vocab.txt")
+
     def test_bad_version_rejected(self):
         with pytest.raises(DataError):
             parse_vocab(b"9\nword\na\n", "vocab.txt")
