@@ -191,6 +191,8 @@ class RunConfig:
 def check_out_dir(path: str, name: str) -> None:
     """A ConfigError naming `name` unless `path` is a directory or can be
     made one: its nearest existing ancestor must be a directory."""
+    if not path or "\0" in path:  # no os call takes either
+        raise ConfigError(f"{name}: path {path!r} is empty or holds a NUL byte")
     nearest = os.path.abspath(path)
     while not os.path.lexists(nearest):  # the run makes the missing part
         nearest = os.path.dirname(nearest)

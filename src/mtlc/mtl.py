@@ -11,7 +11,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .checkpoint import stored_values
-from .data import Corpus, batches, class_counts, encode_split, encode_texts
+from .data import Batch, Corpus, batches, class_counts, encode_split, encode_texts
 from .encoder import (
     EncoderConfig,
     classify,
@@ -283,27 +283,13 @@ def train(
     train_cfg: TrainConfig,
 ) -> list[EpochStats]:
     """Run `model.regime` over the train split, updating `model.params` in
-    place; one EpochStats per epoch.
+    place; one EpochStats per epoch. Per epoch: seeded shuffle, fixed-size
+    batches, one `train_step` each, then one validation report on the
+    weights as a checkpoint stores them (`stored_values`).
 
-    Per epoch: seeded shuffle and fixed-size batches. A batch is packed
-    once, and each encoder of `towers(regime)` in turn runs
-    `encoder_forward` on its own 2-D tensors, its heads, its tasks' losses
-    and their weighted sum's backward on a tape of its own, so only one
-    encoder's activations are alive at a time. Each parameter belongs to
-    one encoder, so the gradients equal one backward of `weighted_sum`
-    over all encoders bit for bit. Then the AdamW step, and `couple` takes
-    the coupling penalty's proximal step. Each epoch ends with one
-    validation report, on the weights as a checkpoint stores them
-    (`stored_values`).
-
-    An empty split raises ContractError. Every NumericalError of a step
-    names its epoch and batch: a non-finite task loss, named, before its
-    encoder's backward; a non-finite objective or gradient before the
-    update, so no parameter changes; a failed coupling step, naming its
-    layer. A weight beyond float32's range raises at its epoch's
-    validation, naming the tensor. These checks, not numpy warnings,
-    report a step's overflow.
-    """
+    An empty split raises ContractError. A step's NumericalError gains its
+    epoch and batch; a weight beyond float32's range raises at its epoch's
+    validation, naming the tensor."""
     regime = model.regime
     train_set = encode_split(train_split, vocab, model.encoder_cfg.max_len)
     val_set = encode_split(val_split, vocab, model.encoder_cfg.max_len)
@@ -319,44 +305,18 @@ def train(
     shuffle_rng = stream(train_cfg.seed, "shuffle")
     dropout_rng = stream(train_cfg.seed, "dropout")
     epochs: list[EpochStats] = []
-    task_weight = dict(zip(regime.tasks, regime.task_weights))
-
     for epoch in range(train_cfg.epochs):
-        epoch_batches = batches(
-            train_set, train_cfg.batch_size, train_cfg.shuffle, child_seed(shuffle_rng)
-        )
+        epoch_batches = batches(train_set, train_cfg.batch_size, train_cfg.shuffle, child_seed(shuffle_rng))
         loss_sums = {task: 0.0 for task in regime.tasks}
         hits = {task: 0 for task in regime.tasks}
-        with np.errstate(all="ignore"):
-            for batch_index, batch in enumerate(epoch_batches):
-                try:
-                    zero_grads(model.params)
-                    packed = pack(batch.seqs, model.encoder_cfg)
-                    loss_values: dict[str, float] = {}
-                    for prefix, tasks in towers(regime).items():
-                        tower = {name: model.params[prefix + name] for name in model.stacks}
-                        with GradTape() as tape:
-                            pooled = encoder_forward(packed, tower, model.encoder_cfg, dropout_rng)
-                            logits = {t: classify(pooled, model.heads[t][1]) for t in tasks}
-                            losses = [
-                                compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t])
-                                for t in tasks
-                            ]
-                            tower_loss = weighted_sum(losses, [task_weight[t] for t in tasks])
-                        for t, loss in zip(tasks, losses):
-                            loss_values[t] = loss.item()
-                            loss_sums[t] += loss_values[t] * len(batch)
-                            hits[t] += int((logits[t].data.argmax(axis=1) == batch.labels[t]).sum())
-                        if not math.isfinite(tower_loss.item()):
-                            bad = [t for t in tasks if not math.isfinite(loss_values[t])] or tasks
-                            raise NumericalError(f"non-finite {'+'.join(bad)} loss")
-                        backward(tape, tower_loss)
-                    if not math.isfinite(sum(task_weight[t] * loss_values[t] for t in regime.tasks)):
-                        raise NumericalError("non-finite objective")
-                    adamw_step(model.params, states, train_cfg.optimizer)
-                    couple(model, train_cfg.optimizer.learning_rate)
-                except NumericalError as exc:
-                    raise NumericalError(f"{exc} at epoch {epoch} batch {batch_index}") from exc
+        for batch_index, batch in enumerate(epoch_batches):
+            try:
+                step = train_step(model, batch, states, weights, train_cfg.optimizer, dropout_rng)
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} at epoch {epoch} batch {batch_index}") from exc
+            for t, (loss, step_hits) in step.items():
+                loss_sums[t] += loss * len(batch)
+                hits[t] += step_hits
 
         stored = stored_values(model.params)
         frozen = Model(regime, model.encoder_cfg, {n: Tensor(a, name=n) for n, a in stored.items()})
@@ -373,6 +333,44 @@ def train(
             )
         )
     return epochs
+
+
+@np.errstate(all="ignore")  # a non-finite loss or gradient is named below
+def train_step(
+    model: Model, batch: Batch, states: dict, weights: dict, optimizer: OptimHyper, rng: np.random.Generator
+) -> dict[str, tuple[float, int]]:
+    """One update of `model.params` and the AdamW `states` from `batch`,
+    with each task's class weights (or None) and dropout drawn from `rng`;
+    returns each task's batch-mean loss and hit count.
+
+    The batch is packed once; each encoder of `towers(regime)` in turn runs
+    its forward, heads, losses and their weighted sum's backward on a tape
+    of its own, so one encoder's activations are alive at a time, and the
+    gradients equal one backward of `weighted_sum` over all encoders bit
+    for bit. Then one check before any update: a task loss that is not
+    finite is named, else a non-finite objective raises. Then `adamw_step`,
+    which checks every gradient first, and `couple`."""
+    regime = model.regime
+    task_weight = dict(zip(regime.tasks, regime.task_weights))
+    zero_grads(model.params)
+    packed = pack(batch.seqs, model.encoder_cfg)
+    figures: dict[str, tuple[float, int]] = {}
+    for prefix, tasks in towers(regime).items():
+        tower = {name: model.params[prefix + name] for name in model.stacks}
+        with GradTape() as tape:
+            pooled = encoder_forward(packed, tower, model.encoder_cfg, rng)
+            logits = {t: classify(pooled, model.heads[t][1]) for t in tasks}
+            losses = [compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t]) for t in tasks]
+            tower_loss = weighted_sum(losses, [task_weight[t] for t in tasks])
+        backward(tape, tower_loss)
+        for t, loss in zip(tasks, losses):
+            figures[t] = (loss.item(), int((logits[t].data.argmax(axis=1) == batch.labels[t]).sum()))
+    bad = [t for t in regime.tasks if not math.isfinite(figures[t][0])]
+    if bad or not math.isfinite(sum(task_weight[t] * figures[t][0] for t in regime.tasks)):
+        raise NumericalError(f"non-finite {'+'.join(bad)} loss" if bad else "non-finite objective")
+    adamw_step(model.params, states, optimizer)
+    couple(model, optimizer.learning_rate)
+    return figures
 
 
 @np.errstate(all="ignore")  # a non-finite logit is named below

@@ -218,6 +218,13 @@ class TestSplit:
         assert read == []
         assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
 
+    def test_empty_out_dir_exits_2_before_reading_input(self, tmp_path, capsys):
+        # read first, the input's bad row would exit 3
+        src = tmp_path / "bad.tsv"
+        src.write_text("broken\tHappy\tNot offensive\n", encoding="utf-8")
+        assert main(["split", "--input", str(src), "--out-dir", ""]) == 2
+        assert "--out-dir" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_artifacts_and_summary(self, trained_run, capsys):
@@ -324,6 +331,17 @@ class TestTrain:
         cfg = self.run_cfg(
             toy_dir, fast_cfg, tmp_path,
             ("regime.kind = hard_share", "regime.kind = soft_share\nregime.task_weights = 1e308,1e308"),
+            ("train.epochs = 2", "train.epochs = 1"),
+        )
+        assert main(["train", "--config", cfg]) == 4
+        assert capsys.readouterr().err == "error: non-finite objective at epoch 0 batch 0\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_hard_objective_overflow_names_no_task(self, toy_dir, fast_cfg, tmp_path, capsys):
+        # both task losses are finite at weight 1e308, but their weighted sum is not
+        cfg = self.run_cfg(
+            toy_dir, fast_cfg, tmp_path,
+            ("regime.kind = hard_share", "regime.kind = hard_share\nregime.task_weights = 1e308,1e308"),
             ("train.epochs = 2", "train.epochs = 1"),
         )
         assert main(["train", "--config", cfg]) == 4
@@ -543,6 +561,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "output.dir" in err and str(tmp_path / out) in err
         assert trained == []
+
+    def test_output_dir_with_a_nul_byte_exits_2_before_training(
+        self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys
+    ):
+        import mtlc.cli as cli
+
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        cfg = self.with_test_split(toy_dir, fast_cfg, tmp_path, toy_dir / "test.tsv", f"{tmp_path}/ru\0n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "output.dir" in capsys.readouterr().err
+        assert trained == []
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_seed_variable_does_not_reach_a_run(self, toy_dir, fast_cfg, tmp_path, monkeypatch):
         # the seed is `train.seed`: nothing in the environment changes a run

@@ -121,12 +121,17 @@ def first_step_grads(splits, regime, model, vocab, monkeypatch, seed=1):
     return seen
 
 
+def first_batch(split, vocab, model, seed=1):
+    """The first batch `train` takes from `split` at `seed`."""
+    encoded = encode_split(split, vocab, model.encoder_cfg.max_len)
+    return batches(encoded, STEP_BATCH, True, child_seed(stream(seed, "shuffle")))[0]
+
+
 def joint_step_grads(splits, regime, model, vocab, seed=1, weights=None):
     """Reference for `first_step_grads`: the same first batch and dropout
     stream, with every encoder, every loss (with its task's class `weights`,
     if any) and the objective on one tape and one backward."""
-    encoded = encode_split(splits.train, vocab, model.encoder_cfg.max_len)
-    batch = batches(encoded, STEP_BATCH, True, child_seed(stream(seed, "shuffle")))[0]
+    batch = first_batch(splits.train, vocab, model, seed)
     zero_grads(model.params)
     with GradTape() as tape:
         logits = logits_per_tower(model, batch.seqs, rng=stream(seed, "dropout"))
@@ -571,7 +576,7 @@ class TestTrainStep:
     def _model(self, regime, vocab):
         return build_model(regime, toy_encoder(vocab, d_model=8, n_heads=2, d_ffn=16), N_CLASSES, seed=6)
 
-    @pytest.mark.parametrize(
+    every_regime = pytest.mark.parametrize(
         "regime",
         [
             regime_for("stl"),
@@ -581,6 +586,8 @@ class TestTrainStep:
         ],
         ids=["stl", "hard_share", "soft_frobenius", "soft_trace_norm"],
     )
+
+    @every_regime
     def test_gradients_match_one_joint_backward_bit_for_bit(
         self, regime, toy_splits, toy_vocab, monkeypatch
     ):
@@ -722,6 +729,99 @@ class TestTrainStep:
         for name, s in states.items():
             assert s.t == 0 and not s.m.any() and not s.v.any(), name
         assert couplings == []
+
+    @staticmethod
+    def _step(model, batch, states=None):
+        """One `train_step` without class weights, at `first_step_grads`'
+        optimizer and dropout stream."""
+        states = init_states(model.params) if states is None else states
+        no_weights = dict.fromkeys(model.regime.tasks)
+        return mtl.train_step(model, batch, states, no_weights, toy_hyper(), stream(1, "dropout"))
+
+    @every_regime
+    def test_one_step_is_a_one_batch_epoch(self, regime, toy_splits, toy_vocab, monkeypatch):
+        split = Corpus(toy_splits.train.records[:STEP_BATCH], toy_splits.train.schemas, "kannada")
+        trained, states = self._model(regime, toy_vocab), {}
+
+        def recording_init_states(params):
+            states.update(init_states(params))
+            return states
+
+        monkeypatch.setattr(mtl, "init_states", recording_init_states)
+        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=1)
+        train(trained, split, toy_splits.val, toy_vocab, tc)
+
+        stepped = self._model(regime, toy_vocab)
+        step_states = init_states(stepped.params)
+        self._step(stepped, first_batch(split, toy_vocab, stepped), step_states)
+        for name, p in stepped.params.items():
+            assert np.array_equal(p.data, trained.params[name].data), name
+            assert np.array_equal(step_states[name].m, states[name].m), name
+            assert np.array_equal(step_states[name].v, states[name].v), name
+            assert step_states[name].t == states[name].t == 1, name
+
+    @every_regime
+    def test_returns_the_batch_losses_and_hits(self, regime, toy_splits, toy_vocab):
+        model = self._model(regime, toy_vocab)
+        batch = first_batch(toy_splits.train, toy_vocab, model)
+        logits = logits_per_tower(model, batch.seqs, rng=stream(1, "dropout"))
+        want = {
+            t: (
+                compute_loss(logits[t], batch.labels[t], regime.losses[t]).item(),
+                int((logits[t].data.argmax(axis=1) == batch.labels[t]).sum()),
+            )
+            for t in regime.tasks
+        }
+        assert self._step(model, batch) == want
+
+    def test_train_takes_one_step_per_batch(self, toy_splits, toy_vocab, monkeypatch):
+        regime = regime_for("hard_share")
+        sizes, step = [], mtl.train_step
+
+        def counted_step(model, batch, *args):
+            sizes.append(len(batch))
+            return step(model, batch, *args)
+
+        monkeypatch.setattr(mtl, "train_step", counted_step)
+        tc = TrainConfig(epochs=2, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=1)
+        train(self._model(regime, toy_vocab), toy_splits.train, toy_splits.val, toy_vocab, tc)
+        n = len(toy_splits.train.records)
+        per_epoch = [STEP_BATCH] * (n // STEP_BATCH) + ([n % STEP_BATCH] if n % STEP_BATCH else [])
+        assert sizes == per_epoch * 2
+
+    @every_regime
+    @pytest.mark.parametrize(
+        "name", ["adamw_step", "backward", "couple", "pack", "encoder_forward", "compute_loss"]
+    )
+    def test_looks_its_callees_up_in_mtl(self, name, regime, toy_splits, toy_vocab, monkeypatch):
+        # monkeypatching tests and the benchmark's tracer patch these names in `mtl`
+        calls, real = [], getattr(mtl, name)
+
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mtl, name, recording)
+        model = self._model(regime, toy_vocab)
+        self._step(model, first_batch(toy_splits.train, toy_vocab, model))
+        assert calls
+
+    @pytest.mark.parametrize(
+        "regime",
+        [regime_for("hard_share", weights=(1e308, 1e308)), soft_regime(weights=(1e308, 1e308))],
+        ids=["hard_share", "soft_share"],
+    )
+    def test_finite_losses_with_an_infinite_objective_name_no_task(
+        self, regime, toy_splits, toy_vocab, monkeypatch
+    ):
+        # each task loss is finite, and so is each one weighted; their sum is not
+        model = self._model(regime, toy_vocab)
+        before = {name: p.data.copy() for name, p in model.params.items()}
+        monkeypatch.setattr(mtl, "adamw_step", None)  # calling it fails the test
+        with pytest.raises(NumericalError, match="^non-finite objective$"):
+            self._step(model, first_batch(toy_splits.train, toy_vocab, model))
+        for name, p in model.params.items():
+            assert np.array_equal(p.data, before[name]), name
 
 
 class TestEvaluate:
