@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy
 
 from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
-from .config import RunConfig, check_out_dir, load_config
+from .config import RunConfig, load_config
 from .data import (
     check_ratios,
     check_stratify_task,
@@ -42,6 +42,24 @@ CHECKPOINT_NAME = "checkpoint.mtlc"
 VOCAB_NAME = "vocab.txt"
 TRACE_NAME = "trace.tsv"
 REPORT = "report"  # report.json and report.txt
+
+
+def _check_path_text(path: str, name: str) -> None:
+    """A ConfigError naming `name` if `path` is empty or holds a NUL byte:
+    no os call takes either."""
+    if not path or "\0" in path:
+        raise ConfigError(f"{name}: path {path!r} is empty or holds a NUL byte")
+
+
+def check_out_dir(path: str, name: str) -> None:
+    """A ConfigError naming `name` unless `path` is a directory or can be
+    made one: its nearest existing ancestor must be a directory."""
+    _check_path_text(path, name)
+    nearest = os.path.abspath(path)
+    while not os.path.lexists(nearest):  # the run makes the missing part
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise ConfigError(f"{name}: path {path!r} is a file or under one")
 
 
 def _trace_tsv(epochs: Sequence[EpochStats], tasks: Sequence[str]) -> str:
@@ -105,7 +123,7 @@ def cmd_split(args) -> int:
 def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model, RunConfig, object]:
     config_text, vocab_digest, arrays = load_checkpoint(checkpoint_path)
     try:
-        cfg = load_config(config_text, check_paths=False)
+        cfg = load_config(config_text)
     except ConfigError as err:
         raise ConfigError(f"checkpoint {checkpoint_path!r}: embedded config: {err}") from None
     with open(vocab_path, "rb") as fh:
@@ -157,9 +175,17 @@ def _read_config(path: str) -> str:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(_read_config(args.config), check_paths=True)
-    # training never reads the test split, and `mtlc evaluate --data` scores
-    # one, so `data.test` is never parsed
+    cfg = load_config(_read_config(args.config))
+    # every path the run opens is checked before it reads any. Training never
+    # reads the test split, and `mtlc evaluate --data` scores one, so
+    # `data.test` must be a file when given but is never parsed
+    for key in ("data.train", "data.val"):
+        if not cfg.raw[key]:
+            raise ConfigError(f"{key}: required path is missing")
+    for key in ("data.train", "data.val", "data.test"):
+        if cfg.raw[key] and not os.path.isfile(cfg.raw[key]):
+            raise ConfigError(f"{key}: path {cfg.raw[key]!r} is not a file")
+    check_out_dir(cfg.output_dir, "output.dir")
     schemas = schemas_for_language(cfg.language)
     train_split = load_joint_tsv(cfg.train_path, schemas, cfg.language)
     val_split = load_joint_tsv(cfg.val_path, schemas, cfg.language)
@@ -191,10 +217,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    vocab_path = args.vocab or os.path.join(os.path.dirname(args.checkpoint), VOCAB_NAME)
+    # a flag given an empty path is checked as given, not read as absent
+    home = os.path.dirname(args.checkpoint)
+    vocab_path = os.path.join(home, VOCAB_NAME) if args.vocab is None else args.vocab
     if not os.path.isfile(vocab_path):
         raise ConfigError(f"no vocabulary file at {vocab_path!r} (use --vocab)")
-    if args.out_dir:
+    if args.out_dir is not None:
         check_out_dir(args.out_dir, "--out-dir")
     model, cfg, vocab = _model_from_checkpoint(args.checkpoint, vocab_path)
     schemas = schemas_for_language(cfg.language)
@@ -203,7 +231,7 @@ def cmd_evaluate(args) -> int:
     classes = {task: corpus.schemas[task].classes for task in cfg.regime.tasks}
     report = build_report(golds, evaluate(model, corpus, vocab), classes)
 
-    out_dir = args.out_dir or os.path.dirname(args.checkpoint) or "."
+    out_dir = (home or ".") if args.out_dir is None else args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     _write_report(out_dir, "eval_report", report, cfg.regime.tasks, "weighted F1")
     return 0
@@ -215,6 +243,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.out is not None:
+        _check_path_text(args.out, "--out")
     run_dirs = [r.strip() for r in args.runs.split(",") if r.strip()]
     if not run_dirs:
         raise ConfigError("--runs needs at least one run directory")
@@ -253,7 +283,7 @@ def cmd_report(args) -> int:
 
     table = "\n".join(text_lines)
     print(table)
-    if args.out:
+    if args.out is not None:
         write_atomic(args.out, "\n".join(tsv_lines) + "\n")
     return 0
 

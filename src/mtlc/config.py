@@ -1,13 +1,13 @@
 """Run configuration: flat `section.key = value` text, UTF-8, `#` comments.
 
-Everything is validated up front so a bad config never produces partial
-outputs; every complaint names the offending key.
+Parsing turns text into typed values and reads no file: every value is
+checked up front, and every complaint names the offending key. The paths a
+config names are checked by `mtlc train`, the one command that opens them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 from typing import Callable, Union
 
@@ -15,16 +15,7 @@ from .data import OFFENSE_TASK, SENTIMENT_TASK, LANGUAGES, fold_word
 from .encoder import EncoderConfig, param_shapes
 from .errors import ConfigError, ContractError
 from .losses import LossConfig, LossKind
-from .mtl import (
-    PENALTIES,
-    REGIMES,
-    SOFT_SHARE,
-    STL,
-    RegimeConfig,
-    SoftShareConfig,
-    TrainConfig,
-    default_coupled_layers,
-)
+from .mtl import PENALTIES, RegimeConfig, SoftShareConfig, TrainConfig, default_coupled_layers
 from .numcore import OptimHyper
 from .text import MODES, SPECIAL_TOKENS
 
@@ -67,6 +58,8 @@ _LOSSES = {  # every spelling of a loss kind
 }
 _loss = _word(_LOSSES)
 _task_loss = _word({"": None, **_LOSSES})  # empty: the task trains with `regime.loss`
+REGIMES = ("stl", "hard_share", "soft_share")  # the words of `regime.kind`
+STL, HARD_SHARE, SOFT_SHARE = REGIMES
 
 
 def _float_text(value: float) -> str:
@@ -103,7 +96,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], Union[str, tuple[type, str]]]] =
     "model.n_layers": (int, (EncoderConfig, "n_layers")),
     "model.d_ffn": (int, (EncoderConfig, "d_ffn")),
     "model.dropout": (_finite, (EncoderConfig, "dropout_p")),
-    "regime.kind": (_word(REGIMES), "hard_share"),
+    "regime.kind": (_word(REGIMES), HARD_SHARE),
     "regime.task": (_word(TASKS), "sentiment"),
     "regime.loss": (_loss, (LossConfig, "kind")),
     "regime.loss_sentiment": (_task_loss, ""),
@@ -188,18 +181,6 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def check_out_dir(path: str, name: str) -> None:
-    """A ConfigError naming `name` unless `path` is a directory or can be
-    made one: its nearest existing ancestor must be a directory."""
-    if not path or "\0" in path:  # no os call takes either
-        raise ConfigError(f"{name}: path {path!r} is empty or holds a NUL byte")
-    nearest = os.path.abspath(path)
-    while not os.path.lexists(nearest):  # the run makes the missing part
-        nearest = os.path.dirname(nearest)
-    if not os.path.isdir(nearest):
-        raise ConfigError(f"{name}: path {path!r} is a file or under one")
-
-
 def _build(cls, typed: dict[str, object], **computed):
     """A `cls` whose fields come from `typed`, the parsed values of the keys
     the table homes in `cls`, and from `computed`, which wins. A range error
@@ -218,11 +199,12 @@ def _build(cls, typed: dict[str, object], **computed):
         raise ConfigError(homed[name] + message[len(name):]) from None
 
 
-def load_config(text: str, check_paths: bool = True) -> RunConfig:
+def load_config(text: str) -> RunConfig:
     """Parse, apply defaults, validate bounds, and assemble typed configs.
 
     Every key is checked whatever `regime.kind` selects, so a bad value never
-    survives to a later edit of it.
+    survives to a later edit of it. No file is read: a path is a value like
+    any other, so a checkpoint's embedded config loads wherever it moved.
     """
     values = {**_DEFAULTS, **parse_flat(text)}
 
@@ -233,14 +215,6 @@ def load_config(text: str, check_paths: bool = True) -> RunConfig:
         except (ValueError, ContractError) as err:
             raise ConfigError(f"{key}: {err}") from None
 
-    if check_paths:
-        for key in ("data.train", "data.val", "output.dir"):
-            if not typed[key]:
-                raise ConfigError(f"{key}: required path is missing")
-        for key in ("data.train", "data.val", "data.test"):
-            if typed[key] and not os.path.isfile(typed[key]):
-                raise ConfigError(f"{key}: path {typed[key]!r} is not a file")
-        check_out_dir(typed["output.dir"], "output.dir")
     for key in ("text.min_freq", "text.max_size"):
         if typed[key] < 1:
             raise ConfigError(f"{key}: must be >= 1, got {typed[key]}")

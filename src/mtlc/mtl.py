@@ -40,11 +40,6 @@ from .numcore import (
 )
 from .text import TokenSeq, Vocab
 
-STL = "stl"
-HARD_SHARE = "hard_share"
-SOFT_SHARE = "soft_share"
-REGIMES = (STL, HARD_SHARE, SOFT_SHARE)
-
 FROBENIUS = "frobenius"
 TRACE_NORM = "trace_norm"
 PENALTIES = (FROBENIUS, TRACE_NORM)

@@ -21,6 +21,11 @@ from mtlc.toy import materialize, toy_tsv
 ARTIFACTS = ("checkpoint.mtlc", "vocab.txt", "trace.tsv", "report.json", "report.txt")
 
 
+def unread(path, *args):
+    """A stand-in for a reader that must not run."""
+    raise AssertionError(f"read {path}")
+
+
 @pytest.fixture(scope="module")
 def toy_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("toy")
@@ -575,6 +580,47 @@ class TestTrain:
         assert trained == []
         assert os.listdir(tmp_path) == ["run.cfg"]
 
+    @staticmethod
+    def train_before_reading(tmp_path, monkeypatch, capsys, given) -> str:
+        """The stderr of `mtlc train`, run in `tmp_path`, on a config of the
+        `given` keys. It must exit 2 before it reads a TSV, and make nothing."""
+        import mtlc.cli as cli
+
+        monkeypatch.setattr(cli, "load_joint_tsv", unread)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(
+            "".join(f"{key} = {value}\n" for key, value in given.items()), encoding="utf-8"
+        )
+        assert main(["train", "--config", "run.cfg"]) == 2
+        assert os.listdir(tmp_path) == ["run.cfg"]
+        return capsys.readouterr().err
+
+    def test_missing_path_rejected(self, toy_dir, tmp_path, monkeypatch, capsys):
+        given = {"data.train": toy_dir / "train.tsv"}
+        assert re.search("data.val", self.train_before_reading(tmp_path, monkeypatch, capsys, given))
+
+    def test_nonexistent_path_named(self, toy_dir, tmp_path, monkeypatch, capsys):
+        given = {"data.train": "/nope.tsv", "data.val": toy_dir / "val.tsv"}
+        assert re.search("data.train", self.train_before_reading(tmp_path, monkeypatch, capsys, given))
+
+    @pytest.mark.parametrize("key", ["data.train", "data.val", "data.test"])
+    def test_directory_path_named(self, toy_dir, tmp_path, monkeypatch, capsys, key):
+        given = {"data.train": toy_dir / "train.tsv", "data.val": toy_dir / "val.tsv", key: tmp_path}
+        err = self.train_before_reading(tmp_path, monkeypatch, capsys, given)
+        assert re.search(f"{key}: path .* is not a file", err)
+
+    def test_empty_output_dir_exits_2_naming_it(self, toy_dir, tmp_path, monkeypatch, capsys):
+        given = {f"data.{split}": toy_dir / f"{split}.tsv" for split in ("train", "val", "test")}
+        given["output.dir"] = ""
+        err = self.train_before_reading(tmp_path, monkeypatch, capsys, given)
+        assert "output.dir" in err
+
+    def test_a_bad_value_is_named_before_a_bad_path(self, toy_dir, tmp_path, monkeypatch, capsys):
+        # parsing reads no file, so the value's key comes first
+        given = {"data.train": "/nope.tsv", "data.val": toy_dir / "val.tsv", "train.batch_size": 13}
+        err = self.train_before_reading(tmp_path, monkeypatch, capsys, given)
+        assert "train.batch_size" in err and "data.train" not in err
+
     def test_seed_variable_does_not_reach_a_run(self, toy_dir, fast_cfg, tmp_path, monkeypatch):
         # the seed is `train.seed`: nothing in the environment changes a run
         cfg = self.run_cfg(toy_dir, fast_cfg, tmp_path, ("train.epochs = 2", "train.epochs = 1"))
@@ -698,6 +744,31 @@ class TestEvaluate:
         assert "--out-dir" in err and str(tmp_path / out) in err
         assert evaluated == []
         assert (tmp_path / "afile").read_text(encoding="utf-8") == "not a directory\n"
+
+    @staticmethod
+    def evaluate_unread(trained_run, toy_dir, monkeypatch, capsys, *flags) -> str:
+        """The stderr of `mtlc evaluate` with `flags`, which must exit 2
+        before it reads the checkpoint."""
+        import mtlc.cli as cli
+
+        monkeypatch.setattr(cli, "load_checkpoint", unread)
+        args = ["--checkpoint", str(trained_run / "checkpoint.mtlc"), "--data", str(toy_dir / "val.tsv")]
+        assert main(["evaluate", *args, *flags]) == 2
+        return capsys.readouterr().err
+
+    def test_empty_out_dir_exits_2_before_reading_the_checkpoint(
+        self, trained_run, toy_dir, monkeypatch, capsys
+    ):
+        # an absent --out-dir writes beside the checkpoint; an empty one is an error
+        err = self.evaluate_unread(trained_run, toy_dir, monkeypatch, capsys, "--out-dir", "")
+        assert "--out-dir" in err
+
+    def test_empty_vocab_exits_2_before_reading_the_checkpoint(
+        self, trained_run, toy_dir, monkeypatch, capsys
+    ):
+        # an absent --vocab reads the one beside the checkpoint; an empty one is an error
+        err = self.evaluate_unread(trained_run, toy_dir, monkeypatch, capsys, "--vocab", "")
+        assert "--vocab" in err
 
     def test_corrupt_checkpoint_exits_5(self, trained_run, tmp_path, toy_dir, capsys):
         blob = bytearray((trained_run / "checkpoint.mtlc").read_bytes())
@@ -1025,6 +1096,14 @@ class TestReport:
                 if value:
                     float(value)  # re-parses as numbers
 
+    @pytest.mark.parametrize("out", ["", "cmp\0.tsv"], ids=["empty", "nul"])
+    def test_empty_out_exits_2_before_reading_a_report(self, trained_run, monkeypatch, capsys, out):
+        import mtlc.cli as cli
+
+        monkeypatch.setattr(cli, "load_report", unread)
+        assert main(["report", "--runs", str(trained_run), "--out", out]) == 2
+        assert "--out" in capsys.readouterr().err
+
     def test_runs_without_a_directory_exit_2(self, capsys):
         assert main(["report", "--runs", ","]) == 2
         assert "--runs" in capsys.readouterr().err
@@ -1247,7 +1326,7 @@ if not getters:
     sys.exit()
 get = getters[0]
 before = get()
-cfg = config.load_config("", check_paths=False)
+cfg = config.load_config("")
 mtl.build_model(cfg.regime, cfg.encoder, {"sentiment": 5, "offense": 6}, seed=0)
 library = get()
 cli.main(["report", "--runs", sys.argv[1]])  # exits 2: no report.json
