@@ -145,7 +145,7 @@ def _model_from_checkpoint(checkpoint_path: str, vocab_path: str) -> tuple[Model
         raise CorruptArtifactError(f"checkpoint tensors disagree with its config: {listed}")
     # evaluation only: frozen parameters put nothing on any tape, and the
     # model computes in the float32 the checkpoint stores
-    params = {name: Tensor(arrays[name], name=name) for name in arrays}
+    params = {name: Tensor(array) for name, array in arrays.items()}
     model = Model(regime=cfg.regime, encoder_cfg=enc_cfg, params=params)
     return model, cfg, vocab
 
@@ -185,10 +185,11 @@ def cmd_train(args) -> int:
     for key in ("data.train", "data.val", "data.test"):
         if cfg.raw[key] and not os.path.isfile(cfg.raw[key]):
             raise ConfigError(f"{key}: path {cfg.raw[key]!r} is not a file")
-    check_out_dir(cfg.output_dir, "output.dir")
+    out = cfg.raw["output.dir"]
+    check_out_dir(out, "output.dir")
     schemas = schemas_for_language(cfg.language)
-    train_split = load_joint_tsv(cfg.train_path, schemas, cfg.language)
-    val_split = load_joint_tsv(cfg.val_path, schemas, cfg.language)
+    train_split = load_joint_tsv(cfg.raw["data.train"], schemas, cfg.language)
+    val_split = load_joint_tsv(cfg.raw["data.val"], schemas, cfg.language)
     vocab = build_vocab(
         (rec.text for rec in train_split.records),
         mode=cfg.text_mode,
@@ -200,7 +201,6 @@ def cmd_train(args) -> int:
     model = build_model(cfg.regime, enc_cfg, n_classes, cfg.train_cfg.seed)
     epochs = train(model, train_split, val_split, vocab, cfg.train_cfg)
 
-    out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     vocab_digest = hashlib.sha256(save_vocab(vocab, os.path.join(out, VOCAB_NAME))).digest()
     save_checkpoint(os.path.join(out, CHECKPOINT_NAME), cfg.to_text(), vocab_digest, model.params)
@@ -245,6 +245,9 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     if args.out is not None:
         _check_path_text(args.out, "--out")
+        if args.out.endswith(os.sep) or os.path.isdir(args.out):
+            raise ConfigError(f"--out: path {args.out!r} names a directory")
+        check_out_dir(os.path.dirname(args.out) or ".", "--out")
     run_dirs = [r.strip() for r in args.runs.split(",") if r.strip()]
     if not run_dirs:
         raise ConfigError("--runs needs at least one run directory")
@@ -284,6 +287,7 @@ def cmd_report(args) -> int:
     table = "\n".join(text_lines)
     print(table)
     if args.out is not None:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         write_atomic(args.out, "\n".join(tsv_lines) + "\n")
     return 0
 

@@ -165,8 +165,6 @@ class RunConfig:
     """Typed view of one run's configuration plus its normalized text."""
 
     raw: dict[str, str]
-    train_path: str
-    val_path: str
     language: str
     text_mode: str
     min_freq: int
@@ -174,7 +172,6 @@ class RunConfig:
     encoder: EncoderConfig  # vocab_size is a placeholder until a vocabulary exists
     regime: RegimeConfig
     train_cfg: TrainConfig
-    output_dir: str
 
     def to_text(self) -> str:
         lines = [f"{key} = {self.raw[key]}" for key in _KEYS]
@@ -245,8 +242,6 @@ def load_config(text: str) -> RunConfig:
                     soft=soft if kind == SOFT_SHARE else None, **stl_weight)
     return RunConfig(
         raw=values,
-        train_path=typed["data.train"],
-        val_path=typed["data.val"],
         language=typed["data.language"],
         text_mode=typed["text.mode"],
         min_freq=typed["text.min_freq"],
@@ -254,5 +249,4 @@ def load_config(text: str) -> RunConfig:
         encoder=encoder,
         regime=regime,
         train_cfg=_build(TrainConfig, typed, optimizer=_build(OptimHyper, typed)),
-        output_dir=typed["output.dir"],
     )

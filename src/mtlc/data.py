@@ -39,7 +39,7 @@ OFFENSE_CLASSES = (
 # Malayalam has no "Offensive targeted others" class
 OFFENSE_CLASSES_NO_OTO = tuple(c for c in OFFENSE_CLASSES if c != "Offensive targeted others")
 
-LANGUAGES = ("kannada", "tamil", "malayalam", "toy")
+LANGUAGES = ("kannada", "tamil", "malayalam")
 
 BAD_ROW_LIMIT = 0.01  # ingestion fails when more than 1% of rows are bad
 

@@ -116,7 +116,7 @@ def init_params(shapes: Mapping[str, tuple], seed: int) -> dict[str, Tensor]:
             data = np.zeros(shape)
         else:
             data = truncated_normal(stream(seed, f"init/{name}"), shape, INIT_STD)
-        params[name] = Tensor(data, requires_grad=True, name=name)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 

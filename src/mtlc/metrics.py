@@ -40,13 +40,11 @@ class Averages:
 
 @dataclass(frozen=True)
 class TaskReport:
-    labels: tuple[str, ...]
     per_class: tuple[ClassScores, ...]
     macro: Averages
     weighted: Averages
     accuracy: float
     confusion: np.ndarray  # rows = gold, columns = predicted
-    total_support: int
 
 
 def confusion(golds: Sequence[int], preds: Sequence[int], n_classes: int) -> np.ndarray:
@@ -83,7 +81,6 @@ def task_report(
     # sum would, for up to 7 classes.
     prf = np.stack([precision, recall, _ratio(2.0 * precision * recall, precision + recall)])
     return TaskReport(
-        labels=tuple(labels),
         per_class=tuple(
             ClassScores(label, p, r, f, s)
             for label, p, r, f, s in zip(labels, *prf.tolist(), support.tolist())
@@ -92,7 +89,6 @@ def task_report(
         weighted=Averages(*((prf * support).sum(axis=1) / total).tolist()),
         accuracy=float(tp.sum()) / total,
         confusion=cm,
-        total_support=total,
     )
 
 
@@ -131,7 +127,7 @@ def report_to_dict(report: Mapping[str, TaskReport]) -> dict:
     out: dict = {"tasks": {}}
     for task, tr in report.items():
         out["tasks"][task] = {
-            "labels": list(tr.labels),
+            "labels": [cs.label for cs in tr.per_class],
             "per_class": [
                 {"label": cs.label, **_rounded(cs), "support": cs.support} for cs in tr.per_class
             ],
@@ -139,7 +135,7 @@ def report_to_dict(report: Mapping[str, TaskReport]) -> dict:
             "weighted": _rounded(tr.weighted),
             "micro": dict.fromkeys(("precision", "recall", "f1"), _round(tr.accuracy)),
             "accuracy": _round(tr.accuracy),
-            "total_support": tr.total_support,
+            "total_support": int(tr.confusion.sum()),
             "confusion": tr.confusion.tolist(),
         }
     return out
@@ -193,7 +189,8 @@ def format_report(report: Mapping[str, TaskReport]) -> str:
     lines = []
     for task, tr in report.items():
         lines.append(f"== {task} ==")
-        width = max([len("Weighted average")] + [len(label) for label in tr.labels])
+        total = int(tr.confusion.sum())
+        width = max([len("Weighted average")] + [len(cs.label) for cs in tr.per_class])
         header = f"{'':<{width}}  {'P':>8}  {'R':>8}  {'F1':>8}  {'support':>8}"
         lines.append(header)
         for cs in tr.per_class:
@@ -204,7 +201,7 @@ def format_report(report: Mapping[str, TaskReport]) -> str:
         for name, avg in (("Macro average", tr.macro), ("Weighted average", tr.weighted)):
             lines.append(
                 f"{name:<{width}}  {avg.precision:>8.5f}  {avg.recall:>8.5f}"
-                f"  {avg.f1:>8.5f}  {tr.total_support:>8d}"
+                f"  {avg.f1:>8.5f}  {total:>8d}"
             )
         lines.append("")
     return "\n".join(lines)

@@ -153,7 +153,7 @@ class Model:
             stack = np.stack([self.params[key].data for key in keys])
             for key, view in zip(keys, stack):
                 self.params[key].data = view
-            self.stacks[name] = Tensor(stack, name=name)
+            self.stacks[name] = Tensor(stack)
 
 
 def towers(regime: RegimeConfig) -> dict[str, tuple[str, ...]]:
@@ -314,7 +314,7 @@ def train(
                 hits[t] += step_hits
 
         stored = stored_values(model.params)
-        frozen = Model(regime, model.encoder_cfg, {n: Tensor(a, name=n) for n, a in stored.items()})
+        frozen = Model(regime, model.encoder_cfg, {n: Tensor(a) for n, a in stored.items()})
         val_report = build_report(
             {t: val_set.labels[t] for t in regime.tasks},
             _predict(frozen, val_set.seqs),

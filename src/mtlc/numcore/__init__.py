@@ -26,34 +26,3 @@ from .tensor import (
     sum_all,
     tanh,
 )
-
-__all__ = [
-    "GradTape",
-    "OptimHyper",
-    "Tensor",
-    "adamw_step",
-    "add",
-    "affine",
-    "backward",
-    "child_seed",
-    "dropout",
-    "exp",
-    "gather_rows",
-    "init_states",
-    "layer_norm_rows",
-    "log_sum_exp",
-    "matmul",
-    "mul",
-    "pow_const",
-    "relu",
-    "reshape",
-    "scale",
-    "segment_attention",
-    "stream",
-    "sub",
-    "svt",
-    "sum_all",
-    "tanh",
-    "truncated_normal",
-    "zero_grads",
-]

@@ -51,16 +51,14 @@ class Tensor:
     A tensor takes gradients exactly when it holds a tape key: a leaf made
     with `requires_grad=True` takes one here, an op output when a tape
     records it, and a frozen tensor never. `grad` is populated (and
-    accumulated) by `backward`; `name` labels the tensor in `repr` alone
-    (the optimizer and checkpoints use dict keys).
+    accumulated) by `backward`. A parameter is named by its dict key alone.
     """
 
-    __slots__ = ("data", "name", "grad", "_key")
+    __slots__ = ("data", "grad", "_key")
 
-    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
+    def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == _FLOAT32 else data.astype(np.float64, copy=False)
-        self.name = name
         self.grad: Optional[Array] = None
         self._key: Optional[int] = next(_KEYS) if requires_grad else None
 
@@ -78,8 +76,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class GradTape:

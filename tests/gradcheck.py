@@ -19,7 +19,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> flo
     """
     if h <= 0:
         raise ContractError(f"step h must be > 0, got {h}")
-    probe = Tensor(x.data.copy(), requires_grad=True, name=x.name or "grad_check_x")
+    probe = Tensor(x.data.copy(), requires_grad=True)
     with GradTape() as tape:
         out = f(probe)
     backward(tape, out)

@@ -285,7 +285,7 @@ def test_criterion_1_gradient_suite():
     heads = {"sentiment": 5, "offense": 6}
     rng = np.random.default_rng(42)
     params = {
-        name: Tensor(rng.uniform(-0.8, 0.8, size=t.shape), requires_grad=True, name=name)
+        name: Tensor(rng.uniform(-0.8, 0.8, size=t.shape), requires_grad=True)
         for name, t in init_params(param_shapes(enc_cfg, heads), seed=0).items()
     }
     from mtlc.text import TokenSeq

@@ -42,9 +42,9 @@ def forge(config: bytes, table: bytes) -> bytes:
 def sample_params():
     rng = np.random.default_rng(0)
     return {
-        "w_a": Tensor(rng.normal(size=(3, 4)), name="w_a"),
-        "b": Tensor(rng.normal(size=5), name="b"),
-        "scalar_ish": Tensor(rng.normal(size=(1,)), name="scalar_ish"),
+        "w_a": Tensor(rng.normal(size=(3, 4))),
+        "b": Tensor(rng.normal(size=5)),
+        "scalar_ish": Tensor(rng.normal(size=(1,))),
     }
 
 

@@ -1104,6 +1104,30 @@ class TestReport:
         assert main(["report", "--runs", str(trained_run), "--out", out]) == 2
         assert "--out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["directory", "trailing_separator", "under_a_file"])
+    def test_out_that_cannot_be_a_file_exits_2_before_reading_a_report(
+        self, trained_run, tmp_path, monkeypatch, capsys, where
+    ):
+        import mtlc.cli as cli
+
+        (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+        out = {
+            "directory": str(tmp_path),
+            "trailing_separator": str(tmp_path / "new") + os.sep,
+            "under_a_file": str(tmp_path / "afile" / "cmp.tsv"),
+        }[where]
+        monkeypatch.setattr(cli, "load_report", unread)
+        assert main(["report", "--runs", str(trained_run), "--out", out]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+    def test_out_under_a_missing_directory_makes_it(self, trained_run, tmp_path):
+        out = tmp_path / "nodir" / "deeper" / "cmp.tsv"
+        assert main(["report", "--runs", str(trained_run), "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert rows[0].split("\t") == ["task", "row", trained_run.name]
+        assert len(rows) > 1
+
     def test_runs_without_a_directory_exit_2(self, capsys):
         assert main(["report", "--runs", ","]) == 2
         assert "--runs" in capsys.readouterr().err

@@ -62,8 +62,8 @@ class TestLoadConfig:
         (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
         text = f"data.train = /gone.tsv\ndata.val = /gone2.tsv\noutput.dir = {tmp_path}/afile/run\n"
         cfg = load_config(text)
-        assert (cfg.train_path, cfg.val_path) == ("/gone.tsv", "/gone2.tsv")
-        assert cfg.output_dir == f"{tmp_path}/afile/run"
+        assert (cfg.raw["data.train"], cfg.raw["data.val"]) == ("/gone.tsv", "/gone2.tsv")
+        assert cfg.raw["output.dir"] == f"{tmp_path}/afile/run"
 
     @pytest.mark.parametrize(
         "line,field",

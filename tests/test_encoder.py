@@ -349,7 +349,6 @@ class TestEncoderForward:
             name: Tensor(
                 np.ones(shape) if name.endswith("_g") else np.zeros(shape),
                 requires_grad=True,
-                name=name,
             )
             for name, shape in param_shapes(small_config, heads).items()
         }
@@ -481,7 +480,7 @@ class TestEncoderGradients:
         cfg = EncoderConfig(vocab_size=12, d_model=4, n_heads=2, n_layers=1, d_ffn=8, max_len=6, dropout_p=0.0)
         rng = np.random.default_rng(55)
         params = {
-            name: Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True, name=name)
+            name: Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True)
             for name, shape in param_shapes(cfg, {"sentiment": 5}).items()
         }
         seq = encode("a b c", vocab, cfg.max_len)
@@ -494,7 +493,7 @@ class TestEncoderGradients:
             return sum_all(mul(logits, Tensor(np.arange(1.0, 6.0))))
 
         for name in ("layer0.wq", "layer0.ffn_w1", "pooler_w", "head.sentiment.w_hidden", "tok_emb"):
-            probe = Tensor(params[name].data.copy(), name=name)
+            probe = Tensor(params[name].data.copy())
             assert grad_check(lambda x: loss_with(name, x), probe, h=1e-5) < 1e-4, name
 
 
@@ -635,7 +634,7 @@ class TestPacking:
         cfg = EncoderConfig(vocab_size=12, d_model=4, n_heads=2, n_layers=2, d_ffn=8, max_len=6, dropout_p=0.0)
         rng = np.random.default_rng(56)
         params = {
-            name: Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True, name=name)
+            name: Tensor(rng.uniform(-0.5, 0.5, size=shape), requires_grad=True)
             for name, shape in param_shapes(cfg, {"sentiment": 5}).items()
         }
         from mtlc.text import TokenSeq
@@ -655,7 +654,7 @@ class TestPacking:
             return sum_all(mul(logits, weights))
 
         for name in ("layer0.wq", "layer0.wk", "layer1.wv", "layer1.wo", "layer1.ffn_w2", "pos_emb"):
-            probe = Tensor(params[name].data.copy(), name=name)
+            probe = Tensor(params[name].data.copy())
             assert grad_check(lambda x: loss_with(name, x), probe, h=1e-5) < 1e-4, name
 
     def test_same_logits_alone_and_in_any_batch(self, small_config, params, mixed):
@@ -675,7 +674,7 @@ class TestPacking:
     def test_matches_padded_full_length_reference(self, small_config, heads, mixed):
         rng = np.random.default_rng(9)
         params = {
-            name: Tensor(rng.uniform(-0.5, 0.5, size=shape), name=name)
+            name: Tensor(rng.uniform(-0.5, 0.5, size=shape))
             for name, shape in param_shapes(small_config, heads).items()
         }
         got = encoder_forward(pack(mixed, small_config), params, small_config).data

@@ -218,13 +218,19 @@ class TestBuildReport:
         assert d["tasks"]["t"]["macro"]["f1"] == round(report["t"].macro.f1, 5)
 
     def test_dict_structure_stable(self):
-        golds = {"t": [0, 1]}
-        report = build_report(golds, golds, {"t": ["a", "b"]})
+        # the schema's order is not sorted, and class "mid" has no gold label
+        golds = {"t": [0, 2, 2, 0, 2]}
+        preds = {"t": [0, 1, 2, 2, 2]}
+        report = build_report(golds, preds, {"t": ["z", "mid", "a"]})
         d = report_to_dict(report)["tasks"]["t"]
         assert set(d) == {
             "labels", "per_class", "macro", "weighted", "micro",
             "accuracy", "total_support", "confusion",
         }
+        assert d["labels"] == ["z", "mid", "a"]
+        assert [c["support"] for c in d["per_class"]] == [2, 0, 3]
+        assert type(d["total_support"]) is int and d["total_support"] == len(golds["t"])
+        assert d["confusion"] == [[1, 0, 1], [0, 0, 0], [0, 1, 2]]
 
 
 @st.composite

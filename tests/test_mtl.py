@@ -646,8 +646,10 @@ class TestTrainStep:
         model = self._model(regime, toy_vocab)
         tapes = []
 
+        key_of = {id(t): key for key, t in model.params.items()}
+
         def recording_backward(tape, loss):
-            watched = {t.name for t in tape._watched.values()}
+            watched = {key_of[id(t)] for t in tape._watched.values()}
             tapes.append((watched, forward_call_count()))
             return backward(tape, loss)
 

@@ -22,7 +22,7 @@ from mtlc.numcore.optim import global_grad_norm
 
 
 def make_param(values, name="w"):
-    return {name: Tensor(np.asarray(values, dtype=float), requires_grad=True, name=name)}
+    return {name: Tensor(np.asarray(values, dtype=float), requires_grad=True)}
 
 
 def step(params, grads, states, hyper):
@@ -103,7 +103,7 @@ class TestAdamWStep:
         rng = np.random.default_rng(8)
         stack = rng.normal(size=(2, 4, 3))
         # a view, as a soft-sharing tower's parameter views its stack
-        params = {"w": Tensor(stack[1], requires_grad=True, name="w")}
+        params = {"w": Tensor(stack[1], requires_grad=True)}
         array = params["w"].data
         states = init_states(params)
         hyper = OptimHyper(learning_rate=0.05, weight_decay=weight_decay, clip_norm=0.0)
@@ -137,7 +137,7 @@ class TestAdamWStep:
         runs = []
         for grad_b in (None, np.zeros(4)):
             params = {
-                name: Tensor(v.copy(), requires_grad=True, name=name) for name, v in values.items()
+                name: Tensor(v.copy(), requires_grad=True) for name, v in values.items()
             }
             states = init_states(params)
             for _ in range(3):
@@ -156,7 +156,7 @@ class TestAdamWStep:
         runs = []
         for explicit in (False, True):
             params = {
-                name: Tensor(v.copy(), requires_grad=True, name=name) for name, v in values.items()
+                name: Tensor(v.copy(), requires_grad=True) for name, v in values.items()
             }
             states = init_states(params)
             for _ in range(3):

@@ -88,7 +88,7 @@ class TestRelu:
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 3)), requires_grad=True, name="x")
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 3)), requires_grad=True)
         with GradTape() as tape:
             loss = sum_all(x)
         backward(tape, loss)
@@ -116,9 +116,9 @@ class TestBackward:
             backward(tape, Tensor(1.0))
 
     def test_off_path_leaves_keep_their_grad(self):
-        x = Tensor(np.ones(3), requires_grad=True, name="x")
-        unused = Tensor(np.ones(2), requires_grad=True, name="unused")
-        held = Tensor(np.ones(2), requires_grad=True, name="held")
+        x = Tensor(np.ones(3), requires_grad=True)
+        unused = Tensor(np.ones(2), requires_grad=True)
+        held = Tensor(np.ones(2), requires_grad=True)
         held.grad = np.full(2, 0.5)
         with GradTape() as tape:
             _ = sum_all(add(unused, held))  # on the tape, off the loss path
@@ -326,6 +326,11 @@ class TestTapeKeys:
         with pytest.raises(AttributeError):
             x.requires_grad = True
         assert x._key is None
+
+    def test_repr_shows_shape_and_requires_grad(self):
+        leaf = Tensor(np.ones((2, 3)), requires_grad=True)
+        assert repr(leaf) == "Tensor(shape=(2, 3), requires_grad=True)"
+        assert repr(Tensor(np.ones(4))) == "Tensor(shape=(4,), requires_grad=False)"
 
     def test_evaluating_a_checkpoint_loaded_model_gives_no_parameter_a_key(self, tmp_path):
         from mtlc import cli, mtl
