@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -378,18 +379,19 @@ def _predict(model: Model, seqs: Sequence[TokenSeq]) -> dict[str, list[int]]:
     NumericalError, naming the comment's corpus index and the task, if a
     logit is not finite."""
     lengths = [len(seq.ids) for seq in seqs]
-    order = np.argsort(lengths, kind="stable")
-    preds = {task: np.empty(len(order), dtype=np.int64) for task in model.regime.tasks}
+    order = sorted(range(len(seqs)), key=lengths.__getitem__)  # stable
+    preds = {task: [0] * len(seqs) for task in model.regime.tasks}
     for start, stop in _row_budget_spans([lengths[i] for i in order]):
         rows = order[start:stop]
         logits = predict_logits(model, [seqs[i] for i in rows])
-        for task in model.regime.tasks:
+        for task, task_preds in preds.items():
             data = logits[task].data
             if not np.isfinite(data).all():
-                bad = rows[~np.isfinite(data).all(axis=1)].min()
+                bad = min(compress(rows, ~np.isfinite(data).all(axis=1)))
                 raise NumericalError(f"non-finite {task} logits for comment {bad}")
-            preds[task][rows] = data.argmax(axis=1)
-    return {task: p.tolist() for task, p in preds.items()}
+            for i, label in zip(rows, data.argmax(axis=1).tolist()):
+                task_preds[i] = label
+    return preds
 
 
 def _row_budget_spans(lengths: Sequence[int]) -> list[tuple[int, int]]:

@@ -40,7 +40,7 @@ Array = np.ndarray
 # can see its tensor, so tapes in several threads never race to set one.
 _KEYS = count()
 
-_FLOAT32 = np.dtype(np.float32)
+_FLOAT32, _FLOAT64, _INT64 = np.dtype(np.float32), np.dtype(np.float64), np.dtype(np.int64)
 
 LAYER_NORM_EPS = 1e-5  # what `layer_norm_rows` adds to each row's variance
 
@@ -57,8 +57,12 @@ class Tensor:
     __slots__ = ("data", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
-        data = np.asarray(data)
-        self.data = data if data.dtype == _FLOAT32 else data.astype(np.float64, copy=False)
+        # an op's output, a native float32 or float64 ndarray, is held as it is
+        if type(data) is not np.ndarray or (data.dtype is not _FLOAT32 and data.dtype is not _FLOAT64):
+            data = np.asarray(data)
+            if data.dtype != _FLOAT32:
+                data = data.astype(np.float64, copy=False)
+        self.data = data
         self.grad: Optional[Array] = None
         self._key: Optional[int] = next(_KEYS) if requires_grad else None
 
@@ -265,10 +269,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product [m,k] @ [k,n] -> [m,n], or per tower
     [T,m,k] @ [T,k,n] -> [T,m,n]."""
     ad, bd = a.data, b.data
-    if not 2 <= ad.ndim == bd.ndim <= 3 or ad.shape[:-2] != bd.shape[:-2]:
+    sa, sb = ad.shape, bd.shape
+    if not 2 <= len(sa) == len(sb) <= 3 or sa[:-2] != sb[:-2]:
         raise _tower_error("matmul", a, b)
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    if sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {sa} vs {sb}")
     out = Tensor(ad @ bd)
     return _record(out, (a, b), lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
 
@@ -277,13 +282,14 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for a 2-D x, 2-D w and a 1-D bias b broadcast over the rows,
     or per tower for [T,n,k] x, [T,k,m] w and [T,m] b, as one tape record:
     the bias is added in place to the product."""
-    xd, wd = x.data, w.data
-    if not 2 <= xd.ndim == wd.ndim <= 3 or xd.shape[:-2] != wd.shape[:-2]:
+    xd, wd, bd = x.data, w.data, b.data
+    sx, sw = xd.shape, wd.shape
+    if not 2 <= len(sx) == len(sw) <= 3 or sx[:-2] != sw[:-2]:
         raise _tower_error("affine", x, w)
-    if xd.shape[-1] != wd.shape[-2] or b.data.shape != wd.shape[:-2] + wd.shape[-1:]:
-        raise ShapeError(f"affine shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    if sx[-1] != sw[-2] or bd.shape != sw[:-2] + sw[-1:]:
+        raise ShapeError(f"affine shapes disagree: x {sx}, w {sw}, b {bd.shape}")
     y = xd @ wd
-    y += b.data[..., None, :]
+    y += bd[..., None, :]
     return _record(
         Tensor(y),
         (x, w, b),
@@ -306,14 +312,17 @@ def sum_all(x: Tensor) -> Tensor:
 def gather_rows(x: Tensor, ids: Sequence[int]) -> Tensor:
     """Rows `ids` of a 2-D tensor, or of each tower of a 3-D one; repeated
     ids accumulate in the gradient."""
-    if not 2 <= x.data.ndim <= 3:
+    xd = x.data
+    shape = xd.shape
+    if not 2 <= len(shape) <= 3:
         raise _tower_error("gather_rows", x)
-    idx = np.asarray(ids, dtype=np.int64)
-    shape = x.shape
+    # an int64 array (what `encoder.pack` makes) is taken as it is
+    idx = ids if type(ids) is np.ndarray and ids.dtype is _INT64 else np.asarray(ids, dtype=np.int64)
     try:  # `take` raises past the last row; it would wrap a negative id
-        if idx.size and idx.min() < 0:
+        # (`argmin` finds the smallest id at under half of `min`'s per-call cost)
+        if idx.size and idx.flat[idx.argmin()] < 0:
             raise IndexError
-        rows = x.data.take(idx, axis=-2)
+        rows = xd.take(idx, axis=-2)
     except IndexError:
         raise ContractError(f"row id out of range 0..{shape[-2] - 1}") from None
 
@@ -371,9 +380,10 @@ def segment_attention(
     computation. The backward reuses each run's slices and probabilities.
 
     q is scaled by 1/sqrt(d_k) once per call. A run of per-row queries
-    stores its scores keys outermost, [heads, keys, sequences, queries], so
-    its softmax sweeps contiguous [sequences x queries] rows once per key; a
-    [CLS] run stores them key-major, [heads, sequences, keys, 1]. Either way
+    stores its scores keys outermost, [keys, (towers,) heads, sequences,
+    queries], so its softmax sweeps one contiguous row of every tower, head,
+    sequence and query once per key; a [CLS] run stores them key-major,
+    [(towers,) heads, sequences, keys, 1]. Either way
     numpy takes a query's max and sum over its keys in the order it would
     for the sequence alone, so a sequence's bits in a run are its bits
     alone. The products are written straight into the output and gradient
@@ -408,7 +418,9 @@ def segment_attention(
     qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
     out = np.empty(lead + (nq, v_shape[-1]), np.result_type(qh, kh, vh))
     oh = heads(out)
-    keys_axis = -3 if per_row else -2  # of a run's score block
+    keys_axis = 0 if per_row else -2  # of a run's score block
+    # a per-row block's axes in p's order, [(towers,) heads, G, keys, queries]
+    keys_inward = (*range(1, len(lead) + 3), 0, len(lead) + 3)
     # each run's rows, the [..., heads, G, L, -1] shapes that split them into
     # its G sequences (as views, so matmul writes into them), its q/k/v
     # slices and its probabilities p, [..., heads, G, keys, queries]
@@ -421,11 +433,14 @@ def segment_attention(
         qr = qh[..., qs, :].reshape(q_run)
         kr, vr = kh[..., ks, :].reshape(kv_run), vh[..., ks, :].reshape(kv_run)
         # p is a view of `block`, whose softmax reduces over the keys:
-        # outermost for a per-row run, so each key's [G x ql] scores are one
+        # outermost for a per-row run, so each key's scores are one
         # contiguous row; key-major for a [CLS] run, since with ql = 1 keys
         # outermost would be summed in another order
-        block = np.empty(lead + (n_heads,) + ((kl, g, ql) if per_row else (g, kl, ql)), out.dtype)
-        p = block.swapaxes(-3, -2) if per_row else block
+        if per_row:
+            block = np.empty((kl,) + lead + (n_heads, g, ql), out.dtype)
+            p = block.transpose(keys_inward)
+        else:
+            block = p = np.empty(lead + (n_heads, g, kl, ql), out.dtype)
         np.matmul(kr, qr.swapaxes(-1, -2), out=p)
         block -= block.max(axis=keys_axis, keepdims=True)
         np.exp(block, out=block)
@@ -466,17 +481,18 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of a 2-D tensor to zero mean / unit variance, then
     apply a learned per-column gain and bias; with a leading tower axis,
     [T, rows, n] x and [T, n] gain and bias, per tower."""
-    if not 2 <= x.data.ndim <= 3:
+    xd = x.data
+    shape = xd.shape
+    if not 2 <= len(shape) <= 3:
         raise _tower_error("layer_norm_rows", x)
-    lead = x.shape[:-2]
-    n = x.shape[-1]
-    if gain.shape != lead + (n,) or bias.shape != lead + (n,):
-        raise ShapeError(f"gain/bias must be shape {lead + (n,)}, got {gain.shape}/{bias.shape}")
-    mean = _mean_vector(n, x.data.dtype)  # row means as one matvec
-    xhat = x.data - (x.data @ mean)[..., None]
+    want = shape[:-2] + shape[-1:]
+    if gain.data.shape != want or bias.data.shape != want:
+        raise ShapeError(f"gain/bias must be shape {want}, got {gain.shape}/{bias.shape}")
+    mean = _mean_vector(shape[-1], xd.dtype)  # row means as one matvec
+    xhat = xd - (xd @ mean)[..., None]
     inv = np.square(xhat) @ mean
     inv += LAYER_NORM_EPS
-    inv = np.divide(1.0, np.sqrt(inv, out=inv), out=inv)[..., None]
+    inv = np.reciprocal(np.sqrt(inv, out=inv), out=inv)[..., None]
     xhat *= inv
     gd = gain.data[..., None, :]
     y = xhat * gd

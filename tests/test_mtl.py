@@ -896,6 +896,9 @@ class TestEvaluate:
         for task in regime.tasks:
             assert preds[task] == [single[task][0] for single in singles]
             assert len(set(preds[task])) > 1
+            # Python ints, from a split of several batches and from one comment
+            assert all(type(p) is int for p in preds[task])
+            assert all(type(single[task][0]) is int for single in singles)
 
     @pytest.mark.parametrize("budget", [None, 150])
     def test_predict_batches_hold_the_row_budget(self, toy_vocab, monkeypatch, budget):

@@ -297,6 +297,43 @@ class TestLeanTape:
         assert np.array_equal(x.grad, 2 * np.ones(3))
 
 
+class TestWrapping:
+    """A native float32 or float64 ndarray is held as the very object given,
+    which `mtl.Model`'s tower Tensors rely on to view their stacks; any
+    other input is held as a native float64 array."""
+
+    @pytest.mark.parametrize(
+        "data, dtype, held",
+        [
+            (np.ones((2, 3), np.float32), np.float32, True),
+            (np.ones((2, 3)), np.float64, True),
+            (np.ones((2, 4))[:, ::2], np.float64, True),
+            (np.array(1.5, np.float32), np.float32, True),
+            (np.ones(3, ">f4"), np.float64, False),
+            (np.ones(3, ">f8"), np.float64, False),
+            (np.arange(3), np.float64, False),
+            (np.array([True, False]), np.float64, False),
+            ([1, 2.5], np.float64, False),
+            (2, np.float64, False),
+            (2.5, np.float64, False),
+            (np.float64(2.5), np.float64, False),  # what an array's sum() returns
+            (np.array(3), np.float64, False),
+        ],
+        ids=[
+            "float32", "float64", "float64 view", "0-d float32", ">f4", ">f8", "int",
+            "bool", "list", "int scalar", "float scalar", "numpy scalar", "0-d int",
+        ],
+    )
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    def test_holds_native_floats_as_given_and_the_rest_as_float64(self, data, dtype, held, requires_grad):
+        t = Tensor(data, requires_grad=requires_grad)
+        assert (t.data is data) == held
+        assert type(t.data) is np.ndarray and t.data.dtype == dtype and t.data.dtype.isnative
+        assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
+        assert t.requires_grad == requires_grad and (t._key is None) != requires_grad
+        assert t.grad is None
+
+
 class TestTapeKeys:
     """A tensor takes gradients exactly when it holds a tape key: a leaf
     takes its key when made, an op output when a tape records it."""
@@ -380,10 +417,14 @@ class TestShapingOps:
     @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)], ids=["2-D", "3-D towers"])
     @pytest.mark.parametrize("bad", [-1, 4], ids=["id -1", "id n"])
     def test_gather_rows_rejects_ids_outside_the_rows(self, shape, bad):
-        # numpy would wrap -1 to the last row; the op names the valid range
+        # numpy would wrap -1 to the last row; the op names the valid range,
+        # for ids as a list, as the int64 array `encoder.pack` makes (which
+        # the op takes without converting) and as an int32 array
         x = Tensor(np.arange(np.prod(shape), dtype=float).reshape(shape))
-        with pytest.raises(ContractError, match=r"row id out of range 0\.\.3"):
-            gather_rows(x, [0, bad, 1])
+        ids = [0, bad, 1]
+        for given in (ids, np.array(ids, np.int64), np.array(ids, np.int32)):
+            with pytest.raises(ContractError, match=r"row id out of range 0\.\.3"):
+                gather_rows(x, given)
 
     @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)], ids=["2-D", "3-D towers"])
     def test_gather_rows_of_no_ids(self, shape):
