@@ -26,6 +26,7 @@ from .numcore import (
     Tensor,
     add,
     affine,
+    cls_attention,
     dropout,
     gather_rows,
     layer_norm_rows,
@@ -148,20 +149,18 @@ def reset_forward_calls() -> None:
 
 
 def attention_block(
-    queries: Tensor,
-    memory: Tensor,
+    x: Tensor,
     params: Mapping[str, Tensor],
     layer_prefix: str,
     n_heads: int,
     lengths: Sequence[int],
 ) -> Tensor:
-    """Multi-head attention of packed query rows over packed memory rows:
-    project to q/k/v, attend within each sequence, apply W_O. The queries
-    are every memory row or one row per sequence (`segment_attention`)."""
+    """Multi-head self-attention of packed rows: project to q/k/v, attend
+    within each sequence (`segment_attention`), apply W_O."""
     p = layer_prefix
-    q = matmul(queries, params[p + "wq"])
-    k = matmul(memory, params[p + "wk"])
-    v = matmul(memory, params[p + "wv"])
+    q = matmul(x, params[p + "wq"])
+    k = matmul(x, params[p + "wk"])
+    v = matmul(x, params[p + "wv"])
     return matmul(segment_attention(q, k, v, lengths, n_heads), params[p + "wo"])
 
 
@@ -210,11 +209,12 @@ def encoder_forward(
     stack on the packed rows, and pool each sequence's [CLS] row.
 
     Only the [CLS] row is pooled, so the last layer computes the query,
-    residual and feed-forward of that row alone; its keys and values still
-    come from every row of the sequence. Returns the tanh-pooled
-    [B, d_model] vectors. `batch` is the `pack` of B sequences. Dropout
-    draws from `rng` when it is given (training) and is the identity
-    without it.
+    residual and feed-forward of that row alone; it attends over every row
+    of the sequence through `cls_attention`, which folds W_K into the query
+    and applies W_V to the weighted sum, so no row is projected. Returns
+    the tanh-pooled [B, d_model] vectors. `batch` is the `pack` of B
+    sequences. Dropout draws from `rng` when it is given (training) and is
+    the identity without it.
 
     `params` maps plain names (`tok_emb`, `layer{i}.wq`, ...) to one
     encoder's tensors, or to [T, ...] stacks (`mtl.Model.stacks`), which run
@@ -231,10 +231,13 @@ def encoder_forward(
     for i in range(config.n_layers):
         p = f"layer{i}."
         h = layer_norm_rows(x, params[p + "norm1_g"], params[p + "norm1_b"])
-        queries = h
-        if i == config.n_layers - 1:
-            x, queries = gather_rows(x, cls_rows), gather_rows(h, cls_rows)
-        attended = attention_block(queries, h, params, p, config.n_heads, lengths)
+        if i < config.n_layers - 1:
+            attended = attention_block(h, params, p, config.n_heads, lengths)
+        else:
+            x = gather_rows(x, cls_rows)
+            q = matmul(gather_rows(h, cls_rows), params[p + "wq"])
+            heads = cls_attention(q, h, params[p + "wk"], params[p + "wv"], lengths, config.n_heads)
+            attended = matmul(heads, params[p + "wo"])
         x = add(x, dropout(attended, config.dropout_p, rng))
         h = layer_norm_rows(x, params[p + "norm2_g"], params[p + "norm2_b"])
         inner = relu(affine(h, params[p + "ffn_w1"], params[p + "ffn_b1"]))

@@ -10,6 +10,7 @@ from .tensor import (
     add,
     affine,
     backward,
+    cls_attention,
     dropout,
     exp,
     gather_rows,

@@ -87,23 +87,31 @@ def adamw_step(
             if not np.isfinite(grads[name]).all():
                 raise NumericalError(f"non-finite gradient for {name!r}")
     factor = hyper.clip_norm / norm if 0.0 < hyper.clip_norm < norm else None
+    lr = hyper.learning_rate
     for name in sorted(params):
         p, g, s = params[name], grads[name], states[name]
+        # every update in place, through two scratch arrays, with the
+        # operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+        # p -= lr m_hat / (sqrt(v_hat) + eps), p -= (lr wd) p in their
+        # order; the parameter too, so a view (a soft-sharing tower's slice
+        # of its stack) stays attached. The gradient is only read.
+        a, b = np.empty(p.shape), np.empty(p.shape)
         if factor is not None:
-            g = g * factor
+            g = np.multiply(g, factor, out=b)
         s.t += 1
-        # in place, with the same operations in the same order; the
-        # parameter too, so a view (a soft-sharing tower's slice of its
-        # stack) stays attached
         s.m *= hyper.beta1
-        s.m += (1.0 - hyper.beta1) * g
+        s.m += np.multiply(g, 1.0 - hyper.beta1, out=a)
         s.v *= hyper.beta2
-        s.v += (1.0 - hyper.beta2) * (g * g)
-        m_hat = s.m / (1.0 - hyper.beta1**s.t)
-        v_hat = s.v / (1.0 - hyper.beta2**s.t)
-        p.data -= hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon)
+        np.multiply(g, g, out=a)
+        s.v += np.multiply(a, 1.0 - hyper.beta2, out=a)
+        m_hat = np.divide(s.m, 1.0 - hyper.beta1**s.t, out=a)
+        denom = np.sqrt(np.divide(s.v, 1.0 - hyper.beta2**s.t, out=b), out=b)
+        denom += hyper.epsilon
+        m_hat *= lr
+        m_hat /= denom
+        p.data -= m_hat
         if hyper.weight_decay > 0:
-            p.data -= hyper.learning_rate * hyper.weight_decay * p.data
+            p.data -= np.multiply(p.data, lr * hyper.weight_decay, out=a)
 
 
 def zero_grads(params: Mapping[str, Tensor]) -> None:

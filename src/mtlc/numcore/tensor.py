@@ -356,21 +356,24 @@ def log_sum_exp(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (np.asarray(g)[..., None] * e / z,))
 
 
+def _split_heads(a: Array, n_heads: int) -> Array:
+    """[..., rows, heads * w] -> its head-major view [..., heads, rows, w]."""
+    return a.reshape(a.shape[:-1] + (n_heads, a.shape[-1] // n_heads)).swapaxes(-3, -2)
+
+
 def segment_attention(
     q: Tensor, k: Tensor, v: Tensor, lengths: Sequence[int], n_heads: int
 ) -> Tensor:
-    """Multi-head softmax(q k^T / sqrt(d_k)) v over packed sequences.
+    """Multi-head self-attention, softmax(q k^T / sqrt(d_k)) v, over packed
+    sequences.
 
-    The rows of `k`/`v` are consecutive segments, one per sequence: the
-    `lengths[i]` key rows of sequence i. q's row count picks its layout:
-    as many rows as k, each attending within its own sequence, or one row
-    per sequence (its [CLS] query) attending to all of that sequence. When
-    every length is 1 the two readings are the same computation. The
-    columns of q/k and of v split into `n_heads` equal heads, and the output
-    holds the heads side by side, [rows of q, width of v]. With a leading
-    tower axis, [T, rows, width] operands, every tower attends over the same
-    segments. One tape record with a hand-written backward covers every head
-    and sequence.
+    The rows of q, k and v are consecutive segments, one per sequence: the
+    `lengths[i]` rows of sequence i, each of which attends to every row of
+    its own sequence. The columns of q/k and of v split into `n_heads`
+    equal heads, and the output holds the heads side by side, [rows, width
+    of v]. With a leading tower axis, [T, rows, width] operands, every tower
+    attends over the same segments. One tape record with a hand-written
+    backward covers every head and sequence.
 
     q, k, v and the output split into heads once per call, as head-major
     [(towers,) heads, rows, w] views. Consecutive sequences of equal length
@@ -379,17 +382,15 @@ def segment_attention(
     stacked call each; a run of one sequence is the per-sequence
     computation. The backward reuses each run's slices and probabilities.
 
-    q is scaled by 1/sqrt(d_k) once per call. A run of per-row queries
-    stores its scores keys outermost, [keys, (towers,) heads, sequences,
-    queries], so its softmax sweeps one contiguous row of every tower, head,
-    sequence and query once per key; a [CLS] run stores them key-major,
-    [(towers,) heads, sequences, keys, 1]. Either way
-    numpy takes a query's max and sum over its keys in the order it would
-    for the sequence alone, so a sequence's bits in a run are its bits
-    alone. The products are written straight into the output and gradient
-    arrays. The backward takes each query row's softmax correction as the
-    row sum of dO * O, once per call (as FlashAttention does), not from the
-    score block.
+    q is scaled by 1/sqrt(d_k) once per call. A run stores its scores keys
+    outermost, [keys, (towers,) heads, sequences, queries], so its softmax
+    sweeps one contiguous row of every tower, head, sequence and query once
+    per key; numpy takes a query's max and sum over its keys in the order
+    it would for the sequence alone, so a sequence's bits in a run are its
+    bits alone. The products are written straight into the output and
+    gradient arrays. The backward takes each query row's softmax correction
+    as the row sum of dO * O, once per call (as FlashAttention does), not
+    from the score block.
     """
     q_shape, k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
     lead = q_shape[:-2]
@@ -403,70 +404,167 @@ def segment_attention(
     nq, nk = q_shape[-2], k_shape[-2]
     if min(lengths, default=0) < 1 or sum(lengths) != nk:
         raise ShapeError(f"segment lengths {list(lengths)} must be positive and cover the {nk} k rows")
-    if nq not in (nk, len(lengths)):
-        raise ShapeError(
-            f"q has {nq} rows; attention needs one per k row ({nk}) "
-            f"or one per sequence ({len(lengths)})"
-        )
-    per_row = nq == nk  # else one query row per sequence
-
-    def heads(a: Array) -> Array:  # [..., rows, heads * w] -> [..., heads, rows, w]
-        return a.reshape(a.shape[:-1] + (n_heads, a.shape[-1] // n_heads)).swapaxes(-3, -2)
+    if nq != nk:
+        raise ShapeError(f"q has {nq} rows; attention needs one per k row ({nk})")
 
     # bwd reads these counts, not q and k, so it keeps only the scaled q
     c = 1.0 / math.sqrt(q_shape[-1] // n_heads)
-    qh, kh, vh = heads(q.data * c), heads(k.data), heads(v.data)
+    qh = _split_heads(q.data * c, n_heads)
+    kh, vh = _split_heads(k.data, n_heads), _split_heads(v.data, n_heads)
     out = np.empty(lead + (nq, v_shape[-1]), np.result_type(qh, kh, vh))
-    oh = heads(out)
-    keys_axis = 0 if per_row else -2  # of a run's score block
-    # a per-row block's axes in p's order, [(towers,) heads, G, keys, queries]
+    oh = _split_heads(out, n_heads)
+    # a score block's axes in p's order, [(towers,) heads, G, keys, queries]
     keys_inward = (*range(1, len(lead) + 3), 0, len(lead) + 3)
-    # each run's rows, the [..., heads, G, L, -1] shapes that split them into
+    # each run's rows, the [..., heads, G, L, -1] shape that splits them into
     # its G sequences (as views, so matmul writes into them), its q/k/v
     # slices and its probabilities p, [..., heads, G, keys, queries]
-    runs, q_end, kv_end = [], 0, 0
+    runs, end = [], 0
     for kl, group in groupby(lengths):
-        g, ql = len(list(group)), kl if per_row else 1
-        qs, ks = slice(q_end, q_end + g * ql), slice(kv_end, kv_end + g * kl)
-        q_end, kv_end = qs.stop, ks.stop
-        q_run, kv_run = lead + (n_heads, g, ql, -1), lead + (n_heads, g, kl, -1)
-        qr = qh[..., qs, :].reshape(q_run)
-        kr, vr = kh[..., ks, :].reshape(kv_run), vh[..., ks, :].reshape(kv_run)
-        # p is a view of `block`, whose softmax reduces over the keys:
-        # outermost for a per-row run, so each key's scores are one
-        # contiguous row; key-major for a [CLS] run, since with ql = 1 keys
-        # outermost would be summed in another order
-        if per_row:
-            block = np.empty((kl,) + lead + (n_heads, g, ql), out.dtype)
-            p = block.transpose(keys_inward)
-        else:
-            block = p = np.empty(lead + (n_heads, g, kl, ql), out.dtype)
+        g = len(list(group))
+        rows = slice(end, end + g * kl)
+        end = rows.stop
+        run = lead + (n_heads, g, kl, -1)
+        qr = qh[..., rows, :].reshape(run)
+        kr, vr = kh[..., rows, :].reshape(run), vh[..., rows, :].reshape(run)
+        # p is a view of `block`, whose softmax reduces over the keys,
+        # outermost, so each key's scores are one contiguous row
+        block = np.empty((kl,) + lead + (n_heads, g, kl), out.dtype)
+        p = block.transpose(keys_inward)
         np.matmul(kr, qr.swapaxes(-1, -2), out=p)
-        block -= block.max(axis=keys_axis, keepdims=True)
+        block -= block.max(axis=0, keepdims=True)
         np.exp(block, out=block)
-        total = block.sum(axis=keys_axis, keepdims=True)
+        total = block.sum(axis=0, keepdims=True)
         block *= np.reciprocal(total, out=total)
-        np.matmul(p.swapaxes(-1, -2), vr, out=oh[..., qs, :].reshape(q_run))
-        runs.append((qs, ks, q_run, kv_run, qr, kr, vr, p))
+        np.matmul(p.swapaxes(-1, -2), vr, out=oh[..., rows, :].reshape(run))
+        runs.append((rows, run, qr, kr, vr, p))
 
     def bwd(g_out):
-        gh = heads(g_out)
+        gh = _split_heads(g_out, n_heads)
         # each query row's sum over keys of dP * P, per head, is dO . O
         rows_d = np.einsum("...hrw,...hrw->...hr", gh, oh)
         gq, gk, gv = np.empty(q_shape), np.empty(k_shape), np.empty(v_shape)
-        gqh, gkh, gvh = heads(gq), heads(gk), heads(gv)
-        for qs, ks, q_run, kv_run, qr, kr, vr, p in runs:
-            gr = gh[..., qs, :].reshape(q_run)
+        gqh, gkh, gvh = _split_heads(gq, n_heads), _split_heads(gk, n_heads), _split_heads(gv, n_heads)
+        for rows, run, qr, kr, vr, p in runs:
+            gr = gh[..., rows, :].reshape(run)
             ds = vr @ gr.swapaxes(-1, -2)
-            ds -= rows_d[..., qs].reshape(q_run[:-2] + (1, -1))
+            ds -= rows_d[..., rows].reshape(run[:-2] + (1, -1))
             ds *= p
-            np.matmul(ds.swapaxes(-1, -2), kr, out=gqh[..., qs, :].reshape(q_run))
-            np.matmul(ds, qr, out=gkh[..., ks, :].reshape(kv_run))
-            np.matmul(p, gr, out=gvh[..., ks, :].reshape(kv_run))
+            np.matmul(ds.swapaxes(-1, -2), kr, out=gqh[..., rows, :].reshape(run))
+            np.matmul(ds, qr, out=gkh[..., rows, :].reshape(run))
+            np.matmul(p, gr, out=gvh[..., rows, :].reshape(run))
         gq *= c
         return gq, gk, gv
 
     return _record(Tensor(out), (q, k, v), bwd)
+
+
+def cls_attention(
+    q: Tensor, h: Tensor, wk: Tensor, wv: Tensor, lengths: Sequence[int], n_heads: int
+) -> Tensor:
+    """Multi-head attention of one query per sequence, its [CLS] query, over
+    the rows of its sequence, with the key and value projections folded in:
+    per head, softmax(q (h W_K)^T / sqrt(d_k)) h W_V.
+
+    The rows of `h` are consecutive segments, one per sequence: the
+    `lengths[i]` rows of sequence i; q holds one row per sequence, already
+    projected. The columns of q, of `wk` and of `wv` split into `n_heads`
+    equal heads, and the output holds the heads side by side, [sequences,
+    width of wv]. With a leading tower axis, [T, ...] operands, every tower
+    attends over the same segments. One tape record with a hand-written
+    backward covers every head and sequence.
+
+    No row of h is projected. Each head's scaled query folds through that
+    head's columns of W_K, a = W_K,hd q_hd / sqrt(d_k), so a key's score is
+    h_j . a; the weighted sum is taken of the rows, u = sum_j p_j h_j, and
+    only u meets W_V,hd. In real arithmetic that is q . (h_j W_K) and
+    sum_j p_j (h_j W_V); the rounding differs. The fold and the value
+    product are one GEMM per head over every sequence, the scores and the
+    weighted sum one per sequence over every head.
+
+    Consecutive sequences of equal length form a run: a row slice of h,
+    reshaped to [(towers,) G, length, d], whose scores, [(towers,) G, keys,
+    heads], softmax and weighted sum are one stacked call each; a run of one
+    sequence is the per-sequence computation, and numpy takes a query's max
+    and sum over its keys in the order it would for the sequence alone. The
+    backward reuses each run's slices and probabilities, and takes each
+    query's softmax correction as du . u, once per call.
+    """
+    qd, hd, kd, vd = q.data, h.data, wk.data, wv.data
+    q_shape, h_shape, k_shape, v_shape = qd.shape, hd.shape, kd.shape, vd.shape
+    lead = q_shape[:-2]
+    same_towers = lead == h_shape[:-2] == k_shape[:-2] == v_shape[:-2]
+    if not (2 <= len(q_shape) == len(h_shape) == len(k_shape) == len(v_shape) <= 3 and same_towers):
+        raise _tower_error("cls_attention", q, h, wk, wv)
+    d = h_shape[-1]
+    if k_shape[-2:] != (d, q_shape[-1]) or v_shape[-2] != d:
+        raise ShapeError(
+            f"cls_attention needs W_K of shape ({d}, {q_shape[-1]}) and W_V of {d} rows "
+            f"for q {q_shape} over h {h_shape}, got {k_shape} and {v_shape}"
+        )
+    if not 1 <= n_heads <= q_shape[-1] or q_shape[-1] % n_heads or v_shape[-1] % n_heads:
+        raise ShapeError(f"widths {q_shape[-1]}/{v_shape[-1]} do not split into {n_heads} heads")
+    if min(lengths, default=0) < 1 or sum(lengths) != h_shape[-2]:
+        raise ShapeError(
+            f"segment lengths {list(lengths)} must be positive and cover the {h_shape[-2]} h rows"
+        )
+    if q_shape[-2] != len(lengths):
+        raise ShapeError(
+            f"q has {q_shape[-2]} rows; [CLS] attention needs one per sequence ({len(lengths)})"
+        )
+
+    t = len(lead)
+    gdh = (*range(t), t + 1, t + 2, t)  # [..., heads, S, d] -> [..., S, d, heads]
+    c = 1.0 / math.sqrt(q_shape[-1] // n_heads)
+    qc = _split_heads(qd * c, n_heads)
+    kh, vh = _split_heads(kd, n_heads), _split_heads(vd, n_heads)
+    # each folded query, [..., heads, sequences, d], and each head's
+    # weighted sum of rows in the same layout; a run slices the
+    # sequence-major views of both
+    a = qc @ kh.swapaxes(-1, -2)
+    u = np.empty_like(a)
+    a_sdh, u_shd = a.transpose(gdh), u.swapaxes(-3, -2)
+    # each run's sequences and rows, its rows of h as [..., G, L, d] and its
+    # probabilities p, [..., G, keys, heads]
+    runs, s_end, r_end = [], 0, 0
+    for kl, group in groupby(lengths):
+        g = len(list(group))
+        seqs, rows = slice(s_end, s_end + g), slice(r_end, r_end + g * kl)
+        s_end, r_end = seqs.stop, rows.stop
+        hr = hd[..., rows, :].reshape(lead + (g, kl, d))
+        p = hr @ a_sdh[..., seqs, :, :]
+        p -= p.max(axis=-2, keepdims=True)
+        np.exp(p, out=p)
+        total = p.sum(axis=-2, keepdims=True)
+        p *= np.reciprocal(total, out=total)
+        np.matmul(p.swapaxes(-1, -2), hr, out=u_shd[..., seqs, :, :])
+        runs.append((seqs, rows, hr, p))
+    out = np.empty(lead + (q_shape[-2], v_shape[-1]), a.dtype)
+    np.matmul(u, vh, out=_split_heads(out, n_heads))
+
+    def bwd(g_out):
+        gh = _split_heads(g_out, n_heads)
+        du = gh @ vh.swapaxes(-1, -2)  # [..., heads, sequences, d]
+        # each query's sum over keys of dP * P, per head, is du . u
+        rows_d = np.einsum("...hsd,...hsd->...sh", du, u)[..., None, :]
+        da, gx = np.empty_like(du), np.empty(h_shape)
+        du_sdh, du_shd = du.transpose(gdh), du.swapaxes(-3, -2)
+        da_shd, a_shd = da.swapaxes(-3, -2), a.swapaxes(-3, -2)
+        for seqs, rows, hr, p in runs:
+            ds = hr @ du_sdh[..., seqs, :, :]
+            ds -= rows_d[..., seqs, :, :]
+            ds *= p
+            np.matmul(ds.swapaxes(-1, -2), hr, out=da_shd[..., seqs, :, :])
+            gr = gx[..., rows, :].reshape(hr.shape)
+            np.matmul(p, du_shd[..., seqs, :, :], out=gr)
+            gr += ds @ a_shd[..., seqs, :, :]
+        gq, gwk, gwv = np.empty(q_shape), np.empty(k_shape), np.empty(v_shape)
+        np.matmul(da, kh, out=_split_heads(gq, n_heads))
+        gq *= c
+        np.matmul(da.swapaxes(-1, -2), qc, out=_split_heads(gwk, n_heads))
+        np.matmul(u.swapaxes(-1, -2), gh, out=_split_heads(gwv, n_heads))
+        return gq, gx, gwk, gwv
+
+    return _record(Tensor(out), (q, h, wk, wv), bwd)
 
 
 @lru_cache(maxsize=None)

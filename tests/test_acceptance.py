@@ -50,6 +50,7 @@ from mtlc.numcore import (
     Tensor,
     add,
     affine,
+    cls_attention,
     dropout,
     exp,
     gather_rows,
@@ -147,7 +148,7 @@ def _numcore_op_cases():
 def _encoder_op_cases():
     kv = rng_tensor(881, (4, 3))
     vv = rng_tensor(882, (4, 5))
-    w_att = Tensor(np.arange(10.0).reshape(2, 5))
+    w_att = Tensor(np.arange(20.0).reshape(4, 5))
     enc_cfg = EncoderConfig(vocab_size=9, d_model=4, n_heads=2, n_layers=1,
                             d_ffn=8, max_len=6, dropout_p=0.0)
     # an 8-unit head: at HEAD_HIDDEN units, some probe puts a hidden unit's
@@ -178,11 +179,27 @@ def _encoder_op_cases():
             "layer0.wv": rng_tensor(885, (4, 4), -0.5, 0.5),
             "layer0.wo": rng_tensor(886, (4, 4), -0.5, 0.5),
         }
-        out = attention_block(x, x, params, "layer0.", 2, [3, 1])
+        out = attention_block(x, params, "layer0.", 2, [3, 1])
         return sum_all(mul(out, Tensor(np.arange(16.0).reshape(4, 4))))
 
+    # [CLS] attention over a lone [CLS] (length 1), a run of two equal
+    # lengths and a max_len (6) segment: 4 queries over 13 rows
+    cls_lengths = [1, 3, 3, 6]
+    cls_operands = {"q": (4, 4), "h": (13, 4), "wk": (4, 4), "wv": (4, 4)}
+    w_cls = Tensor(np.arange(16.0).reshape(4, 4) / 8.0)
+
+    def cls_case(operand):
+        fixed = {name: rng_tensor(887 + i, shape, -0.8, 0.8) for i, (name, shape) in enumerate(cls_operands.items())}
+
+        def f(x):
+            args = {**fixed, operand: x}
+            return sum_all(mul(cls_attention(*args.values(), cls_lengths, 2), w_cls))
+
+        return (f"cls_attention[{operand}]", f, cls_operands[operand])
+
     cases = [
-        ("segment_attention[q]", lambda x: sum_all(mul(segment_attention(x, kv, vv, [3, 1], 1), w_att)), (2, 3)),
+        ("segment_attention[q]", lambda x: sum_all(mul(segment_attention(x, kv, vv, [3, 1], 1), w_att)), (4, 3)),
+        *(cls_case(operand) for operand in cls_operands),
         ("multi_head_x", mh_case, (4, 4)),
         ("classify_cls", lambda x: sum_all(mul(classify(reshape(x, (1, 4)), head_view(base, "sentiment")), Tensor(np.arange(1.0, 6.0)))), (4,)),
     ]

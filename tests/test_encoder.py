@@ -24,7 +24,17 @@ from mtlc.encoder import (
 )
 from mtlc.losses import LossConfig
 from mtlc.mtl import Model, RegimeConfig, SoftShareConfig, build_model, predict_logits, towers
-from mtlc.numcore import GradTape, Tensor, backward, matmul, mul, segment_attention, stream, sum_all
+from mtlc.numcore import (
+    GradTape,
+    Tensor,
+    backward,
+    cls_attention,
+    matmul,
+    mul,
+    segment_attention,
+    stream,
+    sum_all,
+)
 from mtlc.text import PAD, TokenSeq, build_vocab, encode
 
 from gradcheck import grad_check
@@ -33,12 +43,6 @@ from gradcheck import grad_check
 def attention(q, k, v, lengths=None, n_heads=1):
     """One sequence (or the given segments) through the packed attention op."""
     return segment_attention(q, k, v, lengths or [k.shape[0]], n_heads)
-
-
-def query_rows(lengths, per_row):
-    """The query segment lengths of a layout: every key row, or one row
-    (the [CLS] query) per sequence."""
-    return list(lengths) if per_row else [1] * len(lengths)
 
 
 def padded_reference(seqs, params, cfg):
@@ -80,10 +84,10 @@ def padded_reference(seqs, params, cfg):
 def plain_inference(model, seqs):
     """`predict_logits` restated in plain numpy on the model's [towers, ...]
     stacks: the numpy calls the ops make at inference, in the order they
-    make them (but every attention run's scores key-major, see `attend`),
-    so its logits equal the ops' bit for bit, and a change to an op's
-    arithmetic shows as a changed bit. Every array it makes takes the
-    weights' dtype, as the ops' do."""
+    make them (but every self-attention run's scores key-major, see
+    `attend`; the [CLS] layer in `attend_cls`), so its logits equal the
+    ops' bit for bit, and a change to an op's arithmetic shows as a changed
+    bit. Every array it makes takes the weights' dtype, as the ops' do."""
     cfg, p = model.encoder_cfg, {name: t.data for name, t in model.stacks.items()}
     lengths = [len(seq.ids) for seq in seqs]
     ids = np.array([i for seq in seqs for i in seq.ids])
@@ -132,16 +136,43 @@ def plain_inference(model, seqs):
             q_start, kv_start = q_start + g * ql, kv_start + g * kl
         return out.reshape(q.shape)
 
+    def attend_cls(q, h, wk, wv):
+        # the [CLS] layer in its folded order: each head's scaled query
+        # through that head's W_K columns, its scores against the rows of
+        # h, the weighted sum of those rows, and only then W_V; each run of
+        # equal lengths as one [towers, G, L, d] block of h, its scores
+        # [towers, G, keys, heads]
+        n_heads, towers_, d = cfg.n_heads, len(q), h.shape[-1]
+
+        def split(a):  # [towers, rows, heads * w] -> [towers, heads, rows, w]
+            return a.reshape(a.shape[:-1] + (n_heads, a.shape[-1] // n_heads)).transpose(0, 2, 1, 3)
+
+        scaled = q * (1.0 / math.sqrt(q.shape[-1] // n_heads))
+        folded = split(scaled) @ split(wk).transpose(0, 1, 3, 2)  # [towers, heads, comments, d]
+        summed = np.empty_like(folded)
+        first = row = 0
+        for kl, run in groupby(lengths):
+            g = len(list(run))
+            rows = h[:, row : row + g * kl].reshape((towers_, g, kl, d))
+            scores = rows @ folded[:, :, first : first + g].transpose(0, 2, 3, 1)
+            scores -= scores.max(axis=-2, keepdims=True)
+            np.exp(scores, out=scores)
+            total = scores.sum(axis=-2, keepdims=True)
+            scores *= np.reciprocal(total, out=total)
+            summed[:, :, first : first + g] = (scores.transpose(0, 1, 3, 2) @ rows).transpose(0, 2, 1, 3)
+            first, row = first + g, row + g * kl
+        return (summed @ split(wv)).transpose(0, 2, 1, 3).reshape(q.shape[:-1] + (wv.shape[-1],))
+
     x = p["tok_emb"].take(ids, axis=-2) + p["pos_emb"].take(positions, axis=-2)
     for i in range(cfg.n_layers):
         w = {name[len(f"layer{i}.") :]: a for name, a in p.items() if name.startswith(f"layer{i}.")}
         h = norm(x, w["norm1_g"], w["norm1_b"])
         if i == cfg.n_layers - 1:
             x, queries = x.take(cls_rows, axis=-2), h.take(cls_rows, axis=-2)
-            q_lengths = [1] * len(seqs)
+            attended = attend_cls(queries @ w["wq"], h, w["wk"], w["wv"])
         else:
-            queries, q_lengths = h, lengths
-        x = x + attend(queries @ w["wq"], h @ w["wk"], h @ w["wv"], q_lengths) @ w["wo"]
+            attended = attend(h @ w["wq"], h @ w["wk"], h @ w["wv"], lengths)
+        x = x + attended @ w["wo"]
         h = norm(x, w["norm2_g"], w["norm2_b"])
         inner = np.maximum(affine(h, w["ffn_w1"], w["ffn_b1"]), 0.0)
         x = x + affine(inner, w["ffn_w2"], w["ffn_b2"])
@@ -189,6 +220,26 @@ def attention_and_grads(q, k, v, lengths, n_heads, g_out):
         loss = sum_all(mul(out, Tensor(g_out)))
     backward(tape, loss)
     return out.data, qt.grad, kt.grad, vt.grad
+
+
+def cls_reference(q, h, wk, wv, lengths, n_heads, g_out):
+    """The explicit form softmax(q (h W_K)^T / sqrt(d_k)) h W_V of [CLS]
+    attention and its gradients of sum(output * g_out) with respect to q,
+    h, W_K and W_V: every row projected, `row_major_reference` with one
+    query per sequence, and the chain rule back through the projections."""
+    k, v = h @ wk, h @ wv
+    out, gq, gk, gv = row_major_reference(q, k, v, [1] * len(lengths), lengths, n_heads, g_out)
+    return out, gq, gk @ wk.T + gv @ wv.T, h.T @ gk, h.T @ gv
+
+
+def cls_attention_and_grads(q, h, wk, wv, lengths, n_heads, g_out):
+    """`cls_attention`'s output and its gradients of sum(output * g_out)."""
+    operands = [Tensor(a, requires_grad=True) for a in (q, h, wk, wv)]
+    with GradTape() as tape:
+        out = cls_attention(*operands, lengths, n_heads)
+        loss = sum_all(mul(out, Tensor(g_out)))
+    backward(tape, loss)
+    return (out.data, *(t.grad for t in operands))
 
 
 def assert_close_to_reference(got, want, rel=1e-12):
@@ -247,9 +298,12 @@ class TestAttention:
     def test_equal_scores_give_column_mean(self):
         k = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         v = Tensor(np.random.default_rng(1).normal(size=(4, 5)))
-        for n_queries in (4, 1):  # a query per key row, or one for the sequence
-            out = attention(Tensor(np.zeros((n_queries, 3))), k, v)
-            assert np.abs(out.data - v.data.mean(axis=0)).max() < 1e-12
+        out = attention(Tensor(np.zeros((4, 3))), k, v)
+        assert np.abs(out.data - v.data.mean(axis=0)).max() < 1e-12
+        # a [CLS] query of zeros weighs every row alike: W_V of the mean row
+        wv = Tensor(np.random.default_rng(2).normal(size=(3, 5)))
+        out = cls_attention(Tensor(np.zeros((1, 3))), k, Tensor(np.eye(3)), wv, [4], 1)
+        assert np.abs(out.data - k.data.mean(axis=0) @ wv.data).max() < 1e-12
 
     def test_matches_three_line_oracle(self):
         rng = np.random.default_rng(7)
@@ -267,20 +321,24 @@ class TestAttention:
         k, v = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
         k2, v2 = k.copy(), v.copy()
         k2[2:], v2[2:] = 1e6, 1e6  # the second sequence's keys and values
-        for per_row, first in ((True, 2), (False, 1)):  # the first sequence's query rows
-            q = rng.normal(size=(sum(query_rows([2, 3], per_row)), 2))
-            out = attention(Tensor(q), Tensor(k), Tensor(v), [2, 3])
-            out2 = attention(Tensor(q), Tensor(k2), Tensor(v2), [2, 3])
-            assert np.array_equal(out.data[:first], out2.data[:first])
+        q = rng.normal(size=(5, 2))
+        out = attention(Tensor(q), Tensor(k), Tensor(v), [2, 3])
+        out2 = attention(Tensor(q), Tensor(k2), Tensor(v2), [2, 3])
+        assert np.array_equal(out.data[:2], out2.data[:2])
+        # so are they to the [CLS] queries, one per sequence, over rows k
+        w = Tensor(rng.normal(size=(2, 2)))
+        out = cls_attention(Tensor(q[:2]), Tensor(k), w, w, [2, 3], 1)
+        out2 = cls_attention(Tensor(q[:2]), Tensor(k2), w, w, [2, 3], 1)
+        assert np.array_equal(out.data[:1], out2.data[:1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
-        # a q/k width of 0 splits into no head, per-row or [CLS]
+        # a q/k width of 0 splits into no head
         k, v = Tensor(np.zeros((5, 0))), Tensor(np.ones((5, 4)))
-        for q, lengths, n_heads in ((k, [5], 1), (Tensor(np.zeros((2, 0))), [2, 3], 2)):
+        for n_heads in (1, 2):
             with pytest.raises(ShapeError, match=f"widths 0/4 do not split into {n_heads} heads"):
-                segment_attention(q, k, v, lengths, n_heads)
+                segment_attention(k, k, v, [2, 3], n_heads)
 
     def test_mask_length_checked(self):
         x = Tensor(np.zeros((2, 2)))
@@ -288,17 +346,18 @@ class TestAttention:
             with pytest.raises(ShapeError, match="segment lengths"):
                 segment_attention(x, x, x, lengths, 1)
 
-    def test_query_rows_are_per_key_or_per_sequence(self):
-        # 5 key rows in 2 sequences: a q of 3 rows is neither layout
+    def test_query_rows_are_per_key_row(self):
+        # 5 key rows in 2 sequences: only a q of 5 rows attends; one row per
+        # sequence is `cls_attention`'s layout
         k = Tensor(np.zeros((5, 2)))
-        with pytest.raises(ShapeError, match=r"q has 3 rows.*\(5\).*\(2\)"):
-            segment_attention(Tensor(np.zeros((3, 2))), k, k, [2, 3], 1)
-        for n_queries in (5, 2):
-            assert segment_attention(Tensor(np.zeros((n_queries, 2))), k, k, [2, 3], 1).shape == (n_queries, 2)
+        for n_queries in (3, 2):
+            with pytest.raises(ShapeError, match=rf"q has {n_queries} rows; attention needs one per k row \(5\)"):
+                segment_attention(Tensor(np.zeros((n_queries, 2))), k, k, [2, 3], 1)
+        assert segment_attention(Tensor(np.zeros((5, 2))), k, k, [2, 3], 1).shape == (5, 2)
 
-    def test_every_length_one_reads_either_layout(self):
-        # q holds one row per key row and one per sequence at once; each row
-        # attends to its one key with weight 1, as its sequence alone does
+    def test_lone_rows_attend_to_themselves(self):
+        # every sequence is one row, which attends to itself with weight 1,
+        # as its sequence alone does
         rng = np.random.default_rng(12)
         q, k, v = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 6))
         got = segment_attention(Tensor(q), Tensor(k), Tensor(v), [1] * 5, 2).data
@@ -313,7 +372,7 @@ class TestMultiHead:
         params = init_params(param_shapes(cfg, heads), seed=5)
         x = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
         lengths = [3, 1]
-        got = attention_block(x, x, params, "layer0.", 1, lengths)
+        got = attention_block(x, params, "layer0.", 1, lengths)
         expected = matmul(
             attention(
                 matmul(x, params["layer0.wq"]),
@@ -327,18 +386,16 @@ class TestMultiHead:
 
     def test_output_shape(self, params):
         x = Tensor(np.random.default_rng(3).normal(size=(5, 8)))
-        assert attention_block(x, x, params, "layer0.", 2, [2, 3]).shape == (5, 8)
-        cls_rows = Tensor(x.data[[0, 2]])
-        assert attention_block(cls_rows, x, params, "layer0.", 2, [2, 3]).shape == (2, 8)
+        assert attention_block(x, params, "layer0.", 2, [2, 3]).shape == (5, 8)
 
     def test_pad_content_permutation_invariance(self, params):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 8))
         lengths = [3, 3]
-        base = attention_block(Tensor(x), Tensor(x), params, "layer0.", 2, lengths).data
+        base = attention_block(Tensor(x), params, "layer0.", 2, lengths).data
         x2 = x.copy()
         x2[[3, 4, 5]] = x2[[5, 3, 4]]  # permute the second sequence's rows
-        swapped = attention_block(Tensor(x2), Tensor(x2), params, "layer0.", 2, lengths).data
+        swapped = attention_block(Tensor(x2), params, "layer0.", 2, lengths).data
         assert np.abs(base[:3] - swapped[:3]).max() < 1e-9
         assert np.abs(base[[5, 3, 4]] - swapped[3:]).max() < 1e-9
 
@@ -499,9 +556,9 @@ class TestEncoderGradients:
 
 def every_fixed_layout_case(test):
     """`test` with the layout [3, 3, 3, 1, 5, 5] as examples run on every
-    test run: both dtypes, with and without a tower axis, per-row and [CLS]."""
-    for dtype, lead, per_row in product((np.float64, np.float32), ((), (2,)), (True, False)):
-        test = example(runs=[(3, 3), (1, 1), (5, 2)], per_row=per_row, lead=lead,
+    test run: both dtypes, with and without a tower axis."""
+    for dtype, lead in product((np.float64, np.float32), ((), (2,))):
+        test = example(runs=[(3, 3), (1, 1), (5, 2)], lead=lead,
                        n_heads=2, head_widths=(4, 3), dtype=dtype, seed=15)(test)
     return test
 
@@ -518,19 +575,16 @@ class TestPacking:
 
     def test_fused_attention_gradients(self):
         layouts = [
-            ([1, 3, 8], True),  # self-attention, a length-1 and a full-length sequence
-            ([1, 3, 8], False),  # [CLS] queries only, as in the last layer
-            ([3, 3, 3, 1, 5, 5], True),  # runs of equal lengths beside a singleton
-            ([3, 3, 3, 1, 5, 5], False),  # [CLS] queries over repeated kv lengths
-            ([2, 2, 4, 3, 3], True),  # a lone sequence between two runs
+            [1, 3, 8],  # a length-1 and a full-length sequence
+            [3, 3, 3, 1, 5, 5],  # runs of equal lengths beside a singleton
+            [2, 2, 4, 3, 3],  # a lone sequence between two runs
         ]
-        for kv_lengths, per_row in layouts:
-            q_lengths = query_rows(kv_lengths, per_row)
-            rng = np.random.default_rng(sum(q_lengths))
-            q = rng.uniform(-1, 1, size=(sum(q_lengths), 4))
+        for kv_lengths in layouts:
+            rng = np.random.default_rng(sum(kv_lengths))
+            q = rng.uniform(-1, 1, size=(sum(kv_lengths), 4))
             k = rng.uniform(-1, 1, size=(sum(kv_lengths), 4))
             v = rng.uniform(-1, 1, size=(sum(kv_lengths), 6))
-            w = Tensor(rng.uniform(-1, 1, size=(sum(q_lengths), 6)))
+            w = Tensor(rng.uniform(-1, 1, size=(sum(kv_lengths), 6)))
 
             def loss(qq, kk, vv):
                 return sum_all(mul(segment_attention(qq, kk, vv, kv_lengths, 2), w))
@@ -542,7 +596,6 @@ class TestPacking:
     @settings(max_examples=80, deadline=None)
     @given(
         runs=st.lists(st.tuples(st.integers(1, 7), st.integers(1, 4)), min_size=1, max_size=6),
-        per_row=st.booleans(),
         lead=st.sampled_from([(), (2,)]),
         n_heads=st.integers(1, 3),
         head_widths=st.tuples(st.integers(1, 4), st.integers(1, 4)),
@@ -551,35 +604,33 @@ class TestPacking:
     )
     @every_fixed_layout_case
     def test_sequence_alone_equals_its_rows_in_a_run(
-        self, runs, per_row, lead, n_heads, head_widths, dtype, seed
+        self, runs, lead, n_heads, head_widths, dtype, seed
     ):
         # bit for bit, on layouts of runs (each drawn length `count` times
         # in a row, so runs of several sequences sit beside lone ones): a
-        # self-attention run lays its scores out keys outermost, which for a
-        # lone sequence is the memory of its key-major block, a [CLS] run
-        # lays them out key-major, and every query's softmax takes the same
-        # values in the same order; so do the float64 gradients
+        # run lays its scores out keys outermost, which for a lone sequence
+        # is the memory of its key-major block, and every query's softmax
+        # takes the same values in the same order; so do the float64
+        # gradients
         lengths = [length for length, count in runs for _ in range(count)]
-        q_lengths = query_rows(lengths, per_row)
         qk_width, v_width = (n_heads * w for w in head_widths)
         rng = np.random.default_rng(seed)
-        q = rng.normal(size=lead + (sum(q_lengths), qk_width)).astype(dtype)
+        q = rng.normal(size=lead + (sum(lengths), qk_width)).astype(dtype)
         k = rng.normal(size=lead + (sum(lengths), qk_width)).astype(dtype)
         v = rng.normal(size=lead + (sum(lengths), v_width)).astype(dtype)
-        g_out = rng.normal(size=lead + (sum(q_lengths), v_width))
+        g_out = rng.normal(size=lead + (sum(lengths), v_width))
         packed = segment_attention(*map(Tensor, (q, k, v)), lengths, n_heads).data
         assert packed.dtype == dtype
         if dtype == np.float64:
             packed_grads = attention_and_grads(q, k, v, lengths, n_heads, g_out)[1:]
-        q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(lengths)
-        for ql, qe, kl, ke in zip(q_lengths, q_ends, lengths, kv_ends):
-            qs, ks = slice(qe - ql, qe), slice(ke - kl, ke)
-            rows = (q[..., qs, :], k[..., ks, :], v[..., ks, :])
-            alone = segment_attention(*map(Tensor, rows), [kl], n_heads).data
-            assert np.array_equal(packed[..., qs, :], alone)
+        for n, end in zip(lengths, np.cumsum(lengths)):
+            r = slice(end - n, end)
+            rows = (q[..., r, :], k[..., r, :], v[..., r, :])
+            alone = segment_attention(*map(Tensor, rows), [n], n_heads).data
+            assert np.array_equal(packed[..., r, :], alone)
             if dtype == np.float64:
-                grads = attention_and_grads(*rows, [kl], n_heads, g_out[..., qs, :])[1:]
-                for got, want, r in zip(packed_grads, grads, (qs, ks, ks)):
+                grads = attention_and_grads(*rows, [n], n_heads, g_out[..., r, :])[1:]
+                for got, want in zip(packed_grads, grads):
                     assert np.array_equal(got[..., r, :], want)
 
     def test_softmax_stable_at_extreme_scores(self):
@@ -611,18 +662,13 @@ class TestPacking:
     def test_benchmark_shaped_layouts_match_reference(self, width):
         # a run of 64 full-length sequences beside singletons of other
         # lengths, as a length-ordered batch of the benchmark meets them
-        kv_lengths = [1, 5] + [64] * 64 + [7]
+        lengths = [1, 5] + [64] * 64 + [7]
         n_heads = 4
-        for per_row in (True, False):
-            q_lengths = query_rows(kv_lengths, per_row)
-            rng = np.random.default_rng(width + len(q_lengths))
-            q = rng.normal(size=(sum(q_lengths), n_heads * width))
-            k = rng.normal(size=(sum(kv_lengths), n_heads * width))
-            v = rng.normal(size=(sum(kv_lengths), n_heads * width))
-            g_out = rng.normal(size=(sum(q_lengths), n_heads * width))
-            got = attention_and_grads(q, k, v, kv_lengths, n_heads, g_out)
-            want = row_major_reference(q, k, v, q_lengths, kv_lengths, n_heads, g_out)
-            assert_close_to_reference(got, want)
+        rng = np.random.default_rng(width + len(lengths))
+        q, k, v, g_out = (rng.normal(size=(sum(lengths), n_heads * width)) for _ in range(4))
+        got = attention_and_grads(q, k, v, lengths, n_heads, g_out)
+        want = row_major_reference(q, k, v, lengths, lengths, n_heads, g_out)
+        assert_close_to_reference(got, want)
 
     def test_fused_attention_is_one_tape_record(self):
         x = Tensor(np.random.default_rng(1).normal(size=(5, 4)), requires_grad=True)
@@ -720,6 +766,86 @@ class TestPacking:
         assert np.array_equal(got.positions, np.nonzero(valid)[1])
         assert got.lengths == lengths
         assert np.array_equal(got.cls_rows, np.cumsum([0] + lengths[:-1]))
+
+
+class TestClsAttention:
+    """`cls_attention`: each sequence's [CLS] query over the sequence's rows,
+    with W_K folded into the query and W_V applied to the weighted sum."""
+
+    # a lone [CLS] (length 1), a run of equal lengths and a max_len segment
+    LENGTHS = [1, 3, 3, 3, 8, 5, 1]
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 8])
+    def test_matches_the_explicit_projection_form(self, n_heads):
+        # float64 at d_model 8, so 8 heads are one column each; forward and
+        # all four gradients, for one encoder and for a [2, ...] stack
+        rng = np.random.default_rng(40 + n_heads)
+        n_seqs, n_rows, d = len(self.LENGTHS), sum(self.LENGTHS), 8
+        for lead in ((), (2,)):
+            q, g_out = rng.normal(size=lead + (n_seqs, d)), rng.normal(size=lead + (n_seqs, d))
+            h = rng.normal(size=lead + (n_rows, d))
+            wk, wv = rng.normal(size=lead + (d, d)), rng.normal(size=lead + (d, d))
+            got = cls_attention_and_grads(q, h, wk, wv, self.LENGTHS, n_heads, g_out)
+            for tower in np.ndindex(lead):
+                operands = (q[tower], h[tower], wk[tower], wv[tower])
+                want = cls_reference(*operands, self.LENGTHS, n_heads, g_out[tower])
+                for name, a, b in zip(("output", "q", "h", "W_K", "W_V"), got, want):
+                    assert np.abs(a[tower] - b).max() <= 1e-12 * np.abs(b).max(), (name, lead)
+
+    def test_gradients_pass_central_differences(self):
+        for lengths in ([1, 3, 8], [3, 3, 3, 1, 5, 5]):
+            rng = np.random.default_rng(sum(lengths))
+            shapes = ((len(lengths), 4), (sum(lengths), 4), (4, 4), (4, 6))
+            arrays = [rng.uniform(-1, 1, size=shape) for shape in shapes]
+            w = Tensor(rng.uniform(-1, 1, size=(len(lengths), 6)))
+            for j in range(4):
+
+                def loss(x, j=j):
+                    args = [x if i == j else Tensor(a) for i, a in enumerate(arrays)]
+                    return sum_all(mul(cls_attention(*args, lengths, 2), w))
+
+                assert grad_check(loss, Tensor(arrays[j])) < 1e-4, (lengths, j)
+
+    @pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_each_sequence_alone_matches_the_batch(self, dtype, rel):
+        # to rounding, not bit for bit: the fold and the W_V product are one
+        # GEMM over every sequence, whose rows may round with the batch size
+        rng = np.random.default_rng(44)
+        lengths, d = self.LENGTHS, 8
+        q = rng.normal(size=(2, len(lengths), d)).astype(dtype)
+        h = rng.normal(size=(2, sum(lengths), d)).astype(dtype)
+        wk, wv = (rng.normal(size=(2, d, d)).astype(dtype) for _ in range(2))
+        batch = cls_attention(Tensor(q), Tensor(h), Tensor(wk), Tensor(wv), lengths, 2).data
+        assert batch.dtype == dtype
+        for i, (n, end) in enumerate(zip(lengths, np.cumsum(lengths))):
+            rows = Tensor(h[:, end - n : end])
+            alone = cls_attention(Tensor(q[:, i : i + 1]), rows, Tensor(wk), Tensor(wv), [n], 2).data
+            assert np.abs(alone[:, 0] - batch[:, i]).max() <= rel * np.abs(batch).max()
+
+    def test_is_one_tape_record(self):
+        rng = np.random.default_rng(45)
+        q, h, w = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((2, 4), (5, 4), (4, 4)))
+        with GradTape() as tape:
+            assert cls_attention(q, h, w, w, [2, 3], 2).shape == (2, 4)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize(
+        "shapes, lengths, n_heads, message",
+        [
+            (((2, 4), (7, 4), (2, 4, 4), (4, 6)), [3, 4], 2, "2-D operands, or 3-D ones with one tower count"),
+            (((2, 2, 4), (3, 7, 4), (2, 4, 4), (2, 4, 6)), [3, 4], 2, "one tower count"),
+            (((2, 4), (7, 4), (4, 6), (4, 6)), [3, 4], 2, r"W_K of shape \(4, 4\)"),
+            (((2, 4), (7, 4), (4, 4), (5, 6)), [3, 4], 2, "W_V of 4 rows"),
+            (((2, 4), (7, 4), (4, 4), (4, 6)), [3, 4], 3, "widths 4/6 do not split into 3 heads"),
+            (((2, 4), (7, 4), (4, 4), (4, 6)), [0, 7], 2, r"segment lengths \[0, 7\] must be positive"),
+            (((2, 4), (7, 4), (4, 4), (4, 6)), [3, 3], 2, "cover the 7 h rows"),
+            (((3, 4), (7, 4), (4, 4), (4, 6)), [3, 4], 2, r"q has 3 rows; \[CLS\] attention needs one per sequence \(2\)"),
+        ],
+        ids=["tower axis", "tower counts", "W_K shape", "W_V rows", "heads", "zero length", "uncovered rows", "q rows"],
+    )
+    def test_shape_errors(self, shapes, lengths, n_heads, message):
+        with pytest.raises(ShapeError, match=message):
+            cls_attention(*(Tensor(np.ones(shape)) for shape in shapes), lengths, n_heads)
 
 
 class TestInferenceReference:

@@ -98,20 +98,40 @@ class TestAdamWStep:
             assert (states["w"].v >= 0).all()
         assert states["w"].t == 5
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    def test_updates_the_array_in_place_bit_for_bit(self, weight_decay):
+    @pytest.mark.parametrize(
+        "weight_decay, clip_norm, has_grad",
+        [
+            pytest.param(0.0, 0.0, True, id="0.0"),
+            pytest.param(0.05, 0.0, True, id="0.05"),
+            pytest.param(0.05, 0.5, True, id="clipped"),
+            pytest.param(0.05, 0.0, False, id="none-grad"),
+        ],
+    )
+    def test_updates_the_array_in_place_bit_for_bit(self, weight_decay, clip_norm, has_grad):
         rng = np.random.default_rng(8)
         stack = rng.normal(size=(2, 4, 3))
         # a view, as a soft-sharing tower's parameter views its stack
         params = {"w": Tensor(stack[1], requires_grad=True)}
         array = params["w"].data
         states = init_states(params)
-        hyper = OptimHyper(learning_rate=0.05, weight_decay=weight_decay, clip_norm=0.0)
+        hyper = OptimHyper(learning_rate=0.05, weight_decay=weight_decay, clip_norm=clip_norm)
         for t in range(1, 4):
-            before = array.copy()
-            step(params, {"w": rng.normal(size=(4, 3))}, states, hyper)
+            before, m, v = array.copy(), states["w"].m.copy(), states["w"].v.copy()
+            grad = rng.normal(size=(4, 3)) if has_grad else None
+            held = None if grad is None else grad.copy()
+            step(params, {"w": grad}, states, hyper)
             assert params["w"].data is array and array.base is stack
-            # the out-of-place formula, from the moments the step left
+            # the step only reads the gradient
+            assert grad is None or np.array_equal(grad, held)
+            # the out-of-place formulas: the moments from the clipped
+            # gradient (zeros for None), the update from the moments
+            g = np.zeros((4, 3)) if grad is None else grad
+            if clip_norm > 0:
+                norm = np.sqrt(float((g * g).sum()))
+                assert norm > clip_norm
+                g = g * (clip_norm / norm)
+            assert np.array_equal(states["w"].m, hyper.beta1 * m + (1.0 - hyper.beta1) * g)
+            assert np.array_equal(states["w"].v, hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g))
             m_hat = states["w"].m / (1.0 - hyper.beta1**t)
             v_hat = states["w"].v / (1.0 - hyper.beta2**t)
             want = before - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon)

@@ -15,6 +15,7 @@ from mtlc.numcore import (
     add,
     affine,
     backward,
+    cls_attention,
     dropout,
     gather_rows,
     layer_norm_rows,
@@ -580,8 +581,8 @@ class TestFiniteness:
 
 
 class TestTowerAxis:
-    """matmul, affine, layer_norm_rows, gather_rows and segment_attention take
-    an optional leading tower axis: each tower's slice is its 2-D call bit
+    """matmul, affine, layer_norm_rows, gather_rows, segment_attention and
+    cls_attention take an optional leading tower axis: each tower's slice is its 2-D call bit
     for bit, and the gradients pass central differences."""
 
     LENGTHS = [2, 2, 3]  # a run of two sequences and one of its own
@@ -595,7 +596,7 @@ class TestTowerAxis:
             "layer_norm_rows": [rng.normal(size=(2, n, 4)), rng.uniform(0.5, 2, (2, 4)), rng.normal(size=(2, 4))],
             "gather_rows": [rng.normal(size=(2, 5, 4))],
             "segment_attention": [rng.normal(size=(2, n, 4)) for _ in range(3)],
-            "segment_attention[cls]": [rng.normal(size=(2, 3, 4))] + [rng.normal(size=(2, n, 4)) for _ in range(2)],
+            "cls_attention": [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, n, 4)), rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 6))],
         }
 
     def _op(self, case):
@@ -605,7 +606,7 @@ class TestTowerAxis:
             "layer_norm_rows": layer_norm_rows,
             "gather_rows": lambda x: gather_rows(x, [1, 4, 1, 0]),
             "segment_attention": lambda q, k, v: segment_attention(q, k, v, self.LENGTHS, 2),
-            "segment_attention[cls]": lambda q, k, v: segment_attention(q, k, v, self.LENGTHS, 2),
+            "cls_attention": lambda q, h, wk, wv: cls_attention(q, h, wk, wv, self.LENGTHS, 2),
         }[case]
 
     def test_each_tower_is_its_own_call(self):
@@ -643,6 +644,8 @@ class TestTowerAxis:
             lambda: gather_rows(Tensor(np.ones((2, 2, 5, 4))), [0]),
             lambda: segment_attention(Tensor(two), Tensor(np.ones((3, 5, 4))), Tensor(np.ones((3, 5, 4))), [5], 2),
             lambda: segment_attention(Tensor(two), Tensor(two), Tensor(np.ones((5, 4))), [5], 2),
+            lambda: cls_attention(Tensor(np.ones((2, 1, 4))), Tensor(two), Tensor(three), Tensor(np.ones((2, 4, 4))), [5], 2),
+            lambda: cls_attention(Tensor(np.ones((2, 1, 4))), Tensor(two), Tensor(np.ones((4, 4))), Tensor(np.ones((4, 4))), [5], 2),
         ):
             with pytest.raises(ShapeError):
                 call()
