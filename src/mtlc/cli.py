@@ -62,6 +62,13 @@ def check_out_dir(path: str, name: str) -> None:
         raise ConfigError(f"{name}: path {path!r} is a file or under one")
 
 
+def check_in_file(path: str, name: str) -> None:
+    """A ConfigError naming `name` unless `path` is a file."""
+    _check_path_text(path, name)
+    if not os.path.isfile(path):
+        raise ConfigError(f"{name}: path {path!r} is not a file")
+
+
 def _trace_tsv(epochs: Sequence[EpochStats], tasks: Sequence[str]) -> str:
     cols = ["epoch"]
     for task in tasks:
@@ -90,9 +97,20 @@ def cmd_split(args) -> int:
     check_out_dir(args.out_dir, "--out-dir")
     schemas = schemas_for_language(args.language)
     check_stratify_task(args.stratify_task, schemas, "--stratify-task")
-    if args.sentiment_input or args.offense_input:
-        if not (args.sentiment_input and args.offense_input):
-            raise ConfigError("--sentiment-input and --offense-input must be given together")
+    inputs = {
+        "--input": args.input,
+        "--sentiment-input": args.sentiment_input,
+        "--offense-input": args.offense_input,
+    }
+    given = [flag for flag, path in inputs.items() if path is not None]
+    if given not in (["--input"], ["--sentiment-input", "--offense-input"]):
+        raise ConfigError(
+            "give --input or both --sentiment-input and --offense-input; got "
+            + (", ".join(given) or "none")
+        )
+    for flag in given:
+        check_in_file(inputs[flag], flag)
+    if args.input is None:
         corpus, sentiment_only, offense_only = merge_task_files(
             args.sentiment_input, args.offense_input, schemas, args.language
         )
@@ -101,10 +119,8 @@ def cmd_split(args) -> int:
             f"{offense_only} offense-only comments",
             file=sys.stderr,
         )
-    elif args.input:
-        corpus = load_joint_tsv(args.input, schemas, args.language)
     else:
-        raise ConfigError("either --input or the --sentiment-input/--offense-input pair is required")
+        corpus = load_joint_tsv(args.input, schemas, args.language)
 
     splits = stratified_split(corpus, ratios, args.seed, args.stratify_task)
     write_splits(args.out_dir, splits, args.seed, ratios, args.stratify_task)
@@ -183,8 +199,8 @@ def cmd_train(args) -> int:
         if not cfg.raw[key]:
             raise ConfigError(f"{key}: required path is missing")
     for key in ("data.train", "data.val", "data.test"):
-        if cfg.raw[key] and not os.path.isfile(cfg.raw[key]):
-            raise ConfigError(f"{key}: path {cfg.raw[key]!r} is not a file")
+        if cfg.raw[key]:
+            check_in_file(cfg.raw[key], key)
     out = cfg.raw["output.dir"]
     check_out_dir(out, "output.dir")
     schemas = schemas_for_language(cfg.language)
@@ -217,11 +233,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    check_in_file(args.checkpoint, "--checkpoint")
+    check_in_file(args.data, "--data")
     # a flag given an empty path is checked as given, not read as absent
     home = os.path.dirname(args.checkpoint)
     vocab_path = os.path.join(home, VOCAB_NAME) if args.vocab is None else args.vocab
-    if not os.path.isfile(vocab_path):
-        raise ConfigError(f"no vocabulary file at {vocab_path!r} (use --vocab)")
+    check_in_file(vocab_path, "--vocab")
     if args.out_dir is not None:
         check_out_dir(args.out_dir, "--out-dir")
     model, cfg, vocab = _model_from_checkpoint(args.checkpoint, vocab_path)

@@ -12,8 +12,6 @@ each sequence to its own rows. An encoded sequence holds no padding.
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
@@ -133,21 +131,6 @@ def head_view(params: Mapping[str, Tensor], task: str, prefix: str = "") -> dict
 # forward passes
 # ---------------------------------------------------------------------------
 
-_FORWARD_LOCK = threading.Lock()
-_FORWARD_CALLS = 0
-
-
-def forward_call_count() -> int:
-    """How many sequences the encoder has encoded since the last reset."""
-    return _FORWARD_CALLS
-
-
-def reset_forward_calls() -> None:
-    global _FORWARD_CALLS
-    with _FORWARD_LOCK:
-        _FORWARD_CALLS = 0
-
-
 def attention_block(
     x: Tensor,
     params: Mapping[str, Tensor],
@@ -219,15 +202,10 @@ def encoder_forward(
     `params` maps plain names (`tok_emb`, `layer{i}.wq`, ...) to one
     encoder's tensors, or to [T, ...] stacks (`mtl.Model.stacks`), which run
     T encoders in one pass and return [T, B, d_model]; each tower's slice
-    equals its own pass bit for bit, and the forward counter adds T * B.
+    equals its own pass bit for bit.
     """
     ids, positions, lengths, cls_rows = batch
-    tok, pos = params["tok_emb"], params["pos_emb"]
-    global _FORWARD_CALLS
-    with _FORWARD_LOCK:
-        _FORWARD_CALLS += len(lengths) * math.prod(tok.shape[:-2])
-
-    x = add(gather_rows(tok, ids), gather_rows(pos, positions))
+    x = add(gather_rows(params["tok_emb"], ids), gather_rows(params["pos_emb"], positions))
     for i in range(config.n_layers):
         p = f"layer{i}."
         h = layer_norm_rows(x, params[p + "norm1_g"], params[p + "norm1_b"])

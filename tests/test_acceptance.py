@@ -13,12 +13,10 @@ from mtlc.encoder import (
     attention_block,
     classify,
     encoder_forward,
-    forward_call_count,
     head_view,
     init_params,
     pack,
     param_shapes,
-    reset_forward_calls,
 )
 from mtlc.losses import (
     class_weights,
@@ -572,23 +570,23 @@ def test_criterion_8_determinism_and_artifacts(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_9_shared_encoder_halves_forward_ops(toy_splits, toy_vocab):
+def test_criterion_9_shared_encoder_halves_forward_ops(toy_splits, toy_vocab, forward_calls):
     from mtlc.data import batches, encode_split
 
     cfg = toy_encoder_cfg(toy_vocab, dropout_p=0.0)
     shared = build_model(regime_for("hard_share"), cfg, N_CLASSES, seed=3)
     batch = batches(encode_split(toy_splits.val, toy_vocab, cfg.max_len), 16, False, 0)[0]
 
-    reset_forward_calls()
+    forward_calls.count = 0
     predict_logits(shared, batch.seqs)
-    shared_calls = forward_call_count()
+    shared_calls = forward_calls.count
 
-    reset_forward_calls()
+    forward_calls.count = 0
     for task in TASKS:
         stl = build_model(regime_for("stl", task), cfg, N_CLASSES, seed=3)
         for seq in batch.seqs:
             predict_logits(stl, [seq])
-    stl_calls = forward_call_count()
+    stl_calls = forward_calls.count
 
     assert shared_calls == len(batch)
     assert stl_calls == 2 * shared_calls

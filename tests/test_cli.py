@@ -19,6 +19,10 @@ from mtlc.toy import materialize, toy_tsv
 
 # what `mtlc train` writes
 ARTIFACTS = ("checkpoint.mtlc", "vocab.txt", "trace.tsv", "report.json", "report.txt")
+# what `mtlc split` writes
+SPLIT_FILES = ("train.tsv", "val.tsv", "test.tsv", "manifest.txt")
+# a `TestTrain.run_cfg` edit: soft sharing with the trace-norm penalty
+SOFT_TRACE_NORM = ("regime.kind = hard_share", "regime.kind = soft_share\nregime.penalty = trace_norm")
 
 
 def unread(path, *args):
@@ -77,7 +81,7 @@ class TestSplit:
             out = tmp_path / name
             assert main(["split", "--input", str(src), "--out-dir", str(out), "--seed", "11"]) == 0
             outs.append(out)
-        for fname in ("train.tsv", "val.tsv", "test.tsv", "manifest.txt"):
+        for fname in SPLIT_FILES:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_bad_labels_exit_3_with_line_number(self, tmp_path, capsys):
@@ -89,7 +93,7 @@ class TestSplit:
         assert code == 3
         assert "line 3" in capsys.readouterr().err
 
-    def test_merge_pair_inputs(self, tmp_path, capsys):
+    def test_merge_pair_inputs(self, toy_dir, tmp_path, capsys):
         sent = tmp_path / "s.tsv"
         off = tmp_path / "o.tsv"
         sent.write_text("".join(f"c{i}\tPositive\n" for i in range(30)), encoding="utf-8")
@@ -109,18 +113,29 @@ class TestSplit:
         assert "5 sentiment-only" in err
         train_rows = (out / "train.tsv").read_text(encoding="utf-8").splitlines()
         assert len(train_rows) == 25
+        # the toy corpus cut into its two task files joins back into it, in
+        # its order, so at the toy's seed it splits into the toy's files
+        rows = [row.split("\t") for row in (toy_dir / "toy.tsv").read_text(encoding="utf-8").splitlines()]
+        for path, column in ((sent, 1), (off, 2)):
+            path.write_text("".join(f"{row[0]}\t{row[column]}\n" for row in rows), encoding="utf-8")
+        out = tmp_path / "toy"
+        argv = ["split", "--sentiment-input", str(sent), "--offense-input", str(off)]
+        assert main([*argv, "--out-dir", str(out), "--seed", "5"]) == 0
+        for fname in SPLIT_FILES:
+            assert (out / fname).read_bytes() == (toy_dir / fname).read_bytes(), fname
 
-    def test_stratify_task_folds_case(self, tmp_path):
-        src = tmp_path / "corpus.tsv"
-        src.write_text(toy_tsv(), encoding="utf-8")
+    def test_stratify_task_folds_case(self, toy_dir, tmp_path):
+        # `mtlc split` and the toy share one split writer: at the toy's seed
+        # both spellings write the toy's own split files
         outs = []
         for name, task in (("a", "sentiment"), ("b", " Sentiment ")):
             outs.append(tmp_path / name)
-            args = ["split", "--input", str(src), "--out-dir", str(outs[-1]), "--stratify-task", task]
-            assert main(args) == 0
+            args = ["split", "--input", str(toy_dir / "toy.tsv"), "--out-dir", str(outs[-1])]
+            assert main([*args, "--seed", "5", "--stratify-task", task]) == 0
         assert "stratify_task = sentiment\n" in (outs[1] / "manifest.txt").read_text(encoding="utf-8")
-        for fname in ("train.tsv", "val.tsv", "test.tsv", "manifest.txt"):
-            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        for fname in SPLIT_FILES:
+            toy = (toy_dir / fname).read_bytes()
+            assert (outs[0] / fname).read_bytes() == toy == (outs[1] / fname).read_bytes(), fname
 
     def test_a_look_alike_language_exits_2(self, tmp_path, capsys):
         src = tmp_path / "corpus.tsv"
@@ -176,8 +191,10 @@ class TestSplit:
             (["--input", "{src}", "--ratios", "0.8,0.2"], "--ratios"),
             (["--input", "{src}", "--ratios", "a,b,c"], "--ratios"),
             (["--input", "{src}", "--ratios", "0.5,0.6,0.1"], "--ratios"),
+            (["--input", "{src}", "--sentiment-input", "{src}", "--offense-input", "{src}"], "--input"),
         ],
-        ids=["sentiment input alone", "two ratios", "ratios not numbers", "ratios sum to 1.2"],
+        ids=["sentiment input alone", "two ratios", "ratios not numbers", "ratios sum to 1.2",
+             "input with the pair"],
     )
     def test_bad_flags_exit_2_naming_the_flag(self, tmp_path, capsys, flags, named):
         src = tmp_path / "corpus.tsv"
@@ -241,11 +258,15 @@ class TestTrain:
         report = json.loads((trained_run / "report.json").read_text(encoding="utf-8"))
         assert set(report["tasks"]) == {"sentiment", "offense"}
 
-    def test_repeat_run_is_byte_identical(self, toy_dir, fast_cfg, trained_run):
-        before = {name: (trained_run / name).read_bytes() for name in ARTIFACTS}
-        assert main(["train", "--config", str(fast_cfg)]) == 0
-        for name, blob in before.items():
-            assert (trained_run / name).read_bytes() == blob, name
+    @pytest.mark.parametrize("edits", [[], [SOFT_TRACE_NORM]], ids=["hard", "soft trace norm"])
+    def test_repeat_run_is_byte_identical(self, toy_dir, fast_cfg, tmp_path, edits):
+        cfg = self.run_cfg(toy_dir, fast_cfg, tmp_path, *edits)
+        runs = []
+        for _ in range(2):
+            assert main(["train", "--config", cfg]) == 0
+            runs.append({name: (tmp_path / "run" / name).read_bytes() for name in ARTIFACTS})
+        for name, blob in runs[0].items():
+            assert runs[1][name] == blob, name
 
     def test_failed_rename_exits_3_and_keeps_the_old_vocabulary(
         self, toy_dir, fast_cfg, tmp_path, monkeypatch, capsys
@@ -365,26 +386,37 @@ class TestTrain:
         return str(cfg)
 
     @pytest.mark.parametrize(
-        "regime",
+        "edits",
         [
-            "regime.kind = stl",
-            "regime.kind = hard_share",
-            "regime.kind = soft_share\nregime.penalty = trace_norm",
-            "regime.kind = soft_share\nregime.penalty = frobenius",
+            [("regime.kind = hard_share", "regime.kind = stl")],
+            [],
+            [SOFT_TRACE_NORM],
+            [("regime.kind = hard_share", "regime.kind = soft_share\nregime.penalty = frobenius")],
+            [("regime.loss = CE", "regime.loss = FL\nregime.loss_offense = KLD\nregime.class_weights = true")],
+            [("regime.loss = CE", "regime.loss = HL\nregime.class_weights = true")],
+            [("regime.loss = CE", "regime.loss = KLD\nregime.kld_epsilon = 0")],
         ],
-        ids=["stl", "hard", "soft trace norm", "soft frobenius"],
+        ids=["stl", "hard", "soft trace norm", "soft frobenius", "fl kld weighted", "hl weighted",
+             "kld epsilon 0"],
     )
     def test_last_trace_row_holds_the_reports_weighted_f1(
-        self, toy_dir, fast_cfg, tmp_path, regime
+        self, toy_dir, fast_cfg, tmp_path, edits
     ):
-        cfg = self.run_cfg(toy_dir, fast_cfg, tmp_path, ("regime.kind = hard_share", regime))
-        assert main(["train", "--config", cfg]) == 0
-        header, *rows = (tmp_path / "run" / "trace.tsv").read_text(encoding="utf-8").splitlines()
+        # and `mtlc evaluate` on the validation split writes that report's bytes
+        run = tmp_path / "run"
+        assert main(["train", "--config", self.run_cfg(toy_dir, fast_cfg, tmp_path, *edits)]) == 0
+        header, *rows = (run / "trace.tsv").read_text(encoding="utf-8").splitlines()
         last = dict(zip(header.split("\t"), rows[-1].split("\t")))
-        report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
-        assert set(report["tasks"]) == ({"sentiment"} if "stl" in regime else {"sentiment", "offense"})
+        report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+        stl = ("regime.kind = hard_share", "regime.kind = stl") in edits
+        assert set(report["tasks"]) == ({"sentiment"} if stl else {"sentiment", "offense"})
         for task, scores in report["tasks"].items():
             assert round(float(last[f"{task}_val_f1"]), 5) == scores["weighted"]["f1"], task
+        val = ["--data", str(toy_dir / "val.tsv"), "--out-dir", str(tmp_path / "val")]
+        assert main(["evaluate", "--checkpoint", str(run / "checkpoint.mtlc"), *val]) == 0
+        for ext in ("json", "txt"):
+            evaluated = (tmp_path / "val" / f"eval_report.{ext}").read_bytes()
+            assert evaluated == (run / f"report.{ext}").read_bytes(), ext
 
     def test_reports_without_reading_back_what_it_wrote(
         self, toy_dir, fast_cfg, tmp_path, monkeypatch
@@ -445,6 +477,7 @@ class TestTrain:
         )
         assert done.returncode == 4, done.stderr
         assert re.fullmatch(r"error: non-finite \S+ loss at epoch \d+ batch \d+\n", done.stderr)
+        assert not (tmp_path / "run").exists()
 
     def test_stdout_lists_validation_f1_in_task_order(self, toy_dir, fast_cfg, tmp_path, capsys):
         # the report sorts its tasks; stdout follows the config's task order
@@ -975,6 +1008,36 @@ class TestEvaluate:
         assert not (tmp_path / "out").exists()
 
 
+class TestInputFiles:
+    """Each input path a command is given is checked before any file is
+    read: one that is missing or not a file exits 2, naming its flag."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "flag", ["--checkpoint", "--data", "--vocab", "--input", "--sentiment-input", "--offense-input"]
+    )
+    def test_exits_2_naming_its_flag(self, trained_run, toy_dir, tmp_path, monkeypatch, capsys, flag, kind):
+        import mtlc.cli as cli
+
+        for reader in ("load_checkpoint", "load_joint_tsv", "merge_task_files"):
+            monkeypatch.setattr(cli, reader, unread)
+        bad = str(tmp_path / "nope" if kind == "missing" else tmp_path)
+        checkpoint, data = str(trained_run / "checkpoint.mtlc"), str(toy_dir / "val.tsv")
+        toy = str(toy_dir / "toy.tsv")
+        argv = {
+            # a missing checkpoint's default --vocab, the one beside it, is missing too
+            "--checkpoint": ["evaluate", "--checkpoint", bad, "--data", data],
+            "--data": ["evaluate", "--checkpoint", checkpoint, "--data", bad],
+            "--vocab": ["evaluate", "--checkpoint", checkpoint, "--data", data, "--vocab", bad],
+            "--input": ["split", "--input", bad],
+            "--sentiment-input": ["split", "--sentiment-input", bad, "--offense-input", toy],
+            "--offense-input": ["split", "--sentiment-input", toy, "--offense-input", bad],
+        }[flag]
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{flag}: path {bad!r} is not a file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestPredictionPrecision:
     """A checkpoint-loaded model computes in the float32 its checkpoint
     stores; a model `build_model` makes computes in float64."""
@@ -1291,10 +1354,21 @@ class TestHeapSetting:
 
 
 class TestBlasThreads:
-    def test_checkpoint_bits_do_not_depend_on_the_blas_thread_count(self, toy_dir, tmp_path):
-        # char mode at batch 64 packs about 1,600 rows, enough for OpenBLAS
-        # to split a weight gradient's sum over two threads, and 30 epochs
-        # carry a last-bit difference into the stored float32 weights
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"train.epochs": "15"},
+            {"regime.kind": "soft_share", "train.epochs": "6"},  # every op on [2, ...] tower stacks
+        ],
+        ids=["hard", "soft"],
+    )
+    def test_checkpoint_bits_do_not_depend_on_the_blas_thread_count(self, toy_dir, tmp_path, changes):
+        # char mode at batch 64 packs about 1,600 rows. The first of 2 layers
+        # runs self-attention, whose weight gradients sum over every row,
+        # enough for OpenBLAS to split the sum over two threads; the toy's
+        # one [CLS] layer sums over at most 64. The epochs are the fewest at
+        # which a run with the pin removed stored other float32 weights at 1
+        # and 2 threads, on a 2-vCPU x86-64 host (OpenBLAS 0.3.31, SkylakeX)
         import os
         import re
         import subprocess
@@ -1304,9 +1378,11 @@ class TestBlasThreads:
         import mtlc
 
         text = (toy_dir / "toy.cfg").read_text(encoding="utf-8")
-        changes = {"text.mode": "char", "text.max_len": "32", "train.batch_size": "64"}
-        for key, value in {**changes, "output.dir": str(tmp_path / "run")}.items():
-            text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+        changes = {"text.mode": "char", "text.max_len": "32", "train.batch_size": "64",
+                   "model.n_layers": "2", **changes, "output.dir": str(tmp_path / "run")}
+        for key, value in changes.items():
+            text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text, flags=re.M)
+            assert n == 1, key
         cfg = tmp_path / "char.cfg"
         cfg.write_text(text, encoding="utf-8")
         src = str(Path(mtlc.__file__).resolve().parents[1])

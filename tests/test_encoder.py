@@ -15,12 +15,10 @@ from mtlc.encoder import (
     attention_block,
     classify,
     encoder_forward,
-    forward_call_count,
     head_view,
     init_params,
     pack,
     param_shapes,
-    reset_forward_calls,
 )
 from mtlc.losses import LossConfig
 from mtlc.mtl import Model, RegimeConfig, SoftShareConfig, build_model, predict_logits, towers
@@ -439,15 +437,6 @@ class TestEncoderForward:
             bad = TokenSeq(ids=(2, bad_id, 3), max_len=small_config.max_len)
             with pytest.raises(ContractError, match=r"row id out of range 0\.\.11"):
                 encoder_forward(pack([bad], small_config), params, small_config)
-
-    def test_forward_counter(self, small_config, params, vocab):
-        reset_forward_calls()
-        seq = encode("a b", vocab, small_config.max_len)
-        for _ in range(3):
-            encoder_forward(pack([seq], small_config), params, small_config)
-        assert forward_call_count() == 3
-        encoder_forward(pack([seq] * 4, small_config), params, small_config)
-        assert forward_call_count() == 7  # sequences encoded, not calls
 
 
 class TestClassify:

@@ -18,10 +18,8 @@ from mtlc.encoder import (
     EncoderConfig,
     classify,
     encoder_forward,
-    forward_call_count,
     head_view,
     param_shapes,
-    reset_forward_calls,
 )
 from mtlc.errors import ConfigError, ContractError, DataError, NumericalError
 from mtlc.losses import LossConfig, LossKind, class_weights, compute_loss, cross_entropy
@@ -214,33 +212,33 @@ class TestHardForward:
             assert model.params[f"head.offense.{leaf}"].grad is None
         assert np.abs(model.params["head.sentiment.w_out"].grad).max() > 0
 
-    def test_forward_op_count_is_half_of_two_stl_passes(self, toy_splits, toy_vocab):
+    def test_forward_op_count_is_half_of_two_stl_passes(self, toy_splits, toy_vocab, forward_calls):
         model = self._tiny_model(toy_vocab)
         batch = self._batch(toy_splits.train, toy_vocab, model, n=4)
-        reset_forward_calls()
+        forward_calls.count = 0
         predict_logits(model, batch.seqs)
-        shared_count = forward_call_count()
+        shared_count = forward_calls.count
 
         stl_models = [
             build_model(regime_for("stl", task), model.encoder_cfg, N_CLASSES, seed=2)
             for task in TASKS
         ]
-        reset_forward_calls()
+        forward_calls.count = 0
         for stl in stl_models:
             predict_logits(stl, batch.seqs)
-        stl_count = forward_call_count()
+        stl_count = forward_calls.count
         assert shared_count * 2 == stl_count
         assert shared_count == len(batch)
 
-    def test_soft_model_runs_one_tower_per_task(self, toy_vocab, toy_splits):
+    def test_soft_model_runs_one_tower_per_task(self, toy_vocab, toy_splits, forward_calls):
         soft = SoftShareConfig(lam=0.0, coupled_layer_names=())
         model = build_model(
             regime_for("soft_share", soft=soft), toy_encoder(toy_vocab, d_model=8, n_heads=2), N_CLASSES, seed=0
         )
         batch = self._batch(toy_splits.train, toy_vocab, model, n=3)
-        reset_forward_calls()
+        forward_calls.count = 0
         logits = predict_logits(model, batch.seqs)
-        assert forward_call_count() == 2 * len(batch)
+        assert forward_calls.count == 2 * len(batch)
         assert logits["sentiment"].shape == (3, 5) and logits["offense"].shape == (3, 6)
         # each task's logits come from its own tower
         model.params["tower.offense.pooler_b"].data += 1.0
@@ -248,7 +246,7 @@ class TestHardForward:
         assert np.array_equal(again["sentiment"].data, logits["sentiment"].data)
         assert not np.array_equal(again["offense"].data, logits["offense"].data)
 
-    def test_soft_model_packs_each_batch_once(self, toy_vocab, toy_splits, monkeypatch):
+    def test_soft_model_packs_each_batch_once(self, toy_vocab, toy_splits, monkeypatch, forward_calls):
         soft = SoftShareConfig(lam=0.0, coupled_layer_names=())
         model = build_model(
             regime_for("soft_share", soft=soft), toy_encoder(toy_vocab, d_model=8, n_heads=2), N_CLASSES, seed=0
@@ -261,10 +259,10 @@ class TestHardForward:
             return packs[-1]
 
         monkeypatch.setattr(mtl, "pack", counted_pack)
-        reset_forward_calls()
+        forward_calls.count = 0
         predict_logits(model, batch.seqs)
         assert len(packs) == 1
-        assert forward_call_count() == 2 * len(batch)
+        assert forward_calls.count == 2 * len(batch)
 
 
 class TestHardLoss:
@@ -641,7 +639,7 @@ class TestTrainStep:
                 (epoch,) = train(model, split, toy_splits.val, toy_vocab, tc)
                 assert all(np.isfinite(v) for v in epoch.train_loss.values())
 
-    def test_each_soft_tape_holds_one_tower(self, toy_splits, toy_vocab, monkeypatch):
+    def test_each_soft_tape_holds_one_tower(self, toy_splits, toy_vocab, monkeypatch, forward_calls):
         regime = soft_regime("trace_norm")
         model = self._model(regime, toy_vocab)
         tapes = []
@@ -650,13 +648,13 @@ class TestTrainStep:
 
         def recording_backward(tape, loss):
             watched = {key_of[id(t)] for t in tape._watched.values()}
-            tapes.append((watched, forward_call_count()))
+            tapes.append((watched, forward_calls.count))
             return backward(tape, loss)
 
         monkeypatch.setattr(mtl, "backward", recording_backward)
-        reset_forward_calls()
+        forward_calls.count = 0
         first_step_grads(toy_splits, regime, model, toy_vocab, monkeypatch)
-        assert forward_call_count() == 2 * STEP_BATCH  # one batch per tower
+        assert forward_calls.count == 2 * STEP_BATCH  # one batch per tower
         (first, _), (second, _) = tapes  # no tape for the penalty
         assert first and all(name.startswith("tower.sentiment.") for name in first)
         assert second and all(name.startswith("tower.offense.") for name in second)
@@ -1004,16 +1002,16 @@ class TestStackedPrediction:
                 view = model.params[prefix + name].data
                 assert view.base is stack.data and np.array_equal(view, stack.data[i])
 
-    def test_one_comment(self, toy_splits, toy_vocab, monkeypatch):
+    def test_one_comment(self, toy_splits, toy_vocab, monkeypatch, forward_calls):
         model = self._model(toy_vocab)
         seqs = self._seqs(toy_splits.val.records[:1], toy_vocab, model)
         calls = []
         forward = mtl.encoder_forward
         monkeypatch.setattr(mtl, "encoder_forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
-        reset_forward_calls()
+        forward_calls.count = 0
         predict_logits(model, seqs)
         # one encoder pass, counted as one sequence per tower
-        assert len(calls) == 1 and forward_call_count() == len(mtl.towers(self.regime))
+        assert len(calls) == 1 and forward_calls.count == len(mtl.towers(self.regime))
         self._assert_same_logits(model, seqs)
 
     def test_length_ordered_batches(self, toy_vocab, monkeypatch):
@@ -1141,7 +1139,7 @@ class TestConcurrency:
 
     regime = regime_for("hard_share")
 
-    def test_evaluate_threads_beside_training(self, toy_splits, toy_vocab, monkeypatch):
+    def test_evaluate_threads_beside_training(self, toy_splits, toy_vocab, monkeypatch, forward_calls):
         import sys
         import threading
 
@@ -1180,9 +1178,9 @@ class TestConcurrency:
 
         monkeypatch.setattr(mtlc.mtl, "backward", recording_backward)
         serial_preds = evaluate(frozen, toy_splits.val, toy_vocab)
-        reset_forward_calls()
+        forward_calls.count = 0
         serial_model = train_once()
-        serial_sizes, serial_calls = list(tape_sizes), forward_call_count()
+        serial_sizes, serial_calls = list(tape_sizes), forward_calls.count
         tape_sizes.clear()
 
         results, errors = {}, []
@@ -1198,7 +1196,7 @@ class TestConcurrency:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            reset_forward_calls()
+            forward_calls.count = 0
             for t in threads:
                 t.start()
             for t in threads:
@@ -1214,7 +1212,7 @@ class TestConcurrency:
         for name, p in serial_model.params.items():
             assert np.array_equal(p.data, results["train"].params[name].data), name
         n_towers = len(mtl.towers(regime))
-        assert forward_call_count() == serial_calls + evaluations * n_towers * len(toy_splits.val)
+        assert forward_calls.count == serial_calls + evaluations * n_towers * len(toy_splits.val)
 
 
 class TestConcurrencySoft(TestConcurrency):
