@@ -32,7 +32,7 @@ from .data import (
     stratified_split,
     write_splits,
 )
-from .errors import ConfigError, CorruptArtifactError, DataError, MtlcError
+from .errors import ConfigError, ContractError, CorruptArtifactError, DataError, MtlcError
 from .metrics import TaskReport, build_report, format_report, load_report, report_to_dict
 from .mtl import EpochStats, Model, build_model, evaluate, expected_param_shapes, train
 from .numcore import Tensor
@@ -95,7 +95,10 @@ def cmd_split(args) -> int:
         raise ConfigError(f"--ratios needs numbers, got {args.ratios!r}") from None
     check_ratios(ratios, "--ratios")
     check_out_dir(args.out_dir, "--out-dir")
-    schemas = schemas_for_language(args.language)
+    try:
+        schemas = schemas_for_language(args.language)
+    except ContractError as err:
+        raise ConfigError(f"--language: {err}") from None
     check_stratify_task(args.stratify_task, schemas, "--stratify-task")
     inputs = {
         "--input": args.input,

@@ -12,10 +12,10 @@ from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 from .data import OFFENSE_TASK, SENTIMENT_TASK, LANGUAGES, fold_word
-from .encoder import EncoderConfig, param_shapes
+from .encoder import EncoderConfig
 from .errors import ConfigError, ContractError
 from .losses import LossConfig, LossKind
-from .mtl import PENALTIES, RegimeConfig, SoftShareConfig, TrainConfig, default_coupled_layers
+from .mtl import PENALTIES, RegimeConfig, SoftShareConfig, TrainConfig
 from .numcore import OptimHyper
 from .text import MODES, SPECIAL_TOKENS
 
@@ -85,7 +85,6 @@ _KEYS: dict[str, tuple[Callable[[str], object], Union[str, tuple[type, str]]]] =
     "data.train": (str, ""),
     "data.val": (str, ""),
     "data.test": (str, ""),
-    "data.format": (_word(("joint",)), "joint"),
     "data.language": (_word(LANGUAGES), "kannada"),
     "text.mode": (_word(MODES), "char"),  # the corpora mix scripts inside a comment
     "text.min_freq": (int, "1"),
@@ -107,7 +106,6 @@ _KEYS: dict[str, tuple[Callable[[str], object], Union[str, tuple[type, str]]]] =
     "regime.task_weights": (_finite_list, (RegimeConfig, "task_weights")),
     "regime.penalty": (_word(PENALTIES), (SoftShareConfig, "penalty")),
     "regime.lambda": (_finite, (SoftShareConfig, "lam")),
-    "regime.coupled_layers": (str, "default"),
     "train.epochs": (int, (TrainConfig, "epochs")),
     "train.batch_size": (int, (TrainConfig, "batch_size")),
     "train.lr": (_finite, (OptimHyper, "learning_rate")),
@@ -117,7 +115,6 @@ _KEYS: dict[str, tuple[Callable[[str], object], Union[str, tuple[type, str]]]] =
     "train.weight_decay": (_finite, (OptimHyper, "weight_decay")),
     "train.clip_norm": (_finite, (OptimHyper, "clip_norm")),
     "train.seed": (int, (TrainConfig, "seed")),
-    "train.shuffle": (_bool, (TrainConfig, "shuffle")),
     "output.dir": (str, "runs/run"),
 }
 
@@ -223,20 +220,7 @@ def load_config(text: str) -> RunConfig:
         task: _build(LossConfig, typed, kind=typed[f"regime.loss_{task}"] or typed["regime.loss"])
         for task in tasks
     }
-    coupled_text = typed["regime.coupled_layers"]
-    if fold_word(coupled_text) == "default":
-        coupled = default_coupled_layers(encoder.n_layers)
-    else:
-        coupled = tuple(name.strip() for name in coupled_text.split(",") if name.strip())
-    if not coupled:  # uncoupled towers are spelled `regime.lambda = 0`
-        raise ConfigError(f"regime.coupled_layers: {coupled_text!r} names no parameter")
-    unknown = sorted(set(coupled) - set(param_shapes(encoder, {})))
-    if unknown:
-        raise ConfigError(f"regime.coupled_layers: not encoder parameters: {unknown}")
-    repeated = sorted({name for name in coupled if coupled.count(name) > 1})
-    if repeated:
-        raise ConfigError(f"regime.coupled_layers: named more than once: {repeated}")
-    soft = _build(SoftShareConfig, typed, coupled_layer_names=coupled)
+    soft = _build(SoftShareConfig, typed)  # in every regime, so a bad `regime.lambda` fails each
     stl_weight = {"task_weights": (1.0,)} if kind == STL else {}  # STL trains at weight 1
     regime = _build(RegimeConfig, typed, tasks=tasks, losses=losses,
                     soft=soft if kind == SOFT_SHARE else None, **stl_weight)

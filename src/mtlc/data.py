@@ -295,11 +295,11 @@ def encode_split(split: Corpus, vocab: Vocab, max_len: int) -> Batch:
     return Batch(seqs, {t: tuple(rec.labels[t] for rec in split.records) for t in split.tasks})
 
 
-def batches(encoded: Batch, batch_size: int, shuffle: bool, seed: int) -> list[Batch]:
+def batches(encoded: Batch, batch_size: int, seed: int) -> list[Batch]:
     """Group an encoded split into fixed-size batches (last one partial),
-    in the order of a seeded permutation when `shuffle` is set."""
+    in the order of a seeded permutation."""
     n = len(encoded)
-    order = stream(seed, "batch-shuffle").permutation(n) if shuffle else range(n)
+    order = stream(seed, "batch-shuffle").permutation(n)
     return [
         Batch(
             seqs=tuple(encoded.seqs[i] for i in chunk),

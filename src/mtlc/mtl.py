@@ -63,7 +63,8 @@ def default_coupled_layers(n_layers: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SoftShareConfig:
-    coupled_layer_names: tuple[str, ...]
+    """Soft sharing couples `default_coupled_layers`; lam 0 leaves the towers uncoupled."""
+
     penalty: str = FROBENIUS
     lam: float = 0.1
 
@@ -105,7 +106,6 @@ class TrainConfig:
     batch_size: int = 32
     optimizer: OptimHyper = field(default_factory=OptimHyper)
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -240,7 +240,7 @@ def couple(model: Model, learning_rate: float) -> None:
         return
     prox = frobenius_penalty if soft.penalty == FROBENIUS else trace_norm_penalty
     eta = learning_rate * soft.lam
-    for name in soft.coupled_layer_names:
+    for name in default_coupled_layers(model.encoder_cfg.n_layers):
         try:
             prox(model.stacks[name].data, eta)
         except NumericalError as exc:
@@ -250,7 +250,7 @@ def couple(model: Model, learning_rate: float) -> None:
 def coupling_distance(model: Model) -> float:
     """Current sum of squared Frobenius distances over the coupled layers."""
     total = 0.0
-    for name in model.regime.soft.coupled_layer_names if model.regime.soft else ():
+    for name in default_coupled_layers(model.encoder_cfg.n_layers) if model.regime.soft else ():
         a, b = model.stacks[name].data
         total += float(((a - b) ** 2).sum())
     return total
@@ -302,7 +302,7 @@ def train(
     dropout_rng = stream(train_cfg.seed, "dropout")
     epochs: list[EpochStats] = []
     for epoch in range(train_cfg.epochs):
-        epoch_batches = batches(train_set, train_cfg.batch_size, train_cfg.shuffle, child_seed(shuffle_rng))
+        epoch_batches = batches(train_set, train_cfg.batch_size, child_seed(shuffle_rng))
         loss_sums = {task: 0.0 for task in regime.tasks}
         hits = {task: 0 for task in regime.tasks}
         for batch_index, batch in enumerate(epoch_batches):

@@ -56,7 +56,6 @@ train.lr = 0.003
 train.weight_decay = 0.01
 train.clip_norm = 1.0
 train.seed = 1
-train.shuffle = true
 output.dir = {out}
 """
 

@@ -34,7 +34,6 @@ from mtlc.mtl import (
     TrainConfig,
     build_model,
     coupling_distance,
-    default_coupled_layers,
     frobenius_penalty,
     predict_logits,
     trace_norm_penalty,
@@ -493,17 +492,16 @@ def test_criterion_6_convergence_and_stl_equivalence(toy_splits, toy_vocab):
 
 def test_criterion_7_soft_coupling_monotonicity(toy_splits, toy_vocab):
     cfg = toy_encoder_cfg(toy_vocab)
-    coupled = default_coupled_layers(cfg.n_layers)
     distances = {}
     for lam in (0.0, 10.0):
-        soft = SoftShareConfig(penalty="frobenius", lam=lam, coupled_layer_names=coupled)
+        soft = SoftShareConfig(penalty="frobenius", lam=lam)
         regime = regime_for("soft_share", soft=soft)
         model = build_model(regime, cfg, N_CLASSES, seed=1)
         train(model, toy_splits.train, toy_splits.val, toy_vocab, toy_train_cfg(epochs=10))
         distances[lam] = coupling_distance(model)
     assert distances[10.0] < distances[0.0]
 
-    soft0 = SoftShareConfig(penalty="frobenius", lam=0.0, coupled_layer_names=coupled)
+    soft0 = SoftShareConfig(penalty="frobenius", lam=0.0)
     regime0 = regime_for("soft_share", soft=soft0)
     l1, l2 = Tensor(1.25), Tensor(0.5)
     assert abs(weighted_sum((l1, l2), regime0.task_weights).item() - 1.75) <= 1e-12
@@ -575,7 +573,7 @@ def test_criterion_9_shared_encoder_halves_forward_ops(toy_splits, toy_vocab, fo
 
     cfg = toy_encoder_cfg(toy_vocab, dropout_p=0.0)
     shared = build_model(regime_for("hard_share"), cfg, N_CLASSES, seed=3)
-    batch = batches(encode_split(toy_splits.val, toy_vocab, cfg.max_len), 16, False, 0)[0]
+    batch = batches(encode_split(toy_splits.val, toy_vocab, cfg.max_len), 16, 0)[0]
 
     forward_calls.count = 0
     predict_logits(shared, batch.seqs)

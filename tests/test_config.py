@@ -1,6 +1,7 @@
 """Flat-text run configuration parsing and validation."""
 
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from mtlc.data import LANGUAGES
 from mtlc.encoder import EncoderConfig
 from mtlc.errors import ConfigError, ContractError
 from mtlc.losses import LossKind
-from mtlc.mtl import PENALTIES, default_coupled_layers
+from mtlc.mtl import PENALTIES, SoftShareConfig
 from mtlc.text import MODES
 
 MINIMAL = """
@@ -90,24 +91,10 @@ class TestLoadConfig:
             ("regime.penalty = bogus", "regime.penalty"),
             ("regime.task = bogus", "regime.task"),
             ("regime.kind = stl\nregime.loss_offense = bogus", "regime.loss_offense"),
-            # coupled-layer names are encoder parameters, checked for every regime
-            ("regime.coupled_layers = layer9.wq", "regime.coupled_layers"),
-            ("regime.kind = stl\nregime.coupled_layers = layer0.wq,wq", "regime.coupled_layers"),
-            ("regime.kind = soft_share\nregime.coupled_layers = layer9.wq", "regime.coupled_layers"),
-            ("model.n_layers = 1\nregime.kind = soft_share\nregime.coupled_layers = layer1.wo",
-             "regime.coupled_layers"),
-            ("regime.kind = soft_share\nregime.coupled_layers = head.offense.w_out",
-             "regime.coupled_layers"),
-            # each named at most once: a repeat would take its proximal step twice
-            ("regime.kind = soft_share\nregime.coupled_layers = layer0.wq, layer0.wq",
-             r"regime.coupled_layers: named more than once: \['layer0.wq'\]"),
-            ("regime.kind = stl\nregime.coupled_layers = layer0.wv,layer0.wq,layer0.wv,layer0.wo,layer0.wq",
-             r"regime.coupled_layers: named more than once: \['layer0.wq', 'layer0.wv'\]"),
-            # a list that names no parameter, in every regime: uncoupled towers
-            # are spelled `regime.lambda = 0`
-            ("regime.kind = soft_share\nregime.coupled_layers = ,", "regime.coupled_layers"),
+            # retired keys: a config written before they left the schema names them
+            ("data.format = joint", "data.format"),
             ("regime.coupled_layers = ,", "regime.coupled_layers"),
-            ("regime.kind = stl\nregime.coupled_layers = , ,", "regime.coupled_layers"),
+            ("train.shuffle = true", "train.shuffle"),
             # shared regimes with no task loss to minimize
             ("regime.task_weights = 0,0", "regime.task_weights"),
             ("regime.kind = soft_share\nregime.task_weights = 0,0", "regime.task_weights"),
@@ -157,19 +144,8 @@ class TestLoadConfig:
         assert cfg.regime.losses["offense"].kind is LossKind.FOCAL
 
     def test_soft_share_default_coupling(self, paths):
-        cfg = load_config(
-            config_text(paths, "regime.kind = soft_share\nmodel.n_layers = 2\n")
-        )
-        assert "layer1.ffn_w2" in cfg.regime.soft.coupled_layer_names
-        assert len(cfg.regime.soft.coupled_layer_names) == 12
-
-    def test_explicit_coupling_list(self, paths):
-        cfg = load_config(
-            config_text(
-                paths, "regime.kind = soft_share\nregime.coupled_layers = layer0.wq, layer0.wv\n"
-            )
-        )
-        assert cfg.regime.soft.coupled_layer_names == ("layer0.wq", "layer0.wv")
+        cfg = load_config(config_text(paths, "regime.kind = soft_share\n"))
+        assert cfg.regime.soft == SoftShareConfig()
 
     def test_to_text_round_trips(self, paths):
         cfg = load_config(config_text(paths, "train.epochs = 3\nregime.loss = FL\n"))
@@ -211,14 +187,12 @@ class TestLossSpellings:
 
 BOOLEANS = ("true", "yes", "1", "false", "no", "0")
 WORDS = {
-    "data.format": ("joint",),
     "data.language": LANGUAGES,
+    "regime.penalty": PENALTIES,
     "text.mode": MODES,
     "regime.kind": REGIMES,
     "regime.task": ("sentiment", "offense"),
-    "regime.penalty": PENALTIES,
     "regime.class_weights": BOOLEANS,
-    "train.shuffle": BOOLEANS,
 }
 
 
@@ -248,13 +222,6 @@ class TestWords:
             for text in (word.upper(), word.title(), f" {word.swapcase()}\t"):
                 assert parse(text) == parse(word), (key, text)
 
-    def test_the_format_word_folds_case(self):
-        assert load_line("data.format = JOINT").raw["data.format"] == "JOINT"
-
-    def test_coupled_layers_default_folds_case(self):
-        cfg = load_line("regime.kind = soft_share\nregime.coupled_layers = DEFAULT")
-        assert cfg.regime.soft.coupled_layer_names == default_coupled_layers(2)
-
 
 # the default `to_text` output: every checkpoint embeds this text and the
 # parser rejects unknown keys, so its key order and byte format are a file
@@ -263,7 +230,6 @@ DEFAULT_TEXT = (
     "data.train = train.tsv\n"
     "data.val = val.tsv\n"
     "data.test = \n"
-    "data.format = joint\n"
     "data.language = kannada\n"
     "text.mode = char\n"
     "text.min_freq = 1\n"
@@ -285,7 +251,6 @@ DEFAULT_TEXT = (
     "regime.task_weights = 1,1\n"
     "regime.penalty = frobenius\n"
     "regime.lambda = 0.1\n"
-    "regime.coupled_layers = default\n"
     "train.epochs = 5\n"
     "train.batch_size = 32\n"
     "train.lr = 0.001\n"
@@ -295,7 +260,6 @@ DEFAULT_TEXT = (
     "train.weight_decay = 0.01\n"
     "train.clip_norm = 1.0\n"
     "train.seed = 0\n"
-    "train.shuffle = true\n"
     "output.dir = runs/run\n"
 )
 
@@ -306,8 +270,11 @@ def test_checkpoint_config_format_is_pinned():
     assert load_config(DEFAULT_TEXT).to_text() == DEFAULT_TEXT
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_config_block_loads_with_every_default():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = re.search(r"```\n(.*?)```", readme.split("## Configuration", 1)[1], re.S).group(1)
     values = parse_flat(block)  # a `#` after a value would stay part of it
     assert list(values) == list(_KEYS)
@@ -316,6 +283,30 @@ def test_readme_config_block_loads_with_every_default():
         shown = "..." if key in ("data.train", "data.val") else default
         assert values[key] == shown, key
     load_config(block)
+
+
+def _is_module_attribute(token: str) -> bool:
+    module, _, name = token.partition(".")
+    try:
+        return hasattr(importlib.import_module(f"mtlc.{module}"), name)
+    except ModuleNotFoundError:
+        return False
+
+
+def test_readme_names_only_live_keys():
+    # each backticked `section.key` in the prose (the config block has its own
+    # test) is a key of the schema, unless it names an attribute of the mtlc
+    # module it starts with (`data.fold_word`, `text.encode`)
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
+    tokens = {
+        token
+        for span in spans
+        for token in re.findall(r"(?<![\w.])(?:data|text|model|regime|train|output)\.\w+", span)
+    }
+    assert "regime.lambda" in tokens and "data.fold_word" in tokens
+    dead = sorted(t for t in tokens if t not in _KEYS and not _is_module_attribute(t))
+    assert not dead, f"README names config keys the schema lacks: {dead}"
 
 
 def test_dataclass_defaults_agree_with_the_config_defaults():

@@ -26,6 +26,7 @@ from mtlc.data import (
     stratified_split,
 )
 from mtlc.errors import ContractError, DataError
+from mtlc.numcore import stream
 from mtlc.text import build_vocab
 
 SCHEMAS = schemas_for_language("kannada")
@@ -298,25 +299,25 @@ class TestBatches:
 
     def test_sizes(self, vocab):
         corpus = make_corpus([0] * 10)
-        out = batches(encode_split(corpus, vocab, 6), 4, False, 0)
+        out = batches(encode_split(corpus, vocab, 6), 4, 0)
         assert [len(b) for b in out] == [4, 4, 2]
 
-    def test_order_preserved_without_shuffle(self, vocab):
+    def test_order_is_the_seeded_permutation(self, vocab):
         corpus = make_corpus(list(range(5)))
-        out = batches(encode_split(corpus, vocab, 6), 2, False, 0)
+        out = batches(encode_split(corpus, vocab, 6), 2, 3)
         flat = [label for b in out for label in b.labels["sentiment"]]
-        assert flat == [0, 1, 2, 3, 4]
+        assert flat == list(stream(3, "batch-shuffle").permutation(5))
 
     def test_label_multiset_preserved_under_shuffle(self, vocab):
         labels = [int(x) for x in np.random.default_rng(0).integers(0, 5, size=33)]
         corpus = make_corpus(labels)
-        out = batches(encode_split(corpus, vocab, 6), 8, True, 42)
+        out = batches(encode_split(corpus, vocab, 6), 8, 42)
         flat = sorted(label for b in out for label in b.labels["sentiment"])
         assert flat == sorted(labels)
 
     def test_label_ids_in_schema_range(self, vocab):
         corpus = make_corpus([0, 4, 2, 3])
-        for b in batches(encode_split(corpus, vocab, 6), 2, True, 1):
+        for b in batches(encode_split(corpus, vocab, 6), 2, 1):
             for task, labels in b.labels.items():
                 n = SCHEMAS[task].n_classes
                 assert all(0 <= label < n for label in labels)

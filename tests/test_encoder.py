@@ -849,7 +849,7 @@ class TestInferenceReference:
         regime = RegimeConfig(
             tasks=tasks,
             losses={t: LossConfig() for t in tasks},
-            soft=SoftShareConfig(coupled_layer_names=()) if request.param == "soft_share" else None,
+            soft=SoftShareConfig(lam=0.0) if request.param == "soft_share" else None,
         )
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ffn=16, max_len=8)
         model = build_model(regime, cfg, {"sentiment": 5, "offense": 6}, seed=7)

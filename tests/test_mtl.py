@@ -78,7 +78,7 @@ def toy_hyper(lr=3e-3):
 
 
 def soft_regime(penalty="frobenius", lam=0.1, weights=None):
-    soft = SoftShareConfig(penalty=penalty, lam=lam, coupled_layer_names=default_coupled_layers(1))
+    soft = SoftShareConfig(penalty=penalty, lam=lam)
     return regime_for("soft_share", weights=weights, soft=soft)
 
 
@@ -122,7 +122,7 @@ def first_step_grads(splits, regime, model, vocab, monkeypatch, seed=1):
 def first_batch(split, vocab, model, seed=1):
     """The first batch `train` takes from `split` at `seed`."""
     encoded = encode_split(split, vocab, model.encoder_cfg.max_len)
-    return batches(encoded, STEP_BATCH, True, child_seed(stream(seed, "shuffle")))[0]
+    return batches(encoded, STEP_BATCH, child_seed(stream(seed, "shuffle")))[0]
 
 
 def joint_step_grads(splits, regime, model, vocab, seed=1, weights=None):
@@ -159,7 +159,7 @@ class TestRegimeValidation:
     def test_soft_needs_two_tasks(self):
         # one encoder has no pair to couple
         with pytest.raises(ConfigError, match="soft sharing two"):
-            regime_for("stl", soft=SoftShareConfig(coupled_layer_names=()))
+            regime_for("stl", soft=SoftShareConfig())
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ConfigError):
@@ -167,7 +167,7 @@ class TestRegimeValidation:
 
     def test_unknown_penalty(self):
         with pytest.raises(ConfigError):
-            SoftShareConfig(coupled_layer_names=(), penalty="nuclear-ish", lam=1.0)
+            SoftShareConfig(penalty="nuclear-ish", lam=1.0)
 
     def test_epochs_bound(self):
         with pytest.raises(ConfigError):
@@ -231,7 +231,7 @@ class TestHardForward:
         assert shared_count == len(batch)
 
     def test_soft_model_runs_one_tower_per_task(self, toy_vocab, toy_splits, forward_calls):
-        soft = SoftShareConfig(lam=0.0, coupled_layer_names=())
+        soft = SoftShareConfig(lam=0.0)
         model = build_model(
             regime_for("soft_share", soft=soft), toy_encoder(toy_vocab, d_model=8, n_heads=2), N_CLASSES, seed=0
         )
@@ -247,7 +247,7 @@ class TestHardForward:
         assert not np.array_equal(again["offense"].data, logits["offense"].data)
 
     def test_soft_model_packs_each_batch_once(self, toy_vocab, toy_splits, monkeypatch, forward_calls):
-        soft = SoftShareConfig(lam=0.0, coupled_layer_names=())
+        soft = SoftShareConfig(lam=0.0)
         model = build_model(
             regime_for("soft_share", soft=soft), toy_encoder(toy_vocab, d_model=8, n_heads=2), N_CLASSES, seed=0
         )
@@ -325,13 +325,8 @@ def test_default_coupled_layers_are_each_layers_matrices(n_layers):
 
 
 class TestSoftLoss:
-    def _soft_model(self, vocab, lam, penalty="frobenius", coupled=None):
-        soft = SoftShareConfig(
-            penalty=penalty,
-            lam=lam,
-            coupled_layer_names=coupled if coupled is not None else default_coupled_layers(1),
-        )
-        regime = regime_for("soft_share", soft=soft)
+    def _soft_model(self, vocab, lam, penalty="frobenius"):
+        regime = regime_for("soft_share", soft=SoftShareConfig(penalty=penalty, lam=lam))
         cfg = toy_encoder(vocab, d_model=8, n_heads=2, d_ffn=16, dropout_p=0.0)
         return build_model(regime, cfg, N_CLASSES, seed=4)
 
@@ -348,7 +343,7 @@ class TestSoftLoss:
     def test_identical_towers_zero_penalty(self, toy_vocab):
         model = self._soft_model(toy_vocab, lam=5.0)
         t1, t2 = model.regime.tasks
-        for name in model.regime.soft.coupled_layer_names:
+        for name in default_coupled_layers(1):
             model.params[f"tower.{t2}.{name}"].data[...] = model.params[f"tower.{t1}.{name}"].data
         before = {name: p.data.copy() for name, p in model.params.items()}
         out = weighted_sum((Tensor(1.0), Tensor(2.0)), model.regime.task_weights)
@@ -359,7 +354,7 @@ class TestSoftLoss:
         assert coupling_distance(model) == 0.0
 
     def test_hand_computed_two_layer_case(self, toy_vocab):
-        model = self._soft_model(toy_vocab, lam=0.5, coupled=("layer0.wq", "layer0.wk"))
+        model = self._soft_model(toy_vocab, lam=0.5)
         t1, t2 = model.regime.tasks
         before = {name: p.data.copy() for name, p in model.params.items()}
         out = weighted_sum((Tensor(0.2), Tensor(0.3)), model.regime.task_weights)
@@ -371,12 +366,12 @@ class TestSoftLoss:
             a, b = model.params[f"tower.{t1}.{name}"].data, model.params[f"tower.{t2}.{name}"].data
             assert np.abs((a + b) - (a0 + b0)).max() < 1e-12
             assert np.abs((a - b) - shrink * (a0 - b0)).max() < 1e-12
-        for name in ("layer0.wv", "layer0.ffn_w1", "pooler_w"):
+        for name in ("layer0.ffn_b1", "layer0.norm1_g", "pooler_w"):  # not coupled
             for t in (t1, t2):
                 assert np.array_equal(model.params[f"tower.{t}.{name}"].data, before[f"tower.{t}.{name}"])
 
     def test_trace_norm_penalty_route(self, toy_vocab):
-        model = self._soft_model(toy_vocab, lam=2.0, penalty="trace_norm", coupled=("layer0.wq",))
+        model = self._soft_model(toy_vocab, lam=2.0, penalty="trace_norm")
         t1, t2 = model.regime.tasks
         a, b = model.params[f"tower.{t1}.layer0.wq"], model.params[f"tower.{t2}.layer0.wq"]
         stacked = np.concatenate([a.data, b.data], axis=0)
@@ -397,7 +392,7 @@ class TestSoftLoss:
         stacks = dict(model.stacks)
         mtl.couple(model, 0.03)
         eta = 0.03 * 2.0
-        for name in model.regime.soft.coupled_layer_names:
+        for name in default_coupled_layers(1):
             a0, b0 = before[f"tower.{t1}.{name}"], before[f"tower.{t2}.{name}"]
             # the out-of-place steps the pair took before they wrote in place
             if penalty == "frobenius":
@@ -413,16 +408,8 @@ class TestSoftLoss:
                 assert view.base is stack and np.array_equal(view, want[i])
         assert model.stacks == stacks
 
-    def test_trace_norm_thresholds_a_coupled_bias_as_two_rows(self, toy_vocab):
-        model = self._soft_model(toy_vocab, lam=2.0, penalty="trace_norm", coupled=("layer0.ffn_b1",))
-        stack = model.stacks["layer0.ffn_b1"].data
-        stack[...] = np.random.default_rng(0).normal(size=stack.shape)
-        want = svt(stack.copy(), 0.03 * 2.0)  # the [2, d_ffn] row-stack [a; b]
-        mtl.couple(model, 0.03)
-        assert np.array_equal(stack, want)
-
     def test_non_finite_coupled_weight_names_its_layer(self, toy_vocab):
-        model = self._soft_model(toy_vocab, lam=2.0, penalty="trace_norm", coupled=("layer0.wk",))
+        model = self._soft_model(toy_vocab, lam=2.0, penalty="trace_norm")
         model.stacks["layer0.wk"].data[1, 0, 0] = np.inf
         with pytest.raises(NumericalError, match="coupled layer 'layer0.wk'"):
             mtl.couple(model, 0.03)
@@ -497,7 +484,7 @@ class TestTrain:
         # the toy run's config with soft sharing and the trace norm: as a
         # subgradient through AdamW, lambda 0.1 shrank every coupled weight
         # to zero and both tasks stayed at chance (F1 0.067 / 0.039)
-        soft = SoftShareConfig(penalty="trace_norm", coupled_layer_names=default_coupled_layers(1))
+        soft = SoftShareConfig(penalty="trace_norm")
         assert soft.lam == 0.1
         regime = regime_for("soft_share", soft=soft)
         model = build_model(regime, toy_encoder(toy_vocab), N_CLASSES, seed=1)
@@ -683,7 +670,7 @@ class TestTrainStep:
         monkeypatch.setattr(mtl, f"{penalty}_penalty", recording_prox)
         tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(lr=0.002), seed=1)
         train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
-        step = ["adamw"] + [(name, 0.002 * 0.5) for name in regime.soft.coupled_layer_names]
+        step = ["adamw"] + [(name, 0.002 * 0.5) for name in default_coupled_layers(1)]
         n_steps = -(-len(toy_splits.train.records) // STEP_BATCH)
         assert events == step * n_steps
 
@@ -860,7 +847,7 @@ class TestEvaluate:
 
     def test_length_ordered_batches_keep_corpus_order(self, toy_vocab):
         self._assert_single_comments_match_the_batch(
-            toy_vocab, regime_for("soft_share", soft=SoftShareConfig(coupled_layer_names=()))
+            toy_vocab, regime_for("soft_share", soft=SoftShareConfig(lam=0.0))
         )
 
     @pytest.mark.parametrize("kind", ["stl", "hard_share"])
@@ -969,7 +956,7 @@ class TestStackedPrediction:
     stacks; it must give `logits_per_tower` bit for bit. Soft
     sharing here, STL and hard sharing in the subclasses below."""
 
-    regime = regime_for("soft_share", soft=SoftShareConfig(coupled_layer_names=()))
+    regime = regime_for("soft_share", soft=SoftShareConfig(lam=0.0))
 
     def _model(self, vocab, max_len=8, seed=4):
         cfg = toy_encoder(vocab, max_len=max_len, d_model=8, n_heads=2, d_ffn=16, dropout_p=0.0)
@@ -1102,7 +1089,7 @@ class TestExpectedShapes:
         assert shapes["head.offense.w_out"] == (128, 6)
 
     def test_tower_names(self, toy_vocab):
-        soft = SoftShareConfig(lam=0.0, coupled_layer_names=())
+        soft = SoftShareConfig(lam=0.0)
         cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2)
         shapes = expected_param_shapes(regime_for("soft_share", soft=soft), cfg, N_CLASSES)
         assert "tower.sentiment.tok_emb" in shapes
@@ -1113,7 +1100,7 @@ class TestExpectedShapes:
     def test_build_model_initializes_the_table(self, toy_vocab, kind):
         # the table a checkpoint is checked against, in its order, and each
         # value its own draw: a tower's tensors draw from `init/tower.<task>.<name>`
-        soft = SoftShareConfig(lam=0.0, coupled_layer_names=()) if kind == "soft_share" else None
+        soft = SoftShareConfig(lam=0.0) if kind == "soft_share" else None
         regime = regime_for(kind, soft=soft)
         cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2)
         shapes = expected_param_shapes(regime, cfg, N_CLASSES)
