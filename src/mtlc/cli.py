@@ -209,12 +209,7 @@ def cmd_train(args) -> int:
     schemas = schemas_for_language(cfg.language)
     train_split = load_joint_tsv(cfg.raw["data.train"], schemas, cfg.language)
     val_split = load_joint_tsv(cfg.raw["data.val"], schemas, cfg.language)
-    vocab = build_vocab(
-        (rec.text for rec in train_split.records),
-        mode=cfg.text_mode,
-        min_freq=cfg.min_freq,
-        max_size=cfg.max_size,
-    )
+    vocab = build_vocab((rec.text for rec in train_split.records), cfg.text_mode, cfg.max_size)
     enc_cfg = dataclasses.replace(cfg.encoder, vocab_size=len(vocab))
     n_classes = {task: schemas[task].n_classes for task in cfg.regime.tasks}
     model = build_model(cfg.regime, enc_cfg, n_classes, cfg.train_cfg.seed)

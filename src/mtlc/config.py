@@ -16,7 +16,6 @@ from .encoder import EncoderConfig
 from .errors import ConfigError, ContractError
 from .losses import LossConfig, LossKind
 from .mtl import PENALTIES, RegimeConfig, SoftShareConfig, TrainConfig
-from .numcore import OptimHyper
 from .text import MODES, SPECIAL_TOKENS
 
 TASKS = (SENTIMENT_TASK, OFFENSE_TASK)
@@ -57,7 +56,6 @@ _LOSSES = {  # every spelling of a loss kind
     "FL": LossKind.FOCAL, "FOCAL": LossKind.FOCAL, "KLD": LossKind.KLD, "KL": LossKind.KLD,
 }
 _loss = _word(_LOSSES)
-_task_loss = _word({"": None, **_LOSSES})  # empty: the task trains with `regime.loss`
 REGIMES = ("stl", "hard_share", "soft_share")  # the words of `regime.kind`
 STL, HARD_SHARE, SOFT_SHARE = REGIMES
 
@@ -87,7 +85,6 @@ _KEYS: dict[str, tuple[Callable[[str], object], Union[str, tuple[type, str]]]] =
     "data.test": (str, ""),
     "data.language": (_word(LANGUAGES), "kannada"),
     "text.mode": (_word(MODES), "char"),  # the corpora mix scripts inside a comment
-    "text.min_freq": (int, "1"),
     "text.max_size": (int, "20000"),
     "text.max_len": (int, (EncoderConfig, "max_len")),
     "model.d_model": (int, (EncoderConfig, "d_model")),
@@ -98,22 +95,13 @@ _KEYS: dict[str, tuple[Callable[[str], object], Union[str, tuple[type, str]]]] =
     "regime.kind": (_word(REGIMES), HARD_SHARE),
     "regime.task": (_word(TASKS), "sentiment"),
     "regime.loss": (_loss, (LossConfig, "kind")),
-    "regime.loss_sentiment": (_task_loss, ""),
-    "regime.loss_offense": (_task_loss, ""),
-    "regime.focal_gamma": (_finite, (LossConfig, "focal_gamma")),
-    "regime.kld_epsilon": (_finite, (LossConfig, "kld_epsilon")),
     "regime.class_weights": (_bool, (LossConfig, "use_class_weights")),
     "regime.task_weights": (_finite_list, (RegimeConfig, "task_weights")),
     "regime.penalty": (_word(PENALTIES), (SoftShareConfig, "penalty")),
     "regime.lambda": (_finite, (SoftShareConfig, "lam")),
     "train.epochs": (int, (TrainConfig, "epochs")),
     "train.batch_size": (int, (TrainConfig, "batch_size")),
-    "train.lr": (_finite, (OptimHyper, "learning_rate")),
-    "train.beta1": (_finite, (OptimHyper, "beta1")),
-    "train.beta2": (_finite, (OptimHyper, "beta2")),
-    "train.epsilon": (_finite, (OptimHyper, "epsilon")),
-    "train.weight_decay": (_finite, (OptimHyper, "weight_decay")),
-    "train.clip_norm": (_finite, (OptimHyper, "clip_norm")),
+    "train.lr": (_finite, (TrainConfig, "learning_rate")),
     "train.seed": (int, (TrainConfig, "seed")),
     "output.dir": (str, "runs/run"),
 }
@@ -164,7 +152,6 @@ class RunConfig:
     raw: dict[str, str]
     language: str
     text_mode: str
-    min_freq: int
     max_size: int
     encoder: EncoderConfig  # vocab_size is a placeholder until a vocabulary exists
     regime: RegimeConfig
@@ -209,28 +196,22 @@ def load_config(text: str) -> RunConfig:
         except (ValueError, ContractError) as err:
             raise ConfigError(f"{key}: {err}") from None
 
-    for key in ("text.min_freq", "text.max_size"):
-        if typed[key] < 1:
-            raise ConfigError(f"{key}: must be >= 1, got {typed[key]}")
+    if typed["text.max_size"] < 1:
+        raise ConfigError(f"text.max_size: must be >= 1, got {typed['text.max_size']}")
 
     encoder = _build(EncoderConfig, typed, vocab_size=len(SPECIAL_TOKENS))
     kind = typed["regime.kind"]
     tasks = (typed["regime.task"],) if kind == STL else TASKS
-    losses = {
-        task: _build(LossConfig, typed, kind=typed[f"regime.loss_{task}"] or typed["regime.loss"])
-        for task in tasks
-    }
     soft = _build(SoftShareConfig, typed)  # in every regime, so a bad `regime.lambda` fails each
     stl_weight = {"task_weights": (1.0,)} if kind == STL else {}  # STL trains at weight 1
-    regime = _build(RegimeConfig, typed, tasks=tasks, losses=losses,
+    regime = _build(RegimeConfig, typed, tasks=tasks, loss=_build(LossConfig, typed),
                     soft=soft if kind == SOFT_SHARE else None, **stl_weight)
     return RunConfig(
         raw=values,
         language=typed["data.language"],
         text_mode=typed["text.mode"],
-        min_freq=typed["text.min_freq"],
         max_size=typed["text.max_size"],
         encoder=encoder,
         regime=regime,
-        train_cfg=_build(TrainConfig, typed, optimizer=_build(OptimHyper, typed)),
+        train_cfg=_build(TrainConfig, typed),
     )

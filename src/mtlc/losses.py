@@ -8,8 +8,9 @@ variants go through one shared row-wise log-sum-exp core. Focal scales
 cross-entropy's per-row -log p_target, so with gamma=0 it equals
 cross-entropy bit for bit, in value and gradient; KLD with zero label
 smoothing gives cross-entropy within rounding, by its own formula. Every
-loss needs at least two classes. `LossConfig` holds the range of gamma and
-epsilon. `LossKind` names the four kinds; `config._LOSSES` holds their spellings.
+loss needs at least two classes. `compute_loss` trains focal at
+`FOCAL_GAMMA` and KLD at `KLD_EPSILON`. `LossKind` names the four kinds;
+`config._LOSSES` holds their spellings.
 """
 
 from __future__ import annotations
@@ -46,18 +47,14 @@ class LossKind(Enum):
     KLD = "KLD"
 
 
+FOCAL_GAMMA = 2.0  # focal's focusing exponent
+KLD_EPSILON = 0.1  # the probability KLD's smoothed target spreads over the wrong classes
+
+
 @dataclass(frozen=True)
 class LossConfig:
     kind: LossKind = LossKind.CROSS_ENTROPY
-    focal_gamma: float = 2.0
-    kld_epsilon: float = 0.1
     use_class_weights: bool = False
-
-    def __post_init__(self):
-        if self.focal_gamma < 0:
-            raise ContractError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
-        if not 0.0 <= self.kld_epsilon < 0.5:
-            raise ContractError(f"kld_epsilon must be in [0, 0.5), got {self.kld_epsilon}")
 
 
 def class_weights(counts: Sequence[int]) -> tuple[float, ...]:
@@ -180,7 +177,7 @@ def compute_loss(
     if cfg.kind is LossKind.HINGE:
         return hinge_multiclass(logits, targets)
     if cfg.kind is LossKind.FOCAL:
-        return focal(logits, targets, cfg.focal_gamma, weights)
+        return focal(logits, targets, FOCAL_GAMMA, weights)
     if cfg.kind is LossKind.KLD:
-        return kld(logits, targets, cfg.kld_epsilon)
+        return kld(logits, targets, KLD_EPSILON)
     raise ContractError(f"unhandled loss kind {cfg.kind}")

@@ -27,7 +27,6 @@ from .losses import CLASS_WEIGHTED, LossConfig, class_weights, compute_loss
 from .metrics import TaskReport, build_report
 from .numcore import (
     GradTape,
-    OptimHyper,
     Tensor,
     add,
     adamw_step,
@@ -81,7 +80,7 @@ class RegimeConfig:
     hard sharing, and two with a `soft` coupling are soft sharing."""
 
     tasks: tuple[str, ...]
-    losses: dict[str, LossConfig]
+    loss: LossConfig = LossConfig()
     task_weights: tuple[float, ...] = (1.0, 1.0)
     soft: Optional[SoftShareConfig] = None
 
@@ -96,15 +95,13 @@ class RegimeConfig:
             raise ConfigError(f"task_weights must be nonnegative, got {self.task_weights}")
         if not any(self.task_weights):  # no task loss to minimize
             raise ConfigError(f"task_weights must not all be 0, got {self.task_weights}")
-        if set(self.losses) != set(self.tasks):
-            raise ConfigError(f"loss config tasks {sorted(self.losses)} != tasks {self.tasks}")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5
     batch_size: int = 32
-    optimizer: OptimHyper = field(default_factory=OptimHyper)
+    learning_rate: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -112,6 +109,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size not in BATCH_SIZES:
             raise ConfigError(f"batch_size must be one of {BATCH_SIZES}, got {self.batch_size}")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -292,11 +291,9 @@ def train(
     for split in (train_split, val_split):
         _check_heads(model, split)
     states = init_states(model.params)
+    weighted = regime.loss.use_class_weights and regime.loss.kind in CLASS_WEIGHTED
     weights = {  # the one place a task's class weighting is decided
-        t: class_weights(class_counts(train_split, t))
-        if regime.losses[t].use_class_weights and regime.losses[t].kind in CLASS_WEIGHTED
-        else None
-        for t in regime.tasks
+        t: class_weights(class_counts(train_split, t)) if weighted else None for t in regime.tasks
     }
     shuffle_rng = stream(train_cfg.seed, "shuffle")
     dropout_rng = stream(train_cfg.seed, "dropout")
@@ -307,37 +304,42 @@ def train(
         hits = {task: 0 for task in regime.tasks}
         for batch_index, batch in enumerate(epoch_batches):
             try:
-                step = train_step(model, batch, states, weights, train_cfg.optimizer, dropout_rng)
+                step = train_step(model, batch, states, weights, train_cfg.learning_rate, dropout_rng)
             except NumericalError as exc:
                 raise NumericalError(f"{exc} at epoch {epoch} batch {batch_index}") from exc
             for t, (loss, step_hits) in step.items():
                 loss_sums[t] += loss * len(batch)
                 hits[t] += step_hits
-
-        stored = stored_values(model.params)
-        frozen = Model(regime, model.encoder_cfg, {n: Tensor(a) for n, a in stored.items()})
-        val_report = build_report(
-            {t: val_set.labels[t] for t in regime.tasks},
-            _predict(frozen, val_set.seqs),
-            {t: val_split.schemas[t].classes for t in regime.tasks},
-        )
         epochs.append(
             EpochStats(
                 train_loss={t: loss_sums[t] / len(train_set) for t in regime.tasks},
                 train_accuracy={t: hits[t] / len(train_set) for t in regime.tasks},
-                val_report=val_report,
+                val_report=_validate(model, val_set, val_split),
             )
         )
     return epochs
 
 
+def _validate(model: Model, val_set: Batch, val_split: Corpus) -> dict[str, TaskReport]:
+    """The validation report of `model`'s weights as a checkpoint stores
+    them; their float32 copies die on return, before the next epoch trains."""
+    stored = stored_values(model.params)
+    frozen = Model(model.regime, model.encoder_cfg, {n: Tensor(a) for n, a in stored.items()})
+    tasks = model.regime.tasks
+    return build_report(
+        {t: val_set.labels[t] for t in tasks},
+        _predict(frozen, val_set.seqs),
+        {t: val_split.schemas[t].classes for t in tasks},
+    )
+
+
 @np.errstate(all="ignore")  # a non-finite loss or gradient is named below
 def train_step(
-    model: Model, batch: Batch, states: dict, weights: dict, optimizer: OptimHyper, rng: np.random.Generator
+    model: Model, batch: Batch, states: dict, weights: dict, learning_rate: float, rng: np.random.Generator
 ) -> dict[str, tuple[float, int]]:
-    """One update of `model.params` and the AdamW `states` from `batch`,
-    with each task's class weights (or None) and dropout drawn from `rng`;
-    returns each task's batch-mean loss and hit count.
+    """One update of `model.params` and the AdamW `states` from `batch` at
+    `learning_rate`, with each task's class weights (or None) and dropout
+    drawn from `rng`; returns each task's batch-mean loss and hit count.
 
     The batch is packed once; each encoder of `towers(regime)` in turn runs
     its forward, heads, losses and their weighted sum's backward on a tape
@@ -356,7 +358,7 @@ def train_step(
         with GradTape() as tape:
             pooled = encoder_forward(packed, tower, model.encoder_cfg, rng)
             logits = {t: classify(pooled, model.heads[t][1]) for t in tasks}
-            losses = [compute_loss(logits[t], batch.labels[t], regime.losses[t], weights[t]) for t in tasks]
+            losses = [compute_loss(logits[t], batch.labels[t], regime.loss, weights[t]) for t in tasks]
             tower_loss = weighted_sum(losses, [task_weight[t] for t in tasks])
         backward(tape, tower_loss)
         for t, loss in zip(tasks, losses):
@@ -364,8 +366,8 @@ def train_step(
     bad = [t for t in regime.tasks if not math.isfinite(figures[t][0])]
     if bad or not math.isfinite(sum(task_weight[t] * figures[t][0] for t in regime.tasks)):
         raise NumericalError(f"non-finite {'+'.join(bad)} loss" if bad else "non-finite objective")
-    adamw_step(model.params, states, optimizer)
-    couple(model, optimizer.learning_rate)
+    adamw_step(model.params, states, learning_rate)
+    couple(model, learning_rate)
     return figures
 
 

@@ -2,7 +2,7 @@
 deterministic RNG."""
 
 from .linalg import svt
-from .optim import OptimHyper, adamw_step, init_states, zero_grads
+from .optim import adamw_step, init_states, zero_grads
 from .rng import child_seed, stream, truncated_normal
 from .tensor import (
     GradTape,

@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay and optional global-norm clipping."""
+"""AdamW with decoupled weight decay and global-norm clipping."""
 
 from __future__ import annotations
 
@@ -8,31 +8,17 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import ContractError, NumericalError, ShapeError
+from ..errors import NumericalError, ShapeError
 from .tensor import Tensor
 
 
-@dataclass
-class OptimHyper:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.01
-    clip_norm: float = 1.0  # 0 disables clipping
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 < beta < 1.0:
-                raise ContractError(f"{name} must be in (0,1), got {beta}")
-        if self.epsilon <= 0:
-            raise ContractError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.weight_decay < 0:
-            raise ContractError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.clip_norm < 0:
-            raise ContractError(f"clip_norm must be >= 0, got {self.clip_norm}")
+# AdamW's settings: the moment decays, the denominator's floor, the
+# decoupled weight decay and the global gradient-norm clip
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+WEIGHT_DECAY = 0.01
+CLIP_NORM = 1.0
 
 
 @dataclass
@@ -62,12 +48,13 @@ def global_grad_norm(grads: Mapping[str, np.ndarray]) -> float:
 def adamw_step(
     params: Mapping[str, Tensor],
     states: Mapping[str, AdamWState],
-    hyper: OptimHyper,
+    learning_rate: float,
 ) -> None:
     """One in-place update from each parameter's `.grad`, where `None` (a
     parameter off the loss's path, which `backward` leaves as it was) reads
-    as zeros: clip to the global norm, bias-corrected Adam, then decoupled
-    decay applied to the post-Adam parameter.
+    as zeros: clip to global norm `CLIP_NORM`, a bias-corrected Adam step
+    of `learning_rate`, then decoupled decay applied to the post-Adam
+    parameter.
 
     Checks every gradient before anything changes: a shape that is not its
     parameter's raises ShapeError, and a global norm that is not finite
@@ -86,8 +73,7 @@ def adamw_step(
         for name in sorted(grads):
             if not np.isfinite(grads[name]).all():
                 raise NumericalError(f"non-finite gradient for {name!r}")
-    factor = hyper.clip_norm / norm if 0.0 < hyper.clip_norm < norm else None
-    lr = hyper.learning_rate
+    factor = CLIP_NORM / norm if CLIP_NORM < norm else None
     for name in sorted(params):
         p, g, s = params[name], grads[name], states[name]
         # every update in place, through two scratch arrays, with the
@@ -99,19 +85,18 @@ def adamw_step(
         if factor is not None:
             g = np.multiply(g, factor, out=b)
         s.t += 1
-        s.m *= hyper.beta1
-        s.m += np.multiply(g, 1.0 - hyper.beta1, out=a)
-        s.v *= hyper.beta2
+        s.m *= BETA1
+        s.m += np.multiply(g, 1.0 - BETA1, out=a)
+        s.v *= BETA2
         np.multiply(g, g, out=a)
-        s.v += np.multiply(a, 1.0 - hyper.beta2, out=a)
-        m_hat = np.divide(s.m, 1.0 - hyper.beta1**s.t, out=a)
-        denom = np.sqrt(np.divide(s.v, 1.0 - hyper.beta2**s.t, out=b), out=b)
-        denom += hyper.epsilon
-        m_hat *= lr
+        s.v += np.multiply(a, 1.0 - BETA2, out=a)
+        m_hat = np.divide(s.m, 1.0 - BETA1**s.t, out=a)
+        denom = np.sqrt(np.divide(s.v, 1.0 - BETA2**s.t, out=b), out=b)
+        denom += EPSILON
+        m_hat *= learning_rate
         m_hat /= denom
         p.data -= m_hat
-        if hyper.weight_decay > 0:
-            p.data -= np.multiply(p.data, lr * hyper.weight_decay, out=a)
+        p.data -= np.multiply(p.data, learning_rate * WEIGHT_DECAY, out=a)
 
 
 def zero_grads(params: Mapping[str, Tensor]) -> None:

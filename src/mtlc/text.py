@@ -3,8 +3,8 @@
 A deliberately small substitute for subword tokenizers: either whole
 whitespace-split words (surrounding punctuation stripped) or single Unicode
 scalar values. `build_vocab` takes every setting from its caller (`mtlc
-train` passes the config's `text.mode`, `text.min_freq`, `text.max_size`),
-and `parse_vocab` parses a vocabulary file's bytes its caller has read.
+train` passes the config's `text.mode` and `text.max_size`), and
+`parse_vocab` parses a vocabulary file's bytes its caller has read.
 """
 
 from __future__ import annotations
@@ -68,13 +68,10 @@ def tokenize(text: str, mode: str) -> list[str]:
     raise ContractError(f"unknown tokenizer mode {mode!r}, expected one of {MODES}")
 
 
-def build_vocab(corpus: Iterable[str], mode: str, min_freq: int, max_size: int) -> Vocab:
-    """Frequency-ranked vocabulary over `corpus`.
-
-    Tokens seen at least `min_freq` times are kept, ordered by descending
-    frequency then token text, capped at `max_size` entries after the four
-    special tokens.
-    """
+def build_vocab(corpus: Iterable[str], mode: str, max_size: int) -> Vocab:
+    """Frequency-ranked vocabulary over `corpus`: every token it holds,
+    ordered by descending frequency then token text, capped at `max_size`
+    entries after the four special tokens."""
     freq: Counter[str] = Counter()
     texts = 0
     for text in corpus:
@@ -82,10 +79,7 @@ def build_vocab(corpus: Iterable[str], mode: str, min_freq: int, max_size: int) 
         freq.update(tokenize(text, mode))
     if texts == 0:
         raise ContractError("cannot build a vocabulary from an empty corpus")
-    ranked = sorted(
-        (tok for tok, n in freq.items() if n >= min_freq),
-        key=lambda tok: (-freq[tok], tok),
-    )
+    ranked = sorted(freq, key=lambda tok: (-freq[tok], tok))
     return Vocab(mode=mode, id_to_token=SPECIAL_TOKENS + tuple(ranked[:max_size]))
 
 

@@ -39,7 +39,6 @@ data.val = {val}
 data.test = {test}
 data.language = kannada
 text.mode = word
-text.min_freq = 1
 text.max_size = 4000
 text.max_len = 8
 model.d_model = 64
@@ -53,8 +52,6 @@ regime.loss = CE
 train.epochs = 30
 train.batch_size = 16
 train.lr = 0.003
-train.weight_decay = 0.01
-train.clip_norm = 1.0
 train.seed = 1
 output.dir = {out}
 """

@@ -35,7 +35,7 @@ def toy_splits(toy_corpus):
 def toy_vocab(toy_splits):
     # toy.cfg's text settings
     texts = (r.text for r in toy_splits.train.records)
-    return build_vocab(texts, mode="word", min_freq=1, max_size=4000)
+    return build_vocab(texts, mode="word", max_size=4000)
 
 
 @pytest.fixture

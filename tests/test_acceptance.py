@@ -43,7 +43,6 @@ from mtlc.mtl import (
 from mtlc.checkpoint import deserialize
 from mtlc.numcore import tensor as numcore_tensor
 from mtlc.numcore import (
-    OptimHyper,
     Tensor,
     add,
     affine,
@@ -95,19 +94,13 @@ def toy_encoder_cfg(vocab, **over):
 
 
 def toy_train_cfg(epochs=30, lr=3e-3, seed=1):
-    return TrainConfig(
-        epochs=epochs,
-        batch_size=16,
-        optimizer=OptimHyper(learning_rate=lr, weight_decay=0.01, clip_norm=1.0),
-        seed=seed,
-    )
+    return TrainConfig(epochs=epochs, batch_size=16, learning_rate=lr, seed=seed)
 
 
 def regime_for(kind, task="sentiment", weights=None, soft=None):
     tasks = (task,) if kind == "stl" else TASKS
     return RegimeConfig(
         tasks=tasks,
-        losses={t: LossConfig() for t in tasks},
         task_weights=weights if weights is not None else tuple([1.0] * len(tasks)),
         soft=soft,
     )

@@ -43,7 +43,7 @@ def test_names_the_benchmark_calls_exist():
 def test_an_encoded_comment_has_the_mask_the_tracer_counts():
     # `_count_encoded` reads `len(seq.mask)` as positions and `sum(seq.mask)`
     # as valid positions of each `mtlc.data.encode` result
-    vocab = mtlc.text.build_vocab(["ab"], mode="char", min_freq=1, max_size=100)
+    vocab = mtlc.text.build_vocab(["ab"], mode="char", max_size=100)
     for text, max_len in (("", 3), ("ab", 6), ("abab" * 5, 8)):
         seq = mtlc.data.encode(text, vocab, max_len)
         assert len(seq.mask) == max_len

@@ -393,12 +393,11 @@ class TestTrain:
             [],
             [SOFT_TRACE_NORM],
             [("regime.kind = hard_share", "regime.kind = soft_share\nregime.penalty = frobenius")],
-            [("regime.loss = CE", "regime.loss = FL\nregime.loss_offense = KLD\nregime.class_weights = true")],
+            [("regime.loss = CE", "regime.loss = FL\nregime.class_weights = true")],
             [("regime.loss = CE", "regime.loss = HL\nregime.class_weights = true")],
-            [("regime.loss = CE", "regime.loss = KLD\nregime.kld_epsilon = 0")],
+            [("regime.loss = CE", "regime.loss = KLD")],
         ],
-        ids=["stl", "hard", "soft trace norm", "soft frobenius", "fl kld weighted", "hl weighted",
-             "kld epsilon 0"],
+        ids=["stl", "hard", "soft trace norm", "soft frobenius", "fl weighted", "hl weighted", "kld"],
     )
     def test_last_trace_row_holds_the_reports_weighted_f1(
         self, toy_dir, fast_cfg, tmp_path, edits
@@ -450,8 +449,8 @@ class TestTrain:
 
         step = mtl.adamw_step
 
-        def diverging_step(params, states, hyper):
-            step(params, states, hyper)
+        def diverging_step(params, states, learning_rate):
+            step(params, states, learning_rate)
             params["head.offense.b_out"].data[0] = 1e39  # finite in float64 alone
 
         monkeypatch.setattr(mtl, "adamw_step", diverging_step)
@@ -527,7 +526,6 @@ class TestTrain:
     @pytest.mark.parametrize(
         "line",
         [
-            "text.min_freq = 0",
             "text.max_size = 0",
             "regime.task_weights = 1,1,1",  # three weights for hard sharing's two tasks
             "regime.task_weights = 0,0",  # no task loss to minimize
@@ -536,6 +534,16 @@ class TestTrain:
             "data.format = joint",
             "regime.coupled_layers = ,",
             "train.shuffle = true",
+            "text.min_freq = 0",
+            "regime.loss_sentiment = FL",
+            "regime.loss_offense = KLD",
+            "regime.focal_gamma = 2.0",
+            "regime.kld_epsilon = 0.1",
+            "train.beta1 = 0.9",
+            "train.beta2 = 0.999",
+            "train.epsilon = 1e-8",
+            "train.weight_decay = 0.01",
+            "train.clip_norm = 1.0",
         ],
     )
     def test_bad_value_exits_2_naming_its_key(self, toy_dir, fast_cfg, tmp_path, capsys, line):
@@ -867,6 +875,16 @@ class TestEvaluate:
             "data.format = joint",
             "regime.coupled_layers = default",
             "train.shuffle = true",
+            "text.min_freq = 1",
+            "regime.loss_sentiment = FL",
+            "regime.loss_offense = KLD",
+            "regime.focal_gamma = 2.0",
+            "regime.kld_epsilon = 0.1",
+            "train.beta1 = 0.9",
+            "train.beta2 = 0.999",
+            "train.epsilon = 1e-8",
+            "train.weight_decay = 0.01",
+            "train.clip_norm = 1.0",
         ],
     )
     def test_embedded_config_with_an_unused_bad_value_exits_2(

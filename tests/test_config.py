@@ -56,7 +56,7 @@ class TestLoadConfig:
         assert cfg.train_cfg.batch_size == 32
         assert cfg.encoder.dropout_p == 0.4
         assert cfg.regime.task_weights == (1.0, 1.0)
-        assert all(lc.kind is LossKind.CROSS_ENTROPY for lc in cfg.regime.losses.values())
+        assert cfg.regime.loss.kind is LossKind.CROSS_ENTROPY
 
     def test_reads_no_file(self, tmp_path):
         # paths are values: absent files and an output.dir under a file parse
@@ -72,8 +72,6 @@ class TestLoadConfig:
             ("train.epochs = 0", "epochs"),
             ("train.batch_size = 7", "batch_size"),
             ("train.lr = -1", "train.lr"),
-            ("train.beta1 = 1", "train.beta1"),
-            ("train.beta2 = 0", "train.beta2"),
             ("model.dropout = 1.0", "model.dropout"),
             ("model.d_model = 30", "model.d_model"),
             ("text.max_len = 2", "text.max_len"),
@@ -86,15 +84,23 @@ class TestLoadConfig:
             ("train.lr = nan", "train.lr"),
             ("regime.lambda = nan", "regime.lambda"),
             ("regime.task_weights = nan,1", "regime.task_weights"),
-            ("train.clip_norm = inf", "train.clip_norm"),
             # every key is checked, whether or not the regime reads it
             ("regime.penalty = bogus", "regime.penalty"),
             ("regime.task = bogus", "regime.task"),
-            ("regime.kind = stl\nregime.loss_offense = bogus", "regime.loss_offense"),
             # retired keys: a config written before they left the schema names them
             ("data.format = joint", "data.format"),
             ("regime.coupled_layers = ,", "regime.coupled_layers"),
             ("train.shuffle = true", "train.shuffle"),
+            ("text.min_freq = 1", "text.min_freq"),
+            ("regime.loss_sentiment = FL", "regime.loss_sentiment"),
+            ("regime.kind = stl\nregime.loss_offense = bogus", "regime.loss_offense"),
+            ("regime.focal_gamma = 2.0", "regime.focal_gamma"),
+            ("regime.kld_epsilon = 0.1", "regime.kld_epsilon"),
+            ("train.beta1 = 1", "train.beta1"),
+            ("train.beta2 = 0", "train.beta2"),
+            ("train.epsilon = 1e-8", "train.epsilon"),
+            ("train.weight_decay = 0.01", "train.weight_decay"),
+            ("train.clip_norm = inf", "train.clip_norm"),
             # shared regimes with no task loss to minimize
             ("regime.task_weights = 0,0", "regime.task_weights"),
             ("regime.kind = soft_share\nregime.task_weights = 0,0", "regime.task_weights"),
@@ -136,13 +142,6 @@ class TestLoadConfig:
         cfg = load_config(config_text(paths, "regime.kind = stl\nregime.task_weights = 0.3,2\n"))
         assert cfg.regime.task_weights == (1.0,)
 
-    def test_per_task_loss_override(self, paths):
-        cfg = load_config(
-            config_text(paths, "regime.loss = CE\nregime.loss_offense = FL\n")
-        )
-        assert cfg.regime.losses["sentiment"].kind is LossKind.CROSS_ENTROPY
-        assert cfg.regime.losses["offense"].kind is LossKind.FOCAL
-
     def test_soft_share_default_coupling(self, paths):
         cfg = load_config(config_text(paths, "regime.kind = soft_share\n"))
         assert cfg.regime.soft == SoftShareConfig()
@@ -177,7 +176,7 @@ class TestLossSpellings:
             mixed = "".join(c.lower() if i % 2 else c for i, c in enumerate(spelling))
             for text in (spelling, spelling.lower(), mixed, f"  {mixed}  ", f"\t{spelling.lower()} "):
                 cfg = load_line(f"regime.loss = {text}")
-                assert all(lc.kind is kind for lc in cfg.regime.losses.values()), text
+                assert cfg.regime.loss.kind is kind, text
 
     def test_unknown(self):
         for text in ("mse", "cross entropy", "KL_D", "C E", ""):
@@ -205,7 +204,6 @@ class TestWords:
         [
             "regime.loss = \ufb02",  # the fl ligature
             "regime.loss = CRO\u017f\u017f-ENTROPY",  # long s
-            "regime.loss_offense = \ufb02",
             "regime.loss = \u212aLD",  # the Kelvin sign
             "data.language = \u212aannada",
         ],
@@ -232,7 +230,6 @@ DEFAULT_TEXT = (
     "data.test = \n"
     "data.language = kannada\n"
     "text.mode = char\n"
-    "text.min_freq = 1\n"
     "text.max_size = 20000\n"
     "text.max_len = 64\n"
     "model.d_model = 64\n"
@@ -243,10 +240,6 @@ DEFAULT_TEXT = (
     "regime.kind = hard_share\n"
     "regime.task = sentiment\n"
     "regime.loss = CE\n"
-    "regime.loss_sentiment = \n"
-    "regime.loss_offense = \n"
-    "regime.focal_gamma = 2.0\n"
-    "regime.kld_epsilon = 0.1\n"
     "regime.class_weights = false\n"
     "regime.task_weights = 1,1\n"
     "regime.penalty = frobenius\n"
@@ -254,11 +247,6 @@ DEFAULT_TEXT = (
     "train.epochs = 5\n"
     "train.batch_size = 32\n"
     "train.lr = 0.001\n"
-    "train.beta1 = 0.9\n"
-    "train.beta2 = 0.999\n"
-    "train.epsilon = 1e-8\n"
-    "train.weight_decay = 0.01\n"
-    "train.clip_norm = 1.0\n"
     "train.seed = 0\n"
     "output.dir = runs/run\n"
 )

@@ -145,7 +145,7 @@ class TestLoadJointTsv:
         corpus = load_joint_tsv(path, SCHEMAS, "kannada")
         assert corpus.records[0].text == "hi there"
         texts = (rec.text for rec in corpus.records)
-        vocab = build_vocab(texts, mode="char", min_freq=1, max_size=100)
+        vocab = build_vocab(texts, mode="char", max_size=100)
         assert "\ufeff" not in vocab.token_to_id
 
     def test_bad_rows_over_limit_fail_with_line_numbers(self, tmp_path):
@@ -295,7 +295,7 @@ class TestStratifiedSplit:
 class TestBatches:
     @pytest.fixture
     def vocab(self):
-        return build_vocab(["text one two"], mode="word", min_freq=1, max_size=100)
+        return build_vocab(["text one two"], mode="word", max_size=100)
 
     def test_sizes(self, vocab):
         corpus = make_corpus([0] * 10)

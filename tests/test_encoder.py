@@ -20,7 +20,6 @@ from mtlc.encoder import (
     pack,
     param_shapes,
 )
-from mtlc.losses import LossConfig
 from mtlc.mtl import Model, RegimeConfig, SoftShareConfig, build_model, predict_logits, towers
 from mtlc.numcore import (
     GradTape,
@@ -265,7 +264,7 @@ def params(small_config, heads):
 
 @pytest.fixture
 def vocab():
-    return build_vocab(["a b c d e f", "b c d"], mode="word", min_freq=1, max_size=100)
+    return build_vocab(["a b c d e f", "b c d"], mode="word", max_size=100)
 
 
 class TestConfigValidation:
@@ -743,7 +742,7 @@ class TestPacking:
     def test_pack_equals_the_padded_derivation(self, texts, corpus, mode, max_len):
         """`pack` of encoded comments against the arrays derived from their
         PAD-filled ids and 0/1 masks, value for value."""
-        vocab = build_vocab(corpus, mode=mode, min_freq=1, max_size=100)
+        vocab = build_vocab(corpus, mode=mode, max_size=100)
         seqs = [encode(text, vocab, max_len) for text in texts]
         for seq in seqs:
             assert len(seq.mask) == max_len and sum(seq.mask) == len(seq.ids)
@@ -848,7 +847,6 @@ class TestInferenceReference:
         tasks = ("sentiment", "offense")
         regime = RegimeConfig(
             tasks=tasks,
-            losses={t: LossConfig() for t in tasks},
             soft=SoftShareConfig(lam=0.0) if request.param == "soft_share" else None,
         )
         cfg = EncoderConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ffn=16, max_len=8)

@@ -1,5 +1,7 @@
 """Training regimes: STL, hard sharing, and soft sharing."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,6 @@ from mtlc.mtl import (
 )
 from mtlc.numcore import (
     GradTape,
-    OptimHyper,
     Tensor,
     backward,
     child_seed,
@@ -58,7 +59,6 @@ def regime_for(kind, task="sentiment", weights=None, soft=None):
     tasks = (task,) if kind == "stl" else TASKS
     return RegimeConfig(
         tasks=tasks,
-        losses={t: LossConfig() for t in tasks},
         task_weights=weights if weights is not None else tuple([1.0] * len(tasks)),
         soft=soft,
     )
@@ -73,8 +73,7 @@ def toy_encoder(vocab, **over):
     return EncoderConfig(**kwargs)
 
 
-def toy_hyper(lr=3e-3):
-    return OptimHyper(learning_rate=lr, weight_decay=0.01, clip_norm=1.0)
+TOY_LR = 3e-3  # toy.cfg's train.lr
 
 
 def soft_regime(penalty="frobenius", lam=0.1, weights=None):
@@ -108,12 +107,12 @@ def first_step_grads(splits, regime, model, vocab, monkeypatch, seed=1):
     step was given; no parameter is updated."""
     seen = {}
 
-    def stop(params, states, hyper):
+    def stop(params, states, learning_rate):
         seen.update((name, p.grad.copy()) for name, p in params.items())
         raise _StopBeforeUpdate
 
     monkeypatch.setattr(mtl, "adamw_step", stop)
-    tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=seed)
+    tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, learning_rate=TOY_LR, seed=seed)
     with pytest.raises(_StopBeforeUpdate):
         train(model, splits.train, splits.val, vocab, tc)
     return seen
@@ -134,7 +133,7 @@ def joint_step_grads(splits, regime, model, vocab, seed=1, weights=None):
     with GradTape() as tape:
         logits = logits_per_tower(model, batch.seqs, rng=stream(seed, "dropout"))
         losses = [
-            compute_loss(logits[t], batch.labels[t], regime.losses[t], (weights or {}).get(t))
+            compute_loss(logits[t], batch.labels[t], regime.loss, (weights or {}).get(t))
             for t in regime.tasks
         ]
         total = weighted_sum(losses, regime.task_weights)
@@ -148,13 +147,7 @@ class TestRegimeValidation:
     )
     def test_one_task_or_two(self, tasks):
         with pytest.raises(ConfigError, match="one task or two"):
-            RegimeConfig(
-                tasks=tasks, losses={t: LossConfig() for t in tasks}, task_weights=(1.0,) * len(tasks)
-            )
-
-    def test_losses_name_the_regime_tasks(self):
-        with pytest.raises(ConfigError, match=r"loss config tasks \['offense'\] != tasks \('sentiment',\)"):
-            RegimeConfig(tasks=("sentiment",), losses={"offense": LossConfig()}, task_weights=(1.0,))
+            RegimeConfig(tasks=tasks, task_weights=(1.0,) * len(tasks))
 
     def test_soft_needs_two_tasks(self):
         # one encoder has no pair to couple
@@ -425,7 +418,7 @@ class TestTrain:
     def test_determinism_bitwise(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab)
         regime = regime_for("hard_share")
-        tc = TrainConfig(epochs=2, batch_size=16, optimizer=toy_hyper(), seed=1)
+        tc = TrainConfig(epochs=2, batch_size=16, learning_rate=TOY_LR, seed=1)
         results = []
         for _ in range(2):
             model = build_model(regime, cfg, N_CLASSES, seed=1)
@@ -442,7 +435,7 @@ class TestTrain:
 
     def test_stl_matches_zero_weighted_hard_share(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab)
-        tc = TrainConfig(epochs=3, batch_size=16, optimizer=toy_hyper(), seed=1)
+        tc = TrainConfig(epochs=3, batch_size=16, learning_rate=TOY_LR, seed=1)
 
         stl = build_model(regime_for("stl", "sentiment"), cfg, N_CLASSES, seed=1)
         stl_epochs = train(stl, toy_splits.train, toy_splits.val, toy_vocab, tc)
@@ -460,7 +453,7 @@ class TestTrain:
     def test_loss_nonincreasing_at_small_lr(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab, dropout_p=0.0)
         regime = regime_for("hard_share")
-        tc = TrainConfig(epochs=8, batch_size=16, optimizer=toy_hyper(lr=1e-3), seed=1)
+        tc = TrainConfig(epochs=8, batch_size=16, learning_rate=1e-3, seed=1)
         model = build_model(regime, cfg, N_CLASSES, seed=1)
         epochs = train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
         for task in TASKS:
@@ -471,7 +464,7 @@ class TestTrain:
     def test_trace_length_and_fields(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab)
         regime = regime_for("stl", "offense")
-        tc = TrainConfig(epochs=2, batch_size=16, optimizer=toy_hyper(), seed=0)
+        tc = TrainConfig(epochs=2, batch_size=16, learning_rate=TOY_LR, seed=0)
         model = build_model(regime, cfg, N_CLASSES, seed=0)
         epochs = train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
         assert len(epochs) == 2
@@ -479,6 +472,34 @@ class TestTrain:
             assert set(ep.train_loss) == {"offense"}
             assert 0.0 <= ep.train_accuracy["offense"] <= 1.0
             assert 0.0 <= ep.val_report["offense"].weighted.f1 <= 1.0
+
+    @pytest.mark.parametrize("kind", ["hard_share", "soft_share"])
+    def test_an_epochs_float32_copies_die_before_the_next_epoch_trains(
+        self, toy_splits, toy_vocab, monkeypatch, kind
+    ):
+        # validation predicts on `stored_values`' float32 copies of the
+        # weights; none outlives its report into the next epoch's steps
+        copies, alive = [], []
+        stored_values, train_step = mtl.stored_values, mtl.train_step
+
+        def recording_stored_values(params):
+            stored = stored_values(params)
+            copies.append([weakref.ref(array) for array in stored.values()])
+            return stored
+
+        def checking_train_step(*args):
+            if len(copies) == 1 and not alive:  # epoch 1's first step
+                alive.append(sum(ref() is not None for ref in copies[0]))
+            return train_step(*args)
+
+        monkeypatch.setattr(mtl, "stored_values", recording_stored_values)
+        monkeypatch.setattr(mtl, "train_step", checking_train_step)
+        regime = regime_for(kind, soft=SoftShareConfig() if kind == "soft_share" else None)
+        model = build_model(regime, toy_encoder(toy_vocab), N_CLASSES, seed=1)
+        tc = TrainConfig(epochs=2, batch_size=16, learning_rate=TOY_LR, seed=1)
+        train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
+        assert len(copies) == 2 and copies[0]
+        assert alive == [0]
 
     def test_trace_norm_soft_sharing_trains_at_the_default_lambda(self, toy_splits, toy_vocab):
         # the toy run's config with soft sharing and the trace norm: as a
@@ -488,7 +509,7 @@ class TestTrain:
         assert soft.lam == 0.1
         regime = regime_for("soft_share", soft=soft)
         model = build_model(regime, toy_encoder(toy_vocab), N_CLASSES, seed=1)
-        tc = TrainConfig(epochs=5, batch_size=16, optimizer=toy_hyper(), seed=1)
+        tc = TrainConfig(epochs=5, batch_size=16, learning_rate=TOY_LR, seed=1)
         epochs = train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
         f1 = {task: report.weighted.f1 for task, report in epochs[-1].val_report.items()}
         assert f1["sentiment"] >= 0.9 and f1["offense"] >= 0.9, f1
@@ -499,14 +520,14 @@ class TestTrain:
     def test_head_class_count_comes_from_its_weights(self, toy_splits, toy_vocab, regime):
         cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2)
         model = build_model(regime, cfg, {**N_CLASSES, "offense": 5}, seed=0)
-        tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=0)
+        tc = TrainConfig(epochs=1, batch_size=16, learning_rate=TOY_LR, seed=0)
         with pytest.raises(ContractError, match="'offense' has 5 classes but schema has 6"):
             train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
 
     def test_split_without_a_heads_task_rejected(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2)
         model = build_model(regime_for("hard_share"), cfg, N_CLASSES, seed=0)
-        tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=0)
+        tc = TrainConfig(epochs=1, batch_size=16, learning_rate=TOY_LR, seed=0)
         schemas = {"sentiment": toy_splits.train.schemas["sentiment"]}
         sentiment_only = Corpus(records=toy_splits.train.records, schemas=schemas, language="kannada")
         with pytest.raises(ContractError, match="split has no labels for task 'offense'"):
@@ -515,7 +536,7 @@ class TestTrain:
     def test_empty_split_rejected(self, toy_splits, toy_vocab):
         cfg = toy_encoder(toy_vocab)
         regime = regime_for("stl", "sentiment")
-        tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=0)
+        tc = TrainConfig(epochs=1, batch_size=16, learning_rate=TOY_LR, seed=0)
         model = build_model(regime, cfg, N_CLASSES, seed=0)
         empty = Corpus(records=[], schemas=toy_splits.train.schemas, language="kannada")
         with pytest.raises(ContractError, match="empty split"):
@@ -526,7 +547,7 @@ class TestTrain:
 
         cfg = toy_encoder(toy_vocab)
         regime = regime_for("stl", "sentiment")
-        tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=0)
+        tc = TrainConfig(epochs=1, batch_size=16, learning_rate=TOY_LR, seed=0)
         model = build_model(regime, cfg, N_CLASSES, seed=0)
         model.params["pooler_w"].data[0, 0] = float("nan")
         with pytest.raises(NumericalError, match="epoch 0 batch 0"):
@@ -538,7 +559,7 @@ class TestTrain:
 
         cfg = toy_encoder(toy_vocab)
         regime = regime_for("stl", "sentiment")
-        tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=0)
+        tc = TrainConfig(epochs=1, batch_size=16, learning_rate=TOY_LR, seed=0)
         model = build_model(regime, cfg, N_CLASSES, seed=0)
         before = {name: p.data.copy() for name, p in model.params.items()}
 
@@ -587,11 +608,8 @@ class TestTrainStep:
     def test_class_weights_come_from_the_train_split(self, toy_splits, toy_vocab, monkeypatch):
         # regime.class_weights = true: each task's loss weighs its classes by
         # their inverse frequency in the train split
-        kinds = {"sentiment": LossKind.CROSS_ENTROPY, "offense": LossKind.FOCAL}
         regime = RegimeConfig(
-            tasks=TASKS,
-            losses={t: LossConfig(kind=kinds[t], use_class_weights=True) for t in TASKS},
-            task_weights=(1.0, 1.0),
+            tasks=TASKS, loss=LossConfig(kind=LossKind.FOCAL, use_class_weights=True)
         )
         weights = {t: class_weights(class_counts(toy_splits.train, t)) for t in TASKS}
         got = first_step_grads(
@@ -612,12 +630,9 @@ class TestTrainStep:
         other = toy_splits.train.schemas["offense"].index("Other language")
         records = [r for r in toy_splits.train.records if r.labels["offense"] != other]
         split = Corpus(records=records, schemas=toy_splits.train.schemas, language="kannada")
-        tc = TrainConfig(epochs=1, batch_size=16, optimizer=toy_hyper(), seed=1)
+        tc = TrainConfig(epochs=1, batch_size=16, learning_rate=TOY_LR, seed=1)
         for kind in LossKind:
-            regime = RegimeConfig(
-                tasks=TASKS,
-                losses={t: LossConfig(kind=kind, use_class_weights=True) for t in TASKS},
-            )
+            regime = RegimeConfig(tasks=TASKS, loss=LossConfig(kind=kind, use_class_weights=True))
             model = self._model(regime, toy_vocab)
             if kind in (LossKind.CROSS_ENTROPY, LossKind.FOCAL):
                 with pytest.raises(DataError, match=rf"zero count at indices \[{other}\]"):
@@ -668,7 +683,7 @@ class TestTrainStep:
 
         monkeypatch.setattr(mtl, "adamw_step", recording_step)
         monkeypatch.setattr(mtl, f"{penalty}_penalty", recording_prox)
-        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(lr=0.002), seed=1)
+        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, learning_rate=0.002, seed=1)
         train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
         step = ["adamw"] + [(name, 0.002 * 0.5) for name in default_coupled_layers(1)]
         n_steps = -(-len(toy_splits.train.records) // STEP_BATCH)
@@ -681,7 +696,7 @@ class TestTrainStep:
         before = {name: p.data.copy() for name, p in model.params.items()}
         for name in ("adamw_step", "trace_norm_penalty"):
             monkeypatch.setattr(mtl, name, None)  # calling either fails the test
-        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=1)
+        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, learning_rate=TOY_LR, seed=1)
         with pytest.raises(NumericalError, match="offense loss at epoch 0 batch 0"):
             train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
         for name, p in model.params.items():
@@ -707,7 +722,7 @@ class TestTrainStep:
         monkeypatch.setattr(mtl, "backward", poisoned_backward)
         monkeypatch.setattr(mtl, "init_states", recording_init_states)
         monkeypatch.setattr(mtl, "couple", lambda *args: couplings.append(args))
-        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=1)
+        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, learning_rate=TOY_LR, seed=1)
         with pytest.raises(NumericalError, match="'tower.sentiment.layer0.wq' at epoch 0 batch 0"):
             train(model, toy_splits.train, toy_splits.val, toy_vocab, tc)
         for name, p in model.params.items():
@@ -720,10 +735,10 @@ class TestTrainStep:
     @staticmethod
     def _step(model, batch, states=None):
         """One `train_step` without class weights, at `first_step_grads`'
-        optimizer and dropout stream."""
+        learning rate and dropout stream."""
         states = init_states(model.params) if states is None else states
         no_weights = dict.fromkeys(model.regime.tasks)
-        return mtl.train_step(model, batch, states, no_weights, toy_hyper(), stream(1, "dropout"))
+        return mtl.train_step(model, batch, states, no_weights, TOY_LR, stream(1, "dropout"))
 
     @every_regime
     def test_one_step_is_a_one_batch_epoch(self, regime, toy_splits, toy_vocab, monkeypatch):
@@ -735,7 +750,7 @@ class TestTrainStep:
             return states
 
         monkeypatch.setattr(mtl, "init_states", recording_init_states)
-        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=1)
+        tc = TrainConfig(epochs=1, batch_size=STEP_BATCH, learning_rate=TOY_LR, seed=1)
         train(trained, split, toy_splits.val, toy_vocab, tc)
 
         stepped = self._model(regime, toy_vocab)
@@ -754,7 +769,7 @@ class TestTrainStep:
         logits = logits_per_tower(model, batch.seqs, rng=stream(1, "dropout"))
         want = {
             t: (
-                compute_loss(logits[t], batch.labels[t], regime.losses[t]).item(),
+                compute_loss(logits[t], batch.labels[t], regime.loss).item(),
                 int((logits[t].data.argmax(axis=1) == batch.labels[t]).sum()),
             )
             for t in regime.tasks
@@ -770,7 +785,7 @@ class TestTrainStep:
             return step(model, batch, *args)
 
         monkeypatch.setattr(mtl, "train_step", counted_step)
-        tc = TrainConfig(epochs=2, batch_size=STEP_BATCH, optimizer=toy_hyper(), seed=1)
+        tc = TrainConfig(epochs=2, batch_size=STEP_BATCH, learning_rate=TOY_LR, seed=1)
         train(self._model(regime, toy_vocab), toy_splits.train, toy_splits.val, toy_vocab, tc)
         n = len(toy_splits.train.records)
         per_epoch = [STEP_BATCH] * (n // STEP_BATCH) + ([n % STEP_BATCH] if n % STEP_BATCH else [])
@@ -1134,7 +1149,7 @@ class TestConcurrency:
 
         cfg = toy_encoder(toy_vocab, d_model=8, n_heads=2, d_ffn=16)
         regime = self.regime
-        tc = TrainConfig(epochs=2, batch_size=16, optimizer=toy_hyper(), seed=1)
+        tc = TrainConfig(epochs=2, batch_size=16, learning_rate=TOY_LR, seed=1)
         # trainable heads on purpose: only the per-thread tape stack keeps
         # these forward passes off the training thread's tape
         frozen = build_model(regime, cfg, N_CLASSES, seed=5)

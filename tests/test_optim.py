@@ -6,10 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mtlc.errors import ContractError, NumericalError, ShapeError
+from mtlc.errors import NumericalError, ShapeError
 from mtlc.numcore import (
     GradTape,
-    OptimHyper,
     Tensor,
     adamw_step,
     backward,
@@ -18,18 +17,18 @@ from mtlc.numcore import (
     sum_all,
     zero_grads,
 )
-from mtlc.numcore.optim import global_grad_norm
+from mtlc.numcore.optim import BETA1, BETA2, CLIP_NORM, EPSILON, WEIGHT_DECAY, global_grad_norm
 
 
 def make_param(values, name="w"):
     return {name: Tensor(np.asarray(values, dtype=float), requires_grad=True)}
 
 
-def step(params, grads, states, hyper):
+def step(params, grads, states, learning_rate):
     """`adamw_step` with `grads` set as the parameters' `.grad`."""
     for name, grad in grads.items():
         params[name].grad = grad
-    adamw_step(params, states, hyper)
+    adamw_step(params, states, learning_rate)
 
 
 def snapshot(params, states):
@@ -48,95 +47,70 @@ def assert_same(a, b):
         assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b) and t_a == t_b, name
 
 
-class TestHyperValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"learning_rate": 0.0},
-            {"beta1": 1.0},
-            {"beta2": 0.0},
-            {"epsilon": 0.0},
-            {"weight_decay": -0.1},
-            {"clip_norm": -1.0},
-        ],
-    )
-    def test_bounds(self, kwargs):
-        with pytest.raises(ContractError):
-            OptimHyper(**kwargs)
-
-
 class TestAdamWStep:
-    def test_zero_grad_no_decay_leaves_params(self):
-        params = make_param([1.0, -2.0, 3.0])
-        states = init_states(params)
-        step(params, {"w": np.zeros(3)}, states, OptimHyper(learning_rate=0.1, weight_decay=0.0))
-        assert params["w"].data.tolist() == [1.0, -2.0, 3.0]
-        assert states["w"].t == 1
-
     def test_zero_grad_decay_scales(self):
         params = make_param([1.0, -2.0])
         states = init_states(params)
-        hyper = OptimHyper(learning_rate=0.1, weight_decay=0.5)
-        step(params, {"w": np.zeros(2)}, states, hyper)
-        assert np.allclose(params["w"].data, np.array([1.0, -2.0]) * (1 - 0.1 * 0.5))
+        step(params, {"w": np.zeros(2)}, states, 0.1)
+        assert np.allclose(params["w"].data, np.array([1.0, -2.0]) * (1 - 0.1 * WEIGHT_DECAY))
+        assert states["w"].t == 1
 
     def test_first_step_is_lr_times_sign(self):
         g = np.array([0.3, -1.7, 2.5])
         params = make_param([0.0, 0.0, 0.0])
         states = init_states(params)
-        hyper = OptimHyper(learning_rate=1e-2, weight_decay=0.0, epsilon=1e-12, clip_norm=0.0)
-        step(params, {"w": g.copy()}, states, hyper)
-        # m_hat = g, v_hat = g^2 after bias correction, so step = -lr*sign(g)
-        assert np.allclose(params["w"].data, -1e-2 * np.sign(g), atol=1e-10)
+        step(params, {"w": g.copy()}, states, 1e-2)
+        # m_hat = g, v_hat = g^2 after bias correction (the clip scales both),
+        # so the step is -lr*sign(g) up to EPSILON, then the post-Adam value decays
+        want = -1e-2 * np.sign(g) * (1 - 1e-2 * WEIGHT_DECAY)
+        assert np.allclose(params["w"].data, want, rtol=0, atol=1e-8)
 
     def test_second_moment_nonnegative(self):
         params = make_param(np.zeros(4))
         states = init_states(params)
         for seed in range(5):
             g = np.random.default_rng(seed).normal(size=4)
-            step(params, {"w": g}, states, OptimHyper(learning_rate=1e-3))
+            step(params, {"w": g}, states, 1e-3)
             assert (states["w"].v >= 0).all()
         assert states["w"].t == 5
 
     @pytest.mark.parametrize(
-        "weight_decay, clip_norm, has_grad",
+        "grad_scale, clipped",
         [
-            pytest.param(0.0, 0.0, True, id="0.0"),
-            pytest.param(0.05, 0.0, True, id="0.05"),
-            pytest.param(0.05, 0.5, True, id="clipped"),
-            pytest.param(0.05, 0.0, False, id="none-grad"),
+            pytest.param(0.1, False, id="unclipped"),
+            pytest.param(1.0, True, id="clipped"),
+            pytest.param(None, False, id="none-grad"),
         ],
     )
-    def test_updates_the_array_in_place_bit_for_bit(self, weight_decay, clip_norm, has_grad):
+    def test_updates_the_array_in_place_bit_for_bit(self, grad_scale, clipped):
         rng = np.random.default_rng(8)
         stack = rng.normal(size=(2, 4, 3))
         # a view, as a soft-sharing tower's parameter views its stack
         params = {"w": Tensor(stack[1], requires_grad=True)}
         array = params["w"].data
         states = init_states(params)
-        hyper = OptimHyper(learning_rate=0.05, weight_decay=weight_decay, clip_norm=clip_norm)
+        lr = 0.05
         for t in range(1, 4):
             before, m, v = array.copy(), states["w"].m.copy(), states["w"].v.copy()
-            grad = rng.normal(size=(4, 3)) if has_grad else None
+            grad = None if grad_scale is None else grad_scale * rng.normal(size=(4, 3))
             held = None if grad is None else grad.copy()
-            step(params, {"w": grad}, states, hyper)
+            step(params, {"w": grad}, states, lr)
             assert params["w"].data is array and array.base is stack
             # the step only reads the gradient
             assert grad is None or np.array_equal(grad, held)
             # the out-of-place formulas: the moments from the clipped
             # gradient (zeros for None), the update from the moments
             g = np.zeros((4, 3)) if grad is None else grad
-            if clip_norm > 0:
-                norm = np.sqrt(float((g * g).sum()))
-                assert norm > clip_norm
-                g = g * (clip_norm / norm)
-            assert np.array_equal(states["w"].m, hyper.beta1 * m + (1.0 - hyper.beta1) * g)
-            assert np.array_equal(states["w"].v, hyper.beta2 * v + (1.0 - hyper.beta2) * (g * g))
-            m_hat = states["w"].m / (1.0 - hyper.beta1**t)
-            v_hat = states["w"].v / (1.0 - hyper.beta2**t)
-            want = before - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon)
-            if weight_decay > 0:
-                want = want - hyper.learning_rate * hyper.weight_decay * want
+            norm = np.sqrt(float((g * g).sum()))
+            assert (norm > CLIP_NORM) == clipped
+            if clipped:
+                g = g * (CLIP_NORM / norm)
+            assert np.array_equal(states["w"].m, BETA1 * m + (1.0 - BETA1) * g)
+            assert np.array_equal(states["w"].v, BETA2 * v + (1.0 - BETA2) * (g * g))
+            m_hat = states["w"].m / (1.0 - BETA1**t)
+            v_hat = states["w"].v / (1.0 - BETA2**t)
+            want = before - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+            want = want - lr * WEIGHT_DECAY * want
             assert np.array_equal(array, want)
             assert np.array_equal(stack[1], want)
 
@@ -145,15 +119,13 @@ class TestAdamWStep:
         states = init_states(params)
         before = snapshot(params, states)
         with pytest.raises(ShapeError, match="w"):
-            step(params, {"a": np.ones(2), "w": np.zeros(3)}, states, OptimHyper())
+            step(params, {"a": np.ones(2), "w": np.zeros(3)}, states, 1e-3)
         assert_same(snapshot(params, states), before)
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    def test_none_grad_updates_as_an_explicit_zero(self, weight_decay):
+    def test_none_grad_updates_as_an_explicit_zero(self):
         rng = np.random.default_rng(3)
         values = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)}
         grad_a = 10 * rng.normal(size=(2, 3))  # above the clip norm, so the factor applies
-        hyper = OptimHyper(learning_rate=0.05, weight_decay=weight_decay, clip_norm=1.0)
         runs = []
         for grad_b in (None, np.zeros(4)):
             params = {
@@ -161,7 +133,7 @@ class TestAdamWStep:
             }
             states = init_states(params)
             for _ in range(3):
-                step(params, {"a": grad_a, "b": grad_b}, states, hyper)
+                step(params, {"a": grad_a, "b": grad_b}, states, 0.05)
             runs.append(snapshot(params, states))
         assert_same(*runs)
         assert not np.array_equal(runs[0][0]["a"], values["a"])
@@ -172,7 +144,6 @@ class TestAdamWStep:
         rng = np.random.default_rng(4)
         values = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=4)}
         weights = Tensor(rng.normal(size=(2, 3)))
-        hyper = OptimHyper(learning_rate=0.05, weight_decay=0.05, clip_norm=1.0)
         runs = []
         for explicit in (False, True):
             params = {
@@ -188,7 +159,7 @@ class TestAdamWStep:
                 assert params["b"].grad is None
                 if explicit:
                     params["b"].grad = np.zeros(4)
-                adamw_step(params, states, hyper)
+                adamw_step(params, states, 0.05)
             runs.append({
                 n: (p.data.tobytes(), states[n].m.tobytes(), states[n].v.tobytes())
                 for n, p in params.items()
@@ -196,16 +167,14 @@ class TestAdamWStep:
         assert runs[0] == runs[1]
         assert runs[0]["b"][0] != values["b"].tobytes()  # weight decay moved it
 
-    @pytest.mark.parametrize("clip_norm", [0.0, 1.0])
-    def test_non_finite_grad_names_the_sorted_first_and_changes_nothing(self, clip_norm):
+    def test_non_finite_grad_names_the_sorted_first_and_changes_nothing(self):
         params = {**make_param([1.0, 2.0], "b"), **make_param([3.0], "a")}
         states = init_states(params)
-        hyper = OptimHyper(learning_rate=0.1, weight_decay=0.1, clip_norm=clip_norm)
-        step(params, {"b": np.array([0.5, -0.5]), "a": np.array([2.0])}, states, hyper)
+        step(params, {"b": np.array([0.5, -0.5]), "a": np.array([2.0])}, states, 0.1)
         before = snapshot(params, states)
         grads = {"b": np.array([np.nan, 1.0]), "a": np.array([np.inf])}
         with pytest.raises(NumericalError, match="^non-finite gradient for 'a'$"):
-            step(params, grads, states, hyper)
+            step(params, grads, states, 0.1)
         assert_same(snapshot(params, states), before)
 
 
@@ -220,28 +189,17 @@ class TestClipping:
     def test_rescale_to_limit(self):
         params = make_param([0.0, 0.0])
         states = init_states(params)
-        hyper = OptimHyper(clip_norm=1.0)
-        step(params, {"w": np.array([3.0, 4.0])}, states, hyper)
-        clipped = states["w"].m / (1.0 - hyper.beta1)
+        step(params, {"w": np.array([3.0, 4.0])}, states, 1e-3)
+        clipped = states["w"].m / (1.0 - BETA1)
         assert np.allclose(clipped, np.array([0.6, 0.8]))
         assert abs(global_grad_norm({"w": clipped}) - 1.0) < 1e-12
 
     def test_below_limit_untouched(self):
         params = make_param([0.0, 0.0])
         states = init_states(params)
-        hyper = OptimHyper(clip_norm=1.0)
         grad = np.array([0.3, 0.4])
-        step(params, {"w": grad}, states, hyper)
-        assert np.array_equal(states["w"].m, (1.0 - hyper.beta1) * grad)
-
-    def test_clip_zero_disables(self):
-        params = make_param([0.0])
-        states = init_states(params)
-        hyper = OptimHyper(learning_rate=1.0, weight_decay=0.0, clip_norm=0.0, epsilon=1e-12)
-        step(params, {"w": np.array([100.0])}, states, hyper)
-        assert np.array_equal(states["w"].m, (1.0 - hyper.beta1) * np.array([100.0]))
-        # unclipped: full -lr*sign step
-        assert np.allclose(params["w"].data, [-1.0], atol=1e-10)
+        step(params, {"w": grad}, states, 1e-3)
+        assert np.array_equal(states["w"].m, (1.0 - BETA1) * grad)
 
     def test_finite_grads_whose_norm_overflows_clip_to_zero(self):
         params = {**make_param([1.0], "a"), **make_param([-2.0], "b")}
@@ -250,11 +208,12 @@ class TestClipping:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning reaches the run's stderr
             assert global_grad_norm(grads) == np.inf
-            step(params, grads, states, OptimHyper(learning_rate=0.1, weight_decay=0.0, clip_norm=1.0))
+            step(params, grads, states, 0.1)
         for name, value in (("a", 1.0), ("b", -2.0)):
             assert states[name].t == 1
             assert not states[name].m.any() and not states[name].v.any()
-            assert params[name].data.tolist() == [value]
+            # no Adam step: the parameter only decays
+            assert params[name].data.tolist() == [value - value * (0.1 * WEIGHT_DECAY)]
 
 
 class TestQuadraticConvergence:
@@ -264,15 +223,13 @@ class TestQuadraticConvergence:
         a = np.array([0.5, 1.0, 2.0, 4.0])
         params = make_param([1.0, -1.0, 1.0, -1.0])
         states = init_states(params)
-        hyper = OptimHyper(learning_rate=1e-3, weight_decay=0.0, clip_norm=0.0)
-
         def loss():
             return float(0.5 * (a * params["w"].data**2).sum())
 
         prev = loss()
         for _ in range(100):
             grad = a * params["w"].data
-            step(params, {"w": grad}, states, hyper)
+            step(params, {"w": grad}, states, 1e-3)
             cur = loss()
             assert cur < prev
             prev = cur

@@ -17,36 +17,30 @@ from mtlc.text import (
 
 class TestBuildVocab:
     def test_word_mode_hand_case(self):
-        vocab = build_vocab(["a b", "a"], mode="word", min_freq=1, max_size=100)
+        vocab = build_vocab(["a b", "a"], mode="word", max_size=100)
         assert vocab.token_to_id == {
             "[PAD]": 0, "[UNK]": 1, "[CLS]": 2, "[SEP]": 3, "a": 4, "b": 5,
         }
 
     def test_char_mode_hand_case(self):
-        vocab = build_vocab(["ab"], mode="char", min_freq=1, max_size=100)
+        vocab = build_vocab(["ab"], mode="char", max_size=100)
         assert vocab.token_to_id["a"] == 4
         assert vocab.token_to_id["b"] == 5
 
-    def test_min_freq_threshold(self):
-        vocab = build_vocab(["a b", "a"], mode="word", min_freq=2, max_size=100)
-        assert "b" not in vocab.token_to_id
-        seq = encode("a b", vocab, 5)
-        assert seq.ids == (CLS, vocab.token_to_id["a"], UNK, SEP)
-
     def test_frequency_then_lexicographic_rank(self):
-        vocab = build_vocab(["z z b a"], mode="word", min_freq=1, max_size=100)
+        vocab = build_vocab(["z z b a"], mode="word", max_size=100)
         assert vocab.id_to_token[4:] == ("z", "a", "b")
 
     def test_max_size_caps_after_specials(self):
-        vocab = build_vocab(["a b c d e"], mode="word", min_freq=1, max_size=2)
+        vocab = build_vocab(["a b c d e"], mode="word", max_size=2)
         assert len(vocab) == 6
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ContractError):
-            build_vocab([], mode="word", min_freq=1, max_size=100)
+            build_vocab([], mode="word", max_size=100)
 
     def test_bijection(self):
-        vocab = build_vocab(["some words and more words"], mode="word", min_freq=1, max_size=100)
+        vocab = build_vocab(["some words and more words"], mode="word", max_size=100)
         assert sorted(vocab.token_to_id.values()) == list(range(len(vocab)))
         for tok, i in vocab.token_to_id.items():
             assert vocab.id_to_token[i] == tok
@@ -71,7 +65,7 @@ class TestTokenize:
 class TestEncode:
     @pytest.fixture
     def vocab(self):
-        return build_vocab(["a b", "a"], mode="word", min_freq=1, max_size=100)
+        return build_vocab(["a b", "a"], mode="word", max_size=100)
 
     def test_empty_text(self, vocab):
         seq = encode("", vocab, 6)
@@ -83,7 +77,7 @@ class TestEncode:
         assert seq.ids == (2, 4, 5, 3)
         assert seq.mask == (1, 1, 1, 1, 0)
         # char ids a=4, " "=5, b=6: "?" and "ü" are unknown, the last " a" is cut
-        vocab = build_vocab(["a b", "a"], mode="char", min_freq=1, max_size=100)
+        vocab = build_vocab(["a b", "a"], mode="char", max_size=100)
         seq = encode("a?b ü a", vocab, 7)
         assert seq.ids == (2, 4, UNK, 6, 5, UNK, 3)
         assert seq.mask == (1,) * 7
@@ -119,7 +113,7 @@ class TestEncode:
 
 class TestVocabFile:
     def test_round_trip(self, tmp_path):
-        vocab = build_vocab(["a b c", "b c"], mode="word", min_freq=1, max_size=100)
+        vocab = build_vocab(["a b c", "b c"], mode="word", max_size=100)
         path = str(tmp_path / "vocab.txt")
         save_vocab(vocab, path)
         loaded = parse_vocab((tmp_path / "vocab.txt").read_bytes(), path)
@@ -127,7 +121,7 @@ class TestVocabFile:
         assert loaded.mode == vocab.mode
 
     def test_header_format(self, tmp_path):
-        vocab = build_vocab(["xy"], mode="char", min_freq=1, max_size=100)
+        vocab = build_vocab(["xy"], mode="char", max_size=100)
         path = str(tmp_path / "vocab.txt")
         save_vocab(vocab, path)
         with open(path, encoding="utf-8") as fh:
